@@ -267,6 +267,10 @@ func newDaemon(o daemonOpts) (*daemon, error) {
 	engCfg := stream.Config{
 		Shards: o.shards, QueueDepth: o.queue, TrainingDays: o.training,
 		ShedThreshold: o.shedThresh,
+		// Nothing in the daemon reads Engine.DayReport — /report serves the
+		// compact dailies, which are always kept — so hold only the latest
+		// full report (and its day snapshot) instead of the library's seven.
+		RetainDayReports: 1,
 		OnReport: func(rep pipeline.EnterpriseDayReport, daily *report.Daily) {
 			if daily == nil {
 				log.Printf("day %s trained: %d records, %d rare", rep.Day.Format("2006-01-02"),

@@ -14,7 +14,7 @@ package histogram
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -60,15 +60,18 @@ func (c Config) minConns() int {
 
 // Intervals converts a series of connection timestamps into the
 // inter-connection intervals (in seconds) between successive connections.
-// The input need not be sorted; it is sorted without mutating the caller's
-// slice.
+// The input need not be sorted: an unsorted series is sorted in a copy, never
+// in the caller's slice. The day snapshot hands over each rare host's
+// timestamps already in time order, and that common case is read in place.
 func Intervals(times []time.Time) []float64 {
 	if len(times) < 2 {
 		return nil
 	}
-	sorted := make([]time.Time, len(times))
-	copy(sorted, times)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Before(sorted[j]) })
+	sorted := times
+	if !slices.IsSortedFunc(times, time.Time.Compare) {
+		sorted = slices.Clone(times)
+		slices.SortFunc(sorted, time.Time.Compare)
+	}
 	out := make([]float64, 0, len(sorted)-1)
 	for i := 1; i < len(sorted); i++ {
 		out = append(out, sorted[i].Sub(sorted[i-1]).Seconds())

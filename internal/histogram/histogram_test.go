@@ -3,6 +3,7 @@ package histogram
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -39,6 +40,13 @@ func TestIntervals(t *testing.T) {
 	// Caller's slice must not be mutated.
 	if !times[0].Equal(base.Add(240 * time.Second)) {
 		t.Error("Intervals mutated its input")
+	}
+	// An already-sorted series (ties included) is read in place and yields
+	// the same intervals as its shuffled form.
+	sorted := []time.Time{base, base.Add(120 * time.Second), base.Add(120 * time.Second), base.Add(240 * time.Second)}
+	shuffled := []time.Time{sorted[3], sorted[1], sorted[0], sorted[2]}
+	if a, b := Intervals(sorted), Intervals(shuffled); !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, []float64{120, 0, 120}) {
+		t.Errorf("sorted input gives %v, shuffled %v, want [120 0 120]", a, b)
 	}
 }
 

@@ -46,32 +46,21 @@ const flowDomainCacheMax = 8192
 type flowFrameDecoder struct {
 	l       *Listener
 	dec     *logs.FlowDecoder
-	recs    []logs.ProxyRecord
 	domains map[netip.Addr]string
-	high    int
 }
 
 func newFlowDecoder(l *Listener) *flowFrameDecoder {
-	return &flowFrameDecoder{
-		l:       l,
-		dec:     logs.NewFlowDecoder(),
-		recs:    logs.GetProxyBuf(l.cfg.BatchRecords),
-		domains: make(map[netip.Addr]string),
-	}
+	return &flowFrameDecoder{l: l, dec: logs.NewFlowDecoder(), domains: make(map[netip.Addr]string)}
 }
 
-func (f *flowFrameDecoder) decode(frame []byte) error {
+func (f *flowFrameDecoder) decode(frame []byte, rec *logs.ProxyRecord) (bool, error) {
 	fr, err := f.dec.ParseFlowRecord(frame)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if fr.DstPort != 80 && fr.DstPort != 443 {
+	if (fr.DstPort != 80 && fr.DstPort != 443) || normalize.IsInternal(fr.DstIP) {
 		f.l.filtered.Add(1)
-		return nil
-	}
-	if normalize.IsInternal(fr.DstIP) {
-		f.l.filtered.Add(1)
-		return nil
+		return false, nil
 	}
 	dom, ok := f.domains[fr.DstIP]
 	if !ok {
@@ -81,24 +70,8 @@ func (f *flowFrameDecoder) decode(frame []byte) error {
 		}
 		f.domains[fr.DstIP] = dom
 	}
-	f.recs = append(f.recs, logs.ProxyRecord{
-		Time:   fr.Time,
-		SrcIP:  fr.SrcIP,
-		Domain: dom,
-		DestIP: fr.DstIP,
-	})
-	return nil
+	*rec = logs.ProxyRecord{Time: fr.Time, SrcIP: fr.SrcIP, Domain: dom, DestIP: fr.DstIP}
+	return true, nil
 }
 
-func (f *flowFrameDecoder) pending() int { return len(f.recs) }
-
-func (f *flowFrameDecoder) take() []logs.ProxyRecord {
-	b := f.recs
-	f.high = max(f.high, len(b))
-	f.recs = f.recs[:0]
-	return b
-}
-
-func (f *flowFrameDecoder) release() {
-	logs.PutProxyBuf(f.recs[:max(f.high, len(f.recs))])
-}
+func (f *flowFrameDecoder) release() {}

@@ -51,10 +51,22 @@ var (
 // bounded by MaxFrameBytes long before that.
 const maxOctetDigits = 9
 
-// frameScanner splits a stream into frames with partial-frame buffering:
-// frames may arrive split across arbitrarily many reads (TCP segmentation)
-// and several frames may arrive in one read. The returned frame slices
-// alias the internal buffer and are valid only until the next call.
+// readChunk is the scanner's initial buffer and therefore the size of one
+// socket read: large enough that a saturated connection pays one read(2),
+// one compaction and one round of counter updates per few hundred records
+// rather than per few dozen, small enough to sit in L2 while the chunk's
+// frames are decoded out of it. A constant, not a Config field: no listener
+// has a reason to want another value, and the frame cap — the limit that is
+// policy — is independent of it.
+const readChunk = 64 << 10
+
+// frameScanner splits a stream into frames a chunk at a time: fill reads
+// whatever the connection has ready (up to the buffer's free space), next
+// cuts the buffered frames one by one without touching the reader. Frames
+// may arrive split across arbitrarily many reads (TCP segmentation); the
+// partial tail of a chunk stays buffered until a later fill completes it.
+// The returned frame slices alias the internal buffer and are valid only
+// until the next fill.
 type frameScanner struct {
 	r       io.Reader
 	framing Framing
@@ -68,78 +80,51 @@ func newFrameScanner(r io.Reader, framing Framing, maxFrame int) *frameScanner {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrameBytes
 	}
-	return &frameScanner{r: r, framing: framing, max: maxFrame, buf: make([]byte, 0, 4096)}
+	return &frameScanner{r: r, framing: framing, max: maxFrame, buf: make([]byte, 0, readChunk)}
 }
 
-// buffered reports whether undelivered bytes sit in the scanner's buffer —
+// buffered reports whether unconsumed bytes sit in the scanner's buffer —
 // the listener flushes its pending batch to the engine before a read that
 // would block, so a slow trickle of records is never parked in the batch
 // buffer waiting for peers.
 func (fs *frameScanner) buffered() bool { return fs.start < len(fs.buf) }
 
-// next returns the next complete frame, io.EOF at a clean end of stream, or
-// a terminal error. The frame aliases the scanner's buffer.
-func (fs *frameScanner) next() ([]byte, error) {
+// next cuts the next complete frame out of the buffer. ok=false means the
+// buffered bytes hold no complete frame and the caller must fill; a non-nil
+// error is terminal. Whether a frame is refused as over the cap depends only
+// on the frame, never on how the reads chunked it.
+func (fs *frameScanner) next() (frame []byte, ok bool, err error) {
+	b := fs.buf[fs.start:]
 	if fs.framing == FramingOctet {
-		return fs.nextOctet()
+		n, hdr, valid, complete := parseOctetHeader(b)
+		switch {
+		case !valid:
+			return nil, false, errBadOctetHeader
+		case !complete:
+			return nil, false, nil
+		case n > fs.max:
+			return nil, false, errFrameTooBig
+		case len(b) < hdr+n:
+			return nil, false, nil
+		}
+		fs.start += hdr + n
+		return b[hdr : hdr+n], true, nil
 	}
-	for {
-		if i := bytes.IndexByte(fs.buf[fs.start:], '\n'); i >= 0 {
-			// Enforce the cap on complete lines too, so whether an
-			// over-long line is refused never depends on how the kernel
-			// chunked the reads.
-			if i > fs.max {
-				return nil, errFrameTooBig
-			}
-			frame := fs.buf[fs.start : fs.start+i]
-			fs.start += i + 1
-			if n := len(frame); n > 0 && frame[n-1] == '\r' {
-				frame = frame[:n-1]
-			}
-			return frame, nil
-		}
-		if len(fs.buf)-fs.start > fs.max {
-			return nil, errFrameTooBig
-		}
-		if fs.eof {
-			if fs.start == len(fs.buf) {
-				return nil, io.EOF
-			}
-			return nil, errTornFrame
-		}
-		if err := fs.fill(); err != nil {
-			return nil, err
-		}
+	i := bytes.IndexByte(b, '\n')
+	if i < 0 {
+		i = len(b) // the partial line so far counts against the cap too
 	}
-}
-
-func (fs *frameScanner) nextOctet() ([]byte, error) {
-	for {
-		b := fs.buf[fs.start:]
-		n, hdr, ok, complete := parseOctetHeader(b)
-		if !ok {
-			return nil, errBadOctetHeader
-		}
-		if complete {
-			if n > fs.max {
-				return nil, errFrameTooBig
-			}
-			if len(b) >= hdr+n {
-				frame := b[hdr : hdr+n]
-				fs.start += hdr + n
-				return frame, nil
-			}
-		}
-		if fs.eof {
-			if len(b) == 0 {
-				return nil, io.EOF
-			}
-			return nil, errTornFrame
-		}
-		if err := fs.fill(); err != nil {
-			return nil, err
-		}
+	if i > fs.max {
+		return nil, false, errFrameTooBig
 	}
+	if i == len(b) {
+		return nil, false, nil
+	}
+	fs.start += i + 1
+	if i > 0 && b[i-1] == '\r' {
+		return b[:i-1], true, nil
+	}
+	return b[:i], true, nil
 }
 
 // parseOctetHeader scans an RFC 6587 "LENGTH SP" prefix. ok=false means the
@@ -165,12 +150,20 @@ func parseOctetHeader(b []byte) (n, hdr int, ok, complete bool) {
 	return n, i + 1, true, true
 }
 
-// fill reads more bytes, compacting consumed space first so the buffer
-// stays bounded by the largest frame rather than the connection's history.
+// fill reads the next chunk behind the unconsumed tail, which it first
+// moves to the front of the buffer; the buffer grows only while a single
+// frame outgrows it, so it stays bounded by the frame cap rather than the
+// connection's history. At the end of the stream it returns io.EOF, or
+// errTornFrame when bytes of an unfinished frame remain.
 func (fs *frameScanner) fill() error {
-	if fs.start > 0 && (fs.start == len(fs.buf) || len(fs.buf) == cap(fs.buf)) {
-		n := copy(fs.buf, fs.buf[fs.start:])
-		fs.buf = fs.buf[:n]
+	if fs.eof {
+		if fs.buffered() {
+			return errTornFrame
+		}
+		return io.EOF
+	}
+	if fs.start > 0 {
+		fs.buf = fs.buf[:copy(fs.buf, fs.buf[fs.start:])]
 		fs.start = 0
 	}
 	if len(fs.buf) == cap(fs.buf) {
@@ -180,12 +173,9 @@ func (fs *frameScanner) fill() error {
 	}
 	n, err := fs.r.Read(fs.buf[len(fs.buf):cap(fs.buf)])
 	fs.buf = fs.buf[:len(fs.buf)+n]
-	switch {
-	case err == io.EOF:
+	if err == io.EOF {
 		fs.eof = true
 		return nil
-	case err != nil:
-		return err
 	}
-	return nil
+	return err
 }

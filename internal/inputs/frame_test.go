@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"repro/internal/logs"
 )
 
 // chunkReader feeds its data n bytes at a time, so the scanner sees every
@@ -31,14 +33,19 @@ func collectFrames(r io.Reader, framing Framing, max int) ([][]byte, error) {
 	fs := newFrameScanner(r, framing, max)
 	var frames [][]byte
 	for {
-		f, err := fs.next()
+		f, ok, err := fs.next()
+		if !ok && err == nil {
+			err = fs.fill()
+		}
 		if err == io.EOF {
 			return frames, nil
 		}
 		if err != nil {
 			return frames, err
 		}
-		frames = append(frames, bytes.Clone(f))
+		if ok {
+			frames = append(frames, bytes.Clone(f))
+		}
 	}
 }
 
@@ -172,7 +179,10 @@ func TestFrameScannerRefusals(t *testing.T) {
 // FuzzFrameSplit checks the buffering frame scanner against the one-pass
 // naive reference for every input, framing, cap and read-chunking: same
 // frames, same terminal classification. Torn frames and hostile octet
-// counts must refuse cleanly (an error, never a panic or a hang).
+// counts must refuse cleanly (an error, never a panic or a hang). The same
+// bytes then go through the whole reader loop as proxy frames, held to the
+// per-frame reference loop (diffHandle): same delivered records, counters
+// and error wherever the reads cut the stream.
 func FuzzFrameSplit(f *testing.F) {
 	f.Add([]byte("alpha\nbeta\n"), false, 64, 3)
 	f.Add([]byte("5 alpha4 beta"), true, 64, 1)
@@ -180,6 +190,10 @@ func FuzzFrameSplit(f *testing.F) {
 	f.Add([]byte("12"), true, 16, 1)
 	f.Add([]byte("a\rb\r\n\n"), false, 16, 5)
 	f.Add([]byte("0 0 0 "), true, 8, 2)
+	recs := []logs.ProxyRecord{testProxyRecord(0), testProxyRecord(1), testProxyRecord(2)}
+	f.Add(frameProxy(FramingNewline, recs), false, 4095, 7)
+	f.Add(frameProxy(FramingOctet, recs), true, 4095, 33)
+	f.Add(append(frameProxy(FramingNewline, recs[:2]), "\r\n\nnot a record\n"...), false, 200, 5)
 	f.Fuzz(func(t *testing.T, data []byte, octet bool, max, chunk int) {
 		framing := FramingNewline
 		if octet {
@@ -202,6 +216,7 @@ func FuzzFrameSplit(f *testing.F) {
 				t.Fatalf("frame %d mismatch: scanner %q, reference %q", i, got[i], want[i])
 			}
 		}
+		diffHandle(t, "fuzz", data, Config{Name: "fuzz", Framing: framing, MaxFrameBytes: max, BatchRecords: 2}, chunk)
 	})
 }
 

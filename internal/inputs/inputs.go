@@ -253,10 +253,11 @@ func (l *Listener) acceptLoop() {
 	}
 }
 
-// HandleConn runs one connection to completion: split frames, decode
-// records, deliver batches, close. Exported so tests (including the
-// batch-equivalence suite) can drive a single framed connection without a
-// bound socket. Returns nil on a clean end of stream.
+// HandleConn runs one connection to completion: read a chunk, cut and
+// decode every complete frame of it straight into the pending batch, deliver
+// batches, close. Exported so tests (including the batch-equivalence suite)
+// can drive a single framed connection without a bound socket. Returns nil
+// on a clean end of stream.
 func (l *Listener) HandleConn(c net.Conn) error {
 	defer c.Close()
 	l.connsActive.Add(1)
@@ -272,68 +273,99 @@ func (l *Listener) HandleConn(c net.Conn) error {
 	}
 	defer dec.release()
 
+	// recs is the pending batch; frames decode in place into its next slot.
+	// GetProxyBuf guarantees the batch capacity up front and the loop hands
+	// off at the batch boundary, so taking a slot never reallocates. high is
+	// the longest extent ever written, so the pool's clear covers records
+	// from earlier, fuller batches, not just the final partial one. frames
+	// counts the frames cut since the counter was last bumped — once per
+	// chunk, not once per frame.
+	recs, high, frames := logs.GetProxyBuf(l.cfg.BatchRecords), 0, int64(0)
+	defer func() {
+		l.frames.Add(frames)
+		logs.PutProxyBuf(recs[:high])
+	}()
+
 	for {
-		frame, err := fs.next()
-		if err != nil {
-			// Deliver the complete records parsed before the failure —
-			// for a clean EOF that is the whole tail of the stream.
-			ferr := l.flush(dec)
-			switch {
-			case err == io.EOF:
-				return ferr
-			case errors.Is(err, errConnBytes) || errors.Is(err, errFrameTooBig):
-				l.overLimit.Add(1)
-			case errors.Is(err, errBadOctetHeader) || errors.Is(err, errTornFrame):
+		for {
+			frame, ok, err := fs.next()
+			if err != nil {
+				return l.end(recs, err)
+			}
+			if !ok {
+				break
+			}
+			if len(frame) == 0 {
+				continue // tolerate keep-alive blank lines
+			}
+			frames++
+			n := len(recs)
+			recs = recs[:n+1]
+			high = max(high, n+1)
+			keep, err := dec.decode(frame, &recs[n])
+			if err != nil {
+				// One undecodable frame poisons the stream: deliver what
+				// parsed cleanly before it, then refuse the connection.
 				l.malformed.Add(1)
+				l.flush(recs[:n])
+				return fmt.Errorf("inputs/%s: %w", l.cfg.Name, err)
 			}
-			return err
-		}
-		if len(frame) == 0 {
-			continue // tolerate keep-alive blank lines
-		}
-		l.frames.Add(1)
-		if err := dec.decode(frame); err != nil {
-			// One undecodable frame poisons the stream: deliver what
-			// parsed cleanly before it, then refuse the connection.
-			l.malformed.Add(1)
-			_ = l.flush(dec)
-			return fmt.Errorf("inputs/%s: %w", l.cfg.Name, err)
-		}
-		// Hand off at the batch boundary, or eagerly when the next read
-		// would block — a trickle of records must not sit parked waiting
-		// for peers to fill the batch.
-		if n := dec.pending(); n >= l.cfg.BatchRecords || (n > 0 && !fs.buffered()) {
-			if err := l.flush(dec); err != nil {
-				return err
+			if !keep {
+				recs = recs[:n]
+			} else if n+1 >= l.cfg.BatchRecords {
+				l.flush(recs)
+				recs = recs[:0]
 			}
+		}
+		l.frames.Add(frames)
+		frames = 0
+		// Hand off eagerly when the next read would block — a trickle of
+		// records must not sit parked waiting for peers to fill the batch.
+		if len(recs) > 0 && !fs.buffered() {
+			l.flush(recs)
+			recs = recs[:0]
+		}
+		if err := fs.fill(); err != nil {
+			return l.end(recs, err)
 		}
 	}
 }
 
-// flush delivers the decoder's pending batch to the engine under the
-// backpressure policy. A nil return means the connection may continue;
-// shedding and day-closed rejections are counted, not fatal.
-func (l *Listener) flush(dec frameDecoder) error {
-	batch := dec.take()
-	if len(batch) == 0 {
+// end delivers the complete records parsed before the connection's terminal
+// condition — for a clean EOF that is the whole tail of the stream — and
+// counts the condition.
+func (l *Listener) end(recs []logs.ProxyRecord, err error) error {
+	l.flush(recs)
+	switch {
+	case err == io.EOF:
 		return nil
+	case errors.Is(err, errConnBytes) || errors.Is(err, errFrameTooBig):
+		l.overLimit.Add(1)
+	case errors.Is(err, errBadOctetHeader) || errors.Is(err, errTornFrame):
+		l.malformed.Add(1)
+	}
+	return err
+}
+
+// flush delivers a pending batch to the engine under the backpressure
+// policy: shedding and engine refusals are counted, never fatal to the
+// connection.
+func (l *Listener) flush(batch []logs.ProxyRecord) {
+	if len(batch) == 0 {
+		return
 	}
 	if l.eng.Lagging() {
 		l.shedded.Add(int64(len(batch)))
-		return nil
+		return
 	}
-	err := l.eng.IngestBatch(batch)
-	switch {
-	case err == nil:
-		l.records.Add(int64(len(batch)))
-		return nil
-	default:
+	if err := l.eng.IngestBatch(batch); err != nil {
 		// Engine refusals (no open day, shutdown) reject the whole batch
 		// atomically. Keep the connection: the operator may be about to
 		// open the day, and the loss is counted either way.
 		l.rejected.Add(int64(len(batch)))
-		return nil
+		return
 	}
+	l.records.Add(int64(len(batch)))
 }
 
 // Stats snapshots the listener's counters.
@@ -384,12 +416,12 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// frameDecoder turns frames into a pending batch of engine-ready records.
-// Implementations own pooled decode state released by release().
+// frameDecoder decodes one frame into a slot of the pending batch,
+// overwriting every field of *rec. keep=false drops the record by design (a
+// flow outside the netflow reduction's filters); an error poisons the
+// connection. Implementations own pooled decode state released by release().
 type frameDecoder interface {
-	decode(frame []byte) error
-	pending() int
-	take() []logs.ProxyRecord // the pending batch; resets pending to 0
+	decode(frame []byte, rec *logs.ProxyRecord) (keep bool, err error)
 	release()
 }
 
@@ -397,51 +429,26 @@ type frameDecoder interface {
 // decoder — the same path POST /ingest runs, so interning keeps the hosts
 // and user agents of a long-lived connection warm.
 type proxyFrameDecoder struct {
-	l    *Listener
-	dec  *logs.ProxyDecoder
-	recs []logs.ProxyRecord
-	// high is the longest extent ever written into recs' backing array;
-	// release passes it to PutProxyBuf so the pool's clear covers records
-	// from earlier, fuller batches, not just the final partial one.
-	high int
+	dec    *logs.ProxyDecoder
+	syslog bool
 }
 
 func newProxyFrameDecoder(l *Listener) *proxyFrameDecoder {
-	return &proxyFrameDecoder{l: l, dec: logs.GetProxyDecoder(), recs: logs.GetProxyBuf(l.cfg.BatchRecords)}
+	return &proxyFrameDecoder{dec: logs.GetProxyDecoder(), syslog: l.cfg.SyslogHeader}
 }
 
-func (p *proxyFrameDecoder) decode(frame []byte) error {
-	if p.l.cfg.SyslogHeader {
+func (p *proxyFrameDecoder) decode(frame []byte, rec *logs.ProxyRecord) (bool, error) {
+	if p.syslog {
 		msg, err := stripSyslogHeader(frame)
 		if err != nil {
-			return err
+			return false, err
 		}
 		frame = msg
 	}
-	rec, err := p.dec.ParseProxyRecord(frame)
-	if err != nil {
-		return err
-	}
-	p.recs = append(p.recs, rec)
-	return nil
+	return true, p.dec.ParseProxyInto(rec, frame)
 }
 
-func (p *proxyFrameDecoder) pending() int { return len(p.recs) }
-
-func (p *proxyFrameDecoder) take() []logs.ProxyRecord {
-	b := p.recs
-	p.high = max(p.high, len(b))
-	// GetProxyBuf guaranteed the batch capacity up front and flush fires
-	// at the batch boundary, so append never outgrows the backing array
-	// and this reset keeps it.
-	p.recs = p.recs[:0]
-	return b
-}
-
-func (p *proxyFrameDecoder) release() {
-	logs.PutProxyDecoder(p.dec)
-	logs.PutProxyBuf(p.recs[:max(p.high, len(p.recs))])
-}
+func (p *proxyFrameDecoder) release() { logs.PutProxyDecoder(p.dec) }
 
 // errBadSyslogHeader reports a frame that does not carry the supported
 // RFC 5424 shape.

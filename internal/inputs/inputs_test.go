@@ -3,6 +3,7 @@ package inputs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"strconv"
@@ -464,7 +465,7 @@ func TestListenerBatchBoundary(t *testing.T) {
 // readerConn adapts an io.Reader into the net.Conn surface HandleConn
 // needs.
 type readerConn struct {
-	r *bytes.Reader
+	r io.Reader
 }
 
 func (rc *readerConn) Read(p []byte) (int, error)         { return rc.r.Read(p) }

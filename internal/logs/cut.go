@@ -353,9 +353,12 @@ func quickHash(b []byte) uint64 {
 // internFrontBits sizes the direct-mapped front array (2^bits slots).
 const internFrontBits = 12
 
-// Intern deduplicates the low-cardinality string columns (Host, Domain,
-// Method, UserAgent, Referer): every record of a multi-gigabyte day that
-// carries the same user agent shares one string allocation. Lookups with a
+// Intern deduplicates the string columns the enterprise bounds (Host,
+// Domain, Method, UserAgent): every record of a multi-gigabyte day that
+// carries the same user agent shares one string allocation. URL and Referer
+// are not among them — new values keep arriving all day, so a capped table
+// only charges them failed probes; the proxy decoder gives each a single-slot
+// last-value cache instead. Lookups with a
 // byte-slice key do not allocate. A direct-mapped front array answers the
 // hot values without touching the map; the map stays the authority, so
 // front collisions cost a map probe, not a wrong string. The table is not

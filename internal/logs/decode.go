@@ -3,11 +3,11 @@ package logs
 // The allocation-free decode path. A decoder owns the mutable state the
 // zero-copy parse needs — the interning table, the IP-address cache, the
 // unescape scratch buffer — so the hot loop allocates only for values it
-// has never seen (plus the genuinely high-cardinality URL column, which a
-// single-slot cache still elides for the bursts of identical URLs real
-// proxy logs are full of). Decoders are NOT safe for concurrent use; reuse
-// them across reads of the same log stream via GetProxyDecoder /
-// PutProxyDecoder so the interning tables stay warm.
+// has never seen (plus the URL and Referer columns, which never settle into
+// a bounded set; a single-slot cache each still elides the bursts of
+// identical values real proxy logs are full of). Decoders are NOT safe for
+// concurrent use; reuse them across reads of the same log stream via
+// GetProxyDecoder / PutProxyDecoder so the interning tables stay warm.
 //
 // Buffer ownership: ReadProxyBatch appends into the caller-owned slice and
 // returns it. Callers that want recycling take a buffer from GetProxyBuf
@@ -36,6 +36,7 @@ type ProxyDecoder struct {
 	addrs   addrCache
 	ts      tsCache
 	lastURL string     // single-slot cache: repeated URLs (beacon polls) cost no allocation
+	lastRef string     // same for Referer, the other column that never settles into a bounded set
 	scratch []byte     // unescape buffer, reused across fields and records
 	readBuf []byte     // line-framing buffer, reused across ReadProxyBatch calls
 	fields  [11][]byte // cutTSV destination, reused across records
@@ -53,15 +54,16 @@ func NewProxyDecoder() *ProxyDecoder {
 // call returns — no returned string aliases it.
 func (d *ProxyDecoder) ParseProxyRecord(line []byte) (ProxyRecord, error) {
 	var rec ProxyRecord
-	if err := d.parseInto(&rec, line); err != nil {
+	if err := d.ParseProxyInto(&rec, line); err != nil {
 		return ProxyRecord{}, err
 	}
 	return rec, nil
 }
 
-// parseInto decodes one line directly into *rec, overwriting every field on
-// success. On error *rec is left partially written; callers must discard it.
-func (d *ProxyDecoder) parseInto(rec *ProxyRecord, line []byte) error {
+// ParseProxyInto is ParseProxyRecord decoding directly into *rec — a slot of
+// the caller's batch buffer — overwriting every field on success. On error
+// *rec is left partially written; callers must discard it.
+func (d *ProxyDecoder) ParseProxyInto(rec *ProxyRecord, line []byte) error {
 	f := &d.fields
 	// Fast header: when the line opens with a strict UTC-Z timestamp and a
 	// tab, take the parsed time directly and cut only the ten remaining
@@ -138,10 +140,13 @@ func (d *ProxyDecoder) parseInto(rec *ProxyRecord, line []byte) error {
 	} else {
 		rec.Domain = in.bytesSlow(b, slot)
 	}
-	// The URL column is too high-cardinality to intern but extremely bursty
-	// in practice (a beaconing host repeats one URL all day), so a
-	// single-slot last-value cache removes the per-record allocation exactly
-	// when the steady state repeats itself.
+	// URL and Referer never settle into a bounded value set (every page view
+	// mints new ones), so pushing them through the capped intern map costs a
+	// hash, a failed probe and an insert per record until the cap, then a
+	// failed probe forever. They are bursty, though (a beaconing host repeats
+	// one URL all day; a page's subresources share its referer), so a
+	// single-slot last-value cache removes the allocation exactly when the
+	// stream repeats itself.
 	if u := d.unescape(f[5], esc); string(u) != d.lastURL { // comparison does not allocate
 		d.lastURL = string(u)
 	}
@@ -160,13 +165,10 @@ func (d *ProxyDecoder) parseInto(rec *ProxyRecord, line []byte) error {
 	} else {
 		rec.UserAgent = in.bytesSlow(b, slot)
 	}
-	if b := d.unescape(f[9], esc); len(b) == 0 {
-		rec.Referer = ""
-	} else if slot := &in.front[quickHash(b)>>(64-internFrontBits)]; len(b) == len(*slot) && string(b) == *slot {
-		rec.Referer = *slot
-	} else {
-		rec.Referer = in.bytesSlow(b, slot)
+	if r := d.unescape(f[9], esc); string(r) != d.lastRef {
+		d.lastRef = string(r)
 	}
+	rec.Referer = d.lastRef
 	return nil
 }
 
@@ -322,7 +324,7 @@ func ReadProxyBatch(r io.Reader, d *ProxyDecoder, recs []ProxyRecord) ([]ProxyRe
 		} else {
 			recs = append(recs, ProxyRecord{})
 		}
-		if err := d.parseInto(&recs[len(recs)-1], b); err != nil {
+		if err := d.ParseProxyInto(&recs[len(recs)-1], b); err != nil {
 			recs = recs[:len(recs)-1]
 			d.readBuf = ls.buf
 			return recs, fmt.Errorf("line %d: %w", line, err)

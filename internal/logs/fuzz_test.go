@@ -86,7 +86,11 @@ func proxyRecordsEquivalent(a, b ProxyRecord) bool {
 // and, on accept, byte-for-byte identical records — which is what makes
 // field interning invisible to every persisted form. Each input is decoded
 // twice through one decoder so the second pass exercises warm intern and
-// address caches.
+// address caches. A cold decoder then decodes the line around an unrelated
+// record: URL and Referer must still equal the naive parser's after another
+// record has overwritten their last-value slots, and must have come from
+// those slots alone — the intern table holds the four bounded columns
+// (Host, Domain, Method, UserAgent) and nothing else.
 func FuzzParseProxyLine(f *testing.F) {
 	seeds := []string{
 		"2014-02-13T09:00:00Z\thost1\t10.1.2.3\texample.org\t198.51.100.7\thttp://example.org/a\tGET\t200\tMozilla/5.0\thttp://ref.example.org/\t-5",
@@ -115,6 +119,31 @@ func FuzzParseProxyLine(f *testing.F) {
 			if wantErr == nil && !proxyRecordsEquivalent(got, want) {
 				t.Fatalf("pass %d: record mismatch on %q:\nfast:  %+v\nnaive: %+v", pass, line, got, want)
 			}
+		}
+		if wantErr != nil {
+			return
+		}
+		cold := NewProxyDecoder()
+		for _, l := range []string{line, seeds[0], line} {
+			got, err := cold.ParseProxyRecord([]byte(l))
+			if err != nil {
+				t.Fatalf("cold decoder rejects %q: %v", l, err)
+			}
+			if l == line && (got.URL != want.URL || got.Referer != want.Referer) {
+				t.Fatalf("URL/Referer mismatch on %q: fast (%q, %q), naive (%q, %q)", line, got.URL, got.Referer, want.URL, want.Referer)
+			}
+		}
+		other, _ := parseProxyLine(seeds[0])
+		interned := map[string]bool{}
+		for _, r := range []ProxyRecord{want, other} {
+			for _, v := range []string{r.Host, r.Domain, r.Method, r.UserAgent} {
+				if v != "" && len(v) <= internMaxStrLen {
+					interned[v] = true
+				}
+			}
+		}
+		if cold.in.Len() != len(interned) {
+			t.Fatalf("intern table holds %d strings after %q, want the %d distinct Host/Domain/Method/UserAgent values", cold.in.Len(), line, len(interned))
 		}
 	})
 }

@@ -160,25 +160,51 @@ const (
 	ProxyDroppedUnresolved
 )
 
-// ReduceProxyRecord applies the per-record half of the AC normalization to
-// one proxy record: IP-literal filtering, second-level folding, lease
-// resolution, and device-local-to-UTC conversion. ReduceProxy loops over
-// it for daily batches; the streaming engine calls it per record on
-// ingest, which keeps the two paths reducing identically by construction.
-func ReduceProxyRecord(r logs.ProxyRecord, leases map[netip.Addr]string) (logs.Visit, string, ProxyOutcome) {
-	if logs.IsIPLiteral(r.Domain) {
-		return logs.Visit{}, "", ProxyDroppedIPLiteral
-	}
-	folded := logs.FoldSecondLevel(r.Domain)
-	host := r.Host
-	if host == "" {
-		h, ok := leases[r.SrcIP]
-		if !ok {
-			return logs.Visit{}, folded, ProxyDroppedUnresolved
+// ProxyReducer applies the per-record half of the AC normalization to proxy
+// records: IP-literal filtering, second-level folding, lease resolution, and
+// device-local-to-UTC conversion. ReduceProxy loops over it for daily
+// batches; the streaming engine routes every ingested record through it,
+// which keeps the two paths reducing identically by construction.
+//
+// The reducer memoises the verdict and fold of the last domain it saw: proxy
+// logs arrive heavily domain-clustered (a page load is a burst toward one
+// site), so a run of same-domain records scans the name once. Both are pure
+// functions of the domain, so the memo cannot change an outcome. The zero
+// value is ready to use; a reducer is not safe for concurrent use.
+type ProxyReducer struct {
+	domain, folded string
+	ipLiteral      bool
+}
+
+// Key classifies r and returns the (host, folded domain) pair its visit
+// files under. ProxyDroppedIPLiteral yields neither; for
+// ProxyDroppedUnresolved the folded domain is still valid and counts toward
+// DomainsAll.
+func (p *ProxyReducer) Key(r *logs.ProxyRecord, leases map[netip.Addr]string) (host, folded string, outcome ProxyOutcome) {
+	if r.Domain != p.domain {
+		p.domain = r.Domain
+		p.ipLiteral = logs.IsIPLiteral(r.Domain)
+		p.folded = ""
+		if !p.ipLiteral {
+			p.folded = logs.FoldSecondLevel(r.Domain)
 		}
-		host = h
 	}
-	return logs.Visit{
+	if p.ipLiteral {
+		return "", "", ProxyDroppedIPLiteral
+	}
+	if host = r.Host; host == "" {
+		var ok bool
+		if host, ok = leases[r.SrcIP]; !ok {
+			return "", p.folded, ProxyDroppedUnresolved
+		}
+	}
+	return host, p.folded, ProxyKept
+}
+
+// FillVisit writes the visit of a ProxyKept record into *v — a slot of the
+// caller's buffer — from the record and the pair Key returned for it.
+func FillVisit(v *logs.Visit, r *logs.ProxyRecord, host, folded string) {
+	*v = logs.Visit{
 		Time:      r.Time.Add(-time.Duration(r.TZOffset) * time.Hour),
 		Host:      host,
 		Domain:    folded,
@@ -188,7 +214,7 @@ func ReduceProxyRecord(r logs.ProxyRecord, leases map[netip.Addr]string) (logs.V
 		HasUA:     r.UserAgent != "",
 		Referer:   r.Referer,
 		HasRef:    r.Referer != "",
-	}, folded, ProxyKept
+	}
 }
 
 // ReduceProxy applies the AC normalization: convert device-local timestamps
@@ -201,8 +227,9 @@ func ReduceProxy(recs []logs.ProxyRecord, leases map[netip.Addr]string) ([]logs.
 	all := make(map[string]bool)
 
 	visits := make([]logs.Visit, 0, len(recs))
-	for _, r := range recs {
-		v, folded, outcome := ReduceProxyRecord(r, leases)
+	var red ProxyReducer
+	for i := range recs {
+		host, folded, outcome := red.Key(&recs[i], leases)
 		switch outcome {
 		case ProxyDroppedIPLiteral:
 			stats.DroppedIPLiteral++
@@ -211,7 +238,8 @@ func ReduceProxy(recs []logs.ProxyRecord, leases map[netip.Addr]string) ([]logs.
 			stats.DroppedUnresolved++
 		default:
 			all[folded] = true
-			visits = append(visits, v)
+			visits = append(visits, logs.Visit{})
+			FillVisit(&visits[len(visits)-1], &recs[i], host, folded)
 		}
 	}
 	stats.DomainsAll = len(all)

@@ -147,3 +147,35 @@ func TestReduceProxyOnGenerated(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyReducerMemoIsInvisible holds the reducer's last-domain memo to a
+// fresh reducer per record over a sequence built to hit every transition:
+// repeated names, a different name with the same fold, IP literals before
+// and after names, empty domains, and lease hits and misses in between.
+func TestProxyReducerMemoIsInvisible(t *testing.T) {
+	leased := netip.MustParseAddr("10.0.0.1")
+	leases := map[netip.Addr]string{leased: "laptop-1"}
+	domains := []string{"www.nbc.com", "www.nbc.com", "news.nbc.com", "203.0.113.9", "203.0.113.9", "NBC.com.",
+		"", "", "2001:db8::1", "a.b.example.org", "203.0.113.9", "a.b.example.org"}
+	var memo ProxyReducer
+	for i, d := range domains {
+		for _, r := range []logs.ProxyRecord{
+			{Domain: d, Host: "named"},
+			{Domain: d, SrcIP: leased},
+			{Domain: d, SrcIP: netip.MustParseAddr("10.0.0.2")},
+		} {
+			var fresh ProxyReducer
+			h1, f1, o1 := memo.Key(&r, leases)
+			h2, f2, o2 := fresh.Key(&r, leases)
+			if h1 != h2 || f1 != f2 || o1 != o2 {
+				t.Fatalf("record %d (%q): memoised (%q, %q, %v), fresh (%q, %q, %v)", i, d, h1, f1, o1, h2, f2, o2)
+			}
+			if wantIP := logs.IsIPLiteral(d); (o1 == ProxyDroppedIPLiteral) != wantIP {
+				t.Fatalf("record %d (%q): outcome %v, IsIPLiteral %v", i, d, o1, wantIP)
+			}
+			if o1 != ProxyDroppedIPLiteral && f1 != logs.FoldSecondLevel(d) {
+				t.Fatalf("record %d (%q): folded %q, want %q", i, d, f1, logs.FoldSecondLevel(d))
+			}
+		}
+	}
+}

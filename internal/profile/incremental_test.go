@@ -199,3 +199,67 @@ func TestIncrementalMergeProperty(t *testing.T) {
 		assertSnapshotsEqual(t, fmt.Sprintf("seed=%d parts=%d workers=%d", seed, parts, workers), got, want)
 	}
 }
+
+// TestAdmitPathOrderIndependent offers the same (path, seq) occurrences to
+// the bounded path set in many orders — seq order, reverse, shuffled, and
+// split into halves merged either way — and requires the brute-force answer
+// every time: the 16 paths with the smallest first-occurrence seqs, each at
+// that seq. It is the direct check on the cached upper bound that lets a
+// full set turn late newcomers away without a scan.
+func TestAdmitPathOrderIndependent(t *testing.T) {
+	type offer struct {
+		path string
+		seq  uint64
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		offers := make([]offer, 30+rng.Intn(200))
+		for i := range offers {
+			offers[i] = offer{fmt.Sprintf("/p%d", rng.Intn(8+rng.Intn(40))), uint64(i)} // seqs unique, paths recur
+		}
+		first := map[string]uint64{}
+		for _, o := range offers {
+			if s, ok := first[o.path]; !ok || o.seq < s {
+				first[o.path] = o.seq
+			}
+		}
+		seqs := make([]uint64, 0, len(first))
+		for _, s := range first {
+			seqs = append(seqs, s)
+		}
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		want := map[string]uint64{}
+		for p, s := range first {
+			if len(seqs) <= maxPathsPerDomain || s <= seqs[maxPathsPerDomain-1] {
+				want[p] = s
+			}
+		}
+
+		absorb := func(os []offer) *incrementalAgg {
+			a := &incrementalAgg{}
+			for _, o := range os {
+				a.admitPath(o.path, o.seq)
+			}
+			return a
+		}
+		reversed := make([]offer, len(offers))
+		for i, o := range offers {
+			reversed[len(offers)-1-i] = o
+		}
+		shuffled := append([]offer(nil), offers...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		cut := rng.Intn(len(shuffled))
+		lo, hi := absorb(shuffled[:cut]), absorb(shuffled[cut:])
+		lo.mergeFrom(hi)
+		hi2, lo2 := absorb(shuffled[cut:]), absorb(shuffled[:cut])
+		hi2.mergeFrom(lo2)
+		for label, a := range map[string]*incrementalAgg{
+			"seq order": absorb(offers), "reversed": absorb(reversed), "shuffled": absorb(shuffled),
+			"halves merged": lo, "halves merged the other way": hi2,
+		} {
+			if !reflect.DeepEqual(a.paths, want) {
+				t.Fatalf("seed %d, %s: retained %v, want %v", seed, label, a.paths, want)
+			}
+		}
+	}
+}

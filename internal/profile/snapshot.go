@@ -3,6 +3,7 @@ package profile
 import (
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -105,6 +106,14 @@ type incrementalAgg struct {
 	// first-occurrence seqs — exactly the set a seq-ordered scan admits
 	// before the cap fills.
 	paths map[string]uint64
+	// pathSeqBound caches the largest retained seq of a full set, as found
+	// by admitPath's last scan, so the newcomers of a busy domain — nearly
+	// all of which arrive later than everything retained — are rejected
+	// without walking the set. Every mutation of a full set (a displacement,
+	// an existing path's seq lowered) can only lower the true maximum, so
+	// the cached value stays an upper bound and a rejection on it stays
+	// exact; it is re-tightened by the next scan. Zero = no scan yet.
+	pathSeqBound uint64
 }
 
 // admitPath offers one path occurrence to the bounded retention set.
@@ -126,12 +135,16 @@ func (a *incrementalAgg) admitPath(pth string, seq uint64) {
 	// (In seq-ordered absorption this branch never displaces — newcomers
 	// always carry the largest seq so far — reproducing the plain "first 16
 	// distinct paths win" cap.)
+	if a.pathSeqBound != 0 && seq >= a.pathSeqBound {
+		return
+	}
 	evict, evictSeq := "", uint64(0)
 	for q, s := range a.paths {
 		if s > evictSeq {
 			evict, evictSeq = q, s
 		}
 	}
+	a.pathSeqBound = evictSeq
 	if seq < evictSeq {
 		delete(a.paths, evict)
 		a.paths[pth] = seq
@@ -354,7 +367,7 @@ func classifyAgg(domain string, a *incrementalAgg, hist *History, unpopularThres
 	}
 	da = &DomainActivity{Domain: domain, Hosts: a.hosts, IP: a.ip, Paths: a.pathSet()}
 	for _, ha := range da.Hosts {
-		sort.Slice(ha.Times, func(i, j int) bool { return ha.Times[i].Before(ha.Times[j]) })
+		slices.SortFunc(ha.Times, time.Time.Compare)
 	}
 	return true, da
 }

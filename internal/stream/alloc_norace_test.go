@@ -1,0 +1,48 @@
+//go:build !race
+
+package stream
+
+import (
+	"testing"
+	"time"
+)
+
+// Zero-allocation pins live behind !race: under the race detector sync.Pool
+// deliberately drops a quarter of its Puts, so a pooled buffer is reallocated
+// every few rounds and an exact zero cannot hold.
+
+// TestRouteBatchAllocs pins the reader-side half of IngestBatch at zero
+// allocations per batch once the pools are warm: records are read through
+// their pointers, reduced straight into pooled per-shard buffers, and the
+// domain memo is a stack value. The shard workers are stopped and the test
+// plays them — take each routed buffer, hand it back to the pool — so the
+// reading is routeBatchLocked alone, not the apply path behind it.
+func TestRouteBatchAllocs(t *testing.T) {
+	recs := benchRecords(512)
+	recs[7].Domain = "203.0.113.9" // an IP literal: dropped, not routed
+	recs[9].Host = ""              // no lease on file: routed as a bare domain marker
+	e := trainOnlyEngine(Config{Shards: 2})
+	defer abandonEngine(e)
+	if err := e.BeginDay(time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range e.shards {
+		close(s.batches)
+		e.shards[i] = newShard(e, 1)
+	}
+	round := func() {
+		if n, err := e.routeBatchLocked(recs, true); err != nil || n != len(recs) {
+			t.Fatalf("routeBatchLocked = %d, %v", n, err)
+		}
+		for _, s := range e.shards {
+			e.putBuf(<-s.batches)
+		}
+	}
+	round() // warm: pooled scratch and item buffers grown to the batch
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("routeBatchLocked allocates %.0f times per batch, want 0", allocs)
+	}
+	if got := e.dayDroppedIP.Load(); got != 22 {
+		t.Errorf("dropped %d IP-literal records over 22 rounds, want 22", got)
+	}
+}

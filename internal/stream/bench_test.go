@@ -160,8 +160,9 @@ func scatteredRecords(n int) []logs.ProxyRecord {
 func buildItems(b *testing.B, recs []logs.ProxyRecord) []item {
 	b.Helper()
 	items := make([]item, 0, len(recs))
+	var red normalize.ProxyReducer
 	for i := range recs {
-		v, folded, outcome := normalize.ReduceProxyRecord(recs[i], nil)
+		host, folded, outcome := red.Key(&recs[i], nil)
 		it := item{seq: uint64(i + 1)}
 		switch outcome {
 		case normalize.ProxyDroppedIPLiteral:
@@ -170,7 +171,7 @@ func buildItems(b *testing.B, recs []logs.ProxyRecord) []item {
 			it.domain = folded
 		default:
 			it.resolved = true
-			it.visit = v
+			normalize.FillVisit(&it.visit, &recs[i], host, folded)
 		}
 		items = append(items, it)
 	}

@@ -418,16 +418,18 @@ func (e *Engine) CheckpointV1(w io.Writer, openDay []logs.ProxyRecord) error {
 	// every seq stays at or below the header watermark because each record
 	// consumed one live seq.
 	var items []checkpointItem
+	var red normalize.ProxyReducer
 	for i := range openDay {
-		v, folded, outcome := normalize.ReduceProxyRecord(openDay[i], e.leases)
+		host, folded, outcome := red.Key(&openDay[i], e.leases)
 		seq := uint64(i + 1)
 		switch outcome {
 		case normalize.ProxyDroppedIPLiteral:
 		case normalize.ProxyDroppedUnresolved:
 			items = append(items, checkpointItem{Seq: seq, Domain: folded})
 		default:
-			vv := v
-			items = append(items, checkpointItem{Seq: seq, Visit: &vv})
+			v := new(logs.Visit)
+			normalize.FillVisit(v, &openDay[i], host, folded)
+			items = append(items, checkpointItem{Seq: seq, Visit: v})
 		}
 	}
 

@@ -21,7 +21,7 @@ type lateOracle struct {
 }
 
 func (o *lateOracle) apply(r logs.ProxyRecord) {
-	d := recDay(r)
+	d := recDay(&r)
 	switch {
 	case o.open.IsZero() || d.After(o.open):
 		o.open = d

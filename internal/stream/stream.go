@@ -718,7 +718,7 @@ func (e *Engine) putScratch(sc *routeScratch) {
 }
 
 // recDay returns the UTC day a record belongs to once normalized.
-func recDay(r logs.ProxyRecord) time.Time {
+func recDay(r *logs.ProxyRecord) time.Time {
 	utc := r.Time.Add(-time.Duration(r.TZOffset) * time.Hour).UTC()
 	return time.Date(utc.Year(), utc.Month(), utc.Day(), 0, 0, 0, 0, time.UTC)
 }
@@ -906,7 +906,7 @@ func (e *Engine) ingestBatch(recs []logs.ProxyRecord, block bool) error {
 			e.mu.RUnlock()
 			return ErrClosed
 		}
-		if e.day.IsZero() || (e.cfg.AutoRollover && recDay(recs[0]).After(e.day)) {
+		if e.day.IsZero() || (e.cfg.AutoRollover && recDay(&recs[0]).After(e.day)) {
 			e.mu.RUnlock()
 			if !e.cfg.AutoRollover {
 				if e.dayOpen() {
@@ -914,7 +914,7 @@ func (e *Engine) ingestBatch(recs []logs.ProxyRecord, block bool) error {
 				}
 				return ErrNoDay
 			}
-			if err := e.BeginDay(recDay(recs[0]), e.currentLeases()); err != nil {
+			if err := e.BeginDay(recDay(&recs[0]), e.currentLeases()); err != nil {
 				return err
 			}
 			continue
@@ -961,7 +961,7 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord, block bool) (int, err
 		// stragglers into the open day (their original day has already been
 		// reported) and counts them in Stats.LateRecords.
 		for i := range recs {
-			if recDay(recs[i]).After(e.day) {
+			if recDay(&recs[i]).After(e.day) {
 				n = i
 				break
 			}
@@ -977,21 +977,19 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord, block bool) (int, err
 	h.SetSeed(e.seed)
 	single := len(e.shards) == 1 // one shard: no routing hash needed
 	var droppedIP, late uint64
+	var red normalize.ProxyReducer
 	for i := range chunk {
-		v, folded, outcome := normalize.ReduceProxyRecord(chunk[i], e.leases)
+		r := &chunk[i]
+		host, folded, outcome := red.Key(r, e.leases)
 		if outcome == normalize.ProxyDroppedIPLiteral {
 			droppedIP++
 			continue
 		}
-		if e.cfg.AutoRollover && recDay(chunk[i]).Before(e.day) {
+		if e.cfg.AutoRollover && recDay(r).Before(e.day) {
 			late++
 		}
 		si := 0
 		if !single {
-			host := ""
-			if outcome != normalize.ProxyDroppedUnresolved {
-				host = v.Host
-			}
 			si = e.shardIndex(&h, host, folded)
 		}
 		buf := sc.bufs[si]
@@ -1000,8 +998,9 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord, block bool) (int, err
 			sc.bufs[si] = buf
 			sc.touched = append(sc.touched, si)
 		}
-		// Append a zero item and fill it in place — one visit copy into the
-		// buffer instead of visit → stack item → buffer.
+		// Append a zero item and reduce into it in place — the record is
+		// read through its pointer and the visit written once, straight
+		// into the shard's buffer.
 		*buf = append(*buf, item{})
 		it := &(*buf)[len(*buf)-1]
 		it.seq = base + uint64(i) + 1
@@ -1011,7 +1010,7 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord, block bool) (int, err
 			it.domain = folded
 		} else {
 			it.resolved = true
-			it.visit = v
+			normalize.FillVisit(&it.visit, r, host, folded)
 		}
 	}
 
