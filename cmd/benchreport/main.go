@@ -5,14 +5,8 @@
 // Usage:
 //
 //	benchreport [-seed N] [-full] [-o FILE]
-//	benchreport -perf FILE.json
 //
-// With -perf the tables are skipped and a machine-readable performance
-// snapshot is written instead: day-close wall-clock at Workers=1 vs
-// GOMAXPROCS, the streaming ingest-to-report cycle serial vs pipelined,
-// and checkpoint encode/restore in both formats (legacy v1 replay vs v2
-// builder frames). CI uploads it as the BENCH_PR5.json artifact so the
-// perf trajectory is tracked across pull requests.
+// Performance is measured by the bench/ module (BENCHMARK.json), not here.
 package main
 
 import (
@@ -28,16 +22,7 @@ func main() {
 	seed := flag.Int64("seed", 21, "dataset seed")
 	full := flag.Bool("full", false, "use the full-scale datasets")
 	outPath := flag.String("o", "", "write the report to a file instead of stdout")
-	perfPath := flag.String("perf", "", "measure day-close/ingest performance and write JSON to this file (skips the tables)")
 	flag.Parse()
-
-	if *perfPath != "" {
-		if err := runPerf(*perfPath, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	var w io.Writer = os.Stdout
 	if *outPath != "" {

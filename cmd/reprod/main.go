@@ -6,7 +6,8 @@
 //
 // Usage:
 //
-//	reprod [-addr :8714] [-shards N] [-workers N] [-seed N] [-full]
+//	reprod [-addr :8714] [-shards N] [-queue N] [-shed-threshold F]
+//	       [-workers N] [-seed N] [-full] [-training N]
 //	       [-replay DIR] [-speed X]
 //	       [-checkpoint FILE] [-checkpoint-interval D] [-max-ingest-bytes N]
 //	       [-alert-config FILE] [-preview-interval D]

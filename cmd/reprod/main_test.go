@@ -476,21 +476,24 @@ func TestShedThresholdFlagReachesEngine(t *testing.T) {
 // corrupt checkpoint must stop with a descriptive error instead of
 // starting fresh (which would overwrite the history on the next write).
 func TestRunFailsOnCorruptCheckpoint(t *testing.T) {
-	for name, content := range map[string]string{
-		"empty":   "",
-		"corrupt": "garbage, not a checkpoint\n",
+	for name, tc := range map[string]struct{ content, want string }{
+		"empty":   {"", "restore checkpoint"},
+		"corrupt": {"garbage, not a checkpoint\n", "restore checkpoint"},
+		// A format the daemon no longer reads must say which build does.
+		"v1": {`{"version":1,"dailies":0,"items":0}` + "\n",
+			"unsupported checkpoint version 1 (format v1 was last readable at PR 13; restore and re-checkpoint with that build)"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "reprod.ckpt")
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			err := run(daemonOpts{addr: "127.0.0.1:0", shards: 1, seed: 1, checkpoint: path})
 			if err == nil {
 				t.Fatal("run accepted a corrupt checkpoint")
 			}
-			if !strings.Contains(err.Error(), "restore checkpoint") {
-				t.Fatalf("error %q does not point at the checkpoint", err)
+			if !strings.Contains(err.Error(), "restore checkpoint") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not point at the checkpoint with %q", err, tc.want)
 			}
 		})
 	}

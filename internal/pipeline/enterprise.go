@@ -182,33 +182,21 @@ func (r *EnterpriseDayReport) SOCHintDomains() []string {
 // Train ingests one profiling-month day: reduce, profile, update.
 func (p *Enterprise) Train(day time.Time, recs []logs.ProxyRecord, leases map[netip.Addr]string) EnterpriseDayReport {
 	visits, stats := normalize.ReduceProxy(recs, leases)
-	return p.TrainVisits(day, visits, stats)
+	return p.TrainSnapshot(day, p.stageSnapshot(day, visits), stats, nil)
 }
 
-// TrainVisits is Train for callers that already hold the reduced visit
-// stream (the streaming engine reduces records one at a time on ingest and
-// hands the merged day here, so streaming and batch share one code path).
-func (p *Enterprise) TrainVisits(day time.Time, visits []logs.Visit, stats normalize.ProxyStats) EnterpriseDayReport {
-	return p.TrainSnapshot(day, p.stageSnapshot(day, visits), stats)
-}
-
-// TrainSnapshot is TrainVisits for callers that already hold the day's
-// snapshot — the streaming engine maintains per-shard partial snapshots
-// during the day and merges them at rollover, so the snapshot stage here
-// is prebuilt. The snapshot must have been classified against this
-// pipeline's history with every earlier day committed (the engine's
-// serialized day-closes guarantee it).
-func (p *Enterprise) TrainSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats) EnterpriseDayReport {
-	return p.TrainSnapshotHooked(day, snap, stats, nil)
-}
-
-// TrainSnapshotHooked is TrainSnapshot with a pre-commit hook: when
-// preCommit is non-nil it runs exactly once, after the pure stages and
+// TrainSnapshot is Train for callers that already hold the day's snapshot —
+// the streaming engine maintains per-shard partial snapshots during the day
+// and merges them at rollover. The snapshot must have been classified
+// against this pipeline's history with every earlier day committed (the
+// engine's serialized day-closes guarantee it).
+//
+// When preCommit is non-nil it runs exactly once, after the pure stages and
 // immediately before the first pipeline-state mutation. Until the hook
 // returns, the pipeline's observable state (history, calibration) still
 // describes the world before this day — the closing-day persistence point
 // the streaming engine checkpoints an in-flight close at.
-func (p *Enterprise) TrainSnapshotHooked(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats, preCommit func()) EnterpriseDayReport {
+func (p *Enterprise) TrainSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats, preCommit func()) EnterpriseDayReport {
 	rep := stageAssemble(day, stats, snap)
 	if preCommit != nil {
 		preCommit()
@@ -221,12 +209,12 @@ func (p *Enterprise) TrainSnapshotHooked(day time.Time, snap *profile.Snapshot, 
 // labeled examples; afterwards it detects in both modes.
 func (p *Enterprise) Process(day time.Time, recs []logs.ProxyRecord, leases map[netip.Addr]string) (EnterpriseDayReport, error) {
 	visits, stats := normalize.ReduceProxy(recs, leases)
-	return p.ProcessVisits(day, visits, stats)
+	return p.ProcessSnapshot(day, p.stageSnapshot(day, visits), stats, nil)
 }
 
 // ---- Day-close stages ----
 //
-// ProcessVisits is the composition of pure stages — snapshot (per-domain
+// Process is the composition of pure stages — snapshot (per-domain
 // aggregation, rare selection), detect (periodicity profiling + feature
 // extraction), score (Tc filter), propagate (Algorithm 1 in both modes),
 // and report assembly. Each stage reads the pipeline's models and history
@@ -315,28 +303,15 @@ func stageAssemble(day time.Time, stats normalize.ProxyStats, snap *profile.Snap
 	}
 }
 
-// ProcessVisits is Process for callers that already hold the reduced visit
-// stream; see TrainVisits.
-func (p *Enterprise) ProcessVisits(day time.Time, visits []logs.Visit, stats normalize.ProxyStats) (EnterpriseDayReport, error) {
-	return p.ProcessSnapshot(day, p.stageSnapshot(day, visits), stats)
-}
-
-// ProcessSnapshot is ProcessVisits with the snapshot stage prebuilt; see
-// TrainSnapshot for the history contract. A calibration failure returns
-// before the snapshot is committed, so the caller may retry with the same
-// snapshot — with the same semantics as re-running ProcessVisits over the
-// day's visits (note that during calibration both paths re-collect the
-// day's labeled examples on such a retry).
-func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats) (EnterpriseDayReport, error) {
-	return p.ProcessSnapshotHooked(day, snap, stats, nil)
-}
-
-// ProcessSnapshotHooked is ProcessSnapshot with the pre-commit hook of
-// TrainSnapshotHooked: preCommit (when non-nil) runs exactly once on every
-// path, after the last pure stage of that path and before the first
-// pipeline-state mutation (calibration bookkeeping on calibration days, the
-// history commit otherwise).
-func (p *Enterprise) ProcessSnapshotHooked(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats, preCommit func()) (EnterpriseDayReport, error) {
+// ProcessSnapshot is Process with the snapshot stage prebuilt; see
+// TrainSnapshot for the history contract and the hook: preCommit (when
+// non-nil) runs exactly once on every path, after the last pure stage of
+// that path and before the first pipeline-state mutation (calibration
+// bookkeeping on calibration days, the history commit otherwise). A
+// calibration failure returns before the snapshot is committed, so the
+// caller may retry with the same snapshot (note that during calibration
+// such a retry re-collects the day's labeled examples).
+func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats, preCommit func()) (EnterpriseDayReport, error) {
 	rep := stageAssemble(day, stats, snap)
 	rep.Automated = p.stageDetect(snap, p.cfg.Workers)
 

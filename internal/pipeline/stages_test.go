@@ -12,7 +12,7 @@ import (
 
 // The day-close stages are pure (no pipeline mutation), so they can be
 // driven one at a time against hand-built inputs — the property the
-// ProcessVisits split exists for.
+// Process stage split exists for.
 
 func stageFixture() (*Enterprise, time.Time, []logs.Visit) {
 	day := time.Date(2014, 3, 10, 0, 0, 0, 0, time.UTC)

@@ -53,8 +53,8 @@ func buildFromVisits(visits []logs.Visit) *IncrementalBuilder {
 
 // mergedSnapshot reduces a builder to the comparable day view.
 func mergedSnapshot(b *IncrementalBuilder, hist *History) *Snapshot {
-	return MergeSnapshot(time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC),
-		[]*IncrementalBuilder{b}, hist, 10)
+	return MergeSnapshotParallel(time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC),
+		[]*IncrementalBuilder{b}, hist, 10, 1)
 }
 
 func snapshotFingerprint(t *testing.T, s *Snapshot) string {

@@ -156,8 +156,8 @@ func TestRunGroupingSaveBytesProperty(t *testing.T) {
 		// (what reports read) must agree too.
 		hist := NewHistory()
 		assertSnapshotsEqual(t, fmt.Sprintf("seed=%d", seed),
-			MergeSnapshot(day, []*IncrementalBuilder{b}, hist, 10),
-			MergeSnapshot(day, []*IncrementalBuilder{ref}, hist, 10))
+			MergeSnapshotParallel(day, []*IncrementalBuilder{b}, hist, 10, 1),
+			MergeSnapshotParallel(day, []*IncrementalBuilder{ref}, hist, 10, 1))
 	}
 }
 

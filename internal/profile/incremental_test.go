@@ -79,7 +79,7 @@ func assertSnapshotsEqual(t *testing.T, label string, got, want *Snapshot) {
 // TestIncrementalMergeMatchesBatch is the profile-level half of the
 // equivalence sweep: partitioning a day by (host, domain) pair — domains
 // overlapping across parts — feeding each partition in a scrambled apply
-// order, and merging, must reproduce the sequential NewSnapshot exactly:
+// order, and merging, must reproduce the sequential reference scan exactly:
 // same rare set (first-seen IPs and 16-path caps included), same counts,
 // same indexes, for any partition and worker count.
 func TestIncrementalMergeMatchesBatch(t *testing.T) {
@@ -94,7 +94,7 @@ func TestIncrementalMergeMatchesBatch(t *testing.T) {
 	hist.UpdateDomains(day.AddDate(0, 0, -30), known)
 
 	visits := randomVisits(rng, day, 9000)
-	want := NewSnapshot(day, visits, hist, 10)
+	want := referenceSnapshot(day, visits, hist, 10)
 
 	for _, parts := range []int{1, 3, 8} {
 		for _, workers := range []int{1, 4, 0} {
@@ -142,7 +142,7 @@ func TestIncrementalSeqDecidesOrderSensitiveState(t *testing.T) {
 	visits = append(visits, mk("h2", "192.0.2.99", "http://rare.example/late"))
 
 	hist := NewHistory()
-	want := NewSnapshot(day, visits, hist, 10)
+	want := referenceSnapshot(day, visits, hist, 10)
 
 	// Apply in reverse: every order-sensitive decision arrives "wrong way
 	// round" relative to seq.
@@ -150,7 +150,7 @@ func TestIncrementalSeqDecidesOrderSensitiveState(t *testing.T) {
 	for i := len(visits) - 1; i >= 0; i-- {
 		b.Add(uint64(i), &visits[i])
 	}
-	got := MergeSnapshot(day, []*IncrementalBuilder{b}, hist, 10)
+	got := MergeSnapshotParallel(day, []*IncrementalBuilder{b}, hist, 10, 1)
 	assertSnapshotsEqual(t, "reverse apply", got, want)
 
 	da := got.Rare["rare.example"]

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -51,9 +50,10 @@ func randomVisits(rng *rand.Rand, day time.Time, n int) []logs.Visit {
 }
 
 // TestSnapshotParallelMatchesSequential: NewSnapshotParallel must produce
-// a snapshot deep-equal to the sequential build — same rare set, same
+// the snapshot of the sequential reference scan — same rare set, same
 // per-host activity (visit ordering included), same counts and indexes —
-// for any worker count, including counts far above GOMAXPROCS.
+// for any worker count, including counts far above GOMAXPROCS, on days
+// below and above parallelCutoff.
 func TestSnapshotParallelMatchesSequential(t *testing.T) {
 	day := time.Date(2014, 2, 5, 0, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewSource(11))
@@ -66,30 +66,12 @@ func TestSnapshotParallelMatchesSequential(t *testing.T) {
 	}
 	hist.UpdateDomains(day.AddDate(0, 0, -30), known)
 
-	visits := randomVisits(rng, day, 9000)
-
-	want := NewSnapshot(day, visits, hist, 10)
-	for _, workers := range []int{2, 3, 7, 64, 0} {
-		got := NewSnapshotParallel(day, visits, hist, 10, workers)
-		if got.AllDomains != want.AllDomains || got.NewDomains != want.NewDomains {
-			t.Fatalf("workers=%d: counts all=%d new=%d, want all=%d new=%d",
-				workers, got.AllDomains, got.NewDomains, want.AllDomains, want.NewDomains)
-		}
-		if !reflect.DeepEqual(got.Rare, want.Rare) {
-			t.Fatalf("workers=%d: Rare differs from sequential build", workers)
-		}
-		if !reflect.DeepEqual(got.HostRare, want.HostRare) {
-			t.Fatalf("workers=%d: HostRare differs from sequential build", workers)
-		}
-		if !reflect.DeepEqual(got.uaPairs, want.uaPairs) {
-			t.Fatalf("workers=%d: uaPairs differ from sequential build", workers)
-		}
-		gd := append([]string(nil), got.domains...)
-		wd := append([]string(nil), want.domains...)
-		sort.Strings(gd)
-		sort.Strings(wd)
-		if !reflect.DeepEqual(gd, wd) {
-			t.Fatalf("workers=%d: domain lists differ", workers)
+	for _, n := range []int{parallelCutoff - 1000, 9000} {
+		visits := randomVisits(rng, day, n)
+		want := referenceSnapshot(day, visits, hist, 10)
+		for _, workers := range []int{1, 2, 3, 4, 7, 64, 0} {
+			got := NewSnapshotParallel(day, visits, hist, 10, workers)
+			assertSnapshotsEqual(t, fmt.Sprintf("visits=%d workers=%d", n, workers), got, want)
 		}
 	}
 }

@@ -1,0 +1,76 @@
+package profile
+
+import (
+	"slices"
+	"sort"
+	"time"
+
+	"repro/internal/logs"
+)
+
+// referenceSnapshot is the independent oracle for the snapshot build: one
+// scan of the day in visit order over plain maps, no builder, no seq keys,
+// no partitions, no merge. NewSnapshotParallel and MergeSnapshotParallel
+// share one implementation, so without this the equivalence tests would
+// compare that implementation with itself.
+func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, threshold int) *Snapshot {
+	s := &Snapshot{
+		Day:      day,
+		Rare:     make(map[string]*DomainActivity),
+		HostRare: make(map[string][]string),
+		uaPairs:  make(map[[2]string]bool),
+	}
+	acts := make(map[string]*DomainActivity)
+	for i := range visits {
+		v := &visits[i]
+		da := acts[v.Domain]
+		if da == nil {
+			da = &DomainActivity{Domain: v.Domain, Hosts: make(map[string]*HostActivity)}
+			acts[v.Domain] = da
+			s.domains = append(s.domains, v.Domain)
+		}
+		if !da.IP.IsValid() {
+			da.IP = v.DestIP // first seen
+		}
+		if pth := urlPath(v.URL); pth != "" && !da.Paths[pth] && len(da.Paths) < maxPathsPerDomain {
+			if da.Paths == nil {
+				da.Paths = make(map[string]bool)
+			}
+			da.Paths[pth] = true // first 16 distinct
+		}
+		ha := da.Hosts[v.Host]
+		if ha == nil {
+			ha = &HostActivity{Host: v.Host, UAs: make(map[string]bool)}
+			da.Hosts[v.Host] = ha
+		}
+		ha.Times = append(ha.Times, v.Time)
+		if !v.HasRef {
+			ha.NoRefVisits++
+		}
+		if v.HasUA {
+			ha.UAs[v.UserAgent] = true
+			s.uaPairs[[2]string{v.Host, v.UserAgent}] = true
+		} else {
+			ha.UAs[""] = true
+		}
+	}
+	s.AllDomains = len(acts)
+	for d, da := range acts {
+		if hist.SeenDomain(d) {
+			continue
+		}
+		s.NewDomains++
+		if len(da.Hosts) >= threshold {
+			continue
+		}
+		s.Rare[d] = da
+		for h, ha := range da.Hosts {
+			slices.SortFunc(ha.Times, time.Time.Compare)
+			s.HostRare[h] = append(s.HostRare[h], d)
+		}
+	}
+	for h := range s.HostRare {
+		sort.Strings(s.HostRare[h])
+	}
+	return s
+}

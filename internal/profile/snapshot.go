@@ -6,10 +6,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/logs"
+	"repro/internal/par"
 )
 
 // HostActivity aggregates one host's connections to one domain on one day.
@@ -372,39 +372,6 @@ func classifyAgg(domain string, a *incrementalAgg, hist *History, unpopularThres
 	return true, da
 }
 
-// snapPart is one partition of the day's domains in the batch snapshot
-// build: every domain is owned by exactly one partition, aggregated by an
-// IncrementalBuilder and classified in place.
-type snapPart struct {
-	b *IncrementalBuilder
-	// Classification results, filled by classify.
-	domains []string
-	newCnt  int
-	rare    map[string]*DomainActivity
-}
-
-func newSnapPart() *snapPart {
-	return &snapPart{b: NewIncrementalBuilder()}
-}
-
-// classify runs the rare-destination selection over the partition's
-// domains; the expensive per-host sorts therefore also run per partition.
-func (p *snapPart) classify(hist *History, unpopularThreshold int) {
-	p.domains = make([]string, 0, len(p.b.perDomain))
-	p.rare = make(map[string]*DomainActivity)
-	for d, a := range p.b.perDomain {
-		//lint:ignore maporder p.domains has set semantics; consumers fold it into maps or sort before emitting (Snapshot.SaveTo)
-		p.domains = append(p.domains, d)
-		isNew, da := classifyAgg(d, a, hist, unpopularThreshold)
-		if isNew {
-			p.newCnt++
-		}
-		if da != nil {
-			p.rare[d] = da
-		}
-	}
-}
-
 // addRuns feeds visits (all of them when idx is nil, else the selected
 // subsequence, with seq = global visit index either way) into b through a
 // RunCursor, re-resolving the cursor only when the domain changes between
@@ -445,31 +412,27 @@ func NewSnapshot(day time.Time, visits []logs.Visit, hist *History, unpopularThr
 // worth its fan-out overhead.
 const parallelCutoff = 4096
 
-// NewSnapshotParallel is NewSnapshot with the per-domain aggregation and
-// rare-destination selection fanned out over a worker pool. Domains are
-// partitioned by hash so each is owned by exactly one worker, and the merge
-// is ordered — the resulting snapshot is identical to the sequential build
-// for any worker count. workers <= 0 uses GOMAXPROCS.
+// NewSnapshotParallel is NewSnapshot with the per-domain aggregation fanned
+// out over a worker pool: the visits are hash-partitioned by domain into one
+// IncrementalBuilder per worker, and MergeSnapshotParallel classifies and
+// assembles them — the same merge the streaming engine runs at rollover, so
+// the snapshot is identical for any worker count. workers <= 0 uses
+// GOMAXPROCS.
 func NewSnapshotParallel(day time.Time, visits []logs.Visit, hist *History, unpopularThreshold, workers int) *Snapshot {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > 1 && len(visits) < parallelCutoff {
+	if len(visits) < parallelCutoff {
 		workers = 1
 	}
-
-	var parts []*snapPart
-	if workers <= 1 {
-		p := newSnapPart()
-		addRuns(p.b, visits, nil)
-		p.classify(hist, unpopularThreshold)
-		parts = []*snapPart{p}
+	parts := make([]*IncrementalBuilder, workers)
+	if workers == 1 {
+		parts[0] = NewIncrementalBuilder()
+		addRuns(parts[0], visits, nil)
 	} else {
 		// One sequential pass assigns every visit to its domain's partition;
-		// the per-partition index lists preserve stream order, so each
-		// worker replays exactly the subsequence the sequential pass would
-		// have fed it (the builder is order-free anyway — the seq it is fed
-		// is the global visit index).
+		// each worker then feeds its builder the selected subsequence with
+		// seq = global visit index.
 		idx := make([][]int32, workers)
 		est := len(visits)/workers + 16
 		for p := range idx {
@@ -479,71 +442,22 @@ func NewSnapshotParallel(day time.Time, visits []logs.Visit, hist *History, unpo
 			p := int(domainPartition(visits[i].Domain) % uint32(workers))
 			idx[p] = append(idx[p], int32(i))
 		}
-		parts = make([]*snapPart, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				p := newSnapPart()
-				addRuns(p.b, visits, idx[w])
-				p.classify(hist, unpopularThreshold)
-				parts[w] = p
-			}(w)
-		}
-		wg.Wait()
+		par.ForEachIndex(workers, workers, func(w int) {
+			parts[w] = NewIncrementalBuilder()
+			addRuns(parts[w], visits, idx[w])
+		})
 	}
-
-	// Ordered merge: partitions hold disjoint domain sets, so the merge is
-	// pure set union; iterating parts in index order keeps it deterministic
-	// (the maps themselves are order-free, and every ordered consumer of
-	// the snapshot sorts).
-	s := &Snapshot{
-		Day:      day,
-		Rare:     make(map[string]*DomainActivity),
-		HostRare: make(map[string][]string),
-		uaPairs:  make(map[[2]string]bool),
-	}
-	for _, p := range parts {
-		s.AllDomains += len(p.b.perDomain)
-		s.NewDomains += p.newCnt
-		s.domains = append(s.domains, p.domains...)
-		for d, da := range p.rare {
-			s.Rare[d] = da
-		}
-		for pair := range p.b.uaPairs {
-			s.uaPairs[pair] = true
-		}
-	}
-	s.buildHostRare()
-	return s
+	return MergeSnapshotParallel(day, parts, hist, unpopularThreshold, workers)
 }
 
-func (s *Snapshot) buildHostRare() {
-	for d, da := range s.Rare {
-		for h := range da.Hosts {
-			//lint:ignore maporder every HostRare bucket is sorted immediately below
-			s.HostRare[h] = append(s.HostRare[h], d)
-		}
-	}
-	for h := range s.HostRare {
-		sort.Strings(s.HostRare[h])
-	}
-}
-
-// MergeSnapshot is MergeSnapshotParallel with a single merge worker.
-func MergeSnapshot(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold int) *Snapshot {
-	return MergeSnapshotParallel(day, parts, hist, unpopularThreshold, 1)
-}
-
-// MergeSnapshotParallel assembles a day snapshot from partition builders —
-// the day-close half of incremental snapshot maintenance. Unlike the
-// partitions of NewSnapshotParallel, the parts may overlap by domain (the
+// MergeSnapshotParallel assembles a day snapshot from partition builders:
+// the one classify/merge implementation behind both the batch snapshot
+// build and the streaming day-close. The parts may overlap by domain (the
 // streaming engine shards by (host, domain) pair, so a domain's hosts
 // spread across shards); overlapping aggregates are merged exactly because
 // every order-sensitive decision the builder recorded is keyed by arrival
-// seq. The result — and hence every report derived from it — is identical
-// to NewSnapshot over the same visits in seq order, for any partition
+// seq. The result — and hence every report derived from it — is the
+// sequential reduction of the same visits in seq order, for any partition
 // count, apply order, and worker count. workers <= 0 uses GOMAXPROCS.
 //
 // The snapshot shares structure with the builders (host maps are adopted,
@@ -558,15 +472,15 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 	for _, p := range parts {
 		total += p.visits
 	}
-	if workers > 1 && total < parallelCutoff {
+	if total < parallelCutoff {
 		workers = 1
 	}
 
 	// One sequential pass buckets every (domain, aggregate) entry by its
-	// owner worker (the same domain-hash partitioning NewSnapshotParallel
-	// uses), so each worker walks only its own share instead of rescanning
-	// every part. A domain's aggregates land in its bucket in part index
-	// order, which keeps the copy-on-write merge below deterministic.
+	// owner worker (domain hash), so each worker walks only its own share
+	// instead of rescanning every part. A domain's aggregates land in its
+	// bucket in part index order, which keeps the copy-on-write merge below
+	// deterministic.
 	type partAgg struct {
 		domain string
 		agg    *incrementalAgg
@@ -590,7 +504,9 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 		newCnt  int
 		rare    map[string]*DomainActivity
 	}
-	mergeBucket := func(bucket []partAgg) mergeRes {
+	results := make([]mergeRes, workers)
+	par.ForEachIndex(workers, workers, func(w int) {
+		bucket := buckets[w]
 		merged := make(map[string]*incrementalAgg, len(bucket))
 		// adopted marks merged entries that still alias a part's aggregate;
 		// a second occurrence of the domain forces a private copy so no
@@ -627,23 +543,8 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 				res.rare[d] = da
 			}
 		}
-		return res
-	}
-
-	results := make([]mergeRes, workers)
-	if workers <= 1 {
-		results[0] = mergeBucket(buckets[0])
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				results[w] = mergeBucket(buckets[w])
-			}(w)
-		}
-		wg.Wait()
-	}
+		results[w] = res
+	})
 
 	s := &Snapshot{
 		Day:      day,
@@ -667,6 +568,18 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 	}
 	s.buildHostRare()
 	return s
+}
+
+func (s *Snapshot) buildHostRare() {
+	for d, da := range s.Rare {
+		for h := range da.Hosts {
+			//lint:ignore maporder every HostRare bucket is sorted immediately below
+			s.HostRare[h] = append(s.HostRare[h], d)
+		}
+	}
+	for h := range s.HostRare {
+		sort.Strings(s.HostRare[h])
+	}
 }
 
 // domainPartition hashes a domain onto a partition (FNV-1a). Any stable

@@ -31,8 +31,8 @@ func TestRouteBatchAllocs(t *testing.T) {
 		e.shards[i] = newShard(e, 1)
 	}
 	round := func() {
-		if n, err := e.routeBatchLocked(recs, true); err != nil || n != len(recs) {
-			t.Fatalf("routeBatchLocked = %d, %v", n, err)
+		if n := e.routeBatchLocked(recs); n != len(recs) {
+			t.Fatalf("routeBatchLocked = %d, want %d", n, len(recs))
 		}
 		for _, s := range e.shards {
 			e.putBuf(<-s.batches)

@@ -16,7 +16,7 @@ import (
 
 // TestIngestBatchMatchesPerRecord drives the same mixed day (resolved,
 // lease-less, IP-literal records) through IngestBatch and through
-// per-record IngestProxy and requires identical day reports.
+// one-record batches and requires identical day reports.
 func TestIngestBatchMatchesPerRecord(t *testing.T) {
 	leases := map[netip.Addr]string{netip.MustParseAddr("10.0.0.7"): "lease-host"}
 	day := testDay()
@@ -52,7 +52,7 @@ func TestIngestBatchMatchesPerRecord(t *testing.T) {
 			}
 		} else {
 			for _, r := range recs {
-				if err := e.IngestProxy(r); err != nil {
+				if err := ingest1(e, r); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -83,46 +83,6 @@ func TestIngestBatchMatchesPerRecord(t *testing.T) {
 	}
 }
 
-// TestIngestBatchAtomicBackpressure verifies the all-or-nothing contract of
-// TryIngestBatch: a rejected batch contributes no records and no counter
-// drift beyond Rejected itself.
-func TestIngestBatchAtomicBackpressure(t *testing.T) {
-	e := trainOnlyEngine(Config{Shards: 1, QueueDepth: 1})
-	defer e.Close()
-	if err := e.BeginDay(testDay(), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Park the only worker inside a control request so the queue backs up.
-	started, release := make(chan struct{}), make(chan struct{})
-	go e.shards[0].do(func(*shard) { close(started); <-release })
-	<-started
-
-	if err := e.TryIngestProxy(rec(testDay(), "h0", "kept.test", 0)); err != nil {
-		t.Fatal(err) // fills the queue's single batch slot
-	}
-	batch := make([]logs.ProxyRecord, 5)
-	for i := range batch {
-		batch[i] = rec(testDay(), "h0", "dropped.test", time.Duration(i)*time.Second)
-	}
-	if err := e.TryIngestBatch(batch); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("got %v, want ErrBackpressure", err)
-	}
-	if got := e.rejected.Load(); got != 5 {
-		t.Fatalf("rejected = %d, want 5 (every record of the batch)", got)
-	}
-	if got := e.dayRecords.Load(); got != 1 {
-		t.Fatalf("dayRecords = %d, want 1: the rejected batch must leave no trace", got)
-	}
-	close(release)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep, ok := e.DayReport("2014-02-03")
-	if !ok || rep.Stats.Records != 1 || rep.Stats.DomainsAll != 1 {
-		t.Fatalf("day should hold only the accepted record: %v %+v", ok, rep.Stats)
-	}
-}
-
 // TestLateRecordsCrossMidnight replays an out-of-order cross-midnight
 // stream under AutoRollover: stragglers from an already-reported day are
 // folded into the open day (the documented policy) and counted in
@@ -150,7 +110,7 @@ func TestLateRecordsCrossMidnight(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A late single record through the per-record path counts too.
-	if err := e.IngestProxy(rec(d1, "h1", "alpha.test", 23*time.Hour)); err != nil {
+	if err := ingest1(e, rec(d1, "h1", "alpha.test", 23*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Flush(); err != nil {
@@ -170,32 +130,24 @@ func TestLateRecordsCrossMidnight(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoresCounters round-trips the Rejected and LateRecords
-// counters through a checkpoint: a restarted daemon must not silently reset
-// its backpressure and misfiling telemetry.
+// TestCheckpointRestoresCounters round-trips the LateRecords counter
+// through a checkpoint: a restarted daemon must not silently reset its
+// misfiling telemetry.
 func TestCheckpointRestoresCounters(t *testing.T) {
 	e := trainOnlyEngine(Config{Shards: 1, QueueDepth: 1, AutoRollover: true})
 	d1, d2 := testDay(), testDay().AddDate(0, 0, 1)
-	if err := e.IngestProxy(rec(d1, "h1", "alpha.test", time.Hour)); err != nil {
+	if err := ingest1(e, rec(d1, "h1", "alpha.test", time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestProxy(rec(d2, "h1", "alpha.test", time.Hour)); err != nil {
+	if err := ingest1(e, rec(d2, "h1", "alpha.test", time.Hour)); err != nil {
 		t.Fatal(err) // rolls d1 over
 	}
-	if err := e.IngestProxy(rec(d1, "h1", "beta.test", 23*time.Hour)); err != nil {
+	if err := ingest1(e, rec(d1, "h1", "beta.test", 23*time.Hour)); err != nil {
 		t.Fatal(err) // late straggler
 	}
-	// Force a real backpressure rejection with a parked worker.
-	started, release := make(chan struct{}), make(chan struct{})
-	go e.shards[0].do(func(*shard) { close(started); <-release })
-	<-started
-	if err := e.TryIngestProxy(rec(d2, "h1", "alpha.test", 2*time.Hour)); err != nil {
+	if err := ingest1(e, rec(d2, "h1", "alpha.test", 2*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TryIngestProxy(rec(d2, "h1", "alpha.test", 3*time.Hour)); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("got %v, want ErrBackpressure", err)
-	}
-	close(release)
 
 	var buf bytes.Buffer
 	if err := e.Checkpoint(&buf); err != nil {
@@ -210,9 +162,6 @@ func TestCheckpointRestoresCounters(t *testing.T) {
 	}
 	defer restored.Close()
 	st := restored.Stats()
-	if st.Rejected != 1 {
-		t.Fatalf("restored Rejected = %d, want 1", st.Rejected)
-	}
 	if st.LateRecords != 1 {
 		t.Fatalf("restored LateRecords = %d, want 1", st.LateRecords)
 	}
@@ -225,18 +174,26 @@ func TestCheckpointRestoresCounters(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptCheckpoint: a corrupt or empty checkpoint must
-// fail with a descriptive error, never a panic — the daemon turns this into
-// a refusal to start (starting fresh would overwrite the history).
+// TestRestoreRejectsCorruptCheckpoint: a corrupt, empty or no-longer-read
+// checkpoint must fail with a descriptive error, never a panic — the daemon
+// turns this into a refusal to start (starting fresh would overwrite the
+// history). A v1 file must say in full which build still reads it and what
+// to do with it.
 func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
+	const v1Refusal = "stream: unsupported checkpoint version 1 (format v1 was last readable at PR 13; restore and re-checkpoint with that build)"
 	cases := map[string]struct {
 		input string
 		want  string
 	}{
-		"empty":         {"", "empty or truncated"},
-		"garbage":       {"not a checkpoint\n", "restore header"},
-		"negativeItems": {`{"version":1,"items":-5}` + "\n", "corrupt header"},
-		"badVersion":    {`{"version":99}` + "\n", "unsupported checkpoint version"},
+		"empty":           {"", "empty or truncated"},
+		"garbage":         {"not a checkpoint\n", "restore header"},
+		"negativeDailies": {`{"version":2,"dailies":-5}` + "\n", "corrupt header"},
+		"negativeItems":   {`{"version":1,"items":-5}` + "\n", v1Refusal},
+		"v1": {`{"version":1,"day":"2014-02-03T00:00:00Z","seq":1,"dayRecords":1,"totalRecords":1,"pipeline":{},"dailies":0,"items":1}` + "\n" +
+			`{"version":1,"days":0,"domains":0,"uas":0}` + "\n" + `{"calDays":0,"trained":false}` + "\n" +
+			`{"seq":1,"d":"alpha.test"}` + "\n", v1Refusal},
+		"noVersion":  {`{}` + "\n", "stream: unsupported checkpoint version 0"},
+		"badVersion": {`{"version":99}` + "\n", "stream: unsupported checkpoint version 99"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

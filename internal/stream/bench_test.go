@@ -13,7 +13,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"net/netip"
 	"testing"
 	"time"
@@ -63,7 +62,7 @@ func benchIngest(b *testing.B, shards int, parallel bool) {
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
-				if err := e.IngestProxy(recs[i%len(recs)]); err != nil {
+				if err := ingest1(e, recs[i%len(recs)]); err != nil {
 					b.Fatal(err)
 				}
 				i++
@@ -71,7 +70,7 @@ func benchIngest(b *testing.B, shards int, parallel bool) {
 		})
 	} else {
 		for i := 0; i < b.N; i++ {
-			if err := e.IngestProxy(recs[i%len(recs)]); err != nil {
+			if err := ingest1(e, recs[i%len(recs)]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -140,7 +139,7 @@ func BenchmarkIngestBatch8Shard(b *testing.B)         { benchIngestBatch(b, 8, 5
 func BenchmarkIngestBatch8ShardParallel(b *testing.B) { benchIngestBatch(b, 8, 512, true) }
 
 // BenchmarkIngestBatchOfOne prices the batch machinery at its worst case:
-// IngestProxy routed as a batch of one.
+// a batch of one.
 func BenchmarkIngestBatchOfOne(b *testing.B) { benchIngestBatch(b, 1, 1, false) }
 
 // scatteredRecords is benchRecords with consecutive records landing on
@@ -213,80 +212,6 @@ func benchApplyBatch(b *testing.B, recs []logs.ProxyRecord) {
 func BenchmarkApplyBatch(b *testing.B)          { benchApplyBatch(b, benchRecords(4096)) }
 func BenchmarkApplyBatchScattered(b *testing.B) { benchApplyBatch(b, scatteredRecords(4096)) }
 
-// BenchmarkCheckpointV1VsV2 prices the two checkpoint formats against each
-// other on the same generated high-volume day: encode (legacy v1 raw-item
-// replay vs v2 domain-keyed builder frames) and restore (v1 replays every
-// record through the shards; v2 re-partitions the builder). The ckpt-bytes
-// metric is the encoded size — the headline claim is that v2 is
-// proportional to distinct (host, domain) state, not traffic volume.
-func BenchmarkCheckpointV1VsV2(b *testing.B) {
-	const perDay = 20000
-	recs := benchRecords(perDay)
-	setup := func(b *testing.B) *Engine {
-		b.Helper()
-		e := trainOnlyEngine(Config{Shards: 4, QueueDepth: 8192})
-		discardEngine(b, e)
-		if err := e.BeginDay(time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), nil); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < perDay; i += 512 {
-			if err := e.IngestBatch(recs[i:min(i+512, perDay)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return e
-	}
-	encode := func(e *Engine, v1 bool, w io.Writer) error {
-		if v1 {
-			return e.CheckpointV1(w, recs)
-		}
-		return e.Checkpoint(w)
-	}
-	for _, v1 := range []bool{true, false} {
-		name := "v2"
-		if v1 {
-			name = "v1"
-		}
-		b.Run(name+"-encode", func(b *testing.B) {
-			e := setup(b)
-			var buf bytes.Buffer
-			if err := encode(e, v1, &buf); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(buf.Len()), "ckpt-bytes")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := encode(e, v1, io.Discard); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"-restore", func(b *testing.B) {
-			e := setup(b)
-			var buf bytes.Buffer
-			if err := encode(e, v1, &buf); err != nil {
-				b.Fatal(err)
-			}
-			data := buf.Bytes()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := Restore(bytes.NewReader(data), Config{Shards: 4, QueueDepth: 8192}, RestoreDeps{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Stats quiesces the shards, so the timed region includes the
-				// v1 replay apply work its sends queued.
-				_ = r.Stats()
-				b.StopTimer()
-				abandonEngine(r)
-				b.StartTimer()
-			}
-		})
-	}
-}
-
 // BenchmarkIngestToReport measures the full streaming day cycle: ingest a
 // fixed-size day and roll it over through the pipeline Train path. The
 // per-day Flush waits for each day-close, so this is the serial (no
@@ -305,7 +230,7 @@ func BenchmarkIngestToReport(b *testing.B) {
 		}
 		for j := range recs {
 			recs[j].Time = d.Add(time.Duration(j) * 4 * time.Millisecond)
-			if err := e.IngestProxy(recs[j]); err != nil {
+			if err := ingest1(e, recs[j]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/histogram"
-	"repro/internal/logs"
 	"repro/internal/normalize"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
@@ -36,25 +35,23 @@ import (
 //	history      profile.History.SaveTo
 //	calibration  pipeline.CalibrationState
 //	dailies      header.Dailies × checkpointDaily
-//	closing      (v2, iff header.Closing != "") checkpointClosing +
+//	closing      (iff header.Closing != "") checkpointClosing +
 //	             profile.Snapshot.SaveTo — the merged snapshot of a day
 //	             whose close was in flight; restore re-runs the close
-//	openday      (v2, iff header.Day != "") checkpointOpenDay +
+//	openday      (iff header.Day != "") checkpointOpenDay +
 //	             profile.IncrementalBuilder.SaveTo + markerDomains ×
 //	             checkpointDomain + livePairs × checkpointLivePair
-//	items        (v1 only) header.Items × checkpointItem, in seq order
 //
-// Format v2 serializes the open day as the merged incremental-builder
-// partial — domain-keyed aggregation, so checkpoint size and restore time
-// are proportional to the day's distinct (host, domain) state rather than
-// its traffic volume, and no arrival-order raw visit buffer needs to exist
-// anywhere in the engine. v1 checkpoints (raw-item replay) are still
-// accepted on restore; the next checkpoint rewrites them as v2.
+// The open day is serialized as the merged incremental-builder partial —
+// domain-keyed aggregation, so checkpoint size and restore time are
+// proportional to the day's distinct (host, domain) state rather than its
+// traffic volume, and no arrival-order raw visit buffer needs to exist
+// anywhere in the engine. This is format version 2; version 1 (raw-item
+// replay) is refused with a pointer to the last build that read it.
 //
 // Shard count is deliberately not part of the state: builder frames are
-// domain-keyed and re-partitioned by hash on restore (v1 items are
-// re-hashed the same way), so a checkpoint taken on an 8-core box restores
-// onto 2 cores.
+// domain-keyed and re-partitioned by hash on restore, so a checkpoint taken
+// on an 8-core box restores onto 2 cores.
 //
 // The open day's live periodicity analyzers (the LiveAutomated
 // early-warning view) are carried as an optional livePairs section: each
@@ -65,10 +62,7 @@ import (
 // it is advisory, derived state that the day's official verdict never
 // depends on.
 
-const (
-	checkpointVersion   = 2
-	checkpointVersionV1 = 1
-)
+const checkpointVersion = 2
 
 type checkpointHeader struct {
 	Version      int                       `json:"version"`
@@ -79,17 +73,14 @@ type checkpointHeader struct {
 	DayRecords   uint64                    `json:"dayRecords"`
 	DayDroppedIP uint64                    `json:"dayDroppedIP"`
 	TotalRecords uint64                    `json:"totalRecords"`
-	Rejected     uint64                    `json:"rejected,omitempty"`
 	LateRecords  uint64                    `json:"lateRecords,omitempty"`
 	Pipeline     pipeline.EnterpriseConfig `json:"pipeline"`
 	Leases       map[string]string         `json:"leases,omitempty"`
 	Dates        []string                  `json:"dates,omitempty"`
 	Dailies      int                       `json:"dailies"`
 	// Closing names the day whose close was in flight when the checkpoint
-	// was taken ("" = none); v2 only.
+	// was taken ("" = none).
 	Closing string `json:"closing,omitempty"`
-	// Items is the open-day raw record count; v1 only (v2 writes 0).
-	Items int `json:"items"`
 }
 
 type checkpointDaily struct {
@@ -97,15 +88,7 @@ type checkpointDaily struct {
 	Daily report.Daily `json:"daily"`
 }
 
-// checkpointItem is one open-day record of a v1 checkpoint (retained for
-// read compatibility and the format-comparison benchmarks).
-type checkpointItem struct {
-	Seq    uint64      `json:"seq"`
-	Domain string      `json:"d,omitempty"` // marker items (unresolved source)
-	Visit  *logs.Visit `json:"v,omitempty"`
-}
-
-// checkpointClosing is the v2 closing-day section header; the merged
+// checkpointClosing is the closing-day section header; the merged
 // snapshot follows as a profile snapshot section.
 type checkpointClosing struct {
 	Date      string               `json:"date"`
@@ -116,7 +99,7 @@ type checkpointClosing struct {
 	Stats     normalize.ProxyStats `json:"stats"`
 }
 
-// checkpointOpenDay is the v2 open-day section header; the merged builder
+// checkpointOpenDay is the open-day section header; the merged builder
 // section follows, then MarkerDomains single-domain records (domains seen
 // only through unresolved, lease-less records — they count toward the
 // day's distinct-domain statistic but hold no visit state).
@@ -171,7 +154,6 @@ func (e *Engine) headerLocked() checkpointHeader {
 		DayRecords:   e.dayRecords.Load(),
 		DayDroppedIP: e.dayDroppedIP.Load(),
 		TotalRecords: e.totalRecords.Load(),
-		Rejected:     e.rejected.Load(),
 		LateRecords:  e.lateRecords.Load(),
 		Pipeline:     e.pipe.Config(),
 		Dates:        append([]string(nil), e.dates...),
@@ -202,8 +184,8 @@ func (e *Engine) dailiesLocked() []checkpointDaily {
 	return out
 }
 
-// Checkpoint streams the engine's full state to w in format v2. The engine
-// is frozen only while the open day's builder state is cloned — the encode
+// Checkpoint streams the engine's full state to w. The engine is frozen
+// only while the open day's builder state is cloned — the encode
 // itself runs without the engine lock, so concurrent ingestion resumes
 // after an O(resident state) pause rather than an O(encode + I/O) one.
 //
@@ -386,83 +368,6 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	return nil
 }
 
-// CheckpointV1 writes the legacy format-1 checkpoint, whose open-day
-// section is the raw records for replay. The engine no longer buffers raw
-// visits, so the caller must supply the open day's records in ingestion
-// order (openDay length must match the engine's open-day record count; any
-// backpressure rejections must not have split a batch). Retained for the
-// v1→v2 migration tests and the format-comparison benchmarks — production
-// checkpoints are v2 (Checkpoint). Waits out any in-flight close, as the
-// v1 format cannot represent one.
-func (e *Engine) CheckpointV1(w io.Writer, openDay []logs.ProxyRecord) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	e.awaitCloseLocked()
-	if e.closed {
-		return ErrClosed
-	}
-	if e.failed != nil {
-		return fmt.Errorf("stream: checkpoint: day %s close failed (%v); retry with Flush first", e.failed.date, e.failed.err)
-	}
-	if uint64(len(openDay)) != e.dayRecords.Load() {
-		return fmt.Errorf("stream: checkpoint v1: caller supplied %d open-day records, engine ingested %d",
-			len(openDay), e.dayRecords.Load())
-	}
-
-	// Re-reduce the records exactly as the ingest path did. Seqs are
-	// re-assigned densely from 1 — the builder's order-sensitive state
-	// depends only on relative order, which matches arrival order here, and
-	// every seq stays at or below the header watermark because each record
-	// consumed one live seq.
-	var items []checkpointItem
-	var red normalize.ProxyReducer
-	for i := range openDay {
-		host, folded, outcome := red.Key(&openDay[i], e.leases)
-		seq := uint64(i + 1)
-		switch outcome {
-		case normalize.ProxyDroppedIPLiteral:
-		case normalize.ProxyDroppedUnresolved:
-			items = append(items, checkpointItem{Seq: seq, Domain: folded})
-		default:
-			v := new(logs.Visit)
-			normalize.FillVisit(v, &openDay[i], host, folded)
-			items = append(items, checkpointItem{Seq: seq, Visit: v})
-		}
-	}
-
-	hdr := e.headerLocked()
-	hdr.Version = checkpointVersionV1
-	dailies := e.dailiesLocked()
-	hdr.Dailies = len(dailies)
-	hdr.Items = len(items)
-
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(hdr); err != nil {
-		return fmt.Errorf("stream: checkpoint header: %w", err)
-	}
-	if err := e.hist.SaveTo(enc); err != nil {
-		return fmt.Errorf("stream: checkpoint history: %w", err)
-	}
-	if err := enc.Encode(e.pipe.ExportCalibration()); err != nil {
-		return fmt.Errorf("stream: checkpoint calibration: %w", err)
-	}
-	for _, cd := range dailies {
-		if err := enc.Encode(cd); err != nil {
-			return fmt.Errorf("stream: checkpoint daily %s: %w", cd.Date, err)
-		}
-	}
-	for _, it := range items {
-		if err := enc.Encode(it); err != nil {
-			return fmt.Errorf("stream: checkpoint item: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
 // RestoreDeps supplies the runtime dependencies a restored pipeline needs —
 // the hooks that are live behaviour rather than state. They must be
 // equivalent to the ones the checkpointed pipeline ran with for resumed
@@ -483,13 +388,11 @@ type RestoreDeps struct {
 	Workers int
 }
 
-// Restore rebuilds an engine from a checkpoint written by Checkpoint —
-// format v2, or a legacy v1 file (whose open day is replayed record by
-// record; checkpointing the restored engine emits v2). The pipeline
-// configuration travels inside the checkpoint; cfg parameterizes only the
-// engine itself, and its TrainingDays is overridden from the checkpoint so
-// the train/process split cannot drift across restarts. When the
-// checkpoint carries a closing-day section, the restored engine re-runs
+// Restore rebuilds an engine from a checkpoint written by Checkpoint. The
+// pipeline configuration travels inside the checkpoint; cfg parameterizes
+// only the engine itself, and its TrainingDays is overridden from the
+// checkpoint so the train/process split cannot drift across restarts. When
+// the checkpoint carries a closing-day section, the restored engine re-runs
 // that day's close in the background and republishes its report.
 func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 	// Resolve the config defaults up front (idempotent; New applies the same
@@ -506,12 +409,16 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 		}
 		return nil, fmt.Errorf("stream: restore header: %w", err)
 	}
-	if hdr.Version != checkpointVersion && hdr.Version != checkpointVersionV1 {
+	switch hdr.Version {
+	case checkpointVersion:
+	case 1:
+		return nil, errors.New("stream: unsupported checkpoint version 1 (format v1 was last readable at PR 13; restore and re-checkpoint with that build)")
+	default:
 		return nil, fmt.Errorf("stream: unsupported checkpoint version %d", hdr.Version)
 	}
-	if hdr.Dailies < 0 || hdr.Items < 0 {
-		// Corrupt counts would otherwise panic in make below.
-		return nil, fmt.Errorf("stream: restore: corrupt header (dailies=%d, items=%d)", hdr.Dailies, hdr.Items)
+	if hdr.Dailies < 0 {
+		// A corrupt count would otherwise panic in make below.
+		return nil, fmt.Errorf("stream: restore: corrupt header (dailies=%d)", hdr.Dailies)
 	}
 	hist, err := profile.LoadHistoryFrom(dec)
 	if err != nil {
@@ -551,88 +458,70 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 		dailies[cd.Date] = cd.Daily
 	}
 
-	// Version-specific day-state sections.
-	var items []checkpointItem                  // v1
-	var closingMeta *checkpointClosing          // v2
-	var closingSnap *profile.Snapshot           // v2
-	var openBuilder *profile.IncrementalBuilder // v2
-	var openMeta checkpointOpenDay              // v2
-	var markerDomains []string                  // v2
-	var livePairs []checkpointLivePair          // v2
-	var liveOnline []*histogram.Online          // parallel to livePairs
-	if hdr.Version == checkpointVersionV1 {
-		if hdr.Closing != "" {
-			return nil, errors.New("stream: restore: v1 checkpoint cannot carry a closing day")
+	// Day-state sections.
+	var closingMeta *checkpointClosing
+	var closingSnap *profile.Snapshot
+	var openBuilder *profile.IncrementalBuilder
+	var openMeta checkpointOpenDay
+	var markerDomains []string
+	var livePairs []checkpointLivePair
+	var liveOnline []*histogram.Online // parallel to livePairs
+	if hdr.Closing != "" {
+		var cm checkpointClosing
+		if err := dec.Decode(&cm); err != nil {
+			return nil, fmt.Errorf("stream: restore closing day: %w", err)
 		}
-		// Grow toward the declared count instead of trusting it outright: a
-		// corrupt header cannot force a huge allocation before the decode of
-		// item 0 fails.
-		items = make([]checkpointItem, 0, min(hdr.Items, 1<<16))
-		for i := 0; i < hdr.Items; i++ {
-			var ci checkpointItem
-			if err := dec.Decode(&ci); err != nil {
-				return nil, fmt.Errorf("stream: restore item %d: %w", i, err)
-			}
-			items = append(items, ci)
+		if cm.Date != hdr.Closing {
+			return nil, fmt.Errorf("stream: restore: closing section date %q does not match header %q", cm.Date, hdr.Closing)
 		}
-	} else {
-		if hdr.Closing != "" {
-			var cm checkpointClosing
-			if err := dec.Decode(&cm); err != nil {
-				return nil, fmt.Errorf("stream: restore closing day: %w", err)
+		closingSnap, err = profile.LoadSnapshotFrom(dec)
+		if err != nil {
+			return nil, fmt.Errorf("stream: restore closing snapshot: %w", err)
+		}
+		closingMeta = &cm
+	}
+	if hdr.Day != "" {
+		if err := dec.Decode(&openMeta); err != nil {
+			return nil, fmt.Errorf("stream: restore open day: %w", err)
+		}
+		if openMeta.MarkerDomains < 0 || openMeta.Unresolved < 0 || openMeta.LivePairs < 0 {
+			return nil, fmt.Errorf("stream: restore: corrupt open-day section (markerDomains=%d, unresolved=%d, livePairs=%d)",
+				openMeta.MarkerDomains, openMeta.Unresolved, openMeta.LivePairs)
+		}
+		openBuilder, err = profile.LoadBuilderFrom(dec)
+		if err != nil {
+			return nil, fmt.Errorf("stream: restore builder: %w", err)
+		}
+		if maxSeq := openBuilder.MaxSeq(); maxSeq > hdr.Seq {
+			return nil, fmt.Errorf("stream: restore: builder seq %d beyond checkpoint watermark %d", maxSeq, hdr.Seq)
+		}
+		markerDomains = make([]string, 0, min(openMeta.MarkerDomains, 1<<16))
+		for i := 0; i < openMeta.MarkerDomains; i++ {
+			var cd checkpointDomain
+			if err := dec.Decode(&cd); err != nil {
+				return nil, fmt.Errorf("stream: restore marker domain %d: %w", i, err)
 			}
-			if cm.Date != hdr.Closing {
-				return nil, fmt.Errorf("stream: restore: closing section date %q does not match header %q", cm.Date, hdr.Closing)
+			markerDomains = append(markerDomains, cd.D)
+		}
+		livePairs = make([]checkpointLivePair, 0, min(openMeta.LivePairs, 1<<16))
+		liveOnline = make([]*histogram.Online, 0, min(openMeta.LivePairs, 1<<16))
+		seenPairs := make(map[[2]string]struct{}, min(openMeta.LivePairs, 1<<16))
+		for i := 0; i < openMeta.LivePairs; i++ {
+			var lp checkpointLivePair
+			if err := dec.Decode(&lp); err != nil {
+				return nil, fmt.Errorf("stream: restore live pair %d: %w", i, err)
 			}
-			closingSnap, err = profile.LoadSnapshotFrom(dec)
+			key := [2]string{lp.Host, lp.Domain}
+			if _, dup := seenPairs[key]; dup {
+				return nil, fmt.Errorf("stream: restore: duplicate live pair (%s, %s)", lp.Host, lp.Domain)
+			}
+			seenPairs[key] = struct{}{}
+			o, err := histogram.OnlineFromState(cfg.Histogram, lp.State)
 			if err != nil {
-				return nil, fmt.Errorf("stream: restore closing snapshot: %w", err)
+				return nil, fmt.Errorf("stream: restore live pair (%s, %s): %w", lp.Host, lp.Domain, err)
 			}
-			closingMeta = &cm
-		}
-		if hdr.Day != "" {
-			if err := dec.Decode(&openMeta); err != nil {
-				return nil, fmt.Errorf("stream: restore open day: %w", err)
-			}
-			if openMeta.MarkerDomains < 0 || openMeta.Unresolved < 0 || openMeta.LivePairs < 0 {
-				return nil, fmt.Errorf("stream: restore: corrupt open-day section (markerDomains=%d, unresolved=%d, livePairs=%d)",
-					openMeta.MarkerDomains, openMeta.Unresolved, openMeta.LivePairs)
-			}
-			openBuilder, err = profile.LoadBuilderFrom(dec)
-			if err != nil {
-				return nil, fmt.Errorf("stream: restore builder: %w", err)
-			}
-			if maxSeq := openBuilder.MaxSeq(); maxSeq > hdr.Seq {
-				return nil, fmt.Errorf("stream: restore: builder seq %d beyond checkpoint watermark %d", maxSeq, hdr.Seq)
-			}
-			markerDomains = make([]string, 0, min(openMeta.MarkerDomains, 1<<16))
-			for i := 0; i < openMeta.MarkerDomains; i++ {
-				var cd checkpointDomain
-				if err := dec.Decode(&cd); err != nil {
-					return nil, fmt.Errorf("stream: restore marker domain %d: %w", i, err)
-				}
-				markerDomains = append(markerDomains, cd.D)
-			}
-			livePairs = make([]checkpointLivePair, 0, min(openMeta.LivePairs, 1<<16))
-			liveOnline = make([]*histogram.Online, 0, min(openMeta.LivePairs, 1<<16))
-			seenPairs := make(map[[2]string]struct{}, min(openMeta.LivePairs, 1<<16))
-			for i := 0; i < openMeta.LivePairs; i++ {
-				var lp checkpointLivePair
-				if err := dec.Decode(&lp); err != nil {
-					return nil, fmt.Errorf("stream: restore live pair %d: %w", i, err)
-				}
-				key := [2]string{lp.Host, lp.Domain}
-				if _, dup := seenPairs[key]; dup {
-					return nil, fmt.Errorf("stream: restore: duplicate live pair (%s, %s)", lp.Host, lp.Domain)
-				}
-				seenPairs[key] = struct{}{}
-				o, err := histogram.OnlineFromState(cfg.Histogram, lp.State)
-				if err != nil {
-					return nil, fmt.Errorf("stream: restore live pair (%s, %s): %w", lp.Host, lp.Domain, err)
-				}
-				livePairs = append(livePairs, lp)
-				liveOnline = append(liveOnline, o)
-			}
+			livePairs = append(livePairs, lp)
+			liveOnline = append(liveOnline, o)
 		}
 	}
 
@@ -650,7 +539,6 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 	e.dayRecords.Store(hdr.DayRecords)
 	e.dayDroppedIP.Store(hdr.DayDroppedIP)
 	e.totalRecords.Store(hdr.TotalRecords)
-	e.rejected.Store(hdr.Rejected)
 	e.lateRecords.Store(hdr.LateRecords)
 	e.daysDone = hdr.DaysDone
 	e.dates = append(e.dates, hdr.Dates...)
@@ -660,117 +548,76 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 		e.dailies[date] = d
 	}
 
-	if hdr.Version == checkpointVersionV1 {
-		restoreItemsV1(e, items)
-	} else {
-		if openBuilder != nil {
-			// Re-partition the domain-keyed builder across however many
-			// shards this engine runs — merge results are independent of the
-			// partition assignment, so any stable split reproduces the day.
-			bparts := openBuilder.Split(len(e.shards))
-			// Route the live analyzers with the same (host, domain) hash the
-			// ingest path uses, so a pair's future observations land on the
-			// shard holding its restored state. The live per-domain entries
-			// are rebuilt exactly from the pairs: every visit that touched a
-			// shard's domain entry also fed that shard's pair analyzer once.
-			domsByShard := make([]map[string]*domainState, len(e.shards))
-			var h maphash.Hash
-			h.SetSeed(e.seed)
-			for idx, lp := range livePairs {
-				si := e.shardIndex(&h, lp.Host, lp.Domain)
-				if domsByShard[si] == nil {
-					domsByShard[si] = make(map[string]*domainState)
-				}
-				ds, ok := domsByShard[si][lp.Domain]
-				if !ok {
-					ds = &domainState{live: true, hosts: make(map[string]*histogram.Online)}
-					domsByShard[si][lp.Domain] = ds
-				}
-				ds.hosts[lp.Host] = liveOnline[idx]
-				ds.visits += lp.State.Conns
+	if openBuilder != nil {
+		// Re-partition the domain-keyed builder across however many
+		// shards this engine runs — merge results are independent of the
+		// partition assignment, so any stable split reproduces the day.
+		bparts := openBuilder.Split(len(e.shards))
+		// Route the live analyzers with the same (host, domain) hash the
+		// ingest path uses, so a pair's future observations land on the
+		// shard holding its restored state. The live per-domain entries
+		// are rebuilt exactly from the pairs: every visit that touched a
+		// shard's domain entry also fed that shard's pair analyzer once.
+		domsByShard := make([]map[string]*domainState, len(e.shards))
+		var h maphash.Hash
+		h.SetSeed(e.seed)
+		for idx, lp := range livePairs {
+			si := e.shardIndex(&h, lp.Host, lp.Domain)
+			if domsByShard[si] == nil {
+				domsByShard[si] = make(map[string]*domainState)
 			}
-			e.mu.Lock()
-			e.quiesce(func(i int, s *shard) {
-				s.part = bparts[i]
-				// Non-live builder domains get marker-only entries: their
-				// next resolved visit re-consults the history, exactly as a
-				// fresh day's first visit would.
-				s.domains = make(map[string]*domainState, bparts[i].Domains())
-				for _, d := range bparts[i].DomainNames() {
-					s.domains[d] = &domainState{}
-				}
-				if i == 0 {
-					s.unresolved = openMeta.Unresolved
-					for _, d := range markerDomains {
-						if s.domains[d] == nil {
-							s.domains[d] = &domainState{}
-						}
+			ds, ok := domsByShard[si][lp.Domain]
+			if !ok {
+				ds = &domainState{live: true, hosts: make(map[string]*histogram.Online)}
+				domsByShard[si][lp.Domain] = ds
+			}
+			ds.hosts[lp.Host] = liveOnline[idx]
+			ds.visits += lp.State.Conns
+		}
+		e.mu.Lock()
+		e.quiesce(func(i int, s *shard) {
+			s.part = bparts[i]
+			// Non-live builder domains get marker-only entries: their
+			// next resolved visit re-consults the history, exactly as a
+			// fresh day's first visit would.
+			s.domains = make(map[string]*domainState, bparts[i].Domains())
+			for _, d := range bparts[i].DomainNames() {
+				s.domains[d] = &domainState{}
+			}
+			if i == 0 {
+				s.unresolved = openMeta.Unresolved
+				for _, d := range markerDomains {
+					if s.domains[d] == nil {
+						s.domains[d] = &domainState{}
 					}
 				}
-				for d, ds := range domsByShard[i] {
-					s.domains[d] = ds
-				}
-			})
-			e.mu.Unlock()
-		}
-		if closingMeta != nil {
-			// Re-run the interrupted close from its parked snapshot: the
-			// pipeline stages are deterministic, so the restored engine
-			// republishes exactly the reports the original close would have.
-			c := &dayClose{
-				day:       closingMeta.Day,
-				date:      closingMeta.Date,
-				snap:      closingSnap,
-				stats:     closingMeta.Stats,
-				records:   closingMeta.Records,
-				droppedIP: closingMeta.DroppedIP,
-				training:  closingMeta.Training,
-				phase:     closeAnalyzing,
-				merged:    closedChan(),
-				done:      make(chan struct{}),
 			}
-			e.mu.Lock()
-			e.closing = c
-			e.mu.Unlock()
-			go e.runDayClose(c)
+			for d, ds := range domsByShard[i] {
+				s.domains[d] = ds
+			}
+		})
+		e.mu.Unlock()
+	}
+	if closingMeta != nil {
+		// Re-run the interrupted close from its parked snapshot: the
+		// pipeline stages are deterministic, so the restored engine
+		// republishes exactly the reports the original close would have.
+		c := &dayClose{
+			day:       closingMeta.Day,
+			date:      closingMeta.Date,
+			snap:      closingSnap,
+			stats:     closingMeta.Stats,
+			records:   closingMeta.Records,
+			droppedIP: closingMeta.DroppedIP,
+			training:  closingMeta.Training,
+			phase:     closeAnalyzing,
+			merged:    closedChan(),
+			done:      make(chan struct{}),
 		}
+		e.mu.Lock()
+		e.closing = c
+		e.mu.Unlock()
+		go e.runDayClose(c)
 	}
 	return e, nil
-}
-
-// restoreItemsV1 replays a v1 checkpoint's open-day records through the
-// shards with the same sharded batch sends the live path uses: one pass
-// groups the items per shard in seq order, then one channel operation
-// delivers each shard its share. Items are re-hashed, so any shard count
-// deterministically rebuilds the same builder state the original engine
-// held.
-func restoreItemsV1(e *Engine, items []checkpointItem) {
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	var h maphash.Hash
-	h.SetSeed(e.seed)
-	for _, ci := range items {
-		it := item{seq: ci.Seq}
-		host, domain := "", ci.Domain
-		if ci.Visit != nil {
-			it.resolved = true
-			it.visit = *ci.Visit
-			host, domain = it.visit.Host, it.visit.Domain
-		} else {
-			it.domain = ci.Domain
-		}
-		si := e.shardIndex(&h, host, domain)
-		buf := sc.bufs[si]
-		if buf == nil {
-			buf = e.getBuf()
-			sc.bufs[si] = buf
-			sc.touched = append(sc.touched, si)
-		}
-		*buf = append(*buf, it)
-	}
-	for _, si := range sc.touched {
-		e.shards[si].batches <- sc.bufs[si]
-		sc.bufs[si] = nil // owned by the worker now
-	}
-	sc.touched = sc.touched[:0]
 }

@@ -149,11 +149,12 @@ func TestCheckpointDuringCloseMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestV1CheckpointMigration is the read-compat satellite: restoring a
-// legacy v1 checkpoint (raw-item replay) and immediately checkpointing
-// must emit a valid v2 that restores — onto yet another shard count — into
-// an engine whose remaining dataset run stays byte-identical to batch.
-func TestV1CheckpointMigration(t *testing.T) {
+// TestParentFormatCheckpointRestores: a v2 checkpoint as the previous build
+// wrote it — its header still carrying the v1-era "items" count and the
+// "rejected" counter, both gone from the header struct — must restore
+// mid-day, onto another shard count, into an engine whose remaining
+// dataset run stays byte-identical to batch.
+func TestParentFormatCheckpointRestores(t *testing.T) {
 	fx := newEquivFixture(t, 79)
 	want, _ := fx.batchDailies(t)
 	if len(want) == 0 {
@@ -180,31 +181,21 @@ func TestV1CheckpointMigration(t *testing.T) {
 		}
 		half := len(recs) / 2
 		ingestChunks(t, e, recs[:half])
-		var v1 bytes.Buffer
-		if err := e.CheckpointV1(&v1, recs[:half]); err != nil {
+		var ckpt bytes.Buffer
+		if err := e.Checkpoint(&ckpt); err != nil {
 			t.Fatal(err)
 		}
-		if hdr := decodeCheckpointHeader(t, v1.Bytes()); hdr.Version != checkpointVersionV1 {
-			t.Fatalf("CheckpointV1 wrote version %d", hdr.Version)
+		if !bytes.HasPrefix(ckpt.Bytes(), []byte(`{"version":2,`)) {
+			t.Fatalf("header starts %q, want a version-2 JSON object", ckpt.Bytes()[:20])
 		}
-		eV1, err := Restore(bytes.NewReader(v1.Bytes()), Config{Shards: 2, QueueDepth: 64}, deps)
+		// Splice the two retired fields into the header object.
+		parent := append([]byte(`{"items":0,"rejected":7,`), ckpt.Bytes()[1:]...)
+		restored, err := Restore(bytes.NewReader(parent), Config{Shards: 5, QueueDepth: 64}, deps)
 		if err != nil {
-			t.Fatalf("restore v1: %v", err)
-		}
-		var v2 bytes.Buffer
-		if err := eV1.Checkpoint(&v2); err != nil {
-			t.Fatal(err)
-		}
-		if hdr := decodeCheckpointHeader(t, v2.Bytes()); hdr.Version != checkpointVersion {
-			t.Fatalf("migrated checkpoint has version %d, want %d", hdr.Version, checkpointVersion)
-		}
-		eZ, err := Restore(&v2, Config{Shards: 5, QueueDepth: 64}, deps)
-		if err != nil {
-			t.Fatalf("restore migrated v2: %v", err)
+			t.Fatalf("restore parent-format v2: %v", err)
 		}
 		abandonEngine(e)
-		abandonEngine(eV1)
-		e = eZ
+		e = restored
 		ingestChunks(t, e, recs[half:])
 	}
 	if err := e.Flush(); err != nil {
@@ -217,7 +208,7 @@ func TestV1CheckpointMigration(t *testing.T) {
 			continue
 		}
 		if gotJSON := dailyBytes(t, got); !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("day %s: migrated report differs from batch", date)
+			t.Errorf("day %s: restored report differs from batch", date)
 		}
 	}
 	if err := e.Close(); err != nil {
@@ -225,12 +216,10 @@ func TestV1CheckpointMigration(t *testing.T) {
 	}
 }
 
-// TestCheckpointV2SmallerThanV1 pins the size claim of the format change:
-// on a high-volume day over a bounded working set of (host, domain) pairs,
-// the domain-keyed v2 encoding must be measurably (here: at least 2x)
-// smaller than the raw-record v1 replay encoding, and still restore to the
-// same day statistics.
-func TestCheckpointV2SmallerThanV1(t *testing.T) {
+// TestCheckpointStatsAndRestoredDay: a checkpoint of a high-volume open
+// day reports its encoded size and the resident builder state in Stats,
+// and restores — onto another shard count — to the same day statistics.
+func TestCheckpointStatsAndRestoredDay(t *testing.T) {
 	const n = 30000
 	recs := benchRecords(n)
 	e := trainOnlyEngine(Config{Shards: 4, QueueDepth: 8192})
@@ -242,15 +231,9 @@ func TestCheckpointV2SmallerThanV1(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var v1, v2 bytes.Buffer
-	if err := e.CheckpointV1(&v1, recs); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := e.Checkpoint(&v2); err != nil {
 		t.Fatal(err)
-	}
-	if 2*v2.Len() > v1.Len() {
-		t.Fatalf("v2 checkpoint (%d bytes) is not measurably smaller than v1 (%d bytes)", v2.Len(), v1.Len())
 	}
 	st := e.Stats()
 	if st.LastCheckpointBytes != int64(v2.Len()) {
@@ -295,7 +278,7 @@ func TestCheckpointDoesNotBlockIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := e.IngestProxy(rec(day, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(day, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +296,7 @@ func TestCheckpointDoesNotBlockIngest(t *testing.T) {
 	// An ingest during the parked encode must not block on the checkpoint.
 	ingested := make(chan error, 1)
 	go func() {
-		ingested <- e.IngestProxy(rec(day, "h2", "beta.test", time.Hour))
+		ingested <- ingest1(e, rec(day, "h2", "beta.test", time.Hour))
 	}()
 	select {
 	case err := <-ingested:

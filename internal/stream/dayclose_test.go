@@ -31,7 +31,7 @@ func TestIngestDuringSlowDayClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := e.IngestProxy(rec(d1, fmt.Sprintf("h%d", i%3), "alpha.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(d1, fmt.Sprintf("h%d", i%3), "alpha.test", time.Duration(i)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestIngestDuringSlowDayClose(t *testing.T) {
 	// Ingestion proceeds while the close is stalled — the old engine held
 	// the exclusive lock for the whole pipeline run here.
 	for i := 0; i < 20; i++ {
-		if err := e.IngestProxy(rec(d2, fmt.Sprintf("h%d", i%5), "beta.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(d2, fmt.Sprintf("h%d", i%5), "beta.test", time.Duration(i)*time.Minute)); err != nil {
 			t.Fatalf("ingest during day-close: %v", err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestReportWaitsForInFlightClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := e.IngestProxy(rec(d1, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(d1, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,14 +238,14 @@ func TestConcurrentBeginDaySameBoundary(t *testing.T) {
 	if err := e.BeginDay(d0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestProxy(rec(d0, "h1", "alpha.test", time.Minute)); err != nil {
+	if err := ingest1(e, rec(d0, "h1", "alpha.test", time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.BeginDay(d1, nil); err != nil { // close of d0 parks in the hook
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := e.IngestProxy(rec(d1, "h1", "beta.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(d1, "h1", "beta.test", time.Duration(i)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +265,7 @@ func TestConcurrentBeginDaySameBoundary(t *testing.T) {
 	// d2 must still be open and ingestible — the second waiter must not
 	// have closed it out from under the first.
 	for i := 0; i < 6; i++ {
-		if err := e.IngestProxy(rec(d2, "h1", "gamma.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(d2, "h1", "gamma.test", time.Duration(i)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -149,7 +149,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 		switch shape {
 		case 0:
 			for _, r := range recs {
-				if err := e.IngestProxy(r); err != nil {
+				if err := ingest1(e, r); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -387,7 +387,7 @@ func (fx *equivFixture) ingestDataset(t *testing.T, e *Engine, days []batch.Day,
 			return
 		}
 		for _, r := range recs {
-			if err := e.IngestProxy(r); err != nil {
+			if err := ingest1(e, r); err != nil {
 				t.Fatal(err)
 			}
 		}

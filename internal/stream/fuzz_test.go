@@ -19,7 +19,7 @@ func fuzzCheckpointBytes(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := e.IngestProxy(rec(d1, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(d1, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -27,7 +27,7 @@ func fuzzCheckpointBytes(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := e.IngestProxy(rec(d2, "h2", "beta.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(d2, "h2", "beta.test", time.Duration(i)*time.Minute)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func fuzzCheckpointBytesClosing(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := e.IngestProxy(rec(d1, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(d1, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func fuzzCheckpointBytesClosing(tb testing.TB) []byte {
 	}
 	<-entered
 	for i := 0; i < 3; i++ {
-		if err := e.IngestProxy(rec(d2, "h2", "beta.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(d2, "h2", "beta.test", time.Duration(i)*time.Minute)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -84,9 +84,10 @@ func fuzzV2(openMeta, builder string) []byte {
 }
 
 // FuzzCheckpointDecode holds the restore path to its refusal contract:
-// corrupt, truncated or adversarial checkpoints (either format) must come
-// back as errors — never a panic (the PR 2 regression was a make() panic
-// on a negative header count) and never a huge speculative allocation.
+// corrupt, truncated, adversarial or no-longer-read (the version-1 seeds)
+// checkpoints must come back as errors — never a panic (the PR 2
+// regression was a make() panic on a negative header count) and never a
+// huge speculative allocation.
 // Inputs that do decode must yield a working engine, which the target
 // shuts down; a close re-run from a decoded closing-day section may
 // legitimately fail its pipeline, so Close errors are tolerated — only

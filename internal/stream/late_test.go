@@ -104,7 +104,7 @@ func TestLateRecordsMatchSequentialOracle(t *testing.T) {
 					}
 				} else {
 					for _, r := range arrivals {
-						if err := e.IngestProxy(r); err != nil {
+						if err := ingest1(e, r); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -109,7 +109,8 @@ func ReplayDir(e *Engine, dir string, opts ReplayOptions) error {
 			continue
 		}
 		var prev time.Time
-		for _, r := range recs {
+		for i := range recs {
+			r := &recs[i]
 			if !prev.IsZero() && r.Time.After(prev) {
 				gap := time.Duration(float64(r.Time.Sub(prev)) / opts.Speed)
 				if gap > opts.MaxGap {
@@ -123,7 +124,7 @@ func ReplayDir(e *Engine, dir string, opts ReplayOptions) error {
 			if opts.stopped() {
 				return ErrStopped
 			}
-			if err := e.IngestProxy(r); err != nil {
+			if err := e.IngestBatch(recs[i : i+1]); err != nil {
 				return fmt.Errorf("stream: replay %s: %w", d.Date.Format("2006-01-02"), err)
 			}
 		}

@@ -10,13 +10,12 @@
 // engine lock once per batch, reserves a contiguous sequence range with a
 // single atomic add, reduces the records into pooled per-shard buffers with
 // one reused hash state, and hands each shard its share in a single channel
-// operation (IngestProxy is a batch of one). Each shard owns its slice of
-// the day state — the reduced visit buffer, a live histogram.Online
-// analyzer per (host, domain) pair, and per-domain accumulators — so the
-// hot path takes no locks: a shard's maps are touched only by its own
-// worker goroutine, and cross-shard operations (rollover, checkpoint,
-// stats) go through a control channel that the worker services between
-// batches.
+// operation. Each shard owns its slice of the day state — the reduced visit
+// buffer, a live histogram.Online analyzer per (host, domain) pair, and
+// per-domain accumulators — so the hot path takes no locks: a shard's maps
+// are touched only by its own worker goroutine, and cross-shard operations
+// (rollover, checkpoint, stats) go through a control channel that the
+// worker services between batches.
 //
 // Snapshot maintenance is incremental: each shard folds every visit into a
 // profile.IncrementalBuilder — a partial day snapshot whose order-sensitive
@@ -82,9 +81,6 @@ import (
 
 // Errors returned by the ingest path.
 var (
-	// ErrBackpressure reports that a shard queue is full; the caller should
-	// retry later (HTTP frontends translate it to 429).
-	ErrBackpressure = errors.New("stream: shard queue full")
 	// ErrClosed reports ingestion into a closed engine.
 	ErrClosed = errors.New("stream: engine closed")
 	// ErrNoDay reports ingestion with no open day and auto-rollover off.
@@ -534,7 +530,6 @@ type Engine struct {
 	dayRecords   atomic.Uint64 // raw records ingested into the open day
 	dayDroppedIP atomic.Uint64 // IP-literal drops in the open day
 	totalRecords atomic.Uint64
-	rejected     atomic.Uint64 // backpressure rejections, in records
 	lateRecords  atomic.Uint64 // out-of-order records folded into a newer open day
 
 	bufPool     sync.Pool // *[]item: shard send buffers, recycled by the workers
@@ -704,15 +699,9 @@ func (e *Engine) getScratch() *routeScratch {
 	return &routeScratch{bufs: make([]*[]item, len(e.shards))}
 }
 
-// putScratch recycles the scratch, returning any buffers still attached
-// (a rejected batch's) to the buffer pool.
+// putScratch recycles the scratch; every buffer it held has been handed to
+// a shard worker by then.
 func (e *Engine) putScratch(sc *routeScratch) {
-	for _, si := range sc.touched {
-		if sc.bufs[si] != nil {
-			e.putBuf(sc.bufs[si])
-			sc.bufs[si] = nil
-		}
-	}
 	sc.touched = sc.touched[:0]
 	e.scratchPool.Put(sc)
 }
@@ -864,21 +853,6 @@ func (e *Engine) retryFailedLocked() error {
 	}
 }
 
-// IngestProxy feeds one raw proxy record, blocking while its shard's queue
-// is full. Safe for concurrent use. It rides the batched hot path as a
-// batch of one; bulk producers should prefer IngestBatch.
-func (e *Engine) IngestProxy(r logs.ProxyRecord) error {
-	recs := [1]logs.ProxyRecord{r}
-	return e.ingestBatch(recs[:], true)
-}
-
-// TryIngestProxy is IngestProxy with backpressure: it returns
-// ErrBackpressure instead of blocking when the target shard lags.
-func (e *Engine) TryIngestProxy(r logs.ProxyRecord) error {
-	recs := [1]logs.ProxyRecord{r}
-	return e.ingestBatch(recs[:], false)
-}
-
 // IngestBatch feeds a slice of raw proxy records through the batched hot
 // path: the engine lock is taken once, one atomic add reserves a contiguous
 // sequence range, the records reduce into pooled per-shard buffers, and
@@ -890,16 +864,7 @@ func (e *Engine) TryIngestProxy(r logs.ProxyRecord) error {
 // concurrent Close) leaves the already-committed chunks ingested. Blocks
 // while a destination shard's queue is full. The slice is not retained.
 // Safe for concurrent use.
-func (e *Engine) IngestBatch(recs []logs.ProxyRecord) error { return e.ingestBatch(recs, true) }
-
-// TryIngestBatch is IngestBatch with backpressure: when a destination
-// shard's queue is full it returns ErrBackpressure with nothing ingested.
-// (Under AutoRollover a batch spanning a day boundary commits one day
-// chunk at a time, so a rejection mid-batch can leave earlier chunks
-// ingested; single-day batches — the common case — stay all-or-nothing.)
-func (e *Engine) TryIngestBatch(recs []logs.ProxyRecord) error { return e.ingestBatch(recs, false) }
-
-func (e *Engine) ingestBatch(recs []logs.ProxyRecord, block bool) error {
+func (e *Engine) IngestBatch(recs []logs.ProxyRecord) error {
 	for len(recs) > 0 {
 		e.mu.RLock()
 		if e.closed {
@@ -919,14 +884,8 @@ func (e *Engine) ingestBatch(recs []logs.ProxyRecord, block bool) error {
 			}
 			continue
 		}
-		n, err := e.routeBatchLocked(recs, block)
+		n := e.routeBatchLocked(recs)
 		e.mu.RUnlock()
-		if err != nil {
-			if errors.Is(err, ErrBackpressure) {
-				e.rejected.Add(uint64(len(recs)))
-			}
-			return err
-		}
 		recs = recs[n:]
 	}
 	return nil
@@ -949,11 +908,11 @@ func (e *Engine) currentLeases() map[netip.Addr]string {
 // batch) and returns its length. Each record reduces via the shared
 // per-record reducer into a per-shard buffer; one seq-range reservation and
 // at most one channel send per shard replace the per-record atomics and
-// sends the engine used before batching. Counters are bumped only after
-// every send has landed, so a backpressure rejection leaves no trace beyond
-// an unused seq gap (harmless: seq only orders the rollover merge) and
-// streaming stats stay equal to batch stats. Caller holds mu (shared).
-func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord, block bool) (int, error) {
+// sends the engine used before batching. A send blocks while its shard's
+// queue is full — safe, because the workers always drain (control requests
+// need the exclusive lock, which cannot be taken while we hold it shared).
+// Caller holds mu (shared).
+func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord) int {
 	n := len(recs)
 	if e.cfg.AutoRollover {
 		// The chunk ends at the first record of a later day. Records of
@@ -1014,24 +973,10 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord, block bool) (int, err
 		}
 	}
 
-	if !block {
-		// All-or-nothing backpressure: reject before handing any shard its
-		// share. A concurrent batch may still win the checked capacity, in
-		// which case the send below blocks momentarily — safe, because the
-		// workers always drain (control requests need the exclusive lock,
-		// which cannot be taken while we hold it shared).
-		for _, si := range sc.touched {
-			s := e.shards[si]
-			if len(s.batches) >= cap(s.batches) {
-				return 0, ErrBackpressure
-			}
-		}
-	}
 	for _, si := range sc.touched {
 		e.shards[si].batches <- sc.bufs[si]
 		sc.bufs[si] = nil // owned by the worker now
 	}
-	sc.touched = sc.touched[:0]
 
 	e.dayRecords.Add(uint64(n))
 	e.totalRecords.Add(uint64(n))
@@ -1041,7 +986,7 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord, block bool) (int, err
 	if late > 0 {
 		e.lateRecords.Add(late)
 	}
-	return n, nil
+	return n
 }
 
 // quiesce runs fn against every shard on its worker goroutine, after the
@@ -1206,9 +1151,9 @@ func (e *Engine) runDayClose(c *dayClose) {
 	var daily *report.Daily
 	var err error
 	if c.training {
-		rep = e.pipe.TrainSnapshotHooked(c.day, c.snap, c.stats, preCommit)
+		rep = e.pipe.TrainSnapshot(c.day, c.snap, c.stats, preCommit)
 	} else {
-		rep, err = e.pipe.ProcessSnapshotHooked(c.day, c.snap, c.stats, preCommit)
+		rep, err = e.pipe.ProcessSnapshot(c.day, c.snap, c.stats, preCommit)
 		if err == nil {
 			d := report.Build(rep)
 			daily = &d
@@ -1306,8 +1251,6 @@ type Stats struct {
 	DayRecords   uint64 `json:"dayRecords"`
 	TotalRecords uint64 `json:"totalRecords"`
 	DaysDone     int    `json:"daysDone"`
-	// Rejected counts records refused for backpressure (TryIngest* only).
-	Rejected uint64 `json:"rejected"`
 	// LateRecords counts out-of-order records that arrived, under
 	// AutoRollover, after their own day had already rolled over. Policy:
 	// such stragglers are filed into the currently open day — their home
@@ -1381,7 +1324,6 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 		DayRecords:              e.dayRecords.Load(),
 		TotalRecords:            e.totalRecords.Load(),
 		DaysDone:                e.daysDone,
-		Rejected:                e.rejected.Load(),
 		LateRecords:             e.lateRecords.Load(),
 		Dates:                   append([]string(nil), e.dates...),
 		Shards:                  make([]ShardStats, len(e.shards)),

@@ -33,10 +33,16 @@ func rec(day time.Time, host, domain string, offset time.Duration) logs.ProxyRec
 	}
 }
 
+// ingest1 feeds one record as a batch of one — the per-record shape of a
+// feed that does not batch.
+func ingest1(e *Engine, r logs.ProxyRecord) error {
+	return e.IngestBatch([]logs.ProxyRecord{r})
+}
+
 func TestIngestRequiresOpenDay(t *testing.T) {
 	e := trainOnlyEngine(Config{Shards: 2})
 	defer e.Close()
-	if err := e.IngestProxy(rec(testDay(), "h1", "example.com", 0)); !errors.Is(err, ErrNoDay) {
+	if err := ingest1(e, rec(testDay(), "h1", "example.com", 0)); !errors.Is(err, ErrNoDay) {
 		t.Fatalf("got %v, want ErrNoDay", err)
 	}
 }
@@ -50,7 +56,7 @@ func TestDayRolloverAndReports(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		host := fmt.Sprintf("h%d", i)
-		if err := e.IngestProxy(rec(d1, host, "alpha.test", time.Duration(i)*time.Minute)); err != nil {
+		if err := ingest1(e, rec(d1, host, "alpha.test", time.Duration(i)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +94,7 @@ func TestAutoRollover(t *testing.T) {
 	for day := 0; day < 3; day++ {
 		for i := 0; i < 4; i++ {
 			r := rec(d1.AddDate(0, 0, day), "h1", "beta.test", time.Duration(i)*time.Hour)
-			if err := e.IngestProxy(r); err != nil {
+			if err := ingest1(e, r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -115,7 +121,7 @@ func TestLeaseResolutionAndMarkers(t *testing.T) {
 	ipLit := logs.ProxyRecord{Time: testDay(), SrcIP: netip.MustParseAddr("10.0.0.7"),
 		Domain: "93.184.216.34", Method: "GET", Status: 200}
 	for _, r := range []logs.ProxyRecord{known, unknown, ipLit} {
-		if err := e.IngestProxy(r); err != nil {
+		if err := ingest1(e, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,19 +154,15 @@ func TestBackpressure(t *testing.T) {
 	go e.shards[0].do(func(*shard) { close(started); <-release })
 	<-started
 
-	var rejected bool
-	for i := 0; i < 8; i++ {
-		err := e.TryIngestProxy(rec(testDay(), "h1", "epsilon.test", time.Duration(i)*time.Second))
-		if errors.Is(err, ErrBackpressure) {
-			rejected = true
-			break
-		}
-		if err != nil {
+	if e.Lagging() {
+		t.Fatal("Lagging() = true on an empty queue")
+	}
+	// Four batches fill the depth-4 queue without blocking; a fifth would
+	// wait for the parked worker.
+	for i := 0; i < 4; i++ {
+		if err := ingest1(e, rec(testDay(), "h1", "epsilon.test", time.Duration(i)*time.Second)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !rejected {
-		t.Fatal("queue of depth 4 never rejected 8 non-blocking ingests")
 	}
 	if !e.Lagging() {
 		t.Fatal("Lagging() = false with a full queue")
@@ -168,14 +170,14 @@ func TestBackpressure(t *testing.T) {
 	close(release)
 
 	// Blocking ingestion rides out the lag and the day still completes.
-	if err := e.IngestProxy(rec(testDay(), "h1", "epsilon.test", time.Minute)); err != nil {
+	if err := ingest1(e, rec(testDay(), "h1", "epsilon.test", time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.Rejected == 0 {
-		t.Fatal("Stats.Rejected not counted")
+	if e.Lagging() {
+		t.Fatal("Lagging() = true after the queue drained")
 	}
 }
 
@@ -219,7 +221,7 @@ func TestShedThreshold(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	go e.shards[0].do(func(*shard) { close(started); <-release })
 	<-started
-	if err := e.TryIngestProxy(rec(testDay(), "h1", "epsilon.test", 0)); err != nil {
+	if err := ingest1(e, rec(testDay(), "h1", "epsilon.test", 0)); err != nil {
 		t.Fatal(err)
 	}
 	if !e.Lagging() {
@@ -240,13 +242,13 @@ func TestLiveAutomated(t *testing.T) {
 	// A clean 10-minute beacon from one host, plus scattered noise from
 	// another pair.
 	for i := 0; i < 30; i++ {
-		if err := e.IngestProxy(rec(testDay(), "victim", "evil.test", time.Duration(i)*10*time.Minute)); err != nil {
+		if err := ingest1(e, rec(testDay(), "victim", "evil.test", time.Duration(i)*10*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	noise := []time.Duration{0, 7 * time.Minute, 11 * time.Minute, 55 * time.Minute, 180 * time.Minute}
 	for _, off := range noise {
-		if err := e.IngestProxy(rec(testDay(), "browser", "news.test", off)); err != nil {
+		if err := ingest1(e, rec(testDay(), "browser", "news.test", off)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,7 +292,7 @@ func TestConcurrentIngest(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				host := fmt.Sprintf("h%d", (g*perG+i)%23)
 				domain := fmt.Sprintf("d%d.test", (g*perG+i)%41)
-				if err := e.IngestProxy(rec(testDay(), host, domain, time.Duration(i)*time.Second)); err != nil {
+				if err := ingest1(e, rec(testDay(), host, domain, time.Duration(i)*time.Second)); err != nil {
 					errc <- err
 					return
 				}
@@ -337,7 +339,7 @@ func TestIngestAfterClose(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestProxy(rec(testDay(), "h", "zeta.test", 0)); !errors.Is(err, ErrClosed) {
+	if err := ingest1(e, rec(testDay(), "h", "zeta.test", 0)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 	if err := e.Close(); err != nil { // idempotent

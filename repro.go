@@ -34,7 +34,7 @@
 //
 //	e := repro.NewStreamEngine(repro.StreamConfig{TrainingDays: 31}, p)
 //	e.BeginDay(date, leases)
-//	for batch := range feed { e.IngestBatch(batch) } // or IngestProxy per record
+//	for batch := range feed { e.IngestBatch(batch) }
 //	e.Flush() // or let the next BeginDay roll the day over
 //
 // cmd/reprod wraps the engine in a long-running daemon with an HTTP
@@ -459,10 +459,9 @@ func RunEnterpriseBatches(dir string, p *EnterprisePipeline, trainingDays int) (
 
 type (
 	// StreamEngine is the sharded live-feed ingestion engine: records
-	// stream in via IngestBatch (or IngestProxy, a batch of one), day
-	// rollover hands each completed day to the batch pipeline path, and
-	// the results are byte-identical to batch processing over the same
-	// records, whichever ingestion shape delivered them.
+	// stream in via IngestBatch, day rollover hands each completed day to
+	// the batch pipeline path, and the results are byte-identical to batch
+	// processing over the same records, however they were batched.
 	StreamEngine = stream.Engine
 	// StreamConfig parameterizes the engine (shards, queue depth, day
 	// handling).
@@ -478,11 +477,6 @@ type (
 	// StreamReplayOptions paces a dataset replay.
 	StreamReplayOptions = stream.ReplayOptions
 )
-
-// ErrStreamBackpressure is returned by StreamEngine.TryIngestBatch and
-// TryIngestProxy when a shard queue is full — the batch variant rejects
-// all-or-nothing; HTTP frontends translate it to 429.
-var ErrStreamBackpressure = stream.ErrBackpressure
 
 // NewStreamEngine starts a streaming engine around a pipeline. The engine
 // owns the pipeline from here on: it drives Train/Process at day rollover.
