@@ -12,6 +12,7 @@
 //	       [-checkpoint FILE] [-checkpoint-interval D] [-max-ingest-bytes N]
 //	       [-alert-config FILE] [-preview-interval D]
 //	       [-listen-tcp ADDR] [-listen-syslog ADDR] [-listen-flow ADDR]
+//	       [-pprof ADDR]
 //
 // Because the paper's intelligence externals (VirusTotal, SOC IOC lists,
 // WHOIS) are simulated, the daemon synthesizes them from the dataset seed:
@@ -56,6 +57,12 @@
 // GET /stats. Days are still opened via POST /day (or replay): listener
 // records arriving with no day open are counted as rejected, not buffered.
 //
+// # Profiling
+//
+// -pprof ADDR serves net/http/pprof (/debug/pprof/...) on a listener of its
+// own — bind it to loopback. It is off by default and never reachable
+// through the API address, so exposing -addr exposes no profile endpoint.
+//
 // # Alerting
 //
 // -alert-config FILE (TOML or JSON; see internal/alert) wires detection
@@ -74,6 +81,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sync"
@@ -112,6 +120,7 @@ type daemonOpts struct {
 	listenTCP    string
 	listenSyslog string
 	listenFlow   string
+	pprofAddr    string
 }
 
 func main() {
@@ -134,6 +143,7 @@ func main() {
 	flag.StringVar(&o.listenTCP, "listen-tcp", "", "also ingest newline-framed proxy TSV records on this TCP address")
 	flag.StringVar(&o.listenSyslog, "listen-syslog", "", "also ingest RFC 6587 octet-counted RFC 5424 syslog frames (proxy TSV message body) on this TCP address")
 	flag.StringVar(&o.listenFlow, "listen-flow", "", "also ingest newline-framed netflow TSV records on this TCP address")
+	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address, on its own listener (off by default; never on the API address; bind it to loopback)")
 	flag.Parse()
 
 	if o.ckptInterval > 0 && o.checkpoint == "" {
@@ -217,6 +227,9 @@ type daemon struct {
 	httpLn  net.Listener
 	alerts  *alert.Dispatcher
 	inputs  []*inputs.Listener
+	// pprofSrv serves net/http/pprof on pprofLn; both nil unless -pprof.
+	pprofSrv *http.Server
+	pprofLn  net.Listener
 
 	// stop ends the background loops (periodic checkpoints, previews) and
 	// interrupts a running replay; rolledOver carries the engine's
@@ -328,7 +341,27 @@ func newDaemon(o daemonOpts) (*daemon, error) {
 		d.inputs = append(d.inputs, l)
 	}
 	d.srv.inputs = d.inputs
+	if o.pprofAddr != "" {
+		if d.pprofLn, err = net.Listen("tcp", o.pprofAddr); err != nil {
+			return nil, fmt.Errorf("pprof listener: %w", err)
+		}
+		d.pprofSrv = &http.Server{Handler: pprofMux()}
+		log.Printf("serving pprof on %s", d.pprofLn.Addr())
+	}
 	return d, nil
+}
+
+// pprofMux routes the net/http/pprof handlers on a mux of their own: the
+// package's import-time registration lands on http.DefaultServeMux, which
+// this daemon never serves.
+func pprofMux() *http.ServeMux {
+	m := http.NewServeMux()
+	m.HandleFunc("/debug/pprof/", pprof.Index)
+	m.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	m.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	m.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	m.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return m
 }
 
 // closeSockets releases everything newDaemon bound — the bail-out path
@@ -339,6 +372,9 @@ func (d *daemon) closeSockets() {
 	}
 	if d.httpLn != nil {
 		d.httpLn.Close()
+	}
+	if d.pprofLn != nil {
+		d.pprofLn.Close()
 	}
 	if d.alerts != nil {
 		d.alerts.Close()
@@ -355,6 +391,14 @@ func (d *daemon) start() {
 			d.errc <- err
 		}
 	}()
+	if d.pprofLn != nil {
+		// Diagnostics only: a failed profile server is logged, not fatal.
+		go func() {
+			if err := d.pprofSrv.Serve(d.pprofLn); !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("pprof server: %v", err)
+			}
+		}()
+	}
 	d.loopWG.Add(1)
 	go func() {
 		defer d.loopWG.Done()
@@ -415,6 +459,10 @@ func (d *daemon) shutdown() error {
 }
 
 func (d *daemon) doShutdown() error {
+	if d.pprofSrv != nil {
+		// Last out, so the teardown itself can still be profiled.
+		defer d.pprofSrv.Close()
+	}
 	// 1. Stop HTTP intake gracefully: no new connections, in-flight
 	// requests run to completion so their 200s are honest. A wedged
 	// handler falls back to a hard close after the grace period.

@@ -944,3 +944,40 @@ func TestListenerWiredIntoDaemon(t *testing.T) {
 		t.Fatalf("checkpoint after TCP ingest has %d records, want 30", got)
 	}
 }
+
+// TestPprofOnlyOnItsOwnListener: -pprof serves net/http/pprof on the address
+// it names and nowhere else — the API address answers 404 for
+// /debug/pprof/ whether or not the flag is set (importing net/http/pprof
+// registers on http.DefaultServeMux, which the daemon must never serve).
+func TestPprofOnlyOnItsOwnListener(t *testing.T) {
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, addr := range []string{"", "127.0.0.1:0"} {
+		d := testDaemon(t, daemonOpts{pprofAddr: addr})
+		if got := status("http://" + d.httpLn.Addr().String() + "/debug/pprof/"); got != http.StatusNotFound {
+			t.Errorf("-pprof %q: GET /debug/pprof/ on the API address = %d, want 404", addr, got)
+		}
+		if addr == "" {
+			if d.pprofLn != nil {
+				t.Error("a pprof listener exists without -pprof")
+			}
+			continue
+		}
+		if got := status("http://" + d.pprofLn.Addr().String() + "/debug/pprof/"); got != http.StatusOK {
+			t.Errorf("GET /debug/pprof/ on the -pprof address = %d, want 200", got)
+		}
+		if err := d.shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := http.Get("http://" + d.pprofLn.Addr().String() + "/debug/pprof/"); err == nil {
+			t.Error("the pprof listener outlived shutdown")
+		}
+	}
+}

@@ -370,11 +370,6 @@ func (s *server) writeCheckpoint() error {
 	return nil
 }
 
-// runPeriodicCheckpoints writes the checkpoint every interval until stop
-// closes — the -checkpoint-interval auto-checkpoint loop, giving a daemon
-// that sees long gaps between rollovers a bounded restart window. Write
-// failures are logged and retried at the next tick; the engine shutting
-// down ends the loop.
 // runPreviewLoop runs a detection preview every interval until stop closes
 // (or the engine shuts down), publishing the provisional findings as alert
 // events. A preview that fails for any reason other than "no day open"
@@ -412,6 +407,11 @@ func (s *server) runPreviewLoop(interval time.Duration, stop <-chan struct{}) {
 	}
 }
 
+// runPeriodicCheckpoints writes the checkpoint every interval until stop
+// closes — the -checkpoint-interval auto-checkpoint loop, giving a daemon
+// that sees long gaps between rollovers a bounded restart window. Write
+// failures are logged and retried at the next tick; the engine shutting
+// down ends the loop.
 func (s *server) runPeriodicCheckpoints(interval time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(interval)
 	defer t.Stop()

@@ -34,7 +34,7 @@ func humanVisits(rng *rand.Rand, host, domain, ip string, start time.Time, n int
 			Time: t, Host: host, Domain: domain,
 			DestIP:    netip.MustParseAddr(ip),
 			UserAgent: "Common/1.0", HasUA: true,
-			Referer: "http://r/", HasRef: true,
+			HasRef: true,
 		})
 		t = t.Add(time.Duration(10+rng.Intn(3000)) * time.Second)
 	}
@@ -296,7 +296,7 @@ func TestDetectCCEndToEnd(t *testing.T) {
 	// Benign automated poller: common UA, old domain (synthesized whois).
 	ben := beaconVisits("h2", "updates.com", "203.0.113.67", day.Add(9*time.Hour), 5*time.Minute, 40, "Common/1.0")
 	for i := range ben {
-		ben[i].Referer, ben[i].HasRef = "http://portal/", true
+		ben[i].HasRef = true
 	}
 	visits = append(visits, ben...)
 

@@ -36,7 +36,7 @@ func v(host string, at time.Duration, ua, ref string) logs.Visit {
 	return logs.Visit{
 		Time: day().Add(at), Host: host,
 		UserAgent: ua, HasUA: ua != "",
-		Referer: ref, HasRef: ref != "",
+		HasRef: ref != "",
 	}
 }
 

@@ -412,9 +412,12 @@ const addrFrontBits = 11
 // addrCache memoizes textual IP addresses: source-IP columns cycle through
 // the enterprise's host population, so after warm-up the netip.ParseAddr
 // allocation disappears. Same front/map split, caps and ownership rules as
-// Intern.
+// Intern. The map's values carry the key string beside the address, so a map
+// hit re-claims its front slot without materializing the key again: two hot
+// addresses that share a slot then alternate in it instead of one of them
+// paying the map probe on every record for the life of the decoder.
 type addrCache struct {
-	m     map[string]netip.Addr
+	m     map[string]addrEntry
 	front [1 << addrFrontBits]addrEntry
 }
 
@@ -437,24 +440,23 @@ func (c *addrCache) parse(b []byte) (netip.Addr, error) {
 }
 
 func (c *addrCache) parseSlow(b []byte, e *addrEntry) (netip.Addr, error) {
-	if a, ok := c.m[string(b)]; ok {
-		// Do not refresh the front here: materializing the key would cost an
-		// allocation per lookup. Slots are claimed once, at first parse.
-		return a, nil
+	if ent, ok := c.m[string(b)]; ok {
+		*e = ent
+		return ent.addr, nil
 	}
 	a, err := netip.ParseAddr(string(b))
 	if err != nil {
 		return a, err
 	}
 	if len(b) <= internMaxStrLen {
-		s := string(b)
+		ent := addrEntry{key: string(b), addr: a}
 		if len(c.m) < internMaxEntries {
 			if c.m == nil {
-				c.m = make(map[string]netip.Addr)
+				c.m = make(map[string]addrEntry)
 			}
-			c.m[s] = a
+			c.m[ent.key] = ent
 		}
-		*e = addrEntry{key: s, addr: a}
+		*e = ent
 	}
 	return a, nil
 }

@@ -273,6 +273,40 @@ func TestParseProxySteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state parse: %.4f allocs/record", perRecord)
 }
 
+// TestAddrCacheRefreshesFront pins the front-slot refresh: two addresses
+// that share a slot of the direct-mapped front take turns in it — whichever
+// was parsed last answers from the front — and neither the map hit nor the
+// re-claim allocates.
+func TestAddrCacheRefreshesFront(t *testing.T) {
+	slotOf := func(s string) uint64 { return quickHash([]byte(s)) >> (64 - addrFrontBits) }
+	a := []byte("10.0.0.1")
+	var b []byte
+	for i := 2; b == nil; i++ {
+		if s := fmt.Sprintf("10.%d.%d.%d", i>>16&255, i>>8&255, i&255); slotOf(s) == slotOf(string(a)) {
+			b = []byte(s)
+		}
+	}
+	var c addrCache
+	slot := &c.front[slotOf(string(a))]
+	want := map[string]netip.Addr{string(a): netip.MustParseAddr(string(a)), string(b): netip.MustParseAddr(string(b))}
+	check := func(in []byte) {
+		got, err := c.parse(in)
+		if err != nil || got != want[string(in)] {
+			t.Fatalf("parse(%s) = %v, %v", in, got, err)
+		}
+		if slot.key != string(in) || slot.addr != got {
+			t.Fatalf("after parse(%s) the shared slot holds %q", in, slot.key)
+		}
+	}
+	check(a)
+	check(b) // first parse claims the slot
+	check(a) // map hit re-claims it
+	check(b)
+	if allocs := testing.AllocsPerRun(50, func() { check(a); check(b) }); allocs != 0 {
+		t.Errorf("alternating colliding addresses allocate %.1f per pair, want 0", allocs)
+	}
+}
+
 // TestEncodeProxyAllocs pins the append encoder's steady state: zero
 // allocations per record once the destination buffer has grown.
 func TestEncodeProxyAllocs(t *testing.T) {

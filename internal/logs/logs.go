@@ -101,8 +101,7 @@ type Visit struct {
 	URL       string // full URL; empty for DNS data
 	UserAgent string // empty for DNS data
 	HasUA     bool
-	Referer   string // empty for DNS data
-	HasRef    bool
+	HasRef    bool // the record carried a referer; the string itself is never read
 }
 
 // FoldDomain reduces a domain name to its last n labels, which the paper

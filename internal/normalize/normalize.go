@@ -212,7 +212,6 @@ func FillVisit(v *logs.Visit, r *logs.ProxyRecord, host, folded string) {
 		URL:       r.URL,
 		UserAgent: r.UserAgent,
 		HasUA:     r.UserAgent != "",
-		Referer:   r.Referer,
 		HasRef:    r.Referer != "",
 	}
 }

@@ -10,8 +10,9 @@ import (
 
 // Streaming codecs for the two day-state shapes a format-v2 engine
 // checkpoint persists instead of raw visit replay: the open day's
-// IncrementalBuilder partial (domain-keyed aggregation, checkpoint size
-// proportional to distinct (host, domain) state rather than traffic
+// IncrementalBuilder partial (domain-keyed aggregation; a domain folded
+// through AddKnown is a name and a count, so checkpoint size follows the
+// day's distinct domains and its traffic toward new ones rather than traffic
 // volume) and the merged Snapshot of a day whose close is in flight.
 //
 // Both follow the persist.go conventions: line-delimited JSON through a
@@ -51,6 +52,9 @@ type builderDomainRec struct {
 	IPSeq  uint64            `json:"ipSeq,omitempty"`
 	Paths  map[string]uint64 `json:"paths,omitempty"`
 	Hosts  []codecHost       `json:"hosts"`
+	// Known is the domain's AddKnown visit count. Optional: sections written
+	// before the field existed carry none and decode as 0.
+	Known int `json:"known,omitempty"`
 }
 
 // uaPairRec is one (host, user-agent) pair of the day, shared by both
@@ -111,7 +115,7 @@ func (b *IncrementalBuilder) SaveTo(enc *json.Encoder) error {
 	sort.Strings(domains)
 	for _, d := range domains {
 		a := b.perDomain[d]
-		rec := builderDomainRec{Domain: d, IPSeq: a.ipSeq, Paths: a.paths}
+		rec := builderDomainRec{Domain: d, IPSeq: a.ipSeq, Paths: a.paths, Known: a.known}
 		if a.ip.IsValid() {
 			rec.IP = a.ip.String()
 		}
@@ -157,7 +161,8 @@ func sortedUAPairs(set map[[2]string]bool) [][2]string {
 // LoadBuilderFrom reads a builder section previously written by SaveTo,
 // leaving the decoder positioned exactly past it. Corrupt sections —
 // negative counts, duplicate domains or hosts, visit totals that do not
-// match the per-host times — are refused with an error, never a panic.
+// match the per-host times plus the known-visit counts — are refused with an
+// error, never a panic.
 func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 	var hdr builderHeader
 	if err := dec.Decode(&hdr); err != nil {
@@ -180,7 +185,14 @@ func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 		if _, dup := b.perDomain[rec.Domain]; dup {
 			return nil, fmt.Errorf("profile: duplicate builder domain %q", rec.Domain)
 		}
-		a := &incrementalAgg{hosts: make(map[string]*HostActivity, len(rec.Hosts)), ipSeq: rec.IPSeq}
+		if rec.Known < 0 {
+			return nil, fmt.Errorf("profile: builder domain %q: negative known-visit count %d", rec.Domain, rec.Known)
+		}
+		a := &incrementalAgg{known: rec.Known, ipSeq: rec.IPSeq}
+		if len(rec.Hosts) > 0 {
+			a.hosts = make(map[string]*HostActivity, len(rec.Hosts))
+		}
+		visits += rec.Known
 		if rec.IP != "" {
 			ip, err := netip.ParseAddr(rec.IP)
 			if err != nil {
@@ -253,10 +265,9 @@ func (b *IncrementalBuilder) Clone() *IncrementalBuilder {
 		visits:    b.visits,
 	}
 	for d, a := range b.perDomain {
-		ca := &incrementalAgg{
-			hosts: make(map[string]*HostActivity, len(a.hosts)),
-			ip:    a.ip,
-			ipSeq: a.ipSeq,
+		ca := &incrementalAgg{known: a.known, ip: a.ip, ipSeq: a.ipSeq}
+		if a.hosts != nil {
+			ca.hosts = make(map[string]*HostActivity, len(a.hosts))
 		}
 		if a.paths != nil {
 			ca.paths = make(map[string]uint64, len(a.paths))
@@ -321,6 +332,7 @@ func (b *IncrementalBuilder) Split(n int) []*IncrementalBuilder {
 	for d, a := range b.perDomain {
 		p := parts[int(domainPartition(d)%uint32(n))]
 		p.perDomain[d] = a
+		p.visits += a.known
 		for _, ha := range a.hosts {
 			p.visits += len(ha.Times)
 		}

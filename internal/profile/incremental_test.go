@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -17,8 +19,10 @@ import (
 // spread across partitions (the overlapping-parts case
 // MergeSnapshotParallel exists for) — and feeds each builder its share in
 // the given per-partition apply order (seq stays the global visit index
-// either way).
-func buildParts(visits []logs.Visit, parts int, shuffle *rand.Rand) []*IncrementalBuilder {
+// either way). Visits for which known (when non-nil) reports true are folded
+// through AddKnown — the streaming shards' history filter — the rest through
+// Add.
+func buildParts(visits []logs.Visit, parts int, shuffle *rand.Rand, known func(i int) bool) []*IncrementalBuilder {
 	idx := make([][]int, parts)
 	for i := range visits {
 		p := PairPartition(visits[i].Host, visits[i].Domain, parts)
@@ -31,7 +35,12 @@ func buildParts(visits []logs.Visit, parts int, shuffle *rand.Rand) []*Increment
 		}
 		out[p] = NewIncrementalBuilder()
 		for _, i := range idx[p] {
-			out[p].Add(uint64(i), &visits[i])
+			if known != nil && known(i) {
+				c := out[p].Run(visits[i].Domain)
+				c.AddKnown(&visits[i])
+			} else {
+				out[p].Add(uint64(i), &visits[i])
+			}
 		}
 	}
 	return out
@@ -104,7 +113,7 @@ func TestIncrementalMergeMatchesBatch(t *testing.T) {
 					shuffle = rand.New(rand.NewSource(int64(parts*100 + workers)))
 				}
 				label := fmt.Sprintf("parts=%d workers=%d scrambled=%v", parts, workers, scrambled)
-				bs := buildParts(visits, parts, shuffle)
+				bs := buildParts(visits, parts, shuffle, nil)
 				got := MergeSnapshotParallel(day, bs, hist, 10, workers)
 				assertSnapshotsEqual(t, label, got, want)
 				// The merge must not consume the builders: a second merge
@@ -112,6 +121,106 @@ func TestIncrementalMergeMatchesBatch(t *testing.T) {
 				// retry-after-failed-close path relies on replayability).
 				again := MergeSnapshotParallel(day, bs, hist, 10, workers)
 				assertSnapshotsEqual(t, label+" (re-merged)", again, want)
+			}
+		}
+	}
+}
+
+// TestAddKnownMatchesReference holds the history filter to the unfiltered
+// oracle: folding every visit to a historical domain through AddKnown — or,
+// for a domain that "turned historical mid-day", only the later-arriving
+// part of its visits, so one aggregate carries both kinds of state — must
+// merge into exactly the snapshot of the sequential reference scan, for any
+// pair partition and apply order. It also pins what the marker keeps (visit
+// totals, per-domain known counts, no host state) through every copy path a
+// checkpoint and a restore take: SaveTo -> LoadBuilderFrom -> Clone ->
+// Split.
+func TestAddKnownMatchesReference(t *testing.T) {
+	day := time.Date(2014, 2, 5, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(23))
+
+	hist := NewHistory()
+	var historical []string
+	for i := 0; i < 40; i++ {
+		historical = append(historical, fmt.Sprintf("known-%d.example", i))
+	}
+	hist.UpdateDomains(day.AddDate(0, 0, -30), historical)
+
+	visits := randomVisits(rng, day, 9000)
+	want := referenceSnapshot(day, visits, hist, 10)
+
+	// known-0..9 turn historical mid-day: their first visits (by arrival
+	// index) were profiled before the commit landed, the rest marked.
+	turning := func(d string) bool { return len(d) == len("known-0.example") }
+	known := func(i int) bool {
+		d := visits[i].Domain
+		return hist.SeenDomain(d) && !(turning(d) && i < len(visits)/2)
+	}
+	wantKnown := map[string]int{}
+	for i := range visits {
+		if known(i) {
+			wantKnown[visits[i].Domain]++
+		}
+	}
+	if len(wantKnown) != 40 {
+		t.Fatalf("fixture marks %d domains known, want 40", len(wantKnown))
+	}
+	checkCounts := func(label string, bs []*IncrementalBuilder) {
+		t.Helper()
+		total, got := 0, map[string]int{}
+		for _, b := range bs {
+			total += b.Visits()
+			for d, a := range b.perDomain {
+				if a.known > 0 {
+					got[d] += a.known
+				}
+				if a.known != b.KnownVisits(d) {
+					t.Fatalf("%s: KnownVisits(%s) = %d, aggregate holds %d", label, d, b.KnownVisits(d), a.known)
+				}
+				if hist.SeenDomain(d) && !turning(d) && (len(a.hosts) != 0 || a.ip.IsValid() || len(a.paths) != 0) {
+					t.Fatalf("%s: historical domain %s carries profile state: %+v", label, d, a)
+				}
+			}
+		}
+		if total != len(visits) {
+			t.Fatalf("%s: Visits() sum to %d, want %d", label, total, len(visits))
+		}
+		if !reflect.DeepEqual(got, wantKnown) {
+			t.Fatalf("%s: known counts differ:\ngot  %v\nwant %v", label, got, wantKnown)
+		}
+	}
+
+	for _, parts := range []int{1, 3, 8} {
+		for _, scrambled := range []bool{false, true} {
+			var shuffle *rand.Rand
+			if scrambled {
+				shuffle = rand.New(rand.NewSource(int64(parts)))
+			}
+			label := fmt.Sprintf("parts=%d scrambled=%v", parts, scrambled)
+			bs := buildParts(visits, parts, shuffle, known)
+			checkCounts(label, bs)
+			assertSnapshotsEqual(t, label, MergeSnapshotParallel(day, bs, hist, 10, 2), want)
+
+			// The checkpoint path: clone each part, merge the clones into
+			// one domain-keyed builder, encode, decode, clone, re-split.
+			merged := bs[0].Clone()
+			for _, b := range bs[1:] {
+				merged.MergeFrom(b.Clone())
+			}
+			checkCounts(label+" merged clones", []*IncrementalBuilder{merged})
+			var buf bytes.Buffer
+			if err := merged.SaveTo(json.NewEncoder(&buf)); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadBuilderFrom(json.NewDecoder(&buf))
+			if err != nil {
+				t.Fatalf("%s: reload: %v", label, err)
+			}
+			checkCounts(label+" reloaded", []*IncrementalBuilder{loaded})
+			for _, n := range []int{1, 4} {
+				split := loaded.Clone().Split(n)
+				checkCounts(fmt.Sprintf("%s split(%d)", label, n), split)
+				assertSnapshotsEqual(t, fmt.Sprintf("%s split(%d)", label, n), MergeSnapshotParallel(day, split, hist, 10, 1), want)
 			}
 		}
 	}
@@ -194,7 +303,7 @@ func TestIncrementalMergeProperty(t *testing.T) {
 
 		parts := 1 + rng.Intn(9)
 		workers := 1 + rng.Intn(5)
-		bs := buildParts(visits, parts, rng)
+		bs := buildParts(visits, parts, rng, nil)
 		got := MergeSnapshotParallel(day, bs, hist, 10, workers)
 		assertSnapshotsEqual(t, fmt.Sprintf("seed=%d parts=%d workers=%d", seed, parts, workers), got, want)
 	}

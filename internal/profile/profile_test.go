@@ -14,7 +14,7 @@ func visit(h, d string, t time.Time, ua, ref string) logs.Visit {
 	return logs.Visit{
 		Time: t, Host: h, Domain: d,
 		UserAgent: ua, HasUA: ua != "",
-		Referer: ref, HasRef: ref != "",
+		HasRef: ref != "",
 		DestIP: netip.MustParseAddr("198.51.100.9"),
 	}
 }

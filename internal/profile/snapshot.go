@@ -98,7 +98,14 @@ type Snapshot struct {
 // into exactly the state a single sequential pass over the seq-ordered day
 // would have produced.
 type incrementalAgg struct {
+	// hosts is created on the first profiled visit (nil until then): a
+	// domain folded only through AddKnown is a bare marker.
 	hosts map[string]*HostActivity
+	// known counts the visits folded through RunCursor.AddKnown — visits to
+	// a domain the history already held when they arrived. They are counted,
+	// not profiled: classifyAgg discards every such domain, so nothing else
+	// about them can reach a report.
+	known int
 	ip    netip.Addr
 	ipSeq uint64
 	// paths maps each retained URL path to the smallest arrival seq it was
@@ -168,6 +175,10 @@ func (a *incrementalAgg) pathSet() map[string]bool {
 // mutated), so merging is safe even when the partitions split a
 // (host, domain) pair.
 func (a *incrementalAgg) mergeFrom(o *incrementalAgg) {
+	a.known += o.known
+	if a.hosts == nil && len(o.hosts) > 0 {
+		a.hosts = make(map[string]*HostActivity, len(o.hosts))
+	}
 	for h, ha := range o.hosts {
 		if cur, ok := a.hosts[h]; ok {
 			a.hosts[h] = mergeHostActivity(cur, ha)
@@ -207,7 +218,9 @@ func mergeHostActivity(x, y *HostActivity) *HostActivity {
 // streaming engine keeps one builder per shard and feeds it from the shard
 // apply path, so rollover merges ready-made partials instead of re-reducing
 // the whole day; the batch snapshot build runs on the same builder with
-// seq = visit index.
+// seq = visit index. The shards — and only they — fold visits to domains the
+// history already holds through RunCursor.AddKnown, which keeps a marker and
+// a count instead of a profile.
 //
 // seq is the visit's arrival sequence number: any strictly ordered,
 // per-visit-unique value. The builder's state depends only on the set of
@@ -294,7 +307,7 @@ type RunCursor struct {
 func (b *IncrementalBuilder) Run(domain string) RunCursor {
 	a, ok := b.perDomain[domain]
 	if !ok {
-		a = &incrementalAgg{hosts: make(map[string]*HostActivity)}
+		a = &incrementalAgg{}
 		b.perDomain[domain] = a
 	}
 	return RunCursor{b: b, agg: a}
@@ -317,6 +330,9 @@ func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 		var ok bool
 		ha, ok = a.hosts[v.Host]
 		if !ok {
+			if a.hosts == nil {
+				a.hosts = make(map[string]*HostActivity)
+			}
 			ha = &HostActivity{Host: v.Host, Times: c.b.takeTimes(), UAs: make(map[string]bool)}
 			a.hosts[v.Host] = ha
 		}
@@ -340,6 +356,36 @@ func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 	c.b.visits++
 }
 
+// AddKnown folds one visit of the run as a known-domain marker: the caller
+// has observed the run's domain in the History the day will be classified
+// against. The history only grows and "new" is judged at day-close or later,
+// so that verdict is final — classifyAgg will discard the domain whatever its
+// aggregate holds — and the fold keeps only what survives classification: the
+// domain's presence (Run created the marker aggregate, so the day's domain
+// count and the list Commit receives are unchanged), the visit count
+// (Visits, Split and the codec's total stay exact) and the (host, UA) pair
+// the UA history is updated from. No HostActivity, timestamp, UA set, path
+// or first-seen IP is created. Folding a visit this way whose domain is NOT
+// in the history at classification is a caller bug: the domain would be
+// reported new with the marked visits' hosts missing.
+//
+// Add and AddKnown may be mixed on one domain (a domain turns historical
+// mid-day when yesterday's commit lands between two of today's batches); the
+// aggregate then carries both kinds of state until the merge discards it.
+func (c *RunCursor) AddKnown(v *logs.Visit) {
+	if c.ha != nil || v.Host != c.host {
+		// Take the per-host memo over; a following Add re-resolves its host.
+		c.host, c.ha = v.Host, nil
+		c.lastUA, c.sawNoUA = "", false
+	}
+	if v.HasUA && (v.UserAgent == "" || v.UserAgent != c.lastUA) {
+		c.b.uaPairs[[2]string{v.Host, v.UserAgent}] = true
+		c.lastUA = v.UserAgent
+	}
+	c.agg.known++
+	c.b.visits++
+}
+
 // Add folds one visit into the partition.
 func (b *IncrementalBuilder) Add(seq uint64, v *logs.Visit) {
 	c := b.Run(v.Domain)
@@ -351,6 +397,15 @@ func (b *IncrementalBuilder) Visits() int { return b.visits }
 
 // Domains returns how many distinct domains the partition has seen.
 func (b *IncrementalBuilder) Domains() int { return len(b.perDomain) }
+
+// KnownVisits returns how many of the domain's visits the partition folded
+// as known-domain markers (AddKnown); 0 for a domain it does not hold.
+func (b *IncrementalBuilder) KnownVisits(domain string) int {
+	if a := b.perDomain[domain]; a != nil {
+		return a.known
+	}
+	return 0
+}
 
 // classifyAgg runs the rare-destination selection (§III-A) for one
 // domain's complete aggregate: new (absent from the history) and unpopular
@@ -378,6 +433,11 @@ func classifyAgg(domain string, a *incrementalAgg, hist *History, unpopularThres
 // consecutive visits. Real traffic and replayed datasets arrive heavily
 // clustered by domain, so this amortizes the per-domain map lookup the
 // same way the streaming shards' batch regrouping does.
+//
+// Every visit goes through Add, never AddKnown: the batch build is the
+// unfiltered fold that every streamed report is byte-compared with, and an
+// oracle that shared the streaming shards' history filter could not catch
+// the filter being wrong.
 func addRuns(b *IncrementalBuilder, visits []logs.Visit, idx []int32) {
 	var cur RunCursor
 	domain := ""
@@ -520,7 +580,7 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 				continue
 			}
 			if adopted[e.domain] {
-				priv := &incrementalAgg{hosts: make(map[string]*HostActivity, len(m.hosts))}
+				priv := &incrementalAgg{}
 				priv.mergeFrom(m)
 				merged[e.domain] = priv
 				adopted[e.domain] = false

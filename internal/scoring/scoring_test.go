@@ -151,7 +151,7 @@ func TestTrainSimilarityAndScore(t *testing.T) {
 		v("h1", 10*time.Hour+20*time.Second),
 	})
 	ben := activity(t, "ben.com", "8.8.4.4", []logs.Visit{
-		{Time: day.Add(2 * time.Hour), Host: "hZ", UserAgent: "Common/1.0", HasUA: true, Referer: "http://r/", HasRef: true},
+		{Time: day.Add(2 * time.Hour), Host: "hZ", UserAgent: "Common/1.0", HasUA: true, HasRef: true},
 	})
 	if sc.Score(mal, labeled, day) <= sc.Score(ben, labeled, day) {
 		t.Errorf("malicious candidate %v <= benign %v",

@@ -195,6 +195,9 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 		"noVersion":  {`{}` + "\n", "stream: unsupported checkpoint version 0"},
 		"badVersion": {`{"version":99}` + "\n", "stream: unsupported checkpoint version 99"},
 	}
+	for _, hk := range hostileKnown {
+		cases[hk.name] = struct{ input, want string }{string(fuzzV2(okMeta, hk.builder)), hk.want}
+	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			_, err := Restore(strings.NewReader(tc.input), Config{Shards: 1}, RestoreDeps{})

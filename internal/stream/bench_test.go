@@ -156,7 +156,7 @@ func scatteredRecords(n int) []logs.ProxyRecord {
 
 // buildItems reduces records to the shard work items routeBatchLocked
 // would queue, so the apply benchmarks time the shard-side fold alone.
-func buildItems(b *testing.B, recs []logs.ProxyRecord) []item {
+func buildItems(b testing.TB, recs []logs.ProxyRecord) []item {
 	b.Helper()
 	items := make([]item, 0, len(recs))
 	var red normalize.ProxyReducer
@@ -181,12 +181,16 @@ func buildItems(b *testing.B, recs []logs.ProxyRecord) []item {
 // no queue hop, no routing hash — per-batch cost is one pooled-buffer fill
 // (the same copy routing performs) plus applyBatch. One benchmark op is
 // one record, so rec/s compares against the ingest benchmarks as the
-// apply-side share of their budget.
-func benchApplyBatch(b *testing.B, recs []logs.ProxyRecord) {
+// apply-side share of their budget. The historical domains, if any, are
+// committed to the engine's history first, so their runs fold as markers.
+func benchApplyBatch(b *testing.B, recs []logs.ProxyRecord, historical ...string) {
 	b.Helper()
 	const batchSize = 512
 	e := trainOnlyEngine(Config{Shards: 1})
 	discardEngine(b, e)
+	if len(historical) > 0 {
+		e.hist.UpdateDomains(testDay().AddDate(0, 0, -1), historical)
+	}
 	s := newShard(e, 0)
 	items := buildItems(b, recs)
 	b.ReportAllocs()
@@ -209,8 +213,12 @@ func benchApplyBatch(b *testing.B, recs []logs.ProxyRecord) {
 // BenchmarkApplyBatch folds domain-clustered traffic (the direct
 // consecutive-run path); BenchmarkApplyBatchScattered forces the
 // counting-sort grouping path — the delta prices the grouping pass.
+// BenchmarkApplyBatchKnown is the clustered batch with its one folded domain
+// already in the history — the delta to BenchmarkApplyBatch is what the
+// history filter saves per visit to an already-profiled domain.
 func BenchmarkApplyBatch(b *testing.B)          { benchApplyBatch(b, benchRecords(4096)) }
 func BenchmarkApplyBatchScattered(b *testing.B) { benchApplyBatch(b, scatteredRecords(4096)) }
+func BenchmarkApplyBatchKnown(b *testing.B)     { benchApplyBatch(b, benchRecords(4096), "example.net") }
 
 // BenchmarkIngestToReport measures the full streaming day cycle: ingest a
 // fixed-size day and roll it over through the pipeline Train path. The

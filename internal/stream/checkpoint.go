@@ -44,8 +44,9 @@ import (
 //
 // The open day is serialized as the merged incremental-builder partial —
 // domain-keyed aggregation, so checkpoint size and restore time are
-// proportional to the day's distinct (host, domain) state rather than its
-// traffic volume, and no arrival-order raw visit buffer needs to exist
+// proportional to the day's distinct domains plus the visits toward domains
+// new to the history (known domains are a marker and a count; see
+// shard.applyRun), and no arrival-order raw visit buffer needs to exist
 // anywhere in the engine. This is format version 2; version 1 (raw-item
 // replay) is refused with a pointer to the last build that read it.
 //
@@ -495,6 +496,16 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 		if maxSeq := openBuilder.MaxSeq(); maxSeq > hdr.Seq {
 			return nil, fmt.Errorf("stream: restore: builder seq %d beyond checkpoint watermark %d", maxSeq, hdr.Seq)
 		}
+		// A known-visit count asserts "the history held this domain when the
+		// visits arrived", and the history only grows — so the history
+		// section of the same file must hold it too. Accepting the count on
+		// any other domain would let it close as new with those visits' hosts
+		// missing from its profile.
+		for _, d := range openBuilder.DomainNames() {
+			if n := openBuilder.KnownVisits(d); n > 0 && !hist.SeenDomain(d) {
+				return nil, fmt.Errorf("stream: restore: builder domain %q carries %d known visits but is absent from the checkpointed history", d, n)
+			}
+		}
 		markerDomains = make([]string, 0, min(openMeta.MarkerDomains, 1<<16))
 		for i := 0; i < openMeta.MarkerDomains; i++ {
 			var cd checkpointDomain
@@ -583,6 +594,7 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 			s.domains = make(map[string]*domainState, bparts[i].Domains())
 			for _, d := range bparts[i].DomainNames() {
 				s.domains[d] = &domainState{}
+				s.knownVisits += bparts[i].KnownVisits(d)
 			}
 			if i == 0 {
 				s.unresolved = openMeta.Unresolved

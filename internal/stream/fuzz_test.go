@@ -77,10 +77,35 @@ func fuzzCheckpointBytesClosing(tb testing.TB) []byte {
 // fuzzV2 assembles a hand-crafted v2 checkpoint from an open-day meta line
 // and a builder section, over empty history/calibration/dailies sections.
 func fuzzV2(openMeta, builder string) []byte {
+	return fuzzV2Hist(`{"version":1,"days":0,"domains":0,"uas":0}`, openMeta, builder)
+}
+
+// fuzzV2Hist is fuzzV2 over a caller-supplied history section.
+func fuzzV2Hist(history, openMeta, builder string) []byte {
 	return []byte(`{"version":2,"day":"2014-02-03T00:00:00Z","seq":3,"dailies":0,"pipeline":{},"trainingDays":1073741824}` + "\n" +
-		`{"version":1,"days":0,"domains":0,"uas":0}` + "\n" +
+		history + "\n" +
 		`{"calDays":0,"trained":false}` + "\n" +
 		openMeta + "\n" + builder + "\n")
+}
+
+// The smallest well-formed host activity and open-day meta line, for
+// hand-crafted sections.
+const (
+	okHost = `{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":[""]}`
+	okMeta = `{"markerDomains":0,"unresolved":0}`
+)
+
+// hostileKnown lists builder sections that abuse the optional per-domain
+// "known" count (all over fuzzV2's empty history), each with the refusal
+// Restore must answer. FuzzCheckpointDecode seeds its corpus with them and
+// TestRestoreRejectsCorruptCheckpoint pins the messages.
+var hostileKnown = []struct{ name, builder, want string }{
+	{"negativeKnown", `{"version":1,"visits":0,"domains":1,"uaPairs":0}` + "\n" +
+		`{"d":"a.test","hosts":[],"known":-1}`, "negative known-visit count"},
+	{"knownOutsideHistory", `{"version":1,"visits":2,"domains":1,"uaPairs":0}` + "\n" +
+		`{"d":"a.test","hosts":[],"known":2}`, "absent from the checkpointed history"},
+	{"knownOffVisitTotal", `{"version":1,"visits":1,"domains":1,"uaPairs":0}` + "\n" +
+		`{"d":"a.test","hosts":[` + okHost + `],"known":2}`, "visit total 3 does not match header 1"},
 }
 
 // FuzzCheckpointDecode holds the restore path to its refusal contract:
@@ -123,8 +148,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	// Hostile v2 sections: negative open-day counts, negative builder
 	// counts, duplicate builder domains, seqs beyond the header watermark.
-	okHost := `{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":[""]}`
-	okMeta := `{"markerDomains":0,"unresolved":0}`
 	for _, body := range [][2]string{
 		{`{"markerDomains":-1,"unresolved":-2}`, `{"version":1,"visits":0,"domains":0,"uaPairs":0}`},
 		{okMeta, `{"version":1,"visits":-1,"domains":-1,"uaPairs":-1}`},
@@ -137,6 +160,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 			`{"d":"a.test","paths":{"/x":888},"hosts":[` + okHost + `]}`},
 	} {
 		f.Add(fuzzV2(body[0], body[1]))
+	}
+	for _, hk := range hostileKnown {
+		f.Add(fuzzV2(okMeta, hk.builder))
 	}
 	// Hostile livePairs sections: negative count, truncated records, a
 	// duplicate pair, and analyzer states violating the histogram invariants

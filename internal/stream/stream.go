@@ -20,11 +20,15 @@
 // Snapshot maintenance is incremental: each shard folds every visit into a
 // profile.IncrementalBuilder — a partial day snapshot whose order-sensitive
 // state is keyed by arrival sequence number, so the interleaving of
-// concurrent batches cannot perturb it. The builders are the only resident
-// day state: checkpoints serialize them directly (format v2, domain-keyed
-// frames independent of the shard count), so no arrival-order raw visit
-// buffer exists anywhere — the engine's footprint is proportional to the
-// day's distinct (host, domain) state, not its traffic volume.
+// concurrent batches cannot perturb it. The paper's rare-destination filter
+// is applied as the visit arrives: only a domain absent from the history is
+// profiled; a visit to a domain the history already holds leaves a marker,
+// a count and its (host, UA) pair (see applyRun). The builders are the only
+// resident day state: checkpoints serialize them directly (format v2,
+// domain-keyed frames independent of the shard count), so no arrival-order
+// raw visit buffer exists anywhere — the engine's footprint is proportional
+// to the day's distinct domains plus its traffic toward new domains, not to
+// its traffic volume.
 //
 // When the stream crosses a day boundary (or on an explicit Flush), the
 // rollover is swap-and-continue: under the exclusive lock the engine only
@@ -254,8 +258,9 @@ type shard struct {
 	// domains is the fused per-domain day state: its key set is the
 	// shard's distinct folded domains seen today (including unresolved
 	// markers), its live entries carry the periodicity analyzers.
-	domains    map[string]*domainState
-	unresolved int // lease-less records today (count only; their domains are marker entries in domains)
+	domains     map[string]*domainState
+	unresolved  int // lease-less records today (count only; their domains are marker entries in domains)
+	knownVisits int // resolved visits today folded as known-domain markers (applyRun)
 
 	// part is the shard's partial day snapshot, maintained visit by visit
 	// on the apply path so day-close merges ready-made per-shard partials
@@ -437,6 +442,14 @@ func (s *shard) applyBatch(b *[]item) {
 // one builder cursor, and at most one history check for the whole run.
 // When perm is nil the run is items in slice order; otherwise perm selects
 // the run's items (in stable grouped order) from the full batch.
+//
+// The history check is the paper's rare-destination filter (§III-A) applied
+// where the visit arrives: a run whose domain the history already holds is
+// folded as markers (profile.RunCursor.AddKnown — counted, its (host, UA)
+// pairs kept, nothing profiled), because day-close classification would
+// discard that domain's profile anyway. The verdict cannot go stale: the
+// history only grows and closes are serialized, so "known now" implies
+// "known when the day is classified".
 func (s *shard) applyRun(domain string, items []item, perm []int32) {
 	ds := s.domains[domain]
 	if ds == nil {
@@ -448,18 +461,19 @@ func (s *shard) applyRun(domain string, items []item, perm []int32) {
 	// which would perturb the merged day's domain statistics.
 	var cur profile.RunCursor
 	haveCur := false
-	// Live periodicity state only for domains absent from the history:
-	// anything already profiled can never be rare today, and skipping it
-	// keeps the analyzer maps proportional to the day's new traffic rather
-	// than its full volume. A domain already live skips the history lookup
-	// entirely; otherwise the run's first resolved visit decides once for
-	// the whole run, through the shard's epoch-stamped cache (seenDomain).
-	// The underlying history read is safe — it is internally locked, and
-	// the only writer is the background day-close committing yesterday
-	// while this shard ingests today. A read racing such a commit can at
-	// worst keep live state for a domain that just became historical; the
-	// day reports never depend on it.
-	checked := false
+	// Profile and live periodicity state only for domains absent from the
+	// history: anything already profiled can never be rare today, and
+	// skipping it keeps the builder and the analyzer maps proportional to
+	// the day's new traffic rather than its full volume. A domain already
+	// live skips the history lookup entirely; otherwise the run's first
+	// resolved visit decides once for the whole run, through the shard's
+	// epoch-stamped cache (seenDomain). The underlying history read is safe
+	// — it is internally locked, and the only writer is the background
+	// day-close committing yesterday while this shard ingests today. A read
+	// racing such a commit can at worst keep profiling a domain that just
+	// became historical (once live, a domain stays live for the day); the
+	// merge discards that state exactly as it would the known marker.
+	known := false
 	n := len(items)
 	if perm != nil {
 		n = len(perm)
@@ -476,20 +490,20 @@ func (s *shard) applyRun(domain string, items []item, perm []int32) {
 		if !haveCur {
 			cur = s.part.Run(domain)
 			haveCur = true
-		}
-		cur.Add(it.seq, &it.visit)
-		if !ds.live {
-			if checked {
-				continue
+			if !ds.live {
+				if known = s.seenDomain(domain); !known {
+					ds.live = true
+					ds.hosts = make(map[string]*histogram.Online)
+				}
 			}
-			checked = true
-			if s.seenDomain(domain) {
-				continue
-			}
-			ds.live = true
-			ds.hosts = make(map[string]*histogram.Online)
 		}
 		v := &it.visit
+		if known {
+			cur.AddKnown(v)
+			s.knownVisits++
+			continue
+		}
+		cur.Add(it.seq, v)
 		o := ds.hosts[v.Host]
 		if o == nil {
 			o = histogram.NewOnline(s.eng.cfg.Histogram)
@@ -514,6 +528,7 @@ func (s *shard) do(fn func(*shard)) {
 func (s *shard) resetDay() {
 	s.domains = make(map[string]*domainState)
 	s.unresolved = 0
+	s.knownVisits = 0
 	s.part = profile.NewIncrementalBuilder()
 }
 
@@ -1234,6 +1249,12 @@ type ShardStats struct {
 	// checkpoints serialize and what bounds the shard's memory (there is no
 	// raw visit buffer).
 	BuilderDomains int `json:"builderDomains"`
+	// KnownVisits counts the open day's visits on this shard whose domain
+	// the history already held on arrival: folded as markers, never
+	// profiled. Summed over the shards and divided by Stats.DayRecords it is
+	// the live form of the paper's daily data-reduction ratio (Ingested is
+	// not the denominator: it counts since engine start).
+	KnownVisits    int `json:"knownVisits"`
 	LivePairs      int `json:"livePairs"`
 	LiveDomains    int `json:"liveDomains"`
 	AutomatedPairs int `json:"automatedPairs"`
@@ -1354,6 +1375,7 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 			Queue:           len(s.batches),
 			Ingested:        s.ingested.Load(),
 			BuilderDomains:  s.part.Domains(),
+			KnownVisits:     s.knownVisits,
 			HistCacheHits:   s.hist.hits,
 			HistCacheMisses: s.hist.miss,
 		}
