@@ -391,19 +391,6 @@ func BenchmarkDynamicHistogramAnalyze(b *testing.B) {
 	}
 }
 
-func BenchmarkOnlineObserve(b *testing.B) {
-	o := histogram.NewOnline(histogram.DefaultConfig())
-	base := benchBase()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Observe(base.Add(time.Duration(i) * 10 * time.Minute))
-		if i%1000 == 999 {
-			o.Reset()
-		}
-	}
-}
-
 func BenchmarkJeffreyDivergence(b *testing.B) {
 	h := histogram.Build([]float64{600, 601, 599, 600, 3600, 602}, 10)
 	ref := histogram.PeriodicReference(600, h.Total)

@@ -2,7 +2,6 @@ package histogram_test
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/histogram"
 )
@@ -16,20 +15,6 @@ func ExampleAnalyze() {
 		600, 602, 598, 600, 601, 599, 600, 600, 601, 600,
 	}
 	v := histogram.Analyze(intervals, histogram.DefaultConfig())
-	fmt.Printf("automated=%v period=%.0fs\n", v.Automated, v.Period)
-	// Output: automated=true period=600s
-}
-
-// The streaming analyzer reaches the same verdict connection by
-// connection.
-func ExampleOnline() {
-	o := histogram.NewOnline(histogram.DefaultConfig())
-	t := time.Date(2014, 2, 13, 9, 0, 0, 0, time.UTC)
-	for i := 0; i < 8; i++ {
-		o.Observe(t)
-		t = t.Add(10 * time.Minute)
-	}
-	v := o.Verdict()
 	fmt.Printf("automated=%v period=%.0fs\n", v.Automated, v.Period)
 	// Output: automated=true period=600s
 }

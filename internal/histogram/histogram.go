@@ -254,7 +254,12 @@ func Analyze(intervals []float64, cfg Config) Verdict {
 	}
 }
 
-// AnalyzeTimes is Analyze over raw connection timestamps.
+// AnalyzeTimes is Analyze over raw connection timestamps. A series below
+// MinConnections gets its no-verdict answer before any interval is computed —
+// most (host, domain) pairs of a day are that short.
 func AnalyzeTimes(times []time.Time, cfg Config) Verdict {
+	if len(times) < cfg.minConns() {
+		return Verdict{Samples: max(len(times)-1, 0)}
+	}
 	return Analyze(Intervals(times), cfg)
 }

@@ -165,93 +165,6 @@ func ReadProxy(r io.Reader, fn func(ProxyRecord) error) error {
 	return nil
 }
 
-// ParseProxyNaive is the straightforward Split/time.Parse proxy-line
-// parser the zero-copy path replaced. It is retained as the reference
-// implementation: the differential fuzz target holds ParseProxyRecord to
-// its accept/reject decisions and record values, and cmd/benchreport
-// prices the fast path against it.
-func ParseProxyNaive(s string) (ProxyRecord, error) { return parseProxyLine(s) }
-
-func parseProxyLine(s string) (ProxyRecord, error) {
-	fields := strings.Split(s, "\t")
-	if len(fields) != 11 {
-		return ProxyRecord{}, fmt.Errorf("expected 11 fields, got %d", len(fields))
-	}
-	t, err := time.Parse(timeLayout, fields[0])
-	if err != nil {
-		return ProxyRecord{}, fmt.Errorf("timestamp: %w", err)
-	}
-	src, err := netip.ParseAddr(fields[2])
-	if err != nil {
-		return ProxyRecord{}, fmt.Errorf("source IP: %w", err)
-	}
-	var dest netip.Addr
-	if fields[4] != "" {
-		dest, err = netip.ParseAddr(fields[4])
-		if err != nil {
-			return ProxyRecord{}, fmt.Errorf("dest IP: %w", err)
-		}
-	}
-	status, err := strconv.Atoi(fields[7])
-	if err != nil {
-		return ProxyRecord{}, fmt.Errorf("status: %w", err)
-	}
-	tz, err := strconv.Atoi(fields[10])
-	if err != nil {
-		return ProxyRecord{}, fmt.Errorf("tz offset: %w", err)
-	}
-	return ProxyRecord{
-		Time:      t,
-		Host:      fields[1],
-		SrcIP:     src,
-		Domain:    fields[3],
-		DestIP:    dest,
-		URL:       unescapeField(fields[5]),
-		Method:    fields[6],
-		Status:    status,
-		UserAgent: unescapeField(fields[8]),
-		Referer:   unescapeField(fields[9]),
-		TZOffset:  tz,
-	}, nil
-}
-
-// parseDNSLine is the retained naive DNS parser (differential-fuzz
-// reference; see ParseProxyNaive).
-func parseDNSLine(s string) (DNSRecord, error) {
-	fields := strings.Split(s, "\t")
-	if len(fields) != 7 {
-		return DNSRecord{}, fmt.Errorf("expected 7 fields, got %d", len(fields))
-	}
-	t, err := time.Parse(timeLayout, fields[0])
-	if err != nil {
-		return DNSRecord{}, fmt.Errorf("timestamp: %w", err)
-	}
-	src, err := netip.ParseAddr(fields[1])
-	if err != nil {
-		return DNSRecord{}, fmt.Errorf("source IP: %w", err)
-	}
-	typ, err := ParseRecordType(fields[3])
-	if err != nil {
-		return DNSRecord{}, err
-	}
-	var answer netip.Addr
-	if fields[4] != "" {
-		answer, err = netip.ParseAddr(fields[4])
-		if err != nil {
-			return DNSRecord{}, fmt.Errorf("answer IP: %w", err)
-		}
-	}
-	return DNSRecord{
-		Time:     t,
-		SrcIP:    src,
-		Query:    fields[2],
-		Type:     typ,
-		Answer:   answer,
-		Internal: fields[5] == "1",
-		Server:   fields[6] == "1",
-	}, nil
-}
-
 // appendAddr appends the textual address exactly as the %s verb printed
 // it, including the "invalid IP" placeholder for the zero Addr (which
 // Addr.AppendTo would silently skip).

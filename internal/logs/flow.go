@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/netip"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -87,41 +86,4 @@ func ReadFlows(r io.Reader, fn func(FlowRecord) error) error {
 		return fmt.Errorf("line %d: %w", line+1, err)
 	}
 	return nil
-}
-
-// parseFlowLine is the retained naive flow parser (differential-fuzz
-// reference; see ParseProxyNaive).
-func parseFlowLine(s string) (FlowRecord, error) {
-	fields := strings.Split(s, "\t")
-	if len(fields) != 7 {
-		return FlowRecord{}, fmt.Errorf("expected 7 fields, got %d", len(fields))
-	}
-	t, err := time.Parse(timeLayout, fields[0])
-	if err != nil {
-		return FlowRecord{}, fmt.Errorf("timestamp: %w", err)
-	}
-	src, err := netip.ParseAddr(fields[1])
-	if err != nil {
-		return FlowRecord{}, fmt.Errorf("src IP: %w", err)
-	}
-	dst, err := netip.ParseAddr(fields[2])
-	if err != nil {
-		return FlowRecord{}, fmt.Errorf("dst IP: %w", err)
-	}
-	port, err := strconv.ParseUint(fields[3], 10, 16)
-	if err != nil {
-		return FlowRecord{}, fmt.Errorf("port: %w", err)
-	}
-	bytes, err := strconv.ParseInt(fields[5], 10, 64)
-	if err != nil {
-		return FlowRecord{}, fmt.Errorf("bytes: %w", err)
-	}
-	packets, err := strconv.ParseInt(fields[6], 10, 64)
-	if err != nil {
-		return FlowRecord{}, fmt.Errorf("packets: %w", err)
-	}
-	return FlowRecord{
-		Time: t, SrcIP: src, DstIP: dst, DstPort: uint16(port),
-		Protocol: fields[4], Bytes: bytes, Packets: packets,
-	}, nil
 }

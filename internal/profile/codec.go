@@ -315,13 +315,17 @@ func (b *IncrementalBuilder) MergeFrom(o *IncrementalBuilder) {
 	b.visits += o.visits
 }
 
-// Split partitions the builder's domains onto n fresh builders by the
-// package's stable domain hash — the restore half of a domain-keyed
-// checkpoint, which re-partitions however many shards the restoring engine
-// runs (merge results are independent of the partition assignment). The
-// (host, UA) pairs, which only matter unioned at day-close, all land on
-// partition 0. The receiver is consumed.
-func (b *IncrementalBuilder) Split(n int) []*IncrementalBuilder {
+// Split partitions the builder onto n fresh builders — the restore half of a
+// domain-keyed checkpoint, which re-partitions however many shards the
+// restoring engine runs. route assigns each (host, domain) activity its
+// partition in [0, n): the engine passes its own ingest routing, so a pair's
+// restored timestamps and its future visits meet on one shard. A domain's
+// host-independent state (known count, first-seen IP, retained paths) lands
+// on the partition the package's stable domain hash picks, and the (host, UA)
+// pairs, which only matter unioned at day-close, on partition 0 — either
+// could go anywhere, because the seq-keyed merge is exact for any partition
+// assignment. The receiver is consumed.
+func (b *IncrementalBuilder) Split(n int, route func(host, domain string) int) []*IncrementalBuilder {
 	if n < 1 {
 		n = 1
 	}
@@ -330,10 +334,22 @@ func (b *IncrementalBuilder) Split(n int) []*IncrementalBuilder {
 		parts[i] = NewIncrementalBuilder()
 	}
 	for d, a := range b.perDomain {
-		p := parts[int(domainPartition(d)%uint32(n))]
-		p.perDomain[d] = a
-		p.visits += a.known
-		for _, ha := range a.hosts {
+		hosts := a.hosts
+		a.hosts = nil
+		home := parts[int(domainPartition(d)%uint32(n))]
+		home.perDomain[d] = a
+		home.visits += a.known
+		for h, ha := range hosts {
+			p := parts[route(h, d)]
+			pa := p.perDomain[d]
+			if pa == nil {
+				pa = &incrementalAgg{}
+				p.perDomain[d] = pa
+			}
+			if pa.hosts == nil {
+				pa.hosts = make(map[string]*HostActivity)
+			}
+			pa.hosts[h] = ha
 			p.visits += len(ha.Times)
 		}
 	}

@@ -145,7 +145,7 @@ func TestBuilderMergeSplitEquivalence(t *testing.T) {
 			merged.MergeFrom(p.Clone())
 		}
 		for _, splitN := range []int{1, 2, 5} {
-			split := merged.Clone().Split(splitN)
+			split := merged.Clone().Split(splitN, func(h, d string) int { return PairPartition(h, d, splitN) })
 			got := snapshotFingerprint(t, MergeSnapshotParallel(
 				time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), split, hist, 10, 1))
 			if got != want {

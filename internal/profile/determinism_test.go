@@ -109,11 +109,11 @@ func TestSnapshotSaveBytesDeterministic(t *testing.T) {
 // streaming engine's batched apply path: a day fed as domain runs — random
 // consecutive batch partitions, each batch grouped into per-domain runs
 // applied in scrambled order through the Run cursor — must checkpoint to
-// bytes identical to the plain sequential build. Legality rests on two
-// invariants the cursor preserves: within every (host, domain) pair the
-// visits still arrive in seq order (grouping only reorders across
-// domains), and the cursor's memos are run-scoped, so no state leaks
-// between runs that a fresh cursor wouldn't recreate.
+// bytes identical to the plain sequential build. Legality rests on the
+// builder being a pure function of the (seq, visit) set and on the cursor's
+// memos being run-scoped, so no state leaks between runs that a fresh cursor
+// wouldn't recreate. (The engine folds the runs a batch already contains;
+// this regrouping is the harder case.)
 func TestRunGroupingSaveBytesProperty(t *testing.T) {
 	day := time.Date(2014, 3, 2, 0, 0, 0, 0, time.UTC)
 	for seed := int64(1); seed <= 8; seed++ {
@@ -130,7 +130,7 @@ func TestRunGroupingSaveBytesProperty(t *testing.T) {
 		for start := 0; start < len(visits); {
 			end := min(start+1+rng.Intn(400), len(visits))
 			// Group the batch into per-domain runs, order preserved within
-			// each run — what applyBatch's stable counting sort produces.
+			// each run.
 			runs := make(map[string][]int)
 			var order []string
 			for i := start; i < end; i++ {

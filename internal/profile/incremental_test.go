@@ -218,7 +218,7 @@ func TestAddKnownMatchesReference(t *testing.T) {
 			}
 			checkCounts(label+" reloaded", []*IncrementalBuilder{loaded})
 			for _, n := range []int{1, 4} {
-				split := loaded.Clone().Split(n)
+				split := loaded.Clone().Split(n, func(h, d string) int { return PairPartition(h, d, n) })
 				checkCounts(fmt.Sprintf("%s split(%d)", label, n), split)
 				assertSnapshotsEqual(t, fmt.Sprintf("%s split(%d)", label, n), MergeSnapshotParallel(day, split, hist, 10, 1), want)
 			}

@@ -313,6 +313,12 @@ func (b *IncrementalBuilder) Run(domain string) RunCursor {
 	return RunCursor{b: b, agg: a}
 }
 
+// Profiled reports whether the run's domain already holds a profiled visit
+// in this builder (one folded through Add, now or earlier in the day). The
+// streaming shards read it as "this domain was found absent from the history
+// today": such a domain skips the history lookup for the rest of the day.
+func (c *RunCursor) Profiled() bool { return len(c.agg.hosts) > 0 }
+
 // Add folds one visit of the run; v.Domain must equal the run's domain.
 func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 	a := c.agg
@@ -397,6 +403,20 @@ func (b *IncrementalBuilder) Visits() int { return b.visits }
 
 // Domains returns how many distinct domains the partition has seen.
 func (b *IncrementalBuilder) Domains() int { return len(b.perDomain) }
+
+// EachProfiled calls fn once per domain the partition has profiled (at least
+// one visit folded through Add), with the domain's per-host activities. The
+// walk is read-only: fn must not modify the map or the activities, whose
+// Times are in arrival order, not sorted. Domains arrive in unspecified order.
+//
+//lint:ignore maporder the contract is explicitly an unordered walk; callers that emit must sort
+func (b *IncrementalBuilder) EachProfiled(fn func(domain string, hosts map[string]*HostActivity)) {
+	for d, a := range b.perDomain {
+		if len(a.hosts) > 0 {
+			fn(d, a.hosts)
+		}
+	}
+}
 
 // KnownVisits returns how many of the domain's visits the partition folded
 // as known-domain markers (AddKnown); 0 for a domain it does not hold.

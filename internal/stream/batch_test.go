@@ -194,6 +194,10 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 			`{"seq":1,"d":"alpha.test"}` + "\n", v1Refusal},
 		"noVersion":  {`{}` + "\n", "stream: unsupported checkpoint version 0"},
 		"badVersion": {`{"version":99}` + "\n", "stream: unsupported checkpoint version 99"},
+		// A parent-format livePairs section is read past, but its count is
+		// still validated and a short section is still a truncated file.
+		"negativeLivePairs": {string(fuzzV2(`{"markerDomains":0,"unresolved":0,"livePairs":-1}`, emptyBuilder)), "corrupt open-day section"},
+		"shortLivePairs":    {string(fuzzV2(`{"markerDomains":0,"unresolved":0,"livePairs":2}`, emptyBuilder+"\n"+parentLivePair)), "restore live pair 1"},
 	}
 	for _, hk := range hostileKnown {
 		cases[hk.name] = struct{ input, want string }{string(fuzzV2(okMeta, hk.builder)), hk.want}

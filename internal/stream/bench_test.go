@@ -10,7 +10,6 @@ package stream
 // real day; no rollover happens inside the timed loop.
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"net/netip"
@@ -144,8 +143,8 @@ func BenchmarkIngestBatchOfOne(b *testing.B) { benchIngestBatch(b, 1, 1, false) 
 
 // scatteredRecords is benchRecords with consecutive records landing on
 // distinct second-level domains, so no consecutive domain runs survive
-// folding and applyBatch must take its counting-sort grouping path
-// (benchRecords all fold to example.net — one run, the direct path).
+// folding and applyBatch folds every record as a run of one (benchRecords
+// all fold to example.net — one run per batch).
 func scatteredRecords(n int) []logs.ProxyRecord {
 	recs := benchRecords(n)
 	for i := range recs {
@@ -210,9 +209,9 @@ func benchApplyBatch(b *testing.B, recs []logs.ProxyRecord, historical ...string
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rec/s")
 }
 
-// BenchmarkApplyBatch folds domain-clustered traffic (the direct
-// consecutive-run path); BenchmarkApplyBatchScattered forces the
-// counting-sort grouping path — the delta prices the grouping pass.
+// BenchmarkApplyBatch folds domain-clustered traffic (one run per batch);
+// BenchmarkApplyBatchScattered is the scattered-input price of the same
+// path — runs of one, a cursor and a history check per record.
 // BenchmarkApplyBatchKnown is the clustered batch with its one folded domain
 // already in the history — the delta to BenchmarkApplyBatch is what the
 // history filter saves per visit to an already-profiled domain.
@@ -286,15 +285,12 @@ func BenchmarkIngestToReportPipelined(b *testing.B) {
 	_ = e.Close()
 }
 
-// benchIngestToReportPipelinedTSV is the pipelined day cycle fed the way
-// the daemon is fed: each day is encoded to proxy TSV and decoded back
-// before the batched ingest, so the measured cycle includes the decode
-// path end to end. The fast variant decodes through the pooled zero-copy
-// batch reader (what handleIngest, ReplayDir and the batch loader run);
-// the naive variant decodes through the retained Split/time.Parse
-// reference parser. The encode side is identical in both, so the delta
-// between the two benchmarks is the decode win in its end-to-end context.
-func benchIngestToReportPipelinedTSV(b *testing.B, naiveDecode bool) {
+// BenchmarkIngestToReportPipelinedTSV is the pipelined day cycle fed the way
+// the daemon is fed: each day is encoded to proxy TSV and decoded back through
+// the pooled zero-copy batch reader (what handleIngest, ReplayDir and the
+// batch loader run) before the batched ingest, so the measured cycle includes
+// the decode path end to end.
+func BenchmarkIngestToReportPipelinedTSV(b *testing.B) {
 	const perDay, batchSize = 20000, 512
 	recs := benchRecords(perDay)
 	e := trainOnlyEngine(Config{Shards: 4, QueueDepth: 8192})
@@ -319,11 +315,7 @@ func benchIngestToReportPipelinedTSV(b *testing.B, naiveDecode bool) {
 			tsv = logs.AppendProxy(tsv, r)
 		}
 		var err error
-		if naiveDecode {
-			buf, err = decodeProxyNaive(tsv, buf[:0])
-		} else {
-			buf, err = logs.ReadProxyBatch(bytes.NewReader(tsv), dec, buf[:0])
-		}
+		buf, err = logs.ReadProxyBatch(bytes.NewReader(tsv), dec, buf[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -339,27 +331,4 @@ func benchIngestToReportPipelinedTSV(b *testing.B, naiveDecode bool) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*perDay/b.Elapsed().Seconds(), "rec/s")
 	_ = e.Close()
-}
-
-// decodeProxyNaive is the pre-PR decode loop: bufio.Scanner line framing
-// plus the retained naive reference parser.
-func decodeProxyNaive(tsv []byte, recs []logs.ProxyRecord) ([]logs.ProxyRecord, error) {
-	sc := bufio.NewScanner(bytes.NewReader(tsv))
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		rec, err := logs.ParseProxyNaive(sc.Text())
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
-	}
-	return recs, sc.Err()
-}
-
-func BenchmarkIngestToReportPipelinedTSV(b *testing.B) {
-	benchIngestToReportPipelinedTSV(b, false)
-}
-
-func BenchmarkIngestToReportPipelinedTSVNaive(b *testing.B) {
-	benchIngestToReportPipelinedTSV(b, true)
 }

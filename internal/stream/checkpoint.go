@@ -8,10 +8,8 @@ import (
 	"hash/maphash"
 	"io"
 	"net/netip"
-	"sort"
 	"time"
 
-	"repro/internal/histogram"
 	"repro/internal/normalize"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
@@ -40,7 +38,7 @@ import (
 //	             whose close was in flight; restore re-runs the close
 //	openday      (iff header.Day != "") checkpointOpenDay +
 //	             profile.IncrementalBuilder.SaveTo + markerDomains ×
-//	             checkpointDomain + livePairs × checkpointLivePair
+//	             checkpointDomain
 //
 // The open day is serialized as the merged incremental-builder partial —
 // domain-keyed aggregation, so checkpoint size and restore time are
@@ -51,17 +49,14 @@ import (
 // replay) is refused with a pointer to the last build that read it.
 //
 // Shard count is deliberately not part of the state: builder frames are
-// domain-keyed and re-partitioned by hash on restore, so a checkpoint taken
-// on an 8-core box restores onto 2 cores.
+// domain-keyed and re-partitioned with the restoring engine's own routing, so
+// a checkpoint taken on an 8-core box restores onto 2 cores.
 //
-// The open day's live periodicity analyzers (the LiveAutomated
-// early-warning view) are carried as an optional livePairs section: each
-// not-yet-historical (host, domain) pair's dynamic histogram is serialized
-// and revalidated on restore, so the advisory view survives a restart
-// instead of rebuilding from zero. Checkpoints written before the section
-// existed decode with a zero pair count and simply restart the view empty —
-// it is advisory, derived state that the day's official verdict never
-// depends on.
+// The LiveAutomated early-warning view is not in the file: it is derived on
+// demand from the builder's timestamps, so it survives a restart from any v2
+// checkpoint. Builds up to PR 15 kept a second, pre-binned copy of those
+// timestamps and wrote it after the marker domains as livePairs records;
+// Restore still reads such a section past (see checkpointOpenDay.LivePairs).
 
 const checkpointVersion = 2
 
@@ -107,24 +102,14 @@ type checkpointClosing struct {
 type checkpointOpenDay struct {
 	MarkerDomains int `json:"markerDomains"`
 	Unresolved    int `json:"unresolved"`
-	// LivePairs counts the serialized live periodicity analyzers that
-	// follow the marker domains. Checkpoints written before the section
-	// existed carry no field and decode as 0 — the restored engine then
-	// starts the advisory LiveAutomated view empty, as those versions did.
+	// LivePairs is read, never written: a file from a build up to PR 15
+	// carries that many per-pair analyzer records after the marker domains.
+	// Restore validates the count and skips the records.
 	LivePairs int `json:"livePairs,omitempty"`
 }
 
 type checkpointDomain struct {
 	D string `json:"d"`
-}
-
-// checkpointLivePair is one open-day live periodicity analyzer: the (host,
-// domain) pair plus its dynamic-histogram state. The histogram Config is
-// not serialized — it is an engine parameter of the restoring host.
-type checkpointLivePair struct {
-	Host   string                `json:"h"`
-	Domain string                `json:"d"`
-	State  histogram.OnlineState `json:"s"`
 }
 
 type countingWriter struct {
@@ -242,44 +227,10 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	// Clone the open day's per-shard state under the freeze; merging and
 	// encoding happen after the lock is released.
 	var parts []*profile.IncrementalBuilder
-	var alls []map[string]struct{}
-	var livePairs []checkpointLivePair
+	var markerSets []map[string]struct{}
 	unresolved := 0
 	if hdr.Day != "" {
-		parts = make([]*profile.IncrementalBuilder, len(e.shards))
-		alls = make([]map[string]struct{}, len(e.shards))
-		pairsByShard := make([][]checkpointLivePair, len(e.shards))
-		unres := make([]int, len(e.shards))
-		e.quiesce(func(i int, s *shard) {
-			parts[i] = s.part.Clone()
-			cp := make(map[string]struct{}, len(s.domains))
-			var lp []checkpointLivePair
-			for d, ds := range s.domains {
-				cp[d] = struct{}{}
-				for h, o := range ds.hosts {
-					// State deep-copies the bins, so the records stay valid
-					// after the freeze lifts and the analyzers keep observing.
-					lp = append(lp, checkpointLivePair{Host: h, Domain: d, State: o.State()})
-				}
-			}
-			alls[i] = cp
-			unres[i] = s.unresolved
-			pairsByShard[i] = lp
-		})
-		for _, n := range unres {
-			unresolved += n
-		}
-		for _, lp := range pairsByShard {
-			livePairs = append(livePairs, lp...)
-		}
-		// Shard maps iterate in random order; sort so identical engine state
-		// writes identical checkpoint bytes regardless of the shard count.
-		sort.Slice(livePairs, func(i, j int) bool {
-			if livePairs[i].Domain != livePairs[j].Domain {
-				return livePairs[i].Domain < livePairs[j].Domain
-			}
-			return livePairs[i].Host < livePairs[j].Host
-		})
+		parts, markerSets, unresolved = e.cloneOpenDayLocked()
 	}
 
 	// Hold the commit gate across the encode: the in-flight close (and any
@@ -330,21 +281,11 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		for _, p := range parts[1:] {
 			merged.MergeFrom(p)
 		}
-		var markers []string
-		for _, set := range alls {
-			for d := range set {
-				if !merged.HasDomain(d) {
-					markers = append(markers, d)
-				}
-			}
-		}
-		// Sort so identical engine state writes identical checkpoint bytes
-		// (the per-shard sets shard-partition the domains, so there are no
-		// cross-set duplicates to worry about).
-		sort.Strings(markers)
-		if err := enc.Encode(checkpointOpenDay{
-			MarkerDomains: len(markers), Unresolved: unresolved, LivePairs: len(livePairs),
-		}); err != nil {
+		// Sorted and de-duplicated, so identical engine state writes
+		// identical checkpoint bytes whatever the shard count and however the
+		// marker domains got spread over the shards.
+		markers := markerOnly(markerSets, []*profile.IncrementalBuilder{merged})
+		if err := enc.Encode(checkpointOpenDay{MarkerDomains: len(markers), Unresolved: unresolved}); err != nil {
 			return fmt.Errorf("stream: checkpoint open day: %w", err)
 		}
 		if err := merged.SaveTo(enc); err != nil {
@@ -353,11 +294,6 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		for _, d := range markers {
 			if err := enc.Encode(checkpointDomain{D: d}); err != nil {
 				return fmt.Errorf("stream: checkpoint marker domain: %w", err)
-			}
-		}
-		for _, lp := range livePairs {
-			if err := enc.Encode(lp); err != nil {
-				return fmt.Errorf("stream: checkpoint live pair: %w", err)
 			}
 		}
 	}
@@ -396,10 +332,6 @@ type RestoreDeps struct {
 // the checkpoint carries a closing-day section, the restored engine re-runs
 // that day's close in the background and republishes its report.
 func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
-	// Resolve the config defaults up front (idempotent; New applies the same
-	// ones): decoding validates live-pair analyzers against the histogram
-	// configuration the restored engine will actually run them under.
-	cfg.setDefaults()
 	dec := json.NewDecoder(bufio.NewReader(r))
 	var hdr checkpointHeader
 	if err := dec.Decode(&hdr); err != nil {
@@ -465,8 +397,6 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 	var openBuilder *profile.IncrementalBuilder
 	var openMeta checkpointOpenDay
 	var markerDomains []string
-	var livePairs []checkpointLivePair
-	var liveOnline []*histogram.Online // parallel to livePairs
 	if hdr.Closing != "" {
 		var cm checkpointClosing
 		if err := dec.Decode(&cm); err != nil {
@@ -514,25 +444,14 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 			}
 			markerDomains = append(markerDomains, cd.D)
 		}
-		livePairs = make([]checkpointLivePair, 0, min(openMeta.LivePairs, 1<<16))
-		liveOnline = make([]*histogram.Online, 0, min(openMeta.LivePairs, 1<<16))
-		seenPairs := make(map[[2]string]struct{}, min(openMeta.LivePairs, 1<<16))
+		// A parent-format livePairs section: derived state this build
+		// recomputes from the builder, so the records are read past. A short
+		// section is still a truncated file.
 		for i := 0; i < openMeta.LivePairs; i++ {
-			var lp checkpointLivePair
-			if err := dec.Decode(&lp); err != nil {
+			var skip struct{}
+			if err := dec.Decode(&skip); err != nil {
 				return nil, fmt.Errorf("stream: restore live pair %d: %w", i, err)
 			}
-			key := [2]string{lp.Host, lp.Domain}
-			if _, dup := seenPairs[key]; dup {
-				return nil, fmt.Errorf("stream: restore: duplicate live pair (%s, %s)", lp.Host, lp.Domain)
-			}
-			seenPairs[key] = struct{}{}
-			o, err := histogram.OnlineFromState(cfg.Histogram, lp.State)
-			if err != nil {
-				return nil, fmt.Errorf("stream: restore live pair (%s, %s): %w", lp.Host, lp.Domain, err)
-			}
-			livePairs = append(livePairs, lp)
-			liveOnline = append(liveOnline, o)
 		}
 	}
 
@@ -560,52 +479,30 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 	}
 
 	if openBuilder != nil {
-		// Re-partition the domain-keyed builder across however many
-		// shards this engine runs — merge results are independent of the
-		// partition assignment, so any stable split reproduces the day.
-		bparts := openBuilder.Split(len(e.shards))
-		// Route the live analyzers with the same (host, domain) hash the
-		// ingest path uses, so a pair's future observations land on the
-		// shard holding its restored state. The live per-domain entries
-		// are rebuilt exactly from the pairs: every visit that touched a
-		// shard's domain entry also fed that shard's pair analyzer once.
-		domsByShard := make([]map[string]*domainState, len(e.shards))
+		// Re-partition the domain-keyed builder across however many shards
+		// this engine runs, with the routing the ingest path uses: a pair's
+		// restored timestamps and its future visits then share one
+		// HostActivity, which is what keeps the live view from listing a pair
+		// once per shard. (The day's reports would not care — merge results
+		// are independent of the partition assignment.)
 		var h maphash.Hash
 		h.SetSeed(e.seed)
-		for idx, lp := range livePairs {
-			si := e.shardIndex(&h, lp.Host, lp.Domain)
-			if domsByShard[si] == nil {
-				domsByShard[si] = make(map[string]*domainState)
-			}
-			ds, ok := domsByShard[si][lp.Domain]
-			if !ok {
-				ds = &domainState{live: true, hosts: make(map[string]*histogram.Online)}
-				domsByShard[si][lp.Domain] = ds
-			}
-			ds.hosts[lp.Host] = liveOnline[idx]
-			ds.visits += lp.State.Conns
-		}
+		bparts := openBuilder.Split(len(e.shards), func(host, domain string) int {
+			return e.shardIndex(&h, host, domain)
+		})
 		e.mu.Lock()
 		e.quiesce(func(i int, s *shard) {
 			s.part = bparts[i]
-			// Non-live builder domains get marker-only entries: their
-			// next resolved visit re-consults the history, exactly as a
-			// fresh day's first visit would.
-			s.domains = make(map[string]*domainState, bparts[i].Domains())
 			for _, d := range bparts[i].DomainNames() {
-				s.domains[d] = &domainState{}
 				s.knownVisits += bparts[i].KnownVisits(d)
 			}
 			if i == 0 {
+				// Which shard holds a marker is immaterial: Checkpoint and the
+				// close union the sets.
 				s.unresolved = openMeta.Unresolved
 				for _, d := range markerDomains {
-					if s.domains[d] == nil {
-						s.domains[d] = &domainState{}
-					}
+					s.markers[d] = struct{}{}
 				}
-			}
-			for d, ds := range domsByShard[i] {
-				s.domains[d] = ds
 			}
 		})
 		e.mu.Unlock()

@@ -3,6 +3,8 @@ package stream
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -149,11 +151,14 @@ func TestCheckpointDuringCloseMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestParentFormatCheckpointRestores: a v2 checkpoint as the previous build
+// TestParentFormatCheckpointRestores: a v2 checkpoint as earlier builds
 // wrote it — its header still carrying the v1-era "items" count and the
-// "rejected" counter, both gone from the header struct — must restore
-// mid-day, onto another shard count, into an engine whose remaining
-// dataset run stays byte-identical to batch.
+// "rejected" counter, both gone from the header struct, and its open-day
+// section ending in the livePairs records builds up to PR 15 appended (a
+// count in the section header, then that many per-pair analyzer states, here
+// two lines the PR 15 build wrote) — must restore mid-day, onto another shard
+// count, into an engine whose remaining dataset run stays byte-identical to
+// batch.
 func TestParentFormatCheckpointRestores(t *testing.T) {
 	fx := newEquivFixture(t, 79)
 	want, _ := fx.batchDailies(t)
@@ -188,8 +193,17 @@ func TestParentFormatCheckpointRestores(t *testing.T) {
 		if !bytes.HasPrefix(ckpt.Bytes(), []byte(`{"version":2,`)) {
 			t.Fatalf("header starts %q, want a version-2 JSON object", ckpt.Bytes()[:20])
 		}
-		// Splice the two retired fields into the header object.
+		// Splice the two retired fields into the header object, and the
+		// retired section into the open day, which ends the file.
 		parent := append([]byte(`{"items":0,"rejected":7,`), ckpt.Bytes()[1:]...)
+		meta := bytes.Index(parent, []byte(`{"markerDomains":`))
+		if meta < 0 || bytes.Contains(parent, []byte("livePairs")) {
+			t.Fatalf("open-day header missing, or a livePairs section still written:\n%s", parent[max(meta, 0):][:80])
+		}
+		end := meta + bytes.IndexByte(parent[meta:], '}')
+		parent = append(parent[:end:end], append([]byte(`,"livePairs":2`), parent[end:]...)...)
+		parent = append(parent, parentLivePair+"\n"+
+			`{"h":"h2","d":"a.test","s":{"last":"2014-02-03T02:00:00Z","bins":[{"Hub":3600,"Count":1}],"total":1,"conns":2,"ooo":1}}`+"\n"...)
 		restored, err := Restore(bytes.NewReader(parent), Config{Shards: 5, QueueDepth: 64}, deps)
 		if err != nil {
 			t.Fatalf("restore parent-format v2: %v", err)
@@ -325,48 +339,70 @@ type writerFunc func(p []byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestCheckpointRestoresLivePairs: the advisory LiveAutomated view survives
-// a checkpoint/restore cycle — the live analyzers are serialized with their
-// dynamic histograms, revalidated, re-routed onto a different shard count,
-// and keep evolving from exactly where they stopped.
+// a checkpoint/restore cycle onto any shard count although the file carries
+// nothing for it — it is derived from the builder's timestamps, and Restore
+// re-partitions those with the ingest routing, so a pair's restored and
+// future visits meet on one shard: every beacon continued after the restore
+// is listed exactly once, with its full sample count, exactly as on an engine
+// that was never interrupted.
 func TestCheckpointRestoresLivePairs(t *testing.T) {
 	day := testDay()
-	beacon := func(host, domain string, period time.Duration, n int) []logs.ProxyRecord {
+	beacon := func(host, domain string, period time.Duration, from, n int) []logs.ProxyRecord {
 		recs := make([]logs.ProxyRecord, 0, n)
-		for i := 0; i < n; i++ {
+		for i := from; i < from+n; i++ {
 			recs = append(recs, rec(day, host, domain, time.Duration(i)*period))
 		}
 		return recs
 	}
+	// Three beaconing pairs (two sharing a domain) plus a one-shot visit that
+	// never reaches a verdict; each beacon is cut at the checkpoint.
+	beacons := []struct {
+		host, domain string
+		period       time.Duration
+	}{
+		{"h1", "c2a.test", time.Minute},
+		{"h2", "c2b.test", 90 * time.Second},
+		{"h3", "c2a.test", 2 * time.Minute},
+	}
+	const before, after = 7, 5
+	first := []logs.ProxyRecord{rec(day, "h4", "once.test", time.Hour)}
+	var more []logs.ProxyRecord
+	for _, b := range beacons {
+		first = append(first, beacon(b.host, b.domain, b.period, 0, before)...)
+		more = append(more, beacon(b.host, b.domain, b.period, before, after)...)
+	}
 
-	e := trainOnlyEngine(Config{Shards: 3, QueueDepth: 64})
+	e := trainOnlyEngine(Config{Shards: 4, QueueDepth: 64})
 	defer e.Close()
 	if err := e.BeginDay(day, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Three beaconing pairs (distinct hosts and periods) plus one-shot
-	// visits that never reach a verdict.
-	first := append(beacon("h1", "c2a.test", time.Minute, 8),
-		append(beacon("h2", "c2b.test", 90*time.Second, 8),
-			beacon("h3", "c2a.test", 2*time.Minute, 8)...)...)
-	first = append(first, rec(day, "h4", "once.test", time.Hour))
 	if err := e.IngestBatch(first); err != nil {
 		t.Fatal(err)
 	}
-
 	want := e.LiveAutomated(0)
-	if len(want) != 3 {
-		t.Fatalf("before checkpoint: %d automated pairs, want 3: %+v", len(want), want)
+	if len(want) != len(beacons) {
+		t.Fatalf("before checkpoint: %d automated pairs, want %d: %+v", len(want), len(beacons), want)
 	}
 	var buf bytes.Buffer
 	if err := e.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-
-	e2, err := Restore(bytes.NewReader(buf.Bytes()), Config{Shards: 5, QueueDepth: 64}, RestoreDeps{})
-	if err != nil {
+	if bytes.Contains(buf.Bytes(), []byte("livePairs")) {
+		t.Fatal("checkpoint still writes a livePairs section")
+	}
+	if err := e.IngestBatch(more); err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
+	wantAfter := e.LiveAutomated(0)
+	if len(wantAfter) != len(beacons) {
+		t.Fatalf("uninterrupted engine lists %d pairs, want %d: %+v", len(wantAfter), len(beacons), wantAfter)
+	}
+	for _, p := range wantAfter {
+		if p.Samples != before+after-1 {
+			t.Fatalf("uninterrupted pair %+v has %d samples, want %d", p, p.Samples, before+after-1)
+		}
+	}
 
 	samePairs := func(t *testing.T, got, want []LivePair) {
 		t.Helper()
@@ -386,36 +422,81 @@ func TestCheckpointRestoresLivePairs(t *testing.T) {
 			}
 		}
 	}
-	samePairs(t, e2.LiveAutomated(0), want)
+	for _, shards := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e2, err := Restore(bytes.NewReader(buf.Bytes()), Config{Shards: shards, QueueDepth: 64}, RestoreDeps{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			samePairs(t, e2.LiveAutomated(0), want)
+			if err := e2.IngestBatch(more); err != nil {
+				t.Fatal(err)
+			}
+			samePairs(t, e2.LiveAutomated(0), wantAfter)
+			var pairs int
+			for _, ss := range e2.Stats().Shards {
+				pairs += ss.LivePairs
+			}
+			if pairs != len(beacons)+1 {
+				t.Fatalf("restored engine holds %d live pairs, want %d: a pair's restored and new visits landed on different shards", pairs, len(beacons)+1)
+			}
+		})
+	}
+}
 
-	// The restored analyzers resume mid-stream: feeding both engines the
-	// same continuation must keep their advisory views identical.
-	more := append(beacon("h1", "c2a.test", time.Minute, 5),
-		beacon("h5", "c2c.test", 30*time.Second, 6)...)
-	for i := range more {
-		more[i].Time = more[i].Time.Add(8 * time.Hour)
+// TestCheckpointAfterRestoreWritesEachMarkerOnce: Restore parks the marker
+// domains on one shard, and a later lease-less record for the same domain
+// routes wherever its hash says — so after a restore two shards' marker sets
+// may hold one domain. Checkpoint must union them: the marker count stays the
+// number of distinct domains and the bytes equal those an engine that was
+// never restarted writes for the same records.
+func TestCheckpointAfterRestoreWritesEachMarkerOnce(t *testing.T) {
+	day := testDay()
+	const domains = 16 // enough that some re-route off the restore shard under any hash seed
+	leaseless := make([]logs.ProxyRecord, domains)
+	for i := range leaseless {
+		leaseless[i] = logs.ProxyRecord{Time: day.Add(time.Duration(i) * time.Minute),
+			SrcIP: netip.MustParseAddr("10.9.9.9"), Domain: fmt.Sprintf("marker-%02d.test", i), Method: "GET", Status: 200}
 	}
-	for _, eng := range []*Engine{e, e2} {
-		if err := eng.IngestBatch(more); err != nil {
-			t.Fatal(err)
-		}
+	e := trainOnlyEngine(Config{Shards: 2, QueueDepth: 64})
+	defer e.Close()
+	if err := e.BeginDay(day, nil); err != nil {
+		t.Fatal(err)
 	}
-	want2 := e.LiveAutomated(0)
-	if len(want2) != 4 {
-		t.Fatalf("after continuation: %d automated pairs, want 4: %+v", len(want2), want2)
+	if err := e.IngestBatch(leaseless); err != nil {
+		t.Fatal(err)
 	}
-	samePairs(t, e2.LiveAutomated(0), want2)
-
-	// A v2 checkpoint from before the livePairs section existed (no field
-	// in the open-day meta) restores cleanly with an empty advisory view.
-	old := fuzzV2(`{"markerDomains":0,"unresolved":0}`,
-		`{"version":1,"visits":0,"domains":0,"uaPairs":0}`)
-	e3, err := Restore(bytes.NewReader(old), Config{Shards: 2, QueueDepth: 8}, RestoreDeps{})
+	if err := ingest1(e, rec(day, "h1", "alpha.test", time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	var mid bytes.Buffer
+	if err := e.Checkpoint(&mid); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(bytes.NewReader(mid.Bytes()), Config{Shards: 2, QueueDepth: 64}, RestoreDeps{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e3.Close()
-	if pairs := e3.LiveAutomated(0); len(pairs) != 0 {
-		t.Fatalf("pre-livePairs checkpoint restored %d pairs", len(pairs))
+	defer restored.Close()
+
+	var want, got bytes.Buffer
+	for _, run := range []struct {
+		eng *Engine
+		out *bytes.Buffer
+	}{{e, &want}, {restored, &got}} {
+		if err := run.eng.IngestBatch(leaseless); err != nil {
+			t.Fatal(err)
+		}
+		if err := run.eng.Checkpoint(run.out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta := []byte(fmt.Sprintf(`{"markerDomains":%d,"unresolved":%d}`, domains, 2*domains))
+	if !bytes.Contains(got.Bytes(), meta) {
+		t.Errorf("checkpoint after restore lacks the open-day header %s", meta)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("checkpoint after restore differs from the uninterrupted engine's\nrestored:      %s\nuninterrupted: %s", got.Bytes(), want.Bytes())
 	}
 }

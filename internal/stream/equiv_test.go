@@ -292,8 +292,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 
 // TestRandomBatchPartitionReports is the streaming half of the apply-path
 // determinism property: how a day's records are partitioned into batches
-// decides how applyBatch groups them into domain runs (and whether the
-// direct consecutive-run path or the counting-sort path folds them), yet
+// decides how applyBatch cuts them into domain runs, yet
 // every partition must publish SOC reports byte-identical to the batch
 // reference. Three random partitions per dataset, mixed batch sizes from
 // single records to whole-day slabs.
@@ -321,7 +320,7 @@ func TestRandomBatchPartitionReports(t *testing.T) {
 			for start := 0; start < len(recs); {
 				var n int
 				if rng.Intn(4) == 0 {
-					n = 1 + rng.Intn(8) // tiny batches: below the grouping cutoff
+					n = 1 + rng.Intn(8) // tiny batches
 				} else {
 					n = 1 + rng.Intn(2*len(recs)/3+1)
 				}

@@ -88,11 +88,14 @@ func fuzzV2Hist(history, openMeta, builder string) []byte {
 		openMeta + "\n" + builder + "\n")
 }
 
-// The smallest well-formed host activity and open-day meta line, for
-// hand-crafted sections.
+// The smallest well-formed host activity, open-day meta line and builder
+// section, for hand-crafted sections; parentLivePair is one record, verbatim,
+// of the livePairs section builds up to PR 15 wrote after the marker domains.
 const (
-	okHost = `{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":[""]}`
-	okMeta = `{"markerDomains":0,"unresolved":0}`
+	okHost         = `{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":[""]}`
+	okMeta         = `{"markerDomains":0,"unresolved":0}`
+	emptyBuilder   = `{"version":1,"visits":0,"domains":0,"uaPairs":0}`
+	parentLivePair = `{"h":"h1","d":"a.test","s":{"last":"2014-02-03T00:04:00Z","bins":[{"Hub":60,"Count":4}],"total":4,"conns":5}}`
 )
 
 // hostileKnown lists builder sections that abuse the optional per-domain
@@ -164,19 +167,19 @@ func FuzzCheckpointDecode(f *testing.F) {
 	for _, hk := range hostileKnown {
 		f.Add(fuzzV2(okMeta, hk.builder))
 	}
-	// Hostile livePairs sections: negative count, truncated records, a
-	// duplicate pair, and analyzer states violating the histogram invariants
-	// (total/conns mismatch, bin sums, negative counts).
-	emptyBuilder := `{"version":1,"visits":0,"domains":0,"uaPairs":0}`
-	okPair := `{"h":"h1","d":"a.test","s":{"last":"2014-02-03T01:00:00Z","bins":[{"hub":60,"count":2}],"total":2,"conns":3}}`
+	// Parent-format livePairs sections, hostile ones included: negative
+	// count, truncated records, a duplicate pair, analyzer states violating
+	// the old histogram invariants. The count must still be validated and a
+	// short section refused; the records themselves are read past, and
+	// nothing may be constructed from them.
 	for _, lp := range []struct {
 		count string
 		pairs []string
 	}{
 		{"-1", nil},
 		{"2147483647", nil},
-		{"2", []string{okPair}}, // one record short
-		{"2", []string{okPair, okPair}},
+		{"2", []string{parentLivePair}}, // one record short
+		{"2", []string{parentLivePair, parentLivePair}},
 		{"1", []string{`{"h":"h1","d":"a.test","s":{"total":5,"conns":1}}`}},
 		{"1", []string{`{"h":"h1","d":"a.test","s":{"last":"2014-02-03T01:00:00Z","bins":[{"hub":60,"count":1}],"total":2,"conns":3}}`}},
 		{"1", []string{`{"h":"h1","d":"a.test","s":{"conns":-3,"total":-4}}`}},

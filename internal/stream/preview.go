@@ -3,7 +3,6 @@ package stream
 import (
 	"time"
 
-	"repro/internal/normalize"
 	"repro/internal/profile"
 	"repro/internal/report"
 )
@@ -83,20 +82,9 @@ func (e *Engine) Preview(workers int) (PreviewReport, error) {
 	records := e.dayRecords.Load()
 	droppedIP := e.dayDroppedIP.Load()
 
-	// Freeze: clone every shard's partial snapshot and domain set. This is
+	// Freeze: clone every shard's partial snapshot and marker set. This is
 	// the whole ingest stall of a preview.
-	parts := make([]*profile.IncrementalBuilder, len(e.shards))
-	alls := make([]map[string]struct{}, len(e.shards))
-	unres := make([]int, len(e.shards))
-	e.quiesce(func(i int, s *shard) {
-		parts[i] = s.part.Clone()
-		cp := make(map[string]struct{}, len(s.domains))
-		for d := range s.domains {
-			cp[d] = struct{}{}
-		}
-		alls[i] = cp
-		unres[i] = s.unresolved
-	})
+	parts, markers, unresolved := e.cloneOpenDayLocked()
 
 	// Hold the commit gate across the analytics: an in-flight close blocks
 	// at its pre-commit hook instead of mutating history, calibration or
@@ -108,31 +96,13 @@ func (e *Engine) Preview(workers int) (PreviewReport, error) {
 	e.mu.Unlock()
 	defer e.commitGate.RUnlock()
 
-	// Build the day statistics exactly as runDayClose would.
-	all := make(map[string]struct{})
-	for _, set := range alls {
-		for d := range set {
-			all[d] = struct{}{}
-		}
-	}
-	unresolved, kept := 0, 0
-	for i, p := range parts {
-		unresolved += unres[i]
-		kept += p.Visits()
-	}
-	stats := normalize.ProxyStats{
-		Records:           int(records),
-		DomainsAll:        len(all),
-		DroppedIPLiteral:  int(droppedIP),
-		DroppedUnresolved: unresolved,
-		Kept:              kept,
-	}
-
+	// Merge and count exactly as runDayClose does.
 	pcfg := e.pipe.Config()
 	if workers == 0 {
 		workers = pcfg.Workers
 	}
 	snap := profile.MergeSnapshotParallel(day, parts, e.hist, pcfg.UnpopularThreshold, workers)
+	stats := dayStats(snap, parts, markers, records, droppedIP, unresolved)
 	rep := e.pipe.PreviewSnapshot(day, snap, stats, workers)
 	daily := report.Build(rep)
 

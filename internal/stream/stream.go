@@ -10,12 +10,12 @@
 // engine lock once per batch, reserves a contiguous sequence range with a
 // single atomic add, reduces the records into pooled per-shard buffers with
 // one reused hash state, and hands each shard its share in a single channel
-// operation. Each shard owns its slice of the day state — the reduced visit
-// buffer, a live histogram.Online analyzer per (host, domain) pair, and
-// per-domain accumulators — so the hot path takes no locks: a shard's maps
-// are touched only by its own worker goroutine, and cross-shard operations
-// (rollover, checkpoint, stats) go through a control channel that the
-// worker services between batches.
+// operation. Each shard owns its slice of the day state — a partial day
+// snapshot (profile.IncrementalBuilder) and the set of domains it has seen
+// only through lease-less records — so the hot path takes no locks: a
+// shard's state is touched only by its own worker goroutine, and cross-shard
+// operations (rollover, checkpoint, stats) go through a control channel that
+// the worker services between batches.
 //
 // Snapshot maintenance is incremental: each shard folds every visit into a
 // profile.IncrementalBuilder — a partial day snapshot whose order-sensitive
@@ -51,9 +51,10 @@
 // from it, republishing the same reports (only the short merge window and
 // the state-mutating commit tail force a wait).
 //
-// In between rollovers the per-pair Online analyzers give an early-warning
-// signal: LiveAutomated lists the beaconing-looking (host, domain) pairs of
-// the open day before the day's verdict is final.
+// In between rollovers LiveAutomated gives an early-warning signal: it runs
+// the detector's periodicity test over the timestamps the builders already
+// hold and lists the beaconing-looking (host, domain) pairs of the open day
+// before the day's verdict is final.
 //
 // Reports and checkpoints are byte-deterministic for a given logical state;
 // reprolint's maporder analyzer enforces the marker below, and its
@@ -67,9 +68,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"math"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,9 +112,6 @@ type Config struct {
 	// not by UTC timestamp, and the two disagree around midnight for
 	// devices logging in local time.
 	AutoRollover bool
-	// Histogram parameterizes the live per-pair analyzers (default: the
-	// paper's W=10s, JT=0.06).
-	Histogram histogram.Config
 	// RetainDayReports bounds how many full pipeline day reports (with
 	// their day snapshots) the engine keeps for DayReport — the compact
 	// SOC dailies are always kept. A long-running daemon would otherwise
@@ -147,9 +147,6 @@ func (c *Config) setDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4096
 	}
-	if c.Histogram == (histogram.Config{}) {
-		c.Histogram = histogram.DefaultConfig()
-	}
 	if c.RetainDayReports == 0 {
 		c.RetainDayReports = 7
 	}
@@ -170,23 +167,6 @@ type item struct {
 	resolved bool
 	domain   string // marker items only
 	visit    logs.Visit
-}
-
-// domainState fuses a shard's per-domain day state — the distinct-domain
-// marker, the live-tracking verdict, and (for domains absent from the
-// history) the per-host live periodicity analyzers — into one struct behind
-// one map lookup. It replaces the three parallel maps (all / domains /
-// pairs keyed by a two-string composite) the apply path used to probe
-// separately for every record.
-type domainState struct {
-	// live marks a domain whose first resolved visit found it absent from
-	// the history; only live domains carry analyzers. Once live, a domain
-	// stays live for the rest of the day even if a racing day-close commit
-	// makes it historical — the day reports never depend on live state, so
-	// the skipped re-check is pure win (see applyRun).
-	live   bool
-	visits int                          // resolved visits while live
-	hosts  map[string]*histogram.Online // live analyzers by host
 }
 
 // histCache is a shard-local memo of History.SeenDomain verdicts. The
@@ -255,22 +235,23 @@ type shard struct {
 	batches chan *[]item
 	ctrl    chan ctrlReq
 
-	// domains is the fused per-domain day state: its key set is the
-	// shard's distinct folded domains seen today (including unresolved
-	// markers), its live entries carry the periodicity analyzers.
-	domains     map[string]*domainState
-	unresolved  int // lease-less records today (count only; their domains are marker entries in domains)
-	knownVisits int // resolved visits today folded as known-domain markers (applyRun)
-
 	// part is the shard's partial day snapshot, maintained visit by visit
 	// on the apply path so day-close merges ready-made per-shard partials
 	// (profile.MergeSnapshotParallel) instead of re-reducing the whole
 	// day. The builder is seq-keyed, so the out-of-order interleaving of
-	// concurrent batches draining into the shard cannot perturb it.
+	// concurrent batches draining into the shard cannot perturb it. It is
+	// the only copy of the open day: the live view (Snapshot) reads the same
+	// timestamps the close will classify.
 	part *profile.IncrementalBuilder
+	// markers holds the domains of runs that carried only lease-less
+	// records. They count toward the day's distinct-domain statistic but
+	// hold no visit state; a marker the builders also hold is dropped where
+	// the statistic is computed (markerOnly).
+	markers     map[string]struct{}
+	unresolved  int // lease-less records today
+	knownVisits int // resolved visits today folded as known-domain markers (applyRun)
 
-	hist  histCache
-	group groupScratch
+	hist histCache
 
 	ingested atomic.Uint64
 }
@@ -280,8 +261,8 @@ func newShard(e *Engine, depth int) *shard {
 		eng:     e,
 		batches: make(chan *[]item, depth),
 		ctrl:    make(chan ctrlReq),
-		domains: make(map[string]*domainState),
 		part:    profile.NewIncrementalBuilder(),
+		markers: make(map[string]struct{}),
 	}
 }
 
@@ -321,127 +302,27 @@ func itemDomain(it *item) string {
 	return it.domain
 }
 
-// groupCutoff is the batch size below which regrouping by domain is not
-// worth its two passes; tiny batches are folded as the runs they already
-// contain.
-const groupCutoff = 16
-
-// runRef is one domain run discovered by grouping: count items of the
-// batch, contiguous in the grouping permutation.
-type runRef struct {
-	domain string
-	count  int32
-}
-
-// groupScratch is a shard's reusable batch-grouping state: a stable
-// counting sort of the batch's indexes by domain. Reused across batches so
-// steady-state grouping allocates nothing.
-type groupScratch struct {
-	slots []int32          // per item: index of its run in runs
-	perm  []int32          // item indexes, grouped by run, stable within each
-	next  []int32          // per run: next write offset into perm
-	runs  []runRef         // the batch's distinct domains, in first-seen order
-	index map[string]int32 // domain -> run index, cleared after each batch
-}
-
-// group builds the stable grouping of items by domain. After it returns,
-// runs lists the batch's domains in first-seen order and perm holds the
-// item indexes, contiguous per run, preserving original order within each
-// run — which is what keeps the per-(host, domain) Observe sequence, the
-// only order-sensitive consumer, identical to ungrouped application.
-func (g *groupScratch) group(items []item) {
-	n := len(items)
-	if cap(g.slots) < n {
-		g.slots = make([]int32, n)
-		g.perm = make([]int32, n)
-	}
-	slots := g.slots[:n]
-	g.runs = g.runs[:0]
-	if g.index == nil {
-		g.index = make(map[string]int32, 64)
-	}
-	for i := range items {
-		d := itemDomain(&items[i])
-		slot, ok := g.index[d]
-		if !ok {
-			slot = int32(len(g.runs))
-			g.index[d] = slot
-			g.runs = append(g.runs, runRef{domain: d})
-		}
-		g.runs[slot].count++
-		slots[i] = slot
-	}
-	if cap(g.next) < len(g.runs) {
-		g.next = make([]int32, len(g.runs)+16)
-	}
-	next := g.next[:len(g.runs)]
-	off := int32(0)
-	for r := range g.runs {
-		next[r] = off
-		off += g.runs[r].count
-	}
-	perm := g.perm[:n]
-	for i, slot := range slots {
-		perm[next[slot]] = int32(i)
-		next[slot]++
-	}
-	clear(g.index)
-}
-
-// applyBatch folds one routed slice, regrouped into per-domain runs, and
-// recycles its buffer. Regrouping is legal because the builder's state is a
-// pure function of the (seq, visit) set (see profile.IncrementalBuilder)
-// and the grouping is stable, so each (host, domain) pair's analyzer still
-// observes its timestamps in routed order; only the interleaving between
-// different domains changes, which nothing downstream can see.
-//
-// A cheap pre-scan counts the runs the batch already contains (real feeds —
-// replay files, proxy log tails — arrive heavily domain-clustered, and
-// domain folding collapses subdomain fan-out further). Only when the batch
-// is genuinely scattered (average consecutive run shorter than two items)
-// is the counting sort worth its extra per-item map operation; otherwise
-// the existing runs are folded in place with no grouping state at all.
+// applyBatch folds one routed slice as the same-domain runs it already
+// contains and recycles its buffer. Any cut of the batch into runs is legal,
+// because the builder's state is a pure function of the (seq, visit) set (see
+// profile.IncrementalBuilder) and nothing else consumes the apply order.
 func (s *shard) applyBatch(b *[]item) {
 	items := *b
-	n := len(items)
-	runs := 0
-	for i := 0; i < n; {
+	for i := 0; i < len(items); {
 		d := itemDomain(&items[i])
 		j := i + 1
-		for j < n && itemDomain(&items[j]) == d {
+		for j < len(items) && itemDomain(&items[j]) == d {
 			j++
 		}
-		runs++
+		s.applyRun(d, items[i:j])
 		i = j
 	}
-	if n < groupCutoff || runs*2 <= n {
-		for i := 0; i < n; {
-			d := itemDomain(&items[i])
-			j := i + 1
-			for j < n && itemDomain(&items[j]) == d {
-				j++
-			}
-			s.applyRun(d, items[i:j], nil)
-			i = j
-		}
-	} else {
-		g := &s.group
-		g.group(items)
-		off := int32(0)
-		for r := range g.runs {
-			cnt := g.runs[r].count
-			s.applyRun(g.runs[r].domain, items, g.perm[off:off+cnt])
-			off += cnt
-		}
-	}
-	s.ingested.Add(uint64(n))
+	s.ingested.Add(uint64(len(items)))
 	s.eng.putBuf(b)
 }
 
-// applyRun folds one run of same-domain items: one domain-state lookup,
-// one builder cursor, and at most one history check for the whole run.
-// When perm is nil the run is items in slice order; otherwise perm selects
-// the run's items (in stable grouped order) from the full batch.
+// applyRun folds one run of same-domain items: one builder cursor — the
+// run's only domain-keyed map probe — and at most one history check.
 //
 // The history check is the paper's rare-destination filter (§III-A) applied
 // where the visit arrives: a run whose domain the history already holds is
@@ -450,39 +331,23 @@ func (s *shard) applyBatch(b *[]item) {
 // discard that domain's profile anyway. The verdict cannot go stale: the
 // history only grows and closes are serialized, so "known now" implies
 // "known when the day is classified".
-func (s *shard) applyRun(domain string, items []item, perm []int32) {
-	ds := s.domains[domain]
-	if ds == nil {
-		ds = &domainState{}
-		s.domains[domain] = ds
-	}
-	// The builder cursor is created lazily on the run's first resolved
-	// visit: marker-only runs must not create an (empty) builder domain,
-	// which would perturb the merged day's domain statistics.
+//
+// A domain this shard has already profiled today skips the lookup: it was
+// absent from the history then, and it stays profiled for the day even if a
+// racing day-close commit has made it historical since — the merge discards
+// that state exactly as it would the known marker. Otherwise the run's first
+// resolved visit decides once for the whole run, through the shard's
+// epoch-stamped cache (seenDomain). The underlying history read is safe — it
+// is internally locked, and the only writer is the background day-close
+// committing yesterday while this shard ingests today.
+func (s *shard) applyRun(domain string, items []item) {
+	// The cursor is created on the run's first resolved visit: a marker-only
+	// run must not create an (empty) builder domain, which would perturb the
+	// merged day's domain statistics.
 	var cur profile.RunCursor
-	haveCur := false
-	// Profile and live periodicity state only for domains absent from the
-	// history: anything already profiled can never be rare today, and
-	// skipping it keeps the builder and the analyzer maps proportional to
-	// the day's new traffic rather than its full volume. A domain already
-	// live skips the history lookup entirely; otherwise the run's first
-	// resolved visit decides once for the whole run, through the shard's
-	// epoch-stamped cache (seenDomain). The underlying history read is safe
-	// — it is internally locked, and the only writer is the background
-	// day-close committing yesterday while this shard ingests today. A read
-	// racing such a commit can at worst keep profiling a domain that just
-	// became historical (once live, a domain stays live for the day); the
-	// merge discards that state exactly as it would the known marker.
-	known := false
-	n := len(items)
-	if perm != nil {
-		n = len(perm)
-	}
-	for x := 0; x < n; x++ {
+	haveCur, known := false, false
+	for x := range items {
 		it := &items[x]
-		if perm != nil {
-			it = &items[perm[x]]
-		}
 		if !it.resolved {
 			s.unresolved++
 			continue
@@ -490,27 +355,17 @@ func (s *shard) applyRun(domain string, items []item, perm []int32) {
 		if !haveCur {
 			cur = s.part.Run(domain)
 			haveCur = true
-			if !ds.live {
-				if known = s.seenDomain(domain); !known {
-					ds.live = true
-					ds.hosts = make(map[string]*histogram.Online)
-				}
-			}
+			known = !cur.Profiled() && s.seenDomain(domain)
 		}
-		v := &it.visit
 		if known {
-			cur.AddKnown(v)
+			cur.AddKnown(&it.visit)
 			s.knownVisits++
-			continue
+		} else {
+			cur.Add(it.seq, &it.visit)
 		}
-		cur.Add(it.seq, v)
-		o := ds.hosts[v.Host]
-		if o == nil {
-			o = histogram.NewOnline(s.eng.cfg.Histogram)
-			ds.hosts[v.Host] = o
-		}
-		o.Observe(v.Time)
-		ds.visits++
+	}
+	if !haveCur {
+		s.markers[domain] = struct{}{}
 	}
 }
 
@@ -526,10 +381,10 @@ func (s *shard) do(fn func(*shard)) {
 // days and is what makes the next day's first touches of the enterprise's
 // recurring domains lock-free.
 func (s *shard) resetDay() {
-	s.domains = make(map[string]*domainState)
+	s.part = profile.NewIncrementalBuilder()
+	s.markers = make(map[string]struct{})
 	s.unresolved = 0
 	s.knownVisits = 0
-	s.part = profile.NewIncrementalBuilder()
 }
 
 // Engine is the concurrent streaming ingestion engine.
@@ -617,7 +472,7 @@ const (
 )
 
 // dayClose carries one swapped-out day through its background close. The
-// swap takes only the shards' partial snapshots and domain sets. Once the
+// swap takes only the shards' partial snapshots and marker sets. Once the
 // partials are merged the snapshot replaces them; a failed close retains
 // that snapshot so a Flush retry replays the pipeline without re-reducing
 // anything, and a checkpoint taken mid-close serializes it so a restore
@@ -626,7 +481,7 @@ type dayClose struct {
 	day        time.Time
 	date       string
 	parts      []*profile.IncrementalBuilder // per-shard partial snapshots
-	allSets    []map[string]*domainState     // per-shard fused domain states (key set = distinct domains)
+	markers    []map[string]struct{}         // per-shard lease-less-only domains
 	unresolved int                           // lease-less records in the day
 	snap       *profile.Snapshot             // merged at close; retained on failure
 	stats      normalize.ProxyStats
@@ -1019,6 +874,26 @@ func (e *Engine) quiesce(fn func(i int, s *shard)) {
 	wg.Wait()
 }
 
+// cloneOpenDayLocked copies the open day out of the shards in one quiesce —
+// each shard's builder and marker set, and the summed lease-less count — so
+// the caller can merge and encode after the lock is released while the ingest
+// path keeps mutating the originals. This is the whole ingest stall of a
+// Preview or a Checkpoint. Caller holds mu exclusively.
+func (e *Engine) cloneOpenDayLocked() (parts []*profile.IncrementalBuilder, markers []map[string]struct{}, unresolved int) {
+	parts = make([]*profile.IncrementalBuilder, len(e.shards))
+	markers = make([]map[string]struct{}, len(e.shards))
+	unres := make([]int, len(e.shards))
+	e.quiesce(func(i int, s *shard) {
+		parts[i] = s.part.Clone()
+		markers[i] = maps.Clone(s.markers)
+		unres[i] = s.unresolved
+	})
+	for _, n := range unres {
+		unresolved += n
+	}
+	return parts, markers, unresolved
+}
+
 // beginCloseLocked swaps the open day out of the shards and starts its
 // close on a background goroutine, after waiting out any close already in
 // flight (day-closes are strictly serialized, so days complete in order
@@ -1071,18 +946,18 @@ func (e *Engine) beginCloseLocked(expect time.Time) (*dayClose, error) {
 		merged:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	// One quiesce swaps every shard's partial snapshot and domain set out
-	// and resets its live state; this is the whole ingest stall of a
+	// One quiesce swaps every shard's partial snapshot and marker set out
+	// and resets its day state; this is the whole ingest stall of a
 	// rollover. The arrival-order visit buffers are NOT carried along —
 	// the close runs from the partials, so the closing day's buffers free
 	// as soon as the swap returns instead of living until the pipeline
 	// accepts the day.
 	c.parts = make([]*profile.IncrementalBuilder, len(e.shards))
-	c.allSets = make([]map[string]*domainState, len(e.shards))
+	c.markers = make([]map[string]struct{}, len(e.shards))
 	unresolved := make([]int, len(e.shards))
 	e.quiesce(func(i int, s *shard) {
 		c.parts[i] = s.part
-		c.allSets[i] = s.domains
+		c.markers[i] = s.markers
 		unresolved[i] = s.unresolved
 		s.resetDay()
 	})
@@ -1099,6 +974,43 @@ func (e *Engine) beginCloseLocked(expect time.Time) (*dayClose, error) {
 	return c, nil
 }
 
+// markerOnly returns, sorted, the marker domains no builder part holds — what
+// the lease-less records add to the day's distinct-domain count beyond the
+// builders' own domains. The sets may overlap each other (after a restore) and
+// the builders (a domain seen both ways).
+func markerOnly(markers []map[string]struct{}, parts []*profile.IncrementalBuilder) []string {
+	var out []string
+	for _, set := range markers {
+	next:
+		for d := range set {
+			for _, p := range parts {
+				if p.HasDomain(d) {
+					continue next
+				}
+			}
+			out = append(out, d)
+		}
+	}
+	sort.Strings(out)
+	return slices.Compact(out)
+}
+
+// dayStats derives a day's normalization statistics from its per-shard
+// partials and their merged snapshot, for day-close and Preview alike.
+func dayStats(snap *profile.Snapshot, parts []*profile.IncrementalBuilder, markers []map[string]struct{},
+	records, droppedIP uint64, unresolved int) normalize.ProxyStats {
+	stats := normalize.ProxyStats{
+		Records:           int(records),
+		DomainsAll:        snap.AllDomains + len(markerOnly(markers, parts)),
+		DroppedIPLiteral:  int(droppedIP),
+		DroppedUnresolved: unresolved,
+	}
+	for _, p := range parts {
+		stats.Kept += p.Visits()
+	}
+	return stats
+}
+
 // runDayClose is the background half of a rollover: merge the swapped
 // per-shard partial snapshots (an O(domains) union + classification, not
 // an O(visits log visits) re-reduce of the day), run the batch pipeline
@@ -1111,29 +1023,13 @@ func (e *Engine) runDayClose(c *dayClose) {
 	var mergeDur time.Duration
 	if c.snap == nil {
 		start := time.Now()
-		all := make(map[string]struct{})
-		for _, set := range c.allSets {
-			for d := range set {
-				all[d] = struct{}{}
-			}
-		}
-		kept := 0
-		for _, p := range c.parts {
-			kept += p.Visits()
-		}
-		c.stats = normalize.ProxyStats{
-			Records:           int(c.records),
-			DomainsAll:        len(all),
-			DroppedIPLiteral:  int(c.droppedIP),
-			DroppedUnresolved: c.unresolved,
-			Kept:              kept,
-		}
 		// The merge classifies against the history with every earlier day
 		// committed — closes are strictly serialized, so the in-order
 		// commit the snapshot's "new domain" judgement depends on holds.
 		pcfg := e.pipe.Config()
 		c.snap = profile.MergeSnapshotParallel(c.day, c.parts, e.hist, pcfg.UnpopularThreshold, pcfg.Workers)
-		c.parts, c.allSets = nil, nil // the snapshot owns their structure now
+		c.stats = dayStats(c.snap, c.parts, c.markers, c.records, c.droppedIP, c.unresolved)
+		c.parts, c.markers = nil, nil // the snapshot owns their structure now
 		mergeDur = time.Since(start)
 		// The merge window ends: from here until the commit tail the close's
 		// state is a parked, immutable snapshot — exactly what a concurrent
@@ -1254,7 +1150,11 @@ type ShardStats struct {
 	// profiled. Summed over the shards and divided by Stats.DayRecords it is
 	// the live form of the paper's daily data-reduction ratio (Ingested is
 	// not the denominator: it counts since engine start).
-	KnownVisits    int `json:"knownVisits"`
+	KnownVisits int `json:"knownVisits"`
+	// LiveDomains/LivePairs count the domains and (host, domain) pairs the
+	// shard has profiled today — absent from the history on arrival;
+	// AutomatedPairs those of them the detector's periodicity test marks on
+	// the timestamps held right now.
 	LivePairs      int `json:"livePairs"`
 	LiveDomains    int `json:"liveDomains"`
 	AutomatedPairs int `json:"automatedPairs"`
@@ -1326,18 +1226,21 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// LiveAutomated returns up to max (<= 0: all) pairs whose live analyzer
-// currently says automated, ordered by sample count (strongest evidence
-// first) — the early-warning view of the open day before rollover makes it
-// official.
-func (e *Engine) LiveAutomated(max int) []LivePair {
-	_, pairs := e.Snapshot(max)
+// LiveAutomated returns up to limit (<= 0: all) pairs the detector's
+// periodicity test currently marks automated, ordered by sample count
+// (strongest evidence first) — the early-warning view of the open day before
+// rollover makes it official. It is the verdict a close at this instant would
+// reach on the same pair: same test, same configuration, same timestamps.
+func (e *Engine) LiveAutomated(limit int) []LivePair {
+	_, pairs := e.Snapshot(max(limit, 0))
 	return pairs
 }
 
 // Snapshot captures engine statistics and, unless maxLive is negative, the
 // live automated pairs (maxLive 0: uncapped) in a single shard quiesce —
-// one atomic freeze instead of two for pollers that want both.
+// one atomic freeze instead of two for pollers that want both. The live
+// figures are derived inside the freeze from the shards' builders; nothing
+// is kept resident for them.
 func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1370,6 +1273,7 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 	}
 	var out []LivePair
 	var outMu sync.Mutex
+	hcfg := e.pipe.Detector().Hist
 	e.quiesce(func(i int, s *shard) {
 		ss := ShardStats{
 			Queue:           len(s.batches),
@@ -1380,14 +1284,11 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 			HistCacheMisses: s.hist.miss,
 		}
 		var local []LivePair
-		for d, ds := range s.domains {
-			if !ds.live {
-				continue
-			}
+		s.part.EachProfiled(func(d string, hosts map[string]*profile.HostActivity) {
 			ss.LiveDomains++
-			ss.LivePairs += len(ds.hosts)
-			for h, o := range ds.hosts {
-				v := o.Verdict()
+			ss.LivePairs += len(hosts)
+			for h, ha := range hosts {
+				v := histogram.AnalyzeTimes(ha.Times, hcfg)
 				if !v.Automated {
 					continue
 				}
@@ -1399,7 +1300,7 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 					})
 				}
 			}
-		}
+		})
 		st.Shards[i] = ss
 		if len(local) > 0 {
 			outMu.Lock()

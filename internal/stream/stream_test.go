@@ -3,10 +3,12 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"testing"
 	"time"
 
+	"repro/internal/histogram"
 	"repro/internal/logs"
 	"repro/internal/pipeline"
 	"repro/internal/whois"
@@ -263,6 +265,9 @@ func TestLiveAutomated(t *testing.T) {
 	if top.Period < 590 || top.Period > 610 {
 		t.Fatalf("period = %v, want ~600s", top.Period)
 	}
+	if all := e.LiveAutomated(-1); len(all) != len(pairs) {
+		t.Fatalf("LiveAutomated(-1) = %d pairs, want all %d (<= 0 means uncapped)", len(all), len(pairs))
+	}
 	st := e.Stats()
 	var auto int
 	for _, ss := range st.Shards {
@@ -276,6 +281,74 @@ func TestLiveAutomated(t *testing.T) {
 	}
 	if got := e.LiveAutomated(10); len(got) != 0 {
 		t.Fatalf("live pairs survived rollover: %v", got)
+	}
+}
+
+// TestLiveViewIsCloseVerdict: the view is the verdict. For a day of clean,
+// jittered and out-of-order-arriving beacons plus browsing noise, the pairs
+// LiveAutomated lists just before the day closes are exactly the (host,
+// domain) pairs the detector marks on the closed day's snapshot, with the same
+// period, divergence and sample count — both run one test over one set of
+// timestamps. (A per-pair analyzer fed in arrival order, which builds up to
+// PR 15 kept, takes |Δ| of successive arrivals and misses the out-of-order
+// host.)
+func TestLiveViewIsCloseVerdict(t *testing.T) {
+	e := trainOnlyEngine(Config{Shards: 3, RetainDayReports: -1})
+	defer e.Close()
+	day := testDay()
+	if err := e.BeginDay(day, nil); err != nil {
+		t.Fatal(err)
+	}
+	var recs []logs.ProxyRecord
+	for i := 0; i < 24; i++ {
+		recs = append(recs, rec(day, "h-clean", "c2-clean.test", time.Duration(i)*10*time.Minute))
+		// ±2 s of jitter stays inside the 10 s bin.
+		jitter := time.Duration((i*7)%5-2) * time.Second
+		recs = append(recs, rec(day, "h-jitter", "c2-jitter.test", time.Duration(i)*5*time.Minute+jitter))
+		// Pairwise swapped arrivals: 10, 0, 30, 20, ... minutes.
+		recs = append(recs, rec(day, "h-swapped", "c2-swapped.test", time.Duration(i^1)*10*time.Minute))
+	}
+	for h := 0; h < 4; h++ {
+		for k, off := range []time.Duration{0, 7, 11, 55, 180, 183, 260, 400} {
+			recs = append(recs, rec(day, fmt.Sprintf("browser-%d", h), fmt.Sprintf("news-%d.test", k%3),
+				(off+time.Duration(13*h))*time.Minute))
+		}
+	}
+	ingestChunks(t, e, recs)
+
+	live := e.LiveAutomated(0)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rep, ok := e.DayReport(day.Format("2006-01-02"))
+	if !ok {
+		t.Fatal("no day report")
+	}
+	want := make(map[[2]string]histogram.Verdict)
+	for _, ad := range e.Pipeline().Detector().FindAutomated(rep.Snapshot) {
+		for _, h := range ad.AutoHosts {
+			want[[2]string{h, ad.Domain}] = ad.Verdicts[h]
+		}
+	}
+	for _, p := range [][2]string{{"h-clean", "c2-clean.test"}, {"h-jitter", "c2-jitter.test"}, {"h-swapped", "c2-swapped.test"}} {
+		if _, ok := want[p]; !ok {
+			t.Fatalf("fixture: the closed day does not mark %v automated: %v", p, want)
+		}
+	}
+	if len(live) != len(want) {
+		t.Fatalf("live view lists %d pairs, the close marks %d\nlive:  %+v\nclose: %v", len(live), len(want), live, want)
+	}
+	for _, p := range live {
+		v, ok := want[[2]string{p.Host, p.Domain}]
+		if !ok {
+			t.Fatalf("live pair %+v is not automated on the closed day", p)
+		}
+		// Divergence sums bin frequencies in map order inside
+		// JeffreyDivergence, so it is reproducible only to float summation
+		// order; everything else must be exact.
+		if p.Period != v.Period || p.Samples != v.Samples || math.Abs(p.Divergence-v.Divergence) > 1e-9 {
+			t.Fatalf("live pair %+v, close verdict %+v", p, v)
+		}
 	}
 }
 
