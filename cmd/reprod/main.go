@@ -137,7 +137,7 @@ func main() {
 	flag.Float64Var(&o.speed, "speed", 0, "replay time-compression factor (0 = as fast as possible)")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file: restored on start if present, written on rollover and shutdown")
 	flag.DurationVar(&o.ckptInterval, "checkpoint-interval", 0, "also write the checkpoint periodically (e.g. 15m; 0 = rollover/shutdown only; requires -checkpoint); format v2 checkpoints no longer wait out an in-flight day-close")
-	flag.Int64Var(&o.maxIngest, "max-ingest-bytes", defaultMaxIngestBytes, "largest accepted /ingest body in bytes (oversized requests get 413)")
+	flag.Int64Var(&o.maxIngest, "max-ingest-bytes", defaultMaxIngestBytes, "largest accepted /ingest or /day body in bytes (oversized requests get 413)")
 	flag.StringVar(&o.alertConfig, "alert-config", "", "alert routing configuration (TOML or JSON): sinks (webhook/syslog/file/stdout) and rules; day-close reports publish confirmed alert events")
 	flag.DurationVar(&o.previewEvery, "preview-interval", 0, "run a mid-day detection preview periodically (e.g. 5m; 0 = off), publishing provisional alert events")
 	flag.StringVar(&o.listenTCP, "listen-tcp", "", "also ingest newline-framed proxy TSV records on this TCP address")
@@ -214,6 +214,11 @@ func newEngine(o daemonOpts, engCfg stream.Config) (*stream.Engine, error) {
 // shutdownGrace bounds each stage of the ordered shutdown: draining
 // in-flight HTTP requests, and waiting out an in-flight day-close.
 const shutdownGrace = 10 * time.Second
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a header that never ends cannot hold an HTTP port's connection
+// open. Bodies stay untimed: a large /ingest over a slow link is legitimate.
+const readHeaderTimeout = 10 * time.Second
 
 // daemon owns the running pieces of one reprod process and the order they
 // are torn down in. The shutdown sequence is the data-safety contract:
@@ -315,7 +320,7 @@ func newDaemon(o daemonOpts) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.httpSrv = &http.Server{Handler: d.srv.mux()}
+	d.httpSrv = &http.Server{Handler: d.srv.mux(), ReadHeaderTimeout: readHeaderTimeout}
 
 	// The live listeners bind here but accept immediately: the engine is
 	// already able to ingest (or to count rejections when no day is open).
@@ -345,7 +350,7 @@ func newDaemon(o daemonOpts) (*daemon, error) {
 		if d.pprofLn, err = net.Listen("tcp", o.pprofAddr); err != nil {
 			return nil, fmt.Errorf("pprof listener: %w", err)
 		}
-		d.pprofSrv = &http.Server{Handler: pprofMux()}
+		d.pprofSrv = &http.Server{Handler: pprofMux(), ReadHeaderTimeout: readHeaderTimeout}
 		log.Printf("serving pprof on %s", d.pprofLn.Addr())
 	}
 	return d, nil

@@ -265,6 +265,20 @@ func TestHTTPIngestBodyTooLarge(t *testing.T) {
 	if rr.Code != http.StatusOK || body["ingested"] != float64(1) {
 		t.Fatalf("small ingest = %d %v", rr.Code, body)
 	}
+
+	// POST /day is under the same cap: an oversized lease map is refused
+	// whole and the open day stays as it was.
+	leases := make([]string, 40)
+	for i := range leases {
+		leases[i] = fmt.Sprintf(`"10.0.0.%d":"host-%d"`, i, i)
+	}
+	rr, _ = doJSON(t, m, "POST", "/day", `{"date":"2014-03-04","leases":{`+strings.Join(leases, ",")+`}}`)
+	if rr.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized day = %d, want 413", rr.Code)
+	}
+	if got := e.Stats().Day; got != "2014-03-03" {
+		t.Fatalf("open day after the refused POST /day = %q, want 2014-03-03", got)
+	}
 }
 
 // TestHTTPClosedEngineStatus: a closed engine means the daemon is shutting

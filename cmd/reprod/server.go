@@ -208,8 +208,13 @@ type dayRequest struct {
 }
 
 func (s *server) handleDay(w http.ResponseWriter, r *http.Request) {
+	// The lease map is outside input like an ingest body, under the same cap.
 	var req dayRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxIngest)).Decode(&req); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "rejected day: body exceeds %d bytes", s.maxIngest)
+			return
+		}
 		writeErr(w, http.StatusBadRequest, "decode: %v", err)
 		return
 	}

@@ -10,6 +10,8 @@
 // small timing randomization introduced by attackers and to occasional
 // outliers (e.g., a laptop suspending overnight), which defeat the naive
 // standard-deviation detector (see internal/baseline).
+//
+//lint:deterministic
 package histogram
 
 import (
@@ -125,76 +127,61 @@ func PeriodicReference(period float64, total int) Histogram {
 	return Histogram{Bins: []Bin{{Hub: period, Count: total}}, Total: total}
 }
 
-// normalized returns bin frequencies keyed by hub. Hubs of the two
-// histograms under comparison are aligned by the same dynamic-clustering
-// rule used during construction: a reference hub within the bin width of an
-// observed hub shares its bin.
-func (h Histogram) frequencies() map[float64]float64 {
-	m := make(map[float64]float64, len(h.Bins))
-	if h.Total == 0 {
-		return m
-	}
-	for _, b := range h.Bins {
-		m[b.Hub] += float64(b.Count) / float64(h.Total)
-	}
-	return m
+// freq is the share of h's intervals that fell in bin i.
+func (h Histogram) freq(i int) float64 {
+	return float64(h.Bins[i].Count) / float64(h.Total)
 }
+
+// bins is how many bins of h carry mass: none when h holds no interval.
+func (h Histogram) bins() int {
+	if h.Total == 0 {
+		return 0
+	}
+	return len(h.Bins)
+}
+
+// The two distances below walk the histograms' bins in bin order and nothing
+// else. They sum floats, float addition is not associative, and L1Distance's
+// greedy matching depends on visiting order outright, so a walk over a map —
+// whose order Go randomizes — would make the result differ between two calls
+// with the same arguments. Hubs within one histogram are taken to be distinct,
+// as Build makes them.
 
 // JeffreyDivergence computes the Jeffrey divergence between two histograms
 // H and K per Rubner et al.: d_J(H,K) = Σ_i ( h_i log(h_i/m_i) +
 // k_i log(k_i/m_i) ) with m_i = (h_i + k_i)/2. Bins are matched by hub with
-// tolerance w: hubs within w of each other are treated as the same bin.
+// tolerance w, by the same dynamic-clustering rule used during construction:
+// a K bin shares the bin of the nearest H hub within w (the earlier bin on a
+// tie) and stands alone when there is none.
 // The result is 0 for identical histograms and grows toward 2·log 2 as the
 // histograms become disjoint.
 func JeffreyDivergence(h, k Histogram, w float64) float64 {
-	hf := h.frequencies()
-	kf := k.frequencies()
-
-	// Merge hub keys, aligning any pair of hubs within w.
-	type pair struct{ ph, pk float64 }
-	hubs := make([]float64, 0, len(hf)+len(kf))
-	for hub := range hf {
-		hubs = append(hubs, hub)
-	}
-	aligned := make(map[float64]float64, len(kf)) // k-hub -> h-hub
-	for khub := range kf {
-		bestDist := math.Inf(1)
-		bestHub := math.NaN()
-		for _, hhub := range hubs {
-			if d := math.Abs(khub - hhub); d <= w && d < bestDist {
-				bestDist = d
-				bestHub = hhub
+	nh, nk := h.bins(), k.bins()
+	// kmass[i], i < nh, is the K mass that landed in H's bin i; a K bin j
+	// that no H hub is within w of keeps its mass in slot nh+j.
+	kmass := make([]float64, nh+nk)
+	for j := 0; j < nk; j++ {
+		best, bestDist := nh+j, math.Inf(1)
+		for i := 0; i < nh; i++ {
+			if d := math.Abs(k.Bins[j].Hub - h.Bins[i].Hub); d <= w && d < bestDist {
+				best, bestDist = i, d
 			}
 		}
-		if !math.IsNaN(bestHub) {
-			aligned[khub] = bestHub
-		}
-	}
-
-	merged := make(map[float64]pair, len(hf)+len(kf))
-	for hub, f := range hf {
-		p := merged[hub]
-		p.ph += f
-		merged[hub] = p
-	}
-	for hub, f := range kf {
-		key := hub
-		if a, ok := aligned[hub]; ok {
-			key = a
-		}
-		p := merged[key]
-		p.pk += f
-		merged[key] = p
+		kmass[best] += k.freq(j)
 	}
 
 	var d float64
-	for _, p := range merged {
-		m := (p.ph + p.pk) / 2
-		if p.ph > 0 {
-			d += p.ph * math.Log(p.ph/m)
+	for i, pk := range kmass {
+		ph := 0.0
+		if i < nh {
+			ph = h.freq(i)
 		}
-		if p.pk > 0 {
-			d += p.pk * math.Log(p.pk/m)
+		m := (ph + pk) / 2
+		if ph > 0 {
+			d += ph * math.Log(ph/m)
+		}
+		if pk > 0 {
+			d += pk * math.Log(pk/m)
 		}
 	}
 	return d
@@ -205,23 +192,22 @@ func JeffreyDivergence(h, k Histogram, w float64) float64 {
 // paper reports results "very similar" to Jeffrey; we keep it for the
 // ablation benches.
 func L1Distance(h, k Histogram, w float64) float64 {
-	hf := h.frequencies()
-	kf := k.frequencies()
-	visited := make(map[float64]bool, len(kf))
+	nh, nk := h.bins(), k.bins()
+	visited := make([]bool, nk)
 	var d float64
-	for hhub, fh := range hf {
+	for i := 0; i < nh; i++ {
 		fk := 0.0
-		for khub, f := range kf {
-			if !visited[khub] && math.Abs(khub-hhub) <= w {
-				fk += f
-				visited[khub] = true
+		for j := 0; j < nk; j++ {
+			if !visited[j] && math.Abs(k.Bins[j].Hub-h.Bins[i].Hub) <= w {
+				fk += k.freq(j)
+				visited[j] = true
 			}
 		}
-		d += math.Abs(fh - fk)
+		d += math.Abs(h.freq(i) - fk)
 	}
-	for khub, f := range kf {
-		if !visited[khub] {
-			d += f
+	for j := 0; j < nk; j++ {
+		if !visited[j] {
+			d += k.freq(j)
 		}
 	}
 	return d

@@ -144,6 +144,33 @@ func TestJeffreyDivergenceNonNegative(t *testing.T) {
 	}
 }
 
+// TestJeffreyDivergenceIsPure pins both distances as functions of their
+// arguments. They sum floats bin by bin, so the bins must be walked in a
+// fixed order: over a map, Go's randomized iteration shows in the sum's last
+// digits (and, for L1Distance's greedy matching, in the value).
+func TestJeffreyDivergenceIsPure(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		xs := make([]float64, 400)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(40))*25 + rng.Float64()
+		}
+		h, k := Build(xs[:200], 10), Build(xs[200:], 10)
+		if len(h.Bins) < 5 || len(k.Bins) < 5 {
+			t.Fatalf("trial %d: %d and %d bins, want at least 5 each", trial, len(h.Bins), len(k.Bins))
+		}
+		j, l1 := JeffreyDivergence(h, k, 10), L1Distance(h, k, 10)
+		for call := 0; call < 100; call++ {
+			if got := JeffreyDivergence(h, k, 10); got != j {
+				t.Fatalf("trial %d call %d: JeffreyDivergence = %v, first call %v", trial, call, got, j)
+			}
+			if got := L1Distance(h, k, 10); got != l1 {
+				t.Fatalf("trial %d call %d: L1Distance = %v, first call %v", trial, call, got, l1)
+			}
+		}
+	}
+}
+
 func TestAnalyzePeriodicDetected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := DefaultConfig()

@@ -171,85 +171,6 @@ func (tc *tsCache) parseRFC3339Z(b []byte) (time.Time, bool) {
 	return tc.midnight.Add(time.Duration(hour*3600+minute*60+sec)*time.Second + time.Duration(nsec)), true
 }
 
-// cutLeading fuses timestamp parsing with field cutting: a proxy/DNS/flow
-// line starts with the timestamp, so when the strict UTC-Z layout matches
-// at position 0 and a tab follows, the caller gets the parsed time plus the
-// rest of the line — and the SWAR cutter never has to walk the ~25
-// timestamp bytes at all. ok=false means "let the generic path decide"; it
-// never changes an accept/reject outcome, only who does the work.
-func (tc *tsCache) cutLeading(line []byte) (time.Time, []byte, bool) {
-	if len(line) < len("2006-01-02T15:04:05Z\t") || line[10] != 'T' {
-		return time.Time{}, nil, false
-	}
-	// Validate and extract "hh:mm:ss" as one little-endian word: every
-	// byte's high nibble must be 0x3 (digits 0x30-0x39, colons 0x3A), the
-	// colons must sit at offsets 2 and 5, and no digit's low nibble may
-	// exceed 9 (adding 6 would carry into bit 4; colon positions are masked
-	// out of that check). Nibble adds cannot carry across bytes, so unlike
-	// the subtract-borrow trick this is positionally exact.
-	const (
-		hiNibbles  = uint64(0xF0F0F0F0F0F0F0F0)
-		threes     = 0x3030303030303030
-		colonMask  = 0x0000FF0000FF0000
-		colonBits  = 0x00003A00003A0000
-		nibbleSix  = 0x0606060606060606
-		digitCarry = 0x1010001010001010
-	)
-	w := binary.LittleEndian.Uint64(line[11:19])
-	if w&hiNibbles != threes || w&colonMask != colonBits ||
-		(w&^hiNibbles+nibbleSix)&digitCarry != 0 {
-		return time.Time{}, nil, false
-	}
-	hour := int(w&0xF)*10 + int(w>>8&0xF)
-	minute := int(w>>24&0xF)*10 + int(w>>32&0xF)
-	sec := int(w>>48&0xF)*10 + int(w>>56&0xF)
-	if hour > 23 || minute > 59 || sec > 59 {
-		return time.Time{}, nil, false
-	}
-	nsec, end := 0, 19 // end: index of the 'Z'
-	if line[19] == '.' {
-		scale := 1_000_000_000
-		j := 20
-		for ; j < len(line) && line[j]-'0' <= 9; j++ {
-			if j == 29 { // ten fractional digits: time.Parse territory
-				return time.Time{}, nil, false
-			}
-			scale /= 10
-			nsec += int(line[j]-'0') * scale
-		}
-		if j == 20 {
-			return time.Time{}, nil, false
-		}
-		end = j
-	}
-	if end+1 >= len(line) || line[end] != 'Z' || line[end+1] != '\t' {
-		return time.Time{}, nil, false
-	}
-	if !tc.sameDate(line) {
-		// Dash positions are validated here rather than up front: a cache
-		// hit compares all ten prefix bytes, dashes included, against a
-		// prefix that was validated when it was cached.
-		if line[4] != '-' || line[7] != '-' {
-			return time.Time{}, nil, false
-		}
-		year, ok := atoiFixed(line[0:4])
-		if !ok {
-			return time.Time{}, nil, false
-		}
-		month, ok := atoiFixed(line[5:7])
-		if !ok || month < 1 || month > 12 {
-			return time.Time{}, nil, false
-		}
-		day, ok := atoiFixed(line[8:10])
-		if !ok || day < 1 || day > daysIn(month, year) {
-			return time.Time{}, nil, false
-		}
-		tc.cacheDate(line, time.Date(year, time.Month(month), day, 0, 0, 0, 0, time.UTC))
-	}
-	t := tc.midnight.Add(time.Duration(hour*3600+minute*60+sec)*time.Second + time.Duration(nsec))
-	return t, line[end+2:], true
-}
-
 var daysPerMonth = [...]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
 
 func daysIn(month, year int) int {
@@ -357,12 +278,11 @@ const internFrontBits = 12
 // Domain, Method, UserAgent): every record of a multi-gigabyte day that
 // carries the same user agent shares one string allocation. URL and Referer
 // are not among them — new values keep arriving all day, so a capped table
-// only charges them failed probes; the proxy decoder gives each a single-slot
-// last-value cache instead. Lookups with a
-// byte-slice key do not allocate. A direct-mapped front array answers the
-// hot values without touching the map; the map stays the authority, so
-// front collisions cost a map probe, not a wrong string. The table is not
-// safe for concurrent use; each decoder owns one.
+// only charges them failed probes; the proxy decoder allocates each one.
+// Lookups with a byte-slice key do not allocate. A direct-mapped front
+// array answers the hot values without touching the map; the map stays the
+// authority, so front collisions cost a map probe, not a wrong string. The
+// table is not safe for concurrent use; each decoder owns one.
 type Intern struct {
 	m     map[string]string
 	front [1 << internFrontBits]string
@@ -375,8 +295,7 @@ func NewIntern() *Intern {
 }
 
 // Bytes returns the canonical string for b, allocating only the first time
-// a distinct value is seen (or every time, once a size cap is reached). The
-// front-hit path is small enough to inline into the decoders' hot loops.
+// a distinct value is seen (or every time, once a size cap is reached).
 func (in *Intern) Bytes(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -385,10 +304,6 @@ func (in *Intern) Bytes(b []byte) string {
 	if s := *slot; len(s) == len(b) && string(b) == s {
 		return s
 	}
-	return in.bytesSlow(b, slot)
-}
-
-func (in *Intern) bytesSlow(b []byte, slot *string) string {
 	s, ok := in.m[string(b)]
 	if !ok {
 		s = string(b)
@@ -426,8 +341,7 @@ type addrEntry struct {
 	addr netip.Addr
 }
 
-// parse resolves a textual address; the front-hit path inlines into the
-// decoders' hot loops.
+// parse resolves a textual address.
 func (c *addrCache) parse(b []byte) (netip.Addr, error) {
 	e := &c.front[quickHash(b)>>(64-addrFrontBits)]
 	// len(b) != 0 keeps an empty field from "hitting" an unclaimed slot
@@ -436,10 +350,6 @@ func (c *addrCache) parse(b []byte) (netip.Addr, error) {
 	if len(b) != 0 && len(e.key) == len(b) && string(b) == e.key {
 		return e.addr, nil
 	}
-	return c.parseSlow(b, e)
-}
-
-func (c *addrCache) parseSlow(b []byte, e *addrEntry) (netip.Addr, error) {
 	if ent, ok := c.m[string(b)]; ok {
 		*e = ent
 		return ent.addr, nil

@@ -3,9 +3,8 @@ package logs
 // The allocation-free decode path. A decoder owns the mutable state the
 // zero-copy parse needs — the interning table, the IP-address cache, the
 // unescape scratch buffer — so the hot loop allocates only for values it
-// has never seen (plus the URL and Referer columns, which never settle into
-// a bounded set; a single-slot cache each still elides the bursts of
-// identical values real proxy logs are full of). Decoders are NOT safe for
+// has never seen, plus the URL and Referer columns, which never settle into
+// a bounded set and are allocated per record. Decoders are NOT safe for
 // concurrent use; reuse them across reads of the same log stream via
 // GetProxyDecoder / PutProxyDecoder so the interning tables stay warm.
 //
@@ -35,8 +34,6 @@ type ProxyDecoder struct {
 	in      *Intern
 	addrs   addrCache
 	ts      tsCache
-	lastURL string     // single-slot cache: repeated URLs (beacon polls) cost no allocation
-	lastRef string     // same for Referer, the other column that never settles into a bounded set
 	scratch []byte     // unescape buffer, reused across fields and records
 	readBuf []byte     // line-framing buffer, reused across ReadProxyBatch calls
 	fields  [11][]byte // cutTSV destination, reused across records
@@ -65,50 +62,20 @@ func (d *ProxyDecoder) ParseProxyRecord(line []byte) (ProxyRecord, error) {
 // *rec is left partially written; callers must discard it.
 func (d *ProxyDecoder) ParseProxyInto(rec *ProxyRecord, line []byte) error {
 	f := &d.fields
-	// Fast header: when the line opens with a strict UTC-Z timestamp and a
-	// tab, take the parsed time directly and cut only the ten remaining
-	// fields; otherwise cut everything and let the generic timestamp path
-	// (with its time.Parse fallback) make the call.
-	t, rest, fastTS := d.ts.cutLeading(line)
-	if fastTS {
-		if n := cutTSV(rest, f[1:]); n != 10 {
-			return fmt.Errorf("expected 11 fields, got %d", n+1)
-		}
-	} else {
-		if n := cutTSV(line, f[:]); n != 11 {
-			return fmt.Errorf("expected 11 fields, got %d", n)
-		}
-		var err error
-		if t, err = d.ts.parseTimestamp(f[0]); err != nil {
-			return fmt.Errorf("timestamp: %w", err)
-		}
+	if n := cutTSV(line, f[:]); n != 11 {
+		return fmt.Errorf("expected 11 fields, got %d", n)
 	}
-	// One escape scan over the contiguous span holding every unescapable
-	// field (URL through Referer) instead of three per-field scans. The
-	// span is re-sliced from f[5]'s backing line, so this works for both
-	// cut paths above. False positives (a backslash in Method or Status)
-	// only cost the per-field rescan inside unescape.
-	span := f[5][:len(f[5])+len(f[6])+len(f[7])+len(f[8])+len(f[9])+4]
-	esc := bytes.IndexByte(span, '\\') >= 0
-	// The front-cache probes below are (*Intern).Bytes and
-	// (*addrCache).parse written out by hand: the inliner prices both far
-	// over its budget, and at this throughput seven outlined calls per
-	// record are a measurable fraction of the total. Each probe is
-	// semantically identical to the method it mirrors — same hash, same
-	// slot, same slow path — and the differential fuzzer holds the whole
-	// parse to the naive reference either way.
-	var err error
-	var src netip.Addr
-	if e := &d.addrs.front[quickHash(f[2])>>(64-addrFrontBits)]; len(f[2]) != 0 && len(e.key) == len(f[2]) && string(f[2]) == e.key {
-		src = e.addr
-	} else if src, err = d.addrs.parseSlow(f[2], e); err != nil {
+	t, err := d.ts.parseTimestamp(f[0])
+	if err != nil {
+		return fmt.Errorf("timestamp: %w", err)
+	}
+	src, err := d.addrs.parse(f[2])
+	if err != nil {
 		return fmt.Errorf("source IP: %w", err)
 	}
 	var dest netip.Addr
 	if len(f[4]) != 0 {
-		if e := &d.addrs.front[quickHash(f[4])>>(64-addrFrontBits)]; len(e.key) == len(f[4]) && string(f[4]) == e.key {
-			dest = e.addr
-		} else if dest, err = d.addrs.parseSlow(f[4], e); err != nil {
+		if dest, err = d.addrs.parse(f[4]); err != nil {
 			return fmt.Errorf("dest IP: %w", err)
 		}
 	}
@@ -121,64 +88,27 @@ func (d *ProxyDecoder) ParseProxyInto(rec *ProxyRecord, line []byte) error {
 		return fmt.Errorf("tz offset: %w", err)
 	}
 	rec.Time = t
+	rec.Host = d.in.Bytes(f[1])
 	rec.SrcIP = src
+	rec.Domain = d.in.Bytes(f[3])
 	rec.DestIP = dest
-	rec.Status = status
-	rec.TZOffset = tz
-	in := d.in
-	if b := f[1]; len(b) == 0 {
-		rec.Host = ""
-	} else if slot := &in.front[quickHash(b)>>(64-internFrontBits)]; len(b) == len(*slot) && string(b) == *slot {
-		rec.Host = *slot
-	} else {
-		rec.Host = in.bytesSlow(b, slot)
-	}
-	if b := f[3]; len(b) == 0 {
-		rec.Domain = ""
-	} else if slot := &in.front[quickHash(b)>>(64-internFrontBits)]; len(b) == len(*slot) && string(b) == *slot {
-		rec.Domain = *slot
-	} else {
-		rec.Domain = in.bytesSlow(b, slot)
-	}
 	// URL and Referer never settle into a bounded value set (every page view
-	// mints new ones), so pushing them through the capped intern map costs a
-	// hash, a failed probe and an insert per record until the cap, then a
-	// failed probe forever. They are bursty, though (a beaconing host repeats
-	// one URL all day; a page's subresources share its referer), so a
-	// single-slot last-value cache removes the allocation exactly when the
-	// stream repeats itself.
-	if u := d.unescape(f[5], esc); string(u) != d.lastURL { // comparison does not allocate
-		d.lastURL = string(u)
-	}
-	rec.URL = d.lastURL
-	if b := f[6]; len(b) == 0 {
-		rec.Method = ""
-	} else if slot := &in.front[quickHash(b)>>(64-internFrontBits)]; len(b) == len(*slot) && string(b) == *slot {
-		rec.Method = *slot
-	} else {
-		rec.Method = in.bytesSlow(b, slot)
-	}
-	if b := d.unescape(f[8], esc); len(b) == 0 {
-		rec.UserAgent = ""
-	} else if slot := &in.front[quickHash(b)>>(64-internFrontBits)]; len(b) == len(*slot) && string(b) == *slot {
-		rec.UserAgent = *slot
-	} else {
-		rec.UserAgent = in.bytesSlow(b, slot)
-	}
-	if r := d.unescape(f[9], esc); string(r) != d.lastRef {
-		d.lastRef = string(r)
-	}
-	rec.Referer = d.lastRef
+	// mints new ones), so they are not interned: each non-empty one is one
+	// allocation.
+	rec.URL = string(d.unescape(f[5]))
+	rec.Method = d.in.Bytes(f[6])
+	rec.Status = status
+	rec.UserAgent = d.in.Bytes(d.unescape(f[8]))
+	rec.Referer = string(d.unescape(f[9]))
+	rec.TZOffset = tz
 	return nil
 }
 
 // unescape resolves the TSV escapes in b, reusing the decoder's scratch
-// buffer when any are present. esc is cutTSV's line-level backslash flag:
-// when false no field on the line can contain an escape and the scan is
-// skipped outright. The result is only valid until the next unescape call;
-// consume it (intern or copy) before then.
-func (d *ProxyDecoder) unescape(b []byte, esc bool) []byte {
-	if !esc || bytes.IndexByte(b, '\\') < 0 {
+// buffer when any are present. The result is only valid until the next
+// unescape call; consume it (intern or copy) before then.
+func (d *ProxyDecoder) unescape(b []byte) []byte {
+	if bytes.IndexByte(b, '\\') < 0 {
 		return b
 	}
 	d.scratch = unescapeAppend(d.scratch[:0], b)
@@ -223,18 +153,8 @@ type lineScanner struct {
 }
 
 // next returns the next line and ok=true, or ok=false at clean EOF, or a
-// framing/read error. The buffered-line path is small enough to inline
-// into the batch loop; refill and EOF handling live in nextSlow.
+// framing/read error.
 func (ls *lineScanner) next() ([]byte, bool, error) {
-	if i := bytes.IndexByte(ls.buf[ls.start:ls.end], '\n'); i >= 0 {
-		line := ls.buf[ls.start : ls.start+i]
-		ls.start += i + 1
-		return dropCR(line), true, nil
-	}
-	return ls.nextSlow()
-}
-
-func (ls *lineScanner) nextSlow() ([]byte, bool, error) {
 	for {
 		if i := bytes.IndexByte(ls.buf[ls.start:ls.end], '\n'); i >= 0 {
 			line := ls.buf[ls.start : ls.start+i]
@@ -295,19 +215,7 @@ func ReadProxyBatch(r io.Reader, d *ProxyDecoder, recs []ProxyRecord) ([]ProxyRe
 	ls := lineScanner{r: r, buf: d.readBuf}
 	line := 0
 	for {
-		// lineScanner.next's buffered-line path, written out by hand: the
-		// inliner prices next over budget, and the call per record is
-		// measurable at this throughput. Refills and EOF still go through
-		// nextSlow, so the framing semantics live in one place.
-		var b []byte
-		var ok bool
-		var err error
-		if i := bytes.IndexByte(ls.buf[ls.start:ls.end], '\n'); i >= 0 {
-			b, ok = dropCR(ls.buf[ls.start:ls.start+i]), true
-			ls.start += i + 1
-		} else {
-			b, ok, err = ls.nextSlow()
-		}
+		b, ok, err := ls.next()
 		if err != nil {
 			// The framer dies *on* the line after the last delivered one —
 			// surface that position (bufio.ErrTooLong otherwise points

@@ -13,7 +13,9 @@ import (
 
 // sampleProxyRecords builds a day fragment with the value shape the
 // interning path is designed for: a bounded working set of hosts, domains
-// and agents cycling under high record volume.
+// and agents cycling under high record volume. Every record carries the same
+// URL and the same Referer, which no real proxy log does: allocation and speed
+// figures are read off it only beside the enterprise day (benchInputs).
 func sampleProxyRecords(n int) []ProxyRecord {
 	base := time.Date(2014, 2, 13, 9, 0, 0, 0, time.UTC)
 	agents := []string{"Mozilla/5.0 (Windows NT 6.1)", "curl/7.30.0", "beacon-agent/2.1"}
@@ -244,33 +246,49 @@ func TestInternCaps(t *testing.T) {
 	}
 }
 
-// TestParseProxySteadyStateAllocs is the alloc-regression gate for the
-// tentpole: once the interning tables are warm, decoding a batch of
-// records over a repeated working set must average at most one allocation
-// per record (the acceptance floor; in practice it is ~0 because even the
-// URL column repeats).
+// TestParseProxySteadyStateAllocs pins what a warm decoder allocates: exactly
+// one string per non-empty URL and one per non-empty Referer — escaped or not,
+// repeated or not — and nothing for any other column, which all come out of
+// the intern table and the address cache.
 func TestParseProxySteadyStateAllocs(t *testing.T) {
 	const n = 512
-	data := encodeProxyTSV(sampleProxyRecords(n))
+	recs := sampleProxyRecords(n)
+	want := 0
+	for i := range recs {
+		switch i % 4 {
+		case 0: // the sample's constant URL and Referer: a repeat is allocated like any other
+		case 1:
+			recs[i].URL, recs[i].Referer = fmt.Sprintf("http://example.net/page/%d", i), ""
+		case 2:
+			recs[i].URL, recs[i].Referer = "", fmt.Sprintf("http://example.net/from\t%d", i) // unescaped through the scratch buffer
+		case 3:
+			recs[i].URL, recs[i].Referer = "", ""
+		}
+		if recs[i].URL != "" {
+			want++
+		}
+		if recs[i].Referer != "" {
+			want++
+		}
+	}
+	data := encodeProxyTSV(recs)
 	d := NewProxyDecoder()
 	buf := make([]ProxyRecord, 0, n)
 	rd := bytes.NewReader(data)
 	parse := func() {
 		rd.Reset(data)
-		recs, err := ReadProxyBatch(rd, d, buf[:0])
+		got, err := ReadProxyBatch(rd, d, buf[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != n {
-			t.Fatalf("decoded %d records, want %d", len(recs), n)
+		if len(got) != n {
+			t.Fatalf("decoded %d records, want %d", len(got), n)
 		}
 	}
 	parse() // warm the intern and address caches
-	perRecord := testing.AllocsPerRun(20, parse) / n
-	if perRecord > 1.0 {
-		t.Errorf("steady-state parse allocates %.3f allocs/record, want <= 1", perRecord)
+	if got := testing.AllocsPerRun(20, parse); got != float64(want) {
+		t.Errorf("steady-state parse of %d records allocates %.0f times, want exactly %d (one per non-empty URL or Referer)", n, got, want)
 	}
-	t.Logf("steady-state parse: %.4f allocs/record", perRecord)
 }
 
 // TestAddrCacheRefreshesFront pins the front-slot refresh: two addresses
@@ -353,9 +371,11 @@ func TestCutTSV(t *testing.T) {
 	}
 }
 
-// TestParseTimestampFallback covers the slow-path timestamps the strict
-// scanner refuses: numeric offsets, comma fractions, >9 fraction digits.
-// All must still parse exactly as time.Parse does.
+// TestParseTimestampFallback holds the timestamp parser to time.Parse on both
+// sides of the strict layout's edge: what the strict scanner takes (0 to 9
+// fraction digits, leap days) and what it must hand to the fallback or refuse
+// (numeric offsets, 10 fraction digits, a missing Z, a lower-case t, a field
+// that ends after the date, :60 seconds, impossible days).
 func TestParseTimestampFallback(t *testing.T) {
 	var tc tsCache // shared across cases so the warm date-cache path runs too
 	for _, s := range []string{
@@ -367,6 +387,24 @@ func TestParseTimestampFallback(t *testing.T) {
 		"2014-02-13T24:00:00Z",   // hour out of range
 		"2014-13-13T09:00:00Z",   // month out of range
 		"2014-02-13T09:00:00.5Z", // strict path
+		"2014-02-13T09:00:00Z",
+		"2014-02-13T09:00:00.12Z",
+		"2014-02-13T09:00:00.123Z",
+		"2014-02-13T09:00:00.1234Z",
+		"2014-02-13T09:00:00.12345Z",
+		"2014-02-13T09:00:00.123456Z",
+		"2014-02-13T09:00:00.1234567Z",
+		"2014-02-13T09:00:00.12345678Z",
+		"2014-02-13T09:00:00.123456789Z",
+		"2014-02-13T09:00:00.Z",   // a dot and no digits
+		"2014-02-13T09:00:00",     // missing Z
+		"2014-02-13T09:00:00.25",  // missing Z after a fraction
+		"2014-02-13t09:00:00Z",    // lower-case t
+		"2014-02-13",              // the field ends (a tab follows) straight after the date
+		"2014-02-13T09:00:60Z",    // :60 seconds
+		"2014-02-13T09:60:00Z",    // :60 minutes
+		"2016-02-30T00:00:00Z",    // Feb 30 in a leap year
+		"2014-02-13T09:00:00.5Z ", // trailing byte after the Z
 	} {
 		want, wantErr := time.Parse(timeLayout, s)
 		got, gotErr := tc.parseTimestamp([]byte(s))

@@ -111,8 +111,8 @@ func TestSnapshotSaveBytesDeterministic(t *testing.T) {
 // applied in scrambled order through the Run cursor — must checkpoint to
 // bytes identical to the plain sequential build. Legality rests on the
 // builder being a pure function of the (seq, visit) set and on the cursor's
-// memos being run-scoped, so no state leaks between runs that a fresh cursor
-// wouldn't recreate. (The engine folds the runs a batch already contains;
+// host memo being run-scoped, so no state leaks between runs that a fresh
+// cursor wouldn't recreate. (The engine folds the runs a batch already contains;
 // this regrouping is the harder case.)
 func TestRunGroupingSaveBytesProperty(t *testing.T) {
 	day := time.Date(2014, 3, 2, 0, 0, 0, 0, time.UTC)

@@ -265,40 +265,17 @@ func (b *IncrementalBuilder) takeTimes() []time.Time {
 }
 
 // RunCursor folds a run of same-domain visits into its builder with the
-// (domain → aggregate) pointer resolved once per run, the
+// (domain → aggregate) pointer resolved once per run and the
 // (host → HostActivity) pointer memoized across consecutive same-host
-// visits, and repeat URLs / user agents short-circuited before their map
-// operations. The fold is identical to per-visit Add — the cursor only
-// elides lookups and set writes whose effect is provably already present —
-// so cursor-fed and Add-fed builders are indistinguishable. A cursor is
-// invalidated by any other mutation of its builder (another cursor, Add,
-// MergeFrom); obtain a fresh one per run.
+// visits. The fold is identical to per-visit Add — the cursor only elides
+// lookups — so cursor-fed and Add-fed builders are indistinguishable. A
+// cursor is invalidated by any other mutation of its builder (another
+// cursor, Add, MergeFrom); obtain a fresh one per run.
 type RunCursor struct {
 	b    *IncrementalBuilder
 	agg  *incrementalAgg
 	host string
 	ha   *HostActivity
-
-	// lastURL/lastURLSeq memoize the most recent URL offered to the path
-	// set: re-offering the same URL at an equal-or-later seq is provably a
-	// no-op (if its path is present the recorded first-occurrence seq is
-	// already ≤ lastURLSeq; if absent, the set went full rejecting it and
-	// every retained seq stays ≤ lastURLSeq, since inserts into a full set
-	// only ever lower its maximum), so the fold skips the parse and map
-	// probe. The memo must NOT short-circuit for seq < lastURLSeq — a
-	// smaller seq can still lower a retained entry's first-occurrence seq.
-	// urlMemoOK distinguishes a recorded empty URL from the cold zero
-	// value (the empty URL is meaningful: urlPath maps it to "/").
-	lastURL    string
-	lastURLSeq uint64
-	urlMemoOK  bool
-
-	// lastUA/sawNoUA memoize, for the current host only, membership
-	// already recorded in ha.UAs (and, for lastUA, the builder's uaPairs).
-	// Membership sets are order-free, so eliding the repeat writes cannot
-	// change any outcome. Reset on every host switch.
-	lastUA  string
-	sawNoUA bool
 }
 
 // Run starts a run of visits for one domain, creating the domain's
@@ -325,11 +302,8 @@ func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 	if v.DestIP.IsValid() && (!a.ip.IsValid() || seq < a.ipSeq) {
 		a.ip, a.ipSeq = v.DestIP, seq
 	}
-	if !c.urlMemoOK || v.URL != c.lastURL || seq < c.lastURLSeq {
-		if pth := urlPath(v.URL); pth != "" {
-			a.admitPath(pth, seq)
-		}
-		c.lastURL, c.lastURLSeq, c.urlMemoOK = v.URL, seq, true
+	if pth := urlPath(v.URL); pth != "" {
+		a.admitPath(pth, seq)
 	}
 	ha := c.ha
 	if ha == nil || v.Host != c.host {
@@ -343,21 +317,16 @@ func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 			a.hosts[v.Host] = ha
 		}
 		c.host, c.ha = v.Host, ha
-		c.lastUA, c.sawNoUA = "", false
 	}
 	ha.Times = append(ha.Times, v.Time)
 	if !v.HasRef {
 		ha.NoRefVisits++
 	}
 	if v.HasUA {
-		if v.UserAgent == "" || v.UserAgent != c.lastUA {
-			ha.UAs[v.UserAgent] = true
-			c.b.uaPairs[[2]string{v.Host, v.UserAgent}] = true
-			c.lastUA = v.UserAgent
-		}
-	} else if !c.sawNoUA {
+		ha.UAs[v.UserAgent] = true
+		c.b.uaPairs[[2]string{v.Host, v.UserAgent}] = true
+	} else {
 		ha.UAs[""] = true
-		c.sawNoUA = true
 	}
 	c.b.visits++
 }
@@ -379,14 +348,8 @@ func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 // mid-day when yesterday's commit lands between two of today's batches); the
 // aggregate then carries both kinds of state until the merge discards it.
 func (c *RunCursor) AddKnown(v *logs.Visit) {
-	if c.ha != nil || v.Host != c.host {
-		// Take the per-host memo over; a following Add re-resolves its host.
-		c.host, c.ha = v.Host, nil
-		c.lastUA, c.sawNoUA = "", false
-	}
-	if v.HasUA && (v.UserAgent == "" || v.UserAgent != c.lastUA) {
+	if v.HasUA {
 		c.b.uaPairs[[2]string{v.Host, v.UserAgent}] = true
-		c.lastUA = v.UserAgent
 	}
 	c.agg.known++
 	c.b.visits++

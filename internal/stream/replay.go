@@ -91,11 +91,11 @@ func ReplayDir(e *Engine, dir string, opts ReplayOptions) error {
 		}
 		if opts.Speed <= 0 {
 			// Unpaced replay takes the batched hot path: fixed-size chunks
-			// amortize the engine lock and the per-shard channel sends, and
-			// keep peak buffer footprint bounded on multi-million record
-			// days. Each chunk is also the stop boundary, so a shutting-down
-			// daemon waits at most one chunk for the replayer to land on a
-			// clean batch edge.
+			// amortize the engine lock and the per-shard channel sends and
+			// bound each shard queue entry. They do not bound memory — the
+			// whole day is already decoded in recs. Each chunk is also the
+			// stop boundary, so a shutting-down daemon waits at most one
+			// chunk for the replayer to land on a clean batch edge.
 			for len(recs) > 0 {
 				if opts.stopped() {
 					return ErrStopped

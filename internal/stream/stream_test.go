@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -343,10 +342,7 @@ func TestLiveViewIsCloseVerdict(t *testing.T) {
 		if !ok {
 			t.Fatalf("live pair %+v is not automated on the closed day", p)
 		}
-		// Divergence sums bin frequencies in map order inside
-		// JeffreyDivergence, so it is reproducible only to float summation
-		// order; everything else must be exact.
-		if p.Period != v.Period || p.Samples != v.Samples || math.Abs(p.Divergence-v.Divergence) > 1e-9 {
+		if p.Period != v.Period || p.Samples != v.Samples || p.Divergence != v.Divergence {
 			t.Fatalf("live pair %+v, close verdict %+v", p, v)
 		}
 	}
