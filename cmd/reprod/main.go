@@ -436,7 +436,7 @@ func (d *daemon) start() {
 				Speed: d.o.speed,
 				Stop:  d.stop,
 				OnDay: func(day batch.Day, records int) {
-					log.Printf("replaying %s (%d records)", day.Date.Format("2006-01-02"), records)
+					log.Printf("replayed %s (%d records)", day.Date.Format("2006-01-02"), records)
 				},
 			})
 			switch {

@@ -94,9 +94,9 @@ func LoadProxyDay(d Day) ([]logs.ProxyRecord, map[netip.Addr]string, error) {
 
 // LoadProxyDayInto reads one day's proxy records through the caller's
 // decoder, appending into recs (which may be nil), and returns the grown
-// slice plus the day's lease map. Replay-style callers that drop each
-// day's records after ingesting them pass a pooled buffer and a warm
-// decoder to make the per-day load allocation-free in the steady state.
+// slice plus the day's lease map. It materialises the day, which is what the
+// batch runner and the equivalence tests want; stream.ReplayDir decodes the
+// same file a chunk at a time through logs.ProxyReader instead.
 func LoadProxyDayInto(d Day, dec *logs.ProxyDecoder, recs []logs.ProxyRecord) ([]logs.ProxyRecord, map[netip.Addr]string, error) {
 	f, err := os.Open(d.ProxyPath)
 	if err != nil {
@@ -112,24 +112,29 @@ func LoadProxyDayInto(d Day, dec *logs.ProxyDecoder, recs []logs.ProxyRecord) ([
 	if err != nil {
 		return recs, nil, fmt.Errorf("batch: %s: %w", d.ProxyPath, err)
 	}
+	leases, err := LoadLeases(d)
+	return recs, leases, err
+}
 
+// LoadLeases reads one day's DHCP lease map (address → hostname).
+func LoadLeases(d Day) (map[netip.Addr]string, error) {
 	data, err := os.ReadFile(d.LeasePath)
 	if err != nil {
-		return recs, nil, err
+		return nil, err
 	}
 	var raw map[string]string
 	if err := json.Unmarshal(data, &raw); err != nil {
-		return recs, nil, fmt.Errorf("batch: %s: %w", d.LeasePath, err)
+		return nil, fmt.Errorf("batch: %s: %w", d.LeasePath, err)
 	}
 	leases := make(map[netip.Addr]string, len(raw))
 	for ip, host := range raw {
 		addr, err := netip.ParseAddr(ip)
 		if err != nil {
-			return recs, nil, fmt.Errorf("batch: %s: lease %q: %w", d.LeasePath, ip, err)
+			return nil, fmt.Errorf("batch: %s: lease %q: %w", d.LeasePath, ip, err)
 		}
 		leases[addr] = host
 	}
-	return recs, leases, nil
+	return leases, nil
 }
 
 // LoadDNSDay reads one day's DNS records.

@@ -109,22 +109,39 @@ func (d *Detector) FindAutomatedParallel(s *profile.Snapshot, workers int) []*Au
 }
 
 // analyzeActivity runs the periodicity test for every contacting host and
-// returns nil when no host shows automated connections.
+// returns nil when no host shows automated connections — the fate of nine
+// rare domains in ten on a busy day, so nothing is allocated until a host
+// does. A rare domain has fewer hosts than the popularity threshold (10 by
+// default) and its verdicts wait in a stack array; append moves them to the
+// heap for a caller with a wider threshold.
 func analyzeActivity(da *profile.DomainActivity, cfg histogram.Config) *AutomatedDomain {
-	ad := &AutomatedDomain{
-		Domain:   da.Domain,
-		Activity: da,
-		Verdicts: make(map[string]histogram.Verdict, len(da.Hosts)),
+	type hostVerdict struct {
+		host string
+		v    histogram.Verdict
 	}
-	for _, h := range da.HostNames() {
-		v := histogram.AnalyzeTimes(da.Hosts[h].Times, cfg)
-		ad.Verdicts[h] = v
+	var local [16]hostVerdict
+	verdicts, auto := local[:0], 0
+	for h, ha := range da.Hosts {
+		v := histogram.AnalyzeTimes(ha.Times, cfg)
+		verdicts = append(verdicts, hostVerdict{h, v})
 		if v.Automated {
-			ad.AutoHosts = append(ad.AutoHosts, h)
+			auto++
 		}
 	}
-	if len(ad.AutoHosts) == 0 {
+	if auto == 0 {
 		return nil
+	}
+	ad := &AutomatedDomain{
+		Domain:    da.Domain,
+		Activity:  da,
+		AutoHosts: make([]string, 0, auto),
+		Verdicts:  make(map[string]histogram.Verdict, len(verdicts)),
+	}
+	for _, hv := range verdicts {
+		ad.Verdicts[hv.host] = hv.v
+		if hv.v.Automated {
+			ad.AutoHosts = append(ad.AutoHosts, hv.host)
+		}
 	}
 	sort.Strings(ad.AutoHosts)
 	return ad

@@ -316,3 +316,41 @@ func TestDetectCCEndToEnd(t *testing.T) {
 		t.Error("benign poller flagged as C&C")
 	}
 }
+
+// TestAnalyzeActivityAllocs pins what the detector spends on the rare
+// domains a day discards: a domain whose hosts are all below MinConnections
+// costs no allocation at all, and a survivor's Verdicts still hold every
+// contacting host — automated or not, and past the stack array's sixteen.
+func TestAnalyzeActivityAllocs(t *testing.T) {
+	cfg := NewDetector(testExtractor(nil)).Hist
+	var visits []logs.Visit
+	for _, h := range []string{"h1", "h2", "h3"} {
+		visits = append(visits, beaconVisits(h, "short.com", "203.0.113.11", day.Add(9*time.Hour), time.Minute, cfg.MinConnections-1, "")...)
+	}
+	for i := 0; i < 20; i++ {
+		visits = append(visits, beaconVisits(string(rune('a'+i)), "wide.ru", "203.0.113.12", day.Add(8*time.Hour), 5*time.Minute, 1+i%2*29, "")...)
+	}
+	s := profile.NewSnapshot(day, visits, profile.NewHistory(), 32)
+
+	short := s.Rare["short.com"]
+	if short == nil || len(short.Hosts) != 3 {
+		t.Fatalf("fixture: short.com = %+v, want a rare domain with 3 hosts", short)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if analyzeActivity(short, cfg) != nil {
+			t.Fatal("a domain with no host at MinConnections came out automated")
+		}
+	}); allocs != 0 {
+		t.Errorf("analyzeActivity allocates %.0f times for a discarded domain, want 0", allocs)
+	}
+
+	ad := analyzeActivity(s.Rare["wide.ru"], cfg)
+	if ad == nil || len(ad.Verdicts) != 20 || len(ad.AutoHosts) != 10 {
+		t.Fatalf("wide.ru = %+v, want 20 verdicts of which 10 automated", ad)
+	}
+	for i, h := range ad.AutoHosts {
+		if want := string(rune('a' + 2*i + 1)); h != want || !ad.Verdicts[h].Automated {
+			t.Errorf("AutoHosts[%d] = %q (automated %v), want %q in sorted order", i, h, ad.Verdicts[h].Automated, want)
+		}
+	}
+}

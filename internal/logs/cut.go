@@ -241,10 +241,14 @@ func uintField(b []byte, bits int) (uint64, error) {
 	return v, nil
 }
 
-// Interning caps. A decoder's table stops growing at the first cap it
-// hits, and further distinct values simply allocate per record — hostile
-// input (a flood of unique user agents, say) degrades throughput back to
-// the naive parser's allocation profile instead of ballooning memory.
+// Interning caps. A decoder's table starts over at the first cap it hits:
+// the map is emptied and refills from the values still arriving, so a
+// long-lived decoder (a TCP connection that lasts months) tracks the traffic
+// it sees now instead of freezing full of last month's rare domains. The hot
+// strings survive the turnover in the front array and re-enter the map at one
+// allocation each. Hostile input (a flood of unique user agents, say) only
+// turns the table over faster: throughput degrades towards the naive parser's
+// allocation profile, memory stays bounded.
 const (
 	internMaxEntries = 1 << 16 // distinct strings per table
 	internMaxStrLen  = 512     // longer values are never worth caching
@@ -295,7 +299,8 @@ func NewIntern() *Intern {
 }
 
 // Bytes returns the canonical string for b, allocating only the first time
-// a distinct value is seen (or every time, once a size cap is reached).
+// a distinct value is seen since the table last started over (or every time,
+// for a value longer than internMaxStrLen).
 func (in *Intern) Bytes(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -307,14 +312,17 @@ func (in *Intern) Bytes(b []byte) string {
 	s, ok := in.m[string(b)]
 	if !ok {
 		s = string(b)
-		if len(s) <= internMaxStrLen && len(in.m) < internMaxEntries && in.bytes+len(s) <= internMaxBytes {
-			in.m[s] = s
-			in.bytes += len(s)
+		if len(s) > internMaxStrLen {
+			return s
 		}
+		if len(in.m) >= internMaxEntries || in.bytes+len(s) > internMaxBytes {
+			clear(in.m)
+			in.bytes = 0
+		}
+		in.m[s] = s
+		in.bytes += len(s)
 	}
-	if len(s) <= internMaxStrLen {
-		*slot = s
-	}
+	*slot = s
 	return s
 }
 
@@ -360,12 +368,12 @@ func (c *addrCache) parse(b []byte) (netip.Addr, error) {
 	}
 	if len(b) <= internMaxStrLen {
 		ent := addrEntry{key: string(b), addr: a}
-		if len(c.m) < internMaxEntries {
-			if c.m == nil {
-				c.m = make(map[string]addrEntry)
-			}
-			c.m[ent.key] = ent
+		if c.m == nil {
+			c.m = make(map[string]addrEntry)
+		} else if len(c.m) >= internMaxEntries {
+			clear(c.m) // start over, as Intern does
 		}
+		c.m[ent.key] = ent
 		*e = ent
 	}
 	return a, nil

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"sync"
 )
@@ -200,46 +201,74 @@ func dropCR(line []byte) []byte {
 	return line
 }
 
-// ReadProxyBatch parses every proxy record from r, appending to recs
-// (which may be nil) and returning the grown slice. Errors carry the
-// 1-based line number, including scanner-level failures such as an
-// over-long line. A nil decoder gets a throwaway one — callers on a hot
-// path should pass a warm decoder instead.
-func ReadProxyBatch(r io.Reader, d *ProxyDecoder, recs []ProxyRecord) ([]ProxyRecord, error) {
+// ProxyReader decodes a proxy-TSV stream a bounded number of records at a
+// time, so a consumer that hands records on as they parse (ReplayDir) holds a
+// chunk of the stream instead of all of it. It is the package's one
+// framing-and-decode loop over an io.Reader: ReadProxyBatch is a single
+// unbounded Next. The reader borrows the decoder — its framing buffer
+// included — until the stream ends; a decoder serves one stream at a time.
+type ProxyReader struct {
+	d    *ProxyDecoder
+	ls   lineScanner
+	line int // lines delivered so far, from the start of the stream
+}
+
+// NewProxyReader returns a reader over r. A nil decoder gets a throwaway
+// one — callers on a hot path should pass a warm decoder instead.
+func NewProxyReader(r io.Reader, d *ProxyDecoder) *ProxyReader {
 	if d == nil {
 		d = NewProxyDecoder()
 	}
 	if d.readBuf == nil {
 		d.readBuf = make([]byte, 64*1024)
 	}
-	ls := lineScanner{r: r, buf: d.readBuf}
-	line := 0
-	for {
+	return &ProxyReader{d: d, ls: lineScanner{r: r, buf: d.readBuf}}
+}
+
+// Next parses up to max further records, appending to recs (which may be
+// nil) and returning the grown slice. At the end of the stream it returns
+// the last records — possibly none — with io.EOF. Any other error is
+// terminal and carries the 1-based line number counted from the start of
+// the stream, scanner-level failures such as an over-long line included; the
+// records parsed before that line are returned with it.
+func (pr *ProxyReader) Next(recs []ProxyRecord, max int) ([]ProxyRecord, error) {
+	d, ls := pr.d, &pr.ls
+	// Whatever the exit, keep a grown framing buffer for the decoder's next
+	// stream.
+	defer func() { d.readBuf = ls.buf }()
+	for n := 0; n < max; n++ {
 		b, ok, err := ls.next()
 		if err != nil {
 			// The framer dies *on* the line after the last delivered one —
 			// surface that position (bufio.ErrTooLong otherwise points
 			// nowhere in a multi-gigabyte file).
-			d.readBuf = ls.buf
-			return recs, fmt.Errorf("line %d: %w", line+1, err)
+			return recs, fmt.Errorf("line %d: %w", pr.line+1, err)
 		}
 		if !ok {
-			break
+			return recs, io.EOF
 		}
-		line++
+		pr.line++
 		if len(recs) < cap(recs) {
 			recs = recs[:len(recs)+1]
 		} else {
 			recs = append(recs, ProxyRecord{})
 		}
 		if err := d.ParseProxyInto(&recs[len(recs)-1], b); err != nil {
-			recs = recs[:len(recs)-1]
-			d.readBuf = ls.buf
-			return recs, fmt.Errorf("line %d: %w", line, err)
+			return recs[:len(recs)-1], fmt.Errorf("line %d: %w", pr.line, err)
 		}
 	}
-	d.readBuf = ls.buf // keep a grown framing buffer for the next batch
 	return recs, nil
+}
+
+// ReadProxyBatch parses every proxy record from r, appending to recs
+// (which may be nil) and returning the grown slice: one unbounded
+// ProxyReader.Next, with its nil-decoder and error-position rules.
+func ReadProxyBatch(r io.Reader, d *ProxyDecoder, recs []ProxyRecord) ([]ProxyRecord, error) {
+	recs, err := NewProxyReader(r, d).Next(recs, math.MaxInt)
+	if err == io.EOF {
+		err = nil
+	}
+	return recs, err
 }
 
 // proxyDecoderPool recycles decoders so sequential batches (HTTP ingest

@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // sampleProxyRecords builds a day fragment with the value shape the
@@ -154,6 +157,71 @@ func TestReadProxyBatchAppendsInto(t *testing.T) {
 	}
 }
 
+// TestProxyReaderMatchesReadProxyBatch holds the chunked reader to the
+// one-shot one it now implements: whatever the chunk size, the concatenated
+// chunks, the final error text and the framing buffer the decoder keeps are
+// those of a single ReadProxyBatch over the same bytes.
+func TestProxyReaderMatchesReadProxyBatch(t *testing.T) {
+	recs := sampleProxyRecords(60)
+	recs[40].URL = "http://example.net/" + strings.Repeat("u", 100*1024) // outgrows the 64 KiB framing buffer
+	lf := encodeProxyTSV(recs)
+	at := func(line int) int { // offset of the given 0-based line in lf
+		return len(bytes.Join(bytes.SplitAfter(lf, []byte("\n"))[:line], nil))
+	}
+	inputs := map[string][]byte{
+		"lf":          lf,
+		"crlf":        bytes.ReplaceAll(lf, []byte("\n"), []byte("\r\n")),
+		"no-trailing": bytes.TrimSuffix(lf, []byte("\n")),
+		"empty":       nil,
+		"malformed":   slices.Concat(lf[:at(20)], []byte("not\ta\tproxy\tline\n"), lf[at(20):]),
+		"too-long":    slices.Concat(lf[:at(9)], bytes.Repeat([]byte("x"), maxLineBytes+1), []byte("\n"), lf[at(9):]),
+	}
+	for name, data := range inputs {
+		d := NewProxyDecoder()
+		want, wantErr := ReadProxyBatch(bytes.NewReader(data), d, nil)
+		switch name {
+		case "malformed":
+			if wantErr == nil || !strings.HasPrefix(wantErr.Error(), "line 21: ") || len(want) != 20 {
+				t.Fatalf("%s: one-shot read gave %d records and %v", name, len(want), wantErr)
+			}
+		case "too-long":
+			if !errors.Is(wantErr, bufio.ErrTooLong) || !strings.HasPrefix(wantErr.Error(), "line 10: ") || len(want) != 9 {
+				t.Fatalf("%s: one-shot read gave %d records and %v", name, len(want), wantErr)
+			}
+		default:
+			if wantErr != nil {
+				t.Fatalf("%s: %v", name, wantErr)
+			}
+		}
+		for _, max := range []int{1, 2, 7, 4096} {
+			cd := NewProxyDecoder()
+			pr := NewProxyReader(bytes.NewReader(data), cd)
+			var got []ProxyRecord
+			var err error
+			for err == nil {
+				var chunk []ProxyRecord
+				chunk, err = pr.Next(nil, max)
+				if len(chunk) > max {
+					t.Fatalf("%s: Next(%d) returned %d records", name, max, len(chunk))
+				}
+				got = append(got, chunk...)
+			}
+			if err == io.EOF {
+				err = nil
+			}
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("%s, max %d: err = %v, want %v", name, max, err, wantErr)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, max %d: %d records differ from the one-shot read's %d", name, max, len(got), len(want))
+			}
+			if len(cd.readBuf) != len(d.readBuf) {
+				t.Errorf("%s, max %d: decoder keeps a %d-byte framing buffer, one-shot keeps %d", name, max, len(cd.readBuf), len(d.readBuf))
+			}
+		}
+	}
+}
+
 // TestProxyBufPool pins the recycling contract: Get honors the capacity
 // request, Put clears the used region so pooled buffers pin nothing.
 func TestProxyBufPool(t *testing.T) {
@@ -210,8 +278,9 @@ func TestScannerErrorsCarryLineNumber(t *testing.T) {
 }
 
 // TestInternCaps proves hostile high-cardinality input cannot balloon the
-// table: entries stop being retained at the caps and decoding still
-// succeeds (values just allocate per record again).
+// table — retention stays under the caps and decoding still succeeds — and
+// that reaching a cap does not stop the table interning for the rest of the
+// decoder's life.
 func TestInternCaps(t *testing.T) {
 	in := NewIntern()
 	if got := in.Bytes([]byte("abc")); got != "abc" {
@@ -243,6 +312,64 @@ func TestInternCaps(t *testing.T) {
 	}
 	if in.Len() >= internMaxEntries {
 		t.Fatalf("entry count %d should have been stopped by the byte cap first", in.Len())
+	}
+
+	// At the entry cap the table starts over instead of freezing: a decoder
+	// that has seen 65,536 distinct values still interns the ones arriving
+	// now. collide returns an unrelated value that shares v's front slot, so
+	// the second sight of v below is answered by the map, not the front.
+	collide := func(v string) []byte {
+		slot := quickHash([]byte(v)) >> (64 - internFrontBits)
+		for i := 0; ; i++ {
+			c := []byte(fmt.Sprintf("198.18.%d.%d", i>>8, i&0xff))
+			if string(c) != v && quickHash(c)>>(64-internFrontBits) == slot {
+				return c
+			}
+		}
+	}
+	in = NewIntern()
+	for i := 0; i < internMaxEntries; i++ {
+		in.Bytes([]byte(fmt.Sprintf("v-%d", i)))
+	}
+	if in.Len() != internMaxEntries {
+		t.Fatalf("table holds %d entries after %d distinct values", in.Len(), internMaxEntries)
+	}
+	in.Bytes([]byte("one more"))
+	if in.Len() != 1 || in.bytes != len("one more") {
+		t.Fatalf("after cap+1 distinct values the table holds %d entries (%d bytes), want a fresh start with 1", in.Len(), in.bytes)
+	}
+	const late = "Mozilla/5.0 (first seen after the turnover)"
+	first := in.Bytes([]byte(late))
+	in.Bytes(collide(late))
+	if second := in.Bytes([]byte(late)); unsafe.StringData(second) != unsafe.StringData(first) {
+		t.Error("a value first seen after the turnover was allocated again on its second sight")
+	}
+
+	// Same shape for the address cache.
+	var c addrCache
+	for i := 0; i < internMaxEntries; i++ {
+		if _, err := c.parse([]byte(fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&0xff, i&0xff))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.m) != internMaxEntries {
+		t.Fatalf("address cache holds %d entries after %d distinct addresses", len(c.m), internMaxEntries)
+	}
+	lateAddr := []byte("203.0.113.77")
+	if _, err := c.parse(lateAddr); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.m) != 1 {
+		t.Fatalf("after cap+1 distinct addresses the cache holds %d entries, want a fresh start with 1", len(c.m))
+	}
+	other := collide(string(lateAddr))
+	if allocs := testing.AllocsPerRun(10, func() {
+		c.parse(other)
+		if a, _ := c.parse(lateAddr); a != netip.MustParseAddr("203.0.113.77") {
+			t.Fatalf("parse = %v", a)
+		}
+	}); allocs != 0 {
+		t.Errorf("two colliding addresses first seen after the turnover allocate %.0f times per round, want 0", allocs)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -200,7 +201,7 @@ func benchApplyBatch(b *testing.B, recs []logs.ProxyRecord, historical ...string
 		if start+n > len(items) {
 			start = 0
 		}
-		buf := e.getBuf()
+		buf := e.getBuf(n)
 		*buf = append(*buf, items[start:start+n]...)
 		s.applyBatch(buf) // returns buf to the pool
 		start += n
@@ -331,4 +332,30 @@ func BenchmarkIngestToReportPipelinedTSV(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*perDay/b.Elapsed().Seconds(), "rec/s")
 	_ = e.Close()
+}
+
+// BenchmarkReplayDir is the packaged replay (reprod -replay) over three
+// generated day files: file decode on the loader goroutine, routing on the
+// caller's, the day closes overlapped with the next day's ingest. Every
+// iteration starts as a fresh process does — a new engine, and two collections
+// so the record, route-buffer and decoder pools are empty — which makes B/op
+// the memory a replay allocates from cold, not what a warm pool hides.
+func BenchmarkReplayDir(b *testing.B) {
+	counts := []int{30000, 30000, 30000}
+	dir, _ := writeReplayDataset(b, counts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		e := newReplayEngine(len(counts) + 1)
+		runtime.GC()
+		runtime.GC()
+		b.StartTimer()
+		if err := ReplayDir(e, dir, ReplayOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		_ = e.Close()
+	}
+	b.ReportMetric(float64(b.N*(counts[0]+counts[1]+counts[2]))/b.Elapsed().Seconds(), "rec/s")
 }

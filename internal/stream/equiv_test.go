@@ -68,7 +68,7 @@ func newEquivFixture(t *testing.T, seed int64) *equivFixture {
 	}
 }
 
-func writeProxyTSV(t *testing.T, name string, recs []logs.ProxyRecord) {
+func writeProxyTSV(t testing.TB, name string, recs []logs.ProxyRecord) {
 	t.Helper()
 	f, err := os.Create(name)
 	if err != nil {
@@ -496,8 +496,9 @@ func TestReplayDirMatchesBatch(t *testing.T) {
 	e := New(Config{Shards: 3, TrainingDays: fx.training}, fx.newPipeline())
 	replayed := 0
 	err := ReplayDir(e, fx.dir, ReplayOptions{OnDay: func(d batch.Day, records int) {
-		if records == 0 {
-			t.Errorf("day %s replayed empty", d.Date.Format("2006-01-02"))
+		if want := len(fx.gen.Day(replayed)); records != want || !d.Date.Equal(fx.gen.DayTime(replayed)) {
+			t.Errorf("day %d: replayed %s with %d records, want %s with %d", replayed,
+				d.Date.Format("2006-01-02"), records, fx.gen.DayTime(replayed).Format("2006-01-02"), want)
 		}
 		replayed++
 	}})

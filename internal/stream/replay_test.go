@@ -7,6 +7,9 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,7 +38,7 @@ func replayRecord(day time.Time, i int) logs.ProxyRecord {
 // writeReplayDataset lays out a cmd/datagen-shaped dataset with the given
 // per-day record counts, so a small first day followed by a much bigger
 // one forces the replay buffer to outgrow its pooled allocation mid-run.
-func writeReplayDataset(t *testing.T, counts []int) (string, time.Time) {
+func writeReplayDataset(t testing.TB, counts []int) (string, time.Time) {
 	t.Helper()
 	dir := t.TempDir()
 	base := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -64,70 +67,72 @@ func newReplayEngine(training int) *Engine {
 	return New(Config{Shards: 2, TrainingDays: training}, pipe)
 }
 
-// TestReplayDirBufferGrowth is the regression test for the pooled-buffer
-// ownership bug: a first day small enough to fit the pooled buffer, then
-// days big enough to force append to reallocate it mid-replay. Every
-// record must still land, and the outgrown backing array must go back to
-// the pool cleared (checked directly against adoptGrown below; here the
-// whole path runs end to end, under -race in CI).
-func TestReplayDirBufferGrowth(t *testing.T) {
-	counts := []int{100, replayBatchSize + 3000, replayBatchSize*2 + 500}
-	dir, _ := writeReplayDataset(t, counts)
-	e := newReplayEngine(len(counts) + 1) // all training: growth is the point, not detection
-	defer e.Close()
-	if err := ReplayDir(e, dir, ReplayOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	var want uint64
-	for _, n := range counts {
-		want += uint64(n)
-	}
-	if got := e.Stats().TotalRecords; got != want {
-		t.Fatalf("replayed %d records, want %d", got, want)
-	}
+// replayDays runs ReplayDir and returns the per-day record counts OnDay saw.
+func replayDays(e *Engine, dir string, opts ReplayOptions) ([]int, error) {
+	var got []int
+	opts.OnDay = func(_ batch.Day, records int) { got = append(got, records) }
+	err := ReplayDir(e, dir, opts)
+	return got, err
 }
 
-// TestAdoptGrown pins the ownership contract: on growth the old buffer is
-// recycled with its whole used extent cleared (no stale interned-string
-// pinning), and without growth the extent high-water mark is kept.
-func TestAdoptGrown(t *testing.T) {
-	// Growth: the outgrown array must come back from PutProxyBuf cleared.
-	old := logs.GetProxyBuf(4)
-	old = append(old, replayRecord(time.Now(), 1), replayRecord(time.Now(), 2))
-	grown := make([]logs.ProxyRecord, 10, cap(old)*4)
-	got := adoptGrown(old, grown)
-	if cap(got) != cap(grown) {
-		t.Fatalf("adoptGrown kept the small buffer (cap %d), want the grown one (cap %d)", cap(got), cap(grown))
-	}
-	for i := range old {
-		if old[i] != (logs.ProxyRecord{}) {
-			t.Fatalf("outgrown buffer record %d not cleared on recycle: %+v", i, old[i])
+// awaitGoroutines waits for the goroutine count to fall back to want: every
+// ReplayDir return path joins its loader, so nothing it started may outlive
+// it (the engine's own day-close goroutines may take a moment to finish).
+func awaitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running, want %d: ReplayDir left one behind", runtime.NumGoroutine(), want)
 		}
-	}
-
-	// No growth, longer extent: the extent must extend so a later
-	// PutProxyBuf clears the longer day too.
-	buf := make([]logs.ProxyRecord, 0, 8)
-	long := append(buf, make([]logs.ProxyRecord, 6)...)
-	if got := adoptGrown(buf, long); len(got) != 6 {
-		t.Fatalf("extent = %d, want 6", len(got))
-	}
-	// No growth, shorter extent: keep the longer extent.
-	short := long[:0]
-	short = append(short, replayRecord(time.Now(), 3))
-	if got := adoptGrown(long, short); len(got) != 6 {
-		t.Fatalf("extent after shorter day = %d, want 6 (the high-water mark)", len(got))
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestReplayDirStops covers ReplayOptions.Stop: a replay interrupted at a
-// day boundary returns ErrStopped promptly, without flushing — the open
-// day stays open for the shutdown checkpoint to preserve.
+// TestReplayDirBufferGrowth pins the chunking of a replay: days smaller than
+// a chunk, empty, exactly one chunk, one record over, and several chunks long
+// must all land whole, paced or not, and an empty day file opens and closes
+// without a report.
+func TestReplayDirBufferGrowth(t *testing.T) {
+	counts := []int{100, 0, replayBatchSize, replayBatchSize + 1, replayBatchSize + 3000, replayBatchSize*2 + 500}
+	dir, _ := writeReplayDataset(t, counts)
+	var total uint64
+	for _, n := range counts {
+		total += uint64(n)
+	}
+	for _, opts := range []ReplayOptions{{}, {Speed: 1e12}} { // every pacing gap rounds to zero
+		before := runtime.NumGoroutine()
+		e := newReplayEngine(len(counts) + 1) // all training: chunking is the point, not detection
+		got, err := replayDays(e, dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, counts) {
+			t.Errorf("speed %v: OnDay saw %v records per day, want %v", opts.Speed, got, counts)
+		}
+		if got := e.Stats().TotalRecords; got != total {
+			t.Errorf("speed %v: replayed %d records, want %d", opts.Speed, got, total)
+		}
+		if done := e.DaysDone(); done != len(counts)-1 {
+			t.Errorf("speed %v: %d days closed, want %d (the empty day has no report)", opts.Speed, done, len(counts)-1)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		awaitGoroutines(t, before)
+	}
+}
+
+// TestReplayDirStops covers ReplayOptions.Stop: an interrupted replay
+// returns ErrStopped promptly, without flushing — the open day stays open
+// for the shutdown checkpoint to preserve — and with its loader gone.
 func TestReplayDirStops(t *testing.T) {
 	dir, _ := writeReplayDataset(t, []int{50, 50, 50})
-	e := newReplayEngine(4)
-	defer abandonEngine(e)
+	before := runtime.NumGoroutine()
 
+	// Stop closed while day 1 is announced, i.e. after its last chunk: day 1
+	// is in the engine, day 2 is never begun.
+	e := newReplayEngine(4)
 	stop := make(chan struct{})
 	days := 0
 	err := ReplayDir(e, dir, ReplayOptions{
@@ -135,8 +140,6 @@ func TestReplayDirStops(t *testing.T) {
 		OnDay: func(d batch.Day, records int) {
 			days++
 			if days == 1 {
-				// Interrupt mid-replay: the next batch boundary — before
-				// this day's first chunk — must be the last thing checked.
 				close(stop)
 			}
 		},
@@ -150,19 +153,99 @@ func TestReplayDirStops(t *testing.T) {
 	if done := e.DaysDone(); done != 0 {
 		t.Fatalf("replay flushed %d days despite the stop", done)
 	}
-	if got := e.Stats().TotalRecords; got != 0 {
-		t.Fatalf("ingested %d records past the stopped batch boundary, want 0", got)
+	if st := e.Stats(); st.TotalRecords != 50 || st.Day != "2014-03-01" {
+		t.Fatalf("stopped with %d records and day %q open, want day 1's 50 in 2014-03-01", st.TotalRecords, st.Day)
 	}
+	abandonEngine(e)
 
 	// A pre-closed Stop aborts before anything is ingested.
-	e2 := newReplayEngine(4)
-	defer abandonEngine(e2)
+	e = newReplayEngine(4)
 	closed := make(chan struct{})
 	close(closed)
-	if err := ReplayDir(e2, dir, ReplayOptions{Stop: closed}); !errors.Is(err, ErrStopped) {
+	if err := ReplayDir(e, dir, ReplayOptions{Stop: closed}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("pre-closed stop: err = %v, want ErrStopped", err)
 	}
-	if got := e2.Stats().TotalRecords; got != 0 {
+	if got := e.Stats().TotalRecords; got != 0 {
 		t.Fatalf("pre-closed stop ingested %d records, want 0", got)
 	}
+	abandonEngine(e)
+	awaitGoroutines(t, before)
+
+	// Stop closed from another goroutine mid-day: at most the chunk in the
+	// engine's hands lands after it. The shard worker is parked so the
+	// replayer is known to be inside its second chunk (the queue holds one)
+	// when the stop closes.
+	const chunks = 5
+	dir, _ = writeReplayDataset(t, []int{chunks * replayBatchSize})
+	pipe := pipeline.NewEnterprise(pipeline.EnterpriseConfig{}, whois.NewRegistry(), nil, nil)
+	e = New(Config{Shards: 1, QueueDepth: 1, TrainingDays: 2}, pipe)
+	before = runtime.NumGoroutine()
+	release := make(chan struct{})
+	parked := make(chan struct{})
+	go e.shards[0].do(func(*shard) { close(parked); <-release })
+	<-parked
+	stop = make(chan struct{})
+	result := make(chan error, 1)
+	go func() { result <- ReplayDir(e, dir, ReplayOptions{Stop: stop}) }()
+	for e.totalRecords.Load() < replayBatchSize {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	close(release)
+	if err := <-result; !errors.Is(err, ErrStopped) {
+		t.Fatalf("mid-day stop: err = %v, want ErrStopped", err)
+	}
+	if got := e.Stats().TotalRecords; got < replayBatchSize || got > 2*replayBatchSize {
+		t.Fatalf("mid-day stop left %d records, want the first chunk and at most one more", got)
+	}
+	awaitGoroutines(t, before)
+	abandonEngine(e)
+}
+
+// TestReplayDirMalformedLine pins the streaming replay's one behavioural
+// change: a malformed line is found after the records before it have gone
+// in, so they stay in the open day (the TCP listener's rule: deliver what
+// parsed, then refuse), the error names file and line, and the day before
+// closed normally.
+func TestReplayDirMalformedLine(t *testing.T) {
+	const good = replayBatchSize + 10 // the bad line sits in day 2's second chunk
+	dir, base := writeReplayDataset(t, []int{30, good, 30})
+	day2 := filepath.Join(dir, "proxy-"+base.AddDate(0, 0, 1).Format("2006-01-02")+".tsv")
+	f, err := os.OpenFile(day2, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("not\ta\tproxy\tline\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := runtime.NumGoroutine()
+	e := newReplayEngine(4)
+	got, err := replayDays(e, dir, ReplayOptions{})
+	if err == nil {
+		t.Fatal("replay accepted a malformed line")
+	}
+	if want := fmt.Sprintf("%s: line %d:", day2, good+1); !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to name %q", err, want)
+	}
+	if !slices.Equal(got, []int{30}) {
+		t.Errorf("OnDay saw %v, want only day 1's 30 (day 2 never finished)", got)
+	}
+	st := e.Stats()
+	if st.TotalRecords != 30+good || st.Day != "2014-03-02" || st.DayRecords != good {
+		t.Errorf("after the refusal: %d records, day %q open with %d; want %d, 2014-03-02 with %d",
+			st.TotalRecords, st.Day, st.DayRecords, 30+good, good)
+	}
+	// Day 1 closes in the background; it must get there on its own.
+	for deadline := time.Now().Add(5 * time.Second); !slices.Equal(e.Dates(), []string{"2014-03-01"}); {
+		if time.Now().After(deadline) {
+			t.Fatalf("completed days %v, want day 1 closed normally", e.Dates())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	abandonEngine(e)
+	awaitGoroutines(t, before)
 }

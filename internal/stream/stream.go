@@ -550,11 +550,17 @@ type routeScratch struct {
 	touched []int
 }
 
-func (e *Engine) getBuf() *[]item {
+// getBuf takes a shard send buffer from the pool. A fresh one — the pool is
+// emptied by every second GC cycle — is sized once for a shard's share of the
+// n-record batch in hand plus slack for an uneven hash, rather than reaching
+// that size by append-doubling.
+func (e *Engine) getBuf(n int) *[]item {
 	if b, ok := e.bufPool.Get().(*[]item); ok {
 		return b
 	}
-	return new([]item)
+	share := n / len(e.shards)
+	b := make([]item, 0, share+share/4+16)
+	return &b
 }
 
 func (e *Engine) putBuf(b *[]item) {
@@ -823,7 +829,7 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord) int {
 		}
 		buf := sc.bufs[si]
 		if buf == nil {
-			buf = e.getBuf()
+			buf = e.getBuf(n)
 			sc.bufs[si] = buf
 			sc.touched = append(sc.touched, si)
 		}
