@@ -12,6 +12,7 @@ package repro
 
 import (
 	"bytes"
+	"hash/maphash"
 	"math/rand"
 	"sync"
 	"testing"
@@ -490,41 +491,57 @@ func BenchmarkDayClose(b *testing.B) {
 // BenchmarkDayCloseIncremental measures the same day-close analytics as
 // BenchmarkDayClose, but from per-shard incremental partials maintained
 // during ingest (the streaming engine's rollover path since the
-// incremental-snapshot change): the snapshot stage is an O(domains) merge
-// + classification instead of a full O(visits) re-reduce of the day, so
+// incremental-snapshot change): the snapshot stage is an O(domains)
+// classification instead of a full O(visits) re-reduce of the day, so
 // the two benchmarks bracket exactly what incremental maintenance removes
-// from the rollover.
+// from the rollover. "domain" is the engine's path — shards hold whole
+// domains and the close classifies them as they stand
+// (profile.ClassifyDisjoint); "pair" partitions by (host, domain) and pays
+// the overlap union first (MergeSnapshotParallel), which only the benchmark
+// module's traced close still does.
 func BenchmarkDayCloseIncremental(b *testing.B) {
 	dayCloseFixture()
-	// Rebuild the partials for every iteration, untimed (that cost rides
-	// the ingest hot path in production): reusing one set across
-	// iterations would hand later closes pre-sorted rare timestamps and
-	// understate the merge. One builder per shard, visits routed by the
-	// reference (host, domain) pair hash, seq = arrival index.
 	const shards = 4
-	buildParts := func() []*profile.IncrementalBuilder {
-		parts := make([]*profile.IncrementalBuilder, shards)
-		for i := range parts {
-			parts[i] = profile.NewIncrementalBuilder()
-		}
-		for i := range dayCloseVisits {
-			v := &dayCloseVisits[i]
-			parts[profile.PairPartition(v.Host, v.Domain, shards)].Add(uint64(i), v)
-		}
-		return parts
+	seed := maphash.MakeSeed()
+	for _, bc := range []struct {
+		name     string
+		part     func(v *Visit) int
+		snapshot func(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot
+	}{
+		{"domain", func(v *Visit) int { return int(maphash.String(seed, v.Domain) % shards) }, profile.ClassifyDisjoint},
+		{"pair", func(v *Visit) int { return profile.PairPartition(v.Host, v.Domain, shards) }, MergeSnapshotParallel},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			// Rebuild the partials for every iteration, untimed (that cost
+			// rides the ingest hot path in production): reusing one set
+			// across iterations would hand later closes pre-sorted rare
+			// timestamps and understate the close. One builder per shard,
+			// seq = arrival index.
+			buildParts := func() []*IncrementalBuilder {
+				parts := make([]*IncrementalBuilder, shards)
+				for i := range parts {
+					parts[i] = NewIncrementalBuilder()
+				}
+				for i := range dayCloseVisits {
+					v := &dayCloseVisits[i]
+					parts[bc.part(v)].Add(uint64(i), v)
+				}
+				return parts
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				parts := buildParts()
+				b.StartTimer()
+				snap := bc.snapshot(dayCloseDay, parts, dayCloseHist, 10, 0)
+				ads := dayCloseDet.FindAutomatedParallel(snap, 0)
+				dayCloseDet.FillFeaturesParallel(ads, dayCloseDay, 0)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)*float64(len(dayCloseVisits))/b.Elapsed().Seconds(), "visits/s")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		parts := buildParts()
-		b.StartTimer()
-		snap := MergeSnapshotParallel(dayCloseDay, parts, dayCloseHist, 10, 0)
-		ads := dayCloseDet.FindAutomatedParallel(snap, 0)
-		dayCloseDet.FillFeaturesParallel(ads, dayCloseDay, 0)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*float64(len(dayCloseVisits))/b.Elapsed().Seconds(), "visits/s")
 }
 
 // BenchmarkBeliefProp measures one no-hint belief propagation run on a

@@ -24,12 +24,7 @@ func Clusters(run *EnterpriseRun) ([]cluster.Cluster, *Table) {
 		if !ok {
 			return
 		}
-		info := cluster.DomainInfo{Domain: d, IP: da.IP}
-		for p := range da.Paths {
-			info.Paths = append(info.Paths, p)
-		}
-		sort.Strings(info.Paths)
-		infoByDomain[d] = info
+		infoByDomain[d] = cluster.DomainInfo{Domain: d, IP: da.IP, Paths: da.Paths()}
 	}
 	for i, rep := range run.Reports {
 		if rep.Calibrating {

@@ -317,15 +317,14 @@ func (b *IncrementalBuilder) MergeFrom(o *IncrementalBuilder) {
 
 // Split partitions the builder onto n fresh builders — the restore half of a
 // domain-keyed checkpoint, which re-partitions however many shards the
-// restoring engine runs. route assigns each (host, domain) activity its
-// partition in [0, n): the engine passes its own ingest routing, so a pair's
-// restored timestamps and its future visits meet on one shard. A domain's
-// host-independent state (known count, first-seen IP, retained paths) lands
-// on the partition the package's stable domain hash picks, and the (host, UA)
-// pairs, which only matter unioned at day-close, on partition 0 — either
-// could go anywhere, because the seq-keyed merge is exact for any partition
-// assignment. The receiver is consumed.
-func (b *IncrementalBuilder) Split(n int, route func(host, domain string) int) []*IncrementalBuilder {
+// restoring engine runs. route assigns each domain its partition in [0, n) and
+// the whole aggregate — hosts, known count, first-seen IP, retained paths —
+// lands there: the engine passes its own ingest routing, so a domain's
+// restored state and its future visits meet on one shard and the parts are
+// domain-disjoint, as ClassifyDisjoint requires. The (host, UA) pairs, which
+// only matter unioned at day-close, go to partition 0. The receiver is
+// consumed.
+func (b *IncrementalBuilder) Split(n int, route func(domain string) int) []*IncrementalBuilder {
 	if n < 1 {
 		n = 1
 	}
@@ -334,28 +333,14 @@ func (b *IncrementalBuilder) Split(n int, route func(host, domain string) int) [
 		parts[i] = NewIncrementalBuilder()
 	}
 	for d, a := range b.perDomain {
-		hosts := a.hosts
-		a.hosts = nil
-		home := parts[int(domainPartition(d)%uint32(n))]
-		home.perDomain[d] = a
-		home.visits += a.known
-		for h, ha := range hosts {
-			p := parts[route(h, d)]
-			pa := p.perDomain[d]
-			if pa == nil {
-				pa = &incrementalAgg{}
-				p.perDomain[d] = pa
-			}
-			if pa.hosts == nil {
-				pa.hosts = make(map[string]*HostActivity)
-			}
-			pa.hosts[h] = ha
+		p := parts[route(d)]
+		p.perDomain[d] = a
+		p.visits += a.known
+		for _, ha := range a.hosts {
 			p.visits += len(ha.Times)
 		}
 	}
-	for pair := range b.uaPairs {
-		parts[0].uaPairs[pair] = true
-	}
+	parts[0].uaPairs = b.uaPairs
 	return parts
 }
 
@@ -433,21 +418,13 @@ func (s *Snapshot) SaveTo(enc *json.Encoder) error {
 			return fmt.Errorf("profile: save snapshot ua pair: %w", err)
 		}
 	}
-	rare := make([]string, 0, len(s.Rare))
-	for d := range s.Rare {
-		rare = append(rare, d)
-	}
-	sort.Strings(rare)
-	for _, d := range rare {
+	for _, d := range s.rareDomains {
 		da := s.Rare[d]
 		rec := snapshotRareRec{Domain: d}
 		if da.IP.IsValid() {
 			rec.IP = da.IP.String()
 		}
-		for p := range da.Paths {
-			rec.Paths = append(rec.Paths, p)
-		}
-		sort.Strings(rec.Paths)
+		rec.Paths = da.Paths()
 		rec.Hosts = encodeHostMap(da.Hosts)
 		if err := enc.Encode(rec); err != nil {
 			return fmt.Errorf("profile: save snapshot rare %q: %w", d, err)
@@ -457,9 +434,10 @@ func (s *Snapshot) SaveTo(enc *json.Encoder) error {
 }
 
 // LoadSnapshotFrom reads a snapshot section previously written by SaveTo,
-// leaving the decoder positioned exactly past it. The host-rare index is
-// rebuilt and rare per-host timestamps re-sorted, so even a hostile
-// section yields a structurally sound snapshot or a clean error.
+// leaving the decoder positioned exactly past it. The rare set goes through
+// the indexing every classification range does (indexRare: timestamps
+// re-sorted, host index rebuilt), so even a hostile section yields a
+// structurally sound snapshot or a clean error.
 func LoadSnapshotFrom(dec *json.Decoder) (*Snapshot, error) {
 	var hdr snapshotHeader
 	if err := dec.Decode(&hdr); err != nil {
@@ -475,8 +453,6 @@ func LoadSnapshotFrom(dec *json.Decoder) (*Snapshot, error) {
 		Day:        hdr.Day,
 		NewDomains: hdr.NewDomains,
 		AllDomains: hdr.AllDomains,
-		Rare:       make(map[string]*DomainActivity),
-		HostRare:   make(map[string][]string),
 		domains:    make([]string, 0, min(hdr.Domains, 1<<16)),
 		uaPairs:    make(map[[2]string]bool, min(hdr.UAPairs, 1<<16)),
 	}
@@ -494,14 +470,17 @@ func LoadSnapshotFrom(dec *json.Decoder) (*Snapshot, error) {
 		}
 		s.uaPairs[[2]string{rec.Host, rec.UA}] = true
 	}
+	rare := make([]*DomainActivity, 0, min(hdr.Rare, 1<<16))
+	seen := make(map[string]bool, cap(rare))
 	for i := 0; i < hdr.Rare; i++ {
 		var rec snapshotRareRec
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("profile: load snapshot rare %d: %w", i, err)
 		}
-		if _, dup := s.Rare[rec.Domain]; dup {
+		if seen[rec.Domain] {
 			return nil, fmt.Errorf("profile: duplicate snapshot rare domain %q", rec.Domain)
 		}
+		seen[rec.Domain] = true
 		da := &DomainActivity{Domain: rec.Domain, Hosts: make(map[string]*HostActivity, len(rec.Hosts))}
 		if rec.IP != "" {
 			ip, err := netip.ParseAddr(rec.IP)
@@ -511,9 +490,9 @@ func LoadSnapshotFrom(dec *json.Decoder) (*Snapshot, error) {
 			da.IP = ip
 		}
 		if len(rec.Paths) > 0 {
-			da.Paths = make(map[string]bool, len(rec.Paths))
+			da.paths = make(map[string]uint64, len(rec.Paths))
 			for _, p := range rec.Paths {
-				da.Paths[p] = true
+				da.paths[p] = 0 // the seqs decided which paths were retained; a classified day no longer needs them
 			}
 		}
 		for _, ch := range rec.Hosts {
@@ -524,11 +503,10 @@ func LoadSnapshotFrom(dec *json.Decoder) (*Snapshot, error) {
 			if err != nil {
 				return nil, fmt.Errorf("profile: snapshot rare %q: %w", rec.Domain, err)
 			}
-			sort.Slice(ha.Times, func(i, j int) bool { return ha.Times[i].Before(ha.Times[j]) })
 			da.Hosts[ch.Host] = ha
 		}
-		s.Rare[rec.Domain] = da
+		rare = append(rare, da)
 	}
-	s.buildHostRare()
+	s.setRare([]rareRun{indexRare(rare)})
 	return s, nil
 }

@@ -63,7 +63,7 @@ func snapshotFingerprint(t *testing.T, s *Snapshot) string {
 	fmt.Fprintf(&sb, "day=%s new=%d all=%d\n", s.Day.Format("2006-01-02"), s.NewDomains, s.AllDomains)
 	for _, d := range s.RareDomains() {
 		da := s.Rare[d]
-		fmt.Fprintf(&sb, "rare %s ip=%v paths=%d\n", d, da.IP, len(da.Paths))
+		fmt.Fprintf(&sb, "rare %s ip=%v paths=%d\n", d, da.IP, len(da.Paths()))
 		for _, h := range da.HostNames() {
 			ha := da.Hosts[h]
 			uas := make([]string, 0, len(ha.UAs))
@@ -145,8 +145,8 @@ func TestBuilderMergeSplitEquivalence(t *testing.T) {
 			merged.MergeFrom(p.Clone())
 		}
 		for _, splitN := range []int{1, 2, 5} {
-			split := merged.Clone().Split(splitN, func(h, d string) int { return PairPartition(h, d, splitN) })
-			got := snapshotFingerprint(t, MergeSnapshotParallel(
+			split := merged.Clone().Split(splitN, func(d string) int { return domainOf(d, splitN) })
+			got := snapshotFingerprint(t, ClassifyDisjoint(
 				time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), split, hist, 10, 1))
 			if got != want {
 				t.Fatalf("shards=%d split=%d: merged day differs\nwant:\n%s\ngot:\n%s", shards, splitN, got, want)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -14,18 +15,34 @@ import (
 	"repro/internal/logs"
 )
 
-// buildParts splits visits into partition builders by (host, domain) pair
-// — mimicking the streaming engine's sharding, where a domain's hosts
-// spread across partitions (the overlapping-parts case
-// MergeSnapshotParallel exists for) — and feeds each builder its share in
-// the given per-partition apply order (seq stays the global visit index
-// either way). Visits for which known (when non-nil) reports true are folded
-// through AddKnown — the streaming shards' history filter — the rest through
-// Add.
-func buildParts(visits []logs.Visit, parts int, shuffle *rand.Rand, known func(i int) bool) []*IncrementalBuilder {
+// partitioning is one way of cutting a day into builders, with the snapshot
+// entry that accepts such parts. Every equivalence test below runs both: the
+// (host, domain) pair partition, where a domain's hosts spread across parts —
+// the overlapping case MergeSnapshotParallel's union exists for — and the
+// domain partition the streaming engine shards by, which goes straight to
+// ClassifyDisjoint.
+type partitioning struct {
+	name     string
+	of       func(v *logs.Visit, n int) int
+	snapshot func(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot
+}
+
+func domainOf(domain string, n int) int { return int(domainPartition(domain) % uint32(n)) }
+
+var partitionings = []partitioning{
+	{"pair/merge", func(v *logs.Visit, n int) int { return PairPartition(v.Host, v.Domain, n) }, MergeSnapshotParallel},
+	{"domain/classify", func(v *logs.Visit, n int) int { return domainOf(v.Domain, n) }, ClassifyDisjoint},
+}
+
+// buildParts splits visits into partition builders as pt assigns them and
+// feeds each builder its share in the given per-partition apply order (seq
+// stays the global visit index either way). Visits for which known (when
+// non-nil) reports true are folded through AddKnown — the streaming shards'
+// history filter — the rest through Add.
+func buildParts(visits []logs.Visit, pt partitioning, parts int, shuffle *rand.Rand, known func(i int) bool) []*IncrementalBuilder {
 	idx := make([][]int, parts)
 	for i := range visits {
-		p := PairPartition(visits[i].Host, visits[i].Domain, parts)
+		p := pt.of(&visits[i], parts)
 		idx[p] = append(idx[p], i)
 	}
 	out := make([]*IncrementalBuilder, parts)
@@ -55,20 +72,23 @@ func assertSnapshotsEqual(t *testing.T, label string, got, want *Snapshot) {
 		t.Fatalf("%s: counts all=%d new=%d, want all=%d new=%d",
 			label, got.AllDomains, got.NewDomains, want.AllDomains, want.NewDomains)
 	}
-	if !reflect.DeepEqual(got.Rare, want.Rare) {
-		if len(got.Rare) != len(want.Rare) {
-			t.Fatalf("%s: %d rare domains, want %d", label, len(got.Rare), len(want.Rare))
+	if len(got.Rare) != len(want.Rare) {
+		t.Fatalf("%s: %d rare domains, want %d", label, len(got.Rare), len(want.Rare))
+	}
+	for d, wda := range want.Rare {
+		gda, ok := got.Rare[d]
+		if !ok {
+			t.Fatalf("%s: rare domain %s missing", label, d)
 		}
-		for d, wda := range want.Rare {
-			gda, ok := got.Rare[d]
-			if !ok {
-				t.Fatalf("%s: rare domain %s missing", label, d)
-			}
-			if !reflect.DeepEqual(gda, wda) {
-				t.Fatalf("%s: rare domain %s differs:\ngot  %+v\nwant %+v", label, d, gda, wda)
-			}
+		// The retained paths compare as the set readers see; the seqs behind
+		// them are the builder's.
+		if gda.Domain != wda.Domain || gda.IP != wda.IP || !reflect.DeepEqual(gda.Hosts, wda.Hosts) ||
+			!reflect.DeepEqual(gda.Paths(), wda.Paths()) {
+			t.Fatalf("%s: rare domain %s differs:\ngot  %+v\nwant %+v", label, d, gda, wda)
 		}
-		t.Fatalf("%s: Rare differs (extra domains)", label)
+	}
+	if !reflect.DeepEqual(got.RareDomains(), want.RareDomains()) {
+		t.Fatalf("%s: RareDomains differ:\ngot  %v\nwant %v", label, got.RareDomains(), want.RareDomains())
 	}
 	if !reflect.DeepEqual(got.HostRare, want.HostRare) {
 		t.Fatalf("%s: HostRare differs", label)
@@ -86,11 +106,12 @@ func assertSnapshotsEqual(t *testing.T, label string, got, want *Snapshot) {
 }
 
 // TestIncrementalMergeMatchesBatch is the profile-level half of the
-// equivalence sweep: partitioning a day by (host, domain) pair — domains
-// overlapping across parts — feeding each partition in a scrambled apply
-// order, and merging, must reproduce the sequential reference scan exactly:
-// same rare set (first-seen IPs and 16-path caps included), same counts,
-// same indexes, for any partition and worker count.
+// equivalence sweep: partitioning a day — by (host, domain) pair, domains
+// overlapping across parts, or by domain — feeding each partition in a
+// scrambled apply order, and assembling the snapshot must reproduce the
+// sequential reference scan exactly: same rare set (first-seen IPs and
+// 16-path caps included), same counts, same indexes, for any partition and
+// worker count.
 func TestIncrementalMergeMatchesBatch(t *testing.T) {
 	day := time.Date(2014, 2, 5, 0, 0, 0, 0, time.UTC)
 	rng := rand.New(rand.NewSource(17))
@@ -105,24 +126,48 @@ func TestIncrementalMergeMatchesBatch(t *testing.T) {
 	visits := randomVisits(rng, day, 9000)
 	want := referenceSnapshot(day, visits, hist, 10)
 
-	for _, parts := range []int{1, 3, 8} {
-		for _, workers := range []int{1, 4, 0} {
-			for _, scrambled := range []bool{false, true} {
-				var shuffle *rand.Rand
-				if scrambled {
-					shuffle = rand.New(rand.NewSource(int64(parts*100 + workers)))
+	for _, pt := range partitionings {
+		for _, parts := range []int{1, 3, 8} {
+			for _, workers := range []int{1, 4, 0} {
+				for _, scrambled := range []bool{false, true} {
+					var shuffle *rand.Rand
+					if scrambled {
+						shuffle = rand.New(rand.NewSource(int64(parts*100 + workers)))
+					}
+					label := fmt.Sprintf("%s parts=%d workers=%d scrambled=%v", pt.name, parts, workers, scrambled)
+					bs := buildParts(visits, pt, parts, shuffle, nil)
+					got := pt.snapshot(day, bs, hist, 10, workers)
+					assertSnapshotsEqual(t, label, got, want)
+					// The build must not consume the builders: a second one
+					// over the same partials reproduces the snapshot.
+					again := pt.snapshot(day, bs, hist, 10, workers)
+					assertSnapshotsEqual(t, label+" (rebuilt)", again, want)
 				}
-				label := fmt.Sprintf("parts=%d workers=%d scrambled=%v", parts, workers, scrambled)
-				bs := buildParts(visits, parts, shuffle, nil)
-				got := MergeSnapshotParallel(day, bs, hist, 10, workers)
-				assertSnapshotsEqual(t, label, got, want)
-				// The merge must not consume the builders: a second merge
-				// over the same partials reproduces the snapshot (the
-				// retry-after-failed-close path relies on replayability).
-				again := MergeSnapshotParallel(day, bs, hist, 10, workers)
-				assertSnapshotsEqual(t, label+" (re-merged)", again, want)
 			}
 		}
+	}
+}
+
+// TestClassifyFanOutIndependentOfParts: the direct entry's fan-out follows
+// workers, not the part count — one part holding the whole day (a one-shard
+// engine, or a day so skewed one shard has nearly all of it) is classified in
+// as many ranges as there are workers, and the ranges' sorted runs merge into
+// exactly the reference's indexes, including when workers does not divide the
+// domain count and when it exceeds GOMAXPROCS.
+func TestClassifyFanOutIndependentOfParts(t *testing.T) {
+	day := time.Date(2014, 2, 5, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(29))
+	hist := NewHistory()
+	hist.UpdateDomains(day.AddDate(0, 0, -30), []string{"known-1.example", "known-2.example", "known-3.example"})
+	visits := randomVisits(rng, day, 9000)
+	want := referenceSnapshot(day, visits, hist, 10)
+	for _, workers := range []int{1, 2, 7} {
+		b := NewIncrementalBuilder()
+		for i := range visits {
+			b.Add(uint64(i), &visits[i])
+		}
+		got := ClassifyDisjoint(day, []*IncrementalBuilder{b}, hist, 10, workers)
+		assertSnapshotsEqual(t, fmt.Sprintf("one part, workers=%d", workers), got, want)
 	}
 }
 
@@ -130,10 +175,12 @@ func TestIncrementalMergeMatchesBatch(t *testing.T) {
 // oracle: folding every visit to a historical domain through AddKnown — or,
 // for a domain that "turned historical mid-day", only the later-arriving
 // part of its visits, so one aggregate carries both kinds of state — must
-// merge into exactly the snapshot of the sequential reference scan, for any
-// pair partition and apply order. It also pins what the marker keeps (visit
-// totals, per-domain known counts, no host state) through every copy path a
-// checkpoint and a restore take: SaveTo -> LoadBuilderFrom -> Clone ->
+// build exactly the snapshot of the sequential reference scan, for any pair
+// or domain partition and apply order (under the domain partition the mix
+// sits in one part's aggregate, as a checkpoint written by a pair-sharded
+// engine can leave it after a restore). It also pins what the marker keeps
+// (visit totals, per-domain known counts, no host state) through every copy
+// path a checkpoint and a restore take: SaveTo -> LoadBuilderFrom -> Clone ->
 // Split.
 func TestAddKnownMatchesReference(t *testing.T) {
 	day := time.Date(2014, 2, 5, 0, 0, 0, 0, time.UTC)
@@ -190,37 +237,39 @@ func TestAddKnownMatchesReference(t *testing.T) {
 		}
 	}
 
-	for _, parts := range []int{1, 3, 8} {
-		for _, scrambled := range []bool{false, true} {
-			var shuffle *rand.Rand
-			if scrambled {
-				shuffle = rand.New(rand.NewSource(int64(parts)))
-			}
-			label := fmt.Sprintf("parts=%d scrambled=%v", parts, scrambled)
-			bs := buildParts(visits, parts, shuffle, known)
-			checkCounts(label, bs)
-			assertSnapshotsEqual(t, label, MergeSnapshotParallel(day, bs, hist, 10, 2), want)
+	for _, pt := range partitionings {
+		for _, parts := range []int{1, 3, 8} {
+			for _, scrambled := range []bool{false, true} {
+				var shuffle *rand.Rand
+				if scrambled {
+					shuffle = rand.New(rand.NewSource(int64(parts)))
+				}
+				label := fmt.Sprintf("%s parts=%d scrambled=%v", pt.name, parts, scrambled)
+				bs := buildParts(visits, pt, parts, shuffle, known)
+				checkCounts(label, bs)
+				assertSnapshotsEqual(t, label, pt.snapshot(day, bs, hist, 10, 2), want)
 
-			// The checkpoint path: clone each part, merge the clones into
-			// one domain-keyed builder, encode, decode, clone, re-split.
-			merged := bs[0].Clone()
-			for _, b := range bs[1:] {
-				merged.MergeFrom(b.Clone())
-			}
-			checkCounts(label+" merged clones", []*IncrementalBuilder{merged})
-			var buf bytes.Buffer
-			if err := merged.SaveTo(json.NewEncoder(&buf)); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := LoadBuilderFrom(json.NewDecoder(&buf))
-			if err != nil {
-				t.Fatalf("%s: reload: %v", label, err)
-			}
-			checkCounts(label+" reloaded", []*IncrementalBuilder{loaded})
-			for _, n := range []int{1, 4} {
-				split := loaded.Clone().Split(n, func(h, d string) int { return PairPartition(h, d, n) })
-				checkCounts(fmt.Sprintf("%s split(%d)", label, n), split)
-				assertSnapshotsEqual(t, fmt.Sprintf("%s split(%d)", label, n), MergeSnapshotParallel(day, split, hist, 10, 1), want)
+				// The checkpoint path: clone each part, merge the clones into
+				// one domain-keyed builder, encode, decode, clone, re-split.
+				merged := bs[0].Clone()
+				for _, b := range bs[1:] {
+					merged.MergeFrom(b.Clone())
+				}
+				checkCounts(label+" merged clones", []*IncrementalBuilder{merged})
+				var buf bytes.Buffer
+				if err := merged.SaveTo(json.NewEncoder(&buf)); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := LoadBuilderFrom(json.NewDecoder(&buf))
+				if err != nil {
+					t.Fatalf("%s: reload: %v", label, err)
+				}
+				checkCounts(label+" reloaded", []*IncrementalBuilder{loaded})
+				for _, n := range []int{1, 4} {
+					split := loaded.Clone().Split(n, func(d string) int { return domainOf(d, n) })
+					checkCounts(fmt.Sprintf("%s split(%d)", label, n), split)
+					assertSnapshotsEqual(t, fmt.Sprintf("%s split(%d)", label, n), ClassifyDisjoint(day, split, hist, 10, 1), want)
+				}
 			}
 		}
 	}
@@ -269,17 +318,15 @@ func TestIncrementalSeqDecidesOrderSensitiveState(t *testing.T) {
 	if want := netip.MustParseAddr("192.0.2.7"); da.IP != want {
 		t.Fatalf("IP = %v, want the smallest-seq address %v", da.IP, want)
 	}
-	if len(da.Paths) != 16 {
-		t.Fatalf("retained %d paths, want 16", len(da.Paths))
+	paths := da.Paths()
+	if len(paths) != 16 {
+		t.Fatalf("retained %d paths, want 16", len(paths))
 	}
-	if da.Paths["/late"] {
+	if slices.Contains(paths, "/late") {
 		t.Fatal("seq-20 path /late admitted over the 16 earlier paths")
 	}
-	if !da.Paths["/p-00"] || !da.Paths["/p-15"] {
-		t.Fatalf("smallest-seq paths missing from %v", da.Paths)
-	}
-	if da.Paths["/p-16"] {
-		t.Fatal("seq-16 path admitted: cap should hold the 16 smallest seqs")
+	if paths[0] != "/p-00" || paths[15] != "/p-15" {
+		t.Fatalf("want the 16 smallest-seq paths /p-00../p-15 in order, got %v", paths)
 	}
 }
 
@@ -301,11 +348,13 @@ func TestIncrementalMergeProperty(t *testing.T) {
 		visits := randomVisits(rng, day, 200+rng.Intn(3000))
 		want := NewSnapshot(day, visits, hist, 10)
 
-		parts := 1 + rng.Intn(9)
-		workers := 1 + rng.Intn(5)
-		bs := buildParts(visits, parts, rng, nil)
-		got := MergeSnapshotParallel(day, bs, hist, 10, workers)
-		assertSnapshotsEqual(t, fmt.Sprintf("seed=%d parts=%d workers=%d", seed, parts, workers), got, want)
+		for _, pt := range partitionings {
+			parts := 1 + rng.Intn(9)
+			workers := 1 + rng.Intn(5)
+			bs := buildParts(visits, pt, parts, rng, nil)
+			got := pt.snapshot(day, bs, hist, 10, workers)
+			assertSnapshotsEqual(t, fmt.Sprintf("seed=%d %s parts=%d workers=%d", seed, pt.name, parts, workers), got, want)
+		}
 	}
 }
 

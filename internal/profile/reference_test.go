@@ -10,9 +10,9 @@ import (
 
 // referenceSnapshot is the independent oracle for the snapshot build: one
 // scan of the day in visit order over plain maps, no builder, no seq keys,
-// no partitions, no merge. NewSnapshotParallel and MergeSnapshotParallel
-// share one implementation, so without this the equivalence tests would
-// compare that implementation with itself.
+// no partitions, no merge. NewSnapshotParallel, ClassifyDisjoint and
+// MergeSnapshotParallel share one implementation, so without this the
+// equivalence tests would compare that implementation with itself.
 func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, threshold int) *Snapshot {
 	s := &Snapshot{
 		Day:      day,
@@ -32,11 +32,11 @@ func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, thresh
 		if !da.IP.IsValid() {
 			da.IP = v.DestIP // first seen
 		}
-		if pth := urlPath(v.URL); pth != "" && !da.Paths[pth] && len(da.Paths) < maxPathsPerDomain {
-			if da.Paths == nil {
-				da.Paths = make(map[string]bool)
+		if pth := urlPath(v.URL); pth != "" && len(da.paths) < maxPathsPerDomain {
+			if da.paths == nil {
+				da.paths = make(map[string]uint64)
 			}
-			da.Paths[pth] = true // first 16 distinct
+			da.paths[pth] = 0 // first 16 distinct, as a plain set: the seq value is the builder's business
 		}
 		ha := da.Hosts[v.Host]
 		if ha == nil {
@@ -64,6 +64,7 @@ func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, thresh
 			continue
 		}
 		s.Rare[d] = da
+		s.rareDomains = append(s.rareDomains, d)
 		for h, ha := range da.Hosts {
 			slices.SortFunc(ha.Times, time.Time.Compare)
 			s.HostRare[h] = append(s.HostRare[h], d)
@@ -72,5 +73,6 @@ func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, thresh
 	for h := range s.HostRare {
 		sort.Strings(s.HostRare[h])
 	}
+	sort.Strings(s.rareDomains)
 	return s
 }

@@ -49,9 +49,26 @@ type DomainActivity struct {
 	Hosts map[string]*HostActivity
 	// IP is the destination address observed for the domain (first seen).
 	IP netip.Addr
-	// Paths holds up to maxPathsPerDomain distinct URL paths observed
-	// toward the domain (empty for DNS data); used by campaign clustering.
-	Paths map[string]bool
+	// paths is the builder aggregate's retained-path map (path -> first
+	// arrival seq), adopted as it stands: a day classifies thousands of rare
+	// domains and reads the paths of the handful it reports, so the set is
+	// materialised by Paths, on demand.
+	paths map[string]uint64
+}
+
+// Paths returns, sorted, the up to maxPathsPerDomain distinct URL paths
+// observed toward the domain (none for DNS data); used by campaign
+// clustering.
+func (d *DomainActivity) Paths() []string {
+	if len(d.paths) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(d.paths))
+	for p := range d.paths {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // HostNames returns the contacting hosts in sorted order.
@@ -81,6 +98,9 @@ type Snapshot struct {
 	// HostRare maps each host to the rare domains it contacted
 	// (host_rdom in Algorithm 1).
 	HostRare map[string][]string
+	// rareDomains is Rare's key set in sorted order, produced once by the
+	// classification pass (RareDomains).
+	rareDomains []string
 	// domains is the full distinct domain list for the end-of-day history
 	// update.
 	domains []string
@@ -158,18 +178,6 @@ func (a *incrementalAgg) admitPath(pth string, seq uint64) {
 	}
 }
 
-// pathSet materializes the retained paths (nil when none were seen).
-func (a *incrementalAgg) pathSet() map[string]bool {
-	if len(a.paths) == 0 {
-		return nil
-	}
-	out := make(map[string]bool, len(a.paths))
-	for p := range a.paths {
-		out[p] = true
-	}
-	return out
-}
-
 // mergeFrom folds another partition's aggregate of the same domain into a.
 // Shared hosts are combined copy-on-write (neither input HostActivity is
 // mutated), so merging is safe even when the partitions split a
@@ -214,10 +222,10 @@ func mergeHostActivity(x, y *HostActivity) *HostActivity {
 // IncrementalBuilder accumulates the per-domain aggregation of one
 // partition of a day's visits as they arrive, deferring everything that
 // needs the complete day — rare-destination classification against the
-// History, per-host timestamp ordering — to the merge at day-close. The
-// streaming engine keeps one builder per shard and feeds it from the shard
-// apply path, so rollover merges ready-made partials instead of re-reducing
-// the whole day; the batch snapshot build runs on the same builder with
+// History, per-host timestamp ordering — to day-close. The streaming engine
+// keeps one builder per shard and feeds it from the shard apply path, so
+// rollover classifies ready-made aggregates instead of re-reducing the whole
+// day; the batch snapshot build runs on the same builder with
 // seq = visit index. The shards — and only they — fold visits to domains the
 // history already holds through RunCursor.AddKnown, which keeps a marker and
 // a count instead of a profile.
@@ -226,7 +234,8 @@ func mergeHostActivity(x, y *HostActivity) *HostActivity {
 // per-visit-unique value. The builder's state depends only on the set of
 // (seq, visit) pairs added, never on the order of Add calls. A builder is
 // not safe for concurrent use; partitions handed to MergeSnapshotParallel
-// must hold disjoint (seq, visit) sets.
+// must hold disjoint (seq, visit) sets, those handed to ClassifyDisjoint
+// disjoint domain sets.
 type IncrementalBuilder struct {
 	perDomain map[string]*incrementalAgg
 	uaPairs   map[[2]string]bool
@@ -344,9 +353,13 @@ func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 // in the history at classification is a caller bug: the domain would be
 // reported new with the marked visits' hosts missing.
 //
-// Add and AddKnown may be mixed on one domain (a domain turns historical
-// mid-day when yesterday's commit lands between two of today's batches); the
-// aggregate then carries both kinds of state until the merge discards it.
+// The streaming shards never mix Add and AddKnown on one domain: a domain
+// lives on one shard, which profiles it for the rest of the day once it has
+// (Profiled), and a domain first seen in the history stays there. The fold
+// itself allows the mix — an aggregate then carries both kinds of state until
+// classification discards it — because builder sections written by engines
+// that sharded by (host, domain) pair can hold it, and so can any caller
+// partitioning by pair.
 func (c *RunCursor) AddKnown(v *logs.Visit) {
 	if v.HasUA {
 		c.b.uaPairs[[2]string{v.Host, v.UserAgent}] = true
@@ -392,22 +405,18 @@ func (b *IncrementalBuilder) KnownVisits(domain string) int {
 
 // classifyAgg runs the rare-destination selection (§III-A) for one
 // domain's complete aggregate: new (absent from the history) and unpopular
-// (fewer than unpopularThreshold distinct hosts). Rare domains get their
-// per-host timestamps sorted into time order here — the only place the
-// arrival ordering the builder didn't preserve is needed, and only for the
-// day's few rare survivors.
+// (fewer than unpopularThreshold distinct hosts). An aggregate that counted a
+// known visit is historical by AddKnown's contract — its caller saw the domain
+// in this history, which only grows — so it skips the locked lookup; that is
+// most of a day's domains.
 func classifyAgg(domain string, a *incrementalAgg, hist *History, unpopularThreshold int) (isNew bool, da *DomainActivity) {
-	if hist.SeenDomain(domain) {
+	if a.known > 0 || hist.SeenDomain(domain) {
 		return false, nil
 	}
 	if len(a.hosts) >= unpopularThreshold {
 		return true, nil
 	}
-	da = &DomainActivity{Domain: domain, Hosts: a.hosts, IP: a.ip, Paths: a.pathSet()}
-	for _, ha := range da.Hosts {
-		slices.SortFunc(ha.Times, time.Time.Compare)
-	}
-	return true, da
+	return true, &DomainActivity{Domain: domain, Hosts: a.hosts, IP: a.ip, paths: a.paths}
 }
 
 // addRuns feeds visits (all of them when idx is nil, else the selected
@@ -457,10 +466,9 @@ const parallelCutoff = 4096
 
 // NewSnapshotParallel is NewSnapshot with the per-domain aggregation fanned
 // out over a worker pool: the visits are hash-partitioned by domain into one
-// IncrementalBuilder per worker, and MergeSnapshotParallel classifies and
-// assembles them — the same merge the streaming engine runs at rollover, so
-// the snapshot is identical for any worker count. workers <= 0 uses
-// GOMAXPROCS.
+// IncrementalBuilder per worker, and ClassifyDisjoint classifies and assembles
+// them — the same pass the streaming engine runs at rollover, so the snapshot
+// is identical for any worker count. workers <= 0 uses GOMAXPROCS.
 func NewSnapshotParallel(day time.Time, visits []logs.Visit, hist *History, unpopularThreshold, workers int) *Snapshot {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -490,24 +498,18 @@ func NewSnapshotParallel(day time.Time, visits []logs.Visit, hist *History, unpo
 			addRuns(parts[w], visits, idx[w])
 		})
 	}
-	return MergeSnapshotParallel(day, parts, hist, unpopularThreshold, workers)
+	return ClassifyDisjoint(day, parts, hist, unpopularThreshold, workers)
 }
 
-// MergeSnapshotParallel assembles a day snapshot from partition builders:
-// the one classify/merge implementation behind both the batch snapshot
-// build and the streaming day-close. The parts may overlap by domain (the
-// streaming engine shards by (host, domain) pair, so a domain's hosts
-// spread across shards); overlapping aggregates are merged exactly because
-// every order-sensitive decision the builder recorded is keyed by arrival
-// seq. The result — and hence every report derived from it — is the
-// sequential reduction of the same visits in seq order, for any partition
-// count, apply order, and worker count. workers <= 0 uses GOMAXPROCS.
-//
-// The snapshot shares structure with the builders (host maps are adopted,
-// rare per-host timestamps are sorted in place), so the partitions must
-// not absorb further visits once the snapshot is in use; the streaming
-// engine guarantees this by swapping fresh builders in at rollover.
-func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
+// domainAgg is one domain's complete aggregate of the day.
+type domainAgg struct {
+	domain string
+	agg    *incrementalAgg
+}
+
+// fanOut resolves a workers argument for a day held in parts: <= 0 means
+// GOMAXPROCS, and a day below parallelCutoff runs on one.
+func fanOut(parts []*IncrementalBuilder, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -518,17 +520,56 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 	if total < parallelCutoff {
 		workers = 1
 	}
+	return workers
+}
+
+// ClassifyDisjoint assembles a day snapshot from partition builders no two of
+// which hold the same domain — the streaming engine's shards (it routes by
+// domain) and NewSnapshotParallel's partitions. Every aggregate is then
+// already complete, so there is nothing to merge: the parts' entries are
+// flattened into one slice and classified in contiguous ranges, one per
+// worker, which keeps the fan-out a function of workers rather than of the
+// part count and lets a part holding most of the day spread over every worker.
+// The result — and hence every report derived from it — is the sequential
+// reduction of the same visits in seq order, for any domain partition, apply
+// order and worker count. workers <= 0 uses GOMAXPROCS.
+//
+// The snapshot shares structure with the builders (host and path maps are
+// adopted, rare per-host timestamps are sorted in place), so the partitions
+// must not absorb further visits once the snapshot is in use; the streaming
+// engine guarantees this by swapping fresh builders in at rollover.
+func ClassifyDisjoint(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
+	n := 0
+	for _, p := range parts {
+		n += len(p.perDomain)
+	}
+	entries := make([]domainAgg, 0, n)
+	for _, p := range parts {
+		for d, a := range p.perDomain {
+			//lint:ignore maporder entry order only decides which range classifies a domain; every emitted order is sorted in classify
+			entries = append(entries, domainAgg{domain: d, agg: a})
+		}
+	}
+	return classify(day, entries, parts, hist, unpopularThreshold, fanOut(parts, workers))
+}
+
+// MergeSnapshotParallel is ClassifyDisjoint for parts that may overlap by
+// domain — any partition of the day's (seq, visit) set, e.g. by (host, domain)
+// pair, where a domain's hosts spread across parts. Overlapping aggregates are
+// first unioned, exactly, because every order-sensitive decision the builder
+// recorded is keyed by arrival seq; the union's entries then go through the
+// same classification. The merge does not mutate the builders: an aggregate
+// held by one part is adopted as it stands, one held by several is combined
+// into a private copy.
+func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
+	workers = fanOut(parts, workers)
 
 	// One sequential pass buckets every (domain, aggregate) entry by its
 	// owner worker (domain hash), so each worker walks only its own share
 	// instead of rescanning every part. A domain's aggregates land in its
-	// bucket in part index order, which keeps the copy-on-write merge below
+	// bucket in part index order, which keeps the copy-on-write union below
 	// deterministic.
-	type partAgg struct {
-		domain string
-		agg    *incrementalAgg
-	}
-	buckets := make([][]partAgg, workers)
+	buckets := make([][]domainAgg, workers)
 	for _, p := range parts {
 		for d, a := range p.perDomain {
 			w := 0
@@ -536,18 +577,10 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 				w = int(domainPartition(d) % uint32(workers))
 			}
 			//lint:ignore maporder bucket interleaving across domains is immaterial; per-domain aggregates stay in part index order and merge per domain
-			buckets[w] = append(buckets[w], partAgg{domain: d, agg: a})
+			buckets[w] = append(buckets[w], domainAgg{domain: d, agg: a})
 		}
 	}
-
-	// Each merge worker combines overlapping aggregates copy-on-write and
-	// classifies — so the per-host sorts of the rare survivors fan out too.
-	type mergeRes struct {
-		domains []string
-		newCnt  int
-		rare    map[string]*DomainActivity
-	}
-	results := make([]mergeRes, workers)
+	unions := make([][]domainAgg, workers)
 	par.ForEachIndex(workers, workers, func(w int) {
 		bucket := buckets[w]
 		merged := make(map[string]*incrementalAgg, len(bucket))
@@ -571,58 +604,146 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 			}
 			m.mergeFrom(e.agg)
 		}
-		res := mergeRes{
-			domains: make([]string, 0, len(merged)),
-			rare:    make(map[string]*DomainActivity),
-		}
+		union := make([]domainAgg, 0, len(merged))
 		for d, a := range merged {
-			//lint:ignore maporder res.domains has set semantics; consumers fold it into maps or sort before emitting (Snapshot.SaveTo)
-			res.domains = append(res.domains, d)
-			isNew, da := classifyAgg(d, a, hist, unpopularThreshold)
+			//lint:ignore maporder as in ClassifyDisjoint: entry order never reaches an output
+			union = append(union, domainAgg{domain: d, agg: a})
+		}
+		unions[w] = union
+	})
+	return classify(day, slices.Concat(unions...), parts, hist, unpopularThreshold, workers)
+}
+
+// classify is the one classification pass behind every snapshot build:
+// entries holds each of the day's domains once, with its complete aggregate;
+// parts contribute only their (host, UA) pairs. Contiguous ranges of entries
+// are classified concurrently; each range sorts its own rare survivors and
+// indexes their hosts (indexRare), and the ranges' sorted runs are merged.
+func classify(day time.Time, entries []domainAgg, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
+	s := &Snapshot{
+		Day:        day,
+		AllDomains: len(entries),
+		domains:    make([]string, len(entries)),
+	}
+	ranges := max(1, min(workers, len(entries)))
+	runs := make([]rareRun, ranges)
+	newCnt := make([]int, ranges)
+	par.ForEachIndex(ranges, workers, func(r int) {
+		lo, hi := r*len(entries)/ranges, (r+1)*len(entries)/ranges
+		var rare []*DomainActivity
+		n := 0
+		for i, e := range entries[lo:hi] {
+			s.domains[lo+i] = e.domain
+			isNew, da := classifyAgg(e.domain, e.agg, hist, unpopularThreshold)
 			if isNew {
-				res.newCnt++
+				n++
 			}
 			if da != nil {
-				res.rare[d] = da
+				rare = append(rare, da)
 			}
 		}
-		results[w] = res
+		newCnt[r] = n
+		runs[r] = indexRare(rare)
 	})
+	for _, n := range newCnt {
+		s.NewDomains += n
+	}
+	s.setRare(runs)
 
-	s := &Snapshot{
-		Day:      day,
-		Rare:     make(map[string]*DomainActivity),
-		HostRare: make(map[string][]string),
-		uaPairs:  make(map[[2]string]bool),
+	pairs := 0
+	for _, p := range parts {
+		pairs = max(pairs, len(p.uaPairs))
 	}
-	for i := range results {
-		r := &results[i]
-		s.AllDomains += len(r.domains)
-		s.NewDomains += r.newCnt
-		s.domains = append(s.domains, r.domains...)
-		for d, da := range r.rare {
-			s.Rare[d] = da
-		}
-	}
+	s.uaPairs = make(map[[2]string]bool, pairs)
 	for _, p := range parts {
 		for pair := range p.uaPairs {
 			s.uaPairs[pair] = true
 		}
 	}
-	s.buildHostRare()
 	return s
 }
 
-func (s *Snapshot) buildHostRare() {
-	for d, da := range s.Rare {
-		for h := range da.Hosts {
-			//lint:ignore maporder every HostRare bucket is sorted immediately below
-			s.HostRare[h] = append(s.HostRare[h], d)
+// rareRun is a set of rare domains in domain order with the host index over
+// it: what one classification range (or a decoded snapshot section) hands to
+// setRare.
+type rareRun struct {
+	rare     []*DomainActivity
+	hostRare map[string][]string
+}
+
+// indexRare orders rare by domain, puts every contacting host's timestamps in
+// time order — the only place the arrival ordering the builder didn't preserve
+// is needed, and only for the day's rare survivors — and lists, per host, the
+// domains it contacted. The lists come out sorted because the domains are
+// walked in order.
+func indexRare(rare []*DomainActivity) rareRun {
+	slices.SortFunc(rare, func(a, b *DomainActivity) int { return strings.Compare(a.Domain, b.Domain) })
+	hostRare := make(map[string][]string)
+	for _, da := range rare {
+		for h, ha := range da.Hosts {
+			slices.SortFunc(ha.Times, time.Time.Compare)
+			//lint:ignore maporder one append per (host, domain), keyed by host: each host's list follows the sorted domain walk
+			hostRare[h] = append(hostRare[h], da.Domain)
 		}
 	}
-	for h := range s.HostRare {
-		sort.Strings(s.HostRare[h])
+	return rareRun{rare: rare, hostRare: hostRare}
+}
+
+// setRare installs domain-disjoint runs as the snapshot's rare set and merges
+// their sorted orders into the two indexes over it.
+func (s *Snapshot) setRare(runs []rareRun) {
+	n := 0
+	for _, r := range runs {
+		n += len(r.rare)
 	}
+	s.Rare = make(map[string]*DomainActivity, n)
+	names := make([][]string, len(runs))
+	for i, r := range runs {
+		names[i] = make([]string, len(r.rare))
+		for j, da := range r.rare {
+			s.Rare[da.Domain] = da
+			names[i][j] = da.Domain
+		}
+	}
+	// Pairwise rounds: every name is copied once per round, log2(runs) rounds.
+	for len(names) > 1 {
+		half := names[:(len(names)+1)/2]
+		for i := range half {
+			if 2*i+1 < len(names) {
+				half[i] = mergeSorted(names[2*i], names[2*i+1])
+			} else {
+				half[i] = names[2*i]
+			}
+		}
+		names = half
+	}
+	s.rareDomains = names[0]
+	s.HostRare = runs[0].hostRare
+	for _, r := range runs[1:] {
+		for h, ds := range r.hostRare {
+			s.HostRare[h] = mergeSorted(s.HostRare[h], ds)
+		}
+	}
+}
+
+// mergeSorted merges two sorted string lists into one; an empty side returns
+// the other as it is.
+func mergeSorted(a, b []string) []string {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]string, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0] < a[0] {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // domainPartition hashes a domain onto a partition (FNV-1a). Any stable
@@ -637,11 +758,12 @@ func domainPartition(domain string) uint32 {
 }
 
 // PairPartition deterministically assigns a (host, domain) pair to one of
-// n partitions (FNV-1a over host, a separator, domain) — the reference
-// partitioner for building IncrementalBuilder partitions in tests and
-// benchmarks. The streaming engine shards with a seeded maphash instead;
-// either is fine, because merge results are independent of the partition
-// assignment.
+// n partitions (FNV-1a over host, a separator, domain): the reference
+// partitioner for parts that overlap by domain, which is what
+// MergeSnapshotParallel's union exists for. Nothing in the product partitions
+// this way any more (the engine sharded by pair until its shards stopped
+// needing a pair's visits in one place); the benchmark's traced close and the
+// arbitrary-partition property tests do.
 func PairPartition(host, domain string, n int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(host); i++ {
@@ -660,15 +782,9 @@ func PairPartition(host, domain string, n int) int {
 // RareCount returns the number of rare destinations today.
 func (s *Snapshot) RareCount() int { return len(s.Rare) }
 
-// RareDomains returns the rare domains in sorted order.
-func (s *Snapshot) RareDomains() []string {
-	out := make([]string, 0, len(s.Rare))
-	for d := range s.Rare {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
+// RareDomains returns the rare domains in sorted order. The list is the
+// snapshot's own, produced once at classification: callers must not modify it.
+func (s *Snapshot) RareDomains() []string { return s.rareDomains }
 
 // urlPath extracts the path component (with the query marker preserved, as
 // the paper reports patterns like "/logo.gif?") from a URL without a full

@@ -135,10 +135,7 @@ func Build(rep pipeline.EnterpriseDayReport) Daily {
 		info := cluster.DomainInfo{Domain: e.Domain}
 		if da, ok := rep.Snapshot.Rare[e.Domain]; ok {
 			info.IP = da.IP
-			for p := range da.Paths {
-				info.Paths = append(info.Paths, p)
-			}
-			sort.Strings(info.Paths)
+			info.Paths = da.Paths()
 		}
 		infos = append(infos, info)
 	}

@@ -48,9 +48,19 @@ func benchRecords(n int) []logs.ProxyRecord {
 	return recs
 }
 
+// spreadDomains rewrites benchRecords' domains — which all fold to
+// example.net, one domain and therefore one shard — to 61 registrable domains,
+// for the benchmarks and tests that are about more than one shard.
+func spreadDomains(recs []logs.ProxyRecord) []logs.ProxyRecord {
+	for i := range recs {
+		recs[i].Domain = fmt.Sprintf("www.dom-%03d.example", i%61)
+	}
+	return recs
+}
+
 func benchIngest(b *testing.B, shards int, parallel bool) {
 	b.Helper()
-	recs := benchRecords(4096)
+	recs := spreadDomains(benchRecords(4096))
 	e := trainOnlyEngine(Config{Shards: shards, QueueDepth: 8192})
 	discardEngine(b, e)
 	if err := e.BeginDay(time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), nil); err != nil {
@@ -89,7 +99,7 @@ func BenchmarkIngest8ShardParallel(b *testing.B) { benchIngest(b, 8, true) }
 // above.
 func benchIngestBatch(b *testing.B, shards, batchSize int, parallel bool) {
 	b.Helper()
-	recs := benchRecords(4096)
+	recs := spreadDomains(benchRecords(4096))
 	e := trainOnlyEngine(Config{Shards: shards, QueueDepth: 8192})
 	discardEngine(b, e)
 	if err := e.BeginDay(time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), nil); err != nil {
@@ -226,7 +236,7 @@ func BenchmarkApplyBatchKnown(b *testing.B)     { benchApplyBatch(b, benchRecord
 // overlap) baseline; BenchmarkIngestToReportPipelined overlaps them.
 func BenchmarkIngestToReport(b *testing.B) {
 	const perDay = 20000
-	recs := benchRecords(perDay)
+	recs := spreadDomains(benchRecords(perDay))
 	e := trainOnlyEngine(Config{Shards: 4, QueueDepth: 8192})
 	day := time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC)
 	b.ReportAllocs()
@@ -259,7 +269,7 @@ func BenchmarkIngestToReport(b *testing.B) {
 // baseline exactly — the difference is pure overlap.
 func BenchmarkIngestToReportPipelined(b *testing.B) {
 	const perDay, batchSize = 20000, 512
-	recs := benchRecords(perDay)
+	recs := spreadDomains(benchRecords(perDay))
 	e := trainOnlyEngine(Config{Shards: 4, QueueDepth: 8192})
 	day := time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC)
 	b.ReportAllocs()
@@ -293,7 +303,7 @@ func BenchmarkIngestToReportPipelined(b *testing.B) {
 // the decode path end to end.
 func BenchmarkIngestToReportPipelinedTSV(b *testing.B) {
 	const perDay, batchSize = 20000, 512
-	recs := benchRecords(perDay)
+	recs := spreadDomains(benchRecords(perDay))
 	e := trainOnlyEngine(Config{Shards: 4, QueueDepth: 8192})
 	day := time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC)
 	dec := logs.GetProxyDecoder()

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"net/netip"
 	"time"
@@ -50,7 +49,10 @@ import (
 //
 // Shard count is deliberately not part of the state: builder frames are
 // domain-keyed and re-partitioned with the restoring engine's own routing, so
-// a checkpoint taken on an 8-core box restores onto 2 cores.
+// a checkpoint taken on an 8-core box restores onto 2 cores. A file written
+// by an engine that sharded by (host, domain) pair (up to PR 20) is the same
+// format; one of its domains may carry both profiled hosts and a known count,
+// which restores onto the domain's one shard and classifies as historical.
 //
 // The LiveAutomated early-warning view is not in the file: it is derived on
 // demand from the builder's timestamps, so it survives a restart from any v2
@@ -275,16 +277,16 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		}
 	}
 	if hdr.Day != "" {
-		// Merge the per-shard clones into one domain-keyed builder so every
-		// domain appears exactly once regardless of the shard count.
+		// Sorted, so identical engine state writes identical checkpoint bytes
+		// whatever the shard count.
+		markers := markerOnly(markerSets, parts)
+		// Gather the per-shard clones (domain-disjoint: no aggregate is
+		// combined) into one builder, so the section is keyed by domain alone
+		// and restores onto any shard count.
 		merged := parts[0]
 		for _, p := range parts[1:] {
 			merged.MergeFrom(p)
 		}
-		// Sorted and de-duplicated, so identical engine state writes
-		// identical checkpoint bytes whatever the shard count and however the
-		// marker domains got spread over the shards.
-		markers := markerOnly(markerSets, []*profile.IncrementalBuilder{merged})
 		if err := enc.Encode(checkpointOpenDay{MarkerDomains: len(markers), Unresolved: unresolved}); err != nil {
 			return fmt.Errorf("stream: checkpoint open day: %w", err)
 		}
@@ -479,30 +481,28 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 	}
 
 	if openBuilder != nil {
-		// Re-partition the domain-keyed builder across however many shards
-		// this engine runs, with the routing the ingest path uses: a pair's
-		// restored timestamps and its future visits then share one
-		// HostActivity, which is what keeps the live view from listing a pair
-		// once per shard. (The day's reports would not care — merge results
-		// are independent of the partition assignment.)
-		var h maphash.Hash
-		h.SetSeed(e.seed)
-		bparts := openBuilder.Split(len(e.shards), func(host, domain string) int {
-			return e.shardIndex(&h, host, domain)
-		})
+		// Re-partition the domain-keyed builder and the marker domains across
+		// however many shards this engine runs, with the routing the ingest
+		// path uses: a domain's restored state and its future visits then
+		// meet on one shard, and the shards stay domain-disjoint, which the
+		// close (profile.ClassifyDisjoint) and markerOnly rely on.
+		bparts := openBuilder.Split(len(e.shards), e.shardIndex)
+		mparts := make([][]string, len(e.shards))
+		for _, d := range markerDomains {
+			si := e.shardIndex(d)
+			mparts[si] = append(mparts[si], d)
+		}
 		e.mu.Lock()
 		e.quiesce(func(i int, s *shard) {
 			s.part = bparts[i]
 			for _, d := range bparts[i].DomainNames() {
 				s.knownVisits += bparts[i].KnownVisits(d)
 			}
+			for _, d := range mparts[i] {
+				s.markers[d] = struct{}{}
+			}
 			if i == 0 {
-				// Which shard holds a marker is immaterial: Checkpoint and the
-				// close union the sets.
-				s.unresolved = openMeta.Unresolved
-				for _, d := range markerDomains {
-					s.markers[d] = struct{}{}
-				}
+				s.unresolved = openMeta.Unresolved // only ever read summed
 			}
 		})
 		e.mu.Unlock()

@@ -210,7 +210,9 @@ func TestParentFormatCheckpointRestores(t *testing.T) {
 		}
 		abandonEngine(e)
 		e = restored
+		assertShardsDomainDisjoint(t, "restored from the parent format", e)
 		ingestChunks(t, e, recs[half:])
+		assertShardsDomainDisjoint(t, "restored from the parent format, day finished", e)
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
@@ -341,7 +343,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 // TestCheckpointRestoresLivePairs: the advisory LiveAutomated view survives
 // a checkpoint/restore cycle onto any shard count although the file carries
 // nothing for it — it is derived from the builder's timestamps, and Restore
-// re-partitions those with the ingest routing, so a pair's restored and
+// re-partitions those with the ingest routing, so a domain's restored and
 // future visits meet on one shard: every beacon continued after the restore
 // is listed exactly once, with its full sample count, exactly as on an engine
 // that was never interrupted.
@@ -445,15 +447,15 @@ func TestCheckpointRestoresLivePairs(t *testing.T) {
 	}
 }
 
-// TestCheckpointAfterRestoreWritesEachMarkerOnce: Restore parks the marker
-// domains on one shard, and a later lease-less record for the same domain
-// routes wherever its hash says — so after a restore two shards' marker sets
-// may hold one domain. Checkpoint must union them: the marker count stays the
-// number of distinct domains and the bytes equal those an engine that was
-// never restarted writes for the same records.
+// TestCheckpointAfterRestoreWritesEachMarkerOnce: Restore puts each marker
+// domain on the shard its hash says, which is where a later lease-less record
+// for the same domain routes — so the shards' marker sets stay disjoint, the
+// marker count stays the number of distinct domains and the bytes equal those
+// an engine that was never restarted writes for the same records. (Parking
+// the restored markers on one shard would list a domain twice.)
 func TestCheckpointAfterRestoreWritesEachMarkerOnce(t *testing.T) {
 	day := testDay()
-	const domains = 16 // enough that some re-route off the restore shard under any hash seed
+	const domains = 16 // enough that some route off shard 0 under any hash seed
 	leaseless := make([]logs.ProxyRecord, domains)
 	for i := range leaseless {
 		leaseless[i] = logs.ProxyRecord{Time: day.Add(time.Duration(i) * time.Minute),

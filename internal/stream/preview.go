@@ -96,12 +96,12 @@ func (e *Engine) Preview(workers int) (PreviewReport, error) {
 	e.mu.Unlock()
 	defer e.commitGate.RUnlock()
 
-	// Merge and count exactly as runDayClose does.
+	// Classify and count exactly as runDayClose does.
 	pcfg := e.pipe.Config()
 	if workers == 0 {
 		workers = pcfg.Workers
 	}
-	snap := profile.MergeSnapshotParallel(day, parts, e.hist, pcfg.UnpopularThreshold, workers)
+	snap := profile.ClassifyDisjoint(day, parts, e.hist, pcfg.UnpopularThreshold, workers)
 	stats := dayStats(snap, parts, markers, records, droppedIP, unresolved)
 	rep := e.pipe.PreviewSnapshot(day, snap, stats, workers)
 	daily := report.Build(rep)

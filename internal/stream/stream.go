@@ -5,12 +5,13 @@
 //
 // Architecture. Records are normalized on the ingest path (the per-record
 // half of normalize.ReduceProxy: IP-literal filtering, lease resolution,
-// UTC conversion, second-level folding) and hashed by (host, domain) onto N
-// worker shards. Ingestion is batched end to end: IngestBatch takes the
-// engine lock once per batch, reserves a contiguous sequence range with a
-// single atomic add, reduces the records into pooled per-shard buffers with
-// one reused hash state, and hands each shard its share in a single channel
-// operation. Each shard owns its slice of the day state — a partial day
+// UTC conversion, second-level folding) and hashed by folded domain onto N
+// worker shards, so every host's visits to a domain — the unit the paper's
+// rare-destination question is asked of — meet on one shard. Ingestion is
+// batched end to end: IngestBatch takes the engine lock once per batch,
+// reserves a contiguous sequence range with a single atomic add, reduces the
+// records into pooled per-shard buffers, and hands each shard its share in a
+// single channel operation. Each shard owns its slice of the day state — a partial day
 // snapshot (profile.IncrementalBuilder) and the set of domains it has seen
 // only through lease-less records — so the hot path takes no locks: a
 // shard's state is touched only by its own worker goroutine, and cross-shard
@@ -34,9 +35,9 @@
 // rollover is swap-and-continue: under the exclusive lock the engine only
 // swaps the open day's per-shard partials out — O(queued batches +
 // shards), not O(pipeline run) — then a background day-close goroutine
-// merges the partials into the day snapshot (profile.MergeSnapshotParallel,
-// O(domains) instead of an O(visits log visits) re-reduce; the closing
-// day's visit buffers free at the swap) and hands it to the exact
+// classifies the partials into the day snapshot (profile.ClassifyDisjoint:
+// the shards are domain-disjoint, so nothing is merged; O(domains) instead
+// of an O(visits log visits) re-reduce) and hands it to the exact
 // internal/pipeline Train/Process path the batch runner uses, concurrent
 // with next-day ingestion. Streaming reports are therefore byte-identical
 // to batch reports over the same records (the TestStreamingMatchesBatch
@@ -72,7 +73,6 @@ import (
 	"math"
 	"net/netip"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -236,12 +236,13 @@ type shard struct {
 	ctrl    chan ctrlReq
 
 	// part is the shard's partial day snapshot, maintained visit by visit
-	// on the apply path so day-close merges ready-made per-shard partials
-	// (profile.MergeSnapshotParallel) instead of re-reducing the whole
-	// day. The builder is seq-keyed, so the out-of-order interleaving of
-	// concurrent batches draining into the shard cannot perturb it. It is
-	// the only copy of the open day: the live view (Snapshot) reads the same
-	// timestamps the close will classify.
+	// on the apply path so day-close classifies ready-made aggregates
+	// (profile.ClassifyDisjoint) instead of re-reducing the whole day. It
+	// holds every visit of its domains and no other shard holds any: routing
+	// is by domain. The builder is seq-keyed, so the out-of-order
+	// interleaving of concurrent batches draining into the shard cannot
+	// perturb it. It is the only copy of the open day: the live view
+	// (Snapshot) reads the same timestamps the close will classify.
 	part *profile.IncrementalBuilder
 	// markers holds the domains of runs that carried only lease-less
 	// records. They count toward the day's distinct-domain statistic but
@@ -334,12 +335,14 @@ func (s *shard) applyBatch(b *[]item) {
 //
 // A domain this shard has already profiled today skips the lookup: it was
 // absent from the history then, and it stays profiled for the day even if a
-// racing day-close commit has made it historical since — the merge discards
-// that state exactly as it would the known marker. Otherwise the run's first
-// resolved visit decides once for the whole run, through the shard's
-// epoch-stamped cache (seenDomain). The underlying history read is safe — it
-// is internally locked, and the only writer is the background day-close
-// committing yesterday while this shard ingests today.
+// racing day-close commit has made it historical since — classification
+// discards that state exactly as it would the known marker. The shard sees
+// all of the domain's visits, so its aggregate is one kind or the other,
+// never both. Otherwise the run's first resolved visit decides once for the
+// whole run, through the shard's epoch-stamped cache (seenDomain). The
+// underlying history read is safe — it is internally locked, and the only
+// writer is the background day-close committing yesterday while this shard
+// ingests today.
 func (s *shard) applyRun(domain string, items []item) {
 	// The cursor is created on the run's first resolved visit: a marker-only
 	// run must not create an (empty) builder domain, which would perturb the
@@ -531,15 +534,11 @@ func (e *Engine) Pipeline() *pipeline.Enterprise { return e.pipe }
 // ...). Introspection only; mutating the copy has no effect.
 func (e *Engine) Config() Config { return e.cfg }
 
-// shardIndex hashes a (host, domain) pair onto a shard. The caller owns the
-// hash state so a whole batch reuses one seeded maphash.Hash instead of
-// constructing one per record.
-func (e *Engine) shardIndex(h *maphash.Hash, host, domain string) int {
-	h.Reset()
-	h.WriteString(host)
-	h.WriteByte(0xff)
-	h.WriteString(domain)
-	return int(h.Sum64() % uint64(len(e.shards)))
+// shardIndex hashes a folded domain onto a shard — for visits and lease-less
+// markers alike, at ingest and at Restore — so the shards' builders are
+// domain-disjoint by construction.
+func (e *Engine) shardIndex(domain string) int {
+	return int(maphash.String(e.seed, domain) % uint64(len(e.shards)))
 }
 
 // routeScratch is the reusable routing state of one batch: a pending send
@@ -808,8 +807,6 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord) int {
 	defer e.putScratch(sc)
 
 	base := e.seq.Add(uint64(n)) - uint64(n)
-	var h maphash.Hash
-	h.SetSeed(e.seed)
 	single := len(e.shards) == 1 // one shard: no routing hash needed
 	var droppedIP, late uint64
 	var red normalize.ProxyReducer
@@ -825,7 +822,7 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord) int {
 		}
 		si := 0
 		if !single {
-			si = e.shardIndex(&h, host, folded)
+			si = e.shardIndex(folded)
 		}
 		buf := sc.bufs[si]
 		if buf == nil {
@@ -980,25 +977,22 @@ func (e *Engine) beginCloseLocked(expect time.Time) (*dayClose, error) {
 	return c, nil
 }
 
-// markerOnly returns, sorted, the marker domains no builder part holds — what
-// the lease-less records add to the day's distinct-domain count beyond the
-// builders' own domains. The sets may overlap each other (after a restore) and
-// the builders (a domain seen both ways).
+// markerOnly returns, sorted, the marker domains their shard's builder does
+// not hold — what the lease-less records add to the day's distinct-domain
+// count beyond the builders' own domains. markers[i] and parts[i] are shard
+// i's: a domain routes to one shard however it is seen, so a marker can only
+// meet its domain's visits there, and no two sets share a domain.
 func markerOnly(markers []map[string]struct{}, parts []*profile.IncrementalBuilder) []string {
 	var out []string
-	for _, set := range markers {
-	next:
+	for i, set := range markers {
 		for d := range set {
-			for _, p := range parts {
-				if p.HasDomain(d) {
-					continue next
-				}
+			if !parts[i].HasDomain(d) {
+				out = append(out, d)
 			}
-			out = append(out, d)
 		}
 	}
 	sort.Strings(out)
-	return slices.Compact(out)
+	return out
 }
 
 // dayStats derives a day's normalization statistics from its per-shard
@@ -1017,11 +1011,11 @@ func dayStats(snap *profile.Snapshot, parts []*profile.IncrementalBuilder, marke
 	return stats
 }
 
-// runDayClose is the background half of a rollover: merge the swapped
-// per-shard partial snapshots (an O(domains) union + classification, not
-// an O(visits log visits) re-reduce of the day), run the batch pipeline
-// path on the prebuilt snapshot, publish the report. On a pipeline error
-// the merged snapshot and day statistics are retained on e.failed so a
+// runDayClose is the background half of a rollover: classify the swapped
+// per-shard partial snapshots (O(domains), no union — the shards are
+// domain-disjoint — not an O(visits log visits) re-reduce of the day), run
+// the batch pipeline path on the prebuilt snapshot, publish the report. On a
+// pipeline error the snapshot and day statistics are retained on e.failed so a
 // later Flush can retry the pipeline without losing the day (the paper's
 // calibration-starvation case). Runs without the engine lock; the shards
 // are already ingesting the next day.
@@ -1029,11 +1023,11 @@ func (e *Engine) runDayClose(c *dayClose) {
 	var mergeDur time.Duration
 	if c.snap == nil {
 		start := time.Now()
-		// The merge classifies against the history with every earlier day
+		// The day is classified against the history with every earlier day
 		// committed — closes are strictly serialized, so the in-order
 		// commit the snapshot's "new domain" judgement depends on holds.
 		pcfg := e.pipe.Config()
-		c.snap = profile.MergeSnapshotParallel(c.day, c.parts, e.hist, pcfg.UnpopularThreshold, pcfg.Workers)
+		c.snap = profile.ClassifyDisjoint(c.day, c.parts, e.hist, pcfg.UnpopularThreshold, pcfg.Workers)
 		c.stats = dayStats(c.snap, c.parts, c.markers, c.records, c.droppedIP, c.unresolved)
 		c.parts, c.markers = nil, nil // the snapshot owns their structure now
 		mergeDur = time.Since(start)
@@ -1157,10 +1151,13 @@ type ShardStats struct {
 	// the live form of the paper's daily data-reduction ratio (Ingested is
 	// not the denominator: it counts since engine start).
 	KnownVisits int `json:"knownVisits"`
-	// LiveDomains/LivePairs count the domains and (host, domain) pairs the
-	// shard has profiled today — absent from the history on arrival;
-	// AutomatedPairs those of them the detector's periodicity test marks on
-	// the timestamps held right now.
+	// LiveDomains/LivePairs count the shard's rare destinations so far today
+	// and their (host, domain) pairs: domains profiled today — absent from
+	// the history on arrival — that fewer than the pipeline's
+	// UnpopularThreshold hosts have contacted. The shard sees every host of
+	// its domains, so the counts are exact and sum over the shards without
+	// double counting. AutomatedPairs are the pairs among them the detector's
+	// periodicity test marks on the timestamps held right now.
 	LivePairs      int `json:"livePairs"`
 	LiveDomains    int `json:"liveDomains"`
 	AutomatedPairs int `json:"automatedPairs"`
@@ -1236,7 +1233,9 @@ func (e *Engine) Stats() Stats {
 // periodicity test currently marks automated, ordered by sample count
 // (strongest evidence first) — the early-warning view of the open day before
 // rollover makes it official. It is the verdict a close at this instant would
-// reach on the same pair: same test, same configuration, same timestamps.
+// reach on the same pair: same popularity cut (a domain that has reached
+// UnpopularThreshold hosts is not rare and is not listed), same test, same
+// configuration, same timestamps.
 func (e *Engine) LiveAutomated(limit int) []LivePair {
 	_, pairs := e.Snapshot(max(limit, 0))
 	return pairs
@@ -1280,6 +1279,7 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 	var out []LivePair
 	var outMu sync.Mutex
 	hcfg := e.pipe.Detector().Hist
+	unpopular := e.pipe.Config().UnpopularThreshold
 	e.quiesce(func(i int, s *shard) {
 		ss := ShardStats{
 			Queue:           len(s.batches),
@@ -1291,6 +1291,9 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 		}
 		var local []LivePair
 		s.part.EachProfiled(func(d string, hosts map[string]*profile.HostActivity) {
+			if len(hosts) >= unpopular {
+				return
+			}
 			ss.LiveDomains++
 			ss.LivePairs += len(hosts)
 			for h, ha := range hosts {

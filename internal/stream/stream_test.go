@@ -290,7 +290,10 @@ func TestLiveAutomated(t *testing.T) {
 // period, divergence and sample count — both run one test over one set of
 // timestamps. (A per-pair analyzer fed in arrival order, which builds up to
 // PR 15 kept, takes |Δ| of successive arrivals and misses the out-of-order
-// host.)
+// host.) The popularity cut is the close's too: a new domain whose beaconing
+// hosts are listed while nine have contacted it drops out of the view when the
+// tenth arrives mid-day — its shard sees every host of the domain, so it can
+// tell — and the close, which finds it new but popular, agrees.
 func TestLiveViewIsCloseVerdict(t *testing.T) {
 	e := trainOnlyEngine(Config{Shards: 3, RetainDayReports: -1})
 	defer e.Close()
@@ -313,7 +316,42 @@ func TestLiveViewIsCloseVerdict(t *testing.T) {
 				(off+time.Duration(13*h))*time.Minute))
 		}
 	}
+	// Nine hosts beaconing to one new domain, all morning.
+	const crowd = "c2-crowd.test"
+	for h := 0; h < 9; h++ {
+		for i := 0; i < 24; i++ {
+			recs = append(recs, rec(day, fmt.Sprintf("h-crowd-%d", h), crowd, time.Duration(i)*10*time.Minute+time.Duration(h)*time.Second))
+		}
+	}
 	ingestChunks(t, e, recs)
+	listed := func() (pairs int) {
+		for _, p := range e.LiveAutomated(0) {
+			if p.Domain == crowd {
+				pairs++
+			}
+		}
+		return pairs
+	}
+	liveDomains := func() (n int) {
+		for _, ss := range e.Stats().Shards {
+			n += ss.LiveDomains
+		}
+		return n
+	}
+	if got := listed(); got != 9 {
+		t.Fatalf("live view lists %d pairs of the nine-host domain, want 9", got)
+	}
+	domainsBefore := liveDomains()
+	// The tenth host: one visit takes the domain to the popularity threshold.
+	if err := ingest1(e, rec(day, "h-crowd-9", crowd, 5*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if got := listed(); got != 0 {
+		t.Fatalf("live view still lists %d pairs of a domain ten hosts have contacted", got)
+	}
+	if got := liveDomains(); got != domainsBefore-1 {
+		t.Fatalf("liveDomains = %d after the domain turned popular, want %d", got, domainsBefore-1)
+	}
 
 	live := e.LiveAutomated(0)
 	if err := e.Flush(); err != nil {
@@ -322,6 +360,9 @@ func TestLiveViewIsCloseVerdict(t *testing.T) {
 	rep, ok := e.DayReport(day.Format("2006-01-02"))
 	if !ok {
 		t.Fatal("no day report")
+	}
+	if _, rare := rep.Snapshot.Rare[crowd]; rare {
+		t.Fatalf("fixture: the closed day holds %s rare; ten hosts should make it popular", crowd)
 	}
 	want := make(map[[2]string]histogram.Verdict)
 	for _, ad := range e.Pipeline().Detector().FindAutomated(rep.Snapshot) {
