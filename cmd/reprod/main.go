@@ -121,6 +121,9 @@ type daemonOpts struct {
 	listenSyslog string
 	listenFlow   string
 	pprofAddr    string
+	// closeHook is stream.Config.CloseHook, for tests that stall a day-close;
+	// no flag sets it.
+	closeHook func(date string)
 }
 
 func main() {
@@ -136,7 +139,7 @@ func main() {
 	flag.StringVar(&o.replay, "replay", "", "replay a cmd/datagen enterprise dataset directory, then keep serving")
 	flag.Float64Var(&o.speed, "speed", 0, "replay time-compression factor (0 = as fast as possible)")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file: restored on start if present, written on rollover and shutdown")
-	flag.DurationVar(&o.ckptInterval, "checkpoint-interval", 0, "also write the checkpoint periodically (e.g. 15m; 0 = rollover/shutdown only; requires -checkpoint); format v2 checkpoints no longer wait out an in-flight day-close")
+	flag.DurationVar(&o.ckptInterval, "checkpoint-interval", 0, "also write the checkpoint periodically (e.g. 15m; 0 = rollover/shutdown only; requires -checkpoint); a write due during a day-close waits for the close to finish")
 	flag.Int64Var(&o.maxIngest, "max-ingest-bytes", defaultMaxIngestBytes, "largest accepted /ingest or /day body in bytes (oversized requests get 413)")
 	flag.StringVar(&o.alertConfig, "alert-config", "", "alert routing configuration (TOML or JSON): sinks (webhook/syslog/file/stdout) and rules; day-close reports publish confirmed alert events")
 	flag.DurationVar(&o.previewEvery, "preview-interval", 0, "run a mid-day detection preview periodically (e.g. 5m; 0 = off), publishing provisional alert events")
@@ -211,8 +214,8 @@ func newEngine(o daemonOpts, engCfg stream.Config) (*stream.Engine, error) {
 	return stream.New(engCfg, pipe), nil
 }
 
-// shutdownGrace bounds each stage of the ordered shutdown: draining
-// in-flight HTTP requests, and waiting out an in-flight day-close.
+// shutdownGrace bounds how long the ordered shutdown drains in-flight HTTP
+// requests. An in-flight day-close is waited out unbounded.
 const shutdownGrace = 10 * time.Second
 
 // readHeaderTimeout bounds how long a client may take to send its request
@@ -279,13 +282,15 @@ func newDaemon(o daemonOpts) (*daemon, error) {
 		log.Printf("alerting to %d sinks via %s", len(acfg.Sinks), o.alertConfig)
 	}
 
-	// OnReport fires while the engine is frozen for rollover, so the
-	// checkpoint (which re-freezes it) is kicked to a separate goroutine.
+	// OnReport fires on the day-close goroutine while that close still counts
+	// as in flight, and a checkpoint waits the close out, so the checkpoint
+	// is kicked to a separate goroutine.
 	// Alert publishing, by contrast, is safe inline: Publish is a
 	// non-blocking counter bump + channel send by contract.
 	engCfg := stream.Config{
 		Shards: o.shards, QueueDepth: o.queue, TrainingDays: o.training,
 		ShedThreshold: o.shedThresh,
+		CloseHook:     o.closeHook,
 		// Nothing in the daemon reads Engine.DayReport — /report serves the
 		// compact dailies, which are always kept — so hold only the latest
 		// full report (and its day snapshot) instead of the library's seven.
@@ -486,7 +491,8 @@ func (d *daemon) doShutdown() error {
 	// next batch boundary.
 	close(d.stop)
 	d.replayWG.Wait()
-	// 4. Quiesce the engine: wait out an in-flight day-close. After this,
+	// 4. Quiesce the engine: wait out an in-flight day-close, however long
+	// it takes — the final checkpoint would wait for it anyway. After this,
 	// with every ingest source stopped and no close pending, nothing can
 	// fire OnReport again — so closing rolledOver is safe, and the
 	// rollover-checkpoint goroutine drains any pending pulse and exits.
@@ -504,17 +510,12 @@ func (d *daemon) doShutdown() error {
 	return nil
 }
 
-// awaitCloseDrained polls out the background day-close, bounded by the
-// shutdown grace period — a hung pipeline must not make SIGTERM hang
-// forever; the checkpoint format tolerates an in-flight close either way.
+// awaitCloseDrained polls out the background day-close. It has no deadline:
+// giving up would let the close's OnReport send on rolledOver after it is
+// closed, and the final checkpoint waits for the close regardless.
 func (d *daemon) awaitCloseDrained() {
-	deadline := time.Now().Add(shutdownGrace)
 	for {
 		if _, pending := d.eng.PendingClose(); !pending {
-			return
-		}
-		if time.Now().After(deadline) {
-			log.Printf("day-close still running after %v; checkpointing around it", shutdownGrace)
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -490,12 +490,20 @@ func TestShedThresholdFlagReachesEngine(t *testing.T) {
 // corrupt checkpoint must stop with a descriptive error instead of
 // starting fresh (which would overwrite the history on the next write).
 func TestRunFailsOnCorruptCheckpoint(t *testing.T) {
+	parentClosing, err := os.ReadFile("../../internal/stream/testdata/closing-day-pr21.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, tc := range map[string]struct{ content, want string }{
 		"empty":   {"", "restore checkpoint"},
 		"corrupt": {"garbage, not a checkpoint\n", "restore checkpoint"},
 		// A format the daemon no longer reads must say which build does.
 		"v1": {`{"version":1,"dailies":0,"items":0}` + "\n",
 			"unsupported checkpoint version 1 (format v1 was last readable at PR 13; restore and re-checkpoint with that build)"},
+		// The PR 21 build's checkpoint of a day mid-close, as captured in
+		// internal/stream's testdata.
+		"parentClosingDay": {string(parentClosing),
+			"checkpoint was taken while day 2014-02-03's close was in flight (closing-day sections were last readable at PR 24; restore with a build up to PR 24, let the close finish, and re-checkpoint)"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "reprod.ckpt")
@@ -813,6 +821,75 @@ func TestShutdownPreservesAckedRecords(t *testing.T) {
 	got := restoreCheckpointRecords(t, path, "2014-03-01")
 	if int64(got) < acked.Load() {
 		t.Fatalf("shutdown lost acknowledged records: %d acked with 200, checkpoint has %d", acked.Load(), got)
+	}
+}
+
+// TestShutdownWaitsOutSlowDayClose is the regression test for a shutdown
+// panic: awaitCloseDrained used to give up after shutdownGrace and close
+// rolledOver under a close still in flight, whose OnReport then sent on the
+// closed channel. Shutdown now waits the close out, so a close stalled across
+// the start of shutdown finishes, and the final checkpoint holds its daily,
+// names no closing day, and restores.
+func TestShutdownWaitsOutSlowDayClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reprod.ckpt")
+	const stalled = "2014-03-02"
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	d := testDaemon(t, daemonOpts{checkpoint: path, training: 1, closeHook: func(date string) {
+		if date == stalled {
+			entered <- struct{}{}
+			<-release
+		}
+	}})
+	// Day 1 trains, day 2 is processed (its close stalls), day 3 stays open.
+	day := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 3; i++ {
+		if err := d.eng.BeginDay(day.AddDate(0, 0, i), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.eng.IngestBatch(testRecords(day.AddDate(0, 0, i), 20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-entered
+
+	done := make(chan error, 1)
+	go func() { done <- d.shutdown() }()
+	select {
+	case err := <-done:
+		close(release)
+		t.Fatalf("shutdown returned (%v) with the day-close still stalled", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := bytes.Cut(data, []byte("\n"))
+	var hdr map[string]any
+	if err := json.Unmarshal(header, &hdr); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := hdr["closing"]; ok {
+		t.Fatalf("final checkpoint names a closing day: %s", header)
+	}
+	restored, err := stream.Restore(bytes.NewReader(data), stream.Config{Shards: 2},
+		stream.RestoreDeps{Whois: whois.NewRegistry()})
+	if err != nil {
+		t.Fatalf("final checkpoint does not restore: %v", err)
+	}
+	defer restored.Close()
+	if _, ok := restored.Report(stalled); !ok {
+		t.Fatalf("final checkpoint lacks the daily of %s, whose close shutdown waited out", stalled)
+	}
+	if st := restored.Stats(); st.DaysDone != 2 || st.Day != "2014-03-03" || st.DayRecords != 20 {
+		t.Fatalf("restored engine: daysDone %d, open day %q with %d records; want 2, 2014-03-03, 20",
+			st.DaysDone, st.Day, st.DayRecords)
 	}
 }
 

@@ -30,8 +30,9 @@ import (
 // caller holds the lock (the *Locked helpers) are scanned as unlocked, and
 // closure bodies are skipped entirely since they may run on another
 // goroutine or after release. RLock regions are also not scanned: shared
-// holders (ingest-path readers, checkpoint encoders under commitGate.RLock)
-// block each other by design and are bounded elsewhere.
+// holders (ingest-path readers; checkpoint encoders and previews under
+// commitGate.RLock, whose write side the day-close holds across its
+// pipeline run) block each other by design and are bounded elsewhere.
 var LockSafety = &Analyzer{
 	Name: "locksafety",
 	Doc: "no channel operations, selects without default, sleeps, file/network I/O, or " +

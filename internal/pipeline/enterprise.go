@@ -182,25 +182,16 @@ func (r *EnterpriseDayReport) SOCHintDomains() []string {
 // Train ingests one profiling-month day: reduce, profile, update.
 func (p *Enterprise) Train(day time.Time, recs []logs.ProxyRecord, leases map[netip.Addr]string) EnterpriseDayReport {
 	visits, stats := normalize.ReduceProxy(recs, leases)
-	return p.TrainSnapshot(day, p.stageSnapshot(day, visits), stats, nil)
+	return p.TrainSnapshot(day, p.stageSnapshot(day, visits), stats)
 }
 
 // TrainSnapshot is Train for callers that already hold the day's snapshot —
 // the streaming engine maintains per-shard partial snapshots during the day
-// and merges them at rollover. The snapshot must have been classified
+// and classifies them at rollover. The snapshot must have been classified
 // against this pipeline's history with every earlier day committed (the
 // engine's serialized day-closes guarantee it).
-//
-// When preCommit is non-nil it runs exactly once, after the pure stages and
-// immediately before the first pipeline-state mutation. Until the hook
-// returns, the pipeline's observable state (history, calibration) still
-// describes the world before this day — the closing-day persistence point
-// the streaming engine checkpoints an in-flight close at.
-func (p *Enterprise) TrainSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats, preCommit func()) EnterpriseDayReport {
+func (p *Enterprise) TrainSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats) EnterpriseDayReport {
 	rep := stageAssemble(day, stats, snap)
-	if preCommit != nil {
-		preCommit()
-	}
 	snap.Commit(p.hist)
 	return rep
 }
@@ -209,7 +200,7 @@ func (p *Enterprise) TrainSnapshot(day time.Time, snap *profile.Snapshot, stats 
 // labeled examples; afterwards it detects in both modes.
 func (p *Enterprise) Process(day time.Time, recs []logs.ProxyRecord, leases map[netip.Addr]string) (EnterpriseDayReport, error) {
 	visits, stats := normalize.ReduceProxy(recs, leases)
-	return p.ProcessSnapshot(day, p.stageSnapshot(day, visits), stats, nil)
+	return p.ProcessSnapshot(day, p.stageSnapshot(day, visits), stats)
 }
 
 // ---- Day-close stages ----
@@ -304,21 +295,15 @@ func stageAssemble(day time.Time, stats normalize.ProxyStats, snap *profile.Snap
 }
 
 // ProcessSnapshot is Process with the snapshot stage prebuilt; see
-// TrainSnapshot for the history contract and the hook: preCommit (when
-// non-nil) runs exactly once on every path, after the last pure stage of
-// that path and before the first pipeline-state mutation (calibration
-// bookkeeping on calibration days, the history commit otherwise). A
-// calibration failure returns before the snapshot is committed, so the
-// caller may retry with the same snapshot (note that during calibration
-// such a retry re-collects the day's labeled examples).
-func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats, preCommit func()) (EnterpriseDayReport, error) {
+// TrainSnapshot for the history contract. A calibration failure returns
+// before the snapshot is committed, so the caller may retry with the same
+// snapshot (note that during calibration such a retry re-collects the day's
+// labeled examples).
+func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats) (EnterpriseDayReport, error) {
 	rep := stageAssemble(day, stats, snap)
 	rep.Automated = p.stageDetect(snap, p.cfg.Workers)
 
 	if !p.trained {
-		if preCommit != nil {
-			preCommit()
-		}
 		p.collectExamples(snap, rep.Automated, day)
 		p.calDays++
 		if p.calDays >= p.cfg.CalibrationDays {
@@ -339,10 +324,6 @@ func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stat
 
 	rep.CC = p.stageScore(rep.Automated)
 	rep.NoHint, rep.SOCHints = p.stagePropagate(snap, rep.CC, p.cfg.Workers)
-
-	if preCommit != nil {
-		preCommit()
-	}
 	snap.Commit(p.hist)
 	return rep, nil
 }
@@ -356,10 +337,10 @@ func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stat
 // trained the report carries the automated domains only, with Calibrating
 // set, mirroring what a real close of the day would report.
 //
-// The caller must guarantee the pipeline is not mid-commit (the engine holds
-// its commit gate read-locked across the call); concurrent PreviewSnapshot
-// calls and concurrent pure stages of an in-flight close are safe because
-// every stage only reads pipeline state. workers bounds the stage fan-out
+// The caller must guarantee no day is being processed meanwhile (the engine
+// holds its commit gate read-locked across the call, and a day-close takes
+// the write side); concurrent PreviewSnapshot calls are safe because every
+// stage only reads pipeline state. workers bounds the stage fan-out
 // independently of the pipeline's own Workers setting; 0 uses GOMAXPROCS.
 //
 //lint:pure

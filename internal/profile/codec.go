@@ -8,25 +8,21 @@ import (
 	"time"
 )
 
-// Streaming codecs for the two day-state shapes a format-v2 engine
-// checkpoint persists instead of raw visit replay: the open day's
-// IncrementalBuilder partial (domain-keyed aggregation; a domain folded
-// through AddKnown is a name and a count, so checkpoint size follows the
-// day's distinct domains and its traffic toward new ones rather than traffic
-// volume) and the merged Snapshot of a day whose close is in flight.
+// Streaming codec for the day state a format-v2 engine checkpoint persists
+// instead of raw visit replay: the open day's IncrementalBuilder partial
+// (domain-keyed aggregation; a domain folded through AddKnown is a name and a
+// count, so checkpoint size follows the day's distinct domains and its
+// traffic toward new ones rather than traffic volume).
 //
-// Both follow the persist.go conventions: line-delimited JSON through a
+// It follows the persist.go conventions: line-delimited JSON through a
 // caller-supplied encoder/decoder, a header record carrying the section's
 // record counts so the section is self-delimiting, and streaming record-by-
 // record so multi-million entry days never materialize as one value. The
-// decoders are paranoid — a checkpoint is adversarial input after a crash —
-// and refuse negative counts, duplicate keys, empty host activities and
+// decoder is paranoid — a checkpoint is adversarial input after a crash —
+// and refuses negative counts, duplicate keys, empty host activities and
 // internally inconsistent visit totals instead of building broken state.
 
-const (
-	builderCodecVersion  = 1
-	snapshotCodecVersion = 1
-)
+const builderCodecVersion = 1
 
 type builderHeader struct {
 	Version int `json:"version"`
@@ -35,10 +31,9 @@ type builderHeader struct {
 	UAPairs int `json:"uaPairs"`
 }
 
-// codecHost is one host's activity toward one domain, shared by the builder
-// and snapshot codecs. Times are serialized in whatever order the in-memory
-// state holds (arrival order in a builder, sorted in a classified
-// snapshot); UAs carry the empty string for UA-less connections.
+// codecHost is one host's activity toward one domain. Times are serialized
+// in the arrival order the builder holds them; UAs carry the empty string
+// for UA-less connections.
 type codecHost struct {
 	Host  string      `json:"h"`
 	Times []time.Time `json:"t"`
@@ -57,8 +52,7 @@ type builderDomainRec struct {
 	Known int `json:"known,omitempty"`
 }
 
-// uaPairRec is one (host, user-agent) pair of the day, shared by both
-// codecs.
+// uaPairRec is one (host, user-agent) pair of the day.
 type uaPairRec struct {
 	Host string `json:"h"`
 	UA   string `json:"ua"`
@@ -359,154 +353,4 @@ func (b *IncrementalBuilder) DomainNames() []string {
 		out = append(out, d)
 	}
 	return out
-}
-
-// ---- Snapshot codec ----
-
-type snapshotHeader struct {
-	Version    int       `json:"version"`
-	Day        time.Time `json:"day"`
-	NewDomains int       `json:"newDomains"`
-	AllDomains int       `json:"allDomains"`
-	Domains    int       `json:"domains"`
-	UAPairs    int       `json:"uaPairs"`
-	Rare       int       `json:"rare"`
-}
-
-type snapshotDomainRec struct {
-	Domain string `json:"d"`
-}
-
-type snapshotRareRec struct {
-	Domain string      `json:"d"`
-	IP     string      `json:"ip,omitempty"`
-	Paths  []string    `json:"paths,omitempty"`
-	Hosts  []codecHost `json:"hosts"`
-}
-
-// SaveTo streams the classified snapshot through an existing encoder as one
-// self-delimiting section — the checkpoint shape of a day whose close is in
-// flight: the merge already consumed the per-shard partials, so the merged
-// snapshot itself is the day's persistent form. SaveTo only reads the
-// snapshot, so it is safe to run concurrently with the close's pure
-// analytics stages over the same snapshot. Records are emitted in sorted
-// key order, so the byte output is deterministic for a given logical
-// snapshot regardless of how many shards or merge workers built it.
-func (s *Snapshot) SaveTo(enc *json.Encoder) error {
-	if err := enc.Encode(snapshotHeader{
-		Version:    snapshotCodecVersion,
-		Day:        s.Day,
-		NewDomains: s.NewDomains,
-		AllDomains: s.AllDomains,
-		Domains:    len(s.domains),
-		UAPairs:    len(s.uaPairs),
-		Rare:       len(s.Rare),
-	}); err != nil {
-		return fmt.Errorf("profile: save snapshot header: %w", err)
-	}
-	// s.domains arrives in merge-completion order, which varies with the
-	// worker count; encode a sorted copy.
-	domains := append([]string(nil), s.domains...)
-	sort.Strings(domains)
-	for _, d := range domains {
-		if err := enc.Encode(snapshotDomainRec{Domain: d}); err != nil {
-			return fmt.Errorf("profile: save snapshot domain: %w", err)
-		}
-	}
-	for _, pair := range sortedUAPairs(s.uaPairs) {
-		if err := enc.Encode(uaPairRec{Host: pair[0], UA: pair[1]}); err != nil {
-			return fmt.Errorf("profile: save snapshot ua pair: %w", err)
-		}
-	}
-	for _, d := range s.rareDomains {
-		da := s.Rare[d]
-		rec := snapshotRareRec{Domain: d}
-		if da.IP.IsValid() {
-			rec.IP = da.IP.String()
-		}
-		rec.Paths = da.Paths()
-		rec.Hosts = encodeHostMap(da.Hosts)
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("profile: save snapshot rare %q: %w", d, err)
-		}
-	}
-	return nil
-}
-
-// LoadSnapshotFrom reads a snapshot section previously written by SaveTo,
-// leaving the decoder positioned exactly past it. The rare set goes through
-// the indexing every classification range does (indexRare: timestamps
-// re-sorted, host index rebuilt), so even a hostile section yields a
-// structurally sound snapshot or a clean error.
-func LoadSnapshotFrom(dec *json.Decoder) (*Snapshot, error) {
-	var hdr snapshotHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("profile: load snapshot header: %w", err)
-	}
-	if hdr.Version != snapshotCodecVersion {
-		return nil, fmt.Errorf("profile: unsupported snapshot version %d", hdr.Version)
-	}
-	if hdr.NewDomains < 0 || hdr.AllDomains < 0 || hdr.Domains < 0 || hdr.UAPairs < 0 || hdr.Rare < 0 {
-		return nil, fmt.Errorf("profile: corrupt snapshot header %+v", hdr)
-	}
-	s := &Snapshot{
-		Day:        hdr.Day,
-		NewDomains: hdr.NewDomains,
-		AllDomains: hdr.AllDomains,
-		domains:    make([]string, 0, min(hdr.Domains, 1<<16)),
-		uaPairs:    make(map[[2]string]bool, min(hdr.UAPairs, 1<<16)),
-	}
-	for i := 0; i < hdr.Domains; i++ {
-		var rec snapshotDomainRec
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("profile: load snapshot domain %d: %w", i, err)
-		}
-		s.domains = append(s.domains, rec.Domain)
-	}
-	for i := 0; i < hdr.UAPairs; i++ {
-		var rec uaPairRec
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("profile: load snapshot ua pair %d: %w", i, err)
-		}
-		s.uaPairs[[2]string{rec.Host, rec.UA}] = true
-	}
-	rare := make([]*DomainActivity, 0, min(hdr.Rare, 1<<16))
-	seen := make(map[string]bool, cap(rare))
-	for i := 0; i < hdr.Rare; i++ {
-		var rec snapshotRareRec
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("profile: load snapshot rare %d: %w", i, err)
-		}
-		if seen[rec.Domain] {
-			return nil, fmt.Errorf("profile: duplicate snapshot rare domain %q", rec.Domain)
-		}
-		seen[rec.Domain] = true
-		da := &DomainActivity{Domain: rec.Domain, Hosts: make(map[string]*HostActivity, len(rec.Hosts))}
-		if rec.IP != "" {
-			ip, err := netip.ParseAddr(rec.IP)
-			if err != nil {
-				return nil, fmt.Errorf("profile: snapshot rare %q: bad IP %q: %w", rec.Domain, rec.IP, err)
-			}
-			da.IP = ip
-		}
-		if len(rec.Paths) > 0 {
-			da.paths = make(map[string]uint64, len(rec.Paths))
-			for _, p := range rec.Paths {
-				da.paths[p] = 0 // the seqs decided which paths were retained; a classified day no longer needs them
-			}
-		}
-		for _, ch := range rec.Hosts {
-			if _, dup := da.Hosts[ch.Host]; dup {
-				return nil, fmt.Errorf("profile: snapshot rare %q: duplicate host %q", rec.Domain, ch.Host)
-			}
-			ha, err := decodeHostActivity(ch)
-			if err != nil {
-				return nil, fmt.Errorf("profile: snapshot rare %q: %w", rec.Domain, err)
-			}
-			da.Hosts[ch.Host] = ha
-		}
-		rare = append(rare, da)
-	}
-	s.setRare([]rareRun{indexRare(rare)})
-	return s, nil
 }

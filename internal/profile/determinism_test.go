@@ -10,27 +10,20 @@ import (
 )
 
 // These tests back the byte-determinism half of the invariant catalog
-// (DESIGN.md §5): every persisted form in this package — history, builder,
-// snapshot — must serialize to identical bytes for identical logical state,
-// independent of map iteration order, insertion order, or merge worker
-// count. The static half is reprolint's maporder analyzer; these tests are
-// the runtime witness (Go randomizes map iteration per range, so a single
-// unsorted emission fails them with high probability).
+// (DESIGN.md §5): every persisted form in this package — history, builder —
+// must serialize to identical bytes for identical logical state, independent
+// of map iteration order, insertion order, or merge order. The static half is
+// reprolint's maporder analyzer; these tests are the runtime witness (Go
+// randomizes map iteration per range, so a single unsorted emission fails
+// them with high probability). A classified Snapshot is never persisted; its
+// worker-count independence is TestSnapshotParallelMatchesSequential's, against
+// referenceSnapshot.
 
 func encodeBuilder(t *testing.T, b *IncrementalBuilder) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := b.SaveTo(json.NewEncoder(&buf)); err != nil {
 		t.Fatalf("builder SaveTo: %v", err)
-	}
-	return buf.Bytes()
-}
-
-func encodeSnapshot(t *testing.T, s *Snapshot) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := s.SaveTo(json.NewEncoder(&buf)); err != nil {
-		t.Fatalf("snapshot SaveTo: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -74,34 +67,6 @@ func TestBuilderSaveBytesDeterministic(t *testing.T) {
 	}
 	if got := encodeBuilder(t, rev); !bytes.Equal(got, first) {
 		t.Fatalf("merge order leaked into builder checkpoint bytes")
-	}
-}
-
-func TestSnapshotSaveBytesDeterministic(t *testing.T) {
-	visits := codecVisits(400)
-	day := time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC)
-
-	// The same day merged by one worker and by four must checkpoint
-	// byte-identically (shard/worker independence of persisted state).
-	one := MergeSnapshotParallel(day, []*IncrementalBuilder{buildFromVisits(visits)}, NewHistory(), 10, 1)
-	parts := make([]*IncrementalBuilder, 4)
-	for i := range parts {
-		parts[i] = NewIncrementalBuilder()
-	}
-	for i := range visits {
-		v := &visits[i]
-		parts[PairPartition(v.Host, v.Domain, len(parts))].Add(uint64(i+1), v)
-	}
-	four := MergeSnapshotParallel(day, parts, NewHistory(), 10, 4)
-
-	first := encodeSnapshot(t, one)
-	for run := 0; run < 3; run++ {
-		if got := encodeSnapshot(t, one); !bytes.Equal(got, first) {
-			t.Fatalf("run %d: re-encoding the same snapshot changed the bytes", run)
-		}
-	}
-	if got := encodeSnapshot(t, four); !bytes.Equal(got, first) {
-		t.Fatalf("merge worker count leaked into snapshot checkpoint bytes")
 	}
 }
 

@@ -177,8 +177,8 @@ func TestCheckpointRestoresCounters(t *testing.T) {
 // TestRestoreRejectsCorruptCheckpoint: a corrupt, empty or no-longer-read
 // checkpoint must fail with a descriptive error, never a panic — the daemon
 // turns this into a refusal to start (starting fresh would overwrite the
-// history). A v1 file must say in full which build still reads it and what
-// to do with it.
+// history). A v1 file, and a file written while a day-close was in flight,
+// must say in full which build still reads it and what to do with it.
 func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	const v1Refusal = "stream: unsupported checkpoint version 1 (format v1 was last readable at PR 13; restore and re-checkpoint with that build)"
 	cases := map[string]struct {
@@ -198,6 +198,9 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 		// still validated and a short section is still a truncated file.
 		"negativeLivePairs": {string(fuzzV2(`{"markerDomains":0,"unresolved":0,"livePairs":-1}`, emptyBuilder)), "corrupt open-day section"},
 		"shortLivePairs":    {string(fuzzV2(`{"markerDomains":0,"unresolved":0,"livePairs":2}`, emptyBuilder+"\n"+parentLivePair)), "restore live pair 1"},
+		// A parent build's checkpoint of a day mid-close is refused by name,
+		// never restored with that day silently dropped.
+		"parentClosingDay": {string(readParentClosingCheckpoint(t)), closingRefusal},
 	}
 	for _, hk := range hostileKnown {
 		cases[hk.name] = struct{ input, want string }{string(fuzzV2(okMeta, hk.builder)), hk.want}

@@ -9,7 +9,6 @@ import (
 	"net/netip"
 	"time"
 
-	"repro/internal/normalize"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/report"
@@ -21,8 +20,9 @@ import (
 // pipeline's calibration progress, the completed-day SOC reports, and the
 // open day's state. A restored engine resumes exactly where the checkpoint
 // was taken — the golden equivalence tests drive a dataset through
-// checkpoint/restore cycles split mid-day (and mid-close) and still match
-// batch byte-for-byte.
+// checkpoint/restore cycles split mid-day (one requested mid-close) and
+// still match batch byte-for-byte. A checkpoint always describes a settled
+// close: Checkpoint waits out an in-flight one.
 //
 // The format is one line-delimited JSON stream with self-delimiting
 // sections, shared through a single encoder/decoder so multi-million entry
@@ -32,9 +32,6 @@ import (
 //	history      profile.History.SaveTo
 //	calibration  pipeline.CalibrationState
 //	dailies      header.Dailies × checkpointDaily
-//	closing      (iff header.Closing != "") checkpointClosing +
-//	             profile.Snapshot.SaveTo — the merged snapshot of a day
-//	             whose close was in flight; restore re-runs the close
 //	openday      (iff header.Day != "") checkpointOpenDay +
 //	             profile.IncrementalBuilder.SaveTo + markerDomains ×
 //	             checkpointDomain
@@ -76,25 +73,15 @@ type checkpointHeader struct {
 	Leases       map[string]string         `json:"leases,omitempty"`
 	Dates        []string                  `json:"dates,omitempty"`
 	Dailies      int                       `json:"dailies"`
-	// Closing names the day whose close was in flight when the checkpoint
-	// was taken ("" = none).
+	// Closing is read, never written: builds up to PR 24 checkpointed during
+	// a day-close, named the closing day here and carried its classified
+	// snapshot as a section of its own. Restore refuses such a file.
 	Closing string `json:"closing,omitempty"`
 }
 
 type checkpointDaily struct {
 	Date  string       `json:"date"`
 	Daily report.Daily `json:"daily"`
-}
-
-// checkpointClosing is the closing-day section header; the merged
-// snapshot follows as a profile snapshot section.
-type checkpointClosing struct {
-	Date      string               `json:"date"`
-	Day       time.Time            `json:"day"`
-	Records   uint64               `json:"records"`
-	DroppedIP uint64               `json:"droppedIP"`
-	Training  bool                 `json:"training"`
-	Stats     normalize.ProxyStats `json:"stats"`
 }
 
 // checkpointOpenDay is the open-day section header; the merged builder
@@ -123,12 +110,6 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.n += int64(n)
 	return n, err
-}
-
-func closedChan() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
 }
 
 // headerLocked assembles the checkpoint header from the engine's current
@@ -177,56 +158,34 @@ func (e *Engine) dailiesLocked() []checkpointDaily {
 // itself runs without the engine lock, so concurrent ingestion resumes
 // after an O(resident state) pause rather than an O(encode + I/O) one.
 //
-// A day-close in flight no longer blocks the checkpoint: the closing day's
-// parked merged snapshot is serialized as its own section and a restore
-// re-runs the close from it, republishing the same reports. Checkpoint
-// waits only for the close's two short non-serializable windows — the
-// partial-snapshot merge and the state-mutating commit tail. A close that
-// failed and awaits retry still makes the engine unrepresentable;
-// Checkpoint refuses until a Flush retries it.
+// A day-close in flight is waited out first (the lock is released while
+// waiting, so ingestion proceeds), so the file describes a settled close and
+// never a day between the shards and the history. A close that failed and
+// awaits retry makes the engine unrepresentable; Checkpoint refuses until a
+// Flush retries it.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	e.mu.Lock()
-	for {
-		if e.closed {
-			e.mu.Unlock()
-			return ErrClosed
-		}
-		if e.failed != nil {
-			err := fmt.Errorf("stream: checkpoint: day %s close failed (%v); retry with Flush first", e.failed.date, e.failed.err)
-			e.mu.Unlock()
-			return err
-		}
-		c := e.closing
-		if c == nil || c.phase == closeAnalyzing {
-			break
-		}
-		// Merging: the day's state is mid-transformation; wait out the
-		// short window. Committing: the pipeline is mutating history and
-		// calibration; wait for the close to finish and checkpoint the
-		// post-close state instead.
-		wait := c.merged
-		if c.phase == closeCommitting {
-			wait = c.done
-		}
+	e.awaitCloseLocked()
+	if e.closed {
 		e.mu.Unlock()
-		<-wait
-		e.mu.Lock()
+		return ErrClosed
 	}
-	closing := e.closing // nil, or a close parked in its analyzing phase
+	if e.failed != nil {
+		err := fmt.Errorf("stream: checkpoint: day %s close failed (%v); retry with Flush first", e.failed.date, e.failed.err)
+		e.mu.Unlock()
+		return err
+	}
 
-	// The timer starts after the close waits above, so LastCheckpointMillis
+	// The timer starts after the close wait above, so LastCheckpointMillis
 	// measures the checkpoint itself (clone + encode), not a pipeline run
 	// it happened to queue behind.
 	start := time.Now()
 	hdr := e.headerLocked()
-	if closing != nil {
-		hdr.Closing = closing.date
-	}
 	dailies := e.dailiesLocked()
 	hdr.Dailies = len(dailies)
 	cal := e.pipe.ExportCalibration()
 
-	// Clone the open day's per-shard state under the freeze; merging and
+	// Clone the open day's per-shard state under the freeze; gathering and
 	// encoding happen after the lock is released.
 	var parts []*profile.IncrementalBuilder
 	var markerSets []map[string]struct{}
@@ -235,11 +194,10 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		parts, markerSets, unresolved = e.cloneOpenDayLocked()
 	}
 
-	// Hold the commit gate across the encode: the in-flight close (and any
-	// close that starts meanwhile) blocks at its pre-commit hook instead of
-	// mutating history or calibration mid-encode. Taking the read side here
-	// cannot block — a committing-phase close was waited out above, and no
-	// close can reach its hook while we hold mu.
+	// Hold the commit gate across the encode: a close that starts meanwhile
+	// waits for it before touching history or calibration. Taking the read
+	// side here cannot block — no close is in flight, and none can start
+	// while we hold mu.
 	e.commitGate.RLock()
 	e.mu.Unlock()
 	defer e.commitGate.RUnlock()
@@ -259,21 +217,6 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	for _, cd := range dailies {
 		if err := enc.Encode(cd); err != nil {
 			return fmt.Errorf("stream: checkpoint daily %s: %w", cd.Date, err)
-		}
-	}
-	if closing != nil {
-		if err := enc.Encode(checkpointClosing{
-			Date:      closing.date,
-			Day:       closing.day,
-			Records:   closing.records,
-			DroppedIP: closing.droppedIP,
-			Training:  closing.training,
-			Stats:     closing.stats,
-		}); err != nil {
-			return fmt.Errorf("stream: checkpoint closing day: %w", err)
-		}
-		if err := closing.snap.SaveTo(enc); err != nil {
-			return fmt.Errorf("stream: checkpoint closing snapshot: %w", err)
 		}
 	}
 	if hdr.Day != "" {
@@ -330,9 +273,7 @@ type RestoreDeps struct {
 // Restore rebuilds an engine from a checkpoint written by Checkpoint. The
 // pipeline configuration travels inside the checkpoint; cfg parameterizes
 // only the engine itself, and its TrainingDays is overridden from the
-// checkpoint so the train/process split cannot drift across restarts. When
-// the checkpoint carries a closing-day section, the restored engine re-runs
-// that day's close in the background and republishes its report.
+// checkpoint so the train/process split cannot drift across restarts.
 func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	var hdr checkpointHeader
@@ -350,6 +291,10 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 		return nil, errors.New("stream: unsupported checkpoint version 1 (format v1 was last readable at PR 13; restore and re-checkpoint with that build)")
 	default:
 		return nil, fmt.Errorf("stream: unsupported checkpoint version %d", hdr.Version)
+	}
+	if hdr.Closing != "" {
+		// Dropping the section would silently lose the day; refuse, as for v1.
+		return nil, fmt.Errorf("stream: checkpoint was taken while day %s's close was in flight (closing-day sections were last readable at PR 24; restore with a build up to PR 24, let the close finish, and re-checkpoint)", hdr.Closing)
 	}
 	if hdr.Dailies < 0 {
 		// A corrupt count would otherwise panic in make below.
@@ -393,26 +338,10 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 		dailies[cd.Date] = cd.Daily
 	}
 
-	// Day-state sections.
-	var closingMeta *checkpointClosing
-	var closingSnap *profile.Snapshot
+	// The open-day section.
 	var openBuilder *profile.IncrementalBuilder
 	var openMeta checkpointOpenDay
 	var markerDomains []string
-	if hdr.Closing != "" {
-		var cm checkpointClosing
-		if err := dec.Decode(&cm); err != nil {
-			return nil, fmt.Errorf("stream: restore closing day: %w", err)
-		}
-		if cm.Date != hdr.Closing {
-			return nil, fmt.Errorf("stream: restore: closing section date %q does not match header %q", cm.Date, hdr.Closing)
-		}
-		closingSnap, err = profile.LoadSnapshotFrom(dec)
-		if err != nil {
-			return nil, fmt.Errorf("stream: restore closing snapshot: %w", err)
-		}
-		closingMeta = &cm
-	}
 	if hdr.Day != "" {
 		if err := dec.Decode(&openMeta); err != nil {
 			return nil, fmt.Errorf("stream: restore open day: %w", err)
@@ -506,27 +435,6 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 			}
 		})
 		e.mu.Unlock()
-	}
-	if closingMeta != nil {
-		// Re-run the interrupted close from its parked snapshot: the
-		// pipeline stages are deterministic, so the restored engine
-		// republishes exactly the reports the original close would have.
-		c := &dayClose{
-			day:       closingMeta.Day,
-			date:      closingMeta.Date,
-			snap:      closingSnap,
-			stats:     closingMeta.Stats,
-			records:   closingMeta.Records,
-			droppedIP: closingMeta.DroppedIP,
-			training:  closingMeta.Training,
-			phase:     closeAnalyzing,
-			merged:    closedChan(),
-			done:      make(chan struct{}),
-		}
-		e.mu.Lock()
-		e.closing = c
-		e.mu.Unlock()
-		go e.runDayClose(c)
 	}
 	return e, nil
 }

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -15,7 +14,8 @@ import (
 // TestIngestDuringSlowDayClose is the tentpole invariant: rollover is
 // swap-and-continue, so ingestion into the next day proceeds while the
 // previous day's close is artificially stalled on the background
-// goroutine, and /stats-level introspection surfaces the pending close.
+// goroutine — even with a checkpoint waiting the close out — and
+// /stats-level introspection surfaces the pending close.
 func TestIngestDuringSlowDayClose(t *testing.T) {
 	e := trainOnlyEngine(Config{Shards: 2})
 	defer e.Close()
@@ -61,32 +61,34 @@ func TestIngestDuringSlowDayClose(t *testing.T) {
 		t.Fatal("PendingClose reports nothing in flight")
 	}
 
-	// A checkpoint taken now no longer waits for the close: the stalled
-	// day's merged snapshot is serialized as the checkpoint's closing-day
-	// section, so the checkpoint completes while the close is still parked
-	// in the hook.
+	// A checkpoint requested now waits out the stalled close — without
+	// holding the engine lock, so ingestion still proceeds — and then
+	// describes the settled close: day 1 in the history, day 2 open.
 	var buf bytes.Buffer
 	ckptDone := make(chan error, 1)
 	go func() { ckptDone <- e.Checkpoint(&buf) }()
 	select {
 	case err := <-ckptDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
 		close(release)
-		t.Fatal("Checkpoint blocked on an in-flight close (analyzing phase)")
+		t.Fatalf("Checkpoint returned (%v) while the close was still stalled", err)
+	case <-time.After(50 * time.Millisecond):
 	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal(buf.Bytes()[:bytes.IndexByte(buf.Bytes(), '\n')], &hdr); err != nil {
+	if err := ingest1(e, rec(d2, "h9", "beta.test", time.Hour)); err != nil {
+		t.Fatalf("ingest behind a waiting checkpoint: %v", err)
+	}
+	close(release)
+	if err := <-ckptDone; err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Version != checkpointVersion || hdr.Closing != "2014-02-03" {
-		t.Fatalf("checkpoint header = version %d closing %q, want v%d closing 2014-02-03",
-			hdr.Version, hdr.Closing, checkpointVersion)
+	hdr := decodeCheckpointHeader(t, buf.Bytes())
+	if hdr.Closing != "" || bytes.Contains(buf.Bytes(), []byte(`"closing"`)) {
+		t.Fatalf("checkpoint still carries a closing day: header %+v", hdr)
+	}
+	if hdr.DaysDone != 1 || hdr.Day != d2.Format(time.RFC3339) || hdr.DayRecords != 21 {
+		t.Fatalf("checkpoint header = daysDone %d day %q records %d, want the settled close: 1, %s, 21",
+			hdr.DaysDone, hdr.Day, hdr.DayRecords, d2.Format(time.RFC3339))
 	}
 
-	close(release)
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +97,8 @@ func TestIngestDuringSlowDayClose(t *testing.T) {
 		t.Fatalf("day 1 report: %v %+v, want 10 records", ok, rep1.Stats)
 	}
 	rep2, ok := e.DayReport("2014-02-04")
-	if !ok || rep2.Stats.Records != 20 {
-		t.Fatalf("day 2 report: %v %+v, want 20 records", ok, rep2.Stats)
+	if !ok || rep2.Stats.Records != 21 {
+		t.Fatalf("day 2 report: %v %+v, want 21 records", ok, rep2.Stats)
 	}
 	st = e.Stats()
 	if st.Closing != "" {

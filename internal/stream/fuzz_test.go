@@ -2,6 +2,8 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"testing"
 	"time"
 
@@ -38,40 +40,21 @@ func fuzzCheckpointBytes(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// fuzzCheckpointBytesClosing produces a v2 checkpoint taken while a
-// day-close was stalled in flight, so the corpus covers the closing-day
-// snapshot section too.
-func fuzzCheckpointBytesClosing(tb testing.TB) []byte {
-	release := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	e := trainOnlyEngine(Config{Shards: 2, QueueDepth: 64,
-		CloseHook: func(string) { entered <- struct{}{}; <-release }})
-	defer e.Close()
-	d1, d2 := testDay(), testDay().AddDate(0, 0, 1)
-	if err := e.BeginDay(d1, nil); err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := ingest1(e, rec(d1, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := e.BeginDay(d2, nil); err != nil {
-		tb.Fatal(err)
-	}
-	<-entered
-	for i := 0; i < 3; i++ {
-		if err := ingest1(e, rec(d2, "h2", "beta.test", time.Duration(i)*time.Minute)); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	err := e.Checkpoint(&buf)
-	close(release)
+// parentClosingCheckpoint is a checkpoint the PR 21 build wrote while a
+// day-close was stalled in flight (its fuzzCheckpointBytesClosing: day
+// 2014-02-03 closing, 2014-02-04 open): the header names the closing day and
+// a classified-snapshot section follows the dailies. This build refuses it.
+const (
+	parentClosingCheckpoint = "testdata/closing-day-pr21.ckpt"
+	closingRefusal          = "stream: checkpoint was taken while day 2014-02-03's close was in flight (closing-day sections were last readable at PR 24; restore with a build up to PR 24, let the close finish, and re-checkpoint)"
+)
+
+func readParentClosingCheckpoint(tb testing.TB) []byte {
+	data, err := os.ReadFile(parentClosingCheckpoint)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 // fuzzV2 assembles a hand-crafted v2 checkpoint from an open-day meta line
@@ -112,18 +95,18 @@ var hostileKnown = []struct{ name, builder, want string }{
 }
 
 // FuzzCheckpointDecode holds the restore path to its refusal contract:
-// corrupt, truncated, adversarial or no-longer-read (the version-1 seeds)
-// checkpoints must come back as errors — never a panic (the PR 2
-// regression was a make() panic on a negative header count) and never a
-// huge speculative allocation.
+// corrupt, truncated, adversarial or no-longer-read (the version-1 seeds,
+// and any header naming a closing day — the parent build's mid-close file
+// and its truncations among them) checkpoints must come back as errors —
+// never a panic (the PR 2 regression was a make() panic on a negative
+// header count) and never a huge speculative allocation.
 // Inputs that do decode must yield a working engine, which the target
-// shuts down; a close re-run from a decoded closing-day section may
-// legitimately fail its pipeline, so Close errors are tolerated — only
-// panics and hangs are bugs.
+// shuts down; Close errors are tolerated, a restored closing-day header is
+// not.
 func FuzzCheckpointDecode(f *testing.F) {
 	valid := fuzzCheckpointBytes(f)
 	f.Add(valid)
-	closing := fuzzCheckpointBytesClosing(f)
+	closing := readParentClosingCheckpoint(f)
 	f.Add(closing)
 	// Truncations at awkward places: mid-header, between sections, mid-item.
 	for _, seed := range [][]byte{valid, closing} {
@@ -198,5 +181,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 			return // refused cleanly
 		}
 		_ = e.Close()
+		var hdr checkpointHeader
+		if line, _, _ := bytes.Cut(data, []byte("\n")); json.Unmarshal(line, &hdr) == nil && hdr.Closing != "" {
+			t.Fatalf("restored a checkpoint whose header names closing day %q", hdr.Closing)
+		}
 	})
 }

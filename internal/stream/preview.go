@@ -37,40 +37,24 @@ type PreviewReport struct {
 // returns the provisional report. The engine is frozen only while the
 // per-shard builders are cloned — the same brief rollover-style pause a
 // Checkpoint takes, O(resident state), not O(pipeline) — after which
-// ingestion proceeds and the merge/detect/score/propagate stages run on the
+// ingestion proceeds and the classify/detect/score/propagate stages run on the
 // clone. Live state is never mutated: day-close reports are byte-identical
 // whether or not previews ran (TestPreviewDoesNotPerturbDayClose), and the
 // preview output itself is deterministic for a fixed frozen state and any
 // worker count.
 //
-// The preview classifies against the live history. While yesterday's close
-// is still analyzing in the background, that history does not yet contain
-// yesterday — the preview then judges "new today" against the state before
-// yesterday's commit, which is acceptable for an advisory report and
-// resolves itself at the next preview. workers bounds the stage fan-out
-// (0: the pipeline's own Workers setting).
+// An in-flight day-close is waited out first, exactly as Checkpoint does, so
+// the preview judges "new today" against a history holding every earlier
+// day. workers bounds the stage fan-out (0: the pipeline's own Workers
+// setting).
 //
 // Returns ErrClosed on a closed engine and ErrNoDay when no day is open.
 func (e *Engine) Preview(workers int) (PreviewReport, error) {
 	e.mu.Lock()
-	for {
-		if e.closed {
-			e.mu.Unlock()
-			return PreviewReport{}, ErrClosed
-		}
-		c := e.closing
-		if c == nil || c.phase != closeCommitting {
-			break
-		}
-		// The close is mutating pipeline state (or queued to, behind an
-		// in-flight checkpoint's gate hold): taking the commit gate's read
-		// side now could deadlock against the waiting writer, and the models
-		// are mid-mutation anyway. The commit tail is short; wait it out,
-		// exactly as Checkpoint does.
-		wait := c.done
+	e.awaitCloseLocked()
+	if e.closed {
 		e.mu.Unlock()
-		<-wait
-		e.mu.Lock()
+		return PreviewReport{}, ErrClosed
 	}
 	if e.day.IsZero() {
 		e.mu.Unlock()
@@ -86,12 +70,10 @@ func (e *Engine) Preview(workers int) (PreviewReport, error) {
 	// the whole ingest stall of a preview.
 	parts, markers, unresolved := e.cloneOpenDayLocked()
 
-	// Hold the commit gate across the analytics: an in-flight close blocks
-	// at its pre-commit hook instead of mutating history, calibration or
-	// models mid-preview. Taking the read side here cannot block — a
-	// committing-phase close was waited out above, and no close can reach
-	// its hook while we hold mu. The pure stages of that close run
-	// concurrently with ours; both only read.
+	// Hold the commit gate across the analytics: a close that starts
+	// meanwhile waits for it before touching history, calibration or models.
+	// Taking the read side here cannot block — no close is in flight, and
+	// none can start while we hold mu.
 	e.commitGate.RLock()
 	e.mu.Unlock()
 	defer e.commitGate.RUnlock()

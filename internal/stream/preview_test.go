@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/batch"
 )
@@ -184,6 +185,71 @@ func TestPreviewDeterministicAndMatchesClose(t *testing.T) {
 	if closedJSON := dailyBytes(t, closed); !bytes.Equal(dailyBytes(t, base.Report), closedJSON) {
 		t.Errorf("full-day preview differs from the day-close report\npreview: %s\nclose:   %s",
 			dailyBytes(t, base.Report), closedJSON)
+	}
+}
+
+// TestPreviewJudgesCommittedHistory: a preview requested while yesterday's
+// close is still in flight waits it out, so yesterday's new domains are in
+// the history it judges today against — a domain new yesterday and visited
+// again today is not counted new a second time.
+func TestPreviewJudgesCommittedHistory(t *testing.T) {
+	e := trainOnlyEngine(Config{Shards: 2})
+	defer e.Close()
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	e.closeHook = func(string) {
+		entered <- struct{}{}
+		<-release
+	}
+	d1, d2 := testDay(), testDay().AddDate(0, 0, 1)
+	if err := e.BeginDay(d1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := ingest1(e, rec(d1, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.BeginDay(d2, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // day 1's close is stalled, alpha.test not yet in the history
+	for i := 0; i < 5; i++ {
+		if err := ingest1(e, rec(d2, "h2", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ingest1(e, rec(d2, "h2", "gamma.test", time.Duration(i)*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type result struct {
+		pr       PreviewReport
+		err      error
+		daysDone int
+	}
+	got := make(chan result, 1)
+	go func() {
+		pr, err := e.Preview(1)
+		got <- result{pr, err, e.DaysDone()}
+	}()
+	select {
+	case r := <-got:
+		close(release)
+		t.Fatalf("Preview returned during the stalled close: newDomains=%d err=%v", r.pr.NewDomains, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	r := <-got
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.daysDone != 1 {
+		t.Fatalf("Preview returned with daysDone=%d; want it after day 1's close", r.daysDone)
+	}
+	if r.pr.Date != "2014-02-04" || r.pr.NewDomains != 1 {
+		t.Fatalf("preview of %s counts %d new domains, want 1 (gamma.test; alpha.test was new on 2014-02-03)",
+			r.pr.Date, r.pr.NewDomains)
 	}
 }
 

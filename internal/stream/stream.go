@@ -44,13 +44,9 @@
 // and TestIncrementalSnapshotMatchesBatch golden tests hold this
 // invariant), and ingestion never stalls for the duration of the
 // analytics. Day-closes are strictly serialized: Flush, Close, Checkpoint,
-// Report-of-the-closing-day and the next rollover all wait on (or refuse
-// during) an in-flight close, so days complete in order and the pipeline
-// is never entered concurrently. Checkpoints, by contrast, are allowed
-// while a close is in flight: the closing day's merged snapshot is
-// serialized as its own checkpoint section and a restore re-runs the close
-// from it, republishing the same reports (only the short merge window and
-// the state-mutating commit tail force a wait).
+// Preview, Report-of-the-closing-day and the next rollover all wait on an
+// in-flight close, so days complete in order, the pipeline is never entered
+// concurrently, and a checkpoint or preview always sees a settled close.
 //
 // In between rollovers LiveAutomated gives an early-warning signal: it runs
 // the detector's periodicity test over the timestamps the builders already
@@ -129,12 +125,12 @@ type Config struct {
 	// goroutine after the day is published but while the close still
 	// counts as in flight, so successive days' callbacks never overlap.
 	// It must not synchronously call engine operations that wait on the
-	// in-flight close (Checkpoint, Flush, Close, Report of the just-closed
-	// day would self-deadlock) — hand such work to another goroutine, as
+	// in-flight close (Checkpoint, Preview, Flush, Close, Report of the
+	// just-closed day would self-deadlock) — hand such work to another goroutine, as
 	// cmd/reprod does for its rollover checkpoints.
 	OnReport func(rep pipeline.EnterpriseDayReport, daily *report.Daily)
-	// CloseHook, when set, runs on the day-close goroutine before the
-	// pipeline, with the closing date. It is a test seam for observing or
+	// CloseHook, when set, runs on the day-close goroutine before the day is
+	// classified, with the closing date. It is a test seam for observing or
 	// stalling the background close (the ingest-during-close and HTTP 202
 	// tests); leave nil in production.
 	CloseHook func(date string)
@@ -434,13 +430,13 @@ type Engine struct {
 	// ingest stall); lastCloseDur the last background pipeline duration.
 	lastSwap     time.Duration
 	lastCloseDur time.Duration
-	// commitGate orders checkpoint encoding against the state-mutating tail
-	// of a day-close: a checkpoint holds the read side for the duration of
-	// its encode (which runs without mu, so ingestion proceeds), and the
-	// close's pre-commit hook takes the write side before the pipeline
-	// mutates history or calibration state. The pure analytics of a close
-	// therefore overlap checkpoint encoding freely; only the short commit
-	// tail waits.
+	// commitGate orders checkpoint encodes and previews against day-closes.
+	// Checkpoint and Preview take the read side under mu, with no close in
+	// flight, and hold it for their encode or analytics (which run without
+	// mu, so ingestion proceeds); runDayClose holds the write side from
+	// classification through the pipeline's commit. A close that starts
+	// after their clone therefore cannot mutate history, calibration or
+	// models under them.
 	commitGate sync.RWMutex
 	// lastCkptBytes/lastCkptMicros record the most recent successful
 	// checkpoint's encoded size and duration (written without mu).
@@ -456,43 +452,22 @@ type Engine struct {
 	closeHook func(date string)
 }
 
-// closePhase tracks where an in-flight day-close is, for the checkpoint
-// protocol. Transitions happen under the engine lock.
-type closePhase int
-
-const (
-	// closeMerging: the per-shard partials are being merged into the day
-	// snapshot. Short (O(domains)); checkpoints wait it out.
-	closeMerging closePhase = iota
-	// closeAnalyzing: the merged snapshot is parked and the pure pipeline
-	// stages run over it. Long; checkpoints proceed concurrently and
-	// serialize the parked snapshot as the checkpoint's closing-day section.
-	closeAnalyzing
-	// closeCommitting: the pipeline is mutating engine-visible state
-	// (calibration, history commit, publish). Short; checkpoints wait for
-	// the close to finish.
-	closeCommitting
-)
-
 // dayClose carries one swapped-out day through its background close. The
 // swap takes only the shards' partial snapshots and marker sets. Once the
-// partials are merged the snapshot replaces them; a failed close retains
+// partials are classified the snapshot replaces them; a failed close retains
 // that snapshot so a Flush retry replays the pipeline without re-reducing
-// anything, and a checkpoint taken mid-close serializes it so a restore
-// re-runs the close and republishes the same reports.
+// anything.
 type dayClose struct {
 	day        time.Time
 	date       string
 	parts      []*profile.IncrementalBuilder // per-shard partial snapshots
 	markers    []map[string]struct{}         // per-shard lease-less-only domains
 	unresolved int                           // lease-less records in the day
-	snap       *profile.Snapshot             // merged at close; retained on failure
+	snap       *profile.Snapshot             // classified at close; retained on failure
 	stats      normalize.ProxyStats
 	records    uint64
 	droppedIP  uint64
 	training   bool
-	phase      closePhase    // guarded by the engine lock
-	merged     chan struct{} // closed when the merge window ends
 	done       chan struct{} // closed when the close (or its failure) is final
 	err        error
 }
@@ -716,7 +691,6 @@ func (e *Engine) retryFailedLocked() error {
 		e.failed = nil
 		c.done = make(chan struct{})
 		c.err = nil
-		c.phase = closeAnalyzing // the merged snapshot was retained
 		e.closing = c
 		go e.runDayClose(c)
 		e.mu.Unlock()
@@ -945,8 +919,6 @@ func (e *Engine) beginCloseLocked(expect time.Time) (*dayClose, error) {
 		// so the train/process split is decided here, consistently with the
 		// sequential engine.
 		training: e.daysDone < e.cfg.TrainingDays,
-		phase:    closeMerging,
-		merged:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	// One quiesce swaps every shard's partial snapshot and marker set out
@@ -1020,9 +992,14 @@ func dayStats(snap *profile.Snapshot, parts []*profile.IncrementalBuilder, marke
 // calibration-starvation case). Runs without the engine lock; the shards
 // are already ingesting the next day.
 func (e *Engine) runDayClose(c *dayClose) {
-	var mergeDur time.Duration
+	if e.closeHook != nil {
+		e.closeHook(c.date)
+	}
+	// The write side waits out any checkpoint encode or preview that cloned
+	// the open day before this close began; none can start until it ends.
+	e.commitGate.Lock()
+	start := time.Now()
 	if c.snap == nil {
-		start := time.Now()
 		// The day is classified against the history with every earlier day
 		// committed — closes are strictly serialized, so the in-order
 		// commit the snapshot's "new domain" judgement depends on holds.
@@ -1030,50 +1007,21 @@ func (e *Engine) runDayClose(c *dayClose) {
 		c.snap = profile.ClassifyDisjoint(c.day, c.parts, e.hist, pcfg.UnpopularThreshold, pcfg.Workers)
 		c.stats = dayStats(c.snap, c.parts, c.markers, c.records, c.droppedIP, c.unresolved)
 		c.parts, c.markers = nil, nil // the snapshot owns their structure now
-		mergeDur = time.Since(start)
-		// The merge window ends: from here until the commit tail the close's
-		// state is a parked, immutable snapshot — exactly what a concurrent
-		// checkpoint serializes as its closing-day section.
-		e.mu.Lock()
-		c.phase = closeAnalyzing
-		close(c.merged)
-		e.mu.Unlock()
 	}
-	if e.closeHook != nil {
-		e.closeHook(c.date)
-	}
-	start := time.Now()
-
-	// preCommit runs on the close goroutine at the pipeline's last pure
-	// point: it flips the close into its committing phase (new checkpoints
-	// now wait for the whole close) and then waits out any checkpoint still
-	// encoding the pre-close state, so history and calibration cannot
-	// mutate under an in-flight encode.
-	gateHeld := false
-	preCommit := func() {
-		e.mu.Lock()
-		c.phase = closeCommitting
-		e.mu.Unlock()
-		e.commitGate.Lock()
-		gateHeld = true
-	}
-
 	var rep pipeline.EnterpriseDayReport
 	var daily *report.Daily
 	var err error
 	if c.training {
-		rep = e.pipe.TrainSnapshot(c.day, c.snap, c.stats, preCommit)
+		rep = e.pipe.TrainSnapshot(c.day, c.snap, c.stats)
 	} else {
-		rep, err = e.pipe.ProcessSnapshot(c.day, c.snap, c.stats, preCommit)
+		rep, err = e.pipe.ProcessSnapshot(c.day, c.snap, c.stats)
 		if err == nil {
 			d := report.Build(rep)
 			daily = &d
 		}
 	}
-	if gateHeld {
-		e.commitGate.Unlock()
-	}
-	dur := mergeDur + time.Since(start)
+	dur := time.Since(start)
+	e.commitGate.Unlock()
 
 	e.mu.Lock()
 	e.lastCloseDur = dur
