@@ -149,7 +149,7 @@ func (x *Extractor) rareUAFraction(da *profile.DomainActivity) float64 {
 	n := 0
 	for _, ha := range da.Hosts {
 		rare := false
-		for ua := range ha.UAs {
+		for _, ua := range ha.UAs {
 			if x.Hist.RareUA(ua, x.uaThreshold()) {
 				rare = true
 				break

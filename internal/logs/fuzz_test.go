@@ -86,11 +86,12 @@ func proxyRecordsEquivalent(a, b ProxyRecord) bool {
 // and, on accept, byte-for-byte identical records — which is what makes
 // field interning invisible to every persisted form. Each input is decoded
 // twice through one decoder so the second pass exercises warm intern and
-// address caches. A cold decoder then decodes the line around an unrelated
-// record: URL and Referer must still equal the naive parser's after another
-// record has overwritten their last-value slots, and must have come from
-// those slots alone — the intern table holds the four bounded columns
-// (Host, Domain, Method, UserAgent) and nothing else.
+// address caches. A cold decoder then decodes the line, an unrelated record
+// and the line again through one text block: the first record's URL and
+// Referer must still equal the naive parser's after the later records were
+// carved behind them (the block is append-only), and the intern table must
+// hold the four bounded columns (Host, Domain, Method, UserAgent) and nothing
+// else.
 func FuzzParseProxyLine(f *testing.F) {
 	seeds := []string{
 		"2014-02-13T09:00:00Z\thost1\t10.1.2.3\texample.org\t198.51.100.7\thttp://example.org/a\tGET\t200\tMozilla/5.0\thttp://ref.example.org/\t-5",
@@ -124,14 +125,21 @@ func FuzzParseProxyLine(f *testing.F) {
 			return
 		}
 		cold := NewProxyDecoder()
-		for _, l := range []string{line, seeds[0], line} {
+		var first ProxyRecord
+		for i, l := range []string{line, seeds[0], line} {
 			got, err := cold.ParseProxyRecord([]byte(l))
 			if err != nil {
 				t.Fatalf("cold decoder rejects %q: %v", l, err)
 			}
+			if i == 0 {
+				first = got
+			}
 			if l == line && (got.URL != want.URL || got.Referer != want.Referer) {
 				t.Fatalf("URL/Referer mismatch on %q: fast (%q, %q), naive (%q, %q)", line, got.URL, got.Referer, want.URL, want.Referer)
 			}
+		}
+		if first.URL != want.URL || first.Referer != want.Referer {
+			t.Fatalf("URL/Referer of %q changed after later records were decoded: now (%q, %q), naive (%q, %q)", line, first.URL, first.Referer, want.URL, want.Referer)
 		}
 		other, _ := parseProxyLine(seeds[0])
 		interned := map[string]bool{}

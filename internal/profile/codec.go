@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 )
@@ -59,13 +60,7 @@ type uaPairRec struct {
 }
 
 func encodeHostActivity(ha *HostActivity) codecHost {
-	ch := codecHost{Host: ha.Host, Times: ha.Times, NoRef: ha.NoRefVisits}
-	ch.UAs = make([]string, 0, len(ha.UAs))
-	for ua := range ha.UAs {
-		ch.UAs = append(ch.UAs, ua)
-	}
-	sort.Strings(ch.UAs)
-	return ch
+	return codecHost{Host: ha.Host, Times: ha.Times, NoRef: ha.NoRefVisits, UAs: ha.UAs}
 }
 
 func decodeHostActivity(ch codecHost) (*HostActivity, error) {
@@ -75,16 +70,24 @@ func decodeHostActivity(ch codecHost) (*HostActivity, error) {
 	if ch.NoRef < 0 || ch.NoRef > len(ch.Times) {
 		return nil, fmt.Errorf("host %q: noRef %d out of range (0..%d)", ch.Host, ch.NoRef, len(ch.Times))
 	}
-	ha := &HostActivity{
-		Host:        ch.Host,
-		Times:       ch.Times,
-		NoRefVisits: ch.NoRef,
-		UAs:         make(map[string]bool, len(ch.UAs)),
+	for i := 1; i < len(ch.UAs); i++ {
+		if ch.UAs[i-1] >= ch.UAs[i] {
+			return nil, fmt.Errorf("host %q: uas not sorted and distinct (%q before %q)", ch.Host, ch.UAs[i-1], ch.UAs[i])
+		}
 	}
-	for _, ua := range ch.UAs {
-		ha.UAs[ua] = true
+	return &HostActivity{Host: ch.Host, Times: ch.Times, NoRefVisits: ch.NoRef, UAs: ch.UAs}, nil
+}
+
+// builderPaths renders a retained-path set as the codec's path -> seq object.
+func builderPaths(paths []pathSeq) map[string]uint64 {
+	if len(paths) == 0 {
+		return nil
 	}
-	return ha, nil
+	m := make(map[string]uint64, len(paths))
+	for _, e := range paths {
+		m[e.path] = e.seq
+	}
+	return m
 }
 
 // SaveTo streams the builder through an existing encoder as one
@@ -109,7 +112,7 @@ func (b *IncrementalBuilder) SaveTo(enc *json.Encoder) error {
 	sort.Strings(domains)
 	for _, d := range domains {
 		a := b.perDomain[d]
-		rec := builderDomainRec{Domain: d, IPSeq: a.ipSeq, Paths: a.paths, Known: a.known}
+		rec := builderDomainRec{Domain: d, IPSeq: a.ipSeq, Paths: builderPaths(a.paths), Known: a.known}
 		if a.ip.IsValid() {
 			rec.IP = a.ip.String()
 		}
@@ -155,8 +158,9 @@ func sortedUAPairs(set map[[2]string]bool) [][2]string {
 // LoadBuilderFrom reads a builder section previously written by SaveTo,
 // leaving the decoder positioned exactly past it. Corrupt sections —
 // negative counts, duplicate domains or hosts, visit totals that do not
-// match the per-host times plus the known-visit counts — are refused with an
-// error, never a panic.
+// match the per-host times plus the known-visit counts, a host's UA list
+// unsorted or repeating a UA, a host UA without its (host, UA) pair record —
+// are refused with an error, never a panic.
 func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 	var hdr builderHeader
 	if err := dec.Decode(&hdr); err != nil {
@@ -171,6 +175,9 @@ func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 	}
 	b := NewIncrementalBuilder()
 	visits := 0
+	// uaOf lists, in file order, the (domain, host, UA) of every non-empty
+	// host UA, checked against the pair records once they have been read.
+	var uaOf [][3]string
 	for i := 0; i < hdr.Domains; i++ {
 		var rec builderDomainRec
 		if err := dec.Decode(&rec); err != nil {
@@ -198,8 +205,9 @@ func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 			return nil, fmt.Errorf("profile: builder domain %q: %d retained paths exceeds the %d cap",
 				rec.Domain, len(rec.Paths), maxPathsPerDomain)
 		}
-		if len(rec.Paths) > 0 {
-			a.paths = rec.Paths
+		for p, s := range rec.Paths {
+			//lint:ignore maporder the retained-path set is unordered; every reader sorts or takes a max
+			a.paths = append(a.paths, pathSeq{p, s})
 		}
 		for _, ch := range rec.Hosts {
 			if _, dup := a.hosts[ch.Host]; dup {
@@ -211,6 +219,11 @@ func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 			}
 			a.hosts[ch.Host] = ha
 			visits += len(ha.Times)
+			for _, ua := range ha.UAs {
+				if ua != "" {
+					uaOf = append(uaOf, [3]string{rec.Domain, ch.Host, ua})
+				}
+			}
 		}
 		b.perDomain[rec.Domain] = a
 	}
@@ -224,6 +237,14 @@ func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 			return nil, fmt.Errorf("profile: load builder ua pair %d: %w", i, err)
 		}
 		b.uaPairs[[2]string{rec.Host, rec.UA}] = true
+	}
+	// The day's UA history update reads the pairs alone (RunCursor.Add writes
+	// a pair only when a host's UA set gains the UA), so a host UA without
+	// its pair would silently never reach the history.
+	for _, u := range uaOf {
+		if !b.uaPairs[[2]string{u[1], u[2]}] {
+			return nil, fmt.Errorf("profile: builder domain %q: host %q uses UA %q but the section has no (host, UA) pair record for it", u[0], u[1], u[2])
+		}
 	}
 	return b, nil
 }
@@ -239,9 +260,9 @@ func (b *IncrementalBuilder) MaxSeq() uint64 {
 		if a.ipSeq > max {
 			max = a.ipSeq
 		}
-		for _, s := range a.paths {
-			if s > max {
-				max = s
+		for _, e := range a.paths {
+			if e.seq > max {
+				max = e.seq
 			}
 		}
 	}
@@ -259,26 +280,16 @@ func (b *IncrementalBuilder) Clone() *IncrementalBuilder {
 		visits:    b.visits,
 	}
 	for d, a := range b.perDomain {
-		ca := &incrementalAgg{known: a.known, ip: a.ip, ipSeq: a.ipSeq}
+		ca := &incrementalAgg{known: a.known, ip: a.ip, ipSeq: a.ipSeq, paths: slices.Clone(a.paths)}
 		if a.hosts != nil {
 			ca.hosts = make(map[string]*HostActivity, len(a.hosts))
 		}
-		if a.paths != nil {
-			ca.paths = make(map[string]uint64, len(a.paths))
-			for p, s := range a.paths {
-				ca.paths[p] = s
-			}
-		}
 		for h, ha := range a.hosts {
-			uas := make(map[string]bool, len(ha.UAs))
-			for ua := range ha.UAs {
-				uas[ua] = true
-			}
 			ca.hosts[h] = &HostActivity{
 				Host:        ha.Host,
 				Times:       append(make([]time.Time, 0, len(ha.Times)), ha.Times...),
 				NoRefVisits: ha.NoRefVisits,
-				UAs:         uas,
+				UAs:         slices.Clone(ha.UAs),
 			}
 		}
 		out.perDomain[d] = ca

@@ -65,12 +65,8 @@ func snapshotFingerprint(t *testing.T, s *Snapshot) string {
 		fmt.Fprintf(&sb, "rare %s ip=%v paths=%d\n", d, da.IP, len(da.Paths()))
 		for _, h := range da.HostNames() {
 			ha := da.Hosts[h]
-			uas := make([]string, 0, len(ha.UAs))
-			for ua := range ha.UAs {
-				uas = append(uas, ua)
-			}
 			fmt.Fprintf(&sb, "  host %s visits=%d noref=%v uas=%d first=%s\n",
-				h, len(ha.Times), ha.UsesNoReferer(), len(uas), ha.First().Format(time.RFC3339))
+				h, len(ha.Times), ha.UsesNoReferer(), len(ha.UAs), ha.First().Format(time.RFC3339))
 		}
 	}
 	return sb.String()
@@ -178,6 +174,16 @@ func TestBuilderCodecRefusals(t *testing.T) {
 {"d":"a.test","paths":{"/1":1,"/2":1,"/3":1,"/4":1,"/5":1,"/6":1,"/7":1,"/8":1,"/9":1,"/10":1,"/11":1,"/12":1,"/13":1,"/14":1,"/15":1,"/16":1,"/17":1},"hosts":[` + host + `]}`,
 		"truncated": `{"version":1,"visits":2,"domains":2,"uaPairs":0}
 {"d":"a.test","hosts":[` + host + `]}`,
+		"unsortedUAs": `{"version":1,"visits":1,"domains":1,"uaPairs":2}
+{"d":"a.test","hosts":[{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":["b","a"]}]}
+{"h":"h1","ua":"a"}
+{"h":"h1","ua":"b"}`,
+		"duplicateUA": `{"version":1,"visits":1,"domains":1,"uaPairs":1}
+{"d":"a.test","hosts":[{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":["a","a"]}]}
+{"h":"h1","ua":"a"}`,
+		"uaWithoutPair": `{"version":1,"visits":1,"domains":1,"uaPairs":1}
+{"d":"a.test","hosts":[{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":["","a","b"]}]}
+{"h":"h1","ua":"a"}`,
 	}
 	for name, input := range cases {
 		t.Run(name, func(t *testing.T) {

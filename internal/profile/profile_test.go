@@ -2,8 +2,10 @@ package profile
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/logs"
 )
@@ -137,21 +139,69 @@ func TestSnapshotHostActivity(t *testing.T) {
 	if ha.UsesNoReferer() {
 		t.Error("host sent one referer, UsesNoReferer must be false")
 	}
-	if !ha.UAs["uaA"] || !ha.UAs["uaB"] {
+	if !slices.Equal(ha.UAs, []string{"uaA", "uaB"}) {
 		t.Errorf("UAs = %v", ha.UAs)
 	}
 }
 
+// TestSnapshotNoUAVisit: a visit without a UA, a referer or a URL — the shape
+// of every DNS visit — records the empty UA marker, no referer, and no path.
 func TestSnapshotNoUAVisit(t *testing.T) {
 	hist := NewHistory()
 	visits := []logs.Visit{visit("h1", "d.com", day(2), "", "")}
 	s := NewSnapshot(day(2), visits, hist, 10)
-	ha := s.Rare["d.com"].Hosts["h1"]
-	if !ha.UAs[""] {
-		t.Error("UA-less visit should record the empty UA marker")
+	da := s.Rare["d.com"]
+	ha := da.Hosts["h1"]
+	if !slices.Equal(ha.UAs, []string{""}) {
+		t.Errorf("UAs = %q, want only the empty UA marker", ha.UAs)
 	}
 	if !ha.UsesNoReferer() {
 		t.Error("referer-less host should report UsesNoReferer")
+	}
+	if p := da.Paths(); len(p) != 0 {
+		t.Errorf("URL-less visit retained paths %q", p)
+	}
+}
+
+// TestKeptPathOwnsItsBytes: a decoded URL is carved from its decoder's text
+// block, and the path set lives for the rest of the day, so the path the
+// builder keeps must be a copy — a substring of the URL would keep the whole
+// block reachable.
+func TestKeptPathOwnsItsBytes(t *testing.T) {
+	rec := logs.ProxyRecord{Time: day(2), Host: "h1", SrcIP: netip.MustParseAddr("10.0.0.1"),
+		Domain: "d.com", URL: "http://d.com/beacon.gif?id=7", Method: "GET", Status: 200}
+	line := logs.AppendProxy(nil, rec)
+	got, err := logs.NewProxyDecoder().ParseProxyRecord(line[:len(line)-1]) // without the newline
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := logs.Visit{Time: got.Time, Host: got.Host, Domain: got.Domain, URL: got.URL}
+	b := NewIncrementalBuilder()
+	b.Add(1, &v)
+	paths := NewSnapshot(day(2), []logs.Visit{v}, NewHistory(), 10).Rare["d.com"].Paths()
+	for _, kept := range append(paths, b.perDomain["d.com"].paths[0].path) {
+		if kept != "/beacon.gif?" {
+			t.Fatalf("kept path %q, want /beacon.gif?", kept)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(got.URL)))
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(kept))); p >= lo && p < lo+uintptr(len(got.URL)) {
+			t.Fatalf("kept path %q points into the decoded URL %q", kept, got.URL)
+		}
+	}
+}
+
+func TestURLPath(t *testing.T) {
+	for _, c := range []struct{ url, want string }{
+		{"", ""}, // no URL (DNS data): no path, not "/"
+		{"http://example.org/logo.gif?id=7", "/logo.gif?"},
+		{"https://example.org/a/b#frag", "/a/b"},
+		{"http://example.org", "/"},
+		{"http://example.org?q", "/"},
+		{"/relative/path", ""},
+	} {
+		if got := urlPath(c.url); got != c.want {
+			t.Errorf("urlPath(%q) = %q, want %q", c.url, got, c.want)
+		}
 	}
 }
 

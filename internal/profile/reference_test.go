@@ -21,37 +21,51 @@ func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, thresh
 		uaPairs:  make(map[[2]string]bool),
 	}
 	acts := make(map[string]*DomainActivity)
+	paths := make(map[string]map[string]bool)      // domain -> its first 16 distinct paths
+	uas := make(map[*HostActivity]map[string]bool) // the host's UAs ("" for a UA-less visit)
 	for i := range visits {
 		v := &visits[i]
 		da := acts[v.Domain]
 		if da == nil {
 			da = &DomainActivity{Domain: v.Domain, Hosts: make(map[string]*HostActivity)}
 			acts[v.Domain] = da
+			paths[v.Domain] = make(map[string]bool)
 			s.domains = append(s.domains, v.Domain)
 		}
 		if !da.IP.IsValid() {
 			da.IP = v.DestIP // first seen
 		}
-		if pth := urlPath(v.URL); pth != "" && len(da.paths) < maxPathsPerDomain {
-			if da.paths == nil {
-				da.paths = make(map[string]uint64)
-			}
-			da.paths[pth] = 0 // first 16 distinct, as a plain set: the seq value is the builder's business
+		if pth := urlPath(v.URL); pth != "" && len(paths[v.Domain]) < maxPathsPerDomain {
+			paths[v.Domain][pth] = true
 		}
 		ha := da.Hosts[v.Host]
 		if ha == nil {
-			ha = &HostActivity{Host: v.Host, UAs: make(map[string]bool)}
+			ha = &HostActivity{Host: v.Host}
 			da.Hosts[v.Host] = ha
+			uas[ha] = make(map[string]bool)
 		}
 		ha.Times = append(ha.Times, v.Time)
 		if !v.HasRef {
 			ha.NoRefVisits++
 		}
 		if v.HasUA {
-			ha.UAs[v.UserAgent] = true
+			uas[ha][v.UserAgent] = true
 			s.uaPairs[[2]string{v.Host, v.UserAgent}] = true
 		} else {
-			ha.UAs[""] = true
+			uas[ha][""] = true
+		}
+	}
+	// The sets in the snapshot's representation: UAs sorted, paths as entries
+	// (the seq value is the builder's business; readers see the set).
+	for ha, set := range uas {
+		for ua := range set {
+			ha.UAs = append(ha.UAs, ua)
+		}
+		sort.Strings(ha.UAs)
+	}
+	for d, set := range paths {
+		for p := range set {
+			acts[d].paths = append(acts[d].paths, pathSeq{path: p})
 		}
 	}
 	s.AllDomains = len(acts)

@@ -19,9 +19,20 @@ type HostActivity struct {
 	Times []time.Time
 	// NoRefVisits counts visits without a web referer.
 	NoRefVisits int
-	// UAs are the user-agent strings the host used toward the domain
-	// ("" marks UA-less connections).
-	UAs map[string]bool
+	// UAs are the distinct user-agent strings the host used toward the
+	// domain, sorted ("" marks UA-less connections). Nearly every host uses
+	// one, so a slice: a map per (host, domain) pair would cost more than the
+	// rest of the pair.
+	UAs []string
+}
+
+// addUA adds ua to the sorted set, reporting whether it was absent.
+func (a *HostActivity) addUA(ua string) bool {
+	i, found := slices.BinarySearch(a.UAs, ua)
+	if !found {
+		a.UAs = slices.Insert(a.UAs, i, ua)
+	}
+	return !found
 }
 
 // First returns the host's first connection time to the domain.
@@ -49,11 +60,17 @@ type DomainActivity struct {
 	Hosts map[string]*HostActivity
 	// IP is the destination address observed for the domain (first seen).
 	IP netip.Addr
-	// paths is the builder aggregate's retained-path map (path -> first
-	// arrival seq), adopted as it stands: a day classifies thousands of rare
-	// domains and reads the paths of the handful it reports, so the set is
-	// materialised by Paths, on demand.
-	paths map[string]uint64
+	// paths is the builder aggregate's retained-path set, adopted as it
+	// stands: a day classifies thousands of rare domains and reads the paths
+	// of the handful it reports, so the sorted list is materialised by Paths,
+	// on demand.
+	paths []pathSeq
+}
+
+// pathSeq is one retained URL path and the smallest arrival seq it was seen at.
+type pathSeq struct {
+	path string
+	seq  uint64
 }
 
 // Paths returns, sorted, the up to maxPathsPerDomain distinct URL paths
@@ -63,9 +80,9 @@ func (d *DomainActivity) Paths() []string {
 	if len(d.paths) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(d.paths))
-	for p := range d.paths {
-		out = append(out, p)
+	out := make([]string, len(d.paths))
+	for i, e := range d.paths {
+		out[i] = e.path
 	}
 	sort.Strings(out)
 	return out
@@ -128,53 +145,54 @@ type incrementalAgg struct {
 	known int
 	ip    netip.Addr
 	ipSeq uint64
-	// paths maps each retained URL path to the smallest arrival seq it was
+	// paths holds each retained URL path with the smallest arrival seq it was
 	// seen at, keeping the maxPathsPerDomain paths with the smallest
 	// first-occurrence seqs — exactly the set a seq-ordered scan admits
-	// before the cap fills.
-	paths map[string]uint64
+	// before the cap fills. Unordered; a path is owned (cloned on admission),
+	// so the set never pins the decoder block its visit's URL was carved from.
+	paths []pathSeq
 	// pathSeqBound caches the largest retained seq of a full set, as found
 	// by admitPath's last scan, so the newcomers of a busy domain — nearly
 	// all of which arrive later than everything retained — are rejected
 	// without walking the set. Every mutation of a full set (a displacement,
 	// an existing path's seq lowered) can only lower the true maximum, so
 	// the cached value stays an upper bound and a rejection on it stays
-	// exact; it is re-tightened by the next scan. Zero = no scan yet.
+	// exact (a retained path's seq is at most the bound, so a later
+	// occurrence of it would not lower it either); it is re-tightened by the
+	// next scan. Zero = no scan yet.
 	pathSeqBound uint64
 }
 
 // admitPath offers one path occurrence to the bounded retention set.
 func (a *incrementalAgg) admitPath(pth string, seq uint64) {
-	if s, ok := a.paths[pth]; ok {
-		if seq < s {
-			a.paths[pth] = seq
-		}
+	full := len(a.paths) == maxPathsPerDomain
+	if full && a.pathSeqBound != 0 && seq >= a.pathSeqBound {
 		return
 	}
-	if a.paths == nil {
-		a.paths = make(map[string]uint64)
+	evict := 0 // the largest-seq entry
+	for i := range a.paths {
+		e := &a.paths[i]
+		if e.path == pth {
+			if seq < e.seq {
+				e.seq = seq
+			}
+			return
+		}
+		if e.seq > a.paths[evict].seq {
+			evict = i
+		}
 	}
-	if len(a.paths) < maxPathsPerDomain {
-		a.paths[pth] = seq
+	if !full {
+		a.paths = append(a.paths, pathSeq{strings.Clone(pth), seq})
 		return
 	}
 	// Full: the newcomer displaces the largest-seq entry iff it is earlier.
-	// (In seq-ordered absorption this branch never displaces — newcomers
-	// always carry the largest seq so far — reproducing the plain "first 16
+	// (In seq-ordered absorption this never displaces — newcomers always
+	// carry the largest seq so far — reproducing the plain "first 16
 	// distinct paths win" cap.)
-	if a.pathSeqBound != 0 && seq >= a.pathSeqBound {
-		return
-	}
-	evict, evictSeq := "", uint64(0)
-	for q, s := range a.paths {
-		if s > evictSeq {
-			evict, evictSeq = q, s
-		}
-	}
-	a.pathSeqBound = evictSeq
-	if seq < evictSeq {
-		delete(a.paths, evict)
-		a.paths[pth] = seq
+	a.pathSeqBound = a.paths[evict].seq
+	if seq < a.pathSeqBound {
+		a.paths[evict] = pathSeq{strings.Clone(pth), seq}
 	}
 }
 
@@ -197,8 +215,8 @@ func (a *incrementalAgg) mergeFrom(o *incrementalAgg) {
 	if o.ip.IsValid() && (!a.ip.IsValid() || o.ipSeq < a.ipSeq) {
 		a.ip, a.ipSeq = o.ip, o.ipSeq
 	}
-	for p, s := range o.paths {
-		a.admitPath(p, s)
+	for _, e := range o.paths {
+		a.admitPath(e.path, e.seq)
 	}
 }
 
@@ -207,14 +225,11 @@ func mergeHostActivity(x, y *HostActivity) *HostActivity {
 		Host:        x.Host,
 		Times:       make([]time.Time, 0, len(x.Times)+len(y.Times)),
 		NoRefVisits: x.NoRefVisits + y.NoRefVisits,
-		UAs:         make(map[string]bool, len(x.UAs)+len(y.UAs)),
+		UAs:         slices.Clone(x.UAs),
 	}
 	out.Times = append(append(out.Times, x.Times...), y.Times...)
-	for ua := range x.UAs {
-		out.UAs[ua] = true
-	}
-	for ua := range y.UAs {
-		out.UAs[ua] = true
+	for _, ua := range y.UAs {
+		out.addUA(ua)
 	}
 	return out
 }
@@ -238,8 +253,14 @@ func mergeHostActivity(x, y *HostActivity) *HostActivity {
 // disjoint domain sets.
 type IncrementalBuilder struct {
 	perDomain map[string]*incrementalAgg
-	uaPairs   map[[2]string]bool
-	visits    int
+	// uaPairs is the day's (host, UA) pair set the UA history is updated
+	// from. Invariant: every non-empty UA in a host's UA set, in any builder
+	// of the day, has its pair in the union of the day's builders' uaPairs —
+	// RunCursor.Add writes a pair only when a UA set gains the UA, and Clone,
+	// MergeFrom and Split carry the sets along; LoadBuilderFrom refuses a
+	// section that breaks it.
+	uaPairs map[[2]string]bool
+	visits  int
 	// timesArena is the current block new hosts carve their initial Times
 	// capacity from, so a day of many low-volume hosts costs one slice
 	// allocation per block instead of one per host. Each host's carve is
@@ -322,7 +343,7 @@ func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 			if a.hosts == nil {
 				a.hosts = make(map[string]*HostActivity)
 			}
-			ha = &HostActivity{Host: v.Host, Times: c.b.takeTimes(), UAs: make(map[string]bool)}
+			ha = &HostActivity{Host: v.Host, Times: c.b.takeTimes()}
 			a.hosts[v.Host] = ha
 		}
 		c.host, c.ha = v.Host, ha
@@ -331,11 +352,14 @@ func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 	if !v.HasRef {
 		ha.NoRefVisits++
 	}
+	ua := ""
 	if v.HasUA {
-		ha.UAs[v.UserAgent] = true
-		c.b.uaPairs[[2]string{v.Host, v.UserAgent}] = true
-	} else {
-		ha.UAs[""] = true
+		ua = v.UserAgent
+	}
+	// The (host, UA) pair is written when the host's UA set gains the UA, not
+	// per visit: an earlier visit that put it in the set wrote it then.
+	if ha.addUA(ua) && v.HasUA {
+		c.b.uaPairs[[2]string{v.Host, ua}] = true
 	}
 	c.b.visits++
 }
@@ -789,13 +813,13 @@ func (s *Snapshot) RareDomains() []string { return s.rareDomains }
 // urlPath extracts the path component (with the query marker preserved, as
 // the paper reports patterns like "/logo.gif?") from a URL without a full
 // parse: scheme and authority are skipped, the fragment dropped, and the
-// query reduced to a bare "?".
+// query reduced to a bare "?". A visit without a URL (DNS data, netflow
+// pseudo-domains) has no path, nor does a URL that is not absolute. The result
+// may be a substring of rawURL.
 func urlPath(rawURL string) string {
-	s := rawURL
-	if i := strings.Index(s, "://"); i >= 0 {
-		s = s[i+3:]
-	} else if rawURL != "" {
-		return "" // not an absolute URL
+	_, s, ok := strings.Cut(rawURL, "://")
+	if !ok {
+		return ""
 	}
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {

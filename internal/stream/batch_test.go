@@ -202,8 +202,8 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 		// never restored with that day silently dropped.
 		"parentClosingDay": {string(readParentClosingCheckpoint(t)), closingRefusal},
 	}
-	for _, hk := range hostileKnown {
-		cases[hk.name] = struct{ input, want string }{string(fuzzV2(okMeta, hk.builder)), hk.want}
+	for _, hb := range hostileBuilders {
+		cases[hb.name] = struct{ input, want string }{string(fuzzV2(okMeta, hb.builder)), hb.want}
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"os"
 	"testing"
 	"time"
 
@@ -219,6 +220,38 @@ func TestParentFormatCheckpointRestores(t *testing.T) {
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mapSetsCheckpoint is a mid-day checkpoint written by the build whose host
+// UA sets and retained-path sets were maps (day 2014-02-03 closed, 2014-02-04
+// open on three shards): hosts with several UAs and UA-less visits, a domain
+// past the 16-path cap, known-domain markers, lease-less marker domains.
+const mapSetsCheckpoint = "testdata/midday-map-sets.ckpt"
+
+// TestMapSetsCheckpointRestores: the builder codec writes the same bytes for
+// the slice-backed sets as it did for the maps, so that checkpoint restores
+// onto any shard count and re-encodes byte for byte.
+func TestMapSetsCheckpointRestores(t *testing.T) {
+	want, err := os.ReadFile(mapSetsCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 5} {
+		e, err := Restore(bytes.NewReader(want), Config{Shards: shards, QueueDepth: 64}, RestoreDeps{})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		var got bytes.Buffer
+		if err := e.Checkpoint(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("shards=%d: re-encoded checkpoint differs from the file\ngot:  %s\nwant: %s", shards, got.Bytes(), want)
+		}
 	}
 }
 

@@ -81,17 +81,31 @@ const (
 	parentLivePair = `{"h":"h1","d":"a.test","s":{"last":"2014-02-03T00:04:00Z","bins":[{"Hub":60,"Count":4}],"total":4,"conns":5}}`
 )
 
-// hostileKnown lists builder sections that abuse the optional per-domain
-// "known" count (all over fuzzV2's empty history), each with the refusal
-// Restore must answer. FuzzCheckpointDecode seeds its corpus with them and
+// hostileBuilders lists builder sections (all over fuzzV2's empty history)
+// that abuse the optional per-domain "known" count or break the host UA
+// set's invariants — sorted, distinct, every UA backed by a (host, UA) pair
+// record — each with the refusal Restore must answer. FuzzCheckpointDecode
+// seeds its corpus with them as inputs it must refuse, and
 // TestRestoreRejectsCorruptCheckpoint pins the messages.
-var hostileKnown = []struct{ name, builder, want string }{
+var hostileBuilders = []struct{ name, builder, want string }{
 	{"negativeKnown", `{"version":1,"visits":0,"domains":1,"uaPairs":0}` + "\n" +
 		`{"d":"a.test","hosts":[],"known":-1}`, "negative known-visit count"},
 	{"knownOutsideHistory", `{"version":1,"visits":2,"domains":1,"uaPairs":0}` + "\n" +
 		`{"d":"a.test","hosts":[],"known":2}`, "absent from the checkpointed history"},
 	{"knownOffVisitTotal", `{"version":1,"visits":1,"domains":1,"uaPairs":0}` + "\n" +
 		`{"d":"a.test","hosts":[` + okHost + `],"known":2}`, "visit total 3 does not match header 1"},
+	{"unsortedUAs", `{"version":1,"visits":1,"domains":1,"uaPairs":2}` + "\n" +
+		`{"d":"a.test","hosts":[{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":["ua-b","ua-a"]}]}` + "\n" +
+		`{"h":"h1","ua":"ua-a"}` + "\n" + `{"h":"h1","ua":"ua-b"}`,
+		`builder domain "a.test": host "h1": uas not sorted and distinct ("ua-b" before "ua-a")`},
+	{"duplicateUA", `{"version":1,"visits":1,"domains":1,"uaPairs":1}` + "\n" +
+		`{"d":"a.test","hosts":[{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":["ua-a","ua-a"]}]}` + "\n" +
+		`{"h":"h1","ua":"ua-a"}`,
+		`builder domain "a.test": host "h1": uas not sorted and distinct ("ua-a" before "ua-a")`},
+	{"uaWithoutPair", `{"version":1,"visits":1,"domains":1,"uaPairs":1}` + "\n" +
+		`{"d":"a.test","hosts":[{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":["","ua-a","ua-b"]}]}` + "\n" +
+		`{"h":"h1","ua":"ua-a"}`,
+		`builder domain "a.test": host "h1" uses UA "ua-b" but the section has no (host, UA) pair record`},
 }
 
 // FuzzCheckpointDecode holds the restore path to its refusal contract:
@@ -147,8 +161,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 	} {
 		f.Add(fuzzV2(body[0], body[1]))
 	}
-	for _, hk := range hostileKnown {
-		f.Add(fuzzV2(okMeta, hk.builder))
+	mustRefuse := map[string]bool{}
+	for _, hb := range hostileBuilders {
+		seed := fuzzV2(okMeta, hb.builder)
+		f.Add(seed)
+		mustRefuse[string(seed)] = true
 	}
 	// Parent-format livePairs sections, hostile ones included: negative
 	// count, truncated records, a duplicate pair, analyzer states violating
@@ -181,6 +198,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 			return // refused cleanly
 		}
 		_ = e.Close()
+		if mustRefuse[string(data)] {
+			t.Fatal("restored a hostile builder section")
+		}
 		var hdr checkpointHeader
 		if line, _, _ := bytes.Cut(data, []byte("\n")); json.Unmarshal(line, &hdr) == nil && hdr.Closing != "" {
 			t.Fatalf("restored a checkpoint whose header names closing day %q", hdr.Closing)
