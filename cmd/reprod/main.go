@@ -65,7 +65,7 @@
 //
 // # Alerting
 //
-// -alert-config FILE (TOML or JSON; see internal/alert) wires detection
+// -alert-config FILE (JSON; see internal/alert) wires detection
 // output to webhook/syslog/file sinks: day-close reports publish confirmed
 // events, and with -preview-interval set, periodic previews publish
 // provisional events (plus health events when previews fail). Delivery is
@@ -141,7 +141,7 @@ func main() {
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file: restored on start if present, written on rollover and shutdown")
 	flag.DurationVar(&o.ckptInterval, "checkpoint-interval", 0, "also write the checkpoint periodically (e.g. 15m; 0 = rollover/shutdown only; requires -checkpoint); a write due during a day-close waits for the close to finish")
 	flag.Int64Var(&o.maxIngest, "max-ingest-bytes", defaultMaxIngestBytes, "largest accepted /ingest or /day body in bytes (oversized requests get 413)")
-	flag.StringVar(&o.alertConfig, "alert-config", "", "alert routing configuration (TOML or JSON): sinks (webhook/syslog/file/stdout) and rules; day-close reports publish confirmed alert events")
+	flag.StringVar(&o.alertConfig, "alert-config", "", "alert routing configuration (JSON): sinks (webhook/syslog/file/stdout) and rules; day-close reports publish confirmed alert events")
 	flag.DurationVar(&o.previewEvery, "preview-interval", 0, "run a mid-day detection preview periodically (e.g. 5m; 0 = off), publishing provisional alert events")
 	flag.StringVar(&o.listenTCP, "listen-tcp", "", "also ingest newline-framed proxy TSV records on this TCP address")
 	flag.StringVar(&o.listenSyslog, "listen-syslog", "", "also ingest RFC 6587 octet-counted RFC 5424 syslog frames (proxy TSV message body) on this TCP address")

@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -143,11 +144,16 @@ func TestHTTPLifecycle(t *testing.T) {
 }
 
 func TestHTTPBadPayloads(t *testing.T) {
-	srv, _ := testServer(t, "")
+	srv, eng := testServer(t, "")
 	m := srv.mux()
 	rr, _ := doJSON(t, m, "POST", "/day", `{"date":"01/02/2014"}`)
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("bad day = %d, want 400", rr.Code)
+	}
+	// Whatever follows the object is refused, not ignored: no day opens.
+	rr, _ = doJSON(t, m, "POST", "/day", `{"date":"2014-03-01"}{"date":"2014-03-09"}`)
+	if rr.Code != http.StatusBadRequest || eng.Stats().Day != "" {
+		t.Fatalf("day with trailing object = %d, open day %q; want 400 and no day", rr.Code, eng.Stats().Day)
 	}
 	rr, _ = doJSON(t, m, "POST", "/day", `{"date":"2014-03-01","leases":{"nope":"h"}}`)
 	if rr.Code != http.StatusBadRequest {
@@ -968,71 +974,106 @@ func TestShutdownInterruptsReplayAndLoops(t *testing.T) {
 	}
 }
 
-// TestListenerWiredIntoDaemon covers the -listen-tcp wiring end to end:
-// records framed over a raw TCP connection land in the engine, the
-// listener counters surface in /stats next to the memory section, and the
-// records survive shutdown into the checkpoint.
+// TestListenerWiredIntoDaemon drives each proxy listener of a whole daemon
+// over one TCP connection: 5,000 records in writes of 250, newline-framed
+// for -listen-tcp and as octet-counted RFC 5424 frames for -listen-syslog.
+// At this rate nothing may be shed, rejected or malformed; the number sent,
+// the listener's records and the engine's dayRecords must agree in /stats,
+// next to the memory section; and the checkpoint written at shutdown must
+// hold every record.
 func TestListenerWiredIntoDaemon(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "reprod.ckpt")
-	d := testDaemon(t, daemonOpts{checkpoint: path, listenTCP: "127.0.0.1:0"})
-	base := "http://" + d.httpLn.Addr().String()
-
-	resp, err := http.Post(base+"/day", "application/json", strings.NewReader(`{"date":"2014-03-01"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
+	const sent, perWrite = 5000, 250
 	day := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	conn, err := net.Dial("tcp", d.inputs[0].Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	recs := testRecords(day, sent)
+	for i := range recs {
+		recs[i].Time = day.Add(time.Duration(i) * time.Second) // all inside the day
 	}
-	if _, err := io.WriteString(conn, proxyTSV(t, testRecords(day, 30))); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		opts  daemonOpts
+		frame func(dst []byte, r logs.ProxyRecord) []byte
+	}{
+		{"tcp", daemonOpts{listenTCP: "127.0.0.1:0"}, logs.AppendProxy},
+		{"syslog", daemonOpts{listenSyslog: "127.0.0.1:0"}, func(dst []byte, r logs.ProxyRecord) []byte {
+			msg := logs.AppendProxy([]byte("<134>1 - proxy reprod - - - "), r)
+			msg = msg[:len(msg)-1] // the octet count replaces the newline
+			dst = strconv.AppendInt(dst, int64(len(msg)), 10)
+			return append(append(dst, ' '), msg...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "reprod.ckpt")
+			tc.opts.checkpoint = path
+			d := testDaemon(t, tc.opts)
+			base := "http://" + d.httpLn.Addr().String()
 
-	// The listener delivers asynchronously; poll /stats for the counters.
-	var body map[string]any
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		r, err := http.Get(base + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body = map[string]any{}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if body["totalRecords"] == float64(30) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("TCP-ingested records never reached the engine: stats %v", body)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	ins, _ := body["inputs"].([]any)
-	if len(ins) != 1 {
-		t.Fatalf("stats inputs = %v, want one listener", body["inputs"])
-	}
-	in, _ := ins[0].(map[string]any)
-	if in["name"] != "tcp" || in["records"] != float64(30) || in["connsAccepted"] != float64(1) {
-		t.Fatalf("listener stats = %v", in)
-	}
-	if mem, _ := body["memory"].(map[string]any); mem == nil || mem["heapSysBytes"] == float64(0) {
-		t.Fatalf("stats memory section = %v", body["memory"])
-	}
+			resp, err := http.Post(base+"/day", "application/json", strings.NewReader(`{"date":"2014-03-01"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
 
-	if err := d.shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if got := restoreCheckpointRecords(t, path, "2014-03-01"); got != 30 {
-		t.Fatalf("checkpoint after TCP ingest has %d records, want 30", got)
+			conn, err := net.Dial("tcp", d.inputs[0].Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf []byte
+			for i := 0; i < sent; i += perWrite {
+				buf = buf[:0]
+				for _, r := range recs[i : i+perWrite] {
+					buf = tc.frame(buf, r)
+				}
+				if _, err := conn.Write(buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := conn.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The listener delivers asynchronously; poll /stats for the counters.
+			var body, in map[string]any
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				r, err := http.Get(base + "/stats")
+				if err != nil {
+					t.Fatal(err)
+				}
+				body = map[string]any{}
+				if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+					t.Fatal(err)
+				}
+				r.Body.Close()
+				ins, _ := body["inputs"].([]any)
+				if len(ins) != 1 {
+					t.Fatalf("stats inputs = %v, want one listener", body["inputs"])
+				}
+				in, _ = ins[0].(map[string]any)
+				if in["sheddedRecords"] != float64(0) || in["rejectedRecords"] != float64(0) || in["malformedFrames"] != float64(0) {
+					t.Fatalf("lossless run lost records: listener stats %v", in)
+				}
+				if in["records"] == float64(sent) && body["dayRecords"] == float64(sent) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("sent %d records; listener delivered %v, engine holds %v", sent, in["records"], body["dayRecords"])
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if in["name"] != tc.name || in["connsAccepted"] != float64(1) {
+				t.Fatalf("listener stats = %v", in)
+			}
+			if mem, _ := body["memory"].(map[string]any); mem == nil || mem["heapSysBytes"] == float64(0) {
+				t.Fatalf("stats memory section = %v", body["memory"])
+			}
+
+			if err := d.shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			if got := restoreCheckpointRecords(t, path, "2014-03-01"); got != sent {
+				t.Fatalf("checkpoint after %s ingest has %d records, want %d", tc.name, got, sent)
+			}
+		})
 	}
 }
 

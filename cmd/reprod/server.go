@@ -210,12 +210,17 @@ type dayRequest struct {
 func (s *server) handleDay(w http.ResponseWriter, r *http.Request) {
 	// The lease map is outside input like an ingest body, under the same cap.
 	var req dayRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxIngest)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxIngest))
+	if err := dec.Decode(&req); err != nil {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			writeErr(w, http.StatusRequestEntityTooLarge, "rejected day: body exceeds %d bytes", s.maxIngest)
 			return
 		}
 		writeErr(w, http.StatusBadRequest, "decode: %v", err)
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeErr(w, http.StatusBadRequest, "decode: content after the JSON object")
 		return
 	}
 	day, err := time.Parse("2006-01-02", req.Date)

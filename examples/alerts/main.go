@@ -57,26 +57,22 @@ func run() error {
 	go websrv.Serve(ln)
 	defer websrv.Close()
 
-	// The alert configuration, in the same TOML subset -alert-config takes.
-	// One rule: detection events at warning or above go to the SOC webhook
+	// The alert configuration, in the JSON -alert-config takes. One rule:
+	// detection events at warning or above go to the SOC webhook
 	// (suppression is off so the provisional and confirmed copies of the
 	// same detection both show up in the demo output).
-	cfgText := fmt.Sprintf(`
-suppress_minutes = -1
-queue_size = 64
-
-[[sinks]]
-name = "soc"
-type = "webhook"
-url = "http://%s/hook"
-
-[[rules]]
-name = "page-on-detections"
-kinds = ["confirmed", "provisional"]
-min_severity = "warning"
-sinks = ["soc"]
-`, ln.Addr())
-	acfg, err := repro.ParseAlertConfig([]byte(cfgText), "toml")
+	cfgText := fmt.Sprintf(`{
+  "suppressMinutes": -1,
+  "queueSize": 64,
+  "sinks": [{"name": "soc", "type": "webhook", "url": "http://%s/hook"}],
+  "rules": [{
+    "name": "page-on-detections",
+    "kinds": ["confirmed", "provisional"],
+    "minSeverity": "warning",
+    "sinks": ["soc"]
+  }]
+}`, ln.Addr())
+	acfg, err := repro.ParseAlertConfig([]byte(cfgText))
 	if err != nil {
 		return err
 	}

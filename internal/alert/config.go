@@ -1,10 +1,12 @@
 package alert
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 )
 
@@ -24,7 +26,7 @@ type SinkConfig struct {
 }
 
 // Config is the alert subsystem's on-disk configuration (the -alert-config
-// file), accepted as JSON or as the TOML subset parseConfigTOML documents.
+// file), a JSON object.
 type Config struct {
 	// SuppressMinutes is the dedup window: a second event with the same
 	// (kind, domain, hosts, message) within the window is suppressed.
@@ -70,47 +72,39 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// ParseConfig reads a configuration document. format is "json" or "toml";
-// "" sniffs: documents starting with '{' are JSON.
-func ParseConfig(data []byte, format string) (Config, error) {
-	switch format {
-	case "":
-		if trimmed := strings.TrimSpace(string(data)); strings.HasPrefix(trimmed, "{") {
-			format = "json"
-		} else {
-			format = "toml"
-		}
-		return ParseConfig(data, format)
-	case "json":
-		var cfg Config
-		dec := json.NewDecoder(strings.NewReader(string(data)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&cfg); err != nil {
-			return Config{}, fmt.Errorf("alert: parse config: %w", err)
-		}
-		return cfg, nil
-	case "toml":
-		return parseConfigTOML(data)
-	default:
-		return Config{}, fmt.Errorf("alert: unknown config format %q", format)
+// errNotJSON refuses a config that is not a JSON object, or that is named
+// .toml: a file written for the TOML subset earlier builds also read.
+var errNotJSON = errors.New("alert: config must be a JSON object: the TOML config subset was removed, convert the file to JSON")
+
+// ParseConfig reads a JSON configuration document: one object, no unknown
+// fields, nothing after it but whitespace.
+func ParseConfig(data []byte) (Config, error) {
+	if trimmed := bytes.TrimSpace(data); len(trimmed) == 0 || trimmed[0] != '{' {
+		return Config{}, errNotJSON
 	}
+	var cfg Config
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return Config{}, fmt.Errorf("alert: parse config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, errors.New("alert: parse config: content after the JSON object")
+	}
+	return cfg, nil
 }
 
-// LoadConfig reads and parses the file at path; extension picks the format
-// (.json/.toml), anything else is sniffed.
+// LoadConfig reads and parses the JSON file at path. A .toml path is refused
+// unread.
 func LoadConfig(path string) (Config, error) {
+	if strings.HasSuffix(path, ".toml") {
+		return Config{}, errNotJSON
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, fmt.Errorf("alert: read config: %w", err)
 	}
-	format := ""
-	switch {
-	case strings.HasSuffix(path, ".json"):
-		format = "json"
-	case strings.HasSuffix(path, ".toml"):
-		format = "toml"
-	}
-	return ParseConfig(data, format)
+	return ParseConfig(data)
 }
 
 // BuildSinks constructs the configured sinks, keyed by name.
@@ -160,167 +154,4 @@ func NewDispatcherFromConfig(cfg Config) (*Dispatcher, error) {
 		return nil, err
 	}
 	return NewDispatcher(cfg, sinks)
-}
-
-// parseConfigTOML reads the TOML subset the alert config needs, without an
-// external TOML dependency: `key = value` pairs (strings, numbers, booleans
-// and one-line string arrays), `[[sinks]]` / `[[rules]]` array-of-table
-// headers, `#` comments. Keys are snake_case or camelCase. The parsed tree
-// is re-marshaled as JSON and decoded through the same struct tags as the
-// JSON format, so both formats accept exactly the same fields.
-func parseConfigTOML(data []byte) (Config, error) {
-	root := map[string]any{}
-	current := root
-	for ln, raw := range strings.Split(string(data), "\n") {
-		line := strings.TrimSpace(stripComment(raw))
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "[[") {
-			if !strings.HasSuffix(line, "]]") {
-				return Config{}, tomlErr(ln, "unterminated table header %q", line)
-			}
-			name := camelKey(strings.TrimSpace(line[2 : len(line)-2]))
-			switch name {
-			case "sinks", "rules":
-			default:
-				return Config{}, tomlErr(ln, "unknown table %q (want [[sinks]] or [[rules]])", name)
-			}
-			table := map[string]any{}
-			arr, _ := root[name].([]any)
-			root[name] = append(arr, any(table))
-			current = table
-			continue
-		}
-		if strings.HasPrefix(line, "[") {
-			return Config{}, tomlErr(ln, "plain tables are not supported, use [[sinks]]/[[rules]]")
-		}
-		eq := strings.Index(line, "=")
-		if eq < 0 {
-			return Config{}, tomlErr(ln, "expected key = value, got %q", line)
-		}
-		key := camelKey(strings.TrimSpace(line[:eq]))
-		if key == "" {
-			return Config{}, tomlErr(ln, "empty key")
-		}
-		val, err := parseTOMLValue(strings.TrimSpace(line[eq+1:]))
-		if err != nil {
-			return Config{}, tomlErr(ln, "%v", err)
-		}
-		if _, dup := current[key]; dup {
-			return Config{}, tomlErr(ln, "duplicate key %q", key)
-		}
-		current[key] = val
-	}
-	// Round-trip through JSON so field names, severity parsing and unknown-
-	// field rejection behave identically across both config formats.
-	blob, err := json.Marshal(root)
-	if err != nil {
-		return Config{}, fmt.Errorf("alert: parse config: %w", err)
-	}
-	return ParseConfig(blob, "json")
-}
-
-func tomlErr(line int, format string, args ...any) error {
-	return fmt.Errorf("alert: config line %d: %s", line+1, fmt.Sprintf(format, args...))
-}
-
-// stripComment removes a trailing # comment, respecting quoted strings.
-func stripComment(line string) string {
-	inStr := false
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
-		case '"':
-			if !inStr || i == 0 || line[i-1] != '\\' {
-				inStr = !inStr
-			}
-		case '#':
-			if !inStr {
-				return line[:i]
-			}
-		}
-	}
-	return line
-}
-
-// camelKey maps snake_case config keys to the camelCase JSON field names.
-func camelKey(k string) string {
-	if !strings.Contains(k, "_") {
-		return k
-	}
-	parts := strings.Split(k, "_")
-	var b strings.Builder
-	b.WriteString(parts[0])
-	for _, p := range parts[1:] {
-		if p == "" {
-			continue
-		}
-		b.WriteString(strings.ToUpper(p[:1]))
-		b.WriteString(p[1:])
-	}
-	return b.String()
-}
-
-func parseTOMLValue(v string) (any, error) {
-	switch {
-	case v == "":
-		return nil, fmt.Errorf("empty value")
-	case v == "true":
-		return true, nil
-	case v == "false":
-		return false, nil
-	case strings.HasPrefix(v, `"`):
-		s, err := strconv.Unquote(v)
-		if err != nil {
-			return nil, fmt.Errorf("bad string %s", v)
-		}
-		return s, nil
-	case strings.HasPrefix(v, "["):
-		if !strings.HasSuffix(v, "]") {
-			return nil, fmt.Errorf("unterminated array %s (arrays must be one line)", v)
-		}
-		inner := strings.TrimSpace(v[1 : len(v)-1])
-		if inner == "" {
-			return []any{}, nil
-		}
-		var out []any
-		for _, item := range splitTOMLArray(inner) {
-			parsed, err := parseTOMLValue(strings.TrimSpace(item))
-			if err != nil {
-				return nil, err
-			}
-			if _, nested := parsed.([]any); nested {
-				return nil, fmt.Errorf("nested arrays are not supported")
-			}
-			out = append(out, parsed)
-		}
-		return out, nil
-	default:
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %s", v)
-		}
-		return f, nil
-	}
-}
-
-// splitTOMLArray splits a one-line array body on commas outside quotes.
-func splitTOMLArray(s string) []string {
-	var parts []string
-	inStr := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			if !inStr || i == 0 || s[i-1] != '\\' {
-				inStr = !inStr
-			}
-		case ',':
-			if !inStr {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(parts, s[start:])
 }

@@ -1,7 +1,12 @@
 package alert
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -56,47 +61,59 @@ domain_pattern = "*.example"
 sinks = ["siem", "audit"]
 `
 
-// TestConfigFormatsAgree: the TOML subset and the JSON form decode to the
-// same configuration, so operators can use either.
+// TestConfigFormatsAgree: the JSON form decodes every field the sample sets,
+// severities and rule patterns included.
 func TestConfigFormatsAgree(t *testing.T) {
-	fromJSON, err := ParseConfig([]byte(sampleJSON), "")
+	cfg, err := ParseConfig([]byte(sampleJSON))
 	if err != nil {
 		t.Fatalf("json: %v", err)
 	}
-	fromTOML, err := ParseConfig([]byte(sampleTOML), "")
-	if err != nil {
-		t.Fatalf("toml: %v", err)
+	if cfg.SuppressMinutes != 5 || cfg.QueueSize != 64 || cfg.MaxRetries != 3 || cfg.RetryBackoffMillis != 50 {
+		t.Fatalf("top-level fields = %+v", cfg)
 	}
-	if !reflect.DeepEqual(fromJSON, fromTOML) {
-		t.Fatalf("formats disagree:\njson: %+v\ntoml: %+v", fromJSON, fromTOML)
+	wantSinks := []SinkConfig{
+		{Name: "soc", Type: "webhook", URL: "http://soc.internal/hook"},
+		{Name: "siem", Type: "syslog", Network: "tcp", Address: "siem:6514"},
+		{Name: "audit", Type: "file", Path: "/var/log/alerts.ndjson"},
 	}
-	if len(fromTOML.Sinks) != 3 || len(fromTOML.Rules) != 2 {
-		t.Fatalf("parsed %d sinks / %d rules", len(fromTOML.Sinks), len(fromTOML.Rules))
+	if !reflect.DeepEqual(cfg.Sinks, wantSinks) {
+		t.Fatalf("sinks = %+v, want %+v", cfg.Sinks, wantSinks)
 	}
-	if fromTOML.Rules[0].MinSeverity != SevCritical {
-		t.Fatalf("min_severity = %v", fromTOML.Rules[0].MinSeverity)
+	if len(cfg.Rules) != 2 {
+		t.Fatalf("parsed %d rules", len(cfg.Rules))
 	}
-	if fromTOML.Rules[1].MinScore != 0.5 || fromTOML.Rules[1].DomainPattern != "*.example" {
-		t.Fatalf("rule 2 = %+v", fromTOML.Rules[1])
+	if r := cfg.Rules[0]; r.Name != "page" || !reflect.DeepEqual(r.Kinds, []EventKind{KindConfirmed}) ||
+		r.MinSeverity != SevCritical || !reflect.DeepEqual(r.Sinks, []string{"soc"}) {
+		t.Fatalf("rule 1 = %+v", r)
+	}
+	if r := cfg.Rules[1]; r.Name != "all" || r.MinScore != 0.5 || r.DomainPattern != "*.example" ||
+		!reflect.DeepEqual(r.Sinks, []string{"siem", "audit"}) {
+		t.Fatalf("rule 2 = %+v", r)
 	}
 }
 
 func TestConfigRejectsGarbage(t *testing.T) {
 	for name, doc := range map[string]string{
 		"unknown json field": `{"sinks": [], "wat": 1}`,
-		"unknown toml table": "[[webhooks]]\nname = \"x\"",
-		"plain toml table":   "[sinks]\nname = \"x\"",
-		"toml no equals":     "sinks\n",
-		"toml bad value":     "queue_size = ??\n",
-		"toml dup key":       "queue_size = 1\nqueue_size = 2\n",
-		"toml nested array":  `kinds = [["confirmed"]]` + "\n",
-		"toml open header":   "[[sinks\n",
-		"toml open string":   `name = "x` + "\n",
 		"bad severity":       `{"sinks": [], "rules": [{"minSeverity": "shrug", "sinks": ["x"]}]}`,
+		"trailing object":    `{"sinks": []}{"sinks": [], "queueSize": 1}`,
+		"trailing garbage":   `{"sinks": []} and more`,
 	} {
-		if _, err := ParseConfig([]byte(doc), ""); err == nil {
+		if _, err := ParseConfig([]byte(doc)); err == nil {
 			t.Errorf("%s: accepted %q", name, doc)
 		}
+	}
+	// A document in the removed TOML subset is refused with a pointer to JSON.
+	_, err := ParseConfig([]byte(sampleTOML))
+	if err == nil || !strings.Contains(err.Error(), "TOML config subset was removed, convert the file to JSON") {
+		t.Fatalf("TOML document: err = %v, want the removed-subset refusal", err)
+	}
+	path := filepath.Join(t.TempDir(), "alerts.toml")
+	if err := os.WriteFile(path, []byte(sampleJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(path); !errors.Is(err, errNotJSON) {
+		t.Fatalf("LoadConfig(.toml) err = %v, want the removed-subset refusal", err)
 	}
 }
 
@@ -123,8 +140,8 @@ func TestBuildSinksValidates(t *testing.T) {
 }
 
 // FuzzAlertConfig holds ParseConfig to its refusal contract: arbitrary
-// bytes in either format must come back as a config or an error — never a
-// panic.
+// bytes come back as a config or an error, never a panic, and anything that
+// does not start with '{' (the TOML seeds among them) is refused.
 func FuzzAlertConfig(f *testing.F) {
 	f.Add([]byte(sampleJSON))
 	f.Add([]byte(sampleTOML))
@@ -133,17 +150,18 @@ func FuzzAlertConfig(f *testing.F) {
 	f.Add([]byte("[[rules]]\nsinks = [\"a\", 3, true]\n"))
 	f.Add([]byte(`{"rules": [{"minSeverity": 99, "sinks": ["x"]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, format := range []string{"", "json", "toml"} {
-			cfg, err := ParseConfig(data, format)
-			if err != nil {
-				continue
-			}
-			// A config that parses must validate without panicking too.
-			for _, r := range cfg.Rules {
-				_ = r.validate()
-				_ = r.Matches(testEvent("probe.example"))
-			}
-			cfg.setDefaults()
+		cfg, err := ParseConfig(data)
+		if err != nil {
+			return
 		}
+		if trimmed := bytes.TrimSpace(data); trimmed[0] != '{' {
+			t.Fatalf("accepted a document that is not a JSON object: %q", data)
+		}
+		// A config that parses must validate without panicking too.
+		for _, r := range cfg.Rules {
+			_ = r.validate()
+			_ = r.Matches(testEvent("probe.example"))
+		}
+		cfg.setDefaults()
 	})
 }

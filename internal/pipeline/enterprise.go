@@ -296,14 +296,14 @@ func stageAssemble(day time.Time, stats normalize.ProxyStats, snap *profile.Snap
 
 // ProcessSnapshot is Process with the snapshot stage prebuilt; see
 // TrainSnapshot for the history contract. A calibration failure returns
-// before the snapshot is committed, so the caller may retry with the same
-// snapshot (note that during calibration such a retry re-collects the day's
-// labeled examples).
+// before the snapshot is committed and leaves the calibration state as it
+// found it, so the caller may retry with the same snapshot.
 func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats) (EnterpriseDayReport, error) {
 	rep := stageAssemble(day, stats, snap)
 	rep.Automated = p.stageDetect(snap, p.cfg.Workers)
 
 	if !p.trained {
+		calDays, ccExamples, simExamples := p.calDays, p.ccExamples, p.simExamples
 		p.collectExamples(snap, rep.Automated, day)
 		p.calDays++
 		if p.calDays >= p.cfg.CalibrationDays {
@@ -314,6 +314,7 @@ func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stat
 				err = nil
 			}
 			if err != nil {
+				p.calDays, p.ccExamples, p.simExamples = calDays, ccExamples, simExamples
 				return rep, fmt.Errorf("calibrate: %w", err)
 			}
 		}

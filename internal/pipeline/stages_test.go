@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -122,5 +123,48 @@ func TestStagePropagateUntrainedSeedless(t *testing.T) {
 	noHint, soc := p.stagePropagate(snap, nil, p.cfg.Workers)
 	if noHint != nil || soc != nil {
 		t.Fatalf("seedless propagate = %v/%v, want nil/nil", noHint, soc)
+	}
+}
+
+// TestFailedCalibrationLeavesStateAsFound: a calibration fit that fails must
+// leave the day count and the collected examples as they were, so a retry of
+// the same snapshot re-runs the day instead of collecting and counting it a
+// second time.
+func TestFailedCalibrationLeavesStateAsFound(t *testing.T) {
+	// A one-day window and one beaconing domain a day: a single C&C example
+	// cannot fit the regression, the grace window absorbs that on the first
+	// day, and the second day's close fails with two.
+	p := NewEnterprise(EnterpriseConfig{CalibrationDays: 1, Workers: 1}, whois.NewRegistry(),
+		func(string, time.Time) bool { return false }, nil)
+	first := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	process := func(i int) error {
+		day := first.AddDate(0, 0, i)
+		var visits []logs.Visit
+		for k := 0; k < 40; k++ {
+			visits = append(visits, logs.Visit{
+				Time: day.Add(time.Duration(k) * 10 * time.Minute),
+				Host: "victim", Domain: fmt.Sprintf("beacon-%d.example", i),
+			})
+		}
+		stats := normalize.ProxyStats{Records: len(visits), Kept: len(visits)}
+		_, err := p.ProcessSnapshot(day, p.stageSnapshot(day, visits), stats)
+		return err
+	}
+	if err := process(0); err != nil {
+		t.Fatalf("first calibration day: %v", err)
+	}
+	before := p.ExportCalibration()
+	if before.CalDays != 1 || len(before.CCExamples) != 1 {
+		t.Fatalf("after the first day: %+v, want one day and one C&C example", before)
+	}
+	err := process(1)
+	if err == nil {
+		t.Fatal("the starved second day calibrated")
+	}
+	if after := p.ExportCalibration(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("failed close changed the calibration state:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if retry := process(1); retry == nil || retry.Error() != err.Error() {
+		t.Fatalf("retry error = %v, want the first failure %v again", retry, err)
 	}
 }

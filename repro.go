@@ -545,11 +545,8 @@ func NewAlertDispatcherFromConfig(cfg AlertConfig) (*AlertDispatcher, error) {
 	return alert.NewDispatcherFromConfig(cfg)
 }
 
-// ParseAlertConfig reads an alert configuration document ("json", "toml",
-// or "" to sniff).
-func ParseAlertConfig(data []byte, format string) (AlertConfig, error) {
-	return alert.ParseConfig(data, format)
-}
+// ParseAlertConfig reads a JSON alert configuration document.
+func ParseAlertConfig(data []byte) (AlertConfig, error) { return alert.ParseConfig(data) }
 
 // LoadAlertConfig reads and parses the alert config file at path.
 func LoadAlertConfig(path string) (AlertConfig, error) { return alert.LoadConfig(path) }
