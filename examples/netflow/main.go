@@ -94,8 +94,8 @@ func (flowDetector) IsCC(da *repro.DomainActivity, _ time.Time) bool {
 		return false
 	}
 	auto := 0
-	for _, h := range da.HostNames() {
-		if repro.AnalyzeTimes(da.Hosts[h].Times, repro.DefaultHistogramConfig()).Automated {
+	for _, ha := range da.Hosts {
+		if repro.AnalyzeTimes(ha.Times, repro.DefaultHistogramConfig()).Automated {
 			auto++
 		}
 	}

@@ -14,6 +14,7 @@ package ccdetect
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,10 +30,11 @@ import (
 type AutomatedDomain struct {
 	Domain   string
 	Activity *profile.DomainActivity
-	// AutoHosts lists the hosts whose connection pattern is automated.
+	// AutoHosts lists, sorted, the hosts whose connection pattern is automated.
 	AutoHosts []string
-	// Verdicts holds the per-host periodicity analysis.
-	Verdicts map[string]histogram.Verdict
+	// Verdicts holds the per-host periodicity analysis, parallel to
+	// Activity.Hosts.
+	Verdicts []histogram.Verdict
 	// Features is filled by Score.
 	Features features.CC
 	// Score is the regression score; meaningful only after Score.
@@ -42,8 +44,10 @@ type AutomatedDomain struct {
 // Period returns the dominant beacon period (seconds) among the automated
 // hosts, for reporting.
 func (a *AutomatedDomain) Period() float64 {
-	for _, h := range a.AutoHosts {
-		return a.Verdicts[h].Period
+	for _, v := range a.Verdicts {
+		if v.Automated {
+			return v.Period
+		}
 	}
 	return 0
 }
@@ -113,17 +117,14 @@ func (d *Detector) FindAutomatedParallel(s *profile.Snapshot, workers int) []*Au
 // rare domains in ten on a busy day, so nothing is allocated until a host
 // does. A rare domain has fewer hosts than the popularity threshold (10 by
 // default) and its verdicts wait in a stack array; append moves them to the
-// heap for a caller with a wider threshold.
+// heap for a caller with a wider threshold. The hosts are walked in their
+// sorted order, so AutoHosts comes out sorted.
 func analyzeActivity(da *profile.DomainActivity, cfg histogram.Config) *AutomatedDomain {
-	type hostVerdict struct {
-		host string
-		v    histogram.Verdict
-	}
-	var local [16]hostVerdict
+	var local [16]histogram.Verdict
 	verdicts, auto := local[:0], 0
-	for h, ha := range da.Hosts {
+	for _, ha := range da.Hosts {
 		v := histogram.AnalyzeTimes(ha.Times, cfg)
-		verdicts = append(verdicts, hostVerdict{h, v})
+		verdicts = append(verdicts, v)
 		if v.Automated {
 			auto++
 		}
@@ -135,15 +136,13 @@ func analyzeActivity(da *profile.DomainActivity, cfg histogram.Config) *Automate
 		Domain:    da.Domain,
 		Activity:  da,
 		AutoHosts: make([]string, 0, auto),
-		Verdicts:  make(map[string]histogram.Verdict, len(verdicts)),
+		Verdicts:  slices.Clone(verdicts),
 	}
-	for _, hv := range verdicts {
-		ad.Verdicts[hv.host] = hv.v
-		if hv.v.Automated {
-			ad.AutoHosts = append(ad.AutoHosts, hv.host)
+	for i, v := range verdicts {
+		if v.Automated {
+			ad.AutoHosts = append(ad.AutoHosts, da.Hosts[i].Host)
 		}
 	}
-	sort.Strings(ad.AutoHosts)
 	return ad
 }
 
@@ -304,11 +303,13 @@ func (d *LANLDetector) IsCC(da *profile.DomainActivity, _ time.Time) bool {
 	}
 	// Require the automated hosts' connections to actually line up in
 	// time, not merely share a period.
-	for i := 0; i < len(ad.AutoHosts); i++ {
-		for j := i + 1; j < len(ad.AutoHosts); j++ {
-			a := da.Hosts[ad.AutoHosts[i]].Times
-			b := da.Hosts[ad.AutoHosts[j]].Times
-			if countAligned(a, b, d.SyncWindow) >= d.minMatches() {
+	for i, vi := range ad.Verdicts {
+		if !vi.Automated {
+			continue
+		}
+		for j := i + 1; j < len(ad.Verdicts); j++ {
+			if ad.Verdicts[j].Automated &&
+				countAligned(da.Hosts[i].Times, da.Hosts[j].Times, d.SyncWindow) >= d.minMatches() {
 				return true
 			}
 		}

@@ -162,8 +162,8 @@ func BeliefPropagation(
 		malicious[d] = true
 		// Hosts contacting seed domains are compromised from the start.
 		if da, ok := s.Rare[d]; ok {
-			for h := range da.Hosts {
-				hosts[h] = true
+			for _, ha := range da.Hosts {
+				hosts[ha.Host] = true
 			}
 		}
 	}
@@ -198,14 +198,14 @@ func BeliefPropagation(
 			Hosts:     da.HostNames(),
 		})
 		// Expand H with the domain's hosts and R with their rare domains.
-		for h := range da.Hosts {
-			if !hosts[h] {
-				hosts[h] = true
-				addHostDomains(h)
+		for _, ha := range da.Hosts {
+			if !hosts[ha.Host] {
+				hosts[ha.Host] = true
+				addHostDomains(ha.Host)
 			} else {
 				// Host already present; its domains may still be new to R
 				// when the host joined via a seed domain before R existed.
-				addHostDomains(h)
+				addHostDomains(ha.Host)
 			}
 		}
 	}

@@ -86,7 +86,7 @@ func Figure3(run *LANLRun) (Figure3Result, *Table) {
 			var visits []fv
 			for _, d := range rep.Snapshot.HostRare[hip] {
 				da := rep.Snapshot.Rare[d]
-				visits = append(visits, fv{d, da.Hosts[hip].First(), run.Gen.Truth.IsMalicious(d)})
+				visits = append(visits, fv{d, da.Host(hip).First(), run.Gen.Truth.IsMalicious(d)})
 			}
 			for i := 0; i < len(visits); i++ {
 				for j := i + 1; j < len(visits); j++ {

@@ -42,8 +42,8 @@ func Generality(scale Scale, seed int64) (GeneralityResult, *Table) {
 		if !ok {
 			return false
 		}
-		for _, h := range da.HostNames() {
-			if histogram.AnalyzeTimes(da.Hosts[h].Times, hcfg).Automated {
+		for _, ha := range da.Hosts {
+			if histogram.AnalyzeTimes(ha.Times, hcfg).Automated {
 				return true
 			}
 		}

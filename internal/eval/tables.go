@@ -87,11 +87,11 @@ func Table2(run *LANLRun) ([]Table2Row, *Table) {
 	var trainSeries, testSeries []series
 	collect := func(rep pipeline.LANLDayReport, dst *[]series) {
 		for d, da := range rep.Snapshot.Rare {
-			for h, ha := range da.Hosts {
+			for _, ha := range da.Hosts {
 				if len(ha.Times) < 2 {
 					continue
 				}
-				*dst = append(*dst, series{pair{h, d}, histogram.Intervals(ha.Times)})
+				*dst = append(*dst, series{pair{ha.Host, d}, histogram.Intervals(ha.Times)})
 			}
 		}
 	}

@@ -200,8 +200,8 @@ func LabeledFromActivity(da *profile.DomainActivity) Labeled {
 		FirstVisit: make(map[string]time.Time, len(da.Hosts)),
 		IP:         da.IP,
 	}
-	for h, ha := range da.Hosts {
-		l.FirstVisit[h] = ha.First()
+	for _, ha := range da.Hosts {
+		l.FirstVisit[ha.Host] = ha.First()
 	}
 	return l
 }
@@ -212,9 +212,9 @@ func LabeledFromActivity(da *profile.DomainActivity) Labeled {
 // Domains with no shared host score 0.
 func timingCloseness(da *profile.DomainActivity, labeled []Labeled) float64 {
 	minIv := math.Inf(1)
-	for h, ha := range da.Hosts {
+	for _, ha := range da.Hosts {
 		for _, l := range labeled {
-			lt, ok := l.FirstVisit[h]
+			lt, ok := l.FirstVisit[ha.Host]
 			if !ok {
 				continue
 			}

@@ -75,8 +75,8 @@ func TestFlowPipelineDetectsBeacon(t *testing.T) {
 			// least one host's connection series to the C&C address must
 			// be automated.
 			auto := false
-			for _, hn := range da.HostNames() {
-				if histogram.AnalyzeTimes(da.Hosts[hn].Times, histogram.DefaultConfig()).Automated {
+			for _, ha := range da.Hosts {
+				if histogram.AnalyzeTimes(ha.Times, histogram.DefaultConfig()).Automated {
 					auto = true
 				}
 			}

@@ -182,25 +182,35 @@ func (r *EnterpriseDayReport) SOCHintDomains() []string {
 // Train ingests one profiling-month day: reduce, profile, update.
 func (p *Enterprise) Train(day time.Time, recs []logs.ProxyRecord, leases map[netip.Addr]string) EnterpriseDayReport {
 	visits, stats := normalize.ReduceProxy(recs, leases)
-	return p.TrainSnapshot(day, p.stageSnapshot(day, visits), stats)
+	snap := p.stageSnapshot(day, visits)
+	rep := p.TrainSnapshot(day, snap, stats)
+	snap.Commit(p.hist)
+	return rep
 }
 
 // TrainSnapshot is Train for callers that already hold the day's snapshot —
 // the streaming engine maintains per-shard partial snapshots during the day
 // and classifies them at rollover. The snapshot must have been classified
 // against this pipeline's history with every earlier day committed (the
-// engine's serialized day-closes guarantee it).
+// engine's serialized day-closes guarantee it). It does not commit the day:
+// the caller calls snap.Commit with the pipeline's History before the next
+// day is classified — the engine does so after publishing the day's report,
+// which only tomorrow's classification needs the commit for.
 func (p *Enterprise) TrainSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats) EnterpriseDayReport {
-	rep := stageAssemble(day, stats, snap)
-	snap.Commit(p.hist)
-	return rep
+	return stageAssemble(day, stats, snap)
 }
 
 // Process runs one operation day: during the calibration window it collects
-// labeled examples; afterwards it detects in both modes.
+// labeled examples; afterwards it detects in both modes. The day is committed
+// to the history unless calibration fails.
 func (p *Enterprise) Process(day time.Time, recs []logs.ProxyRecord, leases map[netip.Addr]string) (EnterpriseDayReport, error) {
 	visits, stats := normalize.ReduceProxy(recs, leases)
-	return p.ProcessSnapshot(day, p.stageSnapshot(day, visits), stats)
+	snap := p.stageSnapshot(day, visits)
+	rep, err := p.ProcessSnapshot(day, snap, stats)
+	if err == nil {
+		snap.Commit(p.hist)
+	}
+	return rep, err
 }
 
 // ---- Day-close stages ----
@@ -294,10 +304,10 @@ func stageAssemble(day time.Time, stats normalize.ProxyStats, snap *profile.Snap
 	}
 }
 
-// ProcessSnapshot is Process with the snapshot stage prebuilt; see
-// TrainSnapshot for the history contract. A calibration failure returns
-// before the snapshot is committed and leaves the calibration state as it
-// found it, so the caller may retry with the same snapshot.
+// ProcessSnapshot is Process with the snapshot stage prebuilt and without
+// the commit; see TrainSnapshot for the history contract. A calibration
+// failure leaves the calibration state as it found it, so the caller may
+// retry with the same snapshot (and must not commit it meanwhile).
 func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats) (EnterpriseDayReport, error) {
 	rep := stageAssemble(day, stats, snap)
 	rep.Automated = p.stageDetect(snap, p.cfg.Workers)
@@ -319,13 +329,11 @@ func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stat
 			}
 		}
 		rep.Calibrating = true
-		snap.Commit(p.hist)
 		return rep, nil
 	}
 
 	rep.CC = p.stageScore(rep.Automated)
 	rep.NoHint, rep.SOCHints = p.stagePropagate(snap, rep.CC, p.cfg.Workers)
-	snap.Commit(p.hist)
 	return rep, nil
 }
 
@@ -379,8 +387,8 @@ func (p *Enterprise) collectExamples(snap *profile.Snapshot, automated []*ccdete
 		})
 		if reported {
 			confirmed = append(confirmed, features.LabeledFromActivity(ad.Activity))
-			for h := range ad.Activity.Hosts {
-				hostsOfConfirmed[h] = true
+			for _, ha := range ad.Activity.Hosts {
+				hostsOfConfirmed[ha.Host] = true
 			}
 		}
 	}
@@ -421,8 +429,8 @@ func (p *Enterprise) collectExamples(snap *profile.Snapshot, automated []*ccdete
 		}
 		da := snap.Rare[d]
 		touchesConfirmed := false
-		for h := range da.Hosts {
-			if hostsOfConfirmed[h] {
+		for _, ha := range da.Hosts {
+			if hostsOfConfirmed[ha.Host] {
 				touchesConfirmed = true
 				break
 			}

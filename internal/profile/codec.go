@@ -116,7 +116,7 @@ func (b *IncrementalBuilder) SaveTo(enc *json.Encoder) error {
 		if a.ip.IsValid() {
 			rec.IP = a.ip.String()
 		}
-		rec.Hosts = encodeHostMap(a.hosts)
+		rec.Hosts = encodeHosts(a.hosts)
 		if err := enc.Encode(rec); err != nil {
 			return fmt.Errorf("profile: save builder domain: %w", err)
 		}
@@ -129,14 +129,12 @@ func (b *IncrementalBuilder) SaveTo(enc *json.Encoder) error {
 	return nil
 }
 
-// encodeHostMap renders a host-activity map as codec records in host order,
-// so the encoded bytes do not depend on map iteration.
-func encodeHostMap(hosts map[string]*HostActivity) []codecHost {
-	out := make([]codecHost, 0, len(hosts))
-	for _, ha := range hosts {
-		out = append(out, encodeHostActivity(ha))
+// encodeHosts renders a host list, already in host order, as codec records.
+func encodeHosts(hosts []*HostActivity) []codecHost {
+	out := make([]codecHost, len(hosts))
+	for i, ha := range hosts {
+		out[i] = encodeHostActivity(ha)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
 	return out
 }
 
@@ -157,10 +155,11 @@ func sortedUAPairs(set map[[2]string]bool) [][2]string {
 
 // LoadBuilderFrom reads a builder section previously written by SaveTo,
 // leaving the decoder positioned exactly past it. Corrupt sections —
-// negative counts, duplicate domains or hosts, visit totals that do not
-// match the per-host times plus the known-visit counts, a host's UA list
-// unsorted or repeating a UA, a host UA without its (host, UA) pair record —
-// are refused with an error, never a panic.
+// negative counts, duplicate domains, a domain's hosts out of order or
+// repeating (they are appended to its sorted host list), visit totals that
+// do not match the per-host times plus the known-visit counts, a host's UA
+// list unsorted or repeating a UA, a host UA without its (host, UA) pair
+// record — are refused with an error, never a panic.
 func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 	var hdr builderHeader
 	if err := dec.Decode(&hdr); err != nil {
@@ -191,7 +190,7 @@ func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 		}
 		a := &incrementalAgg{known: rec.Known, ipSeq: rec.IPSeq}
 		if len(rec.Hosts) > 0 {
-			a.hosts = make(map[string]*HostActivity, len(rec.Hosts))
+			a.hosts = make([]*HostActivity, 0, len(rec.Hosts))
 		}
 		visits += rec.Known
 		if rec.IP != "" {
@@ -210,14 +209,15 @@ func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 			a.paths = append(a.paths, pathSeq{p, s})
 		}
 		for _, ch := range rec.Hosts {
-			if _, dup := a.hosts[ch.Host]; dup {
-				return nil, fmt.Errorf("profile: builder domain %q: duplicate host %q", rec.Domain, ch.Host)
+			if n := len(a.hosts); n > 0 && a.hosts[n-1].Host >= ch.Host {
+				return nil, fmt.Errorf("profile: builder domain %q: host %q out of order or repeated (after %q)",
+					rec.Domain, ch.Host, a.hosts[n-1].Host)
 			}
 			ha, err := decodeHostActivity(ch)
 			if err != nil {
 				return nil, fmt.Errorf("profile: builder domain %q: %w", rec.Domain, err)
 			}
-			a.hosts[ch.Host] = ha
+			a.hosts = append(a.hosts, ha)
 			visits += len(ha.Times)
 			for _, ua := range ha.UAs {
 				if ua != "" {
@@ -281,11 +281,11 @@ func (b *IncrementalBuilder) Clone() *IncrementalBuilder {
 	}
 	for d, a := range b.perDomain {
 		ca := &incrementalAgg{known: a.known, ip: a.ip, ipSeq: a.ipSeq, paths: slices.Clone(a.paths)}
-		if a.hosts != nil {
-			ca.hosts = make(map[string]*HostActivity, len(a.hosts))
+		if len(a.hosts) > 0 {
+			ca.hosts = make([]*HostActivity, len(a.hosts))
 		}
-		for h, ha := range a.hosts {
-			ca.hosts[h] = &HostActivity{
+		for i, ha := range a.hosts {
+			ca.hosts[i] = &HostActivity{
 				Host:        ha.Host,
 				Times:       append(make([]time.Time, 0, len(ha.Times)), ha.Times...),
 				NoRefVisits: ha.NoRefVisits,
@@ -305,7 +305,7 @@ func (b *IncrementalBuilder) Clone() *IncrementalBuilder {
 // clones yields the same aggregate any other partitioning would. b adopts
 // parts of o's structure, so o must not be used afterwards; the receiver
 // must be a builder the caller owns outright (a Clone, or a freshly loaded
-// one), because shared hosts merge copy-on-write into b's maps.
+// one), because shared domains merge into b's aggregates.
 func (b *IncrementalBuilder) MergeFrom(o *IncrementalBuilder) {
 	for d, oa := range o.perDomain {
 		if a, ok := b.perDomain[d]; ok {

@@ -63,10 +63,9 @@ func snapshotFingerprint(t *testing.T, s *Snapshot) string {
 	for _, d := range s.RareDomains() {
 		da := s.Rare[d]
 		fmt.Fprintf(&sb, "rare %s ip=%v paths=%d\n", d, da.IP, len(da.Paths()))
-		for _, h := range da.HostNames() {
-			ha := da.Hosts[h]
+		for _, ha := range da.Hosts {
 			fmt.Fprintf(&sb, "  host %s visits=%d noref=%v uas=%d first=%s\n",
-				h, len(ha.Times), ha.UsesNoReferer(), len(ha.UAs), ha.First().Format(time.RFC3339))
+				ha.Host, len(ha.Times), ha.UsesNoReferer(), len(ha.UAs), ha.First().Format(time.RFC3339))
 		}
 	}
 	return sb.String()
@@ -162,6 +161,8 @@ func TestBuilderCodecRefusals(t *testing.T) {
 {"d":"a.test","hosts":[` + host + `]}`,
 		"duplicateHost": `{"version":1,"visits":2,"domains":1,"uaPairs":0}
 {"d":"a.test","hosts":[` + host + `,` + host + `]}`,
+		"unsortedHosts": `{"version":1,"visits":2,"domains":1,"uaPairs":0}
+{"d":"a.test","hosts":[{"h":"h2","t":["2014-02-03T00:00:00Z"],"uas":[""]},` + host + `]}`,
 		"emptyHost": `{"version":1,"visits":0,"domains":1,"uaPairs":0}
 {"d":"a.test","hosts":[{"h":"h1","t":[],"uas":[""]}]}`,
 		"visitMismatch": `{"version":1,"visits":5,"domains":1,"uaPairs":0}

@@ -52,6 +52,30 @@ func NewHistory() *History {
 func (h *History) UpdateDomains(day time.Time, domains []string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.addDomainsLocked(day, domains)
+}
+
+// UpdateUA records that host used the given user-agent string.
+func (h *History) UpdateUA(host, ua string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.addUALocked(host, ua)
+}
+
+// commitDay is UpdateDomains plus UpdateUA for every pair of the given sets,
+// under one lock acquisition: the day's commit (Snapshot.Commit).
+func (h *History) commitDay(day time.Time, domains []string, pairSets []map[[2]string]bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, set := range pairSets {
+		for pair := range set {
+			h.addUALocked(pair[0], pair[1])
+		}
+	}
+	h.addDomainsLocked(day, domains)
+}
+
+func (h *History) addDomainsLocked(day time.Time, domains []string) {
 	for _, d := range domains {
 		if _, ok := h.domains[d]; !ok {
 			h.domains[d] = day
@@ -61,13 +85,10 @@ func (h *History) UpdateDomains(day time.Time, domains []string) {
 	h.epoch.Add(1)
 }
 
-// UpdateUA records that host used the given user-agent string.
-func (h *History) UpdateUA(host, ua string) {
+func (h *History) addUALocked(host, ua string) {
 	if ua == "" {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	set, ok := h.uaHosts[ua]
 	if !ok {
 		set = make(map[string]bool)

@@ -123,7 +123,10 @@ func TestSnapshotHostActivity(t *testing.T) {
 		visit("h1", "d.com", base.Add(2*time.Hour), "uaA", "ref"),
 	}
 	s := NewSnapshot(day(2), visits, hist, 10)
-	ha := s.Rare["d.com"].Hosts["h1"]
+	if s.Rare["d.com"].Host("h0") != nil {
+		t.Error("Host found a host that never contacted the domain")
+	}
+	ha := s.Rare["d.com"].Host("h1")
 	if len(ha.Times) != 3 {
 		t.Fatalf("times = %v", ha.Times)
 	}
@@ -151,7 +154,7 @@ func TestSnapshotNoUAVisit(t *testing.T) {
 	visits := []logs.Visit{visit("h1", "d.com", day(2), "", "")}
 	s := NewSnapshot(day(2), visits, hist, 10)
 	da := s.Rare["d.com"]
-	ha := da.Hosts["h1"]
+	ha := da.Host("h1")
 	if !slices.Equal(ha.UAs, []string{""}) {
 		t.Errorf("UAs = %q, want only the empty UA marker", ha.UAs)
 	}

@@ -12,23 +12,27 @@ import (
 // scan of the day in visit order over plain maps, no builder, no seq keys,
 // no partitions, no merge. NewSnapshotParallel, ClassifyDisjoint and
 // MergeSnapshotParallel share one implementation, so without this the
-// equivalence tests would compare that implementation with itself.
+// equivalence tests would compare that implementation with itself. A
+// domain's hosts are a plain map during the scan and become the snapshot's
+// host-sorted list only at the end.
 func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, threshold int) *Snapshot {
 	s := &Snapshot{
 		Day:      day,
 		Rare:     make(map[string]*DomainActivity),
 		HostRare: make(map[string][]string),
-		uaPairs:  make(map[[2]string]bool),
 	}
+	pairs := make(map[[2]string]bool)
 	acts := make(map[string]*DomainActivity)
-	paths := make(map[string]map[string]bool)      // domain -> its first 16 distinct paths
-	uas := make(map[*HostActivity]map[string]bool) // the host's UAs ("" for a UA-less visit)
+	hosts := make(map[string]map[string]*HostActivity) // domain -> host -> activity
+	paths := make(map[string]map[string]bool)          // domain -> its first 16 distinct paths
+	uas := make(map[*HostActivity]map[string]bool)     // the host's UAs ("" for a UA-less visit)
 	for i := range visits {
 		v := &visits[i]
 		da := acts[v.Domain]
 		if da == nil {
-			da = &DomainActivity{Domain: v.Domain, Hosts: make(map[string]*HostActivity)}
+			da = &DomainActivity{Domain: v.Domain}
 			acts[v.Domain] = da
+			hosts[v.Domain] = make(map[string]*HostActivity)
 			paths[v.Domain] = make(map[string]bool)
 			s.domains = append(s.domains, v.Domain)
 		}
@@ -38,10 +42,10 @@ func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, thresh
 		if pth := urlPath(v.URL); pth != "" && len(paths[v.Domain]) < maxPathsPerDomain {
 			paths[v.Domain][pth] = true
 		}
-		ha := da.Hosts[v.Host]
+		ha := hosts[v.Domain][v.Host]
 		if ha == nil {
 			ha = &HostActivity{Host: v.Host}
-			da.Hosts[v.Host] = ha
+			hosts[v.Domain][v.Host] = ha
 			uas[ha] = make(map[string]bool)
 		}
 		ha.Times = append(ha.Times, v.Time)
@@ -50,7 +54,7 @@ func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, thresh
 		}
 		if v.HasUA {
 			uas[ha][v.UserAgent] = true
-			s.uaPairs[[2]string{v.Host, v.UserAgent}] = true
+			pairs[[2]string{v.Host, v.UserAgent}] = true
 		} else {
 			uas[ha][""] = true
 		}
@@ -68,25 +72,40 @@ func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, thresh
 			acts[d].paths = append(acts[d].paths, pathSeq{path: p})
 		}
 	}
+	s.uaPairs = []map[[2]string]bool{pairs}
 	s.AllDomains = len(acts)
 	for d, da := range acts {
 		if hist.SeenDomain(d) {
 			continue
 		}
 		s.NewDomains++
-		if len(da.Hosts) >= threshold {
+		if len(hosts[d]) >= threshold {
 			continue
 		}
 		s.Rare[d] = da
 		s.rareDomains = append(s.rareDomains, d)
-		for h, ha := range da.Hosts {
+		for h, ha := range hosts[d] {
 			slices.SortFunc(ha.Times, time.Time.Compare)
 			s.HostRare[h] = append(s.HostRare[h], d)
+			da.Hosts = append(da.Hosts, ha)
 		}
+		sort.Slice(da.Hosts, func(i, j int) bool { return da.Hosts[i].Host < da.Hosts[j].Host })
 	}
 	for h := range s.HostRare {
 		sort.Strings(s.HostRare[h])
 	}
 	sort.Strings(s.rareDomains)
 	return s
+}
+
+// pairUnion is the day's (host, UA) pair set: the union of the parts' sets a
+// snapshot keeps for Commit.
+func pairUnion(s *Snapshot) map[[2]string]bool {
+	out := make(map[[2]string]bool)
+	for _, set := range s.uaPairs {
+		for pair := range set {
+			out[pair] = true
+		}
+	}
+	return out
 }

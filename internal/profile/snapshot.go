@@ -15,7 +15,8 @@ import (
 // HostActivity aggregates one host's connections to one domain on one day.
 type HostActivity struct {
 	Host string
-	// Times are the connection timestamps, sorted ascending.
+	// Times are the connection timestamps: sorted ascending in a snapshot's
+	// rare domains (classification sorts them), in arrival order in a builder.
 	Times []time.Time
 	// NoRefVisits counts visits without a web referer.
 	NoRefVisits int
@@ -56,8 +57,10 @@ const maxPathsPerDomain = 16
 // DomainActivity aggregates all activity toward one rare domain on one day.
 type DomainActivity struct {
 	Domain string
-	// Hosts maps host name to that host's activity.
-	Hosts map[string]*HostActivity
+	// Hosts are the contacting hosts' activities, sorted by host. A rare domain
+	// has fewer hosts than the popularity threshold by definition, so a sorted
+	// slice — walked in order, searched by Host — rather than a map.
+	Hosts []*HostActivity
 	// IP is the destination address observed for the domain (first seen).
 	IP netip.Addr
 	// paths is the builder aggregate's retained-path set, adopted as it
@@ -90,12 +93,28 @@ func (d *DomainActivity) Paths() []string {
 
 // HostNames returns the contacting hosts in sorted order.
 func (d *DomainActivity) HostNames() []string {
-	out := make([]string, 0, len(d.Hosts))
-	for h := range d.Hosts {
-		out = append(out, h)
+	out := make([]string, len(d.Hosts))
+	for i, ha := range d.Hosts {
+		out[i] = ha.Host
 	}
-	sort.Strings(out)
 	return out
+}
+
+// Host returns the named host's activity toward the domain, or nil when the
+// host did not contact it.
+func (d *DomainActivity) Host(name string) *HostActivity {
+	if i, ok := searchHost(d.Hosts, name); ok {
+		return d.Hosts[i]
+	}
+	return nil
+}
+
+// searchHost finds name in a host list sorted by host: its index and true, or
+// the index it would be inserted at and false.
+func searchHost(hosts []*HostActivity, name string) (int, bool) {
+	return slices.BinarySearchFunc(hosts, name, func(ha *HostActivity, name string) int {
+		return strings.Compare(ha.Host, name)
+	})
 }
 
 // NumHosts returns the domain connectivity (the NoHosts feature).
@@ -121,8 +140,10 @@ type Snapshot struct {
 	// domains is the full distinct domain list for the end-of-day history
 	// update.
 	domains []string
-	// visits retained for UA history updates.
-	uaPairs map[[2]string]bool
+	// uaPairs are the parts' (host, UA) pair sets, kept as they are for
+	// Commit: their union is the day's pair set (a pair may sit in several),
+	// and nothing before the commit reads it.
+	uaPairs []map[[2]string]bool
 }
 
 // incrementalAgg is the pre-classification aggregation of one domain's
@@ -135,9 +156,9 @@ type Snapshot struct {
 // into exactly the state a single sequential pass over the seq-ordered day
 // would have produced.
 type incrementalAgg struct {
-	// hosts is created on the first profiled visit (nil until then): a
+	// hosts is sorted by host and empty until the first profiled visit: a
 	// domain folded only through AddKnown is a bare marker.
-	hosts map[string]*HostActivity
+	hosts []*HostActivity
 	// known counts the visits folded through RunCursor.AddKnown — visits to
 	// a domain the history already held when they arrived. They are counted,
 	// not profiled: classifyAgg discards every such domain, so nothing else
@@ -197,27 +218,43 @@ func (a *incrementalAgg) admitPath(pth string, seq uint64) {
 }
 
 // mergeFrom folds another partition's aggregate of the same domain into a.
-// Shared hosts are combined copy-on-write (neither input HostActivity is
+// Host lists are merged copy-on-write (neither input list nor HostActivity is
 // mutated), so merging is safe even when the partitions split a
 // (host, domain) pair.
 func (a *incrementalAgg) mergeFrom(o *incrementalAgg) {
 	a.known += o.known
-	if a.hosts == nil && len(o.hosts) > 0 {
-		a.hosts = make(map[string]*HostActivity, len(o.hosts))
-	}
-	for h, ha := range o.hosts {
-		if cur, ok := a.hosts[h]; ok {
-			a.hosts[h] = mergeHostActivity(cur, ha)
-		} else {
-			a.hosts[h] = ha
-		}
-	}
+	a.hosts = mergeHosts(a.hosts, o.hosts)
 	if o.ip.IsValid() && (!a.ip.IsValid() || o.ipSeq < a.ipSeq) {
 		a.ip, a.ipSeq = o.ip, o.ipSeq
 	}
 	for _, e := range o.paths {
 		a.admitPath(e.path, e.seq)
 	}
+}
+
+// mergeHosts unions two host lists sorted by host into a new one, combining a
+// host both hold into a new HostActivity; an empty side returns the other as
+// it is.
+func mergeHosts(x, y []*HostActivity) []*HostActivity {
+	if len(x) == 0 {
+		return y
+	}
+	if len(y) == 0 {
+		return x
+	}
+	out := make([]*HostActivity, 0, len(x)+len(y))
+	for len(x) > 0 && len(y) > 0 {
+		switch c := strings.Compare(x[0].Host, y[0].Host); {
+		case c < 0:
+			out, x = append(out, x[0]), x[1:]
+		case c > 0:
+			out, y = append(out, y[0]), y[1:]
+		default:
+			out = append(out, mergeHostActivity(x[0], y[0]))
+			x, y = x[1:], y[1:]
+		}
+	}
+	return append(append(out, x...), y...)
 }
 
 func mergeHostActivity(x, y *HostActivity) *HostActivity {
@@ -265,8 +302,10 @@ type IncrementalBuilder struct {
 	// capacity from, so a day of many low-volume hosts costs one slice
 	// allocation per block instead of one per host. Each host's carve is
 	// capacity-clipped (three-index slice), so growth past it reallocates
-	// privately and can never scribble on a neighbour's slots.
+	// privately and can never scribble on a neighbour's slots. hostsArena
+	// does the same for a newly profiled domain's host list.
 	timesArena []time.Time
+	hostsArena []*HostActivity
 }
 
 // NewIncrementalBuilder returns an empty partition builder.
@@ -280,18 +319,22 @@ func NewIncrementalBuilder() *IncrementalBuilder {
 const (
 	// timesCarve is the initial Times capacity granted to each new host.
 	timesCarve = 8
-	// timesArenaBlock is the block size timesCarve chunks are cut from.
-	timesArenaBlock = 1024
+	// hostsCarve is the initial host-list capacity granted to each newly
+	// profiled domain: most rare domains have one or two hosts.
+	hostsCarve = 2
+	// arenaBlock is the block size the carves are cut from.
+	arenaBlock = 1024
 )
 
-// takeTimes returns an empty Times slice with timesCarve private capacity.
-func (b *IncrementalBuilder) takeTimes() []time.Time {
-	if cap(b.timesArena)-len(b.timesArena) < timesCarve {
-		b.timesArena = make([]time.Time, 0, timesArenaBlock)
+// carve cuts an empty slice with n private capacity from the arena, starting a
+// new block when the current one is short.
+func carve[T any](arena *[]T, n int) []T {
+	if cap(*arena)-len(*arena) < n {
+		*arena = make([]T, 0, arenaBlock)
 	}
-	n := len(b.timesArena)
-	b.timesArena = b.timesArena[:n+timesCarve]
-	return b.timesArena[n : n : n+timesCarve]
+	i := len(*arena)
+	*arena = (*arena)[:i+n]
+	return (*arena)[i : i : i+n]
 }
 
 // RunCursor folds a run of same-domain visits into its builder with the
@@ -302,10 +345,9 @@ func (b *IncrementalBuilder) takeTimes() []time.Time {
 // cursor is invalidated by any other mutation of its builder (another
 // cursor, Add, MergeFrom); obtain a fresh one per run.
 type RunCursor struct {
-	b    *IncrementalBuilder
-	agg  *incrementalAgg
-	host string
-	ha   *HostActivity
+	b   *IncrementalBuilder
+	agg *incrementalAgg
+	ha  *HostActivity
 }
 
 // Run starts a run of visits for one domain, creating the domain's
@@ -336,17 +378,18 @@ func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 		a.admitPath(pth, seq)
 	}
 	ha := c.ha
-	if ha == nil || v.Host != c.host {
-		var ok bool
-		ha, ok = a.hosts[v.Host]
-		if !ok {
+	if ha == nil || ha.Host != v.Host {
+		i, found := searchHost(a.hosts, v.Host)
+		if found {
+			ha = a.hosts[i]
+		} else {
 			if a.hosts == nil {
-				a.hosts = make(map[string]*HostActivity)
+				a.hosts = carve(&c.b.hostsArena, hostsCarve)
 			}
-			ha = &HostActivity{Host: v.Host, Times: c.b.takeTimes()}
-			a.hosts[v.Host] = ha
+			ha = &HostActivity{Host: v.Host, Times: carve(&c.b.timesArena, timesCarve)}
+			a.hosts = slices.Insert(a.hosts, i, ha)
 		}
-		c.host, c.ha = v.Host, ha
+		c.ha = ha
 	}
 	ha.Times = append(ha.Times, v.Time)
 	if !v.HasRef {
@@ -405,12 +448,13 @@ func (b *IncrementalBuilder) Visits() int { return b.visits }
 func (b *IncrementalBuilder) Domains() int { return len(b.perDomain) }
 
 // EachProfiled calls fn once per domain the partition has profiled (at least
-// one visit folded through Add), with the domain's per-host activities. The
-// walk is read-only: fn must not modify the map or the activities, whose
-// Times are in arrival order, not sorted. Domains arrive in unspecified order.
+// one visit folded through Add), with the domain's per-host activities sorted
+// by host. The walk is read-only: fn must not modify the list or the
+// activities, whose Times are in arrival order, not sorted. Domains arrive in
+// unspecified order.
 //
 //lint:ignore maporder the contract is explicitly an unordered walk; callers that emit must sort
-func (b *IncrementalBuilder) EachProfiled(fn func(domain string, hosts map[string]*HostActivity)) {
+func (b *IncrementalBuilder) EachProfiled(fn func(domain string, hosts []*HostActivity)) {
 	for d, a := range b.perDomain {
 		if len(a.hosts) > 0 {
 			fn(d, a.hosts)
@@ -558,10 +602,11 @@ func fanOut(parts []*IncrementalBuilder, workers int) int {
 // reduction of the same visits in seq order, for any domain partition, apply
 // order and worker count. workers <= 0 uses GOMAXPROCS.
 //
-// The snapshot shares structure with the builders (host and path maps are
-// adopted, rare per-host timestamps are sorted in place), so the partitions
-// must not absorb further visits once the snapshot is in use; the streaming
-// engine guarantees this by swapping fresh builders in at rollover.
+// The snapshot shares structure with the builders (host lists, path sets and
+// pair sets are adopted, rare per-host timestamps are sorted in place), so
+// the partitions must not absorb further visits once the snapshot is in use;
+// the streaming engine guarantees this by swapping fresh builders in at
+// rollover.
 func ClassifyDisjoint(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
 	n := 0
 	for _, p := range parts {
@@ -640,8 +685,9 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 
 // classify is the one classification pass behind every snapshot build:
 // entries holds each of the day's domains once, with its complete aggregate;
-// parts contribute only their (host, UA) pairs. Contiguous ranges of entries
-// are classified concurrently; each range sorts its own rare survivors and
+// parts contribute only their (host, UA) pair sets, which the snapshot keeps
+// for Commit without unioning them. Contiguous ranges of entries are
+// classified concurrently; each range sorts its own rare survivors and
 // indexes their hosts (indexRare), and the ranges' sorted runs are merged.
 func classify(day time.Time, entries []domainAgg, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
 	s := &Snapshot{
@@ -673,16 +719,9 @@ func classify(day time.Time, entries []domainAgg, parts []*IncrementalBuilder, h
 		s.NewDomains += n
 	}
 	s.setRare(runs)
-
-	pairs := 0
-	for _, p := range parts {
-		pairs = max(pairs, len(p.uaPairs))
-	}
-	s.uaPairs = make(map[[2]string]bool, pairs)
-	for _, p := range parts {
-		for pair := range p.uaPairs {
-			s.uaPairs[pair] = true
-		}
+	s.uaPairs = make([]map[[2]string]bool, len(parts))
+	for i, p := range parts {
+		s.uaPairs[i] = p.uaPairs
 	}
 	return s
 }
@@ -704,10 +743,9 @@ func indexRare(rare []*DomainActivity) rareRun {
 	slices.SortFunc(rare, func(a, b *DomainActivity) int { return strings.Compare(a.Domain, b.Domain) })
 	hostRare := make(map[string][]string)
 	for _, da := range rare {
-		for h, ha := range da.Hosts {
+		for _, ha := range da.Hosts {
 			slices.SortFunc(ha.Times, time.Time.Compare)
-			//lint:ignore maporder one append per (host, domain), keyed by host: each host's list follows the sorted domain walk
-			hostRare[h] = append(hostRare[h], da.Domain)
+			hostRare[ha.Host] = append(hostRare[ha.Host], da.Domain)
 		}
 	}
 	return rareRun{rare: rare, hostRare: hostRare}
@@ -836,11 +874,9 @@ func urlPath(rawURL string) string {
 }
 
 // Commit folds the day into the history: every domain seen today joins the
-// destination history and every (host, UA) pair joins the UA history. Call
-// once per day, after detection has run.
+// destination history and every (host, UA) pair joins the UA history, under
+// one acquisition of the history's lock. Call once per day, after detection
+// has run.
 func (s *Snapshot) Commit(hist *History) {
-	hist.UpdateDomains(s.Day, s.domains)
-	for pair := range s.uaPairs {
-		hist.UpdateUA(pair[0], pair[1])
-	}
+	hist.commitDay(s.Day, s.domains, s.uaPairs)
 }

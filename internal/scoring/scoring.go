@@ -184,9 +184,9 @@ func (a AdditiveScorer) Score(da *profile.DomainActivity, labeled []features.Lab
 	// Timing: 1 when the domain was first visited close in time to a
 	// labeled malicious domain by the same host.
 	timing := 0.0
-	for h, ha := range da.Hosts {
+	for _, ha := range da.Hosts {
 		for _, l := range labeled {
-			lt, ok := l.FirstVisit[h]
+			lt, ok := l.FirstVisit[ha.Host]
 			if !ok {
 				continue
 			}

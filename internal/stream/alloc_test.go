@@ -62,7 +62,7 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 	const measured = 11 // AllocsPerRun(10, ·) runs its function 11 times
 	room := func() bool {
 		ok := true
-		fs.part.EachProfiled(func(_ string, hosts map[string]*profile.HostActivity) {
+		fs.part.EachProfiled(func(_ string, hosts []*profile.HostActivity) {
 			for _, ha := range hosts {
 				ok = ok && cap(ha.Times)-len(ha.Times) >= measured*batch/len(hosts)
 			}

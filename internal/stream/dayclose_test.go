@@ -9,7 +9,15 @@ import (
 	"repro/internal/batch"
 	"repro/internal/pipeline"
 	"repro/internal/report"
+	"repro/internal/whois"
 )
+
+// operationEngine returns an engine whose every day feeds the Process path:
+// without an intel oracle the pipeline stays calibrating, but each day still
+// publishes a SOC daily.
+func operationEngine(cfg Config) *Engine {
+	return New(cfg, pipeline.NewEnterprise(pipeline.EnterpriseConfig{}, whois.NewRegistry(), nil, nil))
+}
 
 // TestIngestDuringSlowDayClose is the tentpole invariant: rollover is
 // swap-and-continue, so ingestion into the next day proceeds while the
@@ -154,6 +162,149 @@ func TestReportWaitsForInFlightClose(t *testing.T) {
 		t.Fatalf("DayReport after close = %d records, want 5", n)
 	}
 	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOnReportReadsItsOwnDay: the close publishes the day before it runs
+// OnReport, so the callback can read its own day back with Report and
+// DayReport — both answer from publication instead of waiting out the close
+// the callback is part of. A build that waits would deadlock here, so the
+// reads are bounded and a timeout fails the test (abandoning the engine, whose
+// close can then never finish).
+func TestOnReportReadsItsOwnDay(t *testing.T) {
+	type read struct {
+		date        string
+		daily, full bool
+	}
+	reads := make(chan read, 2)
+	var e *Engine
+	e = operationEngine(Config{Shards: 2, OnReport: func(rep pipeline.EnterpriseDayReport, _ *report.Daily) {
+		date := rep.Day.Format("2006-01-02")
+		_, daily := e.Report(date)
+		_, full := e.DayReport(date)
+		reads <- read{date, daily, full}
+	}})
+	d1 := testDay()
+	if err := e.BeginDay(d1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := ingest1(e, rec(d1, "h1", "alpha.test", time.Duration(i)*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- e.Flush() }()
+	select {
+	case r := <-reads:
+		if r.date != "2014-02-03" || !r.daily || !r.full {
+			t.Fatalf("OnReport read back %+v, want 2014-02-03 with both reports", r)
+		}
+	case <-time.After(10 * time.Second):
+		abandonEngine(e)
+		t.Fatal("OnReport's Report/DayReport of its own day did not return: it waits out the close it runs in")
+	}
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointAfterPublicationSeesCommit guards the window between a
+// close's publication and its commit: a reader that sees the day's report and
+// at once takes a checkpoint and a preview must get the committed history —
+// the day counted in DaysDone, its domains in the history section — and a
+// preview that does not count those domains as new again. OnReport holds the
+// close open until the poller has seen the report, so the two requests always
+// land inside the close.
+func TestCheckpointAfterPublicationSeesCommit(t *testing.T) {
+	seen := make(chan struct{})
+	release := make(chan struct{})
+	var e *Engine
+	e = operationEngine(Config{Shards: 2, OnReport: func(pipeline.EnterpriseDayReport, *report.Daily) {
+		select {
+		case <-seen:
+		case <-time.After(10 * time.Second):
+		}
+	}})
+	e.closeHook = func(string) { <-release }
+	d1, d2 := testDay(), testDay().AddDate(0, 0, 1)
+	if err := e.BeginDay(d1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		for _, d := range []string{"alpha.test", "beta.test"} {
+			if err := ingest1(e, rec(d1, fmt.Sprintf("h%d", i%2), d, time.Duration(i)*time.Minute)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.BeginDay(d2, nil); err != nil { // day 1's close parks in the hook
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		for _, d := range []string{"alpha.test", "gamma.test"} {
+			if err := ingest1(e, rec(d2, "h3", d, time.Duration(i)*time.Minute)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	type result struct {
+		ckpt bytes.Buffer
+		pr   PreviewReport
+		err  error
+	}
+	got := make(chan *result, 1)
+	go func() {
+		r := &result{}
+		defer func() { got <- r }()
+		for {
+			if _, ok, _ := e.TryReport("2014-02-03"); ok {
+				break
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		close(seen)
+		if r.err = e.Checkpoint(&r.ckpt); r.err == nil {
+			r.pr, r.err = e.Preview(1)
+		}
+	}()
+	close(release)
+	var r *result
+	select {
+	case r = <-got:
+	case <-time.After(20 * time.Second):
+		abandonEngine(e)
+		t.Fatal("the report never appeared, or the checkpoint/preview never returned")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if hdr := decodeCheckpointHeader(t, r.ckpt.Bytes()); hdr.DaysDone != 1 {
+		t.Fatalf("checkpoint taken at publication has daysDone=%d, want 1", hdr.DaysDone)
+	}
+	restored, err := Restore(bytes.NewReader(r.ckpt.Bytes()), Config{Shards: 2}, RestoreDeps{Whois: whois.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := restored.DaysDone(); n != 1 {
+		t.Errorf("restored DaysDone = %d, want 1", n)
+	}
+	for _, d := range []string{"alpha.test", "beta.test"} {
+		if !restored.Pipeline().History().SeenDomain(d) {
+			t.Errorf("checkpoint taken at publication lacks day 1's domain %s in its history", d)
+		}
+	}
+	abandonEngine(restored)
+	if r.pr.Date != "2014-02-04" || r.pr.NewDomains != 1 {
+		t.Errorf("preview taken at publication counts %d new domains on %s, want 1 (gamma.test; alpha.test was new on 2014-02-03)",
+			r.pr.NewDomains, r.pr.Date)
+	}
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

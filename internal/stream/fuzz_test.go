@@ -82,9 +82,10 @@ const (
 )
 
 // hostileBuilders lists builder sections (all over fuzzV2's empty history)
-// that abuse the optional per-domain "known" count or break the host UA
-// set's invariants — sorted, distinct, every UA backed by a (host, UA) pair
-// record — each with the refusal Restore must answer. FuzzCheckpointDecode
+// that abuse the optional per-domain "known" count, list a domain's hosts out
+// of order or twice (they are appended to its sorted host list), or break the
+// host UA set's invariants — sorted, distinct, every UA backed by a (host, UA)
+// pair record — each with the refusal Restore must answer. FuzzCheckpointDecode
 // seeds its corpus with them as inputs it must refuse, and
 // TestRestoreRejectsCorruptCheckpoint pins the messages.
 var hostileBuilders = []struct{ name, builder, want string }{
@@ -94,6 +95,12 @@ var hostileBuilders = []struct{ name, builder, want string }{
 		`{"d":"a.test","hosts":[],"known":2}`, "absent from the checkpointed history"},
 	{"knownOffVisitTotal", `{"version":1,"visits":1,"domains":1,"uaPairs":0}` + "\n" +
 		`{"d":"a.test","hosts":[` + okHost + `],"known":2}`, "visit total 3 does not match header 1"},
+	{"unsortedHosts", `{"version":1,"visits":2,"domains":1,"uaPairs":0}` + "\n" +
+		`{"d":"a.test","hosts":[{"h":"h2","t":["2014-02-03T00:00:00Z"],"uas":[""]},` + okHost + `]}`,
+		`builder domain "a.test": host "h1" out of order or repeated (after "h2")`},
+	{"duplicateHost", `{"version":1,"visits":2,"domains":1,"uaPairs":0}` + "\n" +
+		`{"d":"a.test","hosts":[` + okHost + `,` + okHost + `]}`,
+		`builder domain "a.test": host "h1" out of order or repeated (after "h1")`},
 	{"unsortedUAs", `{"version":1,"visits":1,"domains":1,"uaPairs":2}` + "\n" +
 		`{"d":"a.test","hosts":[{"h":"h1","t":["2014-02-03T00:00:00Z"],"uas":["ua-b","ua-a"]}]}` + "\n" +
 		`{"h":"h1","ua":"ua-a"}` + "\n" + `{"h":"h1","ua":"ua-b"}`,

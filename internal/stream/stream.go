@@ -44,9 +44,12 @@
 // and TestIncrementalSnapshotMatchesBatch golden tests hold this
 // invariant), and ingestion never stalls for the duration of the
 // analytics. Day-closes are strictly serialized: Flush, Close, Checkpoint,
-// Preview, Report-of-the-closing-day and the next rollover all wait on an
-// in-flight close, so days complete in order, the pipeline is never entered
-// concurrently, and a checkpoint or preview always sees a settled close.
+// Preview and the next rollover all wait on an in-flight close, so days
+// complete in order, the pipeline is never entered concurrently, and a
+// checkpoint or preview always sees a settled close. A close publishes the
+// day's reports before it commits the day to the history — only the next
+// day's classification reads that commit — so Report and DayReport of a
+// published day never wait, and of a closing day wait only for publication.
 //
 // In between rollovers LiveAutomated gives an early-warning signal: it runs
 // the detector's periodicity test over the timestamps the builders already
@@ -122,12 +125,12 @@ type Config struct {
 	ShedThreshold float64
 	// OnReport, when set, observes every completed day. daily is nil for
 	// training days. The callback runs on the background day-close
-	// goroutine after the day is published but while the close still
-	// counts as in flight, so successive days' callbacks never overlap.
-	// It must not synchronously call engine operations that wait on the
-	// in-flight close (Checkpoint, Preview, Flush, Close, Report of the
-	// just-closed day would self-deadlock) — hand such work to another goroutine, as
-	// cmd/reprod does for its rollover checkpoints.
+	// goroutine after the day is published and committed but while the close
+	// still counts as in flight, so successive days' callbacks never overlap.
+	// It may read the day back (Report, DayReport), but must not
+	// synchronously call engine operations that wait on the in-flight close
+	// (Checkpoint, Preview, Flush, Close would self-deadlock) — hand such work
+	// to another goroutine, as cmd/reprod does for its rollover checkpoints.
 	OnReport func(rep pipeline.EnterpriseDayReport, daily *report.Daily)
 	// CloseHook, when set, runs on the day-close goroutine before the day is
 	// classified, with the closing date. It is a test seam for observing or
@@ -468,6 +471,7 @@ type dayClose struct {
 	records    uint64
 	droppedIP  uint64
 	training   bool
+	published  chan struct{} // closed when the day's reports are readable
 	done       chan struct{} // closed when the close (or its failure) is final
 	err        error
 }
@@ -918,8 +922,9 @@ func (e *Engine) beginCloseLocked(expect time.Time) (*dayClose, error) {
 		// All earlier days are published (no close in flight, none failed),
 		// so the train/process split is decided here, consistently with the
 		// sequential engine.
-		training: e.daysDone < e.cfg.TrainingDays,
-		done:     make(chan struct{}),
+		training:  e.daysDone < e.cfg.TrainingDays,
+		published: make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	// One quiesce swaps every shard's partial snapshot and marker set out
 	// and resets its day state; this is the whole ingest stall of a
@@ -986,11 +991,15 @@ func dayStats(snap *profile.Snapshot, parts []*profile.IncrementalBuilder, marke
 // runDayClose is the background half of a rollover: classify the swapped
 // per-shard partial snapshots (O(domains), no union — the shards are
 // domain-disjoint — not an O(visits log visits) re-reduce of the day), run
-// the batch pipeline path on the prebuilt snapshot, publish the report. On a
-// pipeline error the snapshot and day statistics are retained on e.failed so a
-// later Flush can retry the pipeline without losing the day (the paper's
-// calibration-starvation case). Runs without the engine lock; the shards
-// are already ingesting the next day.
+// the batch pipeline path on the prebuilt snapshot, publish the report, and
+// only then commit the day to the history: the SOC's report does not wait for
+// a write that only tomorrow's classification reads, and everything that
+// could read the history before the commit lands — a checkpoint, a preview,
+// the next close — waits the close out. On a pipeline error nothing is
+// published or committed, and the snapshot and day statistics are retained on
+// e.failed so a later Flush can retry the pipeline without losing the day (the
+// paper's calibration-starvation case). Runs without the engine lock; the
+// shards are already ingesting the next day.
 func (e *Engine) runDayClose(c *dayClose) {
 	if e.closeHook != nil {
 		e.closeHook(c.date)
@@ -1020,12 +1029,11 @@ func (e *Engine) runDayClose(c *dayClose) {
 			daily = &d
 		}
 	}
-	dur := time.Since(start)
-	e.commitGate.Unlock()
-
-	e.mu.Lock()
-	e.lastCloseDur = dur
 	if err != nil {
+		dur := time.Since(start)
+		e.commitGate.Unlock()
+		e.mu.Lock()
+		e.lastCloseDur = dur
 		c.err = fmt.Errorf("stream: day %s: %w", c.date, err)
 		e.failed = c
 		e.closing = nil
@@ -1033,7 +1041,8 @@ func (e *Engine) runDayClose(c *dayClose) {
 		close(c.done)
 		return
 	}
-	c.snap = nil // the day lives in the history (and the report) now
+
+	e.mu.Lock()
 	e.daysDone++
 	e.reports[c.date] = rep
 	if daily != nil {
@@ -1041,7 +1050,13 @@ func (e *Engine) runDayClose(c *dayClose) {
 	}
 	e.dates = append(e.dates, c.date)
 	e.evictOldReportsLocked()
+	close(c.published)
 	e.mu.Unlock()
+
+	c.snap.Commit(e.hist)
+	c.snap = nil // the day lives in the history (and the report) now
+	dur := time.Since(start)
+	e.commitGate.Unlock()
 
 	// OnReport runs outside the lock but before the close is marked done,
 	// so callbacks for successive days never overlap.
@@ -1049,6 +1064,7 @@ func (e *Engine) runDayClose(c *dayClose) {
 		e.cfg.OnReport(rep, daily)
 	}
 	e.mu.Lock()
+	e.lastCloseDur = dur
 	e.closing = nil
 	e.mu.Unlock()
 	close(c.done)
@@ -1238,13 +1254,13 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 			HistCacheMisses: s.hist.miss,
 		}
 		var local []LivePair
-		s.part.EachProfiled(func(d string, hosts map[string]*profile.HostActivity) {
+		s.part.EachProfiled(func(d string, hosts []*profile.HostActivity) {
 			if len(hosts) >= unpopular {
 				return
 			}
 			ss.LiveDomains++
 			ss.LivePairs += len(hosts)
-			for h, ha := range hosts {
+			for _, ha := range hosts {
 				v := histogram.AnalyzeTimes(ha.Times, hcfg)
 				if !v.Automated {
 					continue
@@ -1252,7 +1268,7 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 				ss.AutomatedPairs++
 				if maxLive >= 0 {
 					local = append(local, LivePair{
-						Host: h, Domain: d,
+						Host: ha.Host, Domain: d,
 						Period: v.Period, Divergence: v.Divergence, Samples: v.Samples,
 					})
 				}
@@ -1283,78 +1299,88 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 	return st, out
 }
 
-// awaitDateLocked blocks while the given date's close is in flight, so
-// readers of a just-rolled-over day observe its published report rather
-// than a transient absence. Caller holds mu exclusively; the wait releases
-// and reacquires it.
+// publishingLocked returns the in-flight close of date while it has not
+// published the day yet, else nil. Caller holds mu (either side).
+func (e *Engine) publishingLocked(date string) *dayClose {
+	c := e.closing
+	if c == nil || c.date != date {
+		return nil
+	}
+	select {
+	case <-c.published:
+		return nil
+	default:
+		return c
+	}
+}
+
+// awaitDateLocked blocks while the given date's close is in flight and has
+// not published the day, so readers of a just-rolled-over day observe its
+// published report rather than a transient absence. Caller holds mu
+// exclusively; the wait releases and reacquires it.
 func (e *Engine) awaitDateLocked(date string) {
-	for e.closing != nil && e.closing.date == date {
-		c := e.closing
+	for c := e.publishingLocked(date); c != nil; c = e.publishingLocked(date) {
 		e.mu.Unlock()
-		<-c.done
+		select {
+		case <-c.published:
+		case <-c.done: // failed
+		}
 		e.mu.Lock()
 	}
 }
 
 // Report returns the SOC-facing daily report for a completed operation
-// day. When the date's close is still running in the background, Report
-// waits for it — callers that would rather not block (an HTTP frontend
-// answering 202) use TryReport. The common case — no close in flight for
-// this date — reads under the shared lock so report polling never stalls
-// the ingest hot path.
+// day. A published report is returned at once, under the shared lock, so
+// report polling never stalls the ingest hot path; when the date's close is
+// still running in the background and has not published it yet, Report waits
+// for the publication — callers that would rather not block (an HTTP frontend
+// answering 202) use TryReport.
 func (e *Engine) Report(date string) (report.Daily, bool) {
 	e.mu.RLock()
-	if e.closing == nil || e.closing.date != date {
-		d, ok := e.dailies[date]
-		e.mu.RUnlock()
+	d, ok := e.dailies[date]
+	wait := !ok && e.publishingLocked(date) != nil
+	e.mu.RUnlock()
+	if !wait {
 		return d, ok
 	}
-	e.mu.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.awaitDateLocked(date)
-	d, ok := e.dailies[date]
+	d, ok = e.dailies[date]
 	return d, ok
 }
 
 // TryReport is Report without the wait, decided under a single lock
 // acquisition: when the date's report is published it is returned
-// (ok=true); when the date's close is still in flight pending=true and the
-// caller should retry shortly (HTTP frontends answer 202 + Retry-After);
-// otherwise the date is unknown, a training day, or still open (ok=false,
-// pending=false).
+// (ok=true); when the date's close is still in flight and has not published
+// it, pending=true and the caller should retry shortly (HTTP frontends answer
+// 202 + Retry-After); otherwise the date is unknown, a training day, or still
+// open (ok=false, pending=false).
 func (e *Engine) TryReport(date string) (d report.Daily, ok, pending bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	// Published wins even while the close still counts as in flight (the
-	// report lands before the close retires): never answer "pending" for
-	// a report that is already readable.
 	if d, ok := e.dailies[date]; ok {
 		return d, true, false
 	}
-	if e.closing != nil && e.closing.date == date {
-		return report.Daily{}, false, true
-	}
-	return report.Daily{}, false, false
+	return report.Daily{}, false, e.publishingLocked(date) != nil
 }
 
 // DayReport returns the full pipeline report for a completed day (training
-// days included), waiting like Report when the date's close is in flight.
-// Only the Config.RetainDayReports most recent days completed since the
-// engine started (or was restored) are available; the compact Report
-// dailies cover all days.
+// days included), answering and waiting like Report. Only the
+// Config.RetainDayReports most recent days completed since the engine started
+// (or was restored) are available; the compact Report dailies cover all days.
 func (e *Engine) DayReport(date string) (pipeline.EnterpriseDayReport, bool) {
 	e.mu.RLock()
-	if e.closing == nil || e.closing.date != date {
-		r, ok := e.reports[date]
-		e.mu.RUnlock()
+	r, ok := e.reports[date]
+	wait := !ok && e.publishingLocked(date) != nil
+	e.mu.RUnlock()
+	if !wait {
 		return r, ok
 	}
-	e.mu.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.awaitDateLocked(date)
-	r, ok := e.reports[date]
+	r, ok = e.reports[date]
 	return r, ok
 }
 

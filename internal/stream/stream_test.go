@@ -366,8 +366,10 @@ func TestLiveViewIsCloseVerdict(t *testing.T) {
 	}
 	want := make(map[[2]string]histogram.Verdict)
 	for _, ad := range e.Pipeline().Detector().FindAutomated(rep.Snapshot) {
-		for _, h := range ad.AutoHosts {
-			want[[2]string{h, ad.Domain}] = ad.Verdicts[h]
+		for i, v := range ad.Verdicts {
+			if v.Automated {
+				want[[2]string{ad.Activity.Hosts[i].Host, ad.Domain}] = v
+			}
 		}
 	}
 	for _, p := range [][2]string{{"h-clean", "c2-clean.test"}, {"h-jitter", "c2-jitter.test"}, {"h-swapped", "c2-swapped.test"}} {
