@@ -5,6 +5,7 @@ package logs
 import (
 	"bytes"
 	"fmt"
+	"net/netip"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,10 +15,10 @@ import (
 // allocation of its own to a reading.
 
 // TestParseProxySteadyStateAllocs pins what a warm decoder allocates: nothing
-// per record — URL and Referer, escaped or not, repeated or not, are carved
-// from the text block, every other column comes out of the intern table and
-// the address cache — plus one allocation per text block filled and one per
-// URL or Referer too long to carve.
+// per record — Domain, URL and Referer, escaped or not, repeated or not, are
+// carved from the text block, Host, Method and UserAgent come out of the
+// intern table, addresses out of the address front — plus one allocation per
+// text block filled and one per value too long to carve.
 func TestParseProxySteadyStateAllocs(t *testing.T) {
 	const n, rounds = 512, 20
 	recs := sampleProxyRecords(n)
@@ -53,11 +54,12 @@ func TestParseProxySteadyStateAllocs(t *testing.T) {
 	}
 
 	// The allocations the carving rule predicts for the measured rounds, from
-	// the room the warm-up left in the current block.
+	// the room the warm-up left in the current block, in the order the
+	// decoder carves a record's values.
 	want, free := 0, d.text.Cap()-d.text.Len()
 	for r := 0; r < rounds; r++ {
 		for _, rec := range recs {
-			for _, v := range []string{rec.URL, rec.Referer} {
+			for _, v := range []string{rec.Domain, rec.URL, rec.Referer} {
 				switch {
 				case v == "":
 				case len(v) > textMaxCarve:
@@ -83,5 +85,72 @@ func TestParseProxySteadyStateAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := int(after.Mallocs - before.Mallocs); got != want {
 		t.Errorf("%d steady-state parses of %d records allocate %d times, want exactly %d (one per text block filled, one per over-long value)", rounds, n, got, want)
+	}
+}
+
+// TestAddrFrontAllocs pins the address front's two allocation-free paths: a
+// dotted quad it has not seen (a front miss, parsed in place) and an IPv6
+// address it has (a front hit, its key held inline in the slot — the 45-byte
+// case is the longest zone-less literal there is).
+func TestAddrFrontAllocs(t *testing.T) {
+	var c addrCache
+	var quads [][]byte
+	var want []netip.Addr
+	for i := 0; i < 4*len(c.front); i++ {
+		quads = append(quads, []byte(fmt.Sprintf("10.%d.%d.%d", i>>16&255, i>>8&255, i&255)))
+		want = append(want, netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}))
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(len(quads)-1, func() { // one call per quad: each misses
+		if a, err := c.parse(quads[next]); err != nil || a != want[next] {
+			t.Fatalf("parse(%s) = %v, %v", quads[next], a, err)
+		}
+		next++
+	}); allocs != 0 {
+		t.Errorf("a dotted quad missing the front allocates %.1f times, want 0", allocs)
+	}
+	for _, s := range []string{"2001:db8::1", "ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255"} {
+		b, want := []byte(s), netip.MustParseAddr(s)
+		if _, err := c.parse(b); err != nil { // claims the slot
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if a, err := c.parse(b); err != nil || a != want {
+				t.Fatalf("parse(%s) = %v, %v", s, a, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("IPv6 source %s repeating in the front allocates %.1f times, want 0", s, allocs)
+		}
+	}
+}
+
+// TestAddrCacheRefreshesFront pins the front's collision rule: two addresses
+// that share a slot take turns in it — whichever was parsed last holds it —
+// always resolve to their own address, and allocate nothing doing so.
+func TestAddrCacheRefreshesFront(t *testing.T) {
+	slotOf := func(s string) uint64 { return quickHash([]byte(s)) >> (64 - addrFrontBits) }
+	a := []byte("10.0.0.1")
+	var b []byte
+	for i := 2; b == nil; i++ {
+		if s := fmt.Sprintf("10.%d.%d.%d", i>>16&255, i>>8&255, i&255); slotOf(s) == slotOf(string(a)) {
+			b = []byte(s)
+		}
+	}
+	var c addrCache
+	slot := &c.front[slotOf(string(a))]
+	want := map[string]netip.Addr{string(a): netip.MustParseAddr(string(a)), string(b): netip.MustParseAddr(string(b))}
+	check := func(in []byte) {
+		got, err := c.parse(in)
+		if err != nil || got != want[string(in)] {
+			t.Fatalf("parse(%s) = %v, %v", in, got, err)
+		}
+		if string(slot.key[:slot.n]) != string(in) || slot.addr != got {
+			t.Fatalf("after parse(%s) the shared slot holds %q", in, slot.key[:slot.n])
+		}
+	}
+	check(a)
+	check(b)
+	if allocs := testing.AllocsPerRun(50, func() { check(a); check(b) }); allocs != 0 {
+		t.Errorf("alternating colliding addresses allocate %.1f per pair, want 0", allocs)
 	}
 }

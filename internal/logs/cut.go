@@ -3,9 +3,10 @@ package logs
 // The zero-copy decode primitives: a tab cutter that sub-slices one line
 // into fields without strings.Split, a fixed-layout RFC 3339 timestamp
 // parser that avoids time.Parse on the bytes the encoders actually write,
-// integer parsers that work on byte slices, and the interning table that
-// lets millions of records share one string allocation per distinct value
-// of a low-cardinality column. All three record formats (proxy, DNS, flow)
+// integer parsers that work on byte slices, the interning table that lets
+// millions of records share one string allocation per distinct value of a
+// low-cardinality column, and the address front that parses a dotted quad in
+// place. All three record formats (proxy, DNS, flow)
 // decode through these primitives; the retained naive parsers in codec.go
 // and flow.go are the differential-fuzz reference.
 //
@@ -244,7 +245,7 @@ func uintField(b []byte, bits int) (uint64, error) {
 // Interning caps. A decoder's table starts over at the first cap it hits:
 // the map is emptied and refills from the values still arriving, so a
 // long-lived decoder (a TCP connection that lasts months) tracks the traffic
-// it sees now instead of freezing full of last month's rare domains. The hot
+// it sees now instead of freezing full of last month's user agents. The hot
 // strings survive the turnover in the front array and re-enter the map at one
 // allocation each. Hostile input (a flood of unique user agents, say) only
 // turns the table over faster: throughput degrades towards the naive parser's
@@ -258,8 +259,8 @@ const (
 // quickHash mixes a field's leading bytes and length into a cheap hash for
 // the direct-mapped front caches. It is NOT collision-resistant — values
 // sharing a prefix and length collide — but a front miss only costs the
-// authoritative map lookup, never correctness. Callers take however many
-// top bits they need.
+// slow path (a map lookup, a parse), never correctness. Callers take however
+// many top bits they need.
 func quickHash(b []byte) uint64 {
 	var v uint64
 	if len(b) >= 8 {
@@ -279,14 +280,16 @@ func quickHash(b []byte) uint64 {
 const internFrontBits = 12
 
 // Intern deduplicates the string columns the enterprise bounds (Host,
-// Domain, Method, UserAgent): every record of a multi-gigabyte day that
-// carries the same user agent shares one string allocation. URL and Referer
-// are not among them — new values keep arriving all day, so a capped table
-// only charges them failed probes; the proxy decoder allocates each one.
-// Lookups with a byte-slice key do not allocate. A direct-mapped front
-// array answers the hot values without touching the map; the map stays the
-// authority, so front collisions cost a map probe, not a wrong string. The
-// table is not safe for concurrent use; each decoder owns one.
+// Method, UserAgent): every record of a multi-gigabyte day that carries the
+// same user agent shares one string allocation. Domain, URL and Referer are
+// not among them — new values keep arriving all day (every fresh rare domain
+// brings a name never seen before), so a capped table only charges them a
+// failed probe and an insert; the proxy decoder carves them from its text
+// block instead. Lookups with a byte-slice key do not allocate. A
+// direct-mapped front array answers the hot values without touching the map;
+// the map stays the authority, so front collisions cost a map probe, not a
+// wrong string. The table is not safe for concurrent use; each decoder owns
+// one.
 type Intern struct {
 	m     map[string]string
 	front [1 << internFrontBits]string
@@ -332,49 +335,83 @@ func (in *Intern) Len() int { return len(in.m) }
 // addrFrontBits sizes the addrCache front (2^bits slots).
 const addrFrontBits = 11
 
-// addrCache memoizes textual IP addresses: source-IP columns cycle through
-// the enterprise's host population, so after warm-up the netip.ParseAddr
-// allocation disappears. Same front/map split, caps and ownership rules as
-// Intern. The map's values carry the key string beside the address, so a map
-// hit re-claims its front slot without materializing the key again: two hot
-// addresses that share a slot then alternate in it instead of one of them
-// paying the map probe on every record for the life of the decoder.
+// addrKeyMax is the longest address text a front slot holds:
+// "ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255", the longest zone-less IPv6
+// literal. Longer text (only a zoned IPv6 address gets there) is parsed on
+// every sight.
+const addrKeyMax = 45
+
+// addrCache resolves textual IP addresses through a direct-mapped front and
+// nothing else. A slot holds its key inline, so claiming one copies bytes
+// instead of allocating a string, and a hit — the enterprise's hosts, an IPv6
+// address repeating — costs a hash and a compare. A miss parses: a plain
+// dotted quad in place (parseIPv4), anything else with netip.ParseAddr, and the
+// result claims the slot. There is no map behind the front: churn traffic
+// brings a new destination address with every fresh rare domain, and a map
+// keyed on values that never repeat would charge each one a string, a hash
+// and an insert, and need a cap.
 type addrCache struct {
-	m     map[string]addrEntry
-	front [1 << addrFrontBits]addrEntry
+	front [1 << addrFrontBits]addrSlot
 }
 
-type addrEntry struct {
-	key  string
+type addrSlot struct {
+	n    uint8 // key length; 0 = unclaimed
+	key  [addrKeyMax]byte
 	addr netip.Addr
 }
 
 // parse resolves a textual address.
 func (c *addrCache) parse(b []byte) (netip.Addr, error) {
 	e := &c.front[quickHash(b)>>(64-addrFrontBits)]
-	// len(b) != 0 keeps an empty field from "hitting" an unclaimed slot
-	// (whose zero-value key is also empty): netip.ParseAddr rejects "", so
-	// the error path must decide, not the cache.
-	if len(b) != 0 && len(e.key) == len(b) && string(b) == e.key {
+	// n == 0 marks an unclaimed slot, and an empty field never claims one, so
+	// an empty field cannot "hit": netip.ParseAddr rejects "", and the error
+	// path must decide, not the cache.
+	if len(b) != 0 && int(e.n) == len(b) && string(e.key[:e.n]) == string(b) {
 		return e.addr, nil
 	}
-	if ent, ok := c.m[string(b)]; ok {
-		*e = ent
-		return ent.addr, nil
-	}
-	a, err := netip.ParseAddr(string(b))
-	if err != nil {
-		return a, err
-	}
-	if len(b) <= internMaxStrLen {
-		ent := addrEntry{key: string(b), addr: a}
-		if c.m == nil {
-			c.m = make(map[string]addrEntry)
-		} else if len(c.m) >= internMaxEntries {
-			clear(c.m) // start over, as Intern does
+	a, ok := parseIPv4(b)
+	if !ok {
+		var err error
+		if a, err = netip.ParseAddr(string(b)); err != nil {
+			return a, err
 		}
-		c.m[ent.key] = ent
-		*e = ent
+	}
+	if len(b) <= addrKeyMax {
+		e.n = uint8(copy(e.key[:], b))
+		e.addr = a
 	}
 	return a, nil
+}
+
+// parseIPv4 parses a plain dotted quad in place, accepting exactly what
+// netip.ParseAddr accepts as IPv4: four fields of one to three digits, no
+// leading zero, none over 255, nothing else on the line. Whatever it refuses
+// (IPv6, a zone, a malformed quad) goes to netip.ParseAddr, which decides —
+// FuzzParseIPv4 holds the two to the same verdict and address.
+func parseIPv4(b []byte) (netip.Addr, bool) {
+	var ip [4]byte
+	field, val, digits := 0, 0, 0
+	for _, c := range b {
+		switch {
+		case c >= '0' && c <= '9':
+			if digits == 1 && val == 0 {
+				return netip.Addr{}, false // leading zero
+			}
+			val = val*10 + int(c-'0')
+			digits++
+			if val > 255 {
+				return netip.Addr{}, false
+			}
+		case c == '.' && digits > 0 && field < 3:
+			ip[field] = byte(val)
+			field, val, digits = field+1, 0, 0
+		default:
+			return netip.Addr{}, false
+		}
+	}
+	if field != 3 || digits == 0 {
+		return netip.Addr{}, false
+	}
+	ip[3] = byte(val)
+	return netip.AddrFrom4(ip), true
 }

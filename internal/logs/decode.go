@@ -1,20 +1,22 @@
 package logs
 
 // The allocation-free decode path. A decoder owns the mutable state the
-// zero-copy parse needs — the interning table, the IP-address cache, the
+// zero-copy parse needs — the interning table, the IP-address front, the
 // unescape scratch buffer, the text block — so the hot loop allocates only for
-// values it has never seen, plus one 32 KiB block per 32 KiB of URL and
-// Referer text: those two columns never settle into a bounded set, so they are
-// carved out of an append-only block instead of being allocated per record.
-// Decoders are NOT safe for concurrent use; reuse them across reads of the same
-// log stream via GetProxyDecoder / PutProxyDecoder so the interning tables
-// stay warm.
+// bounded-column values it has never seen, plus one 32 KiB block per 32 KiB of
+// Domain, URL and Referer text: those three columns never settle into a
+// bounded set (a fresh rare domain is a name never seen before), so they are
+// carved out of an append-only block instead of being allocated or interned
+// per record. Decoders are NOT safe for concurrent use; reuse them across reads
+// of the same log stream via GetProxyDecoder / PutProxyDecoder so the interning
+// table and the address front stay warm.
 //
-// Text ownership: the bytes behind a returned URL or Referer are never written
-// again — a full block is dropped, not reused — so every returned string is
-// immutable, outlives the decoder and may cross goroutines. It does keep its
-// whole block reachable: a consumer that retains a decoded URL or Referer (or
-// a substring of one) past its batch copies it first (strings.Clone).
+// Text ownership: the bytes behind a returned Domain, URL or Referer are never
+// written again — a full block is dropped, not reused — so every returned
+// string is immutable, outlives the decoder and may cross goroutines. It does
+// keep its whole block reachable: a consumer that retains a decoded Domain,
+// URL or Referer (or a substring of one, such as a folded domain) past its
+// batch copies it first (strings.Clone).
 //
 // Buffer ownership: ReadProxyBatch appends into the caller-owned slice and
 // returns it. Callers that want recycling take a buffer from GetProxyBuf
@@ -39,11 +41,11 @@ import (
 const maxLineBytes = 1024 * 1024
 
 const (
-	// textBlockBytes is the size of the block URL and Referer are carved
-	// from: a few hundred records' worth, so the block costs one allocation
-	// per several hundred records, and small enough that a pooled decoder's
-	// one block — or a few retained strings pinning an old one — is no memory
-	// worth counting.
+	// textBlockBytes is the size of the block Domain, URL and Referer are
+	// carved from: a few hundred records' worth, so the block costs one
+	// allocation per several hundred records, and small enough that a pooled
+	// decoder's one block — or a few retained strings pinning an old one — is
+	// no memory worth counting.
 	textBlockBytes = 32 << 10
 	// textMaxCarve is the longest value carved from the block; a longer one
 	// gets a string of its own rather than retiring most of a block.
@@ -113,10 +115,11 @@ func (d *ProxyDecoder) ParseProxyInto(rec *ProxyRecord, line []byte) error {
 	rec.Time = t
 	rec.Host = d.in.Bytes(f[1])
 	rec.SrcIP = src
-	rec.Domain = d.in.Bytes(f[3])
+	// Domain, URL and Referer never settle into a bounded value set (every
+	// page view mints new URLs, every fresh rare domain a new name), so they
+	// are not interned but carved from the block.
+	rec.Domain = d.carve(f[3])
 	rec.DestIP = dest
-	// URL and Referer never settle into a bounded value set (every page view
-	// mints new ones), so they are not interned but carved from the block.
 	rec.URL = d.carve(d.unescape(f[5]))
 	rec.Method = d.in.Bytes(f[6])
 	rec.Status = status
@@ -313,8 +316,8 @@ func ReadProxyBatch(r io.Reader, d *ProxyDecoder, recs []ProxyRecord) ([]ProxyRe
 }
 
 // proxyDecoderPool recycles decoders so sequential batches (HTTP ingest
-// requests, replayed day files) keep their interning tables warm. The
-// tables are capped, so a pooled decoder's footprint is bounded for life.
+// requests, replayed day files) keep their interning table and address front
+// warm. Both are bounded, so a pooled decoder's footprint is bounded for life.
 var proxyDecoderPool = sync.Pool{New: func() any { return NewProxyDecoder() }}
 
 // GetProxyDecoder takes a (possibly warm) decoder from the pool.

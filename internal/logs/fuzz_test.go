@@ -85,13 +85,13 @@ func proxyRecordsEquivalent(a, b ProxyRecord) bool {
 // against the retained naive reference: identical accept/reject decisions
 // and, on accept, byte-for-byte identical records — which is what makes
 // field interning invisible to every persisted form. Each input is decoded
-// twice through one decoder so the second pass exercises warm intern and
-// address caches. A cold decoder then decodes the line, an unrelated record
-// and the line again through one text block: the first record's URL and
-// Referer must still equal the naive parser's after the later records were
-// carved behind them (the block is append-only), and the intern table must
-// hold the four bounded columns (Host, Domain, Method, UserAgent) and nothing
-// else.
+// twice through one decoder so the second pass exercises the warm intern
+// table and address front. A cold decoder then decodes the line, an unrelated
+// record and the line again through one text block: the first record's
+// Domain, URL and Referer must still equal the naive parser's after the later
+// records were carved behind them (the block is append-only), and the intern
+// table must hold the three bounded columns (Host, Method, UserAgent) and
+// nothing else.
 func FuzzParseProxyLine(f *testing.F) {
 	seeds := []string{
 		"2014-02-13T09:00:00Z\thost1\t10.1.2.3\texample.org\t198.51.100.7\thttp://example.org/a\tGET\t200\tMozilla/5.0\thttp://ref.example.org/\t-5",
@@ -134,24 +134,26 @@ func FuzzParseProxyLine(f *testing.F) {
 			if i == 0 {
 				first = got
 			}
-			if l == line && (got.URL != want.URL || got.Referer != want.Referer) {
-				t.Fatalf("URL/Referer mismatch on %q: fast (%q, %q), naive (%q, %q)", line, got.URL, got.Referer, want.URL, want.Referer)
+			if l == line && (got.Domain != want.Domain || got.URL != want.URL || got.Referer != want.Referer) {
+				t.Fatalf("Domain/URL/Referer mismatch on %q: fast (%q, %q, %q), naive (%q, %q, %q)",
+					line, got.Domain, got.URL, got.Referer, want.Domain, want.URL, want.Referer)
 			}
 		}
-		if first.URL != want.URL || first.Referer != want.Referer {
-			t.Fatalf("URL/Referer of %q changed after later records were decoded: now (%q, %q), naive (%q, %q)", line, first.URL, first.Referer, want.URL, want.Referer)
+		if first.Domain != want.Domain || first.URL != want.URL || first.Referer != want.Referer {
+			t.Fatalf("Domain/URL/Referer of %q changed after later records were decoded: now (%q, %q, %q), naive (%q, %q, %q)",
+				line, first.Domain, first.URL, first.Referer, want.Domain, want.URL, want.Referer)
 		}
 		other, _ := parseProxyLine(seeds[0])
 		interned := map[string]bool{}
 		for _, r := range []ProxyRecord{want, other} {
-			for _, v := range []string{r.Host, r.Domain, r.Method, r.UserAgent} {
+			for _, v := range []string{r.Host, r.Method, r.UserAgent} {
 				if v != "" && len(v) <= internMaxStrLen {
 					interned[v] = true
 				}
 			}
 		}
 		if cold.in.Len() != len(interned) {
-			t.Fatalf("intern table holds %d strings after %q, want the %d distinct Host/Domain/Method/UserAgent values", cold.in.Len(), line, len(interned))
+			t.Fatalf("intern table holds %d strings after %q, want the %d distinct Host/Method/UserAgent values", cold.in.Len(), line, len(interned))
 		}
 	})
 }
@@ -214,6 +216,44 @@ func FuzzParseFlowLine(f *testing.F) {
 			got.DstIP != want.DstIP || got.DstPort != want.DstPort ||
 			got.Protocol != want.Protocol || got.Bytes != want.Bytes || got.Packets != want.Packets {
 			t.Fatalf("record mismatch on %q:\nfast:  %+v\nnaive: %+v", line, got, want)
+		}
+	})
+}
+
+// FuzzParseIPv4 differentially fuzzes the in-place dotted-quad parser against
+// netip.ParseAddr, the call it spares: an in-place accept must be a ParseAddr
+// accept of the same address (so the fallback never changes a verdict), and
+// every zone-less IPv4 address ParseAddr accepts must parse in place (so no
+// address the proxy logs carry pays the fallback). The address front is then
+// run on the input twice, cold and warm, and must agree with ParseAddr both
+// times.
+func FuzzParseIPv4(f *testing.F) {
+	for _, seed := range []string{
+		"10.1.2.3", "0.0.0.0", "255.255.255.255", "198.51.100.7",
+		"01.2.3.4", "1.02.3.4", "1.2.3.00", "0.0.0.01", // leading zeros
+		"256.1.1.1", "1.2.3.256", "1.2.3.999", "1.2.3.1000", // over 255
+		"1.2.3", "1.2.3.4.5", "1", "", // field counts
+		".1.2.3", "1..2.3", "1.2.3.", "...", // empty fields
+		"::ffff:1.2.3.4", "::1", "ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255", // IPv6, IPv4-mapped
+		"1.2.3.4%eth0", "fe80::1%eth0", "1.2.3.4 ", "+1.2.3.4", "1.2.3.-4", "a.b.c.d",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := netip.ParseAddr(s)
+		got, ok := parseIPv4([]byte(s))
+		if ok && (err != nil || got != want) {
+			t.Fatalf("parseIPv4(%q) = %v, netip.ParseAddr = %v, %v", s, got, want, err)
+		}
+		if !ok && err == nil && want.Is4() {
+			t.Fatalf("parseIPv4(%q) refuses the IPv4 address netip.ParseAddr reads as %v", s, want)
+		}
+		var c addrCache
+		for pass := 0; pass < 2; pass++ {
+			a, cerr := c.parse([]byte(s))
+			if (cerr == nil) != (err == nil) || a != want {
+				t.Fatalf("pass %d: addrCache.parse(%q) = %v, %v; netip.ParseAddr = %v, %v", pass, s, a, cerr, want, err)
+			}
 		}
 	})
 }

@@ -14,7 +14,6 @@ package profile
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,12 +29,6 @@ type History struct {
 	domains map[string]time.Time       // folded domain -> first day seen
 	uaHosts map[string]map[string]bool // UA -> hosts ever using it
 	days    int                        // number of days ingested
-
-	// epoch counts domain-history commits (UpdateDomains calls). Readers
-	// that memoize SeenDomain verdicts load it with Epoch and discard
-	// their negative entries when it advances; positive entries never
-	// expire because the domain set only grows.
-	epoch atomic.Uint64
 }
 
 // NewHistory returns an empty history.
@@ -82,7 +75,6 @@ func (h *History) addDomainsLocked(day time.Time, domains []string) {
 		}
 	}
 	h.days++
-	h.epoch.Add(1)
 }
 
 func (h *History) addUALocked(host, ua string) {
@@ -95,14 +87,6 @@ func (h *History) addUALocked(host, ua string) {
 		h.uaHosts[ua] = set
 	}
 	set[host] = true
-}
-
-// Epoch returns the domain-history commit counter. It is incremented by
-// every UpdateDomains call, under the same lock that publishes the new
-// domains, so a reader that observes epoch E and then queries SeenDomain
-// sees at least every domain committed up to E.
-func (h *History) Epoch() uint64 {
-	return h.epoch.Load()
 }
 
 // SeenDomain reports whether the folded domain appears in the history.

@@ -278,7 +278,10 @@ func mergeHostActivity(x, y *HostActivity) *HostActivity {
 // keeps one builder per shard and feeds it from the shard apply path, so
 // rollover classifies ready-made aggregates instead of re-reducing the whole
 // day; the batch snapshot build runs on the same builder with
-// seq = visit index. The shards — and only they — fold visits to domains the
+// seq = visit index. A domain key and a URL path are cloned as they enter, so
+// the builder never keeps a window into a decoder's text block (logs'
+// copy-to-keep rule); hosts and user agents are interned strings and are kept
+// as they are. The shards — and only they — fold visits to domains the
 // history already holds through RunCursor.AddKnown, which keeps a marker and
 // a count instead of a profile.
 //
@@ -352,12 +355,15 @@ type RunCursor struct {
 
 // Run starts a run of visits for one domain, creating the domain's
 // aggregate if absent. Every visit subsequently folded through the cursor
-// must carry exactly this domain.
+// must carry exactly this domain. A domain entering the builder is cloned:
+// the key outlives the day (it becomes the snapshot's and the history's copy
+// of the name), while a decoded domain — or its folded suffix — lives in its
+// decoder's text block, which the key must not pin.
 func (b *IncrementalBuilder) Run(domain string) RunCursor {
 	a, ok := b.perDomain[domain]
 	if !ok {
 		a = &incrementalAgg{}
-		b.perDomain[domain] = a
+		b.perDomain[strings.Clone(domain)] = a
 	}
 	return RunCursor{b: b, agg: a}
 }

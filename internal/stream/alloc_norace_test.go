@@ -13,6 +13,10 @@ import (
 // deliberately drops a quarter of its Puts, so a pooled buffer is reallocated
 // every few rounds and an exact zero cannot hold.
 
+// raceEnabled lets a test that also runs under -race skip its exact heap
+// readings there (race_test.go sets it).
+const raceEnabled = false
+
 // TestRouteBatchAllocs pins the reader-side half of IngestBatch at zero
 // allocations per batch once the pools are warm: records are read through
 // their pointers, reduced straight into pooled per-shard buffers, and the

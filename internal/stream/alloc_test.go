@@ -3,9 +3,17 @@ package stream
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/netip"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/logs"
 	"repro/internal/profile"
 )
 
@@ -102,4 +110,171 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 		t.Errorf("builder holds %d host activities and %d known visits (shard counter %d, Visits %d), want 0 and %d",
 			hosts, known, s.knownVisits, s.part.Visits(), 12*batch)
 	}
+
+	// A shard-day's first sight of domains the history lacks: the builder's
+	// state for them plus exactly one copy of each name — the builder's key —
+	// and nothing beside it (no history-cache entry, no second copy). Two
+	// readings show it on each of two consecutive shard-days: the shard
+	// allocates exactly as often as a bare builder folding the same visits, and
+	// lengthening every name from 48 to 64 bytes (both exact size classes)
+	// grows the bytes it allocates by 16 per domain. Heap totals are exact
+	// only without the race detector, whose runtime allocates beside the fold.
+	if raceEnabled {
+		return
+	}
+	const fresh = 256
+	// One P and no collection for the readings: a cycle empties the buffer
+	// pool, whose next Put then allocates its per-P storage again.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	e.putBuf(new([]item))
+	measure := func(fn func()) (mallocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	var dayBytes [2][2]uint64 // [name length][shard-day]
+	for n, nameLen := range []int{48, 64} {
+		recs := benchRecords(fresh)
+		for i := range recs {
+			recs[i].Domain = fmt.Sprintf("%0*d.example", nameLen-len(".example"), i)
+		}
+		items := buildItems(t, recs)
+		fs := newShard(e, 0)
+		for day := range dayBytes[n] {
+			buf := new([]item)
+			*buf = append(make([]item, 0, len(items)), items...)
+			mallocs, bytes := measure(func() { fs.applyBatch(buf) })
+			ref := profile.NewIncrementalBuilder()
+			refMallocs, _ := measure(func() {
+				for i := range items {
+					cur := ref.Run(items[i].visit.Domain)
+					cur.Add(items[i].seq, &items[i].visit)
+				}
+			})
+			if mallocs != refMallocs {
+				t.Errorf("%d-byte names, shard-day %d: the shard's first sight of %d fresh domains allocates %d times, a bare builder %d",
+					nameLen, day, fresh, mallocs, refMallocs)
+			}
+			if fs.part.Domains() != fresh || len(fs.markers) != 0 {
+				t.Fatalf("shard holds %d builder domains and %d markers, want %d and 0", fs.part.Domains(), len(fs.markers), fresh)
+			}
+			dayBytes[n][day] = bytes
+			fs.resetDay()
+		}
+	}
+	for day := range dayBytes[0] {
+		if grew := dayBytes[1][day] - dayBytes[0][day]; grew != 16*fresh {
+			t.Errorf("shard-day %d: 16 more bytes per name grow the fresh-domain fold by %d bytes, want %d (one copy of each of %d names)",
+				day, grew, 16*fresh, fresh)
+		}
+	}
+}
+
+// TestKeptDomainOwnsItsBytes: a decoded domain is carved from its decoder's
+// text block, and the engine keeps domain names for the rest of the day (the
+// builder's keys, the lease-less markers) or for good (the shard's cache of
+// known domains, the history), so every name it keeps must be a copy — a
+// kept folded suffix would otherwise pin a whole 32 KiB block. Records go
+// through a real decoder into an engine, a close commits the first day, and
+// the second day leaves every kind of kept name behind.
+func TestKeptDomainOwnsItsBytes(t *testing.T) {
+	day := func(d time.Time, tag string) []logs.ProxyRecord {
+		var recs []logs.ProxyRecord
+		for i := 0; i < 120; i++ {
+			r := rec(d, fmt.Sprintf("h%d", i%7), fmt.Sprintf("www.%s-%d.example", tag, i%20), time.Duration(i)*time.Second)
+			r.URL = fmt.Sprintf("http://www.%s-%d.example/p/%d", tag, i%20, i)
+			if i%4 == 0 { // no Host, no lease: a lease-less marker
+				r.Host, r.SrcIP = "", netip.MustParseAddr("10.9.9.9")
+				r.Domain = fmt.Sprintf("www.bare-%s-%d.example", tag, i%5)
+			}
+			recs = append(recs, r)
+		}
+		return recs
+	}
+	d1, d2 := testDay(), testDay().AddDate(0, 0, 1)
+	dec := logs.NewProxyDecoder()
+	decode := func(recs []logs.ProxyRecord) []logs.ProxyRecord {
+		var tsv []byte
+		for _, r := range recs {
+			tsv = logs.AppendProxy(tsv, r)
+		}
+		got, err := logs.ReadProxyBatch(bytes.NewReader(tsv), dec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	// Day 2 revisits day 1's domains (known by then: history-cache entries)
+	// and brings fresh ones and lease-less ones of its own.
+	recs1 := decode(day(d1, "a"))
+	recs2 := decode(append(day(d2, "a"), day(d2, "b")...))
+
+	e := trainOnlyEngine(Config{Shards: 2})
+	defer e.Close()
+	if err := e.BeginDay(d1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestBatch(recs1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BeginDay(d2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestBatch(recs2); err != nil {
+		t.Fatal(err)
+	}
+
+	kept := map[string][]string{}
+	e.mu.Lock()
+	var keptMu sync.Mutex
+	e.quiesce(func(_ int, s *shard) {
+		keptMu.Lock()
+		defer keptMu.Unlock()
+		kept["builder key"] = append(kept["builder key"], s.part.DomainNames()...)
+		for d := range s.markers {
+			kept["marker"] = append(kept["marker"], d)
+		}
+		for d := range s.hist.pos {
+			kept["history-cache key"] = append(kept["history-cache key"], d)
+		}
+	})
+	e.mu.Unlock()
+	// The history is profile's; its committed names are read in place.
+	for _, k := range reflect.ValueOf(e.hist).Elem().FieldByName("domains").MapKeys() {
+		kept["committed history domain"] = append(kept["committed history domain"], k.String())
+	}
+
+	type span struct{ lo, hi uintptr }
+	var carved []span
+	for _, recs := range [][]logs.ProxyRecord{recs1, recs2} {
+		for _, r := range recs {
+			for _, v := range []string{r.Domain, r.URL, r.Referer} {
+				if p := uintptr(unsafe.Pointer(unsafe.StringData(v))); v != "" {
+					carved = append(carved, span{p, p + uintptr(len(v))})
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"builder key", "marker", "history-cache key", "committed history domain"} {
+		if len(kept[kind]) == 0 {
+			t.Fatalf("the engine keeps no %s: the fixture does not exercise it", kind)
+		}
+		for _, d := range kept[kind] {
+			p := uintptr(unsafe.Pointer(unsafe.StringData(d)))
+			for _, c := range carved {
+				if p >= c.lo && p < c.hi {
+					t.Errorf("%s %q points into a decoded record's text", kind, d)
+					break
+				}
+			}
+		}
+	}
+	runtime.KeepAlive(recs1)
+	runtime.KeepAlive(recs2)
 }

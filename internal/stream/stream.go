@@ -73,6 +73,7 @@ import (
 	"net/netip"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -168,58 +169,43 @@ type item struct {
 	visit    logs.Visit
 }
 
-// histCache is a shard-local memo of History.SeenDomain verdicts. The
-// domain history only ever grows, so positive entries are valid forever;
-// negative entries are valid only until the next day-close commit and are
-// stamped with the History's commit epoch — one atomic epoch load replaces
-// the RLock on every negative-side consult, and positive hits pay no
-// synchronization at all. The cache deliberately survives resetDay: the
-// enterprise's working set of known domains recurs day after day, which is
-// exactly what the positive side keeps hot.
+// histCache is a shard-local memo of the History.SeenDomain verdicts that
+// come back true. The domain history only ever grows, so an entry is valid
+// forever and a hit pays no synchronization at all. The cache deliberately
+// survives resetDay: the enterprise's working set of known domains recurs day
+// after day, which is exactly what it keeps hot. A false verdict is not
+// memoised: the run that received it profiles the domain, and its builder's
+// Profiled() answers every later run of the day without asking.
 type histCache struct {
-	epoch uint64 // History.Epoch() the negative entries were observed at
-	pos   map[string]struct{}
-	neg   map[string]struct{}
-	hits  uint64
-	miss  uint64
+	pos  map[string]struct{}
+	hits uint64
+	miss uint64
 }
 
-// histCacheMax bounds each side of the cache; overflow clears that side
-// (simple and rare — it takes that many *distinct* domains on one shard).
+// histCacheMax bounds the cache; overflow clears it (simple and rare — it
+// takes that many *distinct* known domains on one shard).
 const histCacheMax = 1 << 17
 
 // seenDomain is History.SeenDomain through the shard's cache (worker
-// goroutine only).
+// goroutine only). An entry outlives the day and the batch, so its key is a
+// copy of d, which may point into a decoder's text block.
 func (s *shard) seenDomain(d string) bool {
 	hc := &s.hist
 	if _, ok := hc.pos[d]; ok {
 		hc.hits++
 		return true
 	}
-	if e := s.eng.hist.Epoch(); e != hc.epoch {
-		clear(hc.neg)
-		hc.epoch = e
-	} else if _, ok := hc.neg[d]; ok {
-		hc.hits++
+	hc.miss++
+	if !s.eng.hist.SeenDomain(d) {
 		return false
 	}
-	hc.miss++
-	if s.eng.hist.SeenDomain(d) {
-		if hc.pos == nil {
-			hc.pos = make(map[string]struct{})
-		} else if len(hc.pos) >= histCacheMax {
-			clear(hc.pos)
-		}
-		hc.pos[d] = struct{}{}
-		return true
+	if hc.pos == nil {
+		hc.pos = make(map[string]struct{})
+	} else if len(hc.pos) >= histCacheMax {
+		clear(hc.pos)
 	}
-	if hc.neg == nil {
-		hc.neg = make(map[string]struct{})
-	} else if len(hc.neg) >= histCacheMax {
-		clear(hc.neg)
-	}
-	hc.neg[d] = struct{}{}
-	return false
+	hc.pos[strings.Clone(d)] = struct{}{}
+	return true
 }
 
 type ctrlReq struct {
@@ -244,9 +230,10 @@ type shard struct {
 	// (Snapshot) reads the same timestamps the close will classify.
 	part *profile.IncrementalBuilder
 	// markers holds the domains of runs that carried only lease-less
-	// records. They count toward the day's distinct-domain statistic but
-	// hold no visit state; a marker the builders also hold is dropped where
-	// the statistic is computed (markerOnly).
+	// records, when the builder does not hold the domain already. They count
+	// toward the day's distinct-domain statistic but hold no visit state; a
+	// marker the builder gains later is dropped where the statistic is
+	// computed (markerOnly). Keys are copies, like the builder's.
 	markers     map[string]struct{}
 	unresolved  int // lease-less records today
 	knownVisits int // resolved visits today folded as known-domain markers (applyRun)
@@ -338,7 +325,7 @@ func (s *shard) applyBatch(b *[]item) {
 // discards that state exactly as it would the known marker. The shard sees
 // all of the domain's visits, so its aggregate is one kind or the other,
 // never both. Otherwise the run's first resolved visit decides once for the
-// whole run, through the shard's epoch-stamped cache (seenDomain). The
+// whole run, through the shard's cache of known domains (seenDomain). The
 // underlying history read is safe — it is internally locked, and the only
 // writer is the background day-close committing yesterday while this shard
 // ingests today.
@@ -367,8 +354,18 @@ func (s *shard) applyRun(domain string, items []item) {
 		}
 	}
 	if !haveCur {
-		s.markers[domain] = struct{}{}
+		s.addMarker(domain)
 	}
+}
+
+// addMarker records a marker-only run's domain. The name is copied once per
+// shard-day, and only when the builder holds no copy of its own: a marker for
+// a domain the builder holds adds nothing to the day's statistic.
+func (s *shard) addMarker(domain string) {
+	if _, ok := s.markers[domain]; ok || s.part.HasDomain(domain) {
+		return
+	}
+	s.markers[strings.Clone(domain)] = struct{}{}
 }
 
 // do runs fn on the shard's worker goroutine and waits for it.
@@ -1127,7 +1124,7 @@ type ShardStats struct {
 	AutomatedPairs int `json:"automatedPairs"`
 	// HistCacheHits/HistCacheMisses count the shard's history
 	// membership-cache outcomes since engine start: hits answered by the
-	// shard-local epoch-stamped cache, misses falling through to the
+	// shard-local cache of known domains, misses falling through to the
 	// locked History lookup.
 	HistCacheHits   uint64 `json:"histCacheHits"`
 	HistCacheMisses uint64 `json:"histCacheMisses"`
