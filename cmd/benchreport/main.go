@@ -70,9 +70,9 @@ func run(w io.Writer, seed int64, full bool) error {
 	fmt.Fprintln(w, f4)
 	fmt.Fprintln(w, f4res.DOT)
 
-	ent, err := eval.RunEnterprise(scale, seed)
-	if err != nil {
-		return err
+	ent := eval.RunEnterprise(scale, seed)
+	if !ent.Pipe.Trained() {
+		return fmt.Errorf("enterprise run: the models were never fit (%d C&C examples)", len(ent.Pipe.CCExamples()))
 	}
 	det := ent.Pipe.Detector()
 	fmt.Fprintf(w, "enterprise calibration: %d C&C / %d similarity examples, Tc=%.3f Ts=%.3f, C&C model R²=%.3f\n\n",

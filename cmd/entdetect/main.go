@@ -40,7 +40,7 @@ func main() {
 }
 
 // newRun executes the full evaluation per the command-line knobs.
-func newRun(seed int64, full bool, workers int) (*eval.EnterpriseRun, error) {
+func newRun(seed int64, full bool, workers int) *eval.EnterpriseRun {
 	scale := eval.ScaleSmall
 	if full {
 		scale = eval.ScaleFull
@@ -51,10 +51,7 @@ func newRun(seed int64, full bool, workers int) (*eval.EnterpriseRun, error) {
 // runJSON emits the ordered suspicious-domain list of each operation day
 // as the SOC-facing JSON report.
 func runJSON(w io.Writer, seed int64, full bool, workers int) error {
-	run, err := newRun(seed, full, workers)
-	if err != nil {
-		return err
-	}
+	run := newRun(seed, full, workers)
 	for _, rep := range run.OperationReports() {
 		daily := report.Build(rep)
 		if len(daily.Domains) == 0 {
@@ -68,18 +65,16 @@ func runJSON(w io.Writer, seed int64, full bool, workers int) error {
 }
 
 func run(w io.Writer, seed int64, full, days bool, workers int) error {
-	run, err := newRun(seed, full, workers)
-	if err != nil {
-		return err
+	run := newRun(seed, full, workers)
+	if !run.Pipe.Trained() {
+		return fmt.Errorf("enterprise run: the models were never fit (%d C&C examples)", len(run.Pipe.CCExamples()))
 	}
 
 	det := run.Pipe.Detector()
 	fmt.Fprintf(w, "calibration: %d C&C examples, %d similarity examples; Tc=%.3f Ts=%.3f\n",
 		len(run.Pipe.CCExamples()), len(run.Pipe.SimilarityExamples()),
 		det.Threshold, run.Pipe.SimThreshold())
-	if det.Model != nil {
-		fmt.Fprintf(w, "C&C model: R²=%.3f on %d observations\n\n", det.Model.R2, det.Model.N)
-	}
+	fmt.Fprintf(w, "C&C model: R²=%.3f on %d observations\n\n", det.Model.R2, det.Model.N)
 
 	if days {
 		for _, rep := range run.OperationReports() {

@@ -8,10 +8,7 @@ import (
 // TestWorkersFlagReachesPipeline: the -workers knob must land in the
 // pipeline configuration the evaluation runs with.
 func TestWorkersFlagReachesPipeline(t *testing.T) {
-	run, err := newRun(21, false, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := newRun(21, false, 2)
 	if got := run.Pipe.Config().Workers; got != 2 {
 		t.Fatalf("pipeline Workers = %d, want 2", got)
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	reprod [-addr :8714] [-shards N] [-queue N] [-shed-threshold F]
+//	reprod [-addr :8714] [-shards N] [-queue N]
 //	       [-workers N] [-seed N] [-full] [-training N]
 //	       [-replay DIR] [-speed X]
 //	       [-checkpoint FILE] [-checkpoint-interval D] [-max-ingest-bytes N]
@@ -26,15 +26,14 @@
 //	POST /ingest            TSV proxy records (the internal/logs codec),
 //	                        ingested as one atomic batch; responds 429 when
 //	                        shards lag, 413 over -max-ingest-bytes
-//	POST /flush             completes the open day (retrying a failed
-//	                        day-close first; 409 names the failed day)
+//	POST /flush             completes the open day and waits for its close
 //	POST /checkpoint        writes the engine state to -checkpoint
 //	GET  /report/YYYY-MM-DD the day's SOC report (JSON); 202 + Retry-After
 //	                        while the day's close still runs in the background
 //	GET  /reports           completed days
 //	GET  /stats             engine statistics, live beaconing pairs,
-//	                        day-close state (closing/closeFailed, last
-//	                        rollover pause, last pipeline duration), last
+//	                        day-close state (closing, last rollover
+//	                        pause, last pipeline duration), last
 //	                        preview timings, and alert counters
 //	GET  /preview           a fresh mid-day detection preview: the report a
 //	                        rollover right now would publish, computed from
@@ -105,7 +104,6 @@ type daemonOpts struct {
 	addr         string
 	shards       int
 	queue        int
-	shedThresh   float64
 	seed         int64
 	full         bool
 	training     int
@@ -131,7 +129,6 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8714", "HTTP listen address")
 	flag.IntVar(&o.shards, "shards", 0, "ingest shards (0 = GOMAXPROCS)")
 	flag.IntVar(&o.queue, "queue", 0, "per-shard queue depth (0 = default)")
-	flag.Float64Var(&o.shedThresh, "shed-threshold", 0, "queue-fullness fraction (0,1] at which ingestion sheds load — HTTP answers 429 and the TCP/syslog/flow listeners drop records (0 = default 0.9)")
 	flag.Int64Var(&o.seed, "seed", 1, "dataset seed for the simulated WHOIS/intel externals")
 	flag.BoolVar(&o.full, "full", false, "size the externals for the full-scale dataset")
 	flag.IntVar(&o.training, "training", 0, "training days (0 = the scale's default)")
@@ -289,8 +286,7 @@ func newDaemon(o daemonOpts) (*daemon, error) {
 	// non-blocking counter bump + channel send by contract.
 	engCfg := stream.Config{
 		Shards: o.shards, QueueDepth: o.queue, TrainingDays: o.training,
-		ShedThreshold: o.shedThresh,
-		CloseHook:     o.closeHook,
+		CloseHook: o.closeHook,
 		// Nothing in the daemon reads Engine.DayReport — /report serves the
 		// compact dailies, which are always kept — so hold only the latest
 		// full report (and its day snapshot) instead of the library's seven.

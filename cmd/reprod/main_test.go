@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -292,9 +293,7 @@ func TestHTTPIngestBodyTooLarge(t *testing.T) {
 func TestHTTPClosedEngineStatus(t *testing.T) {
 	srv, eng := testServer(t, "")
 	m := srv.mux()
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Close()
 	for _, tc := range []struct{ method, path, body string }{
 		{"POST", "/flush", ""},
 		{"POST", "/day", `{"date":"2014-03-01"}`},
@@ -307,22 +306,31 @@ func TestHTTPClosedEngineStatus(t *testing.T) {
 	}
 }
 
-// TestHTTPFlushConflictKeepsDay: a day-close that fails in the pipeline
-// (calibration starvation) is a 409 — the close is non-destructive, so the
-// day's records stay buffered as a failed close that /stats surfaces
-// (closeFailed/closeError) and a later flush retries.
-func TestHTTPFlushConflictKeepsDay(t *testing.T) {
-	// TrainingDays 0 and a one-day calibration window: with no automated
-	// traffic, the fit is starved and errors once the grace window (one
-	// extra calibration window) is exhausted.
-	pipe := pipeline.NewEnterprise(pipeline.EnterpriseConfig{CalibrationDays: 1}, whois.NewRegistry(), nil, nil)
-	e := stream.New(stream.Config{Shards: 2}, pipe)
-	t.Cleanup(func() { _ = e.Close() })
-	srv := newServer(e, "", 0, nil)
-	m := srv.mux()
+// TestShutdownCheckpointsThroughStarvedCalibration: a day-close cannot
+// fail. With a one-day calibration window and no automated traffic the C&C
+// fit stays starved past twice the window, and the daemon must still
+// complete every day (each /flush a 200, /stats naming no failed close),
+// write its shutdown checkpoint with the open day's acked records, and hand
+// a restarted daemon the same calibration progress.
+func TestShutdownCheckpointsThroughStarvedCalibration(t *testing.T) {
+	// The daemon builds its pipeline from the flags; a checkpoint of a fresh
+	// engine is how a test gives it a one-day window and no training days.
+	path := filepath.Join(t.TempDir(), "reprod.ckpt")
+	seed := stream.New(stream.Config{Shards: 1},
+		pipeline.NewEnterprise(pipeline.EnterpriseConfig{CalibrationDays: 1}, whois.NewRegistry(), nil, nil))
+	var buf bytes.Buffer
+	if err := seed.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := testDaemon(t, daemonOpts{checkpoint: path})
+	m := d.srv.mux()
 
 	// One visit per (host, domain): nothing periodic, nothing automated.
-	sparse := func(day time.Time, n int) []logs.ProxyRecord {
+	sparse := func(day time.Time, n int) string {
 		recs := make([]logs.ProxyRecord, n)
 		for i := range recs {
 			recs[i] = logs.ProxyRecord{
@@ -333,50 +341,50 @@ func TestHTTPFlushConflictKeepsDay(t *testing.T) {
 				Method: "GET", Status: 200,
 			}
 		}
-		return recs
+		return proxyTSV(t, recs)
+	}
+	first := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
+	openDay := func(i int) {
+		t.Helper()
+		day := first.AddDate(0, 0, i)
+		if rr, body := doJSON(t, m, "POST", "/day", `{"date":"`+day.Format("2006-01-02")+`"}`); rr.Code != http.StatusOK {
+			t.Fatalf("day %d open = %d %v", i, rr.Code, body)
+		}
+		if rr, body := doJSON(t, m, "POST", "/ingest", sparse(day, 8)); rr.Code != http.StatusOK {
+			t.Fatalf("day %d ingest = %d %v", i, rr.Code, body)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		openDay(i)
+		if rr, body := doJSON(t, m, "POST", "/flush", ""); rr.Code != http.StatusOK || body["daysDone"] != float64(i+1) {
+			t.Fatalf("day %d flush = %d %v, want 200 and %d days done", i, rr.Code, body, i+1)
+		}
+	}
+	rr, body := doJSON(t, m, "GET", "/stats", "")
+	if rr.Code != http.StatusOK || body["daysDone"] != float64(3) {
+		t.Fatalf("stats = %d %v, want 3 days done", rr.Code, body)
+	}
+	if _, ok := body["closeFailed"]; ok {
+		t.Fatalf("stats names a failed close: %v", body)
+	}
+	// A fourth day stays open across the shutdown.
+	openDay(3)
+	if err := d.shutdown(); err != nil {
+		t.Fatalf("shutdown checkpoint: %v", err)
+	}
+	// No close runs after shutdown, so the pipeline can be read.
+	cal := d.eng.Pipeline().ExportCalibration()
+	if cal.Trained || cal.CalDays != 3 {
+		t.Fatalf("calibration = %+v, want 3 starved days", cal)
 	}
 
-	d1 := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	doJSON(t, m, "POST", "/day", `{"date":"2014-03-01"}`)
-	doJSON(t, m, "POST", "/ingest", proxyTSV(t, sparse(d1, 8)))
-	if rr, _ := doJSON(t, m, "POST", "/flush", ""); rr.Code != http.StatusOK {
-		t.Fatalf("calibration-day flush = %d, want 200", rr.Code)
+	back := testDaemon(t, daemonOpts{checkpoint: path})
+	if got := back.eng.Pipeline().ExportCalibration(); !reflect.DeepEqual(got, cal) {
+		t.Fatalf("restored calibration %+v, want %+v", got, cal)
 	}
-
-	doJSON(t, m, "POST", "/day", `{"date":"2014-03-02"}`)
-	doJSON(t, m, "POST", "/ingest", proxyTSV(t, sparse(d1.AddDate(0, 0, 1), 8)))
-	rr, body := doJSON(t, m, "POST", "/flush", "")
-	if rr.Code != http.StatusConflict {
-		t.Fatalf("starved flush = %d %v, want 409", rr.Code, body)
-	}
-	// The day survived the failed close: /stats surfaces the failed state
-	// instead of silently dropping the traffic.
-	rr, body = doJSON(t, m, "GET", "/stats", "")
-	if rr.Code != http.StatusOK || body["closeFailed"] != "2014-03-02" {
-		t.Fatalf("after failed flush, stats = %d %v; want closeFailed=2014-03-02", rr.Code, body)
-	}
-	if msg, _ := body["closeError"].(string); !strings.Contains(msg, "calibrate") {
-		t.Fatalf("closeError = %v; want the calibration cause", body["closeError"])
-	}
-	// A new day may open and buffer records meanwhile, but it cannot
-	// complete past the failed one: the next flush retries 2014-03-02
-	// first — still starved here, so still 409 — and the new day stays
-	// open with its records. Days therefore never complete out of order.
-	rr, _ = doJSON(t, m, "POST", "/day", `{"date":"2014-03-03"}`)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("day open behind a failed close = %d, want 200", rr.Code)
-	}
-	doJSON(t, m, "POST", "/ingest", proxyTSV(t, sparse(d1.AddDate(0, 0, 2), 8)))
-	rr, body = doJSON(t, m, "POST", "/flush", "")
-	if rr.Code != http.StatusConflict {
-		t.Fatalf("retry flush = %d %v, want 409 (still starved)", rr.Code, body)
-	}
-	if msg, _ := body["error"].(string); !strings.Contains(msg, "2014-03-02") {
-		t.Fatalf("retry error %q does not name the failed day", body["error"])
-	}
-	rr, body = doJSON(t, m, "GET", "/stats", "")
-	if rr.Code != http.StatusOK || body["day"] != "2014-03-03" || body["dayRecords"] != float64(8) {
-		t.Fatalf("after refused flush, stats = %d %v; want day 2014-03-03 intact", rr.Code, body)
+	if st := back.eng.Stats(); st.DaysDone != 3 || st.Day != "2014-03-04" || st.DayRecords != 8 {
+		t.Fatalf("restored daemon: %d days done, open day %q with %d records; want 3, 2014-03-04, 8",
+			st.DaysDone, st.Day, st.DayRecords)
 	}
 }
 
@@ -392,7 +400,7 @@ func TestHTTPReportDuringDayClose(t *testing.T) {
 		Shards: 2, TrainingDays: 1 << 30,
 		CloseHook: func(string) { started <- struct{}{}; <-release },
 	}, pipe)
-	t.Cleanup(func() { _ = e.Close() })
+	t.Cleanup(func() { e.Close() })
 	srv := newServer(e, "", 0, nil)
 	m := srv.mux()
 
@@ -462,9 +470,7 @@ func TestWorkersFlagReachesPipeline(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
+	e.Close()
 
 	opts.checkpoint = path
 	opts.workers = 2
@@ -475,20 +481,6 @@ func TestWorkersFlagReachesPipeline(t *testing.T) {
 	defer restored.Close()
 	if got := restored.Pipeline().Config().Workers; got != 2 {
 		t.Fatalf("restored engine pipeline Workers = %d, want the flag override 2", got)
-	}
-}
-
-// TestShedThresholdFlagReachesEngine: the -shed-threshold knob must land
-// in the engine configuration the listeners consult through Lagging, and
-// leaving it unset must select the engine's 0.9 default.
-func TestShedThresholdFlagReachesEngine(t *testing.T) {
-	d := testDaemon(t, daemonOpts{shedThresh: 0.5})
-	if got := d.eng.Config().ShedThreshold; got != 0.5 {
-		t.Fatalf("engine ShedThreshold = %v, want the flag value 0.5", got)
-	}
-	d = testDaemon(t, daemonOpts{})
-	if got := d.eng.Config().ShedThreshold; got != 0.9 {
-		t.Fatalf("engine ShedThreshold with the flag unset = %v, want default 0.9", got)
 	}
 }
 
@@ -578,9 +570,7 @@ func TestHTTPPreview(t *testing.T) {
 		t.Fatalf("stats after preview = %d %v", rr.Code, body)
 	}
 
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Close()
 	rr, _ = doJSON(t, m, "GET", "/preview", "")
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("preview on closed engine = %d, want 503", rr.Code)
@@ -656,9 +646,7 @@ func TestPreviewLoopStopsOnEngineClose(t *testing.T) {
 		srv.runPreviewLoop(time.Millisecond, nil)
 	}()
 	time.Sleep(5 * time.Millisecond) // let it preview the open day a few times
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Close()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

@@ -71,9 +71,8 @@ func bodyLimitTripped(body io.Reader) bool {
 
 // engineErrStatus maps engine errors onto the API's status contract: a
 // closed engine means the daemon is shutting down (503, retryable
-// elsewhere); anything else — no open day, or a rollover failure such as
-// calibration starvation that left the day's buffer intact — is a conflict
-// the client can resolve and retry (409).
+// elsewhere); anything else — no open day — is a conflict the client can
+// resolve by opening one (409).
 func engineErrStatus(err error) int {
 	if errors.Is(err, stream.ErrClosed) {
 		return http.StatusServiceUnavailable
@@ -309,10 +308,7 @@ const approxProxyLineBytes = 96
 
 func (s *server) handleFlush(w http.ResponseWriter, _ *http.Request) {
 	if err := s.eng.Flush(); err != nil {
-		// The engine's rollover is non-destructive: on failure the day and
-		// its buffered records stay open, so 409 tells the client the flush
-		// can be retried once the cause (typically calibration starvation)
-		// is addressed.
+		// A close cannot fail, so the only error is a shut-down engine (503).
 		writeErr(w, engineErrStatus(err), "flush: %v", err)
 		return
 	}

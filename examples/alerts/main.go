@@ -139,9 +139,7 @@ func run() error {
 	if err := e.Flush(); err != nil {
 		return err
 	}
-	if err := e.Close(); err != nil {
-		return err
-	}
+	e.Close()
 	// Close drains the sink queues (bounded), so every queued alert that
 	// the receiver can take has been delivered when it returns.
 	if err := alerts.Close(); err != nil {

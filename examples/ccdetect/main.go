@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"sort"
 
 	"repro"
@@ -18,12 +17,10 @@ import (
 func main() {
 	seed := flag.Int64("seed", 19, "dataset seed")
 	flag.Parse()
-	if err := run(*seed); err != nil {
-		log.Fatal(err)
-	}
+	run(*seed)
 }
 
-func run(seed int64) error {
+func run(seed int64) {
 	// Force single-host campaigns: the hardest case for prior systems
 	// that need multiple synchronized infected hosts.
 	g := repro.NewEnterpriseGenerator(repro.EnterpriseGeneratorConfig{
@@ -45,10 +42,7 @@ func run(seed int64) error {
 	caught, missed := 0, 0
 	for day := g.Config().TrainingDays; day < g.NumDays(); day++ {
 		date := g.DayTime(day)
-		rep, err := p.Process(date, g.Day(day), g.DHCPMap(day))
-		if err != nil {
-			return err
-		}
+		rep := p.Process(date, g.Day(day), g.DHCPMap(day))
 		if rep.Calibrating {
 			continue
 		}
@@ -85,5 +79,4 @@ func run(seed int64) error {
 	}
 	fmt.Printf("\nsingle-host C&C channels: %d caught, %d missed\n", caught, missed)
 	fmt.Println("(* = malicious per ground truth)")
-	return nil
 }

@@ -5,18 +5,11 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	"repro"
 )
 
 func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run() error {
 	// A small synthetic enterprise: 50 hosts, one week of profiling,
 	// two weeks of operation with a handful of injected campaigns.
 	g := repro.NewEnterpriseGenerator(repro.EnterpriseGeneratorConfig{
@@ -44,10 +37,7 @@ func run() error {
 
 	for day := g.Config().TrainingDays; day < g.NumDays(); day++ {
 		date := g.DayTime(day)
-		rep, err := p.Process(date, g.Day(day), g.DHCPMap(day))
-		if err != nil {
-			return err
-		}
+		rep := p.Process(date, g.Day(day), g.DHCPMap(day))
 		if rep.Calibrating {
 			fmt.Printf("%s  calibrating (%d rare destinations)\n",
 				date.Format("2006-01-02"), rep.RareCount)
@@ -70,5 +60,4 @@ func run() error {
 			}
 		}
 	}
-	return nil
 }

@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 
 	"repro"
 )
@@ -18,16 +17,11 @@ func main() {
 	seed := flag.Int64("seed", 11, "dataset seed")
 	dotOut := flag.Bool("dot", false, "print the community graph as Graphviz DOT")
 	flag.Parse()
-	if err := run(*seed, *dotOut); err != nil {
-		log.Fatal(err)
-	}
+	run(*seed, *dotOut)
 }
 
-func run(seed int64, dotOut bool) error {
-	res, err := repro.RunEnterprise(repro.ScaleSmall, seed)
-	if err != nil {
-		return err
-	}
+func run(seed int64, dotOut bool) {
+	res := repro.RunEnterprise(repro.ScaleSmall, seed)
 
 	fmt.Printf("SOC IOC list: %d domains\n\n", len(res.Oracle.IOCs()))
 	for _, rep := range res.OperationReports() {
@@ -63,5 +57,4 @@ func run(seed int64, dotOut bool) error {
 			fmt.Println(g.String())
 		}
 	}
-	return nil
 }

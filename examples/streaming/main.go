@@ -133,5 +133,6 @@ func run() error {
 			fmt.Printf("    %-40s %-10s score=%.2f  [%s]\n", d.Domain, d.Reason, d.Score, truth)
 		}
 	}
-	return e.Close()
+	e.Close()
+	return nil
 }

@@ -178,11 +178,7 @@ func RunEnterpriseDir(dir string, p *pipeline.Enterprise, trainingDays int) ([]p
 			p.Train(d.Date, recs, leases)
 			continue
 		}
-		rep, err := p.Process(d.Date, recs, leases)
-		if err != nil {
-			return nil, fmt.Errorf("batch: day %s: %w", d.Date.Format("2006-01-02"), err)
-		}
-		reports = append(reports, rep)
+		reports = append(reports, p.Process(d.Date, recs, leases))
 	}
 	return reports, nil
 }

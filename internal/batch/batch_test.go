@@ -80,10 +80,7 @@ func TestRunEnterpriseDir(t *testing.T) {
 		p2.Train(e.DayTime(day), e.Day(day), e.DHCPMap(day))
 	}
 	for i, day := 0, e.Config().TrainingDays; day < e.NumDays(); i, day = i+1, day+1 {
-		want, err := p2.Process(e.DayTime(day), e.Day(day), e.DHCPMap(day))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := p2.Process(e.DayTime(day), e.Day(day), e.DHCPMap(day))
 		got := reports[i]
 		if got.RareCount != want.RareCount || len(got.Automated) != len(want.Automated) ||
 			len(got.CC) != len(want.CC) {

@@ -16,7 +16,6 @@ var (
 	lanlShared *LANLRun
 	entOnce    sync.Once
 	entShared  *EnterpriseRun
-	entErr     error
 )
 
 func lanlRun(t *testing.T) *LANLRun {
@@ -27,10 +26,7 @@ func lanlRun(t *testing.T) *LANLRun {
 
 func entRun(t *testing.T) *EnterpriseRun {
 	t.Helper()
-	entOnce.Do(func() { entShared, entErr = RunEnterprise(ScaleSmall, 21) })
-	if entErr != nil {
-		t.Fatal(entErr)
-	}
+	entOnce.Do(func() { entShared = RunEnterprise(ScaleSmall, 21) })
 	if !entShared.Pipe.Trained() {
 		t.Fatal("enterprise run did not finish calibration")
 	}

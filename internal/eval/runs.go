@@ -112,14 +112,14 @@ type EnterpriseRun struct {
 
 // RunEnterprise executes training, calibration and daily operation on a
 // fresh synthetic enterprise dataset.
-func RunEnterprise(scale Scale, seed int64) (*EnterpriseRun, error) {
+func RunEnterprise(scale Scale, seed int64) *EnterpriseRun {
 	return RunEnterpriseWorkers(scale, seed, 0)
 }
 
 // RunEnterpriseWorkers is RunEnterprise with the day-close worker pool
 // pinned (0 = GOMAXPROCS, 1 = sequential); results are identical for
 // every value.
-func RunEnterpriseWorkers(scale Scale, seed int64, workers int) (*EnterpriseRun, error) {
+func RunEnterpriseWorkers(scale Scale, seed int64, workers int) *EnterpriseRun {
 	e := gen.NewEnterprise(EnterpriseScale(scale, seed))
 	reg := whois.NewRegistry()
 	gen.PopulateWHOIS(reg, e.Truth, e.RareRegistrations(), e.DayTime(e.NumDays()))
@@ -138,13 +138,9 @@ func RunEnterpriseWorkers(scale Scale, seed int64, workers int) (*EnterpriseRun,
 		p.Train(e.DayTime(day), e.Day(day), e.DHCPMap(day))
 	}
 	for day := e.Config().TrainingDays; day < e.NumDays(); day++ {
-		rep, err := p.Process(e.DayTime(day), e.Day(day), e.DHCPMap(day))
-		if err != nil {
-			return nil, fmt.Errorf("enterprise run day %d: %w", day, err)
-		}
-		run.Reports = append(run.Reports, rep)
+		run.Reports = append(run.Reports, p.Process(e.DayTime(day), e.Day(day), e.DHCPMap(day)))
 	}
-	return run, nil
+	return run
 }
 
 // OperationReports returns the post-calibration day reports.

@@ -17,11 +17,9 @@
 //
 // TCP cannot answer 429 the way the HTTP ingest path does, so the policy
 // is explicit: batches are handed to the engine at batch boundaries, and
-// when Engine.Lagging() reports the shard queues past the configured
-// shed threshold (stream.Config.ShedThreshold, -shed-threshold on the
-// daemon) the listener sheds the parsed batch instead of blocking the
-// read loop —
-// counted in SheddedRecords and surfaced through /stats. A sender that
+// when Engine.Lagging() reports a shard queue 90% full the listener sheds
+// the parsed batch instead of blocking the read loop — counted in
+// SheddedRecords and surfaced through /stats. A sender that
 // outruns the engine therefore loses whole batches, never fractions of
 // them, and the loss is observable. Records refused by the engine itself
 // (no open day) are counted separately as RejectedRecords.

@@ -37,7 +37,8 @@ type EnterpriseConfig struct {
 	MaxIterations int
 	// CalibrationDays is the number of operation days whose automated
 	// domains are collected (with intelligence labels) before the
-	// regressions are fit; the paper uses two weeks (default 14).
+	// regressions are first fit; the paper uses two weeks (default 14).
+	// While the examples are too few to fit, calibration continues.
 	CalibrationDays int
 	// LabelLagDays is how far in the future the intelligence source is
 	// queried when labeling calibration data — the paper labels February
@@ -200,17 +201,15 @@ func (p *Enterprise) TrainSnapshot(day time.Time, snap *profile.Snapshot, stats 
 	return stageAssemble(day, stats, snap)
 }
 
-// Process runs one operation day: during the calibration window it collects
+// Process runs one operation day: until the models are fit it collects
 // labeled examples; afterwards it detects in both modes. The day is committed
-// to the history unless calibration fails.
-func (p *Enterprise) Process(day time.Time, recs []logs.ProxyRecord, leases map[netip.Addr]string) (EnterpriseDayReport, error) {
+// to the history.
+func (p *Enterprise) Process(day time.Time, recs []logs.ProxyRecord, leases map[netip.Addr]string) EnterpriseDayReport {
 	visits, stats := normalize.ReduceProxy(recs, leases)
 	snap := p.stageSnapshot(day, visits)
-	rep, err := p.ProcessSnapshot(day, snap, stats)
-	if err == nil {
-		snap.Commit(p.hist)
-	}
-	return rep, err
+	rep := p.ProcessSnapshot(day, snap, stats)
+	snap.Commit(p.hist)
+	return rep
 }
 
 // ---- Day-close stages ----
@@ -305,36 +304,31 @@ func stageAssemble(day time.Time, stats normalize.ProxyStats, snap *profile.Snap
 }
 
 // ProcessSnapshot is Process with the snapshot stage prebuilt and without
-// the commit; see TrainSnapshot for the history contract. A calibration
-// failure leaves the calibration state as it found it, so the caller may
-// retry with the same snapshot (and must not commit it meanwhile).
-func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats) (EnterpriseDayReport, error) {
+// the commit; see TrainSnapshot for the history contract.
+//
+// From the CalibrationDays-th day on, every close tries to fit the models on
+// the examples collected so far. A fit that cannot be made yet — too few
+// labeled examples for the C&C regression, or for the similarity regression
+// within the first two windows — leaves the day Calibrating, and the next
+// close refits with that day's examples added: the pipeline calibrates until
+// the data suffices instead of failing the day.
+func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats) EnterpriseDayReport {
 	rep := stageAssemble(day, stats, snap)
 	rep.Automated = p.stageDetect(snap, p.cfg.Workers)
 
 	if !p.trained {
-		calDays, ccExamples, simExamples := p.calDays, p.ccExamples, p.simExamples
 		p.collectExamples(snap, rep.Automated, day)
 		p.calDays++
 		if p.calDays >= p.cfg.CalibrationDays {
-			err := p.fitModels()
-			if err != nil && p.calDays < 2*p.cfg.CalibrationDays {
-				// Not enough labeled data yet — keep collecting for up to
-				// one extra window before giving up.
-				err = nil
-			}
-			if err != nil {
-				p.calDays, p.ccExamples, p.simExamples = calDays, ccExamples, simExamples
-				return rep, fmt.Errorf("calibrate: %w", err)
-			}
+			_ = p.fitModels() // on failure, still calibrating
 		}
 		rep.Calibrating = true
-		return rep, nil
+		return rep
 	}
 
 	rep.CC = p.stageScore(rep.Automated)
 	rep.NoHint, rep.SOCHints = p.stagePropagate(snap, rep.CC, p.cfg.Workers)
-	return rep, nil
+	return rep
 }
 
 // PreviewSnapshot runs the pure day-close stages over a provisional mid-day

@@ -122,10 +122,7 @@ func TestEnterprisePipelineEndToEnd(t *testing.T) {
 	detectedSOC := map[string]bool{}
 	benignFlagged := 0
 	for day := e.Config().TrainingDays; day < e.NumDays(); day++ {
-		rep, err := p.Process(e.DayTime(day), e.Day(day), e.DHCPMap(day))
-		if err != nil {
-			t.Fatalf("day %d: %v", day, err)
-		}
+		rep := p.Process(e.DayTime(day), e.Day(day), e.DHCPMap(day))
 		if rep.Calibrating {
 			continue
 		}
@@ -192,10 +189,7 @@ func TestEnterprisePipelineCalibrationGate(t *testing.T) {
 
 	p := NewEnterprise(EnterpriseConfig{CalibrationDays: 99}, reg, oracle.Reported, oracle.IOCs)
 	p.Train(e.DayTime(0), e.Day(0), e.DHCPMap(0))
-	rep, err := p.Process(e.DayTime(2), e.Day(2), e.DHCPMap(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := p.Process(e.DayTime(2), e.Day(2), e.DHCPMap(2))
 	if !rep.Calibrating {
 		t.Error("day inside calibration window must be marked Calibrating")
 	}
@@ -243,14 +237,8 @@ func TestEnterprisePipelineHistoryRestart(t *testing.T) {
 	resumed := mk(restored)
 
 	for day := e.Config().TrainingDays; day < e.NumDays(); day++ {
-		a, err := continuous.Process(e.DayTime(day), e.Day(day), e.DHCPMap(day))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := resumed.Process(e.DayTime(day), e.Day(day), e.DHCPMap(day))
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := continuous.Process(e.DayTime(day), e.Day(day), e.DHCPMap(day))
+		b := resumed.Process(e.DayTime(day), e.Day(day), e.DHCPMap(day))
 		if a.RareCount != b.RareCount || a.NewCount != b.NewCount || len(a.Automated) != len(b.Automated) {
 			t.Errorf("day %d diverges after restart: continuous{rare=%d new=%d} resumed{rare=%d new=%d}",
 				day, a.RareCount, a.NewCount, b.RareCount, b.NewCount)

@@ -2,10 +2,10 @@ package pipeline
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/ccdetect"
 	"repro/internal/logs"
 	"repro/internal/normalize"
 	"repro/internal/whois"
@@ -126,18 +126,16 @@ func TestStagePropagateUntrainedSeedless(t *testing.T) {
 	}
 }
 
-// TestFailedCalibrationLeavesStateAsFound: a calibration fit that fails must
-// leave the day count and the collected examples as they were, so a retry of
-// the same snapshot re-runs the day instead of collecting and counting it a
-// second time.
-func TestFailedCalibrationLeavesStateAsFound(t *testing.T) {
-	// A one-day window and one beaconing domain a day: a single C&C example
-	// cannot fit the regression, the grace window absorbs that on the first
-	// day, and the second day's close fails with two.
+// TestStarvedCalibrationKeepsCalibrating: a fit that cannot be made yet is
+// not a failed day. With a one-day window and one beaconing domain a day,
+// the C&C regression lacks examples for several days past twice the window;
+// every one of those closes must report the day Calibrating and count it,
+// and the pipeline must train on the first day its examples suffice.
+func TestStarvedCalibrationKeepsCalibrating(t *testing.T) {
 	p := NewEnterprise(EnterpriseConfig{CalibrationDays: 1, Workers: 1}, whois.NewRegistry(),
 		func(string, time.Time) bool { return false }, nil)
 	first := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	process := func(i int) error {
+	process := func(i int) EnterpriseDayReport {
 		day := first.AddDate(0, 0, i)
 		var visits []logs.Visit
 		for k := 0; k < 40; k++ {
@@ -147,24 +145,36 @@ func TestFailedCalibrationLeavesStateAsFound(t *testing.T) {
 			})
 		}
 		stats := normalize.ProxyStats{Records: len(visits), Kept: len(visits)}
-		_, err := p.ProcessSnapshot(day, p.stageSnapshot(day, visits), stats)
-		return err
+		return p.ProcessSnapshot(day, p.stageSnapshot(day, visits), stats)
 	}
-	if err := process(0); err != nil {
-		t.Fatalf("first calibration day: %v", err)
+	days := 0
+	for ; !p.Trained(); days++ {
+		if days == 30 {
+			t.Fatalf("still calibrating after %d days", days)
+		}
+		rep := process(days)
+		if !rep.Calibrating || rep.CC != nil || rep.NoHint != nil {
+			t.Fatalf("day %d: report %+v, want a calibrating day without detections", days, rep)
+		}
+		st := p.ExportCalibration()
+		if st.CalDays != days+1 || len(st.CCExamples) != days+1 {
+			t.Fatalf("day %d: %d calibration days and %d C&C examples, want %d of each",
+				days, st.CalDays, len(st.CCExamples), days+1)
+		}
+		// The examples suffice when the C&C regression fits on them (the
+		// similarity side falls back to the additive scorer after two
+		// windows); the pipeline must train exactly then.
+		_, err := ccdetect.NewDetector(p.extractor).Train(st.CCExamples)
+		if p.Trained() != (err == nil) {
+			t.Fatalf("day %d: trained=%v but a C&C fit on its %d examples gives %v",
+				days, p.Trained(), len(st.CCExamples), err)
+		}
 	}
-	before := p.ExportCalibration()
-	if before.CalDays != 1 || len(before.CCExamples) != 1 {
-		t.Fatalf("after the first day: %+v, want one day and one C&C example", before)
+	if days <= 2*p.Config().CalibrationDays {
+		t.Fatalf("trained after %d days: the fixture no longer starves calibration past two windows", days)
 	}
-	err := process(1)
-	if err == nil {
-		t.Fatal("the starved second day calibrated")
-	}
-	if after := p.ExportCalibration(); !reflect.DeepEqual(after, before) {
-		t.Fatalf("failed close changed the calibration state:\nbefore %+v\nafter  %+v", before, after)
-	}
-	if retry := process(1); retry == nil || retry.Error() != err.Error() {
-		t.Fatalf("retry error = %v, want the first failure %v again", retry, err)
+	t.Logf("trained on calibration day %d", days)
+	if rep := process(days); rep.Calibrating {
+		t.Fatal("the day after training still calibrating")
 	}
 }

@@ -10,10 +10,7 @@ import (
 
 func buildFromRun(t *testing.T) []Daily {
 	t.Helper()
-	run, err := eval.RunEnterprise(eval.ScaleSmall, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := eval.RunEnterprise(eval.ScaleSmall, 21)
 	var out []Daily
 	for _, rep := range run.OperationReports() {
 		out = append(out, Build(rep))

@@ -258,7 +258,7 @@ func BenchmarkIngestToReport(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*perDay/b.Elapsed().Seconds(), "rec/s")
-	_ = e.Close()
+	e.Close()
 }
 
 // BenchmarkIngestToReportPipelined is the swap-and-continue day cycle:
@@ -293,7 +293,7 @@ func BenchmarkIngestToReportPipelined(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*perDay/b.Elapsed().Seconds(), "rec/s")
-	_ = e.Close()
+	e.Close()
 }
 
 // BenchmarkIngestToReportPipelinedTSV is the pipelined day cycle fed the way
@@ -341,7 +341,7 @@ func BenchmarkIngestToReportPipelinedTSV(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*perDay/b.Elapsed().Seconds(), "rec/s")
-	_ = e.Close()
+	e.Close()
 }
 
 // BenchmarkReplayDir is the packaged replay (reprod -replay) over three
@@ -365,7 +365,7 @@ func BenchmarkReplayDir(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		_ = e.Close()
+		e.Close()
 	}
 	b.ReportMetric(float64(b.N*(counts[0]+counts[1]+counts[2]))/b.Elapsed().Seconds(), "rec/s")
 }

@@ -160,20 +160,13 @@ func (e *Engine) dailiesLocked() []checkpointDaily {
 //
 // A day-close in flight is waited out first (the lock is released while
 // waiting, so ingestion proceeds), so the file describes a settled close and
-// never a day between the shards and the history. A close that failed and
-// awaits retry makes the engine unrepresentable; Checkpoint refuses until a
-// Flush retries it.
+// never a day between the shards and the history.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	e.mu.Lock()
 	e.awaitCloseLocked()
 	if e.closed {
 		e.mu.Unlock()
 		return ErrClosed
-	}
-	if e.failed != nil {
-		err := fmt.Errorf("stream: checkpoint: day %s close failed (%v); retry with Flush first", e.failed.date, e.failed.err)
-		e.mu.Unlock()
-		return err
 	}
 
 	// The timer starts after the close wait above, so LastCheckpointMillis

@@ -137,9 +137,7 @@ func TestCheckpointDuringCloseMatchesBatch(t *testing.T) {
 	if checked != len(want) {
 		t.Fatalf("compared %d days, want %d", checked, len(want))
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
+	e.Close()
 }
 
 // TestParentFormatCheckpointRestores: a v2 checkpoint as earlier builds
@@ -218,9 +216,7 @@ func TestParentFormatCheckpointRestores(t *testing.T) {
 			t.Errorf("day %s: restored report differs from batch", date)
 		}
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
+	e.Close()
 }
 
 // mapSetsCheckpoint is a mid-day checkpoint written by the build whose host
@@ -246,9 +242,7 @@ func TestMapSetsCheckpointRestores(t *testing.T) {
 		if err := e.Checkpoint(&got); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
+		e.Close()
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("shards=%d: re-encoded checkpoint differs from the file\ngot:  %s\nwant: %s", shards, got.Bytes(), want)
 		}
@@ -297,12 +291,8 @@ func TestCheckpointStatsAndRestoredDay(t *testing.T) {
 	if !okA || !okB || repA.Stats != repB.Stats {
 		t.Fatalf("restored day stats differ: %v %+v vs %v %+v", okA, repA.Stats, okB, repB.Stats)
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Close(); err != nil {
-		t.Fatal(err)
-	}
+	e.Close()
+	restored.Close()
 }
 
 // TestCheckpointDoesNotBlockIngest: the engine freeze of a v2 checkpoint is

@@ -204,7 +204,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if err != nil {
 			return // refused cleanly
 		}
-		_ = e.Close()
+		e.Close()
 		if mustRefuse[string(data)] {
 			t.Fatal("restored a hostile builder section")
 		}

@@ -74,8 +74,6 @@ func TestReplayDirStreams(t *testing.T) {
 	if want := 2*replayBatchSize + tail; len(got) != 1 || got[0] != want {
 		t.Errorf("OnDay saw %v, want one day of %d records", got, want)
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
+	e.Close()
 	awaitGoroutines(t, before)
 }

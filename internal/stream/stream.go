@@ -46,10 +46,13 @@
 // analytics. Day-closes are strictly serialized: Flush, Close, Checkpoint,
 // Preview and the next rollover all wait on an in-flight close, so days
 // complete in order, the pipeline is never entered concurrently, and a
-// checkpoint or preview always sees a settled close. A close publishes the
-// day's reports before it commits the day to the history — only the next
-// day's classification reads that commit — so Report and DayReport of a
-// published day never wait, and of a closing day wait only for publication.
+// checkpoint or preview always sees a settled close. A close has one
+// outcome: the pipeline cannot fail a day (a C&C fit that cannot be made yet
+// reports the day as calibrating), so every close publishes its day. It
+// publishes the day's reports before it commits the day to the history —
+// only the next day's classification reads that commit — so Report and
+// DayReport of a published day never wait, and of a closing day wait only
+// for publication.
 //
 // In between rollovers LiveAutomated gives an early-warning signal: it runs
 // the detector's periodicity test over the timestamps the builders already
@@ -66,7 +69,6 @@ package stream
 
 import (
 	"errors"
-	"fmt"
 	"hash/maphash"
 	"maps"
 	"math"
@@ -118,12 +120,6 @@ type Config struct {
 	// grow by one day snapshot per day forever. Default 7; negative keeps
 	// all (tests, short evaluations).
 	RetainDayReports int
-	// ShedThreshold is the queue-fullness fraction (0, 1] at which
-	// Lagging reports true — the load-shedding trigger HTTP frontends and
-	// the live listeners consult before accepting more work. Measured in
-	// queued batches against QueueDepth. 0 (or any out-of-range value)
-	// selects the default 0.9.
-	ShedThreshold float64
 	// OnReport, when set, observes every completed day. daily is nil for
 	// training days. The callback runs on the background day-close
 	// goroutine after the day is published and committed but while the close
@@ -150,14 +146,12 @@ func (c *Config) setDefaults() {
 	if c.RetainDayReports == 0 {
 		c.RetainDayReports = 7
 	}
-	if c.ShedThreshold <= 0 || c.ShedThreshold > 1 {
-		c.ShedThreshold = defaultShedThreshold
-	}
 }
 
-// defaultShedThreshold is the queue-fullness fraction at which Lagging
-// reports true when Config.ShedThreshold is unset.
-const defaultShedThreshold = 0.9
+// shedFraction is the queue fullness, in queued batches against QueueDepth,
+// at which Lagging reports true — the load-shedding trigger HTTP frontends
+// and the live listeners consult before accepting more work.
+const shedFraction = 0.9
 
 // item is one unit of sharded work: a reduced visit, or (for records whose
 // source address had no lease) a bare domain marker that only feeds the
@@ -393,7 +387,7 @@ type Engine struct {
 	hist   *profile.History
 	shards []*shard
 	seed   maphash.Seed
-	shedAt int // queued batches at which Lagging fires (from Config.ShedThreshold)
+	shedAt int // queued batches at which Lagging fires (shedFraction of QueueDepth)
 
 	seq          atomic.Uint64
 	dayRecords   atomic.Uint64 // raw records ingested into the open day
@@ -420,12 +414,8 @@ type Engine struct {
 	dates    []string // completed days in processing order
 	closed   bool
 
-	// closing is the in-flight background day-close; nil when none. failed
-	// holds a close that ended in a pipeline error, with its day's buffers
-	// intact, awaiting a retry (Flush) — while it is set, further rollovers
-	// are refused so days cannot complete out of order.
+	// closing is the in-flight background day-close; nil when none.
 	closing *dayClose
-	failed  *dayClose
 	// lastSwap is the exclusive-lock hold time of the last rollover (the
 	// ingest stall); lastCloseDur the last background pipeline duration.
 	lastSwap     time.Duration
@@ -453,24 +443,19 @@ type Engine struct {
 }
 
 // dayClose carries one swapped-out day through its background close. The
-// swap takes only the shards' partial snapshots and marker sets. Once the
-// partials are classified the snapshot replaces them; a failed close retains
-// that snapshot so a Flush retry replays the pipeline without re-reducing
-// anything.
+// swap takes only the shards' partial snapshots and marker sets; the close
+// classifies them into the day snapshot.
 type dayClose struct {
 	day        time.Time
 	date       string
 	parts      []*profile.IncrementalBuilder // per-shard partial snapshots
 	markers    []map[string]struct{}         // per-shard lease-less-only domains
 	unresolved int                           // lease-less records in the day
-	snap       *profile.Snapshot             // classified at close; retained on failure
-	stats      normalize.ProxyStats
 	records    uint64
 	droppedIP  uint64
 	training   bool
 	published  chan struct{} // closed when the day's reports are readable
-	done       chan struct{} // closed when the close (or its failure) is final
-	err        error
+	done       chan struct{} // closed when the close is final
 }
 
 // New starts an engine around a pipeline. The pipeline must not be used
@@ -487,12 +472,8 @@ func New(cfg Config, pipe *pipeline.Enterprise) *Engine {
 		closeHook: cfg.CloseHook,
 	}
 	// Precompute the shed trigger in queued batches: Lagging fires at
-	// ceil(ShedThreshold · QueueDepth), at least 1 so a threshold below
-	// one batch still sheds on a non-empty queue.
-	e.shedAt = int(math.Ceil(cfg.ShedThreshold * float64(cfg.QueueDepth)))
-	if e.shedAt < 1 {
-		e.shedAt = 1
-	}
+	// ceil(shedFraction · QueueDepth), which is at least 1 for any depth.
+	e.shedAt = int(math.Ceil(shedFraction * float64(cfg.QueueDepth)))
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		e.shards[i] = newShard(e, cfg.QueueDepth)
@@ -506,8 +487,8 @@ func New(cfg Config, pipe *pipeline.Enterprise) *Engine {
 func (e *Engine) Pipeline() *pipeline.Enterprise { return e.pipe }
 
 // Config returns the engine's resolved configuration — the caller's Config
-// with every default applied (shard count, queue depth, shed threshold,
-// ...). Introspection only; mutating the copy has no effect.
+// with every default applied (shard count, queue depth, ...). Introspection
+// only; mutating the copy has no effect.
 func (e *Engine) Config() Config { return e.cfg }
 
 // shardIndex hashes a folded domain onto a shard — for visits and lease-less
@@ -567,9 +548,7 @@ func recDay(r *logs.ProxyRecord) time.Time {
 // background day-close (swap-and-continue: ingestion into the new day
 // proceeds while the analytics run). The lease map resolves source
 // addresses without a Host field for the whole day; it may be nil when
-// records carry hostnames. When an earlier day's close has failed, the
-// rollover is refused (the open day and the failed day both stay intact)
-// until a Flush retries the failed close.
+// records carry hostnames.
 func (e *Engine) BeginDay(day time.Time, leases map[netip.Addr]string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -578,9 +557,7 @@ func (e *Engine) BeginDay(day time.Time, leases map[netip.Addr]string) error {
 	}
 	day = time.Date(day.Year(), day.Month(), day.Day(), 0, 0, 0, 0, time.UTC)
 	if !e.day.IsZero() && !e.day.Equal(day) {
-		if _, err := e.beginCloseLocked(e.day); err != nil {
-			return err
-		}
+		e.beginCloseLocked(e.day)
 		if e.closed { // Close slipped in while awaiting the previous close
 			return ErrClosed
 		}
@@ -592,26 +569,19 @@ func (e *Engine) BeginDay(day time.Time, leases map[netip.Addr]string) error {
 
 // Flush completes the open day (if any records were ingested) and leaves no
 // day open. Unlike BeginDay it waits for the day-close to finish, so the
-// day's report is readable when Flush returns; a failed earlier close is
-// retried first, and on failure the day's buffers stay intact for another
-// Flush.
+// day's report is readable when Flush returns.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return ErrClosed
 	}
-	if err := e.retryFailedLocked(); err != nil {
-		return err
+	if c := e.beginCloseLocked(e.day); c != nil {
+		e.mu.Unlock()
+		<-c.done
+		e.mu.Lock()
 	}
-	c, err := e.beginCloseLocked(e.day)
-	if err != nil || c == nil {
-		return err
-	}
-	e.mu.Unlock()
-	<-c.done
-	e.mu.Lock()
-	return c.err
+	return nil
 }
 
 // Close flushes the open day, waits for the close to complete, and stops
@@ -619,51 +589,24 @@ func (e *Engine) Flush() error {
 // remain readable. The flush loops: a concurrent BeginDay can slip a new
 // day in while the lock is released for a close wait, and records the
 // engine accepted must never be silently dropped — Close keeps closing
-// until no day is open (an error breaks out, matching the old behavior of
-// closing over a failed day).
-func (e *Engine) Close() error {
+// until no day is open and no close is in flight.
+func (e *Engine) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return nil
-	}
-	var err error
 	for {
-		if err = e.retryFailedLocked(); err != nil {
-			break
-		}
+		e.awaitCloseLocked()
 		if e.closed { // a concurrent Close finished while the lock was released
-			return nil
+			return
 		}
 		if e.day.IsZero() {
 			break
 		}
-		var c *dayClose
-		c, err = e.beginCloseLocked(e.day)
-		if err != nil {
-			break
-		}
-		if c == nil {
-			// Empty day cleared, or another goroutine rolled the day while
-			// the lock was released — re-evaluate what is open now.
-			continue
-		}
-		e.mu.Unlock()
-		<-c.done
-		e.mu.Lock()
-		if c.err != nil {
-			err = c.err
-			break
-		}
-	}
-	if e.closed {
-		return err
+		e.beginCloseLocked(e.day)
 	}
 	e.closed = true
 	for _, s := range e.shards {
 		close(s.batches)
 	}
-	return err
 }
 
 // awaitCloseLocked blocks until no day-close is in flight. Caller holds mu
@@ -678,31 +621,6 @@ func (e *Engine) awaitCloseLocked() {
 	}
 }
 
-// retryFailedLocked re-runs a previously failed day-close (the caller
-// waits for it). Returns nil when there was nothing to retry or the retry
-// succeeded; on another failure the day is re-stashed for the next
-// attempt. Caller holds mu exclusively; the waits release and reacquire it.
-func (e *Engine) retryFailedLocked() error {
-	for {
-		e.awaitCloseLocked()
-		if e.failed == nil {
-			return nil
-		}
-		c := e.failed
-		e.failed = nil
-		c.done = make(chan struct{})
-		c.err = nil
-		e.closing = c
-		go e.runDayClose(c)
-		e.mu.Unlock()
-		<-c.done
-		e.mu.Lock()
-		if c.err != nil {
-			return c.err
-		}
-	}
-}
-
 // IngestBatch feeds a slice of raw proxy records through the batched hot
 // path: the engine lock is taken once, one atomic add reserves a contiguous
 // sequence range, the records reduce into pooled per-shard buffers, and
@@ -710,10 +628,9 @@ func (e *Engine) retryFailedLocked() error {
 // land in slice order, atomically with respect to concurrent batches, and
 // an error (ErrClosed, ErrNoDay) means none of the batch was ingested —
 // except under AutoRollover, where a batch spanning a day boundary commits
-// one day chunk at a time and an error mid-batch (a failed rollover, a
-// concurrent Close) leaves the already-committed chunks ingested. Blocks
-// while a destination shard's queue is full. The slice is not retained.
-// Safe for concurrent use.
+// one day chunk at a time and an error mid-batch (a concurrent Close) leaves
+// the already-committed chunks ingested. Blocks while a destination shard's
+// queue is full. The slice is not retained. Safe for concurrent use.
 func (e *Engine) IngestBatch(recs []logs.ProxyRecord) error {
 	for len(recs) > 0 {
 		e.mu.RLock()
@@ -889,25 +806,18 @@ func (e *Engine) cloneOpenDayLocked() (parts []*profile.IncrementalBuilder, mark
 // Returns the started close, or nil when there was nothing (left) to
 // close — no open day, no records (an empty day produces no report, as in
 // batch mode, where it has no file), or the expected day already closed by
-// someone else. Returns an error — with the open day untouched — when a
-// previous close failed and awaits retry, or the engine closed while
-// waiting. Caller holds mu exclusively; the wait releases and reacquires it.
-func (e *Engine) beginCloseLocked(expect time.Time) (*dayClose, error) {
+// someone else (a Close that finished meanwhile included). Caller holds mu
+// exclusively; the wait releases and reacquires it.
+func (e *Engine) beginCloseLocked(expect time.Time) *dayClose {
 	e.awaitCloseLocked()
-	if e.failed != nil {
-		return nil, fmt.Errorf("stream: day %s close failed (%v); retry with Flush", e.failed.date, e.failed.err)
-	}
-	if e.closed {
-		return nil, ErrClosed
-	}
 	if e.day.IsZero() || !e.day.Equal(expect) {
-		return nil, nil
+		return nil
 	}
 	records := e.dayRecords.Load()
 	if records == 0 {
 		e.day = time.Time{}
 		e.leases = nil
-		return nil, nil
+		return nil
 	}
 
 	start := time.Now()
@@ -916,8 +826,8 @@ func (e *Engine) beginCloseLocked(expect time.Time) (*dayClose, error) {
 		date:      e.day.Format("2006-01-02"),
 		records:   records,
 		droppedIP: e.dayDroppedIP.Load(),
-		// All earlier days are published (no close in flight, none failed),
-		// so the train/process split is decided here, consistently with the
+		// All earlier days are published (no close in flight), so the
+		// train/process split is decided here, consistently with the
 		// sequential engine.
 		training:  e.daysDone < e.cfg.TrainingDays,
 		published: make(chan struct{}),
@@ -948,7 +858,7 @@ func (e *Engine) beginCloseLocked(expect time.Time) (*dayClose, error) {
 	e.lastSwap = time.Since(start)
 	e.closing = c
 	go e.runDayClose(c)
-	return c, nil
+	return c
 }
 
 // markerOnly returns, sorted, the marker domains their shard's builder does
@@ -992,11 +902,9 @@ func dayStats(snap *profile.Snapshot, parts []*profile.IncrementalBuilder, marke
 // only then commit the day to the history: the SOC's report does not wait for
 // a write that only tomorrow's classification reads, and everything that
 // could read the history before the commit lands — a checkpoint, a preview,
-// the next close — waits the close out. On a pipeline error nothing is
-// published or committed, and the snapshot and day statistics are retained on
-// e.failed so a later Flush can retry the pipeline without losing the day (the
-// paper's calibration-starvation case). Runs without the engine lock; the
-// shards are already ingesting the next day.
+// the next close — waits the close out. A close cannot fail: a pipeline that
+// cannot fit its models yet reports the day as calibrating. Runs without the
+// engine lock; the shards are already ingesting the next day.
 func (e *Engine) runDayClose(c *dayClose) {
 	if e.closeHook != nil {
 		e.closeHook(c.date)
@@ -1005,38 +913,21 @@ func (e *Engine) runDayClose(c *dayClose) {
 	// the open day before this close began; none can start until it ends.
 	e.commitGate.Lock()
 	start := time.Now()
-	if c.snap == nil {
-		// The day is classified against the history with every earlier day
-		// committed — closes are strictly serialized, so the in-order
-		// commit the snapshot's "new domain" judgement depends on holds.
-		pcfg := e.pipe.Config()
-		c.snap = profile.ClassifyDisjoint(c.day, c.parts, e.hist, pcfg.UnpopularThreshold, pcfg.Workers)
-		c.stats = dayStats(c.snap, c.parts, c.markers, c.records, c.droppedIP, c.unresolved)
-		c.parts, c.markers = nil, nil // the snapshot owns their structure now
-	}
+	// The day is classified against the history with every earlier day
+	// committed — closes are strictly serialized, so the in-order commit the
+	// snapshot's "new domain" judgement depends on holds.
+	pcfg := e.pipe.Config()
+	snap := profile.ClassifyDisjoint(c.day, c.parts, e.hist, pcfg.UnpopularThreshold, pcfg.Workers)
+	stats := dayStats(snap, c.parts, c.markers, c.records, c.droppedIP, c.unresolved)
+	c.parts, c.markers = nil, nil // the snapshot owns their structure now
 	var rep pipeline.EnterpriseDayReport
 	var daily *report.Daily
-	var err error
 	if c.training {
-		rep = e.pipe.TrainSnapshot(c.day, c.snap, c.stats)
+		rep = e.pipe.TrainSnapshot(c.day, snap, stats)
 	} else {
-		rep, err = e.pipe.ProcessSnapshot(c.day, c.snap, c.stats)
-		if err == nil {
-			d := report.Build(rep)
-			daily = &d
-		}
-	}
-	if err != nil {
-		dur := time.Since(start)
-		e.commitGate.Unlock()
-		e.mu.Lock()
-		e.lastCloseDur = dur
-		c.err = fmt.Errorf("stream: day %s: %w", c.date, err)
-		e.failed = c
-		e.closing = nil
-		e.mu.Unlock()
-		close(c.done)
-		return
+		rep = e.pipe.ProcessSnapshot(c.day, snap, stats)
+		d := report.Build(rep)
+		daily = &d
 	}
 
 	e.mu.Lock()
@@ -1050,8 +941,7 @@ func (e *Engine) runDayClose(c *dayClose) {
 	close(c.published)
 	e.mu.Unlock()
 
-	c.snap.Commit(e.hist)
-	c.snap = nil // the day lives in the history (and the report) now
+	snap.Commit(e.hist)
 	dur := time.Since(start)
 	e.commitGate.Unlock()
 
@@ -1083,10 +973,10 @@ func (e *Engine) evictOldReportsLocked() {
 
 // ---- Introspection ----
 
-// Lagging reports whether any shard queue has reached the configured shed
-// threshold (Config.ShedThreshold of QueueDepth, measured in queued
-// batches; default 90%) — the signal HTTP frontends and the live listeners
-// turn into load shedding before accepting another batch.
+// Lagging reports whether any shard queue has reached the shed threshold
+// (90% of QueueDepth, measured in queued batches) — the signal HTTP
+// frontends and the live listeners turn into load shedding before accepting
+// another batch.
 func (e *Engine) Lagging() bool {
 	for _, s := range e.shards {
 		if len(s.batches) >= e.shedAt {
@@ -1147,11 +1037,8 @@ type Stats struct {
 	Shards      []ShardStats `json:"shards"`
 
 	// Day-close observability. Closing is the date whose close currently
-	// runs in the background ("" when none); CloseFailed/CloseError report
-	// a close that ended in a pipeline error and awaits a Flush retry.
-	Closing     string `json:"closing,omitempty"`
-	CloseFailed string `json:"closeFailed,omitempty"`
-	CloseError  string `json:"closeError,omitempty"`
+	// runs in the background ("" when none).
+	Closing string `json:"closing,omitempty"`
 	// LastRolloverPauseMicros is the exclusive-lock hold time of the last
 	// rollover — the ingest stall, which swap-and-continue keeps at the
 	// shard buffer swap rather than the pipeline run.
@@ -1229,10 +1116,6 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 	}
 	if e.closing != nil {
 		st.Closing = e.closing.date
-	}
-	if e.failed != nil {
-		st.CloseFailed = e.failed.date
-		st.CloseError = e.failed.err.Error()
 	}
 	if e.closed {
 		return st, nil
@@ -1318,10 +1201,7 @@ func (e *Engine) publishingLocked(date string) *dayClose {
 func (e *Engine) awaitDateLocked(date string) {
 	for c := e.publishingLocked(date); c != nil; c = e.publishingLocked(date) {
 		e.mu.Unlock()
-		select {
-		case <-c.published:
-		case <-c.done: // failed
-		}
+		<-c.published
 		e.mu.Lock()
 	}
 }

@@ -182,36 +182,31 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestShedThreshold: Lagging's trigger must sit at ceil(ShedThreshold ·
-// QueueDepth) queued batches, clamped to at least one, with out-of-range
-// values falling back to the 0.9 default — the exact semantics of the
-// previously hard-coded 90% check.
+// TestShedThreshold: Lagging's trigger must sit at ceil(0.9 · QueueDepth)
+// queued batches — the exact semantics of the original hard-coded
+// len*10 >= depth*9 check — which is at least one batch at any depth.
 func TestShedThreshold(t *testing.T) {
 	cases := []struct {
-		thresh float64
-		depth  int
-		want   int
+		depth int
+		want  int
 	}{
-		{0, 4096, 3687},   // unset -> default 0.9, old len*10 >= depth*9 point
-		{0.9, 4096, 3687}, // explicit default matches the hard-coded era
-		{1, 8, 8},         // shed only on a truly full queue
-		{0.5, 7, 4},       // ceil, not floor
-		{0.0001, 100, 1},  // clamp: any non-empty queue sheds
-		{1.5, 10, 9},      // out of range -> default
-		{-1, 10, 9},
+		{0, 3687},    // unset -> the 4096 default
+		{4096, 3687}, // the old len*10 >= depth*9 point
+		{10, 9},
+		{7, 7}, // ceil, not floor: 6.3 -> 7
+		{8, 8}, // 7.2 -> 8: shed only on a full queue
+		{1, 1}, // any non-empty queue sheds
 	}
 	for _, c := range cases {
-		e := trainOnlyEngine(Config{Shards: 1, QueueDepth: c.depth, ShedThreshold: c.thresh})
+		e := trainOnlyEngine(Config{Shards: 1, QueueDepth: c.depth})
 		if e.shedAt != c.want {
-			t.Errorf("ShedThreshold=%v QueueDepth=%d: shedAt = %d, want %d",
-				c.thresh, c.depth, e.shedAt, c.want)
+			t.Errorf("QueueDepth=%d: shedAt = %d, want %d", c.depth, e.shedAt, c.want)
 		}
 		e.Close()
 	}
 
-	// Behavioral check: with a low threshold a single queued batch flips
-	// Lagging, long before the queue is full.
-	e := trainOnlyEngine(Config{Shards: 1, QueueDepth: 8, ShedThreshold: 0.1})
+	// Behavioral check: at depth 1 a single queued batch flips Lagging.
+	e := trainOnlyEngine(Config{Shards: 1, QueueDepth: 1})
 	defer e.Close()
 	if err := e.BeginDay(testDay(), nil); err != nil {
 		t.Fatal(err)
@@ -226,7 +221,7 @@ func TestShedThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !e.Lagging() {
-		t.Fatal("Lagging() = false with one queued batch at ShedThreshold=0.1")
+		t.Fatal("Lagging() = false with one queued batch at QueueDepth=1")
 	}
 	close(release)
 	if err := e.Flush(); err != nil {
@@ -448,13 +443,9 @@ func TestConcurrentIngest(t *testing.T) {
 
 func TestIngestAfterClose(t *testing.T) {
 	e := trainOnlyEngine(Config{Shards: 1})
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
+	e.Close()
 	if err := ingest1(e, rec(testDay(), "h", "zeta.test", 0)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
-	if err := e.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
+	e.Close() // idempotent
 }

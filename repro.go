@@ -26,7 +26,7 @@
 //	p := repro.NewEnterprisePipeline(repro.EnterprisePipelineConfig{},
 //	    registry, oracle.Reported, oracle.IOCs)
 //	for day := range trainingDays { p.Train(date, records, leases) }
-//	report, err := p.Process(date, records, leases)
+//	report := p.Process(date, records, leases)
 //	for _, d := range report.NoHintDomains() { ... }
 //
 // Deployments that ingest a live feed instead of daily batches use the
@@ -399,7 +399,7 @@ func RunLANLChallenge(scale Scale, seed int64) *LANLRun { return eval.RunLANL(sc
 
 // RunEnterprise trains, calibrates and operates the enterprise pipeline on
 // a synthetic two-month dataset (Figures 5-8).
-func RunEnterprise(scale Scale, seed int64) (*EnterpriseRun, error) {
+func RunEnterprise(scale Scale, seed int64) *EnterpriseRun {
 	return eval.RunEnterprise(scale, seed)
 }
 

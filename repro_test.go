@@ -37,10 +37,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 	detections := 0
 	for day := g.Config().TrainingDays; day < g.NumDays(); day++ {
-		rep, err := p.Process(g.DayTime(day), g.Day(day), g.DHCPMap(day))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := p.Process(g.DayTime(day), g.Day(day), g.DHCPMap(day))
 		detections += len(rep.NoHintDomains()) + len(rep.SOCHintDomains())
 	}
 	if !p.Trained() {
