@@ -8,7 +8,7 @@
 //
 //	reprod [-addr :8714] [-shards N] [-queue N]
 //	       [-workers N] [-seed N] [-full] [-training N]
-//	       [-replay DIR] [-speed X]
+//	       [-replay DIR]
 //	       [-checkpoint FILE] [-checkpoint-interval D] [-max-ingest-bytes N]
 //	       [-alert-config FILE] [-preview-interval D]
 //	       [-listen-tcp ADDR] [-listen-syslog ADDR] [-listen-flow ADDR]
@@ -109,7 +109,6 @@ type daemonOpts struct {
 	training     int
 	workers      int
 	replay       string
-	speed        float64
 	checkpoint   string
 	ckptInterval time.Duration
 	maxIngest    int64
@@ -134,7 +133,6 @@ func main() {
 	flag.IntVar(&o.training, "training", 0, "training days (0 = the scale's default)")
 	flag.IntVar(&o.workers, "workers", 0, "day-close pipeline workers for operators co-locating the daemon (1 = sequential; 0 = GOMAXPROCS on a fresh start, keeps the checkpointed value on restore)")
 	flag.StringVar(&o.replay, "replay", "", "replay a cmd/datagen enterprise dataset directory, then keep serving")
-	flag.Float64Var(&o.speed, "speed", 0, "replay time-compression factor (0 = as fast as possible)")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file: restored on start if present, written on rollover and shutdown")
 	flag.DurationVar(&o.ckptInterval, "checkpoint-interval", 0, "also write the checkpoint periodically (e.g. 15m; 0 = rollover/shutdown only; requires -checkpoint); a write due during a day-close waits for the close to finish")
 	flag.Int64Var(&o.maxIngest, "max-ingest-bytes", defaultMaxIngestBytes, "largest accepted /ingest or /day body in bytes (oversized requests get 413)")
@@ -434,8 +432,7 @@ func (d *daemon) start() {
 			defer d.replayWG.Done()
 			start := time.Now()
 			err := stream.ReplayDir(d.eng, d.o.replay, stream.ReplayOptions{
-				Speed: d.o.speed,
-				Stop:  d.stop,
+				Stop: d.stop,
 				OnDay: func(day batch.Day, records int) {
 					log.Printf("replayed %s (%d records)", day.Date.Format("2006-01-02"), records)
 				},

@@ -913,52 +913,72 @@ func writeReplayDay(t *testing.T, dir string, day time.Time, n int) {
 }
 
 // TestShutdownInterruptsReplayAndLoops is the regression test for the
-// unstoppable-background-goroutines bug: the periodic checkpoint and
-// preview loops used to get nil stop channels, and a paced replay had no
-// stop at all — a SIGTERM during a -speed replay hung until the dataset
-// ran out. Shutdown must interrupt a mid-sleep paced replay and join every
-// loop, promptly, and still write a checkpoint holding the partial day.
+// unstoppable-background-goroutines bug: the periodic checkpoint and preview
+// loops used to get nil stop channels, and the replay had no stop at all.
+// Day 1's close stalls, so the replay cannot get past opening day 3 until the
+// test lets it; shutdown starts, and only then does the close go on. Shutdown
+// must return with the hour-interval loops joined, the replay stopped with
+// days left, and every record the replay handed the engine in the final
+// checkpoint.
 func TestShutdownInterruptsReplayAndLoops(t *testing.T) {
 	dir := t.TempDir()
 	day := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	writeReplayDay(t, dir, day, 50)
+	for i := 0; i < 3; i++ {
+		writeReplayDay(t, dir, day.AddDate(0, 0, i), 50)
+	}
 	path := filepath.Join(t.TempDir(), "reprod.ckpt")
-	// Speed 1 with minute-spaced records: the replayer paces with 10s
-	// (MaxGap-capped) sleeps, so without the stop channel this test would
-	// hang for minutes. The hour-interval loops prove join-on-stop, not
-	// tick-coincidence.
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
 	d := testDaemon(t, daemonOpts{
 		checkpoint: path, ckptInterval: time.Hour, previewEvery: time.Hour,
-		replay: dir, speed: 1,
+		replay: dir,
+		closeHook: func(date string) {
+			if date == "2014-03-01" {
+				entered <- struct{}{}
+				<-release
+			}
+		},
 	})
 
-	// Wait for the replay to open the day and land its first record, so
-	// shutdown interrupts a replay that is genuinely mid-pacing-sleep.
-	deadline := time.Now().Add(10 * time.Second)
-	for d.eng.Stats().TotalRecords == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("replay never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
+	<-entered // the replay has opened day 2; day 1's close holds back day 3
 	done := make(chan error, 1)
 	go func() { done <- d.shutdown() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(9 * time.Second): // under one 10s pacing sleep
-		t.Fatal("shutdown hung on the paced replay or a background loop")
+	<-d.stop // shutdown has told the replay and the loops to stop
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
+	// shutdown joined both groups before its checkpoint: these return at once.
+	d.replayWG.Wait()
+	d.loopWG.Wait()
 	select {
 	case err := <-d.errc:
 		t.Fatalf("stopped replay surfaced as a failure: %v", err)
 	default:
 	}
-	if got := restoreCheckpointRecords(t, path, "2014-03-01"); got < 1 {
-		t.Fatalf("checkpoint lost the partial replay day: %d records", got)
+
+	live := d.eng.Stats()
+	if live.Day == "" || live.DaysDone >= 3 {
+		t.Fatalf("replay ran to the end: open day %q, %d days done", live.Day, live.DaysDone)
+	}
+	if live.TotalRecords < 50 {
+		t.Fatalf("replay handed the engine %d records, want at least day 1's 50", live.TotalRecords)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	restored, err := stream.Restore(f, stream.Config{Shards: 2, TrainingDays: 1 << 30},
+		stream.RestoreDeps{Whois: whois.NewRegistry()})
+	if err != nil {
+		t.Fatalf("shutdown checkpoint does not restore: %v", err)
+	}
+	defer restored.Close()
+	if got := restored.Stats(); got.Day != live.Day || got.DayRecords != live.DayRecords ||
+		got.TotalRecords != live.TotalRecords || got.DaysDone != live.DaysDone {
+		t.Fatalf("checkpoint holds day %q with %d records, %d in all, %d days done; the replay left day %q with %d, %d in all, %d days done",
+			got.Day, got.DayRecords, got.TotalRecords, got.DaysDone, live.Day, live.DayRecords, live.TotalRecords, live.DaysDone)
 	}
 }
 

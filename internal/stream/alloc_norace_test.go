@@ -38,9 +38,7 @@ func TestRouteBatchAllocs(t *testing.T) {
 		e.shards[i] = newShard(e, 1)
 	}
 	round := func() {
-		if n := e.routeBatchLocked(recs); n != len(recs) {
-			t.Fatalf("routeBatchLocked = %d, want %d", n, len(recs))
-		}
+		e.routeBatchLocked(recs)
 		// The route has returned, so every touched shard's buffer is queued:
 		// take what is there rather than wait on a shard the batch skipped.
 		for _, s := range e.shards {

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -80,95 +79,6 @@ func TestIngestBatchMatchesPerRecord(t *testing.T) {
 	if srep.NewCount != brep.NewCount || srep.RareCount != brep.RareCount {
 		t.Fatalf("counts differ: per-record new=%d rare=%d, batched new=%d rare=%d",
 			srep.NewCount, srep.RareCount, brep.NewCount, brep.RareCount)
-	}
-}
-
-// TestLateRecordsCrossMidnight replays an out-of-order cross-midnight
-// stream under AutoRollover: stragglers from an already-reported day are
-// folded into the open day (the documented policy) and counted in
-// Stats.LateRecords instead of being silently misfiled.
-func TestLateRecordsCrossMidnight(t *testing.T) {
-	e := trainOnlyEngine(Config{Shards: 2, AutoRollover: true})
-	defer e.Close()
-	d1, d2 := testDay(), testDay().AddDate(0, 0, 1)
-
-	day1 := []logs.ProxyRecord{
-		rec(d1, "h1", "alpha.test", 10*time.Hour),
-		rec(d1, "h2", "alpha.test", 11*time.Hour),
-		rec(d1, "h1", "beta.test", 12*time.Hour),
-	}
-	if err := e.IngestBatch(day1); err != nil {
-		t.Fatal(err)
-	}
-	// One batch crossing midnight out of order: the d2 record rolls the day
-	// over, the trailing d1 straggler lands in the new day as late.
-	cross := []logs.ProxyRecord{
-		rec(d2, "h1", "alpha.test", time.Minute),
-		rec(d1, "h3", "gamma.test", 23*time.Hour),
-	}
-	if err := e.IngestBatch(cross); err != nil {
-		t.Fatal(err)
-	}
-	// A late single record through the per-record path counts too.
-	if err := ingest1(e, rec(d1, "h1", "alpha.test", 23*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := e.Stats().LateRecords; got != 2 {
-		t.Fatalf("LateRecords = %d, want 2", got)
-	}
-	rep1, ok := e.DayReport("2014-02-03")
-	if !ok || rep1.Stats.Records != 3 {
-		t.Fatalf("day 1 report: %v %+v, want 3 records", ok, rep1.Stats)
-	}
-	rep2, ok := e.DayReport("2014-02-04")
-	if !ok || rep2.Stats.Records != 3 {
-		t.Fatalf("day 2 report: %v %+v, want 3 records (1 on-time + 2 late)", ok, rep2.Stats)
-	}
-}
-
-// TestCheckpointRestoresCounters round-trips the LateRecords counter
-// through a checkpoint: a restarted daemon must not silently reset its
-// misfiling telemetry.
-func TestCheckpointRestoresCounters(t *testing.T) {
-	e := trainOnlyEngine(Config{Shards: 1, QueueDepth: 1, AutoRollover: true})
-	d1, d2 := testDay(), testDay().AddDate(0, 0, 1)
-	if err := ingest1(e, rec(d1, "h1", "alpha.test", time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ingest1(e, rec(d2, "h1", "alpha.test", time.Hour)); err != nil {
-		t.Fatal(err) // rolls d1 over
-	}
-	if err := ingest1(e, rec(d1, "h1", "beta.test", 23*time.Hour)); err != nil {
-		t.Fatal(err) // late straggler
-	}
-	if err := ingest1(e, rec(d2, "h1", "alpha.test", 2*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := e.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	restored, err := Restore(&buf, Config{Shards: 2}, RestoreDeps{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	st := restored.Stats()
-	if st.LateRecords != 1 {
-		t.Fatalf("restored LateRecords = %d, want 1", st.LateRecords)
-	}
-	if err := restored.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep, ok := restored.DayReport("2014-02-04")
-	if !ok || rep.Stats.Records != 3 {
-		t.Fatalf("restored open day: %v %+v, want 3 records", ok, rep.Stats)
 	}
 }
 

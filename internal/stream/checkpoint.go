@@ -68,7 +68,6 @@ type checkpointHeader struct {
 	DayRecords   uint64                    `json:"dayRecords"`
 	DayDroppedIP uint64                    `json:"dayDroppedIP"`
 	TotalRecords uint64                    `json:"totalRecords"`
-	LateRecords  uint64                    `json:"lateRecords,omitempty"`
 	Pipeline     pipeline.EnterpriseConfig `json:"pipeline"`
 	Leases       map[string]string         `json:"leases,omitempty"`
 	Dates        []string                  `json:"dates,omitempty"`
@@ -123,7 +122,6 @@ func (e *Engine) headerLocked() checkpointHeader {
 		DayRecords:   e.dayRecords.Load(),
 		DayDroppedIP: e.dayDroppedIP.Load(),
 		TotalRecords: e.totalRecords.Load(),
-		LateRecords:  e.lateRecords.Load(),
 		Pipeline:     e.pipe.Config(),
 		Dates:        append([]string(nil), e.dates...),
 		Dailies:      0,
@@ -393,7 +391,6 @@ func Restore(r io.Reader, cfg Config, deps RestoreDeps) (*Engine, error) {
 	e.dayRecords.Store(hdr.DayRecords)
 	e.dayDroppedIP.Store(hdr.DayDroppedIP)
 	e.totalRecords.Store(hdr.TotalRecords)
-	e.lateRecords.Store(hdr.LateRecords)
 	e.daysDone = hdr.DaysDone
 	e.dates = append(e.dates, hdr.Dates...)
 	e.day = day

@@ -141,8 +141,9 @@ func TestCheckpointDuringCloseMatchesBatch(t *testing.T) {
 }
 
 // TestParentFormatCheckpointRestores: a v2 checkpoint as earlier builds
-// wrote it — its header still carrying the v1-era "items" count and the
-// "rejected" counter, both gone from the header struct, and its open-day
+// wrote it — its header still carrying the v1-era "items" count, the
+// "rejected" counter and the "lateRecords" counter of the retired
+// timestamp-driven rollover, all gone from the header struct, and its open-day
 // section ending in the livePairs records builds up to PR 15 appended (a
 // count in the section header, then that many per-pair analyzer states, here
 // two lines the PR 15 build wrote) — must restore mid-day, onto another shard
@@ -182,9 +183,12 @@ func TestParentFormatCheckpointRestores(t *testing.T) {
 		if !bytes.HasPrefix(ckpt.Bytes(), []byte(`{"version":2,`)) {
 			t.Fatalf("header starts %q, want a version-2 JSON object", ckpt.Bytes()[:20])
 		}
-		// Splice the two retired fields into the header object, and the
+		if bytes.Contains(ckpt.Bytes(), []byte("lateRecords")) {
+			t.Fatal("the header still writes lateRecords")
+		}
+		// Splice the three retired fields into the header object, and the
 		// retired section into the open day, which ends the file.
-		parent := append([]byte(`{"items":0,"rejected":7,`), ckpt.Bytes()[1:]...)
+		parent := append([]byte(`{"items":0,"rejected":7,"lateRecords":2,`), ckpt.Bytes()[1:]...)
 		meta := bytes.Index(parent, []byte(`{"markerDomains":`))
 		if meta < 0 || bytes.Contains(parent, []byte("livePairs")) {
 			t.Fatalf("open-day header missing, or a livePairs section still written:\n%s", parent[max(meta, 0):][:80])

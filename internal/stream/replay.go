@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/logs"
@@ -20,23 +19,14 @@ var ErrStopped = errors.New("stream: replay stopped")
 
 // ReplayOptions parameterizes ReplayDir.
 type ReplayOptions struct {
-	// Speed is the time-compression factor: 1 paces records at their
-	// original inter-arrival gaps, 60 replays an hour per minute, and <= 0
-	// streams as fast as the engine accepts (the default, and what the
-	// equivalence tests use).
-	Speed float64
-	// MaxGap caps a single pacing sleep (default 10s at any speed), so
-	// overnight gaps in a day's traffic don't stall a demo replay.
-	MaxGap time.Duration
 	// OnDay, when set, observes each day file once its last record has been
 	// handed to the engine — the first moment the day's record count is
 	// known, since the file is never held whole — and before the next day
 	// begins.
 	OnDay func(d batch.Day, records int)
 	// Stop, when non-nil, aborts the replay once closed: at the next chunk
-	// boundary (at most replayBatchSize records later) when unpaced, and
-	// additionally out of any pacing sleep. ReplayDir then returns
-	// ErrStopped without flushing.
+	// boundary (at most replayBatchSize records later). ReplayDir then
+	// returns ErrStopped without flushing.
 	Stop <-chan struct{}
 }
 
@@ -51,9 +41,9 @@ func (o *ReplayOptions) stopped() bool {
 }
 
 // replayBatchSize is the chunk of records the loader decodes at a time and
-// the batch ReplayDir hands to IngestBatch when pacing is off. Each chunk is
-// also the stop boundary, so a shutting-down daemon waits at most one chunk
-// for the replayer to land on a clean batch edge.
+// the batch ReplayDir hands to IngestBatch. Each chunk is also the stop
+// boundary, so a shutting-down daemon waits at most one chunk for the
+// replayer to land on a clean batch edge.
 const replayBatchSize = 4096
 
 // replayChunks is the number of record buffers a replay rotates: one being
@@ -158,7 +148,7 @@ func (l *replayLoader) loadDay(d *batch.Day) bool {
 // that internal/batch consumes) through the engine, day file by day file,
 // and flushes the final day. Day boundaries follow the files — the same
 // split the batch runner uses — so a replay reproduces the batch reports
-// exactly; Speed only changes how fast that happens.
+// exactly.
 //
 // Replay is a two-stage pipeline in constant memory. A loader goroutine
 // decodes each file replayBatchSize records at a time (logs.ProxyReader)
@@ -179,10 +169,6 @@ func ReplayDir(e *Engine, dir string, opts ReplayOptions) error {
 	if len(days) == 0 {
 		return fmt.Errorf("stream: no enterprise batches in %s", dir)
 	}
-	if opts.MaxGap <= 0 {
-		opts.MaxGap = 10 * time.Second
-	}
-
 	// Both channels have room for every buffer, so a stage holding one never
 	// parks on handing it over; the number of buffers is what bounds the
 	// loader's lead.
@@ -214,7 +200,6 @@ func ReplayDir(e *Engine, dir string, opts ReplayOptions) error {
 
 	var day *batch.Day
 	var records int
-	var prev time.Time // paced replay: the previous record's timestamp
 	for m := range msgs {
 		if m.day != nil {
 			if opts.stopped() {
@@ -223,10 +208,13 @@ func ReplayDir(e *Engine, dir string, opts ReplayOptions) error {
 			if err := e.BeginDay(m.day.Date, m.leases); err != nil {
 				return err
 			}
-			day, records, prev = m.day, 0, time.Time{}
+			day, records = m.day, 0
 			continue
 		}
-		err := replayChunk(e, m.recs, &opts, &prev)
+		err := ErrStopped
+		if !opts.stopped() {
+			err = e.IngestBatch(m.recs)
+		}
 		records += len(m.recs)
 		if m.recs != nil {
 			free <- m.recs[:0]
@@ -244,50 +232,4 @@ func ReplayDir(e *Engine, dir string, opts ReplayOptions) error {
 		}
 	}
 	return e.Flush()
-}
-
-// replayChunk hands one chunk to the engine: as one batch when unpaced — the
-// batched hot path, which amortizes the engine lock and the per-shard channel
-// sends — or record by record at the original inter-arrival gaps, prev
-// carrying the last timestamp from chunk to chunk.
-func replayChunk(e *Engine, recs []logs.ProxyRecord, opts *ReplayOptions, prev *time.Time) error {
-	if opts.Speed <= 0 {
-		if opts.stopped() {
-			return ErrStopped
-		}
-		return e.IngestBatch(recs)
-	}
-	for i := range recs {
-		r := &recs[i]
-		if !prev.IsZero() && r.Time.After(*prev) {
-			gap := time.Duration(float64(r.Time.Sub(*prev)) / opts.Speed)
-			if gap > opts.MaxGap {
-				gap = opts.MaxGap
-			}
-			if gap > 0 && !sleepUnlessStopped(gap, opts.Stop) {
-				return ErrStopped
-			}
-		}
-		*prev = r.Time
-		if opts.stopped() {
-			return ErrStopped
-		}
-		if err := e.IngestBatch(recs[i : i+1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sleepUnlessStopped sleeps for gap, returning false early if stop closes
-// first. A nil stop channel never fires, so it degrades to a plain sleep.
-func sleepUnlessStopped(gap time.Duration, stop <-chan struct{}) bool {
-	t := time.NewTimer(gap)
-	defer t.Stop()
-	select {
-	case <-stop:
-		return false
-	case <-t.C:
-		return true
-	}
 }

@@ -91,8 +91,8 @@ func awaitGoroutines(t *testing.T, want int) {
 
 // TestReplayDirBufferGrowth pins the chunking of a replay: days smaller than
 // a chunk, empty, exactly one chunk, one record over, and several chunks long
-// must all land whole, paced or not, and an empty day file opens and closes
-// without a report.
+// must all land whole, and an empty day file opens and closes without a
+// report.
 func TestReplayDirBufferGrowth(t *testing.T) {
 	counts := []int{100, 0, replayBatchSize, replayBatchSize + 1, replayBatchSize + 3000, replayBatchSize*2 + 500}
 	dir, _ := writeReplayDataset(t, counts)
@@ -100,25 +100,23 @@ func TestReplayDirBufferGrowth(t *testing.T) {
 	for _, n := range counts {
 		total += uint64(n)
 	}
-	for _, opts := range []ReplayOptions{{}, {Speed: 1e12}} { // every pacing gap rounds to zero
-		before := runtime.NumGoroutine()
-		e := newReplayEngine(len(counts) + 1) // all training: chunking is the point, not detection
-		got, err := replayDays(e, dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, counts) {
-			t.Errorf("speed %v: OnDay saw %v records per day, want %v", opts.Speed, got, counts)
-		}
-		if got := e.Stats().TotalRecords; got != total {
-			t.Errorf("speed %v: replayed %d records, want %d", opts.Speed, got, total)
-		}
-		if done := e.DaysDone(); done != len(counts)-1 {
-			t.Errorf("speed %v: %d days closed, want %d (the empty day has no report)", opts.Speed, done, len(counts)-1)
-		}
-		e.Close()
-		awaitGoroutines(t, before)
+	before := runtime.NumGoroutine()
+	e := newReplayEngine(len(counts) + 1) // all training: chunking is the point, not detection
+	got, err := replayDays(e, dir, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !slices.Equal(got, counts) {
+		t.Errorf("OnDay saw %v records per day, want %v", got, counts)
+	}
+	if got := e.Stats().TotalRecords; got != total {
+		t.Errorf("replayed %d records, want %d", got, total)
+	}
+	if done := e.DaysDone(); done != len(counts)-1 {
+		t.Errorf("%d days closed, want %d (the empty day has no report)", done, len(counts)-1)
+	}
+	e.Close()
+	awaitGoroutines(t, before)
 }
 
 // TestReplayDirStops covers ReplayOptions.Stop: an interrupted replay

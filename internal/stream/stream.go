@@ -31,8 +31,8 @@
 // to the day's distinct domains plus its traffic toward new domains, not to
 // its traffic volume.
 //
-// When the stream crosses a day boundary (or on an explicit Flush), the
-// rollover is swap-and-continue: under the exclusive lock the engine only
+// When BeginDay opens the next day (or on an explicit Flush), the rollover
+// is swap-and-continue: under the exclusive lock the engine only
 // swaps the open day's per-shard partials out — O(queued batches +
 // shards), not O(pipeline run) — then a background day-close goroutine
 // classifies the partials into the day snapshot (profile.ClassifyDisjoint:
@@ -92,8 +92,8 @@ import (
 var (
 	// ErrClosed reports ingestion into a closed engine.
 	ErrClosed = errors.New("stream: engine closed")
-	// ErrNoDay reports ingestion with no open day and auto-rollover off.
-	ErrNoDay = errors.New("stream: no open day (call BeginDay or enable AutoRollover)")
+	// ErrNoDay reports ingestion with no open day.
+	ErrNoDay = errors.New("stream: no open day (call BeginDay)")
 )
 
 // Config parameterizes an Engine.
@@ -107,13 +107,6 @@ type Config struct {
 	// TrainingDays routes the first N completed days through the
 	// pipeline's Train path (profiling) before Process takes over.
 	TrainingDays int
-	// AutoRollover derives day boundaries from record timestamps (UTC day
-	// of the normalized time). Off by default: deployments that mirror the
-	// paper's daily batches drive days explicitly with BeginDay, which is
-	// also what replay does — generated days are split by capture file,
-	// not by UTC timestamp, and the two disagree around midnight for
-	// devices logging in local time.
-	AutoRollover bool
 	// RetainDayReports bounds how many full pipeline day reports (with
 	// their day snapshots) the engine keeps for DayReport — the compact
 	// SOC dailies are always kept. A long-running daemon would otherwise
@@ -393,7 +386,6 @@ type Engine struct {
 	dayRecords   atomic.Uint64 // raw records ingested into the open day
 	dayDroppedIP atomic.Uint64 // IP-literal drops in the open day
 	totalRecords atomic.Uint64
-	lateRecords  atomic.Uint64 // out-of-order records folded into a newer open day
 
 	bufPool     sync.Pool // *[]item: shard send buffers, recycled by the workers
 	scratchPool sync.Pool // *routeScratch: per-batch routing state
@@ -538,12 +530,6 @@ func (e *Engine) putScratch(sc *routeScratch) {
 	e.scratchPool.Put(sc)
 }
 
-// recDay returns the UTC day a record belongs to once normalized.
-func recDay(r *logs.ProxyRecord) time.Time {
-	utc := r.Time.Add(-time.Duration(r.TZOffset) * time.Hour).UTC()
-	return time.Date(utc.Year(), utc.Month(), utc.Day(), 0, 0, 0, 0, time.UTC)
-}
-
 // BeginDay opens a day, first swapping any previously open one out to a
 // background day-close (swap-and-continue: ingestion into the new day
 // proceeds while the analytics run). The lease map resolves source
@@ -624,93 +610,51 @@ func (e *Engine) awaitCloseLocked() {
 // IngestBatch feeds a slice of raw proxy records through the batched hot
 // path: the engine lock is taken once, one atomic add reserves a contiguous
 // sequence range, the records reduce into pooled per-shard buffers, and
-// each shard receives its share in a single channel operation. The records
-// land in slice order, atomically with respect to concurrent batches, and
-// an error (ErrClosed, ErrNoDay) means none of the batch was ingested —
-// except under AutoRollover, where a batch spanning a day boundary commits
-// one day chunk at a time and an error mid-batch (a concurrent Close) leaves
-// the already-committed chunks ingested. Blocks while a destination shard's
-// queue is full. The slice is not retained. Safe for concurrent use.
+// each shard receives its share in a single channel operation. The whole
+// batch lands in the open day, whatever its timestamps, in slice order and
+// atomically with respect to concurrent batches; an error (ErrClosed,
+// ErrNoDay) means none of it was ingested. An empty batch returns nil.
+// Blocks while a destination shard's queue is full. The slice is not
+// retained. Safe for concurrent use.
 func (e *Engine) IngestBatch(recs []logs.ProxyRecord) error {
-	for len(recs) > 0 {
-		e.mu.RLock()
-		if e.closed {
-			e.mu.RUnlock()
-			return ErrClosed
-		}
-		if e.day.IsZero() || (e.cfg.AutoRollover && recDay(&recs[0]).After(e.day)) {
-			e.mu.RUnlock()
-			if !e.cfg.AutoRollover {
-				if e.dayOpen() {
-					continue // another goroutine opened the day; retry
-				}
-				return ErrNoDay
-			}
-			if err := e.BeginDay(recDay(&recs[0]), e.currentLeases()); err != nil {
-				return err
-			}
-			continue
-		}
-		n := e.routeBatchLocked(recs)
-		e.mu.RUnlock()
-		recs = recs[n:]
+	if len(recs) == 0 {
+		return nil
 	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.closed {
+		return ErrClosed
+	}
+	if e.day.IsZero() {
+		return ErrNoDay
+	}
+	e.routeBatchLocked(recs)
 	return nil
 }
 
-func (e *Engine) dayOpen() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return !e.day.IsZero()
-}
-
-func (e *Engine) currentLeases() map[netip.Addr]string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.leases
-}
-
-// routeBatchLocked routes the longest prefix of recs that belongs to the
-// open day (everything, unless AutoRollover finds a later day inside the
-// batch) and returns its length. Each record reduces via the shared
-// per-record reducer into a per-shard buffer; one seq-range reservation and
-// at most one channel send per shard replace the per-record atomics and
-// sends the engine used before batching. A send blocks while its shard's
-// queue is full — safe, because the workers always drain (control requests
-// need the exclusive lock, which cannot be taken while we hold it shared).
-// Caller holds mu (shared).
-func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord) int {
+// routeBatchLocked routes recs into the open day. Each record reduces via
+// the shared per-record reducer into a per-shard buffer; one seq-range
+// reservation and at most one channel send per shard replace the per-record
+// atomics and sends the engine used before batching. A send blocks while its
+// shard's queue is full — safe, because the workers always drain (control
+// requests need the exclusive lock, which cannot be taken while we hold it
+// shared). Caller holds mu (shared).
+func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord) {
 	n := len(recs)
-	if e.cfg.AutoRollover {
-		// The chunk ends at the first record of a later day. Records of
-		// *earlier* days stay in the chunk: the rollover policy files late
-		// stragglers into the open day (their original day has already been
-		// reported) and counts them in Stats.LateRecords.
-		for i := range recs {
-			if recDay(&recs[i]).After(e.day) {
-				n = i
-				break
-			}
-		}
-	}
-	chunk := recs[:n]
 
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 
 	base := e.seq.Add(uint64(n)) - uint64(n)
 	single := len(e.shards) == 1 // one shard: no routing hash needed
-	var droppedIP, late uint64
+	var droppedIP uint64
 	var red normalize.ProxyReducer
-	for i := range chunk {
-		r := &chunk[i]
+	for i := range recs {
+		r := &recs[i]
 		host, folded, outcome := red.Key(r, e.leases)
 		if outcome == normalize.ProxyDroppedIPLiteral {
 			droppedIP++
 			continue
-		}
-		if e.cfg.AutoRollover && recDay(r).Before(e.day) {
-			late++
 		}
 		si := 0
 		if !single {
@@ -748,10 +692,6 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord) int {
 	if droppedIP > 0 {
 		e.dayDroppedIP.Add(droppedIP)
 	}
-	if late > 0 {
-		e.lateRecords.Add(late)
-	}
-	return n
 }
 
 // quiesce runs fn against every shard on its worker goroutine, after the
@@ -1022,19 +962,12 @@ type ShardStats struct {
 
 // Stats is an engine-wide snapshot.
 type Stats struct {
-	Day          string `json:"day,omitempty"`
-	DayRecords   uint64 `json:"dayRecords"`
-	TotalRecords uint64 `json:"totalRecords"`
-	DaysDone     int    `json:"daysDone"`
-	// LateRecords counts out-of-order records that arrived, under
-	// AutoRollover, after their own day had already rolled over. Policy:
-	// such stragglers are filed into the currently open day — their home
-	// day's report is final and non-destructive rollover forbids reopening
-	// it — so a nonzero value flags that recent daily stats carry traffic
-	// from an earlier day.
-	LateRecords uint64       `json:"lateRecords"`
-	Dates       []string     `json:"dates,omitempty"`
-	Shards      []ShardStats `json:"shards"`
+	Day          string       `json:"day,omitempty"`
+	DayRecords   uint64       `json:"dayRecords"`
+	TotalRecords uint64       `json:"totalRecords"`
+	DaysDone     int          `json:"daysDone"`
+	Dates        []string     `json:"dates,omitempty"`
+	Shards       []ShardStats `json:"shards"`
 
 	// Day-close observability. Closing is the date whose close currently
 	// runs in the background ("" when none).
@@ -1101,7 +1034,6 @@ func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
 		DayRecords:              e.dayRecords.Load(),
 		TotalRecords:            e.totalRecords.Load(),
 		DaysDone:                e.daysDone,
-		LateRecords:             e.lateRecords.Load(),
 		Dates:                   append([]string(nil), e.dates...),
 		Shards:                  make([]ShardStats, len(e.shards)),
 		LastRolloverPauseMicros: e.lastSwap.Microseconds(),

@@ -40,11 +40,60 @@ func ingest1(e *Engine, r logs.ProxyRecord) error {
 	return e.IngestBatch([]logs.ProxyRecord{r})
 }
 
+// TestIngestRequiresOpenDay pins IngestBatch's one contract: an empty batch
+// is a no-op, a record with no open day is refused, and a batch lands whole
+// in the open day whatever its timestamps.
 func TestIngestRequiresOpenDay(t *testing.T) {
 	e := trainOnlyEngine(Config{Shards: 2})
 	defer e.Close()
+	countsNothing := func(when string) {
+		t.Helper()
+		if st := e.Stats(); st.DayRecords != 0 || st.TotalRecords != 0 {
+			t.Fatalf("%s: dayRecords %d, totalRecords %d, want 0", when, st.DayRecords, st.TotalRecords)
+		}
+	}
+	if err := e.IngestBatch(nil); err != nil {
+		t.Fatalf("empty batch with no open day: %v, want nil", err)
+	}
+	countsNothing("empty batch with no open day")
 	if err := ingest1(e, rec(testDay(), "h1", "example.com", 0)); !errors.Is(err, ErrNoDay) {
 		t.Fatalf("got %v, want ErrNoDay", err)
+	}
+	countsNothing("refused record")
+
+	if err := e.BeginDay(testDay(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.IngestBatch([]logs.ProxyRecord{}); err != nil {
+		t.Fatalf("empty batch into an open day: %v, want nil", err)
+	}
+	countsNothing("empty batch into an open day")
+
+	// One batch across both midnights of the open day: every record files
+	// into it.
+	recs := []logs.ProxyRecord{
+		rec(testDay(), "h1", "example.com", -time.Minute),
+		rec(testDay(), "h1", "example.com", time.Hour),
+		rec(testDay(), "h2", "example.com", 24*time.Hour+time.Minute),
+	}
+	if err := e.IngestBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().DayRecords; got != uint64(len(recs)) {
+		t.Fatalf("dayRecords = %d, want %d", got, len(recs))
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Dates(); len(got) != 1 || got[0] != "2014-02-03" {
+		t.Fatalf("dates = %v, want only the open day", got)
+	}
+	rep, ok := e.DayReport("2014-02-03")
+	if !ok {
+		t.Fatal("no report for the open day")
+	}
+	if rep.Stats.Records != len(recs) {
+		t.Fatalf("report counts %d records, want %d", rep.Stats.Records, len(recs))
 	}
 }
 
@@ -85,26 +134,6 @@ func TestDayRolloverAndReports(t *testing.T) {
 	}
 	if got := e.DaysDone(); got != 1 {
 		t.Fatalf("DaysDone after empty flush = %d, want 1", got)
-	}
-}
-
-func TestAutoRollover(t *testing.T) {
-	e := trainOnlyEngine(Config{Shards: 2, AutoRollover: true})
-	defer e.Close()
-	d1 := testDay()
-	for day := 0; day < 3; day++ {
-		for i := 0; i < 4; i++ {
-			r := rec(d1.AddDate(0, 0, day), "h1", "beta.test", time.Duration(i)*time.Hour)
-			if err := ingest1(e, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Dates(); len(got) != 3 {
-		t.Fatalf("dates = %v, want 3 days", got)
 	}
 }
 

@@ -491,7 +491,7 @@ func RestoreStreamEngine(r io.Reader, cfg StreamConfig, deps StreamRestoreDeps) 
 }
 
 // ReplayEnterpriseDir streams an on-disk datagen dataset through the
-// engine, reproducing the batch reports (at live speed if opts.Speed > 0).
+// engine, one BeginDay per day file, reproducing the batch reports.
 func ReplayEnterpriseDir(e *StreamEngine, dir string, opts StreamReplayOptions) error {
 	return stream.ReplayDir(e, dir, opts)
 }
