@@ -74,11 +74,16 @@ func Intervals(times []time.Time) []float64 {
 		sorted = slices.Clone(times)
 		slices.SortFunc(sorted, time.Time.Compare)
 	}
-	out := make([]float64, 0, len(sorted)-1)
+	return appendIntervals(make([]float64, 0, len(sorted)-1), sorted)
+}
+
+// appendIntervals appends the intervals between successive sorted timestamps
+// to dst.
+func appendIntervals(dst []float64, sorted []time.Time) []float64 {
 	for i := 1; i < len(sorted); i++ {
-		out = append(out, sorted[i].Sub(sorted[i-1]).Seconds())
+		dst = append(dst, sorted[i].Sub(sorted[i-1]).Seconds())
 	}
-	return out
+	return dst
 }
 
 // Build clusters the intervals t1..tm into dynamic bins of width w.
@@ -86,7 +91,12 @@ func Intervals(times []time.Time) []float64 {
 // subsequent interval joins the first cluster whose hub is within w,
 // otherwise it opens a new cluster with itself as hub.
 func Build(intervals []float64, w float64) Histogram {
-	h := Histogram{}
+	return buildInto(nil, intervals, w)
+}
+
+// buildInto is Build appending the bins to bins[:0].
+func buildInto(bins []Bin, intervals []float64, w float64) Histogram {
+	h := Histogram{Bins: bins[:0]}
 	for _, ti := range intervals {
 		placed := false
 		for i := range h.Bins {
@@ -156,10 +166,15 @@ func (h Histogram) bins() int {
 // The result is 0 for identical histograms and grows toward 2·log 2 as the
 // histograms become disjoint.
 func JeffreyDivergence(h, k Histogram, w float64) float64 {
+	return jeffrey(h, k, w, make([]float64, h.bins()+k.bins()))
+}
+
+// jeffrey is JeffreyDivergence with the K-mass vector supplied: kmass holds
+// exactly h.bins()+k.bins() zeros.
+func jeffrey(h, k Histogram, w float64, kmass []float64) float64 {
 	nh, nk := h.bins(), k.bins()
 	// kmass[i], i < nh, is the K mass that landed in H's bin i; a K bin j
 	// that no H hub is within w of keeps its mass in slot nh+j.
-	kmass := make([]float64, nh+nk)
 	for j := 0; j < nk; j++ {
 		best, bestDist := nh+j, math.Inf(1)
 		for i := 0; i < nh; i++ {
@@ -228,10 +243,21 @@ func Analyze(intervals []float64, cfg Config) Verdict {
 	if len(intervals)+1 < cfg.minConns() {
 		return Verdict{Samples: len(intervals)}
 	}
-	h := Build(intervals, cfg.BinWidth)
+	return analyze(intervals, cfg, nil, nil)
+}
+
+// analyze is Analyze past its length check, building the histogram into
+// bins[:0] and taking the divergence's mass vector from mass (zeroed) when
+// it is long enough; nil scratch allocates.
+func analyze(intervals []float64, cfg Config, bins []Bin, mass []float64) Verdict {
+	h := buildInto(bins, intervals, cfg.BinWidth)
 	period, _ := h.DominantHub()
 	ref := PeriodicReference(period, h.Total)
-	div := JeffreyDivergence(h, ref, cfg.BinWidth)
+	n := h.bins() + ref.bins()
+	if len(mass) < n {
+		mass = make([]float64, n)
+	}
+	div := jeffrey(h, ref, cfg.BinWidth, mass[:n])
 	return Verdict{
 		Automated:  div <= cfg.Threshold,
 		Period:     period,
@@ -240,12 +266,32 @@ func Analyze(intervals []float64, cfg Config) Verdict {
 	}
 }
 
+// shortSeries is the longest timestamp series AnalyzeTimes analyzes without
+// allocating: its sorted copy, intervals, bins and divergence mass vector
+// live in arrays on the stack. The detect stage analyzes every (host, rare
+// domain) pair of the day, and nearly all of them are this short.
+const shortSeries = 64
+
 // AnalyzeTimes is Analyze over raw connection timestamps. A series below
 // MinConnections gets its no-verdict answer before any interval is computed —
-// most (host, domain) pairs of a day are that short.
+// most (host, domain) pairs of a day are that short. A series of up to
+// shortSeries timestamps, sorted or not, is analyzed without allocating, to
+// the same verdict bit for bit.
 func AnalyzeTimes(times []time.Time, cfg Config) Verdict {
 	if len(times) < cfg.minConns() {
 		return Verdict{Samples: max(len(times)-1, 0)}
 	}
-	return Analyze(Intervals(times), cfg)
+	if len(times) > shortSeries {
+		return Analyze(Intervals(times), cfg)
+	}
+	sorted := times
+	var sortBuf [shortSeries]time.Time
+	if !slices.IsSortedFunc(times, time.Time.Compare) {
+		sorted = sortBuf[:copy(sortBuf[:], times)]
+		slices.SortFunc(sorted, time.Time.Compare)
+	}
+	var ivBuf [shortSeries - 1]float64
+	var binBuf [shortSeries - 1]Bin // at most one bin per interval
+	var massBuf [shortSeries]float64
+	return analyze(appendIntervals(ivBuf[:0], sorted), cfg, binBuf[:0], massBuf[:])
 }

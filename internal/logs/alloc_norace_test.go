@@ -49,14 +49,14 @@ func TestParseProxySteadyStateAllocs(t *testing.T) {
 		}
 	}
 	parse() // warm the intern and address caches
-	if d.text.Cap() != textBlockBytes {
-		t.Fatalf("text block holds %d bytes, want %d", d.text.Cap(), textBlockBytes)
+	if d.text.b.Cap() != textBlockBytes {
+		t.Fatalf("text block holds %d bytes, want %d", d.text.b.Cap(), textBlockBytes)
 	}
 
 	// The allocations the carving rule predicts for the measured rounds, from
 	// the room the warm-up left in the current block, in the order the
 	// decoder carves a record's values.
-	want, free := 0, d.text.Cap()-d.text.Len()
+	want, free := 0, d.text.b.Cap()-d.text.b.Len()
 	for r := 0; r < rounds; r++ {
 		for _, rec := range recs {
 			for _, v := range []string{rec.Domain, rec.URL, rec.Referer} {

@@ -11,12 +11,11 @@ package logs
 // of the same log stream via GetProxyDecoder / PutProxyDecoder so the interning
 // table and the address front stay warm.
 //
-// Text ownership: the bytes behind a returned Domain, URL or Referer are never
-// written again — a full block is dropped, not reused — so every returned
-// string is immutable, outlives the decoder and may cross goroutines. It does
-// keep its whole block reachable: a consumer that retains a decoded Domain,
-// URL or Referer (or a substring of one, such as a folded domain) past its
-// batch copies it first (strings.Clone).
+// Text ownership: Domain, URL and Referer come out of the decoder's TextBlock,
+// so every returned string is immutable, outlives the decoder and may cross
+// goroutines, and keeps its whole block reachable: a consumer that retains a
+// decoded Domain, URL or Referer (or a substring of one, such as a folded
+// domain) past its batch copies it first, by TextBlock's copy-to-keep rule.
 //
 // Buffer ownership: ReadProxyBatch appends into the caller-owned slice and
 // returns it. Callers that want recycling take a buffer from GetProxyBuf
@@ -32,7 +31,6 @@ import (
 	"io"
 	"math"
 	"net/netip"
-	"strings"
 	"sync"
 )
 
@@ -40,28 +38,16 @@ import (
 // (bufio.Scanner's buffer cap).
 const maxLineBytes = 1024 * 1024
 
-const (
-	// textBlockBytes is the size of the block Domain, URL and Referer are
-	// carved from: a few hundred records' worth, so the block costs one
-	// allocation per several hundred records, and small enough that a pooled
-	// decoder's one block — or a few retained strings pinning an old one — is
-	// no memory worth counting.
-	textBlockBytes = 32 << 10
-	// textMaxCarve is the longest value carved from the block; a longer one
-	// gets a string of its own rather than retiring most of a block.
-	textMaxCarve = 4 << 10
-)
-
 // ProxyDecoder carries the reusable state of the zero-copy proxy-TSV
 // parse. The zero value is NOT ready; use NewProxyDecoder.
 type ProxyDecoder struct {
 	in      *Intern
 	addrs   addrCache
 	ts      tsCache
-	scratch []byte          // unescape buffer, reused across fields and records
-	readBuf []byte          // line-framing buffer, reused across ReadProxyBatch calls
-	fields  [11][]byte      // cutTSV destination, reused across records
-	text    strings.Builder // the current text block; append-only, dropped when full
+	scratch []byte     // unescape buffer, reused across fields and records
+	readBuf []byte     // line-framing buffer, reused across ReadProxyBatch calls
+	fields  [11][]byte // cutTSV destination, reused across records
+	text    TextBlock  // Domain, URL and Referer are carved from it
 }
 
 // NewProxyDecoder returns a decoder with empty caches.
@@ -118,35 +104,15 @@ func (d *ProxyDecoder) ParseProxyInto(rec *ProxyRecord, line []byte) error {
 	// Domain, URL and Referer never settle into a bounded value set (every
 	// page view mints new URLs, every fresh rare domain a new name), so they
 	// are not interned but carved from the block.
-	rec.Domain = d.carve(f[3])
+	rec.Domain = d.text.CopyBytes(f[3])
 	rec.DestIP = dest
-	rec.URL = d.carve(d.unescape(f[5]))
+	rec.URL = d.text.CopyBytes(d.unescape(f[5]))
 	rec.Method = d.in.Bytes(f[6])
 	rec.Status = status
 	rec.UserAgent = d.in.Bytes(d.unescape(f[8]))
-	rec.Referer = d.carve(d.unescape(f[9]))
+	rec.Referer = d.text.CopyBytes(d.unescape(f[9]))
 	rec.TZOffset = tz
 	return nil
-}
-
-// carve returns b as a string appended to the decoder's text block, starting a
-// new block when the current one has no room left. Appending within the
-// block's capacity never moves or rewrites the bytes before it, so strings
-// carved earlier stay valid and unchanged.
-func (d *ProxyDecoder) carve(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if len(b) > textMaxCarve {
-		return string(b)
-	}
-	if d.text.Cap()-d.text.Len() < len(b) {
-		d.text.Reset()
-		d.text.Grow(textBlockBytes)
-	}
-	n := d.text.Len()
-	d.text.Write(b)
-	return d.text.String()[n:]
 }
 
 // unescape resolves the TSV escapes in b, reusing the decoder's scratch

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
-	"slices"
 	"sort"
 	"time"
 )
@@ -63,19 +62,20 @@ func encodeHostActivity(ha *HostActivity) codecHost {
 	return codecHost{Host: ha.Host, Times: ha.Times, NoRef: ha.NoRefVisits, UAs: ha.UAs}
 }
 
-func decodeHostActivity(ch codecHost) (*HostActivity, error) {
+// checkHost refuses a host record no fold can produce.
+func checkHost(ch codecHost) error {
 	if len(ch.Times) == 0 {
-		return nil, fmt.Errorf("host %q has no connection times", ch.Host)
+		return fmt.Errorf("host %q has no connection times", ch.Host)
 	}
 	if ch.NoRef < 0 || ch.NoRef > len(ch.Times) {
-		return nil, fmt.Errorf("host %q: noRef %d out of range (0..%d)", ch.Host, ch.NoRef, len(ch.Times))
+		return fmt.Errorf("host %q: noRef %d out of range (0..%d)", ch.Host, ch.NoRef, len(ch.Times))
 	}
 	for i := 1; i < len(ch.UAs); i++ {
 		if ch.UAs[i-1] >= ch.UAs[i] {
-			return nil, fmt.Errorf("host %q: uas not sorted and distinct (%q before %q)", ch.Host, ch.UAs[i-1], ch.UAs[i])
+			return fmt.Errorf("host %q: uas not sorted and distinct (%q before %q)", ch.Host, ch.UAs[i-1], ch.UAs[i])
 		}
 	}
-	return &HostActivity{Host: ch.Host, Times: ch.Times, NoRefVisits: ch.NoRef, UAs: ch.UAs}, nil
+	return nil
 }
 
 // builderPaths renders a retained-path set as the codec's path -> seq object.
@@ -113,10 +113,10 @@ func (b *IncrementalBuilder) SaveTo(enc *json.Encoder) error {
 	for _, d := range domains {
 		a := b.perDomain[d]
 		rec := builderDomainRec{Domain: d, IPSeq: a.ipSeq, Paths: builderPaths(a.paths), Known: a.known}
-		if a.ip.IsValid() {
-			rec.IP = a.ip.String()
+		if a.IP.IsValid() {
+			rec.IP = a.IP.String()
 		}
-		rec.Hosts = encodeHosts(a.hosts)
+		rec.Hosts = encodeHosts(a.Hosts)
 		if err := enc.Encode(rec); err != nil {
 			return fmt.Errorf("profile: save builder domain: %w", err)
 		}
@@ -188,9 +188,10 @@ func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 		if rec.Known < 0 {
 			return nil, fmt.Errorf("profile: builder domain %q: negative known-visit count %d", rec.Domain, rec.Known)
 		}
-		a := &incrementalAgg{known: rec.Known, ipSeq: rec.IPSeq}
+		a := b.newAgg(rec.Domain)
+		a.known, a.ipSeq = rec.Known, rec.IPSeq
 		if len(rec.Hosts) > 0 {
-			a.hosts = make([]*HostActivity, 0, len(rec.Hosts))
+			a.Hosts = carve(&b.hostsArena, len(rec.Hosts))
 		}
 		visits += rec.Known
 		if rec.IP != "" {
@@ -198,26 +199,31 @@ func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 			if err != nil {
 				return nil, fmt.Errorf("profile: builder domain %q: bad IP %q: %w", rec.Domain, rec.IP, err)
 			}
-			a.ip = ip
+			a.IP = ip
 		}
 		if len(rec.Paths) > maxPathsPerDomain {
 			return nil, fmt.Errorf("profile: builder domain %q: %d retained paths exceeds the %d cap",
 				rec.Domain, len(rec.Paths), maxPathsPerDomain)
+		}
+		if len(rec.Paths) > 0 {
+			a.paths = carve(&b.pathsArena, len(rec.Paths))
 		}
 		for p, s := range rec.Paths {
 			//lint:ignore maporder the retained-path set is unordered; every reader sorts or takes a max
 			a.paths = append(a.paths, pathSeq{p, s})
 		}
 		for _, ch := range rec.Hosts {
-			if n := len(a.hosts); n > 0 && a.hosts[n-1].Host >= ch.Host {
+			if n := len(a.Hosts); n > 0 && a.Hosts[n-1].Host >= ch.Host {
 				return nil, fmt.Errorf("profile: builder domain %q: host %q out of order or repeated (after %q)",
-					rec.Domain, ch.Host, a.hosts[n-1].Host)
+					rec.Domain, ch.Host, a.Hosts[n-1].Host)
 			}
-			ha, err := decodeHostActivity(ch)
-			if err != nil {
+			if err := checkHost(ch); err != nil {
 				return nil, fmt.Errorf("profile: builder domain %q: %w", rec.Domain, err)
 			}
-			a.hosts = append(a.hosts, ha)
+			// The decoded Times and UAs are fresh slices: adopted as they are.
+			ha := b.newHost(ch.Host, 0, 0)
+			ha.Times, ha.NoRefVisits, ha.UAs = ch.Times, ch.NoRef, ch.UAs
+			a.Hosts = append(a.Hosts, ha)
 			visits += len(ha.Times)
 			for _, ua := range ha.UAs {
 				if ua != "" {
@@ -280,24 +286,34 @@ func (b *IncrementalBuilder) Clone() *IncrementalBuilder {
 		visits:    b.visits,
 	}
 	for d, a := range b.perDomain {
-		ca := &incrementalAgg{known: a.known, ip: a.ip, ipSeq: a.ipSeq, paths: slices.Clone(a.paths)}
-		if len(a.hosts) > 0 {
-			ca.hosts = make([]*HostActivity, len(a.hosts))
-		}
-		for i, ha := range a.hosts {
-			ca.hosts[i] = &HostActivity{
-				Host:        ha.Host,
-				Times:       append(make([]time.Time, 0, len(ha.Times)), ha.Times...),
-				NoRefVisits: ha.NoRefVisits,
-				UAs:         slices.Clone(ha.UAs),
-			}
-		}
-		out.perDomain[d] = ca
+		out.perDomain[d] = out.copyAgg(a)
 	}
 	for pair := range b.uaPairs {
 		out.uaPairs[pair] = true
 	}
 	return out
+}
+
+// copyAgg makes b's own deep copy of a. Strings are immutable and shared as
+// they are: they keep the text block they were carved from reachable for as
+// long as the copy lives.
+func (b *IncrementalBuilder) copyAgg(a *incrementalAgg) *incrementalAgg {
+	ca := b.newAgg(a.Domain)
+	ca.known, ca.IP, ca.ipSeq = a.known, a.IP, a.ipSeq
+	if len(a.paths) > 0 {
+		ca.paths = append(carve(&b.pathsArena, len(a.paths)), a.paths...)
+	}
+	if len(a.Hosts) > 0 {
+		ca.Hosts = carve(&b.hostsArena, len(a.Hosts))
+	}
+	for _, ha := range a.Hosts {
+		cha := b.newHost(ha.Host, len(ha.Times), len(ha.UAs))
+		cha.Times = append(cha.Times, ha.Times...)
+		cha.NoRefVisits = ha.NoRefVisits
+		cha.UAs = append(cha.UAs, ha.UAs...)
+		ca.Hosts = append(ca.Hosts, cha)
+	}
+	return ca
 }
 
 // MergeFrom folds o's state into b. Overlapping domains combine exactly
@@ -309,7 +325,7 @@ func (b *IncrementalBuilder) Clone() *IncrementalBuilder {
 func (b *IncrementalBuilder) MergeFrom(o *IncrementalBuilder) {
 	for d, oa := range o.perDomain {
 		if a, ok := b.perDomain[d]; ok {
-			a.mergeFrom(oa)
+			b.mergeAgg(a, oa)
 		} else {
 			b.perDomain[d] = oa
 		}
@@ -341,7 +357,7 @@ func (b *IncrementalBuilder) Split(n int, route func(domain string) int) []*Incr
 		p := parts[route(d)]
 		p.perDomain[d] = a
 		p.visits += a.known
-		for _, ha := range a.hosts {
+		for _, ha := range a.Hosts {
 			p.visits += len(ha.Times)
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
@@ -224,7 +226,7 @@ func TestAddKnownMatchesReference(t *testing.T) {
 				if a.known != b.KnownVisits(d) {
 					t.Fatalf("%s: KnownVisits(%s) = %d, aggregate holds %d", label, d, b.KnownVisits(d), a.known)
 				}
-				if hist.SeenDomain(d) && !turning(d) && (len(a.hosts) != 0 || a.ip.IsValid() || len(a.paths) != 0) {
+				if hist.SeenDomain(d) && !turning(d) && (len(a.Hosts) != 0 || a.IP.IsValid() || len(a.paths) != 0) {
 					t.Fatalf("%s: historical domain %s carries profile state: %+v", label, d, a)
 				}
 			}
@@ -393,10 +395,11 @@ func TestAdmitPathOrderIndependent(t *testing.T) {
 			}
 		}
 
+		b := NewIncrementalBuilder()
 		absorb := func(os []offer) *incrementalAgg {
-			a := &incrementalAgg{}
+			a := b.newAgg("d.com")
 			for _, o := range os {
-				a.admitPath(o.path, o.seq)
+				b.admitPath(a, o.path, o.seq)
 			}
 			return a
 		}
@@ -408,9 +411,9 @@ func TestAdmitPathOrderIndependent(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		cut := rng.Intn(len(shuffled))
 		lo, hi := absorb(shuffled[:cut]), absorb(shuffled[cut:])
-		lo.mergeFrom(hi)
+		b.mergeAgg(lo, hi)
 		hi2, lo2 := absorb(shuffled[cut:]), absorb(shuffled[:cut])
-		hi2.mergeFrom(lo2)
+		b.mergeAgg(hi2, lo2)
 		for label, a := range map[string]*incrementalAgg{
 			"seq order": absorb(offers), "reversed": absorb(reversed), "shuffled": absorb(shuffled),
 			"halves merged": lo, "halves merged the other way": hi2,
@@ -419,5 +422,63 @@ func TestAdmitPathOrderIndependent(t *testing.T) {
 				t.Fatalf("seed %d, %s: retained %v, want %v", seed, label, got, want)
 			}
 		}
+	}
+}
+
+// TestFreshDomainsAllocatePerBlock pins the slab contract: a builder's first
+// sight of n fresh domains — one host, one user agent, one URL path each —
+// allocates once per block of each slab, arena and text block it carves from,
+// and nothing per domain. The name length is chosen so every text block fills
+// exactly; the domain map is sized and the day's one (host, UA) pair written
+// beforehand, so the reading is the fold's own state alone.
+func TestFreshDomainsAllocatePerBlock(t *testing.T) {
+	const (
+		n         = 4 * arenaBlock
+		textBlock = 32 << 10 // logs.TextBlock's block size
+		path      = "/x"
+		nameLen   = 32 - len(path) // a domain's name and path fill 32 bytes of text
+	)
+	visits := make([]logs.Visit, n)
+	for i := range visits {
+		d := fmt.Sprintf("%0*d.com", nameLen-len(".com"), i)
+		visits[i] = logs.Visit{Time: day(2).Add(time.Duration(i) * time.Second), Host: "h1", Domain: d,
+			DestIP: netip.MustParseAddr("192.0.2.1"), URL: "http://" + d + path, UserAgent: "ua", HasUA: true}
+	}
+	b := NewIncrementalBuilder()
+	b.perDomain = make(map[string]*incrementalAgg, n)
+	b.uaPairs[[2]string{"h1", "ua"}] = true
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range visits {
+		b.Add(uint64(i), &visits[i])
+	}
+	runtime.ReadMemStats(&after)
+
+	// blocks counts the blocks n carves of size elements fill, block sizes
+	// growing from firstBlock to arenaBlock.
+	blocks := func(size int) uint64 {
+		count, room, last := uint64(0), 0, 0
+		for range n {
+			if room < size {
+				last = nextBlock(last)
+				room = last
+				count++
+			}
+			room -= size
+		}
+		return count
+	}
+	want := blocks(1) + // aggregates
+		blocks(1) + // host activities
+		blocks(timesCarve) + blocks(uasCarve) + // a new host's Times and UA set
+		blocks(hostsCarve) + blocks(pathsCarve) + // a new domain's host list and paths
+		uint64(n*32/textBlock) // names and paths
+	if got := after.Mallocs - before.Mallocs; got != want {
+		t.Errorf("folding %d fresh domains allocates %d times, want %d (one per block)", n, got, want)
+	}
+	if b.Domains() != n || b.Visits() != n {
+		t.Fatalf("builder holds %d domains, %d visits; want %d each", b.Domains(), b.Visits(), n)
 	}
 }

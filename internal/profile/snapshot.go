@@ -63,10 +63,10 @@ type DomainActivity struct {
 	Hosts []*HostActivity
 	// IP is the destination address observed for the domain (first seen).
 	IP netip.Addr
-	// paths is the builder aggregate's retained-path set, adopted as it
-	// stands: a day classifies thousands of rare domains and reads the paths
-	// of the handful it reports, so the sorted list is materialised by Paths,
-	// on demand.
+	// paths is the builder's seq-keyed retained-path set (a rare domain's
+	// activity is its builder aggregate's own): a day classifies thousands of
+	// rare domains and reads the paths of the handful it reports, so the
+	// sorted list is materialised by Paths, on demand.
 	paths []pathSeq
 }
 
@@ -147,31 +147,32 @@ type Snapshot struct {
 }
 
 // incrementalAgg is the pre-classification aggregation of one domain's
-// visits. The two order-sensitive decisions of the sequential reduction —
-// which destination IP is "first seen" and which 16 URL paths beat the
-// retention cap — are keyed by the visit's arrival sequence number instead
+// visits: the DomainActivity a rare domain's classification hands the
+// snapshot as it stands, plus what only the fold needs. The two
+// order-sensitive decisions of the sequential reduction — which destination
+// IP is "first seen" and which 16 URL paths beat the retention cap — are keyed by the visit's arrival sequence number instead
 // of apply order, so the aggregate is a pure function of the (seq, visit)
 // multiset: partitions can absorb their share of a day in any order (the
 // streaming shards apply concurrent batches as they drain) and still merge
 // into exactly the state a single sequential pass over the seq-ordered day
 // would have produced.
 type incrementalAgg struct {
-	// hosts is sorted by host and empty until the first profiled visit: a
-	// domain folded only through AddKnown is a bare marker.
-	hosts []*HostActivity
+	// DomainActivity's Domain is the builder's key for the aggregate; Hosts is
+	// empty until the first profiled visit (a domain folded only through
+	// AddKnown is a bare marker); IP is the first-seen address, by ipSeq.
+	// paths holds each retained URL path with the smallest arrival seq it was
+	// seen at, keeping the maxPathsPerDomain paths with the smallest
+	// first-occurrence seqs — exactly the set a seq-ordered scan admits
+	// before the cap fills. Unordered; a path is owned (copied into the
+	// builder's text block on admission), so the set never pins the decoder
+	// block its visit's URL was carved from.
+	DomainActivity
 	// known counts the visits folded through RunCursor.AddKnown — visits to
 	// a domain the history already held when they arrived. They are counted,
 	// not profiled: classifyAgg discards every such domain, so nothing else
 	// about them can reach a report.
 	known int
-	ip    netip.Addr
 	ipSeq uint64
-	// paths holds each retained URL path with the smallest arrival seq it was
-	// seen at, keeping the maxPathsPerDomain paths with the smallest
-	// first-occurrence seqs — exactly the set a seq-ordered scan admits
-	// before the cap fills. Unordered; a path is owned (cloned on admission),
-	// so the set never pins the decoder block its visit's URL was carved from.
-	paths []pathSeq
 	// pathSeqBound caches the largest retained seq of a full set, as found
 	// by admitPath's last scan, so the newcomers of a busy domain — nearly
 	// all of which arrive later than everything retained — are rejected
@@ -184,8 +185,9 @@ type incrementalAgg struct {
 	pathSeqBound uint64
 }
 
-// admitPath offers one path occurrence to the bounded retention set.
-func (a *incrementalAgg) admitPath(pth string, seq uint64) {
+// admitPath offers one path occurrence to a's bounded retention set, copying
+// an admitted path into the builder's text block.
+func (b *IncrementalBuilder) admitPath(a *incrementalAgg, pth string, seq uint64) {
 	full := len(a.paths) == maxPathsPerDomain
 	if full && a.pathSeqBound != 0 && seq >= a.pathSeqBound {
 		return
@@ -204,7 +206,10 @@ func (a *incrementalAgg) admitPath(pth string, seq uint64) {
 		}
 	}
 	if !full {
-		a.paths = append(a.paths, pathSeq{strings.Clone(pth), seq})
+		if a.paths == nil {
+			a.paths = carve(&b.pathsArena, pathsCarve)
+		}
+		a.paths = append(a.paths, pathSeq{b.text.Copy(pth), seq})
 		return
 	}
 	// Full: the newcomer displaces the largest-seq entry iff it is earlier.
@@ -213,29 +218,29 @@ func (a *incrementalAgg) admitPath(pth string, seq uint64) {
 	// distinct paths win" cap.)
 	a.pathSeqBound = a.paths[evict].seq
 	if seq < a.pathSeqBound {
-		a.paths[evict] = pathSeq{strings.Clone(pth), seq}
+		a.paths[evict] = pathSeq{b.text.Copy(pth), seq}
 	}
 }
 
-// mergeFrom folds another partition's aggregate of the same domain into a.
-// Host lists are merged copy-on-write (neither input list nor HostActivity is
-// mutated), so merging is safe even when the partitions split a
-// (host, domain) pair.
-func (a *incrementalAgg) mergeFrom(o *incrementalAgg) {
+// mergeAgg folds another partition's aggregate of the same domain into a,
+// which the builder owns. Host lists are merged copy-on-write (neither input
+// list nor HostActivity is mutated), so merging is safe even when the
+// partitions split a (host, domain) pair.
+func (b *IncrementalBuilder) mergeAgg(a, o *incrementalAgg) {
 	a.known += o.known
-	a.hosts = mergeHosts(a.hosts, o.hosts)
-	if o.ip.IsValid() && (!a.ip.IsValid() || o.ipSeq < a.ipSeq) {
-		a.ip, a.ipSeq = o.ip, o.ipSeq
+	a.Hosts = b.mergeHosts(a.Hosts, o.Hosts)
+	if o.IP.IsValid() && (!a.IP.IsValid() || o.ipSeq < a.ipSeq) {
+		a.IP, a.ipSeq = o.IP, o.ipSeq
 	}
 	for _, e := range o.paths {
-		a.admitPath(e.path, e.seq)
+		b.admitPath(a, e.path, e.seq)
 	}
 }
 
 // mergeHosts unions two host lists sorted by host into a new one, combining a
 // host both hold into a new HostActivity; an empty side returns the other as
 // it is.
-func mergeHosts(x, y []*HostActivity) []*HostActivity {
+func (b *IncrementalBuilder) mergeHosts(x, y []*HostActivity) []*HostActivity {
 	if len(x) == 0 {
 		return y
 	}
@@ -250,21 +255,18 @@ func mergeHosts(x, y []*HostActivity) []*HostActivity {
 		case c > 0:
 			out, y = append(out, y[0]), y[1:]
 		default:
-			out = append(out, mergeHostActivity(x[0], y[0]))
+			out = append(out, b.mergeHostActivity(x[0], y[0]))
 			x, y = x[1:], y[1:]
 		}
 	}
 	return append(append(out, x...), y...)
 }
 
-func mergeHostActivity(x, y *HostActivity) *HostActivity {
-	out := &HostActivity{
-		Host:        x.Host,
-		Times:       make([]time.Time, 0, len(x.Times)+len(y.Times)),
-		NoRefVisits: x.NoRefVisits + y.NoRefVisits,
-		UAs:         slices.Clone(x.UAs),
-	}
+func (b *IncrementalBuilder) mergeHostActivity(x, y *HostActivity) *HostActivity {
+	out := b.newHost(x.Host, len(x.Times)+len(y.Times), len(x.UAs)+len(y.UAs))
+	out.NoRefVisits = x.NoRefVisits + y.NoRefVisits
 	out.Times = append(append(out.Times, x.Times...), y.Times...)
+	out.UAs = append(out.UAs, x.UAs...)
 	for _, ua := range y.UAs {
 		out.addUA(ua)
 	}
@@ -278,12 +280,12 @@ func mergeHostActivity(x, y *HostActivity) *HostActivity {
 // keeps one builder per shard and feeds it from the shard apply path, so
 // rollover classifies ready-made aggregates instead of re-reducing the whole
 // day; the batch snapshot build runs on the same builder with
-// seq = visit index. A domain key and a URL path are cloned as they enter, so
-// the builder never keeps a window into a decoder's text block (logs'
-// copy-to-keep rule); hosts and user agents are interned strings and are kept
-// as they are. The shards — and only they — fold visits to domains the
-// history already holds through RunCursor.AddKnown, which keeps a marker and
-// a count instead of a profile.
+// seq = visit index. A domain key and a URL path are copied into the
+// builder's own text block as they enter, so the builder never keeps a window
+// into a decoder's block (logs.TextBlock's copy-to-keep rule); hosts and user
+// agents are interned strings and are kept as they are. The shards — and only
+// they — fold visits to domains the history already holds through
+// RunCursor.AddKnown, which keeps a marker and a count instead of a profile.
 //
 // seq is the visit's arrival sequence number: any strictly ordered,
 // per-visit-unique value. The builder's state depends only on the set of
@@ -301,14 +303,25 @@ type IncrementalBuilder struct {
 	// section that breaks it.
 	uaPairs map[[2]string]bool
 	visits  int
-	// timesArena is the current block new hosts carve their initial Times
-	// capacity from, so a day of many low-volume hosts costs one slice
-	// allocation per block instead of one per host. Each host's carve is
-	// capacity-clipped (three-index slice), so growth past it reallocates
-	// privately and can never scribble on a neighbour's slots. hostsArena
-	// does the same for a newly profiled domain's host list.
+
+	// The builder's state is made per block, not per thing: everything below
+	// dies with the builder (a shard-day's all at once, at rollover), so a day
+	// of many fresh domains costs one allocation per block instead of several
+	// per domain. aggSlab and hostSlab are the current blocks aggregates and
+	// host activities are cut from (newAgg, newHost — every maker of either
+	// goes through them). The arenas are the current blocks a new host's
+	// Times and UA set, a newly profiled domain's host list and a domain's
+	// first retained paths take their initial capacity from (carve); each
+	// carve is capacity-clipped, so growth past it reallocates privately and
+	// can never scribble on a neighbour's slots. text holds the domain keys
+	// and admitted paths.
+	aggSlab    []incrementalAgg
+	hostSlab   []HostActivity
 	timesArena []time.Time
 	hostsArena []*HostActivity
+	uaArena    []string
+	pathsArena []pathSeq
+	text       logs.TextBlock
 }
 
 // NewIncrementalBuilder returns an empty partition builder.
@@ -322,22 +335,70 @@ func NewIncrementalBuilder() *IncrementalBuilder {
 const (
 	// timesCarve is the initial Times capacity granted to each new host.
 	timesCarve = 8
+	// uasCarve is the initial UA-set capacity granted to each new host: nearly
+	// every host uses one user agent toward a domain.
+	uasCarve = 1
 	// hostsCarve is the initial host-list capacity granted to each newly
 	// profiled domain: most rare domains have one or two hosts.
 	hostsCarve = 2
-	// arenaBlock is the block size the carves are cut from.
+	// pathsCarve is the initial retained-path capacity granted to a domain's
+	// first path.
+	pathsCarve = 4
+	// firstBlock and arenaBlock bound the block sizes, in elements, of every
+	// slab and arena: a builder's first block is small and each next one
+	// doubles up to arenaBlock, so a builder holding a few domains — a quiet
+	// shard, a clone of one for a checkpoint or a preview — stays small.
+	firstBlock = 32
 	arenaBlock = 1024
+	// carveMax is the largest capacity cut from an arena; a larger one (only
+	// copies and merges of long series ask) gets a slice of its own.
+	carveMax = arenaBlock / 8
 )
+
+// nextBlock is the size of the block that follows one of size prev.
+func nextBlock(prev int) int { return min(max(2*prev, firstBlock), arenaBlock) }
 
 // carve cuts an empty slice with n private capacity from the arena, starting a
 // new block when the current one is short.
 func carve[T any](arena *[]T, n int) []T {
+	if n > carveMax {
+		return make([]T, 0, n)
+	}
 	if cap(*arena)-len(*arena) < n {
-		*arena = make([]T, 0, arenaBlock)
+		*arena = make([]T, 0, max(n, nextBlock(cap(*arena))))
 	}
 	i := len(*arena)
 	*arena = (*arena)[:i+n]
 	return (*arena)[i : i : i+n]
+}
+
+// slabNew cuts one zero value from the slab, starting a new block when the
+// current one is full.
+func slabNew[T any](slab *[]T) *T {
+	if len(*slab) == cap(*slab) {
+		*slab = make([]T, 0, nextBlock(cap(*slab)))
+	}
+	*slab = (*slab)[:len(*slab)+1]
+	return &(*slab)[len(*slab)-1]
+}
+
+// newAgg makes an empty aggregate for domain, whose bytes the caller has
+// already made the builder's to keep (Run copies a decoded name into the text
+// block; a clone, merge or load passes a name it owns).
+func (b *IncrementalBuilder) newAgg(domain string) *incrementalAgg {
+	a := slabNew(&b.aggSlab)
+	a.Domain = domain
+	return a
+}
+
+// newHost makes an empty activity for host with room for nTimes timestamps
+// and nUAs user agents.
+func (b *IncrementalBuilder) newHost(host string, nTimes, nUAs int) *HostActivity {
+	ha := slabNew(&b.hostSlab)
+	ha.Host = host
+	ha.Times = carve(&b.timesArena, nTimes)
+	ha.UAs = carve(&b.uaArena, nUAs)
+	return ha
 }
 
 // RunCursor folds a run of same-domain visits into its builder with the
@@ -355,15 +416,16 @@ type RunCursor struct {
 
 // Run starts a run of visits for one domain, creating the domain's
 // aggregate if absent. Every visit subsequently folded through the cursor
-// must carry exactly this domain. A domain entering the builder is cloned:
-// the key outlives the day (it becomes the snapshot's and the history's copy
-// of the name), while a decoded domain — or its folded suffix — lives in its
-// decoder's text block, which the key must not pin.
+// must carry exactly this domain. A domain entering the builder is copied
+// into the builder's text block: the key lives as long as the day's state (it
+// is the snapshot's name for the domain, and the history copies it again when
+// it admits the name), while a decoded domain — or its folded suffix — lives
+// in its decoder's text block, which the key must not pin.
 func (b *IncrementalBuilder) Run(domain string) RunCursor {
 	a, ok := b.perDomain[domain]
 	if !ok {
-		a = &incrementalAgg{}
-		b.perDomain[strings.Clone(domain)] = a
+		a = b.newAgg(b.text.Copy(domain))
+		b.perDomain[a.Domain] = a
 	}
 	return RunCursor{b: b, agg: a}
 }
@@ -372,28 +434,28 @@ func (b *IncrementalBuilder) Run(domain string) RunCursor {
 // in this builder (one folded through Add, now or earlier in the day). The
 // streaming shards read it as "this domain was found absent from the history
 // today": such a domain skips the history lookup for the rest of the day.
-func (c *RunCursor) Profiled() bool { return len(c.agg.hosts) > 0 }
+func (c *RunCursor) Profiled() bool { return len(c.agg.Hosts) > 0 }
 
 // Add folds one visit of the run; v.Domain must equal the run's domain.
 func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
-	a := c.agg
-	if v.DestIP.IsValid() && (!a.ip.IsValid() || seq < a.ipSeq) {
-		a.ip, a.ipSeq = v.DestIP, seq
+	a, b := c.agg, c.b
+	if v.DestIP.IsValid() && (!a.IP.IsValid() || seq < a.ipSeq) {
+		a.IP, a.ipSeq = v.DestIP, seq
 	}
 	if pth := urlPath(v.URL); pth != "" {
-		a.admitPath(pth, seq)
+		b.admitPath(a, pth, seq)
 	}
 	ha := c.ha
 	if ha == nil || ha.Host != v.Host {
-		i, found := searchHost(a.hosts, v.Host)
+		i, found := searchHost(a.Hosts, v.Host)
 		if found {
-			ha = a.hosts[i]
+			ha = a.Hosts[i]
 		} else {
-			if a.hosts == nil {
-				a.hosts = carve(&c.b.hostsArena, hostsCarve)
+			if a.Hosts == nil {
+				a.Hosts = carve(&b.hostsArena, hostsCarve)
 			}
-			ha = &HostActivity{Host: v.Host, Times: carve(&c.b.timesArena, timesCarve)}
-			a.hosts = slices.Insert(a.hosts, i, ha)
+			ha = b.newHost(v.Host, timesCarve, uasCarve)
+			a.Hosts = slices.Insert(a.Hosts, i, ha)
 		}
 		c.ha = ha
 	}
@@ -408,9 +470,9 @@ func (c *RunCursor) Add(seq uint64, v *logs.Visit) {
 	// The (host, UA) pair is written when the host's UA set gains the UA, not
 	// per visit: an earlier visit that put it in the set wrote it then.
 	if ha.addUA(ua) && v.HasUA {
-		c.b.uaPairs[[2]string{v.Host, ua}] = true
+		b.uaPairs[[2]string{v.Host, ua}] = true
 	}
-	c.b.visits++
+	b.visits++
 }
 
 // AddKnown folds one visit of the run as a known-domain marker: the caller
@@ -462,8 +524,8 @@ func (b *IncrementalBuilder) Domains() int { return len(b.perDomain) }
 //lint:ignore maporder the contract is explicitly an unordered walk; callers that emit must sort
 func (b *IncrementalBuilder) EachProfiled(fn func(domain string, hosts []*HostActivity)) {
 	for d, a := range b.perDomain {
-		if len(a.hosts) > 0 {
-			fn(d, a.hosts)
+		if len(a.Hosts) > 0 {
+			fn(d, a.Hosts)
 		}
 	}
 }
@@ -482,15 +544,15 @@ func (b *IncrementalBuilder) KnownVisits(domain string) int {
 // (fewer than unpopularThreshold distinct hosts). An aggregate that counted a
 // known visit is historical by AddKnown's contract — its caller saw the domain
 // in this history, which only grows — so it skips the locked lookup; that is
-// most of a day's domains.
-func classifyAgg(domain string, a *incrementalAgg, hist *History, unpopularThreshold int) (isNew bool, da *DomainActivity) {
-	if a.known > 0 || hist.SeenDomain(domain) {
+// most of a day's domains. A rare domain's activity is the aggregate's own.
+func classifyAgg(a *incrementalAgg, hist *History, unpopularThreshold int) (isNew bool, da *DomainActivity) {
+	if a.known > 0 || hist.SeenDomain(a.Domain) {
 		return false, nil
 	}
-	if len(a.hosts) >= unpopularThreshold {
+	if len(a.Hosts) >= unpopularThreshold {
 		return true, nil
 	}
-	return true, &DomainActivity{Domain: domain, Hosts: a.hosts, IP: a.ip, paths: a.paths}
+	return true, &a.DomainActivity
 }
 
 // addRuns feeds visits (all of them when idx is nil, else the selected
@@ -575,12 +637,6 @@ func NewSnapshotParallel(day time.Time, visits []logs.Visit, hist *History, unpo
 	return ClassifyDisjoint(day, parts, hist, unpopularThreshold, workers)
 }
 
-// domainAgg is one domain's complete aggregate of the day.
-type domainAgg struct {
-	domain string
-	agg    *incrementalAgg
-}
-
 // fanOut resolves a workers argument for a day held in parts: <= 0 means
 // GOMAXPROCS, and a day below parallelCutoff runs on one.
 func fanOut(parts []*IncrementalBuilder, workers int) int {
@@ -618,11 +674,11 @@ func ClassifyDisjoint(day time.Time, parts []*IncrementalBuilder, hist *History,
 	for _, p := range parts {
 		n += len(p.perDomain)
 	}
-	entries := make([]domainAgg, 0, n)
+	entries := make([]*incrementalAgg, 0, n)
 	for _, p := range parts {
-		for d, a := range p.perDomain {
+		for _, a := range p.perDomain {
 			//lint:ignore maporder entry order only decides which range classifies a domain; every emitted order is sorted in classify
-			entries = append(entries, domainAgg{domain: d, agg: a})
+			entries = append(entries, a)
 		}
 	}
 	return classify(day, entries, parts, hist, unpopularThreshold, fanOut(parts, workers))
@@ -635,7 +691,7 @@ func ClassifyDisjoint(day time.Time, parts []*IncrementalBuilder, hist *History,
 // recorded is keyed by arrival seq; the union's entries then go through the
 // same classification. The merge does not mutate the builders: an aggregate
 // held by one part is adopted as it stands, one held by several is combined
-// into a private copy.
+// into a private copy, made by a builder private to the merge.
 func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
 	workers = fanOut(parts, workers)
 
@@ -644,7 +700,7 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 	// instead of rescanning every part. A domain's aggregates land in its
 	// bucket in part index order, which keeps the copy-on-write union below
 	// deterministic.
-	buckets := make([][]domainAgg, workers)
+	buckets := make([][]*incrementalAgg, workers)
 	for _, p := range parts {
 		for d, a := range p.perDomain {
 			w := 0
@@ -652,10 +708,10 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 				w = int(domainPartition(d) % uint32(workers))
 			}
 			//lint:ignore maporder bucket interleaving across domains is immaterial; per-domain aggregates stay in part index order and merge per domain
-			buckets[w] = append(buckets[w], domainAgg{domain: d, agg: a})
+			buckets[w] = append(buckets[w], a)
 		}
 	}
-	unions := make([][]domainAgg, workers)
+	unions := make([][]*incrementalAgg, workers)
 	par.ForEachIndex(workers, workers, func(w int) {
 		bucket := buckets[w]
 		merged := make(map[string]*incrementalAgg, len(bucket))
@@ -663,26 +719,27 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 		// a second occurrence of the domain forces a private copy so no
 		// builder state is mutated by the merge.
 		adopted := make(map[string]bool)
-		for _, e := range bucket {
-			m, ok := merged[e.domain]
+		priv := NewIncrementalBuilder()
+		for _, a := range bucket {
+			m, ok := merged[a.Domain]
 			if !ok {
-				merged[e.domain] = e.agg
-				adopted[e.domain] = true
+				merged[a.Domain] = a
+				adopted[a.Domain] = true
 				continue
 			}
-			if adopted[e.domain] {
-				priv := &incrementalAgg{}
-				priv.mergeFrom(m)
-				merged[e.domain] = priv
-				adopted[e.domain] = false
-				m = priv
+			if adopted[a.Domain] {
+				own := priv.newAgg(a.Domain)
+				priv.mergeAgg(own, m)
+				merged[a.Domain] = own
+				adopted[a.Domain] = false
+				m = own
 			}
-			m.mergeFrom(e.agg)
+			priv.mergeAgg(m, a)
 		}
-		union := make([]domainAgg, 0, len(merged))
-		for d, a := range merged {
+		union := make([]*incrementalAgg, 0, len(merged))
+		for _, a := range merged {
 			//lint:ignore maporder as in ClassifyDisjoint: entry order never reaches an output
-			union = append(union, domainAgg{domain: d, agg: a})
+			union = append(union, a)
 		}
 		unions[w] = union
 	})
@@ -695,7 +752,7 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 // for Commit without unioning them. Contiguous ranges of entries are
 // classified concurrently; each range sorts its own rare survivors and
 // indexes their hosts (indexRare), and the ranges' sorted runs are merged.
-func classify(day time.Time, entries []domainAgg, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
+func classify(day time.Time, entries []*incrementalAgg, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
 	s := &Snapshot{
 		Day:        day,
 		AllDomains: len(entries),
@@ -708,9 +765,9 @@ func classify(day time.Time, entries []domainAgg, parts []*IncrementalBuilder, h
 		lo, hi := r*len(entries)/ranges, (r+1)*len(entries)/ranges
 		var rare []*DomainActivity
 		n := 0
-		for i, e := range entries[lo:hi] {
-			s.domains[lo+i] = e.domain
-			isNew, da := classifyAgg(e.domain, e.agg, hist, unpopularThreshold)
+		for i, a := range entries[lo:hi] {
+			s.domains[lo+i] = a.Domain
+			isNew, da := classifyAgg(a, hist, unpopularThreshold)
 			if isNew {
 				n++
 			}

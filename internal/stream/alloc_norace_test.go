@@ -4,9 +4,12 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"repro/internal/logs"
 )
 
 // Zero-allocation pins live behind !race: under the race detector sync.Pool
@@ -79,5 +82,55 @@ func TestRouteBatchAllocs(t *testing.T) {
 	}
 	if allocs, want := testing.AllocsPerRun(20, cold), float64(2*len(e.shards)); allocs != want {
 		t.Errorf("routeBatchLocked on a cold pool allocates %.0f times per batch, want %.0f (one buffer per touched shard)", allocs, want)
+	}
+}
+
+// TestRouteBufferFitsBatch: a pooled route buffer left by a short batch — a
+// day file's last chunk, a small TCP batch — does not serve a large batch by
+// append-doubling. The large batch's routing allocates exactly what it does on
+// a cold pool: one buffer per touched shard, sized once for its share.
+func TestRouteBufferFitsBatch(t *testing.T) {
+	small := spreadDomains(benchRecords(64))
+	large := benchRecords(4096)
+	for i := range large { // every record its own domain: an even split
+		large[i].Domain = fmt.Sprintf("d%d.example", i)
+	}
+	e := trainOnlyEngine(Config{Shards: 2})
+	defer abandonEngine(e)
+	if err := e.BeginDay(time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), nil); err != nil {
+		t.Fatal(err)
+	}
+	// The test plays the shard workers, as in TestRouteBatchAllocs.
+	for i, s := range e.shards {
+		close(s.batches)
+		e.shards[i] = newShard(e, 1)
+	}
+	// One P and no collection: the pool keeps exactly what was put in it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for e.bufPool.Get() != nil {
+	}
+	ingest := func(recs []logs.ProxyRecord, recycle bool) {
+		if err := e.IngestBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range e.shards {
+			select {
+			case b := <-s.batches:
+				if recycle {
+					e.putBuf(b)
+				}
+			default:
+			}
+		}
+	}
+	ingest(small, true) // the pool now holds the short batch's buffers
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ingest(large, false)
+	runtime.ReadMemStats(&after)
+	if got, want := after.Mallocs-before.Mallocs, uint64(2*len(e.shards)); got != want {
+		t.Errorf("routing a %d-record batch after a %d-record one allocates %d times, want %d (one fresh buffer per touched shard, no regrowth)",
+			len(large), len(small), got, want)
 	}
 }

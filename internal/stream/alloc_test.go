@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -112,13 +113,16 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 	}
 
 	// A shard-day's first sight of domains the history lacks: the builder's
-	// state for them plus exactly one copy of each name — the builder's key —
-	// and nothing beside it (no history-cache entry, no second copy). Two
-	// readings show it on each of two consecutive shard-days: the shard
-	// allocates exactly as often as a bare builder folding the same visits, and
-	// lengthening every name from 48 to 64 bytes (both exact size classes)
-	// grows the bytes it allocates by 16 per domain. Heap totals are exact
-	// only without the race detector, whose runtime allocates beside the fold.
+	// state for them plus exactly one copy of each name — the builder's key,
+	// carved from the shard-day's text block — and nothing beside it (no
+	// history-cache entry, no second copy). Three readings show it on each of
+	// two consecutive shard-days: the shard allocates exactly as often as a
+	// bare builder folding the same visits; the block's fill grows by the
+	// names' total length plus the one path each domain admits; and
+	// lengthening every name from 48 to 64 bytes leaves the bytes the fold
+	// allocates unchanged, since no name is allocated on its own. Heap totals
+	// are exact only without the race detector, whose runtime allocates beside
+	// the fold.
 	if raceEnabled {
 		return
 	}
@@ -135,18 +139,32 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
-	var dayBytes [2][2]uint64 // [name length][shard-day]
+	// fill reads how many bytes the builder's current text block holds.
+	fill := func(b *profile.IncrementalBuilder) int {
+		text := reflect.ValueOf(b).Elem().FieldByName("text")
+		return (*logs.TextBlock)(unsafe.Pointer(text.UnsafeAddr())).Len()
+	}
+	const path = "/index.html" // benchRecords' one URL path
+	var dayBytes [2][2]uint64  // [name length][shard-day]
 	for n, nameLen := range []int{48, 64} {
 		recs := benchRecords(fresh)
 		for i := range recs {
 			recs[i].Domain = fmt.Sprintf("%0*d.example", nameLen-len(".example"), i)
+			if got := recs[i].URL; !strings.HasSuffix(got, path) {
+				t.Fatalf("benchRecords URL %q does not end in %s", got, path)
+			}
 		}
 		items := buildItems(t, recs)
 		fs := newShard(e, 0)
 		for day := range dayBytes[n] {
 			buf := new([]item)
 			*buf = append(make([]item, 0, len(items)), items...)
+			filled := fill(fs.part)
 			mallocs, bytes := measure(func() { fs.applyBatch(buf) })
+			if grew, want := fill(fs.part)-filled, fresh*(nameLen+len(path)); grew != want {
+				t.Errorf("%d-byte names, shard-day %d: the text block's fill grows by %d bytes, want %d (each of %d names and its path copied once)",
+					nameLen, day, grew, want, fresh)
+			}
 			ref := profile.NewIncrementalBuilder()
 			refMallocs, _ := measure(func() {
 				for i := range items {
@@ -166,20 +184,22 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for day := range dayBytes[0] {
-		if grew := dayBytes[1][day] - dayBytes[0][day]; grew != 16*fresh {
-			t.Errorf("shard-day %d: 16 more bytes per name grow the fresh-domain fold by %d bytes, want %d (one copy of each of %d names)",
-				day, grew, 16*fresh, fresh)
+		if dayBytes[1][day] != dayBytes[0][day] {
+			t.Errorf("shard-day %d: 16 more bytes per name take the fresh-domain fold from %d to %d allocated bytes, want no change (names are carved from the text block)",
+				day, dayBytes[0][day], dayBytes[1][day])
 		}
 	}
 }
 
-// TestKeptDomainOwnsItsBytes: a decoded domain is carved from its decoder's
-// text block, and the engine keeps domain names for the rest of the day (the
-// builder's keys, the lease-less markers) or for good (the shard's cache of
-// known domains, the history), so every name it keeps must be a copy — a
-// kept folded suffix would otherwise pin a whole 32 KiB block. Records go
-// through a real decoder into an engine, a close commits the first day, and
-// the second day leaves every kind of kept name behind.
+// TestKeptDomainOwnsItsBytes: a decoded domain or URL is carved from its
+// decoder's text block, and the engine keeps domain names and URL paths for
+// the rest of the day (the builder's keys and admitted paths, the lease-less
+// markers) or for good (the shard's cache of known domains, the history), so
+// every one it keeps must be a copy — a kept folded suffix would otherwise pin
+// a whole 32 KiB block. The history lives longer than any day, so its names
+// must not point into a day builder's block either. Records go through a real
+// decoder into an engine, a close commits the first day, and the second day
+// leaves every kind of kept string behind.
 func TestKeptDomainOwnsItsBytes(t *testing.T) {
 	day := func(d time.Time, tag string) []logs.ProxyRecord {
 		var recs []logs.ProxyRecord
@@ -220,6 +240,34 @@ func TestKeptDomainOwnsItsBytes(t *testing.T) {
 	if err := e.IngestBatch(recs1); err != nil {
 		t.Fatal(err)
 	}
+	type span struct{ lo, hi uintptr }
+	spanOf := func(v string) span {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(v)))
+		return span{p, p + uintptr(len(v))}
+	}
+	// The text the day builders carved: their keys and admitted paths.
+	var builderText []span
+	var mu sync.Mutex
+	collectBuilders := func(kept map[string][]string) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.quiesce(func(_ int, s *shard) {
+			keys := s.part.DomainNames()
+			snap := profile.ClassifyDisjoint(d2, []*profile.IncrementalBuilder{s.part.Clone()}, profile.NewHistory(), 1<<30, 1)
+			var paths []string
+			for _, da := range snap.Rare {
+				paths = append(paths, da.Paths()...)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			kept["builder key"] = append(kept["builder key"], keys...)
+			kept["admitted path"] = append(kept["admitted path"], paths...)
+			for _, v := range append(keys, paths...) {
+				builderText = append(builderText, spanOf(v))
+			}
+		})
+	}
+	collectBuilders(map[string][]string{})
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +279,11 @@ func TestKeptDomainOwnsItsBytes(t *testing.T) {
 	}
 
 	kept := map[string][]string{}
+	collectBuilders(kept)
 	e.mu.Lock()
-	var keptMu sync.Mutex
 	e.quiesce(func(_ int, s *shard) {
-		keptMu.Lock()
-		defer keptMu.Unlock()
-		kept["builder key"] = append(kept["builder key"], s.part.DomainNames()...)
+		mu.Lock()
+		defer mu.Unlock()
 		for d := range s.markers {
 			kept["marker"] = append(kept["marker"], d)
 		}
@@ -246,33 +293,44 @@ func TestKeptDomainOwnsItsBytes(t *testing.T) {
 	})
 	e.mu.Unlock()
 	// The history is profile's; its committed names are read in place.
+	var history []string
 	for _, k := range reflect.ValueOf(e.hist).Elem().FieldByName("domains").MapKeys() {
-		kept["committed history domain"] = append(kept["committed history domain"], k.String())
+		history = append(history, k.String())
 	}
+	kept["committed history domain"] = history
 
-	type span struct{ lo, hi uintptr }
 	var carved []span
 	for _, recs := range [][]logs.ProxyRecord{recs1, recs2} {
 		for _, r := range recs {
 			for _, v := range []string{r.Domain, r.URL, r.Referer} {
-				if p := uintptr(unsafe.Pointer(unsafe.StringData(v))); v != "" {
-					carved = append(carved, span{p, p + uintptr(len(v))})
+				if v != "" {
+					carved = append(carved, spanOf(v))
 				}
 			}
 		}
 	}
-	for _, kind := range []string{"builder key", "marker", "history-cache key", "committed history domain"} {
+	inside := func(v string, spans []span) bool {
+		p := spanOf(v).lo
+		for _, c := range spans {
+			if p >= c.lo && p < c.hi {
+				return true
+			}
+		}
+		return false
+	}
+	for _, kind := range []string{"builder key", "admitted path", "marker", "history-cache key", "committed history domain"} {
 		if len(kept[kind]) == 0 {
 			t.Fatalf("the engine keeps no %s: the fixture does not exercise it", kind)
 		}
 		for _, d := range kept[kind] {
-			p := uintptr(unsafe.Pointer(unsafe.StringData(d)))
-			for _, c := range carved {
-				if p >= c.lo && p < c.hi {
-					t.Errorf("%s %q points into a decoded record's text", kind, d)
-					break
-				}
+			if inside(d, carved) {
+				t.Errorf("%s %q points into a decoded record's text", kind, d)
 			}
+		}
+	}
+	for _, d := range history {
+		if inside(d, builderText) {
+			t.Errorf("committed history domain %q points into a day builder's text", d)
 		}
 	}
 	runtime.KeepAlive(recs1)

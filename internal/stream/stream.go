@@ -498,15 +498,16 @@ type routeScratch struct {
 	touched []int
 }
 
-// getBuf takes a shard send buffer from the pool. A fresh one — the pool is
-// emptied by every second GC cycle — is sized once for a shard's share of the
-// n-record batch in hand plus slack for an uneven hash, rather than reaching
-// that size by append-doubling.
+// getBuf takes a shard send buffer with room for a shard's share of the
+// n-record batch in hand. A pooled buffer short of that share — left by a
+// short batch, such as a day file's last chunk — is dropped, as
+// logs.GetProxyBuf does, rather than regrown by append-doubling; a fresh one
+// is sized once for the share plus slack for an uneven hash.
 func (e *Engine) getBuf(n int) *[]item {
-	if b, ok := e.bufPool.Get().(*[]item); ok {
+	share := n / len(e.shards)
+	if b, ok := e.bufPool.Get().(*[]item); ok && cap(*b) >= share {
 		return b
 	}
-	share := n / len(e.shards)
 	b := make([]item, 0, share+share/4+16)
 	return &b
 }
@@ -867,6 +868,7 @@ func (e *Engine) runDayClose(c *dayClose) {
 	} else {
 		rep = e.pipe.ProcessSnapshot(c.day, snap, stats)
 		d := report.Build(rep)
+		keepDaily(&d)
 		daily = &d
 	}
 
@@ -895,6 +897,22 @@ func (e *Engine) runDayClose(c *dayClose) {
 	e.closing = nil
 	e.mu.Unlock()
 	close(c.done)
+}
+
+// keepDaily copies the domain names and cluster keys of a compact daily out of
+// the shard-day text blocks the builders carved them into: the engine keeps
+// every daily for good, and a kept name would pin its whole block.
+func keepDaily(d *report.Daily) {
+	for i := range d.Domains {
+		d.Domains[i].Domain = strings.Clone(d.Domains[i].Domain)
+	}
+	for i := range d.Clusters {
+		c := &d.Clusters[i]
+		c.Key = strings.Clone(c.Key)
+		for j := range c.Domains {
+			c.Domains[j] = strings.Clone(c.Domains[j])
+		}
+	}
 }
 
 // evictOldReportsLocked drops the oldest full day reports beyond the
