@@ -266,32 +266,28 @@ func analyze(intervals []float64, cfg Config, bins []Bin, mass []float64) Verdic
 	}
 }
 
-// shortSeries is the longest timestamp series AnalyzeTimes analyzes without
-// allocating: its sorted copy, intervals, bins and divergence mass vector
-// live in arrays on the stack. The detect stage analyzes every (host, rare
-// domain) pair of the day, and nearly all of them are this short.
-const shortSeries = 64
+// stackSeries is the number of timestamps AnalyzeTimes' stack buffers hold:
+// its sorted copy, intervals, bins and divergence mass vector live in arrays
+// on the stack, and only a longer series grows them onto the heap.
+const stackSeries = 64
 
 // AnalyzeTimes is Analyze over raw connection timestamps. A series below
 // MinConnections gets its no-verdict answer before any interval is computed —
 // most (host, domain) pairs of a day are that short. A series of up to
-// shortSeries timestamps, sorted or not, is analyzed without allocating, to
+// stackSeries timestamps, sorted or not, is analyzed without allocating, to
 // the same verdict bit for bit.
 func AnalyzeTimes(times []time.Time, cfg Config) Verdict {
 	if len(times) < cfg.minConns() {
 		return Verdict{Samples: max(len(times)-1, 0)}
 	}
-	if len(times) > shortSeries {
-		return Analyze(Intervals(times), cfg)
-	}
 	sorted := times
-	var sortBuf [shortSeries]time.Time
+	var sortBuf [stackSeries]time.Time
 	if !slices.IsSortedFunc(times, time.Time.Compare) {
-		sorted = sortBuf[:copy(sortBuf[:], times)]
+		sorted = append(sortBuf[:0], times...)
 		slices.SortFunc(sorted, time.Time.Compare)
 	}
-	var ivBuf [shortSeries - 1]float64
-	var binBuf [shortSeries - 1]Bin // at most one bin per interval
-	var massBuf [shortSeries]float64
+	var ivBuf [stackSeries - 1]float64
+	var binBuf [stackSeries - 1]Bin // at most one bin per interval
+	var massBuf [stackSeries]float64
 	return analyze(appendIntervals(ivBuf[:0], sorted), cfg, binBuf[:0], massBuf[:])
 }

@@ -15,19 +15,19 @@ const (
 
 // TextBlock carves strings out of append-only 32 KiB blocks, so an owner that
 // keeps many short strings — a decoder's Domain, URL and Referer values, a
-// day builder's domain keys and retained paths, the history's names —
-// allocates once per block instead of once per string. A block is written
+// day builder's retained paths — allocates once per block instead of once per
+// string. A block is written
 // only past its end and dropped, never reused, when a value does not fit, so
 // every string a TextBlock returned stays valid and unchanged for as long as
 // anything references it, and may cross goroutines. The zero value is ready
 // to use; a TextBlock is not safe for concurrent use.
 //
 // The copy-to-keep rule: a carved string keeps its whole block reachable. So
-// whoever keeps a value longer than the value's owner lives copies it into a
-// block of its own lifetime first (or strings.Clone, for a few values): a
-// shard-day's builder copies decoded domains and paths into its block, which
-// dies with the day, and the history copies the names it admits into its
-// block, which lives as long as the history.
+// whoever keeps a value longer than the value's owner lives copies it first,
+// into a block of its own lifetime or with strings.Clone: a shard-day's
+// builder copies decoded paths into its block, which dies with the day, and
+// clones a decoded domain into its key, which the history, the calibration
+// examples and the compact dailies keep for good.
 type TextBlock struct {
 	b strings.Builder
 }

@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -428,19 +429,20 @@ func TestAdmitPathOrderIndependent(t *testing.T) {
 // TestFreshDomainsAllocatePerBlock pins the slab contract: a builder's first
 // sight of n fresh domains — one host, one user agent, one URL path each —
 // allocates once per block of each slab, arena and text block it carves from,
-// and nothing per domain. The name length is chosen so every text block fills
-// exactly; the domain map is sized and the day's one (host, UA) pair written
-// beforehand, so the reading is the fold's own state alone.
+// and per domain only the clone of its name, the key that outlives the day.
+// The path length is chosen so every text block fills exactly; the domain map
+// is sized and the day's one (host, UA) pair written beforehand, so the
+// reading is the fold's own state alone.
 func TestFreshDomainsAllocatePerBlock(t *testing.T) {
 	const (
 		n         = 4 * arenaBlock
 		textBlock = 32 << 10 // logs.TextBlock's block size
-		path      = "/x"
-		nameLen   = 32 - len(path) // a domain's name and path fill 32 bytes of text
+		pathLen   = 32       // a domain's path fills 32 bytes of text
 	)
+	path := "/" + strings.Repeat("x", pathLen-1)
 	visits := make([]logs.Visit, n)
 	for i := range visits {
-		d := fmt.Sprintf("%0*d.com", nameLen-len(".com"), i)
+		d := fmt.Sprintf("%012d.com", i)
 		visits[i] = logs.Visit{Time: day(2).Add(time.Duration(i) * time.Second), Host: "h1", Domain: d,
 			DestIP: netip.MustParseAddr("192.0.2.1"), URL: "http://" + d + path, UserAgent: "ua", HasUA: true}
 	}
@@ -474,9 +476,10 @@ func TestFreshDomainsAllocatePerBlock(t *testing.T) {
 		blocks(1) + // host activities
 		blocks(timesCarve) + blocks(uasCarve) + // a new host's Times and UA set
 		blocks(hostsCarve) + blocks(pathsCarve) + // a new domain's host list and paths
-		uint64(n*32/textBlock) // names and paths
+		uint64(n*pathLen/textBlock) + // paths
+		n // names
 	if got := after.Mallocs - before.Mallocs; got != want {
-		t.Errorf("folding %d fresh domains allocates %d times, want %d (one per block)", n, got, want)
+		t.Errorf("folding %d fresh domains allocates %d times, want %d (one per block and one per name)", n, got, want)
 	}
 	if b.Domains() != n || b.Visits() != n {
 		t.Fatalf("builder holds %d domains, %d visits; want %d each", b.Domains(), b.Visits(), n)

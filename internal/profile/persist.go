@@ -113,7 +113,7 @@ func LoadHistoryFrom(dec *json.Decoder) (*History, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("profile: load domain %d: %w", i, err)
 		}
-		h.domains[h.names.Copy(rec.D)] = rec.T
+		h.domains[rec.D] = rec.T
 	}
 	for i := 0; i < hdr.UAs; i++ {
 		var rec persistUA

@@ -15,8 +15,6 @@ package profile
 import (
 	"sync"
 	"time"
-
-	"repro/internal/logs"
 )
 
 // History is the incrementally updated profile of normal activity.
@@ -31,11 +29,6 @@ type History struct {
 	domains map[string]time.Time       // folded domain -> first day seen
 	uaHosts map[string]map[string]bool // UA -> hosts ever using it
 	days    int                        // number of days ingested
-	// names holds the domains map's keys: a name is copied in when the
-	// history admits it (at commit and at load), so the history — which lives
-	// for good — pins no day builder's text block, and its names cost one
-	// allocation per block rather than one each.
-	names logs.TextBlock
 }
 
 // NewHistory returns an empty history.
@@ -78,7 +71,7 @@ func (h *History) commitDay(day time.Time, domains []string, pairSets []map[[2]s
 func (h *History) addDomainsLocked(day time.Time, domains []string) {
 	for _, d := range domains {
 		if _, ok := h.domains[d]; !ok {
-			h.domains[h.names.Copy(d)] = day
+			h.domains[d] = day
 		}
 	}
 	h.days++

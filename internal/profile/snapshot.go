@@ -280,7 +280,7 @@ func (b *IncrementalBuilder) mergeHostActivity(x, y *HostActivity) *HostActivity
 // keeps one builder per shard and feeds it from the shard apply path, so
 // rollover classifies ready-made aggregates instead of re-reducing the whole
 // day; the batch snapshot build runs on the same builder with
-// seq = visit index. A domain key and a URL path are copied into the
+// seq = visit index. A domain key is cloned and a URL path copied into the
 // builder's own text block as they enter, so the builder never keeps a window
 // into a decoder's block (logs.TextBlock's copy-to-keep rule); hosts and user
 // agents are interned strings and are kept as they are. The shards — and only
@@ -313,8 +313,8 @@ type IncrementalBuilder struct {
 	// Times and UA set, a newly profiled domain's host list and a domain's
 	// first retained paths take their initial capacity from (carve); each
 	// carve is capacity-clipped, so growth past it reallocates privately and
-	// can never scribble on a neighbour's slots. text holds the domain keys
-	// and admitted paths.
+	// can never scribble on a neighbour's slots. text holds the admitted
+	// paths; a domain key outlives the day, so Run clones it instead.
 	aggSlab    []incrementalAgg
 	hostSlab   []HostActivity
 	timesArena []time.Time
@@ -383,8 +383,8 @@ func slabNew[T any](slab *[]T) *T {
 }
 
 // newAgg makes an empty aggregate for domain, whose bytes the caller has
-// already made the builder's to keep (Run copies a decoded name into the text
-// block; a clone, merge or load passes a name it owns).
+// already made its own to keep (Run clones a decoded name; a clone, merge or
+// load passes a name it owns).
 func (b *IncrementalBuilder) newAgg(domain string) *incrementalAgg {
 	a := slabNew(&b.aggSlab)
 	a.Domain = domain
@@ -416,15 +416,14 @@ type RunCursor struct {
 
 // Run starts a run of visits for one domain, creating the domain's
 // aggregate if absent. Every visit subsequently folded through the cursor
-// must carry exactly this domain. A domain entering the builder is copied
-// into the builder's text block: the key lives as long as the day's state (it
-// is the snapshot's name for the domain, and the history copies it again when
-// it admits the name), while a decoded domain — or its folded suffix — lives
-// in its decoder's text block, which the key must not pin.
+// must carry exactly this domain. A domain entering the builder is cloned:
+// the key outlives the day (it becomes the snapshot's and the history's copy
+// of the name), so it can share neither its decoder's text block nor the
+// builder's, which die sooner.
 func (b *IncrementalBuilder) Run(domain string) RunCursor {
 	a, ok := b.perDomain[domain]
 	if !ok {
-		a = b.newAgg(b.text.Copy(domain))
+		a = b.newAgg(strings.Clone(domain))
 		b.perDomain[a.Domain] = a
 	}
 	return RunCursor{b: b, agg: a}

@@ -15,7 +15,9 @@ import (
 	"unsafe"
 
 	"repro/internal/logs"
+	"repro/internal/pipeline"
 	"repro/internal/profile"
+	"repro/internal/whois"
 )
 
 // TestApplySteadyStateAllocs is the alloc-regression gate for the apply
@@ -113,16 +115,15 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 	}
 
 	// A shard-day's first sight of domains the history lacks: the builder's
-	// state for them plus exactly one copy of each name — the builder's key,
-	// carved from the shard-day's text block — and nothing beside it (no
-	// history-cache entry, no second copy). Three readings show it on each of
-	// two consecutive shard-days: the shard allocates exactly as often as a
-	// bare builder folding the same visits; the block's fill grows by the
-	// names' total length plus the one path each domain admits; and
-	// lengthening every name from 48 to 64 bytes leaves the bytes the fold
-	// allocates unchanged, since no name is allocated on its own. Heap totals
-	// are exact only without the race detector, whose runtime allocates beside
-	// the fold.
+	// state for them plus exactly one copy of each name — the builder's key —
+	// and nothing beside it (no history-cache entry, no second copy). Three
+	// readings show it on each of two consecutive shard-days: the shard
+	// allocates exactly as often as a bare builder folding the same visits;
+	// the shard-day's text block grows by the one path each domain admits and
+	// by no name; and lengthening every name from 48 to 64 bytes (both exact
+	// size classes) grows the bytes the fold allocates by 16 per domain. Heap
+	// totals are exact only without the race detector, whose runtime
+	// allocates beside the fold.
 	if raceEnabled {
 		return
 	}
@@ -161,8 +162,8 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 			*buf = append(make([]item, 0, len(items)), items...)
 			filled := fill(fs.part)
 			mallocs, bytes := measure(func() { fs.applyBatch(buf) })
-			if grew, want := fill(fs.part)-filled, fresh*(nameLen+len(path)); grew != want {
-				t.Errorf("%d-byte names, shard-day %d: the text block's fill grows by %d bytes, want %d (each of %d names and its path copied once)",
+			if grew, want := fill(fs.part)-filled, fresh*len(path); grew != want {
+				t.Errorf("%d-byte names, shard-day %d: the text block's fill grows by %d bytes, want %d (each of %d paths copied once, no name)",
 					nameLen, day, grew, want, fresh)
 			}
 			ref := profile.NewIncrementalBuilder()
@@ -184,9 +185,9 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for day := range dayBytes[0] {
-		if dayBytes[1][day] != dayBytes[0][day] {
-			t.Errorf("shard-day %d: 16 more bytes per name take the fresh-domain fold from %d to %d allocated bytes, want no change (names are carved from the text block)",
-				day, dayBytes[0][day], dayBytes[1][day])
+		if grew := dayBytes[1][day] - dayBytes[0][day]; grew != 16*fresh {
+			t.Errorf("shard-day %d: 16 more bytes per name grow the fresh-domain fold by %d bytes, want %d (one copy of each of %d names)",
+				day, grew, 16*fresh, fresh)
 		}
 	}
 }
@@ -194,12 +195,13 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 // TestKeptDomainOwnsItsBytes: a decoded domain or URL is carved from its
 // decoder's text block, and the engine keeps domain names and URL paths for
 // the rest of the day (the builder's keys and admitted paths, the lease-less
-// markers) or for good (the shard's cache of known domains, the history), so
-// every one it keeps must be a copy — a kept folded suffix would otherwise pin
-// a whole 32 KiB block. The history lives longer than any day, so its names
-// must not point into a day builder's block either. Records go through a real
-// decoder into an engine, a close commits the first day, and the second day
-// leaves every kind of kept string behind.
+// markers) or for good (the shard's cache of known domains, the history, the
+// pipeline's calibration examples), so every one it keeps must be a copy — a
+// kept folded suffix would otherwise pin a whole 32 KiB block. A name kept for
+// good — the builder key the history and the examples adopt — must not point
+// into a day builder's block either. Records go through a real decoder into
+// an engine, a close commits the first day, the second day leaves every kind
+// of kept string behind, and its calibrating close keeps examples.
 func TestKeptDomainOwnsItsBytes(t *testing.T) {
 	day := func(d time.Time, tag string) []logs.ProxyRecord {
 		var recs []logs.ProxyRecord
@@ -228,11 +230,20 @@ func TestKeptDomainOwnsItsBytes(t *testing.T) {
 		return got
 	}
 	// Day 2 revisits day 1's domains (known by then: history-cache entries)
-	// and brings fresh ones and lease-less ones of its own.
+	// and brings fresh ones and lease-less ones of its own, and a beacon its
+	// calibrating close labels, so the pipeline keeps training examples.
 	recs1 := decode(day(d1, "a"))
-	recs2 := decode(append(day(d2, "a"), day(d2, "b")...))
+	day2 := append(day(d2, "a"), day(d2, "b")...)
+	for i := 0; i < 30; i++ {
+		r := rec(d2, "h1", "www.beacon.example", time.Duration(i)*10*time.Minute)
+		r.URL = "http://www.beacon.example/c2"
+		day2 = append(day2, r)
+	}
+	recs2 := decode(day2)
 
-	e := trainOnlyEngine(Config{Shards: 2})
+	reported := func(d string, _ time.Time) bool { return d == "www.beacon.example" }
+	e := New(Config{Shards: 2, TrainingDays: 1},
+		pipeline.NewEnterprise(pipeline.EnterpriseConfig{}, whois.NewRegistry(), reported, nil))
 	defer e.Close()
 	if err := e.BeginDay(d1, nil); err != nil {
 		t.Fatal(err)
@@ -245,13 +256,18 @@ func TestKeptDomainOwnsItsBytes(t *testing.T) {
 		p := uintptr(unsafe.Pointer(unsafe.StringData(v)))
 		return span{p, p + uintptr(len(v))}
 	}
-	// The text the day builders carved: their keys and admitted paths.
+	// The day builders' text blocks: a fixture day's paths fit in a builder's
+	// first block, so its current one holds them all.
 	var builderText []span
 	var mu sync.Mutex
 	collectBuilders := func(kept map[string][]string) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		e.quiesce(func(_ int, s *shard) {
+			buf := reflect.ValueOf(s.part).Elem().FieldByName("text").Field(0).FieldByName("buf")
+			text := *(*[]byte)(unsafe.Pointer(buf.UnsafeAddr()))
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(text)))
+			block := span{lo, lo + uintptr(cap(text))}
 			keys := s.part.DomainNames()
 			snap := profile.ClassifyDisjoint(d2, []*profile.IncrementalBuilder{s.part.Clone()}, profile.NewHistory(), 1<<30, 1)
 			var paths []string
@@ -262,9 +278,12 @@ func TestKeptDomainOwnsItsBytes(t *testing.T) {
 			defer mu.Unlock()
 			kept["builder key"] = append(kept["builder key"], keys...)
 			kept["admitted path"] = append(kept["admitted path"], paths...)
-			for _, v := range append(keys, paths...) {
-				builderText = append(builderText, spanOf(v))
+			for _, p := range paths {
+				if v := spanOf(p); v.lo < block.lo || v.hi > block.hi {
+					t.Errorf("admitted path %q lies outside its builder's current text block", p)
+				}
 			}
+			builderText = append(builderText, block)
 		})
 	}
 	collectBuilders(map[string][]string{})
@@ -293,11 +312,19 @@ func TestKeptDomainOwnsItsBytes(t *testing.T) {
 	})
 	e.mu.Unlock()
 	// The history is profile's; its committed names are read in place.
-	var history []string
 	for _, k := range reflect.ValueOf(e.hist).Elem().FieldByName("domains").MapKeys() {
-		history = append(history, k.String())
+		kept["committed history domain"] = append(kept["committed history domain"], k.String())
 	}
-	kept["committed history domain"] = history
+	// Day 2's close calibrates: the pipeline keeps its examples for good.
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range e.pipe.CCExamples() {
+		kept["calibration example"] = append(kept["calibration example"], ex.Domain)
+	}
+	for _, ex := range e.pipe.SimilarityExamples() {
+		kept["calibration example"] = append(kept["calibration example"], ex.Domain)
+	}
 
 	var carved []span
 	for _, recs := range [][]logs.ProxyRecord{recs1, recs2} {
@@ -318,7 +345,7 @@ func TestKeptDomainOwnsItsBytes(t *testing.T) {
 		}
 		return false
 	}
-	for _, kind := range []string{"builder key", "admitted path", "marker", "history-cache key", "committed history domain"} {
+	for _, kind := range []string{"builder key", "admitted path", "marker", "history-cache key", "committed history domain", "calibration example"} {
 		if len(kept[kind]) == 0 {
 			t.Fatalf("the engine keeps no %s: the fixture does not exercise it", kind)
 		}
@@ -328,9 +355,11 @@ func TestKeptDomainOwnsItsBytes(t *testing.T) {
 			}
 		}
 	}
-	for _, d := range history {
-		if inside(d, builderText) {
-			t.Errorf("committed history domain %q points into a day builder's text", d)
+	for _, kind := range []string{"builder key", "committed history domain", "calibration example"} {
+		for _, d := range kept[kind] {
+			if inside(d, builderText) {
+				t.Errorf("%s %q points into a day builder's text block", kind, d)
+			}
 		}
 	}
 	runtime.KeepAlive(recs1)

@@ -868,7 +868,6 @@ func (e *Engine) runDayClose(c *dayClose) {
 	} else {
 		rep = e.pipe.ProcessSnapshot(c.day, snap, stats)
 		d := report.Build(rep)
-		keepDaily(&d)
 		daily = &d
 	}
 
@@ -897,22 +896,6 @@ func (e *Engine) runDayClose(c *dayClose) {
 	e.closing = nil
 	e.mu.Unlock()
 	close(c.done)
-}
-
-// keepDaily copies the domain names and cluster keys of a compact daily out of
-// the shard-day text blocks the builders carved them into: the engine keeps
-// every daily for good, and a kept name would pin its whole block.
-func keepDaily(d *report.Daily) {
-	for i := range d.Domains {
-		d.Domains[i].Domain = strings.Clone(d.Domains[i].Domain)
-	}
-	for i := range d.Clusters {
-		c := &d.Clusters[i]
-		c.Key = strings.Clone(c.Key)
-		for j := range c.Domains {
-			c.Domains[j] = strings.Clone(c.Domains[j])
-		}
-	}
 }
 
 // evictOldReportsLocked drops the oldest full day reports beyond the
