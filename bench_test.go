@@ -433,54 +433,84 @@ func BenchmarkBeliefPropagationDay(b *testing.B) {
 // (Workers = 0), so `-cpu 1,4` compares the sequential and parallel
 // day-close paths on identical work.
 
+// dayCloseDay is one operation day ready to close: a trained history plus
+// the day's reduced visits, so each benchmark iteration replays the pure
+// analytics (no history commit, so every iteration sees identical work).
+type dayCloseDay struct {
+	day    time.Time
+	visits []Visit
+	hist   *History
+	det    *CCDetector
+}
+
 var (
-	dayCloseOnce   sync.Once
-	dayCloseDay    time.Time
-	dayCloseVisits []Visit
-	dayCloseHist   *History
-	dayCloseDet    *CCDetector
+	dayCloseOnce, churnCloseOnce sync.Once
+	dayCloseFix, churnCloseFix   dayCloseDay
 )
 
-// dayCloseFixture prepares one realistic operation day: a trained history
-// plus the day's reduced visits, so each benchmark iteration replays the
-// pure analytics (no history commit, so every iteration sees identical
-// work).
-func dayCloseFixture() {
+// newDayCloseDay trains a history on cfg's training days and reduces its
+// first operation day.
+func newDayCloseDay(cfg EnterpriseGeneratorConfig) dayCloseDay {
+	g := NewEnterpriseGenerator(cfg)
+	reg := NewWHOISRegistry()
+	PopulateWHOIS(reg, g.Truth, g.RareRegistrations(), g.DayTime(g.NumDays()))
+	hist := NewHistory()
+	for d := 0; d < g.Config().TrainingDays; d++ {
+		visits, _ := ReduceProxy(g.Day(d), g.DHCPMap(d))
+		NewSnapshot(g.DayTime(d), visits, hist, 10).Commit(hist)
+	}
+	opDay := g.Config().TrainingDays
+	visits, _ := ReduceProxy(g.Day(opDay), g.DHCPMap(opDay))
+	return dayCloseDay{
+		day:    g.DayTime(opDay),
+		visits: visits,
+		hist:   hist,
+		det:    NewCCDetector(&FeatureExtractor{Hist: hist, Whois: reg}),
+	}
+}
+
+// dayCloseFixture is a realistic enterprise operation day: 300 hosts
+// browsing, 80 fresh benign rare domains, 109 rare domains in all.
+func dayCloseFixture() *dayCloseDay {
 	dayCloseOnce.Do(func() {
-		g := NewEnterpriseGenerator(EnterpriseGeneratorConfig{
+		dayCloseFix = newDayCloseDay(EnterpriseGeneratorConfig{
 			Seed: 9, TrainingDays: 5, OperationDays: 1,
 			Hosts: 300, PopularDomains: 150, NewRarePerDay: 80,
 			BenignAutoPerDay: 10, Campaigns: 4,
 		})
-		reg := NewWHOISRegistry()
-		PopulateWHOIS(reg, g.Truth, g.RareRegistrations(), g.DayTime(g.NumDays()))
-		hist := NewHistory()
-		for d := 0; d < g.Config().TrainingDays; d++ {
-			visits, _ := ReduceProxy(g.Day(d), g.DHCPMap(d))
-			NewSnapshot(g.DayTime(d), visits, hist, 10).Commit(hist)
-		}
-		opDay := g.Config().TrainingDays
-		dayCloseDay = g.DayTime(opDay)
-		dayCloseVisits, _ = ReduceProxy(g.Day(opDay), g.DHCPMap(opDay))
-		dayCloseHist = hist
-		dayCloseDet = NewCCDetector(&FeatureExtractor{Hist: hist, Whois: reg})
 	})
+	return &dayCloseFix
+}
+
+// churnCloseFixture is a churn-shaped day, the benchmark module's churn
+// filler in the generator's terms: 400 hosts over a 4,000-domain pool and
+// 6,000 fresh rare domains a day, so nearly every record starts a run of its
+// own and the close classifies and analyzes thousands of rare domains.
+func churnCloseFixture() *dayCloseDay {
+	churnCloseOnce.Do(func() {
+		churnCloseFix = newDayCloseDay(EnterpriseGeneratorConfig{
+			Seed: 9, TrainingDays: 3, OperationDays: 1,
+			Hosts: 400, PopularDomains: 4000, SessionsPerDay: 5, NewRarePerDay: 6000,
+			BenignAutoPerDay: 600, Campaigns: -1,
+		})
+	})
+	return &churnCloseFix
 }
 
 // BenchmarkDayClose measures the analytics half of a streaming rollover —
 // snapshot build, periodicity profiling, feature extraction — over one
 // operation day.
 func BenchmarkDayClose(b *testing.B) {
-	dayCloseFixture()
+	f := dayCloseFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap := NewSnapshotParallel(dayCloseDay, dayCloseVisits, dayCloseHist, 10, 0)
-		ads := dayCloseDet.FindAutomatedParallel(snap, 0)
-		dayCloseDet.FillFeaturesParallel(ads, dayCloseDay, 0)
+		snap := NewSnapshotParallel(f.day, f.visits, f.hist, 10, 0)
+		ads := f.det.FindAutomatedParallel(snap, 0)
+		f.det.FillFeaturesParallel(ads, f.day, 0)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.N)*float64(len(dayCloseVisits))/b.Elapsed().Seconds(), "visits/s")
+	b.ReportMetric(float64(b.N)*float64(len(f.visits))/b.Elapsed().Seconds(), "visits/s")
 }
 
 // BenchmarkDayCloseIncremental measures the same day-close analytics as
@@ -493,20 +523,25 @@ func BenchmarkDayClose(b *testing.B) {
 // domains and the close classifies them as they stand
 // (profile.ClassifyDisjoint); "pair" partitions by (host, domain) and pays
 // the overlap union first (MergeSnapshotParallel), which only the benchmark
-// module's traced close still does.
+// module's traced close still does; "churn" is the engine's path over
+// churnCloseFixture's day, whose close is dominated by the per-rare-domain
+// work.
 func BenchmarkDayCloseIncremental(b *testing.B) {
-	dayCloseFixture()
 	const shards = 4
 	seed := maphash.MakeSeed()
+	byDomain := func(v *Visit) int { return int(maphash.String(seed, v.Domain) % shards) }
 	for _, bc := range []struct {
 		name     string
+		fix      func() *dayCloseDay
 		part     func(v *Visit) int
 		snapshot func(day time.Time, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot
 	}{
-		{"domain", func(v *Visit) int { return int(maphash.String(seed, v.Domain) % shards) }, profile.ClassifyDisjoint},
-		{"pair", func(v *Visit) int { return profile.PairPartition(v.Host, v.Domain, shards) }, MergeSnapshotParallel},
+		{"domain", dayCloseFixture, byDomain, profile.ClassifyDisjoint},
+		{"pair", dayCloseFixture, func(v *Visit) int { return profile.PairPartition(v.Host, v.Domain, shards) }, MergeSnapshotParallel},
+		{"churn", churnCloseFixture, byDomain, profile.ClassifyDisjoint},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			f := bc.fix()
 			// Rebuild the partials for every iteration, untimed (that cost
 			// rides the ingest hot path in production): reusing one set
 			// across iterations would hand later closes pre-sorted rare
@@ -517,8 +552,8 @@ func BenchmarkDayCloseIncremental(b *testing.B) {
 				for i := range parts {
 					parts[i] = NewIncrementalBuilder()
 				}
-				for i := range dayCloseVisits {
-					v := &dayCloseVisits[i]
+				for i := range f.visits {
+					v := &f.visits[i]
 					parts[bc.part(v)].Add(uint64(i), v)
 				}
 				return parts
@@ -529,12 +564,13 @@ func BenchmarkDayCloseIncremental(b *testing.B) {
 				b.StopTimer()
 				parts := buildParts()
 				b.StartTimer()
-				snap := bc.snapshot(dayCloseDay, parts, dayCloseHist, 10, 0)
-				ads := dayCloseDet.FindAutomatedParallel(snap, 0)
-				dayCloseDet.FillFeaturesParallel(ads, dayCloseDay, 0)
+				snap := bc.snapshot(f.day, parts, f.hist, 10, 0)
+				ads := f.det.FindAutomatedParallel(snap, 0)
+				f.det.FillFeaturesParallel(ads, f.day, 0)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.N)*float64(len(dayCloseVisits))/b.Elapsed().Seconds(), "visits/s")
+			b.ReportMetric(float64(b.N)*float64(len(f.visits))/b.Elapsed().Seconds(), "visits/s")
+			b.ReportMetric(float64(len(profile.ClassifyDisjoint(f.day, buildParts(), f.hist, 10, 1).Rare)), "rare/day")
 		})
 	}
 }

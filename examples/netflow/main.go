@@ -46,9 +46,9 @@ func run(seed int64) error {
 
 		if day >= g.Config().TrainingDays {
 			var seeds []string
-			for _, dom := range snap.RareDomains() {
-				if det.IsCC(snap.Rare[dom], date) {
-					seeds = append(seeds, dom)
+			for _, da := range snap.RareActivities() {
+				if det.IsCC(da, date) {
+					seeds = append(seeds, da.Domain)
 				}
 			}
 			if len(seeds) > 0 {

@@ -80,17 +80,9 @@ func NewDetector(x *features.Extractor) *Detector {
 
 // FindAutomated scans the day's rare destinations and returns every domain
 // with at least one host whose connections are automated, sorted by domain
-// name for determinism.
+// name for determinism. It is FindAutomatedParallel on one worker.
 func (d *Detector) FindAutomated(s *profile.Snapshot) []*AutomatedDomain {
-	var out []*AutomatedDomain
-	for _, domain := range s.RareDomains() {
-		da := s.Rare[domain]
-		ad := analyzeActivity(da, d.Hist)
-		if ad != nil {
-			out = append(out, ad)
-		}
-	}
-	return out
+	return d.FindAutomatedParallel(s, 1)
 }
 
 // FindAutomatedParallel is FindAutomated with the per-domain periodicity
@@ -98,11 +90,16 @@ func (d *Detector) FindAutomated(s *profile.Snapshot) []*AutomatedDomain {
 // output is identical (same domains, same order); only wall-clock differs.
 // workers <= 0 uses GOMAXPROCS.
 func (d *Detector) FindAutomatedParallel(s *profile.Snapshot, workers int) []*AutomatedDomain {
-	domains := s.RareDomains()
-	slots := make([]*AutomatedDomain, len(domains))
-	par.ForEachIndex(len(domains), workers, func(i int) {
-		slots[i] = analyzeActivity(s.Rare[domains[i]], d.Hist)
+	rare := s.RareActivities()
+	slots := make([]*AutomatedDomain, len(rare))
+	par.ForEachIndex(len(rare), workers, func(i int) {
+		slots[i] = analyzeActivity(rare[i], d.Hist)
 	})
+	return compact(slots)
+}
+
+// compact returns the non-nil slots, in order.
+func compact(slots []*AutomatedDomain) []*AutomatedDomain {
 	out := make([]*AutomatedDomain, 0, len(slots))
 	for _, ad := range slots {
 		if ad != nil {
@@ -318,16 +315,9 @@ func (d *LANLDetector) IsCC(da *profile.DomainActivity, _ time.Time) bool {
 }
 
 // FindCC scans a snapshot and returns the heuristic's C&C domains sorted by
-// name.
+// name. It is FindCCParallel on one worker.
 func (d *LANLDetector) FindCC(s *profile.Snapshot) []*AutomatedDomain {
-	var out []*AutomatedDomain
-	for _, domain := range s.RareDomains() {
-		da := s.Rare[domain]
-		if d.IsCC(da, s.Day) {
-			out = append(out, analyzeActivity(da, d.Hist))
-		}
-	}
-	return out
+	return d.FindCCParallel(s, 1)
 }
 
 // FindCCParallel is FindCC with the per-domain heuristic fanned out over a
@@ -335,21 +325,14 @@ func (d *LANLDetector) FindCC(s *profile.Snapshot) []*AutomatedDomain {
 // domains, same sorted order); only wall-clock differs. workers <= 0 uses
 // GOMAXPROCS.
 func (d *LANLDetector) FindCCParallel(s *profile.Snapshot, workers int) []*AutomatedDomain {
-	domains := s.RareDomains()
-	slots := make([]*AutomatedDomain, len(domains))
-	par.ForEachIndex(len(domains), workers, func(i int) {
-		da := s.Rare[domains[i]]
-		if d.IsCC(da, s.Day) {
-			slots[i] = analyzeActivity(da, d.Hist)
+	rare := s.RareActivities()
+	slots := make([]*AutomatedDomain, len(rare))
+	par.ForEachIndex(len(rare), workers, func(i int) {
+		if d.IsCC(rare[i], s.Day) {
+			slots[i] = analyzeActivity(rare[i], d.Hist)
 		}
 	})
-	out := make([]*AutomatedDomain, 0, len(slots))
-	for _, ad := range slots {
-		if ad != nil {
-			out = append(out, ad)
-		}
-	}
-	return out
+	return compact(slots)
 }
 
 // countAligned counts the elements of a (sorted) that have a counterpart in

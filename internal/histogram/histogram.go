@@ -70,11 +70,23 @@ func Intervals(times []time.Time) []float64 {
 		return nil
 	}
 	sorted := times
-	if !slices.IsSortedFunc(times, time.Time.Compare) {
+	if !inOrder(times) {
 		sorted = slices.Clone(times)
 		slices.SortFunc(sorted, time.Time.Compare)
 	}
 	return appendIntervals(make([]float64, 0, len(sorted)-1), sorted)
+}
+
+// inOrder reports whether times are ascending (equal neighbours allowed):
+// slices.IsSortedFunc with time.Time.Compare, inlined. The detect stage asks
+// once per (host, rare domain) pair, of series classification has sorted.
+func inOrder(times []time.Time) bool {
+	for i := 1; i < len(times); i++ {
+		if times[i].Before(times[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // appendIntervals appends the intervals between successive sorted timestamps
@@ -282,7 +294,7 @@ func AnalyzeTimes(times []time.Time, cfg Config) Verdict {
 	}
 	sorted := times
 	var sortBuf [stackSeries]time.Time
-	if !slices.IsSortedFunc(times, time.Time.Compare) {
+	if !inOrder(times) {
 		sorted = append(sortBuf[:0], times...)
 		slices.SortFunc(sorted, time.Time.Compare)
 	}

@@ -177,6 +177,11 @@ func FuzzAnalyzeTimes(f *testing.F) {
 	}
 	f.Add(seriesBytes([]int64{5000, 0, 0, 5000, 0, 5000, 0}), 10.0, 0.06, uint8(4)) // duplicate timestamps
 	f.Add(seriesBytes([]int64{0, 0, 0, 0}), 0.0, 0.0, uint8(1))
+	// The order check's edges: equal neighbours are in order, and a single
+	// step back at either end of the series is not.
+	f.Add(seriesBytes([]int64{60_000, 0, 60_000, 0, 60_000, 60_000}), 10.0, 0.06, uint8(4))
+	f.Add(seriesBytes([]int64{60_000, -1, 60_000, 60_000, 60_000, 60_000}), 10.0, 0.06, uint8(4))
+	f.Add(seriesBytes([]int64{60_000, 60_000, 60_000, 60_000, 60_000, -1}), 10.0, 0.06, uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, width, threshold float64, minConns uint8) {
 		cfg := Config{BinWidth: width, Threshold: threshold, MinConnections: int(minConns)}
 		times := fuzzSeries(data)

@@ -7,10 +7,12 @@ import (
 )
 
 // TestForEachIndex: every index is visited exactly once, for pools smaller
-// than, equal to and larger than n, and for the GOMAXPROCS default.
+// than, equal to and larger than n, for the GOMAXPROCS default, and for n on
+// either side of the claimed runs' bounds (maxChunk, and runs cut short by
+// the end of the range).
 func TestForEachIndex(t *testing.T) {
-	for _, n := range []int{0, 1, 7} {
-		for _, workers := range []int{0, 1, n - 1, n, n + 3} {
+	for _, n := range []int{0, 1, 7, 31, 32, 33, 1000, 4097} {
+		for _, workers := range []int{0, 1, 2, 3, 8, n - 1, n, n + 3} {
 			visits := make([]atomic.Int32, n)
 			ForEachIndex(n, workers, func(i int) { visits[i].Add(1) })
 			for i := range visits {

@@ -414,14 +414,14 @@ func (p *Enterprise) collectExamples(snap *profile.Snapshot, automated []*ccdete
 	// domains of *uncompromised* hosts, which are natural negatives (no
 	// shared hosts, no timing correlation, no IP proximity).
 	padded := 0
-	for _, d := range snap.RareDomains() {
+	for _, da := range snap.RareActivities() {
 		if padded >= 30 {
 			break
 		}
+		d := da.Domain
 		if seen[d] || autoSet[d] {
 			continue
 		}
-		da := snap.Rare[d]
 		touchesConfirmed := false
 		for _, ha := range da.Hosts {
 			if hostsOfConfirmed[ha.Host] {

@@ -60,9 +60,8 @@ func snapshotFingerprint(t *testing.T, s *Snapshot) string {
 	t.Helper()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "day=%s new=%d all=%d\n", s.Day.Format("2006-01-02"), s.NewDomains, s.AllDomains)
-	for _, d := range s.RareDomains() {
-		da := s.Rare[d]
-		fmt.Fprintf(&sb, "rare %s ip=%v paths=%d\n", d, da.IP, len(da.Paths()))
+	for _, da := range s.RareActivities() {
+		fmt.Fprintf(&sb, "rare %s ip=%v paths=%d\n", da.Domain, da.IP, len(da.Paths()))
 		for _, ha := range da.Hosts {
 			fmt.Fprintf(&sb, "  host %s visits=%d noref=%v uas=%d first=%s\n",
 				ha.Host, len(ha.Times), ha.UsesNoReferer(), len(ha.UAs), ha.First().Format(time.RFC3339))

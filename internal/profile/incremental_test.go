@@ -90,8 +90,8 @@ func assertSnapshotsEqual(t *testing.T, label string, got, want *Snapshot) {
 			t.Fatalf("%s: rare domain %s differs:\ngot  %+v\nwant %+v", label, d, gda, wda)
 		}
 	}
-	if !reflect.DeepEqual(got.RareDomains(), want.RareDomains()) {
-		t.Fatalf("%s: RareDomains differ:\ngot  %v\nwant %v", label, got.RareDomains(), want.RareDomains())
+	if !reflect.DeepEqual(rareNames(got), rareNames(want)) {
+		t.Fatalf("%s: RareActivities differ:\ngot  %v\nwant %v", label, rareNames(got), rareNames(want))
 	}
 	if !reflect.DeepEqual(got.HostRare, want.HostRare) {
 		t.Fatalf("%s: HostRare differs", label)

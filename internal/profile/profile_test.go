@@ -97,7 +97,7 @@ func TestSnapshotRareExtraction(t *testing.T) {
 		t.Errorf("NewDomains = %d, want 2", s.NewDomains)
 	}
 	if s.RareCount() != 1 {
-		t.Fatalf("RareCount = %d, want 1 (%v)", s.RareCount(), s.RareDomains())
+		t.Fatalf("RareCount = %d, want 1 (%v)", s.RareCount(), rareNames(s))
 	}
 	da, ok := s.Rare["fresh.com"]
 	if !ok {

@@ -83,7 +83,7 @@ func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, thresh
 			continue
 		}
 		s.Rare[d] = da
-		s.rareDomains = append(s.rareDomains, d)
+		s.rare = append(s.rare, da)
 		for h, ha := range hosts[d] {
 			slices.SortFunc(ha.Times, time.Time.Compare)
 			s.HostRare[h] = append(s.HostRare[h], d)
@@ -94,8 +94,17 @@ func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, thresh
 	for h := range s.HostRare {
 		sort.Strings(s.HostRare[h])
 	}
-	sort.Strings(s.rareDomains)
+	sort.Slice(s.rare, func(i, j int) bool { return s.rare[i].Domain < s.rare[j].Domain })
 	return s
+}
+
+// rareNames lists the snapshot's rare domains in RareActivities order.
+func rareNames(s *Snapshot) []string {
+	out := make([]string, len(s.RareActivities()))
+	for i, da := range s.RareActivities() {
+		out[i] = da.Domain
+	}
+	return out
 }
 
 // pairUnion is the day's (host, UA) pair set: the union of the parts' sets a

@@ -15,8 +15,9 @@ import (
 // HostActivity aggregates one host's connections to one domain on one day.
 type HostActivity struct {
 	Host string
-	// Times are the connection timestamps: sorted ascending in a snapshot's
-	// rare domains (classification sorts them), in arrival order in a builder.
+	// Times are the connection timestamps: in arrival order in a builder,
+	// ascending in a snapshot's rare domains. Classification scans each rare
+	// host's series and sorts, in place, only one found out of order.
 	Times []time.Time
 	// NoRefVisits counts visits without a web referer.
 	NoRefVisits int
@@ -134,9 +135,9 @@ type Snapshot struct {
 	// HostRare maps each host to the rare domains it contacted
 	// (host_rdom in Algorithm 1).
 	HostRare map[string][]string
-	// rareDomains is Rare's key set in sorted order, produced once by the
-	// classification pass (RareDomains).
-	rareDomains []string
+	// rare holds Rare's values in domain order, produced once by the
+	// classification pass (RareActivities).
+	rare []*DomainActivity
 	// domains is the full distinct domain list for the end-of-day history
 	// update.
 	domains []string
@@ -542,8 +543,8 @@ func (b *IncrementalBuilder) KnownVisits(domain string) int {
 // domain's complete aggregate: new (absent from the history) and unpopular
 // (fewer than unpopularThreshold distinct hosts). An aggregate that counted a
 // known visit is historical by AddKnown's contract — its caller saw the domain
-// in this history, which only grows — so it skips the locked lookup; that is
-// most of a day's domains. A rare domain's activity is the aggregate's own.
+// in this history, which only grows — so it skips the locked lookup. A rare
+// domain's activity is the aggregate's own.
 func classifyAgg(a *incrementalAgg, hist *History, unpopularThreshold int) (isNew bool, da *DomainActivity) {
 	if a.known > 0 || hist.SeenDomain(a.Domain) {
 		return false, nil
@@ -799,69 +800,79 @@ type rareRun struct {
 // indexRare orders rare by domain, puts every contacting host's timestamps in
 // time order — the only place the arrival ordering the builder didn't preserve
 // is needed, and only for the day's rare survivors — and lists, per host, the
-// domains it contacted. The lists come out sorted because the domains are
+// domains it contacted. A series that arrived in order, as most do, costs one
+// scan instead of a sort. The lists come out sorted because the domains are
 // walked in order.
 func indexRare(rare []*DomainActivity) rareRun {
 	slices.SortFunc(rare, func(a, b *DomainActivity) int { return strings.Compare(a.Domain, b.Domain) })
 	hostRare := make(map[string][]string)
 	for _, da := range rare {
 		for _, ha := range da.Hosts {
-			slices.SortFunc(ha.Times, time.Time.Compare)
+			if !inOrder(ha.Times) {
+				slices.SortFunc(ha.Times, time.Time.Compare)
+			}
 			hostRare[ha.Host] = append(hostRare[ha.Host], da.Domain)
 		}
 	}
 	return rareRun{rare: rare, hostRare: hostRare}
 }
 
-// setRare installs domain-disjoint runs as the snapshot's rare set and merges
-// their sorted orders into the two indexes over it.
-func (s *Snapshot) setRare(runs []rareRun) {
-	n := 0
-	for _, r := range runs {
-		n += len(r.rare)
-	}
-	s.Rare = make(map[string]*DomainActivity, n)
-	names := make([][]string, len(runs))
-	for i, r := range runs {
-		names[i] = make([]string, len(r.rare))
-		for j, da := range r.rare {
-			s.Rare[da.Domain] = da
-			names[i][j] = da.Domain
+// inOrder reports whether times are ascending (equal neighbours allowed):
+// slices.IsSortedFunc with time.Time.Compare, inlined.
+func inOrder(times []time.Time) bool {
+	for i := 1; i < len(times); i++ {
+		if times[i].Before(times[i-1]) {
+			return false
 		}
 	}
-	// Pairwise rounds: every name is copied once per round, log2(runs) rounds.
-	for len(names) > 1 {
-		half := names[:(len(names)+1)/2]
+	return true
+}
+
+// setRare installs domain-disjoint runs as the snapshot's rare set: their
+// sorted orders merged into the one domain-sorted activity slice, the Rare map
+// over it, and the per-host index.
+func (s *Snapshot) setRare(runs []rareRun) {
+	merged := make([][]*DomainActivity, len(runs))
+	for i, r := range runs {
+		merged[i] = r.rare
+	}
+	// Pairwise rounds: every entry is copied once per round, log2(runs) rounds.
+	for len(merged) > 1 {
+		half := merged[:(len(merged)+1)/2]
 		for i := range half {
-			if 2*i+1 < len(names) {
-				half[i] = mergeSorted(names[2*i], names[2*i+1])
+			if 2*i+1 < len(merged) {
+				half[i] = mergeSorted(merged[2*i], merged[2*i+1], func(da *DomainActivity) string { return da.Domain })
 			} else {
-				half[i] = names[2*i]
+				half[i] = merged[2*i]
 			}
 		}
-		names = half
+		merged = half
 	}
-	s.rareDomains = names[0]
+	s.rare = merged[0]
+	s.Rare = make(map[string]*DomainActivity, len(s.rare))
+	for _, da := range s.rare {
+		s.Rare[da.Domain] = da
+	}
 	s.HostRare = runs[0].hostRare
 	for _, r := range runs[1:] {
 		for h, ds := range r.hostRare {
-			s.HostRare[h] = mergeSorted(s.HostRare[h], ds)
+			s.HostRare[h] = mergeSorted(s.HostRare[h], ds, func(d string) string { return d })
 		}
 	}
 }
 
-// mergeSorted merges two sorted string lists into one; an empty side returns
+// mergeSorted merges two lists sorted by key into one; an empty side returns
 // the other as it is.
-func mergeSorted(a, b []string) []string {
+func mergeSorted[T any](a, b []T, key func(T) string) []T {
 	if len(a) == 0 {
 		return b
 	}
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]string, 0, len(a)+len(b))
+	out := make([]T, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
-		if b[0] < a[0] {
+		if key(b[0]) < key(a[0]) {
 			out, b = append(out, b[0]), b[1:]
 		} else {
 			out, a = append(out, a[0]), a[1:]
@@ -906,9 +917,10 @@ func PairPartition(host, domain string, n int) int {
 // RareCount returns the number of rare destinations today.
 func (s *Snapshot) RareCount() int { return len(s.Rare) }
 
-// RareDomains returns the rare domains in sorted order. The list is the
-// snapshot's own, produced once at classification: callers must not modify it.
-func (s *Snapshot) RareDomains() []string { return s.rareDomains }
+// RareActivities returns the rare domains' activities in domain order — the
+// values of Rare, sorted once at classification. The slice is the snapshot's
+// own: callers must not modify it.
+func (s *Snapshot) RareActivities() []*DomainActivity { return s.rare }
 
 // urlPath extracts the path component (with the query marker preserved, as
 // the paper reports patterns like "/logo.gif?") from a URL without a full
