@@ -169,7 +169,7 @@ func BeliefPropagation(
 	}
 	rare := make(map[string]bool)
 	addHostDomains := func(h string) {
-		for _, d := range s.HostRare[h] {
+		for _, d := range s.HostRare(h) {
 			rare[d] = true
 		}
 	}

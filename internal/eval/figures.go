@@ -84,7 +84,7 @@ func Figure3(run *LANLRun) (Figure3Result, *Table) {
 				mal    bool
 			}
 			var visits []fv
-			for _, d := range rep.Snapshot.HostRare[hip] {
+			for _, d := range rep.Snapshot.HostRare(hip) {
 				da := rep.Snapshot.Rare[d]
 				visits = append(visits, fv{d, da.Host(hip).First(), run.Gen.Truth.IsMalicious(d)})
 			}

@@ -396,7 +396,7 @@ func (p *Enterprise) collectExamples(snap *profile.Snapshot, automated []*ccdete
 	}
 	sort.Strings(confirmedHosts) // deterministic example order => bit-stable fits
 	for _, h := range confirmedHosts {
-		for _, d := range snap.HostRare[h] {
+		for _, d := range snap.HostRare(h) {
 			if seen[d] || autoSet[d] {
 				continue
 			}

@@ -48,7 +48,7 @@ func TestStageSnapshotIsolated(t *testing.T) {
 	if p.History().DomainCount() != 0 {
 		t.Fatal("stageSnapshot mutated the history")
 	}
-	if got := len(snap.HostRare["victim"]); got != 1 {
+	if got := len(snap.HostRare("victim")); got != 1 {
 		t.Fatalf("victim contacts %d rare domains, want 1", got)
 	}
 }

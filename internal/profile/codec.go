@@ -231,7 +231,7 @@ func LoadBuilderFrom(dec *json.Decoder) (*IncrementalBuilder, error) {
 				}
 			}
 		}
-		b.perDomain[rec.Domain] = a
+		b.link(a)
 	}
 	if visits != hdr.Visits {
 		return nil, fmt.Errorf("profile: builder visit total %d does not match header %d", visits, hdr.Visits)
@@ -278,15 +278,15 @@ func (b *IncrementalBuilder) MaxSeq() uint64 {
 // Clone returns a deep copy sharing no mutable structure with b, so a
 // checkpoint can snapshot a shard's partial under the engine's brief
 // exclusive freeze and encode it afterwards while the ingest path keeps
-// mutating the original.
+// mutating the original. The copy's domains enter it in b's order.
 func (b *IncrementalBuilder) Clone() *IncrementalBuilder {
 	out := &IncrementalBuilder{
 		perDomain: make(map[string]*incrementalAgg, len(b.perDomain)),
 		uaPairs:   make(map[[2]string]bool, len(b.uaPairs)),
 		visits:    b.visits,
 	}
-	for d, a := range b.perDomain {
-		out.perDomain[d] = out.copyAgg(a)
+	for a := b.first; a != nil; a = a.next {
+		out.link(out.copyAgg(a))
 	}
 	for pair := range b.uaPairs {
 		out.uaPairs[pair] = true
@@ -321,13 +321,15 @@ func (b *IncrementalBuilder) copyAgg(a *incrementalAgg) *incrementalAgg {
 // clones yields the same aggregate any other partitioning would. b adopts
 // parts of o's structure, so o must not be used afterwards; the receiver
 // must be a builder the caller owns outright (a Clone, or a freshly loaded
-// one), because shared domains merge into b's aggregates.
+// one), because shared domains merge into b's aggregates. o's new domains
+// enter b after b's own, in o's order.
 func (b *IncrementalBuilder) MergeFrom(o *IncrementalBuilder) {
-	for d, oa := range o.perDomain {
-		if a, ok := b.perDomain[d]; ok {
+	for oa, next := o.first, (*incrementalAgg)(nil); oa != nil; oa = next {
+		next = oa.next // link relinks an adopted aggregate
+		if a, ok := b.perDomain[oa.Domain]; ok {
 			b.mergeAgg(a, oa)
 		} else {
-			b.perDomain[d] = oa
+			b.link(oa)
 		}
 	}
 	for pair := range o.uaPairs {
@@ -342,9 +344,9 @@ func (b *IncrementalBuilder) MergeFrom(o *IncrementalBuilder) {
 // the whole aggregate — hosts, known count, first-seen IP, retained paths —
 // lands there: the engine passes its own ingest routing, so a domain's
 // restored state and its future visits meet on one shard and the parts are
-// domain-disjoint, as ClassifyDisjoint requires. The (host, UA) pairs, which
-// only matter unioned at day-close, go to partition 0. The receiver is
-// consumed.
+// domain-disjoint, as ClassifyDisjoint requires. Each part's domains keep
+// the receiver's order. The (host, UA) pairs, which only matter unioned at
+// day-close, go to partition 0. The receiver is consumed.
 func (b *IncrementalBuilder) Split(n int, route func(domain string) int) []*IncrementalBuilder {
 	if n < 1 {
 		n = 1
@@ -353,9 +355,10 @@ func (b *IncrementalBuilder) Split(n int, route func(domain string) int) []*Incr
 	for i := range parts {
 		parts[i] = NewIncrementalBuilder()
 	}
-	for d, a := range b.perDomain {
-		p := parts[route(d)]
-		p.perDomain[d] = a
+	for a, next := b.first, (*incrementalAgg)(nil); a != nil; a = next {
+		next = a.next // link relinks the aggregate
+		p := parts[route(a.Domain)]
+		p.link(a)
 		p.visits += a.known
 		for _, ha := range a.Hosts {
 			p.visits += len(ha.Times)
@@ -371,13 +374,12 @@ func (b *IncrementalBuilder) HasDomain(d string) bool {
 	return ok
 }
 
-// DomainNames returns the builder's distinct domains in unspecified order.
-//
-//lint:ignore maporder the contract is explicitly an unordered set; callers that emit must sort
+// DomainNames returns the builder's distinct domains in the order they
+// entered it.
 func (b *IncrementalBuilder) DomainNames() []string {
 	out := make([]string, 0, len(b.perDomain))
-	for d := range b.perDomain {
-		out = append(out, d)
+	for a := b.first; a != nil; a = a.next {
+		out = append(out, a.Domain)
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +147,87 @@ func TestBuilderMergeSplitEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkLinks fails unless b's entry list holds exactly perDomain's values,
+// once each, and ends at b.last.
+func checkLinks(t *testing.T, label string, b *IncrementalBuilder) {
+	t.Helper()
+	seen := make(map[*incrementalAgg]bool, len(b.perDomain))
+	var last *incrementalAgg
+	for a := b.first; a != nil; a = a.next {
+		if seen[a] {
+			t.Fatalf("%s: %q linked twice", label, a.Domain)
+		}
+		seen[a] = true
+		if b.perDomain[a.Domain] != a {
+			t.Fatalf("%s: the aggregate linked for %q is not perDomain's", label, a.Domain)
+		}
+		last = a
+	}
+	if len(seen) != len(b.perDomain) {
+		t.Fatalf("%s: %d aggregates linked, %d in perDomain", label, len(seen), len(b.perDomain))
+	}
+	if b.last != last {
+		t.Fatalf("%s: last is not the list's tail", label)
+	}
+}
+
+// TestBuilderLinksHoldEveryDomain: after every way a builder gains domains —
+// Run, Clone, MergeFrom (merging into a held domain and adopting a new one),
+// Split and LoadBuilderFrom — the entry list is exactly perDomain's values,
+// and a clone, an adopting merge and the parts of a split keep the source's
+// domain order, whatever the map's.
+func TestBuilderLinksHoldEveryDomain(t *testing.T) {
+	visits := codecVisits(900)
+	b := buildFromVisits(visits)
+	order := b.DomainNames()
+	checkLinks(t, "Run", b)
+	clone := b.Clone()
+	checkLinks(t, "Clone", clone)
+	if !slices.Equal(clone.DomainNames(), order) {
+		t.Fatalf("Clone reordered the domains: %v, want %v", clone.DomainNames(), order)
+	}
+
+	adopter := NewIncrementalBuilder()
+	adopter.MergeFrom(b.Clone())
+	checkLinks(t, "MergeFrom adopting every domain", adopter)
+	if !slices.Equal(adopter.DomainNames(), order) {
+		t.Fatalf("MergeFrom reordered the domains: %v, want %v", adopter.DomainNames(), order)
+	}
+	shared := cutParts(visits, 3, byPair)
+	for _, p := range shared[1:] {
+		shared[0].MergeFrom(p)
+		checkLinks(t, "MergeFrom over shared domains", shared[0])
+	}
+	disjoint := cutParts(visits, 3, byDomain)
+	for _, p := range disjoint[1:] {
+		disjoint[0].MergeFrom(p)
+		checkLinks(t, "MergeFrom over disjoint domains", disjoint[0])
+	}
+
+	for i, p := range b.Clone().Split(4, func(d string) int { return domainOf(d, 4) }) {
+		checkLinks(t, fmt.Sprintf("Split part %d", i), p)
+		var want []string
+		for _, d := range order {
+			if domainOf(d, 4) == i {
+				want = append(want, d)
+			}
+		}
+		if !slices.Equal(p.DomainNames(), want) {
+			t.Fatalf("Split part %d reordered the domains: %v, want %v", i, p.DomainNames(), want)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := b.SaveTo(json.NewEncoder(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadBuilderFrom(json.NewDecoder(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLinks(t, "LoadBuilderFrom", loaded)
 }
 
 // TestBuilderCodecRefusals: hostile builder sections must come back as

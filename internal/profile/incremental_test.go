@@ -93,9 +93,7 @@ func assertSnapshotsEqual(t *testing.T, label string, got, want *Snapshot) {
 	if !reflect.DeepEqual(rareNames(got), rareNames(want)) {
 		t.Fatalf("%s: RareActivities differ:\ngot  %v\nwant %v", label, rareNames(got), rareNames(want))
 	}
-	if !reflect.DeepEqual(got.HostRare, want.HostRare) {
-		t.Fatalf("%s: HostRare differs", label)
-	}
+	assertHostRare(t, label, got, want)
 	if !reflect.DeepEqual(pairUnion(got), pairUnion(want)) {
 		t.Fatalf("%s: uaPairs differ", label)
 	}
@@ -105,6 +103,25 @@ func assertSnapshotsEqual(t *testing.T, label string, got, want *Snapshot) {
 	sort.Strings(wd)
 	if !reflect.DeepEqual(gd, wd) {
 		t.Fatalf("%s: domain lists differ", label)
+	}
+}
+
+// assertHostRare compares host_rdom through HostRare, host by host, over
+// every host either side indexes (the reference installs its own index), and
+// reads nil from both for a host neither saw.
+func assertHostRare(t *testing.T, label string, got, want *Snapshot) {
+	t.Helper()
+	got.HostRare("")
+	want.HostRare("")
+	for _, idx := range []map[string][]string{got.hostRare, want.hostRare} {
+		for h := range idx {
+			if g, w := got.HostRare(h), want.HostRare(h); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: HostRare(%q) = %v, want %v", label, h, g, w)
+			}
+		}
+	}
+	if g := got.HostRare("no-such-host"); g != nil {
+		t.Fatalf("%s: HostRare of an unseen host = %v, want nil", label, g)
 	}
 }
 

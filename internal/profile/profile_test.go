@@ -109,8 +109,8 @@ func TestSnapshotRareExtraction(t *testing.T) {
 	if got := da.HostNames(); len(got) != 2 || got[0] != "h1" || got[1] != "h2" {
 		t.Errorf("HostNames = %v", got)
 	}
-	if len(s.HostRare["h1"]) != 1 || s.HostRare["h1"][0] != "fresh.com" {
-		t.Errorf("HostRare[h1] = %v", s.HostRare["h1"])
+	if len(s.HostRare("h1")) != 1 || s.HostRare("h1")[0] != "fresh.com" {
+		t.Errorf("HostRare[h1] = %v", s.HostRare("h1"))
 	}
 }
 

@@ -14,13 +14,15 @@ import (
 // MergeSnapshotParallel share one implementation, so without this the
 // equivalence tests would compare that implementation with itself. A
 // domain's hosts are a plain map during the scan and become the snapshot's
-// host-sorted list only at the end.
+// host-sorted list only at the end. The oracle's own host_rdom index is
+// installed as the snapshot's, so its HostRare reads that index instead of
+// building one from the rare slice.
 func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, threshold int) *Snapshot {
 	s := &Snapshot{
-		Day:      day,
-		Rare:     make(map[string]*DomainActivity),
-		HostRare: make(map[string][]string),
+		Day:  day,
+		Rare: make(map[string]*DomainActivity),
 	}
+	hostRare := make(map[string][]string)
 	pairs := make(map[[2]string]bool)
 	acts := make(map[string]*DomainActivity)
 	hosts := make(map[string]map[string]*HostActivity) // domain -> host -> activity
@@ -86,14 +88,15 @@ func referenceSnapshot(day time.Time, visits []logs.Visit, hist *History, thresh
 		s.rare = append(s.rare, da)
 		for h, ha := range hosts[d] {
 			slices.SortFunc(ha.Times, time.Time.Compare)
-			s.HostRare[h] = append(s.HostRare[h], d)
+			hostRare[h] = append(hostRare[h], d)
 			da.Hosts = append(da.Hosts, ha)
 		}
 		sort.Slice(da.Hosts, func(i, j int) bool { return da.Hosts[i].Host < da.Hosts[j].Host })
 	}
-	for h := range s.HostRare {
-		sort.Strings(s.HostRare[h])
+	for h := range hostRare {
+		sort.Strings(hostRare[h])
 	}
+	s.hostRareOnce.Do(func() { s.hostRare = hostRare })
 	sort.Slice(s.rare, func(i, j int) bool { return s.rare[i].Domain < s.rare[j].Domain })
 	return s
 }

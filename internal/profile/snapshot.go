@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/logs"
@@ -123,7 +124,8 @@ func (d *DomainActivity) NumHosts() int { return len(d.Hosts) }
 
 // Snapshot is the reduced view of one day: the rare destinations and the
 // indexes the belief propagation algorithm walks (dom_host and host_rdom in
-// Algorithm 1).
+// Algorithm 1). dom_host is each rare activity's host list; host_rdom is
+// HostRare, built on first use.
 type Snapshot struct {
 	Day time.Time
 	// NewDomains is the count of domains never seen in the history.
@@ -132,12 +134,14 @@ type Snapshot struct {
 	AllDomains int
 	// Rare maps each rare (new + unpopular) domain to its activity.
 	Rare map[string]*DomainActivity
-	// HostRare maps each host to the rare domains it contacted
-	// (host_rdom in Algorithm 1).
-	HostRare map[string][]string
 	// rare holds Rare's values in domain order, produced once by the
 	// classification pass (RareActivities).
 	rare []*DomainActivity
+	// hostRare is host_rdom, built from rare by the first HostRare call: only
+	// belief propagation and calibration's similarity examples read it, and
+	// many closes run neither over any host.
+	hostRareOnce sync.Once
+	hostRare     map[string][]string
 	// domains is the full distinct domain list for the end-of-day history
 	// update.
 	domains []string
@@ -184,6 +188,9 @@ type incrementalAgg struct {
 	// occurrence of it would not lower it either); it is re-tightened by the
 	// next scan. Zero = no scan yet.
 	pathSeqBound uint64
+	// next links the aggregate to the one entered into its builder after it
+	// (IncrementalBuilder.first).
+	next *incrementalAgg
 }
 
 // admitPath offers one path occurrence to a's bounded retention set, copying
@@ -296,6 +303,15 @@ func (b *IncrementalBuilder) mergeHostActivity(x, y *HostActivity) *HostActivity
 // disjoint domain sets.
 type IncrementalBuilder struct {
 	perDomain map[string]*incrementalAgg
+	// first and last are the ends of the list, linked through next, of
+	// perDomain's values in the order they entered the builder. A new domain's
+	// aggregate is cut from the slab as it enters, so a walk of the list reads
+	// the slab — and the arenas its hosts were carved from — in the order it
+	// was laid down, where a walk of the map jumps around it. Every writer of
+	// perDomain enters through link; the walks (classification, Clone,
+	// MergeFrom, Split) follow the list, so their order is the builder's own,
+	// never the map's.
+	first, last *incrementalAgg
 	// uaPairs is the day's (host, UA) pair set the UA history is updated
 	// from. Invariant: every non-empty UA in a host's UA set, in any builder
 	// of the day, has its pair in the union of the day's builders' uaPairs —
@@ -392,6 +408,18 @@ func (b *IncrementalBuilder) newAgg(domain string) *incrementalAgg {
 	return a
 }
 
+// link enters a under its domain, at the end of the builder's list.
+func (b *IncrementalBuilder) link(a *incrementalAgg) {
+	b.perDomain[a.Domain] = a
+	a.next = nil
+	if b.last == nil {
+		b.first = a
+	} else {
+		b.last.next = a
+	}
+	b.last = a
+}
+
 // newHost makes an empty activity for host with room for nTimes timestamps
 // and nUAs user agents.
 func (b *IncrementalBuilder) newHost(host string, nTimes, nUAs int) *HostActivity {
@@ -425,7 +453,7 @@ func (b *IncrementalBuilder) Run(domain string) RunCursor {
 	a, ok := b.perDomain[domain]
 	if !ok {
 		a = b.newAgg(strings.Clone(domain))
-		b.perDomain[a.Domain] = a
+		b.link(a)
 	}
 	return RunCursor{b: b, agg: a}
 }
@@ -519,13 +547,11 @@ func (b *IncrementalBuilder) Domains() int { return len(b.perDomain) }
 // one visit folded through Add), with the domain's per-host activities sorted
 // by host. The walk is read-only: fn must not modify the list or the
 // activities, whose Times are in arrival order, not sorted. Domains arrive in
-// unspecified order.
-//
-//lint:ignore maporder the contract is explicitly an unordered walk; callers that emit must sort
+// the order they entered the builder.
 func (b *IncrementalBuilder) EachProfiled(fn func(domain string, hosts []*HostActivity)) {
-	for d, a := range b.perDomain {
+	for a := b.first; a != nil; a = a.next {
 		if len(a.Hosts) > 0 {
-			fn(d, a.Hosts)
+			fn(a.Domain, a.Hosts)
 		}
 	}
 }
@@ -657,9 +683,11 @@ func fanOut(parts []*IncrementalBuilder, workers int) int {
 // which hold the same domain — the streaming engine's shards (it routes by
 // domain) and NewSnapshotParallel's partitions. Every aggregate is then
 // already complete, so there is nothing to merge: the parts' entries are
-// flattened into one slice and classified in contiguous ranges, one per
-// worker, which keeps the fan-out a function of workers rather than of the
-// part count and lets a part holding most of the day spread over every worker.
+// flattened into one slice, each part's in the order its domains entered it
+// (so a range reads its part's slabs and arenas in the order they were laid
+// down), and classified in contiguous ranges, one per worker, which keeps the
+// fan-out a function of workers rather than of the part count and lets a part
+// holding most of the day spread over every worker.
 // The result — and hence every report derived from it — is the sequential
 // reduction of the same visits in seq order, for any domain partition, apply
 // order and worker count. workers <= 0 uses GOMAXPROCS.
@@ -676,8 +704,7 @@ func ClassifyDisjoint(day time.Time, parts []*IncrementalBuilder, hist *History,
 	}
 	entries := make([]*incrementalAgg, 0, n)
 	for _, p := range parts {
-		for _, a := range p.perDomain {
-			//lint:ignore maporder entry order only decides which range classifies a domain; every emitted order is sorted in classify
+		for a := p.first; a != nil; a = a.next {
 			entries = append(entries, a)
 		}
 	}
@@ -702,44 +729,38 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 	// deterministic.
 	buckets := make([][]*incrementalAgg, workers)
 	for _, p := range parts {
-		for d, a := range p.perDomain {
+		for a := p.first; a != nil; a = a.next {
 			w := 0
 			if workers > 1 {
-				w = int(domainPartition(d) % uint32(workers))
+				w = int(domainPartition(a.Domain) % uint32(workers))
 			}
-			//lint:ignore maporder bucket interleaving across domains is immaterial; per-domain aggregates stay in part index order and merge per domain
 			buckets[w] = append(buckets[w], a)
 		}
 	}
 	unions := make([][]*incrementalAgg, workers)
 	par.ForEachIndex(workers, workers, func(w int) {
 		bucket := buckets[w]
-		merged := make(map[string]*incrementalAgg, len(bucket))
-		// adopted marks merged entries that still alias a part's aggregate;
-		// a second occurrence of the domain forces a private copy so no
+		// at is a domain's index in union. A domain first met is adopted as it
+		// stands; a second occurrence forces a private copy (owned), so no
 		// builder state is mutated by the merge.
-		adopted := make(map[string]bool)
+		at := make(map[string]int, len(bucket))
+		union := make([]*incrementalAgg, 0, len(bucket))
+		owned := make([]bool, 0, len(bucket))
 		priv := NewIncrementalBuilder()
 		for _, a := range bucket {
-			m, ok := merged[a.Domain]
+			i, ok := at[a.Domain]
 			if !ok {
-				merged[a.Domain] = a
-				adopted[a.Domain] = true
+				at[a.Domain] = len(union)
+				union = append(union, a)
+				owned = append(owned, false)
 				continue
 			}
-			if adopted[a.Domain] {
+			if !owned[i] {
 				own := priv.newAgg(a.Domain)
-				priv.mergeAgg(own, m)
-				merged[a.Domain] = own
-				adopted[a.Domain] = false
-				m = own
+				priv.mergeAgg(own, union[i])
+				union[i], owned[i] = own, true
 			}
-			priv.mergeAgg(m, a)
-		}
-		union := make([]*incrementalAgg, 0, len(merged))
-		for _, a := range merged {
-			//lint:ignore maporder as in ClassifyDisjoint: entry order never reaches an output
-			union = append(union, a)
+			priv.mergeAgg(union[i], a)
 		}
 		unions[w] = union
 	})
@@ -750,8 +771,9 @@ func MergeSnapshotParallel(day time.Time, parts []*IncrementalBuilder, hist *His
 // entries holds each of the day's domains once, with its complete aggregate;
 // parts contribute only their (host, UA) pair sets, which the snapshot keeps
 // for Commit without unioning them. Contiguous ranges of entries are
-// classified concurrently; each range sorts its own rare survivors and
-// indexes their hosts (indexRare), and the ranges' sorted runs are merged.
+// classified concurrently; each range puts a rare domain's host series in
+// time order as it classifies the domain, while its state is at hand, then
+// sorts its survivors by domain, and the ranges' sorted runs are merged.
 func classify(day time.Time, entries []*incrementalAgg, parts []*IncrementalBuilder, hist *History, unpopularThreshold, workers int) *Snapshot {
 	s := &Snapshot{
 		Day:        day,
@@ -759,7 +781,7 @@ func classify(day time.Time, entries []*incrementalAgg, parts []*IncrementalBuil
 		domains:    make([]string, len(entries)),
 	}
 	ranges := max(1, min(workers, len(entries)))
-	runs := make([]rareRun, ranges)
+	runs := make([][]*DomainActivity, ranges)
 	newCnt := make([]int, ranges)
 	par.ForEachIndex(ranges, workers, func(r int) {
 		lo, hi := r*len(entries)/ranges, (r+1)*len(entries)/ranges
@@ -772,11 +794,13 @@ func classify(day time.Time, entries []*incrementalAgg, parts []*IncrementalBuil
 				n++
 			}
 			if da != nil {
+				orderTimes(da)
 				rare = append(rare, da)
 			}
 		}
+		slices.SortFunc(rare, func(a, b *DomainActivity) int { return strings.Compare(a.Domain, b.Domain) })
 		newCnt[r] = n
-		runs[r] = indexRare(rare)
+		runs[r] = rare
 	})
 	for _, n := range newCnt {
 		s.NewDomains += n
@@ -789,32 +813,16 @@ func classify(day time.Time, entries []*incrementalAgg, parts []*IncrementalBuil
 	return s
 }
 
-// rareRun is a set of rare domains in domain order with the host index over
-// it: what one classification range (or a decoded snapshot section) hands to
-// setRare.
-type rareRun struct {
-	rare     []*DomainActivity
-	hostRare map[string][]string
-}
-
-// indexRare orders rare by domain, puts every contacting host's timestamps in
-// time order — the only place the arrival ordering the builder didn't preserve
-// is needed, and only for the day's rare survivors — and lists, per host, the
-// domains it contacted. A series that arrived in order, as most do, costs one
-// scan instead of a sort. The lists come out sorted because the domains are
-// walked in order.
-func indexRare(rare []*DomainActivity) rareRun {
-	slices.SortFunc(rare, func(a, b *DomainActivity) int { return strings.Compare(a.Domain, b.Domain) })
-	hostRare := make(map[string][]string)
-	for _, da := range rare {
-		for _, ha := range da.Hosts {
-			if !inOrder(ha.Times) {
-				slices.SortFunc(ha.Times, time.Time.Compare)
-			}
-			hostRare[ha.Host] = append(hostRare[ha.Host], da.Domain)
+// orderTimes puts every contacting host's timestamps in time order — the only
+// place the arrival ordering the builder didn't preserve is needed, and only
+// for the day's rare survivors. A series that arrived in order, as most do,
+// costs one scan instead of a sort.
+func orderTimes(da *DomainActivity) {
+	for _, ha := range da.Hosts {
+		if !inOrder(ha.Times) {
+			slices.SortFunc(ha.Times, time.Time.Compare)
 		}
 	}
-	return rareRun{rare: rare, hostRare: hostRare}
 }
 
 // inOrder reports whether times are ascending (equal neighbours allowed):
@@ -828,51 +836,41 @@ func inOrder(times []time.Time) bool {
 	return true
 }
 
-// setRare installs domain-disjoint runs as the snapshot's rare set: their
-// sorted orders merged into the one domain-sorted activity slice, the Rare map
-// over it, and the per-host index.
-func (s *Snapshot) setRare(runs []rareRun) {
-	merged := make([][]*DomainActivity, len(runs))
-	for i, r := range runs {
-		merged[i] = r.rare
-	}
+// setRare installs domain-disjoint runs, each in domain order, as the
+// snapshot's rare set: their orders merged into the one domain-sorted activity
+// slice, and the Rare map over it.
+func (s *Snapshot) setRare(runs [][]*DomainActivity) {
 	// Pairwise rounds: every entry is copied once per round, log2(runs) rounds.
-	for len(merged) > 1 {
-		half := merged[:(len(merged)+1)/2]
+	for len(runs) > 1 {
+		half := runs[:(len(runs)+1)/2]
 		for i := range half {
-			if 2*i+1 < len(merged) {
-				half[i] = mergeSorted(merged[2*i], merged[2*i+1], func(da *DomainActivity) string { return da.Domain })
+			if 2*i+1 < len(runs) {
+				half[i] = mergeSorted(runs[2*i], runs[2*i+1])
 			} else {
-				half[i] = merged[2*i]
+				half[i] = runs[2*i]
 			}
 		}
-		merged = half
+		runs = half
 	}
-	s.rare = merged[0]
+	s.rare = runs[0]
 	s.Rare = make(map[string]*DomainActivity, len(s.rare))
 	for _, da := range s.rare {
 		s.Rare[da.Domain] = da
 	}
-	s.HostRare = runs[0].hostRare
-	for _, r := range runs[1:] {
-		for h, ds := range r.hostRare {
-			s.HostRare[h] = mergeSorted(s.HostRare[h], ds, func(d string) string { return d })
-		}
-	}
 }
 
-// mergeSorted merges two lists sorted by key into one; an empty side returns
-// the other as it is.
-func mergeSorted[T any](a, b []T, key func(T) string) []T {
+// mergeSorted merges two activity lists sorted by domain into one; an empty
+// side returns the other as it is.
+func mergeSorted(a, b []*DomainActivity) []*DomainActivity {
 	if len(a) == 0 {
 		return b
 	}
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]T, 0, len(a)+len(b))
+	out := make([]*DomainActivity, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
-		if key(b[0]) < key(a[0]) {
+		if b[0].Domain < a[0].Domain {
 			out, b = append(out, b[0]), b[1:]
 		} else {
 			out, a = append(out, a[0]), a[1:]
@@ -921,6 +919,61 @@ func (s *Snapshot) RareCount() int { return len(s.Rare) }
 // values of Rare, sorted once at classification. The slice is the snapshot's
 // own: callers must not modify it.
 func (s *Snapshot) RareActivities() []*DomainActivity { return s.rare }
+
+// HostRare returns the rare domains host contacted today, in domain order —
+// its host_rdom entry in Algorithm 1 — or nil for a host that contacted none.
+// The index is built by the first call, so a snapshot nobody asks builds
+// none. Safe for concurrent use; the slice is the snapshot's own: callers
+// must not modify it.
+func (s *Snapshot) HostRare(host string) []string {
+	s.hostRareOnce.Do(s.indexHosts)
+	return s.hostRare[host]
+}
+
+// indexHosts builds host_rdom from one walk of the domain-sorted rare slice:
+// every (host, rare domain) pair is tagged with its host's slot, and a
+// counting sort by slot lays each host's domains, still in domain order, into
+// one shared array: one map lookup a pair and one allocation for every list,
+// instead of a map assignment a pair and a reallocation each time a host's
+// list doubles.
+func (s *Snapshot) indexHosts() {
+	type pair struct {
+		slot   int
+		domain string
+	}
+	slots := make(map[string]int)
+	var hosts []string
+	var pairs []pair
+	for _, da := range s.rare {
+		for _, ha := range da.Hosts {
+			i, ok := slots[ha.Host]
+			if !ok {
+				i = len(hosts)
+				slots[ha.Host] = i
+				hosts = append(hosts, ha.Host)
+			}
+			pairs = append(pairs, pair{i, da.Domain})
+		}
+	}
+	// start[i] ends as the index of host i's first domain in all.
+	start := make([]int, len(hosts)+1)
+	for _, p := range pairs {
+		start[p.slot+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	all := make([]string, len(pairs))
+	next := slices.Clone(start)
+	for _, p := range pairs {
+		all[next[p.slot]] = p.domain
+		next[p.slot]++
+	}
+	s.hostRare = make(map[string][]string, len(hosts))
+	for i, h := range hosts {
+		s.hostRare[h] = all[start[i]:start[i+1]:start[i+1]]
+	}
+}
 
 // urlPath extracts the path component (with the query marker preserved, as
 // the paper reports patterns like "/logo.gif?") from a URL without a full
