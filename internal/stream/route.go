@@ -1,0 +1,143 @@
+package stream
+
+import (
+	"hash/maphash"
+
+	"repro/internal/logs"
+	"repro/internal/normalize"
+)
+
+// shardIndex hashes a folded domain onto a shard — for visits and lease-less
+// markers alike, at ingest and at Restore — so the shards' builders are
+// domain-disjoint by construction.
+func (e *Engine) shardIndex(domain string) int {
+	return int(maphash.String(e.seed, domain) % uint64(len(e.shards)))
+}
+
+// routeScratch is the reusable routing state of one batch: a pending send
+// buffer per shard plus the list of shards touched, so routing costs pool
+// lookups instead of per-record allocations — even for a batch of one.
+type routeScratch struct {
+	bufs    []*[]item
+	touched []int
+}
+
+// getBuf takes a shard send buffer with room for a shard's share of the
+// n-record batch in hand. A pooled buffer short of that share — left by a
+// short batch, such as a day file's last chunk — is dropped, as
+// logs.GetProxyBuf does, rather than regrown by append-doubling; a fresh one
+// is sized once for the share plus slack for an uneven hash.
+func (e *Engine) getBuf(n int) *[]item {
+	share := n / len(e.shards)
+	if b, ok := e.bufPool.Get().(*[]item); ok && cap(*b) >= share {
+		return b
+	}
+	b := make([]item, 0, share+share/4+16)
+	return &b
+}
+
+func (e *Engine) putBuf(b *[]item) {
+	*b = (*b)[:0]
+	e.bufPool.Put(b)
+}
+
+func (e *Engine) getScratch() *routeScratch {
+	if sc, ok := e.scratchPool.Get().(*routeScratch); ok {
+		return sc
+	}
+	return &routeScratch{bufs: make([]*[]item, len(e.shards))}
+}
+
+// putScratch recycles the scratch; every buffer it held has been handed to
+// a shard worker by then.
+func (e *Engine) putScratch(sc *routeScratch) {
+	sc.touched = sc.touched[:0]
+	e.scratchPool.Put(sc)
+}
+
+// IngestBatch feeds a slice of raw proxy records through the batched hot
+// path: the engine lock is taken once, one atomic add reserves a contiguous
+// sequence range, the records reduce into pooled per-shard buffers, and
+// each shard receives its share in a single channel operation. The whole
+// batch lands in the open day, whatever its timestamps, in slice order and
+// atomically with respect to concurrent batches; an error (ErrClosed,
+// ErrNoDay) means none of it was ingested. An empty batch returns nil.
+// Blocks while a destination shard's queue is full. The slice is not
+// retained. Safe for concurrent use.
+func (e *Engine) IngestBatch(recs []logs.ProxyRecord) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.closed {
+		return ErrClosed
+	}
+	if e.day.IsZero() {
+		return ErrNoDay
+	}
+	e.routeBatchLocked(recs)
+	return nil
+}
+
+// routeBatchLocked routes recs into the open day. Each record reduces via
+// the shared per-record reducer into a per-shard buffer; one seq-range
+// reservation and at most one channel send per shard replace the per-record
+// atomics and sends the engine used before batching. A send blocks while its
+// shard's queue is full — safe, because the workers always drain (control
+// requests need the exclusive lock, which cannot be taken while we hold it
+// shared). Caller holds mu (shared).
+func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord) {
+	n := len(recs)
+
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+
+	base := e.seq.Add(uint64(n)) - uint64(n)
+	single := len(e.shards) == 1 // one shard: no routing hash needed
+	var droppedIP uint64
+	var red normalize.ProxyReducer
+	for i := range recs {
+		r := &recs[i]
+		host, folded, outcome := red.Key(r, e.leases)
+		if outcome == normalize.ProxyDroppedIPLiteral {
+			droppedIP++
+			continue
+		}
+		si := 0
+		if !single {
+			si = e.shardIndex(folded)
+		}
+		buf := sc.bufs[si]
+		if buf == nil {
+			buf = e.getBuf(n)
+			sc.bufs[si] = buf
+			sc.touched = append(sc.touched, si)
+		}
+		// Append a zero item and reduce into it in place — the record is
+		// read through its pointer and the visit written once, straight
+		// into the shard's buffer.
+		*buf = append(*buf, item{})
+		it := &(*buf)[len(*buf)-1]
+		it.seq = base + uint64(i) + 1
+		if outcome == normalize.ProxyDroppedUnresolved {
+			// Unresolvable source: the record still counts toward the day's
+			// distinct-domain statistic, exactly as in batch.
+			it.domain = folded
+		} else {
+			it.resolved = true
+			normalize.FillVisit(&it.visit, r, host, folded)
+		}
+	}
+
+	for _, si := range sc.touched {
+		e.shards[si].batches <- sc.bufs[si]
+		sc.bufs[si] = nil // owned by the worker now
+	}
+
+	e.dayRecords.Add(uint64(n))
+	e.totalRecords.Add(uint64(n))
+	if droppedIP > 0 {
+		e.dayDroppedIP.Add(droppedIP)
+	}
+}
