@@ -614,7 +614,7 @@ func BenchmarkFindAutomatedSequential(b *testing.B) {
 	snap := reps[0].Snapshot
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = det.FindAutomated(snap)
+		_ = det.FindAutomatedParallel(snap, 1)
 	}
 }
 

@@ -272,7 +272,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// record buffer come from pools, so steady-state ingest reuses one warm
 	// interning table and one buffer across requests.
 	dec := logs.GetProxyDecoder()
-	recs, err := logs.ReadProxyBatch(body, dec, logs.GetProxyBuf(int(sizeHint/approxProxyLineBytes)))
+	recs, err := logs.ReadProxyBatch(body, dec, logs.GetProxyBuf(int(sizeHint/logs.ApproxProxyLineBytes)))
 	logs.PutProxyDecoder(dec)
 	if err != nil {
 		logs.PutProxyBuf(recs)
@@ -301,10 +301,6 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"ingested": n})
 }
-
-// approxProxyLineBytes converts a byte-size hint into a record-count
-// preallocation for ingest buffers; it matches the batch loader's estimate.
-const approxProxyLineBytes = 96
 
 func (s *server) handleFlush(w http.ResponseWriter, _ *http.Request) {
 	if err := s.eng.Flush(); err != nil {

@@ -77,11 +77,6 @@ func dateFromName(name, prefix string) (time.Time, error) {
 	return t, nil
 }
 
-// approxProxyLineBytes sizes record-buffer preallocation from a byte
-// count (file size, Content-Length). Underestimating only costs append
-// growth; overestimating only costs capacity.
-const approxProxyLineBytes = 96
-
 // LoadProxyDay reads one day's proxy records and lease map. The record
 // slice is freshly allocated (callers keep it across days); the decoder
 // comes from the package pool so consecutive days share warm interning
@@ -105,7 +100,7 @@ func LoadProxyDayInto(d Day, dec *logs.ProxyDecoder, recs []logs.ProxyRecord) ([
 	defer f.Close()
 	if cap(recs) == 0 {
 		if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-			recs = make([]logs.ProxyRecord, 0, fi.Size()/approxProxyLineBytes+1)
+			recs = make([]logs.ProxyRecord, 0, fi.Size()/logs.ApproxProxyLineBytes+1)
 		}
 	}
 	recs, err = logs.ReadProxyBatch(f, dec, recs)
@@ -146,7 +141,7 @@ func LoadDNSDay(d Day) ([]logs.DNSRecord, error) {
 	defer f.Close()
 	var recs []logs.DNSRecord
 	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-		recs = make([]logs.DNSRecord, 0, fi.Size()/approxProxyLineBytes+1)
+		recs = make([]logs.DNSRecord, 0, fi.Size()/logs.ApproxProxyLineBytes+1)
 	}
 	if err := logs.ReadDNS(f, func(r logs.DNSRecord) error {
 		recs = append(recs, r)

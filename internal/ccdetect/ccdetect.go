@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/features"
@@ -78,16 +77,11 @@ func NewDetector(x *features.Extractor) *Detector {
 	}
 }
 
-// FindAutomated scans the day's rare destinations and returns every domain
-// with at least one host whose connections are automated, sorted by domain
-// name for determinism. It is FindAutomatedParallel on one worker.
-func (d *Detector) FindAutomated(s *profile.Snapshot) []*AutomatedDomain {
-	return d.FindAutomatedParallel(s, 1)
-}
-
-// FindAutomatedParallel is FindAutomated with the per-domain periodicity
-// analysis fanned out over a bounded worker pool (par.ForEachIndex). The
-// output is identical (same domains, same order); only wall-clock differs.
+// FindAutomatedParallel scans the day's rare destinations and returns every
+// domain with at least one host whose connections are automated, sorted by
+// domain name for determinism. The per-domain periodicity analysis fans out
+// over a bounded worker pool (par.ForEachIndex); the output is identical
+// (same domains, same order) for any worker count, only wall-clock differs.
 // workers <= 0 uses GOMAXPROCS.
 func (d *Detector) FindAutomatedParallel(s *profile.Snapshot, workers int) []*AutomatedDomain {
 	rare := s.RareActivities()
@@ -143,18 +137,13 @@ func analyzeActivity(da *profile.DomainActivity, cfg histogram.Config) *Automate
 	return ad
 }
 
-// FillFeatures extracts C&C features for a batch of automated domains and
-// substitutes the batch average for DomAge/DomValidity where WHOIS was
-// unparseable, as §VI-C prescribes.
-func (d *Detector) FillFeatures(ads []*AutomatedDomain, day time.Time) {
-	d.FillFeaturesParallel(ads, day, 1)
-}
-
-// FillFeaturesParallel is FillFeatures with the per-domain feature
-// extraction fanned out over a bounded worker pool. Each domain writes only
-// its own Features field and the WHOIS averaging runs sequentially in slice
-// order afterwards, so the result is identical to the sequential fill for
-// any worker count. workers <= 0 uses GOMAXPROCS.
+// FillFeaturesParallel extracts C&C features for a batch of automated
+// domains and substitutes the batch average for DomAge/DomValidity where
+// WHOIS was unparseable, as §VI-C prescribes. The per-domain extraction fans
+// out over a bounded worker pool: each domain writes only its own Features
+// field and the WHOIS averaging runs sequentially in slice order afterwards,
+// so the result is identical for any worker count. workers <= 0 uses
+// GOMAXPROCS.
 func (d *Detector) FillFeaturesParallel(ads []*AutomatedDomain, day time.Time, workers int) {
 	par.ForEachIndex(len(ads), workers, func(i int) {
 		ads[i].Features = d.Extractor.CC(ads[i].Activity, len(ads[i].AutoHosts), day)
@@ -231,27 +220,6 @@ func (d *Detector) Score(ad *AutomatedDomain) float64 {
 	return v
 }
 
-// DetectCC runs the full pipeline on a day snapshot: find automated rare
-// domains, extract and default-fill features, score, and return the
-// domains at or above Tc sorted by descending score.
-func (d *Detector) DetectCC(s *profile.Snapshot) []*AutomatedDomain {
-	ads := d.FindAutomated(s)
-	d.FillFeatures(ads, s.Day)
-	var out []*AutomatedDomain
-	for _, ad := range ads {
-		if d.Score(ad) >= d.Threshold {
-			out = append(out, ad)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Domain < out[j].Domain
-	})
-	return out
-}
-
 // IsCC scores a single rare domain against the trained model, the form
 // Algorithm 1's Detect_C&C step uses during belief propagation.
 func (d *Detector) IsCC(da *profile.DomainActivity, day time.Time) bool {
@@ -314,16 +282,11 @@ func (d *LANLDetector) IsCC(da *profile.DomainActivity, _ time.Time) bool {
 	return false
 }
 
-// FindCC scans a snapshot and returns the heuristic's C&C domains sorted by
-// name. It is FindCCParallel on one worker.
-func (d *LANLDetector) FindCC(s *profile.Snapshot) []*AutomatedDomain {
-	return d.FindCCParallel(s, 1)
-}
-
-// FindCCParallel is FindCC with the per-domain heuristic fanned out over a
-// bounded worker pool (par.ForEachIndex). The output is identical (same
-// domains, same sorted order); only wall-clock differs. workers <= 0 uses
-// GOMAXPROCS.
+// FindCCParallel scans a snapshot and returns the heuristic's C&C domains
+// sorted by name, with the per-domain heuristic fanned out over a bounded
+// worker pool (par.ForEachIndex). The output is identical (same domains, same
+// sorted order) for any worker count; only wall-clock differs. workers <= 0
+// uses GOMAXPROCS.
 func (d *LANLDetector) FindCCParallel(s *profile.Snapshot, workers int) []*AutomatedDomain {
 	rare := s.RareActivities()
 	slots := make([]*AutomatedDomain, len(rare))

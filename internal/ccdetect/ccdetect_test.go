@@ -57,7 +57,7 @@ func TestFindAutomated(t *testing.T) {
 	s := profile.NewSnapshot(day, visits, profile.NewHistory(), 10)
 
 	d := NewDetector(testExtractor(nil))
-	ads := d.FindAutomated(s)
+	ads := d.FindAutomatedParallel(s, 1)
 	if len(ads) != 1 {
 		t.Fatalf("automated domains = %d, want 1", len(ads))
 	}
@@ -87,11 +87,11 @@ func TestFillFeaturesWhoisDefaults(t *testing.T) {
 	visits = append(visits, beaconVisits("h2", "unknown.ru", "203.0.113.10", day.Add(9*time.Hour), 5*time.Minute, 20, "")...)
 	s := profile.NewSnapshot(day, visits, profile.NewHistory(), 10)
 
-	ads := d.FindAutomated(s)
+	ads := d.FindAutomatedParallel(s, 1)
 	if len(ads) != 2 {
 		t.Fatalf("automated = %d", len(ads))
 	}
-	d.FillFeatures(ads, day)
+	d.FillFeaturesParallel(ads, day, 1)
 	var known, unknown *AutomatedDomain
 	for _, ad := range ads {
 		if ad.Domain == "known.ru" {
@@ -194,7 +194,7 @@ func TestFindAutomatedParallelMatchesSequential(t *testing.T) {
 	s := profile.NewSnapshot(day, visits, profile.NewHistory(), 10)
 	d := NewDetector(testExtractor(nil))
 
-	seq := d.FindAutomated(s)
+	seq := d.FindAutomatedParallel(s, 1)
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		par := d.FindAutomatedParallel(s, workers)
 		if len(par) != len(seq) {
@@ -225,13 +225,13 @@ func TestLANLDetectorSynchronizedHosts(t *testing.T) {
 
 	s := profile.NewSnapshot(day, visits, profile.NewHistory(), 10)
 	d := NewLANLDetector()
-	cc := d.FindCC(s)
+	cc := d.FindCCParallel(s, 1)
 	if len(cc) != 1 || cc[0].Domain != "cc.c3" {
 		var names []string
 		for _, ad := range cc {
 			names = append(names, ad.Domain)
 		}
-		t.Errorf("FindCC = %v, want [cc.c3]", names)
+		t.Errorf("FindCCParallel = %v, want [cc.c3]", names)
 	}
 	if d.IsCC(s.Rare["solo.c3"], day) {
 		t.Error("single-host domain fired the two-host heuristic")
@@ -301,16 +301,23 @@ func TestDetectCCEndToEnd(t *testing.T) {
 	visits = append(visits, ben...)
 
 	s := profile.NewSnapshot(day, visits, profile.NewHistory(), 10)
-	cc := d.DetectCC(s)
+	ads := d.FindAutomatedParallel(s, 1)
+	d.FillFeaturesParallel(ads, s.Day, 1)
+	var cc []*AutomatedDomain
+	for _, ad := range ads {
+		if d.Score(ad) >= d.Threshold {
+			cc = append(cc, ad)
+		}
+	}
 	if len(cc) != 1 || cc[0].Domain != "evil.ru" {
 		var names []string
 		for _, ad := range cc {
 			names = append(names, ad.Domain)
 		}
-		t.Fatalf("DetectCC = %v, want [evil.ru]", names)
+		t.Fatalf("C&C = %v, want [evil.ru]", names)
 	}
 	if !d.IsCC(s.Rare["evil.ru"], day) {
-		t.Error("IsCC should agree with DetectCC")
+		t.Error("IsCC should agree with the scored C&C list")
 	}
 	if d.IsCC(s.Rare["updates.com"], day) {
 		t.Error("benign poller flagged as C&C")

@@ -18,7 +18,6 @@
 package core
 
 import (
-	"runtime"
 	"sort"
 	"time"
 
@@ -63,13 +62,6 @@ func (c Config) maxIter() int {
 		return 10
 	}
 	return c.MaxIterations
-}
-
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
 }
 
 // Reason explains why a domain was labeled.
@@ -215,7 +207,6 @@ func BeliefPropagation(
 	// worker pool but land in per-candidate slots, and the selection loops
 	// walk the slots in this order, so labeling decisions (and therefore
 	// the detection order the SOC sees) are identical for any worker count.
-	workers := cfg.workers()
 	candidates := func() []string {
 		out := make([]string, 0, len(rare))
 		for d := range rare {
@@ -240,7 +231,7 @@ func BeliefPropagation(
 		// during the sweep, so all verdicts can be computed up front.
 		if cc != nil {
 			isCC := make([]bool, len(cand))
-			par.ForEachIndex(len(cand), workers, func(i int) {
+			par.ForEachIndex(len(cand), cfg.Workers, func(i int) {
 				isCC[i] = cc.IsCC(s.Rare[cand[i]], s.Day)
 			})
 			for i, d := range cand {
@@ -259,7 +250,7 @@ func BeliefPropagation(
 		// maximum (and no label at all when every score is negative).
 		if !labeledThisIter && sim != nil {
 			scores := make([]float64, len(cand))
-			par.ForEachIndex(len(cand), workers, func(i int) {
+			par.ForEachIndex(len(cand), cfg.Workers, func(i int) {
 				scores[i] = sim.Score(s.Rare[cand[i]], labeled, s.Day)
 			})
 			bestScore := 0.0

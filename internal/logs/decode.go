@@ -296,6 +296,12 @@ func PutProxyDecoder(d *ProxyDecoder) { proxyDecoderPool.Put(d) }
 // proxyBufPool recycles record buffers between batches.
 var proxyBufPool sync.Pool
 
+// ApproxProxyLineBytes is the size of a typical encoded proxy record, which
+// turns a byte count (a file size, a Content-Length) into a record count
+// for GetProxyBuf and other record-buffer preallocation. Underestimating only
+// costs append growth; overestimating only costs capacity.
+const ApproxProxyLineBytes = 96
+
 // GetProxyBuf returns an empty []ProxyRecord with at least the requested
 // capacity, reusing a pooled buffer when one is large enough.
 func GetProxyBuf(capacity int) []ProxyRecord {

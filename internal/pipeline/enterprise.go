@@ -242,7 +242,8 @@ func (p *Enterprise) stageDetect(snap *profile.Snapshot, workers int) []*ccdetec
 }
 
 // stageScore labels the automated domains scoring at or above Tc as
-// potential C&C, ordered by descending score. It requires a trained model.
+// potential C&C, ordered by descending score, then by domain. It requires a
+// trained model.
 //
 //lint:pure
 func (p *Enterprise) stageScore(automated []*ccdetect.AutomatedDomain) []*ccdetect.AutomatedDomain {
@@ -252,7 +253,12 @@ func (p *Enterprise) stageScore(automated []*ccdetect.AutomatedDomain) []*ccdete
 			cc = append(cc, ad)
 		}
 	}
-	sort.Slice(cc, func(i, j int) bool { return cc[i].Score > cc[j].Score })
+	sort.Slice(cc, func(i, j int) bool {
+		if cc[i].Score != cc[j].Score {
+			return cc[i].Score > cc[j].Score
+		}
+		return cc[i].Domain < cc[j].Domain
+	})
 	return cc
 }
 
@@ -304,7 +310,9 @@ func stageAssemble(day time.Time, stats normalize.ProxyStats, snap *profile.Snap
 }
 
 // ProcessSnapshot is Process with the snapshot stage prebuilt and without
-// the commit; see TrainSnapshot for the history contract.
+// the commit; see TrainSnapshot for the history contract. It is
+// PreviewSnapshot at the pipeline's own Workers plus, while the day is
+// calibrating, the calibration bookkeeping.
 //
 // From the CalibrationDays-th day on, every close tries to fit the models on
 // the examples collected so far. A fit that cannot be made yet — too few
@@ -313,30 +321,24 @@ func stageAssemble(day time.Time, stats normalize.ProxyStats, snap *profile.Snap
 // close refits with that day's examples added: the pipeline calibrates until
 // the data suffices instead of failing the day.
 func (p *Enterprise) ProcessSnapshot(day time.Time, snap *profile.Snapshot, stats normalize.ProxyStats) EnterpriseDayReport {
-	rep := stageAssemble(day, stats, snap)
-	rep.Automated = p.stageDetect(snap, p.cfg.Workers)
-
-	if !p.trained {
+	rep := p.PreviewSnapshot(day, snap, stats, p.cfg.Workers)
+	if rep.Calibrating {
 		p.collectExamples(snap, rep.Automated, day)
 		p.calDays++
 		if p.calDays >= p.cfg.CalibrationDays {
 			_ = p.fitModels() // on failure, still calibrating
 		}
-		rep.Calibrating = true
-		return rep
 	}
-
-	rep.CC = p.stageScore(rep.Automated)
-	rep.NoHint, rep.SOCHints = p.stagePropagate(snap, rep.CC, p.cfg.Workers)
 	return rep
 }
 
 // PreviewSnapshot runs the pure day-close stages over a provisional mid-day
 // snapshot — detect, score, propagate, assemble — and nothing else: no
-// calibration bookkeeping, no history commit, no model mutation. It exists
-// for the streaming engine's live preview, which clones the open day's
-// partial builders and wants the same verdicts a rollover at this instant
-// would publish, without perturbing the real rollover. Before the models are
+// calibration bookkeeping, no history commit, no model mutation. A close
+// runs it through ProcessSnapshot, which adds the bookkeeping; the streaming
+// engine's live preview calls it directly on a clone of the open day's
+// partial builders, for the same verdicts a rollover at this instant would
+// publish without perturbing the real rollover. Before the models are
 // trained the report carries the automated domains only, with Calibrating
 // set, mirroring what a real close of the day would report.
 //

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 )
@@ -93,26 +94,38 @@ func builderPaths(paths []pathSeq) map[string]uint64 {
 // SaveTo streams the builder through an existing encoder as one
 // self-delimiting section: a header, one record per domain (its aggregate
 // keyed by arrival seq, exactly the order-sensitive state the merge at
-// day-close needs), and one record per (host, UA) pair. Like
-// History.SaveTo, records are emitted in sorted key order, so the byte
-// output is deterministic for a given logical builder state.
-func (b *IncrementalBuilder) SaveTo(enc *json.Encoder) error {
+// day-close needs), and one record per (host, UA) pair. The builders in
+// disjoint, when given, join b in the section: they and b must hold pairwise
+// disjoint domain sets, as the streaming engine's per-shard partials do, so
+// their domain records are written as they are, the visit counts summed and
+// the (host, UA) pair sets unioned — the section of the one builder holding
+// all of their state. Like History.SaveTo, records are emitted in sorted key
+// order, so the byte output is deterministic for a given logical state, and
+// independent of how it is cut into disjoint builders.
+func (b *IncrementalBuilder) SaveTo(enc *json.Encoder, disjoint ...*IncrementalBuilder) error {
+	parts := append([]*IncrementalBuilder{b}, disjoint...)
+	visits := 0
+	var aggs []*incrementalAgg
+	pairSets := make([]map[[2]string]bool, len(parts))
+	for i, p := range parts {
+		visits += p.visits
+		for a := p.first; a != nil; a = a.next {
+			aggs = append(aggs, a)
+		}
+		pairSets[i] = p.uaPairs
+	}
+	pairs := sortedUAPairs(pairSets...)
 	if err := enc.Encode(builderHeader{
 		Version: builderCodecVersion,
-		Visits:  b.visits,
-		Domains: len(b.perDomain),
-		UAPairs: len(b.uaPairs),
+		Visits:  visits,
+		Domains: len(aggs),
+		UAPairs: len(pairs),
 	}); err != nil {
 		return fmt.Errorf("profile: save builder header: %w", err)
 	}
-	domains := make([]string, 0, len(b.perDomain))
-	for d := range b.perDomain {
-		domains = append(domains, d)
-	}
-	sort.Strings(domains)
-	for _, d := range domains {
-		a := b.perDomain[d]
-		rec := builderDomainRec{Domain: d, IPSeq: a.ipSeq, Paths: builderPaths(a.paths), Known: a.known}
+	sort.Slice(aggs, func(i, j int) bool { return aggs[i].Domain < aggs[j].Domain })
+	for _, a := range aggs {
+		rec := builderDomainRec{Domain: a.Domain, IPSeq: a.ipSeq, Paths: builderPaths(a.paths), Known: a.known}
 		if a.IP.IsValid() {
 			rec.IP = a.IP.String()
 		}
@@ -121,7 +134,7 @@ func (b *IncrementalBuilder) SaveTo(enc *json.Encoder) error {
 			return fmt.Errorf("profile: save builder domain: %w", err)
 		}
 	}
-	for _, pair := range sortedUAPairs(b.uaPairs) {
+	for _, pair := range pairs {
 		if err := enc.Encode(uaPairRec{Host: pair[0], UA: pair[1]}); err != nil {
 			return fmt.Errorf("profile: save builder ua pair: %w", err)
 		}
@@ -138,11 +151,18 @@ func encodeHosts(hosts []*HostActivity) []codecHost {
 	return out
 }
 
-// sortedUAPairs returns the (host, UA) pair set in lexicographic order.
-func sortedUAPairs(set map[[2]string]bool) [][2]string {
-	pairs := make([][2]string, 0, len(set))
-	for pair := range set {
-		pairs = append(pairs, pair)
+// sortedUAPairs returns the union of the (host, UA) pair sets in
+// lexicographic order.
+func sortedUAPairs(sets ...map[[2]string]bool) [][2]string {
+	n := 0
+	for _, set := range sets {
+		n += len(set)
+	}
+	pairs := make([][2]string, 0, n)
+	for _, set := range sets {
+		for pair := range set {
+			pairs = append(pairs, pair)
+		}
 	}
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i][0] != pairs[j][0] {
@@ -150,7 +170,7 @@ func sortedUAPairs(set map[[2]string]bool) [][2]string {
 		}
 		return pairs[i][1] < pairs[j][1]
 	})
-	return pairs
+	return slices.Compact(pairs)
 }
 
 // LoadBuilderFrom reads a builder section previously written by SaveTo,
@@ -314,28 +334,6 @@ func (b *IncrementalBuilder) copyAgg(a *incrementalAgg) *incrementalAgg {
 		ca.Hosts = append(ca.Hosts, cha)
 	}
 	return ca
-}
-
-// MergeFrom folds o's state into b. Overlapping domains combine exactly
-// (every order-sensitive decision is seq-keyed), so merging per-shard
-// clones yields the same aggregate any other partitioning would. b adopts
-// parts of o's structure, so o must not be used afterwards; the receiver
-// must be a builder the caller owns outright (a Clone, or a freshly loaded
-// one), because shared domains merge into b's aggregates. o's new domains
-// enter b after b's own, in o's order.
-func (b *IncrementalBuilder) MergeFrom(o *IncrementalBuilder) {
-	for oa, next := o.first, (*incrementalAgg)(nil); oa != nil; oa = next {
-		next = oa.next // link relinks an adopted aggregate
-		if a, ok := b.perDomain[oa.Domain]; ok {
-			b.mergeAgg(a, oa)
-		} else {
-			b.link(oa)
-		}
-	}
-	for pair := range o.uaPairs {
-		b.uaPairs[pair] = true
-	}
-	b.visits += o.visits
 }
 
 // Split partitions the builder onto n fresh builders — the restore half of a

@@ -116,9 +116,10 @@ func TestBuilderCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestBuilderMergeSplitEquivalence: clone-merge (the checkpoint writer) and
-// hash-split (the restore) must preserve the merged day exactly, for any
-// partition count on either side.
+// TestBuilderMergeSplitEquivalence: the checkpoint writer (clones of
+// domain-disjoint parts written as one section) and the restore (decode,
+// hash-split) must preserve the day exactly, for any partition count on
+// either side.
 func TestBuilderMergeSplitEquivalence(t *testing.T) {
 	visits := codecVisits(1200)
 	hist := NewHistory()
@@ -126,20 +127,20 @@ func TestBuilderMergeSplitEquivalence(t *testing.T) {
 	want := snapshotFingerprint(t, mergedSnapshot(buildFromVisits(visits), hist))
 
 	for _, shards := range []int{1, 3, 8} {
-		parts := make([]*IncrementalBuilder, shards)
-		for i := range parts {
-			parts[i] = NewIncrementalBuilder()
+		parts := cutParts(visits, shards, byDomain)
+		for i, p := range parts {
+			parts[i] = p.Clone()
 		}
-		for i := range visits {
-			v := &visits[i]
-			parts[PairPartition(v.Host, v.Domain, shards)].Add(uint64(i+1), v)
+		var buf bytes.Buffer
+		if err := parts[0].SaveTo(json.NewEncoder(&buf), parts[1:]...); err != nil {
+			t.Fatal(err)
 		}
-		merged := parts[0].Clone()
-		for _, p := range parts[1:] {
-			merged.MergeFrom(p.Clone())
+		loaded, err := LoadBuilderFrom(json.NewDecoder(&buf))
+		if err != nil {
+			t.Fatalf("shards=%d: reload: %v", shards, err)
 		}
 		for _, splitN := range []int{1, 2, 5} {
-			split := merged.Clone().Split(splitN, func(d string) int { return domainOf(d, splitN) })
+			split := loaded.Clone().Split(splitN, func(d string) int { return domainOf(d, splitN) })
 			got := snapshotFingerprint(t, ClassifyDisjoint(
 				time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), split, hist, 10, 1))
 			if got != want {
@@ -174,9 +175,8 @@ func checkLinks(t *testing.T, label string, b *IncrementalBuilder) {
 }
 
 // TestBuilderLinksHoldEveryDomain: after every way a builder gains domains —
-// Run, Clone, MergeFrom (merging into a held domain and adopting a new one),
-// Split and LoadBuilderFrom — the entry list is exactly perDomain's values,
-// and a clone, an adopting merge and the parts of a split keep the source's
+// Run, Clone, Split and LoadBuilderFrom — the entry list is exactly
+// perDomain's values, and a clone and the parts of a split keep the source's
 // domain order, whatever the map's.
 func TestBuilderLinksHoldEveryDomain(t *testing.T) {
 	visits := codecVisits(900)
@@ -187,23 +187,6 @@ func TestBuilderLinksHoldEveryDomain(t *testing.T) {
 	checkLinks(t, "Clone", clone)
 	if !slices.Equal(clone.DomainNames(), order) {
 		t.Fatalf("Clone reordered the domains: %v, want %v", clone.DomainNames(), order)
-	}
-
-	adopter := NewIncrementalBuilder()
-	adopter.MergeFrom(b.Clone())
-	checkLinks(t, "MergeFrom adopting every domain", adopter)
-	if !slices.Equal(adopter.DomainNames(), order) {
-		t.Fatalf("MergeFrom reordered the domains: %v, want %v", adopter.DomainNames(), order)
-	}
-	shared := cutParts(visits, 3, byPair)
-	for _, p := range shared[1:] {
-		shared[0].MergeFrom(p)
-		checkLinks(t, "MergeFrom over shared domains", shared[0])
-	}
-	disjoint := cutParts(visits, 3, byDomain)
-	for _, p := range disjoint[1:] {
-		disjoint[0].MergeFrom(p)
-		checkLinks(t, "MergeFrom over disjoint domains", disjoint[0])
 	}
 
 	for i, p := range b.Clone().Split(4, func(d string) int { return domainOf(d, 4) }) {

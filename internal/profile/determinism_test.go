@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -12,7 +13,8 @@ import (
 // These tests back the byte-determinism half of the invariant catalog
 // (DESIGN.md §5): every persisted form in this package — history, builder —
 // must serialize to identical bytes for identical logical state, independent
-// of map iteration order, insertion order, or merge order. The static half is
+// of map iteration order, insertion order, or how the state is cut into
+// disjoint parts. The static half is
 // reprolint's maporder analyzer; these tests are the runtime witness (Go
 // randomizes map iteration per range, so a single unsorted emission fails
 // them with high probability). A classified Snapshot is never persisted; its
@@ -32,29 +34,26 @@ func TestBuilderSaveBytesDeterministic(t *testing.T) {
 	visits := codecVisits(400)
 	whole := buildFromVisits(visits)
 
-	// The same sharded day reassembled in opposite merge orders: identical
-	// logical state (builder merge is domain-keyed and seq-commutative),
-	// different map insertion history.
-	shard := func(n int) []*IncrementalBuilder {
-		parts := make([]*IncrementalBuilder, n)
-		for i := range parts {
-			parts[i] = NewIncrementalBuilder()
+	// The same day cut by domain into disjoint parts and written in opposite
+	// part orders: identical logical state, different map insertion history.
+	parts := make([]*IncrementalBuilder, 4)
+	for i := range parts {
+		parts[i] = NewIncrementalBuilder()
+	}
+	for i := range visits {
+		v := &visits[i]
+		parts[domainOf(v.Domain, len(parts))].Add(uint64(i+1), v)
+	}
+	encodeParts := func(ps []*IncrementalBuilder) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := ps[0].SaveTo(json.NewEncoder(&buf), ps[1:]...); err != nil {
+			t.Fatalf("builder SaveTo: %v", err)
 		}
-		for i := range visits {
-			v := &visits[i]
-			parts[PairPartition(v.Host, v.Domain, n)].Add(uint64(i+1), v)
-		}
-		return parts
+		return buf.Bytes()
 	}
-	fwd := NewIncrementalBuilder()
-	for _, p := range shard(4) {
-		fwd.MergeFrom(p)
-	}
-	rev := NewIncrementalBuilder()
-	parts := shard(4)
-	for i := len(parts) - 1; i >= 0; i-- {
-		rev.MergeFrom(parts[i])
-	}
+	rev := slices.Clone(parts)
+	slices.Reverse(rev)
 
 	first := encodeBuilder(t, whole)
 	for run := 0; run < 3; run++ {
@@ -62,11 +61,11 @@ func TestBuilderSaveBytesDeterministic(t *testing.T) {
 			t.Fatalf("run %d: re-encoding the same builder changed the bytes", run)
 		}
 	}
-	if got := encodeBuilder(t, fwd); !bytes.Equal(got, first) {
+	if got := encodeParts(parts); !bytes.Equal(got, first) {
 		t.Fatalf("sharding leaked into builder checkpoint bytes")
 	}
-	if got := encodeBuilder(t, rev); !bytes.Equal(got, first) {
-		t.Fatalf("merge order leaked into builder checkpoint bytes")
+	if got := encodeParts(rev); !bytes.Equal(got, first) {
+		t.Fatalf("part order leaked into builder checkpoint bytes")
 	}
 }
 

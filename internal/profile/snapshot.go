@@ -309,15 +309,15 @@ type IncrementalBuilder struct {
 	// the slab — and the arenas its hosts were carved from — in the order it
 	// was laid down, where a walk of the map jumps around it. Every writer of
 	// perDomain enters through link; the walks (classification, Clone,
-	// MergeFrom, Split) follow the list, so their order is the builder's own,
+	// SaveTo, Split) follow the list, so their order is the builder's own,
 	// never the map's.
 	first, last *incrementalAgg
 	// uaPairs is the day's (host, UA) pair set the UA history is updated
 	// from. Invariant: every non-empty UA in a host's UA set, in any builder
 	// of the day, has its pair in the union of the day's builders' uaPairs —
-	// RunCursor.Add writes a pair only when a UA set gains the UA, and Clone,
-	// MergeFrom and Split carry the sets along; LoadBuilderFrom refuses a
-	// section that breaks it.
+	// RunCursor.Add writes a pair only when a UA set gains the UA, Clone and
+	// Split carry the sets along and SaveTo unions them; LoadBuilderFrom
+	// refuses a section that breaks it.
 	uaPairs map[[2]string]bool
 	visits  int
 
@@ -436,7 +436,7 @@ func (b *IncrementalBuilder) newHost(host string, nTimes, nUAs int) *HostActivit
 // visits. The fold is identical to per-visit Add — the cursor only elides
 // lookups — so cursor-fed and Add-fed builders are indistinguishable. A
 // cursor is invalidated by any other mutation of its builder (another
-// cursor, Add, MergeFrom); obtain a fresh one per run.
+// cursor, Add); obtain a fresh one per run.
 type RunCursor struct {
 	b   *IncrementalBuilder
 	agg *incrementalAgg

@@ -160,37 +160,23 @@ func (e *Engine) dailiesLocked() []checkpointDaily {
 // waiting, so ingestion proceeds), so the file describes a settled close and
 // never a day between the shards and the history.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	e.mu.Lock()
-	e.awaitCloseLocked()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
+	var start time.Time
+	var hdr checkpointHeader
+	var dailies []checkpointDaily
+	var cal pipeline.CalibrationState
+	od, err := e.freezeOpenDay(func() {
+		// The timer starts after the close wait, so LastCheckpointMillis
+		// measures the checkpoint itself (clone + encode), not a pipeline run
+		// it happened to queue behind.
+		start = time.Now()
+		hdr = e.headerLocked()
+		dailies = e.dailiesLocked()
+		hdr.Dailies = len(dailies)
+		cal = e.pipe.ExportCalibration()
+	})
+	if err != nil {
+		return err
 	}
-
-	// The timer starts after the close wait above, so LastCheckpointMillis
-	// measures the checkpoint itself (clone + encode), not a pipeline run
-	// it happened to queue behind.
-	start := time.Now()
-	hdr := e.headerLocked()
-	dailies := e.dailiesLocked()
-	hdr.Dailies = len(dailies)
-	cal := e.pipe.ExportCalibration()
-
-	// Clone the open day's per-shard state under the freeze; gathering and
-	// encoding happen after the lock is released.
-	var parts []*profile.IncrementalBuilder
-	var markerSets []map[string]struct{}
-	unresolved := 0
-	if hdr.Day != "" {
-		parts, markerSets, unresolved = e.cloneOpenDayLocked()
-	}
-
-	// Hold the commit gate across the encode: a close that starts meanwhile
-	// waits for it before touching history or calibration. Taking the read
-	// side here cannot block — no close is in flight, and none can start
-	// while we hold mu.
-	e.commitGate.RLock()
-	e.mu.Unlock()
 	defer e.commitGate.RUnlock()
 
 	cw := &countingWriter{w: w}
@@ -211,26 +197,8 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		}
 	}
 	if hdr.Day != "" {
-		// Sorted, so identical engine state writes identical checkpoint bytes
-		// whatever the shard count.
-		markers := markerOnly(markerSets, parts)
-		// Gather the per-shard clones (domain-disjoint: no aggregate is
-		// combined) into one builder, so the section is keyed by domain alone
-		// and restores onto any shard count.
-		merged := parts[0]
-		for _, p := range parts[1:] {
-			merged.MergeFrom(p)
-		}
-		if err := enc.Encode(checkpointOpenDay{MarkerDomains: len(markers), Unresolved: unresolved}); err != nil {
-			return fmt.Errorf("stream: checkpoint open day: %w", err)
-		}
-		if err := merged.SaveTo(enc); err != nil {
-			return fmt.Errorf("stream: checkpoint builder: %w", err)
-		}
-		for _, d := range markers {
-			if err := enc.Encode(checkpointDomain{D: d}); err != nil {
-				return fmt.Errorf("stream: checkpoint marker domain: %w", err)
-			}
+		if err := od.save(enc); err != nil {
+			return err
 		}
 	}
 	if err := bw.Flush(); err != nil {

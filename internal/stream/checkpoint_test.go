@@ -519,3 +519,64 @@ func TestCheckpointAfterRestoreWritesEachMarkerOnce(t *testing.T) {
 		t.Errorf("checkpoint after restore differs from the uninterrupted engine's\nrestored:      %s\nuninterrupted: %s", got.Bytes(), want.Bytes())
 	}
 }
+
+// TestCheckpointBytesIndependentOfShardCount: engines at 1, 3 and 8 shards
+// that ingest the same open day write byte-identical checkpoints. The day
+// holds one host using one UA toward domains that land on different shards,
+// so several shards' builders hold the same (host, UA) pair and the writer
+// must union their pair sets; lease-less marker domains; and runs toward
+// domains the history already holds, which fold as known-visit counts.
+func TestCheckpointBytesIndependentOfShardCount(t *testing.T) {
+	day := testDay()
+	known := []string{"known-a.test", "known-b.test", "known-c.test"}
+	var recs []logs.ProxyRecord
+	for i := 0; i < 24; i++ {
+		r := rec(day, "h1", fmt.Sprintf("fresh-%02d.test", i), time.Duration(i)*time.Minute)
+		r.UserAgent = "Agent/1.0"
+		recs = append(recs, r)
+	}
+	for i, d := range known {
+		for j := 0; j < 3; j++ {
+			r := rec(day, fmt.Sprintf("h%d", 2+j), d, time.Hour+time.Duration(3*i+j)*time.Second)
+			r.UserAgent = "Agent/2.0"
+			recs = append(recs, r)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		recs = append(recs, logs.ProxyRecord{Time: day.Add(2*time.Hour + time.Duration(i)*time.Minute),
+			SrcIP: netip.MustParseAddr("10.9.9.9"), Domain: fmt.Sprintf("marker-%d.test", i), Method: "GET", Status: 200})
+	}
+
+	var want []byte
+	for _, shards := range []int{1, 3, 8} {
+		e := trainOnlyEngine(Config{Shards: shards, QueueDepth: 64})
+		e.hist.UpdateDomains(day.AddDate(0, 0, -1), known)
+		if err := e.BeginDay(day, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.IngestBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		if shards == 1 {
+			want = buf.Bytes()
+			for _, part := range [][]byte{
+				[]byte(`{"markerDomains":8,"unresolved":8}`),
+				[]byte(`"uaPairs":4}`),
+				[]byte(`{"d":"known-b.test","hosts":[],"known":3}`),
+			} {
+				if !bytes.Contains(want, part) {
+					t.Fatalf("one-shard checkpoint lacks %s:\n%s", part, want)
+				}
+			}
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%d shards write a checkpoint that differs from one shard's\n%d shards: %s\n1 shard:  %s", shards, shards, buf.Bytes(), want)
+		}
+	}
+}

@@ -1,31 +1,22 @@
 package stream
 
 import (
-	"maps"
 	"net/netip"
-	"sort"
 	"time"
 
-	"repro/internal/normalize"
 	"repro/internal/pipeline"
-	"repro/internal/profile"
 	"repro/internal/report"
 )
 
-// dayClose carries one swapped-out day through its background close. The
-// swap takes only the shards' partial snapshots and marker sets; the close
-// classifies them into the day snapshot.
+// dayClose carries one swapped-out day through its background close: the
+// open day as the swap took it, which the close classifies into the day
+// snapshot.
 type dayClose struct {
-	day        time.Time
-	date       string
-	parts      []*profile.IncrementalBuilder // per-shard partial snapshots
-	markers    []map[string]struct{}         // per-shard lease-less-only domains
-	unresolved int                           // lease-less records in the day
-	records    uint64
-	droppedIP  uint64
-	training   bool
-	published  chan struct{} // closed when the day's reports are readable
-	done       chan struct{} // closed when the close is final
+	openDay
+	date      string
+	training  bool
+	published chan struct{} // closed when the day's reports are readable
+	done      chan struct{} // closed when the close is final
 }
 
 // BeginDay opens a day, first swapping any previously open one out to a
@@ -105,26 +96,6 @@ func (e *Engine) awaitCloseLocked() {
 	}
 }
 
-// cloneOpenDayLocked copies the open day out of the shards in one quiesce —
-// each shard's builder and marker set, and the summed lease-less count — so
-// the caller can merge and encode after the lock is released while the ingest
-// path keeps mutating the originals. This is the whole ingest stall of a
-// Preview or a Checkpoint. Caller holds mu exclusively.
-func (e *Engine) cloneOpenDayLocked() (parts []*profile.IncrementalBuilder, markers []map[string]struct{}, unresolved int) {
-	parts = make([]*profile.IncrementalBuilder, len(e.shards))
-	markers = make([]map[string]struct{}, len(e.shards))
-	unres := make([]int, len(e.shards))
-	e.quiesce(func(i int, s *shard) {
-		parts[i] = s.part.Clone()
-		markers[i] = maps.Clone(s.markers)
-		unres[i] = s.unresolved
-	})
-	for _, n := range unres {
-		unresolved += n
-	}
-	return parts, markers, unresolved
-}
-
 // beginCloseLocked swaps the open day out of the shards and starts its
 // close on a background goroutine, after waiting out any close already in
 // flight (day-closes are strictly serialized, so days complete in order
@@ -149,8 +120,7 @@ func (e *Engine) beginCloseLocked(expect time.Time) *dayClose {
 	if e.day.IsZero() || !e.day.Equal(expect) {
 		return nil
 	}
-	records := e.dayRecords.Load()
-	if records == 0 {
+	if e.dayRecords.Load() == 0 {
 		e.day = time.Time{}
 		e.leases = nil
 		return nil
@@ -158,10 +128,7 @@ func (e *Engine) beginCloseLocked(expect time.Time) *dayClose {
 
 	start := time.Now()
 	c := &dayClose{
-		day:       e.day,
-		date:      e.day.Format("2006-01-02"),
-		records:   records,
-		droppedIP: e.dayDroppedIP.Load(),
+		date: e.day.Format("2006-01-02"),
 		// All earlier days are published (no close in flight), so the
 		// train/process split is decided here, consistently with the
 		// sequential engine.
@@ -169,66 +136,15 @@ func (e *Engine) beginCloseLocked(expect time.Time) *dayClose {
 		published: make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	// One quiesce swaps every shard's partial snapshot and marker set out
-	// and resets its day state; this is the whole ingest stall of a
-	// rollover. The arrival-order visit buffers are NOT carried along —
-	// the close runs from the partials, so the closing day's buffers free
-	// as soon as the swap returns instead of living until the pipeline
-	// accepts the day.
-	c.parts = make([]*profile.IncrementalBuilder, len(e.shards))
-	c.markers = make([]map[string]struct{}, len(e.shards))
-	unresolved := make([]int, len(e.shards))
-	e.quiesce(func(i int, s *shard) {
-		c.parts[i] = s.part
-		c.markers[i] = s.markers
-		unresolved[i] = s.unresolved
-		s.resetDay()
-	})
-	for _, n := range unresolved {
-		c.unresolved += n
-	}
-	e.dayRecords.Store(0)
-	e.dayDroppedIP.Store(0)
+	// The swap takes the shards' partial snapshots and marker sets and resets
+	// their day state; this is the whole ingest stall of a rollover.
+	c.openDay = e.takeOpenDayLocked(false)
 	e.day = time.Time{}
 	e.leases = nil
 	e.lastSwap = time.Since(start)
 	e.closing = c
 	go e.runDayClose(c)
 	return c
-}
-
-// markerOnly returns, sorted, the marker domains their shard's builder does
-// not hold — what the lease-less records add to the day's distinct-domain
-// count beyond the builders' own domains. markers[i] and parts[i] are shard
-// i's: a domain routes to one shard however it is seen, so a marker can only
-// meet its domain's visits there, and no two sets share a domain.
-func markerOnly(markers []map[string]struct{}, parts []*profile.IncrementalBuilder) []string {
-	var out []string
-	for i, set := range markers {
-		for d := range set {
-			if !parts[i].HasDomain(d) {
-				out = append(out, d)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// dayStats derives a day's normalization statistics from its per-shard
-// partials and their merged snapshot, for day-close and Preview alike.
-func dayStats(snap *profile.Snapshot, parts []*profile.IncrementalBuilder, markers []map[string]struct{},
-	records, droppedIP uint64, unresolved int) normalize.ProxyStats {
-	stats := normalize.ProxyStats{
-		Records:           int(records),
-		DomainsAll:        snap.AllDomains + len(markerOnly(markers, parts)),
-		DroppedIPLiteral:  int(droppedIP),
-		DroppedUnresolved: unresolved,
-	}
-	for _, p := range parts {
-		stats.Kept += p.Visits()
-	}
-	return stats
 }
 
 // runDayClose is the background half of a rollover: classify the swapped
@@ -253,8 +169,7 @@ func (e *Engine) runDayClose(c *dayClose) {
 	// committed — closes are strictly serialized, so the in-order commit the
 	// snapshot's "new domain" judgement depends on holds.
 	pcfg := e.pipe.Config()
-	snap := profile.ClassifyDisjoint(c.day, c.parts, e.hist, pcfg.UnpopularThreshold, pcfg.Workers)
-	stats := dayStats(snap, c.parts, c.markers, c.records, c.droppedIP, c.unresolved)
+	snap, stats := c.classify(e.hist, pcfg.UnpopularThreshold, pcfg.Workers)
 	c.parts, c.markers = nil, nil // the snapshot owns their structure now
 	var rep pipeline.EnterpriseDayReport
 	var daily *report.Daily

@@ -3,7 +3,6 @@ package stream
 import (
 	"time"
 
-	"repro/internal/profile"
 	"repro/internal/report"
 )
 
@@ -50,49 +49,30 @@ type PreviewReport struct {
 //
 // Returns ErrClosed on a closed engine and ErrNoDay when no day is open.
 func (e *Engine) Preview(workers int) (PreviewReport, error) {
-	e.mu.Lock()
-	e.awaitCloseLocked()
-	if e.closed {
-		e.mu.Unlock()
-		return PreviewReport{}, ErrClosed
+	var start time.Time
+	od, err := e.freezeOpenDay(func() { start = time.Now() })
+	if err != nil {
+		return PreviewReport{}, err
 	}
-	if e.day.IsZero() {
-		e.mu.Unlock()
+	defer e.commitGate.RUnlock()
+	if od.day.IsZero() {
 		return PreviewReport{}, ErrNoDay
 	}
-
-	start := time.Now()
-	day := e.day
-	records := e.dayRecords.Load()
-	droppedIP := e.dayDroppedIP.Load()
-
-	// Freeze: clone every shard's partial snapshot and marker set. This is
-	// the whole ingest stall of a preview.
-	parts, markers, unresolved := e.cloneOpenDayLocked()
-
-	// Hold the commit gate across the analytics: a close that starts
-	// meanwhile waits for it before touching history, calibration or models.
-	// Taking the read side here cannot block — no close is in flight, and
-	// none can start while we hold mu.
-	e.commitGate.RLock()
-	e.mu.Unlock()
-	defer e.commitGate.RUnlock()
 
 	// Classify and count exactly as runDayClose does.
 	pcfg := e.pipe.Config()
 	if workers == 0 {
 		workers = pcfg.Workers
 	}
-	snap := profile.ClassifyDisjoint(day, parts, e.hist, pcfg.UnpopularThreshold, workers)
-	stats := dayStats(snap, parts, markers, records, droppedIP, unresolved)
-	rep := e.pipe.PreviewSnapshot(day, snap, stats, workers)
+	snap, stats := od.classify(e.hist, pcfg.UnpopularThreshold, workers)
+	rep := e.pipe.PreviewSnapshot(od.day, snap, stats, workers)
 	daily := report.Build(rep)
 
 	pr := PreviewReport{
 		Date:           daily.Date,
 		GeneratedAt:    start.UTC(),
 		DurationMillis: time.Since(start).Milliseconds(),
-		Records:        records,
+		Records:        od.records,
 		NewDomains:     rep.NewCount,
 		Calibrating:    rep.Calibrating,
 		Report:         daily,

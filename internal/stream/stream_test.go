@@ -389,7 +389,7 @@ func TestLiveViewIsCloseVerdict(t *testing.T) {
 		t.Fatalf("fixture: the closed day holds %s rare; ten hosts should make it popular", crowd)
 	}
 	want := make(map[[2]string]histogram.Verdict)
-	for _, ad := range e.Pipeline().Detector().FindAutomated(rep.Snapshot) {
+	for _, ad := range e.Pipeline().Detector().FindAutomatedParallel(rep.Snapshot, 1) {
 		for i, v := range ad.Verdicts {
 			if v.Automated {
 				want[[2]string{ad.Activity.Hosts[i].Host, ad.Domain}] = v

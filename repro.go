@@ -107,31 +107,12 @@ const (
 
 // TSV codec for on-disk datasets (the cmd/datagen layout).
 type (
-	// DNSWriter streams DNS records as TSV.
-	DNSWriter = logs.DNSWriter
 	// ProxyWriter streams proxy records as TSV.
 	ProxyWriter = logs.ProxyWriter
-	// FlowWriter streams flow records as TSV.
-	FlowWriter = logs.FlowWriter
 )
-
-// NewDNSWriter returns a buffered TSV writer for DNS records.
-func NewDNSWriter(w io.Writer) *DNSWriter { return logs.NewDNSWriter(w) }
 
 // NewProxyWriter returns a buffered TSV writer for proxy records.
 func NewProxyWriter(w io.Writer) *ProxyWriter { return logs.NewProxyWriter(w) }
-
-// NewFlowWriter returns a buffered TSV writer for flow records.
-func NewFlowWriter(w io.Writer) *FlowWriter { return logs.NewFlowWriter(w) }
-
-// ReadDNSRecords streams DNS records from a TSV source.
-func ReadDNSRecords(r io.Reader, fn func(DNSRecord) error) error { return logs.ReadDNS(r, fn) }
-
-// ReadProxyRecords streams proxy records from a TSV source.
-func ReadProxyRecords(r io.Reader, fn func(ProxyRecord) error) error { return logs.ReadProxy(r, fn) }
-
-// ReadFlowRecords streams flow records from a TSV source.
-func ReadFlowRecords(r io.Reader, fn func(FlowRecord) error) error { return logs.ReadFlows(r, fn) }
 
 // FoldDomain folds a domain name to its last n labels (news.nbc.com -> nbc.com).
 func FoldDomain(domain string, n int) string { return logs.FoldDomain(domain, n) }
@@ -273,10 +254,6 @@ func BeliefPropagation(s *Snapshot, seedHosts, seedDomains []string,
 // ---- Pipelines (Figure 1) ----
 
 type (
-	// LANLPipeline is the DNS pipeline of §V.
-	LANLPipeline = pipeline.LANL
-	// LANLPipelineConfig parameterizes it.
-	LANLPipelineConfig = pipeline.LANLConfig
 	// LANLDayReport is one processed day.
 	LANLDayReport = pipeline.LANLDayReport
 	// EnterprisePipeline is the web-proxy pipeline of §VI.
@@ -287,23 +264,12 @@ type (
 	EnterpriseDayReport = pipeline.EnterpriseDayReport
 )
 
-// NewLANLPipeline returns a DNS pipeline with an empty history.
-func NewLANLPipeline(cfg LANLPipelineConfig) *LANLPipeline { return pipeline.NewLANL(cfg) }
-
 // NewEnterprisePipeline returns a web-proxy pipeline. reported labels a
 // domain at a time (e.g. intel.Oracle.Reported) and iocs supplies the
 // SOC's IOC seed list; either may be nil to disable the respective mode.
 func NewEnterprisePipeline(cfg EnterprisePipelineConfig, reg *WHOISRegistry,
 	reported func(string, time.Time) bool, iocs func() []string) *EnterprisePipeline {
 	return pipeline.NewEnterprise(cfg, reg, reported, iocs)
-}
-
-// NewEnterprisePipelineWithHistory resumes a pipeline from a persisted
-// behavioural history (History.Save / LoadHistory), so a restarted
-// deployment skips re-profiling the bootstrap month.
-func NewEnterprisePipelineWithHistory(cfg EnterprisePipelineConfig, hist *History, reg *WHOISRegistry,
-	reported func(string, time.Time) bool, iocs func() []string) *EnterprisePipeline {
-	return pipeline.NewEnterpriseWithHistory(cfg, hist, reg, reported, iocs)
 }
 
 // ---- Simulated externals (WHOIS, intelligence, datasets) ----
@@ -433,21 +399,13 @@ func LooksDGA(name string) bool { return cluster.LooksDGA(name) }
 
 // ---- SOC reporting and on-disk batches ----
 
-type (
-	// DailyReport is the SOC-facing JSON report of one operation day.
-	DailyReport = report.Daily
-	// BatchDay is one on-disk daily log batch.
-	BatchDay = batch.Day
-)
+// DailyReport is the SOC-facing JSON report of one operation day.
+type DailyReport = report.Daily
 
 // BuildDailyReport assembles the ordered suspicious-domain list (with
 // beacon evidence, community hosts and campaign clusters) from a processed
 // day.
 func BuildDailyReport(rep EnterpriseDayReport) DailyReport { return report.Build(rep) }
-
-// DiscoverEnterpriseBatches scans a directory for datagen-format daily
-// proxy/lease batches.
-func DiscoverEnterpriseBatches(dir string) ([]BatchDay, error) { return batch.DiscoverEnterprise(dir) }
 
 // RunEnterpriseBatches drives a pipeline over on-disk daily batches; the
 // first trainingDays batches feed profiling.
@@ -474,8 +432,6 @@ type (
 	// StreamRestoreDeps supplies the live hooks a checkpoint-restored
 	// engine needs (WHOIS, intelligence).
 	StreamRestoreDeps = stream.RestoreDeps
-	// StreamReplayOptions paces a dataset replay.
-	StreamReplayOptions = stream.ReplayOptions
 )
 
 // NewStreamEngine starts a streaming engine around a pipeline. The engine
@@ -488,12 +444,6 @@ func NewStreamEngine(cfg StreamConfig, p *EnterprisePipeline) *StreamEngine {
 // StreamEngine.Checkpoint, resuming mid-day with full profile history.
 func RestoreStreamEngine(r io.Reader, cfg StreamConfig, deps StreamRestoreDeps) (*StreamEngine, error) {
 	return stream.Restore(r, cfg, deps)
-}
-
-// ReplayEnterpriseDir streams an on-disk datagen dataset through the
-// engine, one BeginDay per day file, reproducing the batch reports.
-func ReplayEnterpriseDir(e *StreamEngine, dir string, opts StreamReplayOptions) error {
-	return stream.ReplayDir(e, dir, opts)
 }
 
 // ---- Detection preview and outbound alerting (internal/alert) ----
@@ -511,8 +461,6 @@ type (
 	AlertSeverity = alert.Severity
 	// AlertRule routes matching events to named sinks.
 	AlertRule = alert.Rule
-	// AlertSink delivers one event to an external receiver.
-	AlertSink = alert.Sink
 	// AlertSinkConfig declares one named sink in an alert config file.
 	AlertSinkConfig = alert.SinkConfig
 	// AlertConfig is the alert subsystem's configuration (-alert-config).
@@ -533,12 +481,6 @@ const (
 	AlertSevCritical = alert.SevCritical
 )
 
-// NewAlertDispatcher builds a dispatcher over named sinks; an empty rule
-// table routes every event to every sink.
-func NewAlertDispatcher(cfg AlertConfig, sinks map[string]AlertSink) (*AlertDispatcher, error) {
-	return alert.NewDispatcher(cfg, sinks)
-}
-
 // NewAlertDispatcherFromConfig builds the configured sinks and the
 // dispatcher in one step.
 func NewAlertDispatcherFromConfig(cfg AlertConfig) (*AlertDispatcher, error) {
@@ -547,9 +489,6 @@ func NewAlertDispatcherFromConfig(cfg AlertConfig) (*AlertDispatcher, error) {
 
 // ParseAlertConfig reads a JSON alert configuration document.
 func ParseAlertConfig(data []byte) (AlertConfig, error) { return alert.ParseConfig(data) }
-
-// LoadAlertConfig reads and parses the alert config file at path.
-func LoadAlertConfig(path string) (AlertConfig, error) { return alert.LoadConfig(path) }
 
 // AlertEventsFromDaily converts a daily report's suspicious-domain list
 // into alert events of the given kind, in report order.
