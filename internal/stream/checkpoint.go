@@ -36,8 +36,8 @@ import (
 //	             profile.IncrementalBuilder.SaveTo + markerDomains ×
 //	             checkpointDomain
 //
-// The open day is serialized as the merged incremental-builder partial —
-// domain-keyed aggregation, so checkpoint size and restore time are
+// The open day is serialized as one incremental-builder section holding
+// every shard's partial — domain-keyed aggregation, so checkpoint size and restore time are
 // proportional to the day's distinct domains plus the visits toward domains
 // new to the history (known domains are a marker and a count; see
 // shard.applyRun), and no arrival-order raw visit buffer needs to exist
@@ -83,10 +83,10 @@ type checkpointDaily struct {
 	Daily report.Daily `json:"daily"`
 }
 
-// checkpointOpenDay is the open-day section header; the merged builder
-// section follows, then MarkerDomains single-domain records (domains seen
-// only through unresolved, lease-less records — they count toward the
-// day's distinct-domain statistic but hold no visit state).
+// checkpointOpenDay is the open-day section header; the builder section of
+// all shards' partials follows, then MarkerDomains single-domain records
+// (domains seen only through unresolved, lease-less records — they count
+// toward the day's distinct-domain statistic but hold no visit state).
 type checkpointOpenDay struct {
 	MarkerDomains int `json:"markerDomains"`
 	Unresolved    int `json:"unresolved"`
