@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/histogram"
 	"repro/internal/profile"
@@ -418,7 +419,10 @@ func BenchmarkBeliefPropagationDay(b *testing.B) {
 	res, _ := eval.Figure4(run)
 	rep := run.ChallengeReports[res.Campaign.ID]
 	hints := run.HintIPs(res.Campaign)
-	cc := run.Pipe.CC()
+	cc := core.CCSet{}
+	for _, ad := range NewLANLCCDetector().FindCCParallel(rep.Snapshot, 0) {
+		cc[ad.Domain] = true
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = BeliefPropagation(rep.Snapshot, hints, nil, cc, AdditiveScorer{}, BPConfig{
@@ -576,8 +580,8 @@ func BenchmarkDayCloseIncremental(b *testing.B) {
 }
 
 // BenchmarkBeliefProp measures one no-hint belief propagation run on a
-// trained enterprise day, seeded by its own C&C detections — the
-// Compute_SimScore/Detect_C&C fan that dominates Algorithm 1.
+// trained enterprise day, seeded by its own C&C detections, with the day's
+// C&C set as Detect_C&C — the Compute_SimScore fan dominates Algorithm 1.
 func BenchmarkBeliefProp(b *testing.B) {
 	run := entFixture(b)
 	var rep *EnterpriseDayReport
@@ -592,29 +596,16 @@ func BenchmarkBeliefProp(b *testing.B) {
 		b.Skip("no operation day with C&C detections")
 	}
 	var seeds []string
+	cc := core.CCSet{}
 	for _, ad := range rep.CC {
 		seeds = append(seeds, ad.Domain)
+		cc[ad.Domain] = true
 	}
-	det := run.Pipe.Detector()
 	sim := run.Pipe.SimilarityScorer()
 	cfg := BPConfig{ScoreThreshold: run.Pipe.SimThreshold(), MaxIterations: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = BeliefPropagation(rep.Snapshot, nil, seeds, det, sim, cfg)
-	}
-}
-
-func BenchmarkFindAutomatedSequential(b *testing.B) {
-	run := entFixture(b)
-	reps := run.OperationReports()
-	if len(reps) == 0 {
-		b.Skip("no operation days")
-	}
-	det := run.Pipe.Detector()
-	snap := reps[0].Snapshot
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = det.FindAutomatedParallel(snap, 1)
+		_ = BeliefPropagation(rep.Snapshot, nil, seeds, cc, sim, cfg)
 	}
 }
 

@@ -220,8 +220,9 @@ func (d *Detector) Score(ad *AutomatedDomain) float64 {
 	return v
 }
 
-// IsCC scores a single rare domain against the trained model, the form
-// Algorithm 1's Detect_C&C step uses during belief propagation.
+// IsCC scores one rare domain without the §VI-C WHOIS-average substitution,
+// so it can disagree with the day's C&C list. The pipelines pass core.CCSet
+// instead; only the benchmark module's traced close still calls it.
 func (d *Detector) IsCC(da *profile.DomainActivity, day time.Time) bool {
 	ad := analyzeActivity(da, d.Hist)
 	if ad == nil {
@@ -262,19 +263,23 @@ func (d *LANLDetector) minMatches() int {
 
 // IsCC applies the heuristic to one rare domain's daily activity.
 func (d *LANLDetector) IsCC(da *profile.DomainActivity, _ time.Time) bool {
-	ad := analyzeActivity(da, d.Hist)
+	return d.synchronized(analyzeActivity(da, d.Hist))
+}
+
+// synchronized reports whether two automated hosts of an analysed domain
+// (nil: none automated) line up in time, not merely share a period.
+func (d *LANLDetector) synchronized(ad *AutomatedDomain) bool {
 	if ad == nil || len(ad.AutoHosts) < 2 {
 		return false
 	}
-	// Require the automated hosts' connections to actually line up in
-	// time, not merely share a period.
+	hosts := ad.Activity.Hosts
 	for i, vi := range ad.Verdicts {
 		if !vi.Automated {
 			continue
 		}
 		for j := i + 1; j < len(ad.Verdicts); j++ {
 			if ad.Verdicts[j].Automated &&
-				countAligned(da.Hosts[i].Times, da.Hosts[j].Times, d.SyncWindow) >= d.minMatches() {
+				countAligned(hosts[i].Times, hosts[j].Times, d.SyncWindow) >= d.minMatches() {
 				return true
 			}
 		}
@@ -284,15 +289,15 @@ func (d *LANLDetector) IsCC(da *profile.DomainActivity, _ time.Time) bool {
 
 // FindCCParallel scans a snapshot and returns the heuristic's C&C domains
 // sorted by name, with the per-domain heuristic fanned out over a bounded
-// worker pool (par.ForEachIndex). The output is identical (same domains, same
-// sorted order) for any worker count; only wall-clock differs. workers <= 0
-// uses GOMAXPROCS.
+// worker pool (par.ForEachIndex); each rare domain is analysed once. The
+// output is identical (same domains, same sorted order) for any worker
+// count; only wall-clock differs. workers <= 0 uses GOMAXPROCS.
 func (d *LANLDetector) FindCCParallel(s *profile.Snapshot, workers int) []*AutomatedDomain {
 	rare := s.RareActivities()
 	slots := make([]*AutomatedDomain, len(rare))
 	par.ForEachIndex(len(rare), workers, func(i int) {
-		if d.IsCC(rare[i], s.Day) {
-			slots[i] = analyzeActivity(rare[i], d.Hist)
+		if ad := analyzeActivity(rare[i], d.Hist); d.synchronized(ad) {
+			slots[i] = ad
 		}
 	})
 	return compact(slots)

@@ -1,12 +1,14 @@
 package ccdetect
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
 
 	"repro/internal/features"
+	"repro/internal/histogram"
 	"repro/internal/logs"
 	"repro/internal/profile"
 	"repro/internal/whois"
@@ -238,6 +240,54 @@ func TestLANLDetectorSynchronizedHosts(t *testing.T) {
 	}
 	if d.IsCC(s.Rare["phase.c3"], day) {
 		t.Error("out-of-phase hosts fired the alignment check")
+	}
+}
+
+// TestPaperParameters pins the detectors' paper parameters: Tc = 0.40 with
+// the AutoHosts feature dropped (§VI-C), the W = 10 s, JT = 0.06 histogram
+// (Table II), and the §V-B heuristic's 10 s window and 3 aligned pairs.
+func TestPaperParameters(t *testing.T) {
+	d := NewDetector(testExtractor(nil))
+	if d.Threshold != 0.4 || d.WithAutoHosts || d.Hist != histogram.DefaultConfig() {
+		t.Errorf("NewDetector = Tc %v, WithAutoHosts %v, Hist %+v; want 0.4, false, the default histogram",
+			d.Threshold, d.WithAutoHosts, d.Hist)
+	}
+	l := NewLANLDetector()
+	if l.SyncWindow != 10*time.Second || l.MinMatches != 3 || l.Hist != histogram.DefaultConfig() {
+		t.Errorf("NewLANLDetector = window %v, matches %d, Hist %+v; want 10s, 3, the default histogram",
+			l.SyncWindow, l.MinMatches, l.Hist)
+	}
+}
+
+// TestLANLDetectorWindowAndMatches: the §V-B heuristic fires when two
+// automated hosts line up within 10 s (inclusive) on at least 3 connections.
+func TestLANLDetectorWindowAndMatches(t *testing.T) {
+	start := day.Add(10 * time.Hour)
+	const period = 10 * time.Minute
+	var visits []logs.Visit
+	for _, c := range []struct {
+		domain string
+		skew   time.Duration // h2's offset from h1
+		n2     int           // h2's connections
+	}{
+		{"skew10.c3", 10 * time.Second, 25},
+		{"skew11.c3", 11 * time.Second, 25},
+		{"three.c3", 22 * period, 6}, // lines up with h1's last 3 connections
+		{"two.c3", 23 * period, 6},   // lines up with h1's last 2
+	} {
+		visits = append(visits, beaconVisits("h1", c.domain, "203.0.113.5", start, period, 25, "")...)
+		visits = append(visits, beaconVisits("h2", c.domain, "203.0.113.5", start.Add(c.skew), period, c.n2, "")...)
+	}
+	s := profile.NewSnapshot(day, visits, profile.NewHistory(), 10)
+	if got := len(NewDetector(testExtractor(nil)).FindAutomatedParallel(s, 1)); got != 4 {
+		t.Fatalf("fixture: %d automated domains, want 4", got)
+	}
+	var names []string
+	for _, ad := range NewLANLDetector().FindCCParallel(s, 1) {
+		names = append(names, ad.Domain)
+	}
+	if fmt.Sprint(names) != "[skew10.c3 three.c3]" {
+		t.Errorf("FindCCParallel = %v, want [skew10.c3 three.c3]", names)
 	}
 }
 

@@ -15,6 +15,11 @@
 // — hosts and domains join only when confidence is high — which is what
 // keeps the method tractable on days with tens of thousands of rare
 // domains.
+//
+// Detection order is the SOC's ordered list (§III-E); reprolint's maporder
+// analyzer keeps map iteration order out of it.
+//
+//lint:deterministic
 package core
 
 import (
@@ -32,6 +37,13 @@ type CCDetector interface {
 	IsCC(da *profile.DomainActivity, day time.Time) bool
 }
 
+// CCSet is the day's C&C verdict, the detector's scored C&C list decided once
+// per domain-day, and the Detect_C&C hook every pipeline passes.
+type CCSet map[string]bool
+
+// IsCC reports whether the domain is in the set.
+func (s CCSet) IsCC(da *profile.DomainActivity, _ time.Time) bool { return s[da.Domain] }
+
 // SimilarityScorer is the Compute_SimScore hook of Algorithm 1.
 type SimilarityScorer interface {
 	Score(da *profile.DomainActivity, labeled []features.Labeled, day time.Time) float64
@@ -47,13 +59,13 @@ type Config struct {
 	// configurable by SOC capacity on enterprise data.
 	MaxIterations int
 	// Workers bounds the worker pool that fans the per-candidate
-	// Detect_C&C and Compute_SimScore evaluations of each iteration —
-	// the dominant cost on days with tens of thousands of rare domains.
-	// The hooks are evaluated concurrently but consumed in the exact
-	// sorted order of the sequential algorithm, so the result is
-	// byte-identical for any worker count. 0 means GOMAXPROCS; 1 runs
-	// sequentially. Workers > 1 requires cc and sim to be safe for
-	// concurrent calls (the detectors and scorers in this module are).
+	// Compute_SimScore evaluations of an iteration — the dominant cost on
+	// days with tens of thousands of rare domains. The scores are
+	// computed concurrently but consumed in the exact sorted order of the
+	// sequential algorithm, so the result is byte-identical for any worker
+	// count. 0 means GOMAXPROCS; 1 runs sequentially. Workers > 1
+	// requires sim to be safe for concurrent calls (the scorers in this
+	// module are).
 	Workers int
 }
 
@@ -99,9 +111,6 @@ type Detection struct {
 	Iteration int
 	// Hosts are the internal hosts contacting the domain today.
 	Hosts []string
-	// Period is the beacon period in seconds for C&C detections that
-	// expose one (filled by callers that know it; optional).
-	Period float64
 }
 
 // Result is the outcome of one belief propagation run.
@@ -132,7 +141,8 @@ func (r *Result) Domains() []string {
 // the seeds come from analyst-confirmed incidents or the IOC list; in
 // no-hint mode the caller first runs the C&C detector and seeds with its
 // detections and the hosts contacting them. Seed domains are never
-// re-reported in the result.
+// re-reported in the result. cc is Detect_C&C: the pipelines pass the day's
+// CCSet, so each domain's C&C verdict is the one the day's detector reached.
 func BeliefPropagation(
 	s *profile.Snapshot,
 	seedHosts, seedDomains []string,
@@ -149,15 +159,19 @@ func BeliefPropagation(
 		hosts[h] = true
 		seedHostSet[h] = true
 	}
+	// labeled is the comparison set for similarity scoring: the activity
+	// view of every malicious domain observable today, in seed order.
+	var labeled []features.Labeled
 	malicious := make(map[string]bool, len(seedDomains))
 	for _, d := range seedDomains {
-		malicious[d] = true
 		// Hosts contacting seed domains are compromised from the start.
-		if da, ok := s.Rare[d]; ok {
+		if da, ok := s.Rare[d]; ok && !malicious[d] {
 			for _, ha := range da.Hosts {
 				hosts[ha.Host] = true
 			}
+			labeled = append(labeled, features.LabeledFromActivity(da))
 		}
+		malicious[d] = true
 	}
 	rare := make(map[string]bool)
 	addHostDomains := func(h string) {
@@ -167,15 +181,6 @@ func BeliefPropagation(
 	}
 	for h := range hosts {
 		addHostDomains(h)
-	}
-
-	// labeled is the comparison set for similarity scoring: the activity
-	// view of every malicious domain observable today.
-	var labeled []features.Labeled
-	for d := range malicious {
-		if da, ok := s.Rare[d]; ok {
-			labeled = append(labeled, features.LabeledFromActivity(da))
-		}
 	}
 
 	label := func(d string, reason Reason, score float64, iter int) {
@@ -191,22 +196,16 @@ func BeliefPropagation(
 		})
 		// Expand H with the domain's hosts and R with their rare domains.
 		for _, ha := range da.Hosts {
-			if !hosts[ha.Host] {
-				hosts[ha.Host] = true
-				addHostDomains(ha.Host)
-			} else {
-				// Host already present; its domains may still be new to R
-				// when the host joined via a seed domain before R existed.
-				addHostDomains(ha.Host)
-			}
+			hosts[ha.Host] = true
+			addHostDomains(ha.Host)
 		}
 	}
 
 	// candidates returns R \ M in sorted order — the iteration order of the
-	// sequential algorithm. The hook evaluations below fan out over the
-	// worker pool but land in per-candidate slots, and the selection loops
-	// walk the slots in this order, so labeling decisions (and therefore
-	// the detection order the SOC sees) are identical for any worker count.
+	// sequential algorithm. The similarity scores below fan out over the
+	// worker pool but land in per-candidate slots, and the argmax walks the
+	// slots in this order, so labeling decisions (and therefore the
+	// detection order the SOC sees) are identical for any worker count.
 	candidates := func() []string {
 		out := make([]string, 0, len(rare))
 		for d := range rare {
@@ -226,16 +225,12 @@ func BeliefPropagation(
 		// them.
 		cand := candidates()
 
-		// Step 1: sweep R \ M for C&C-like domains. IsCC depends only on
-		// the candidate's own activity, never on the labels accumulated
-		// during the sweep, so all verdicts can be computed up front.
+		// Step 1: label every C&C domain in R \ M. A verdict depends only
+		// on the candidate's own activity, never on the labels accumulated
+		// during the sweep.
 		if cc != nil {
-			isCC := make([]bool, len(cand))
-			par.ForEachIndex(len(cand), cfg.Workers, func(i int) {
-				isCC[i] = cc.IsCC(s.Rare[cand[i]], s.Day)
-			})
-			for i, d := range cand {
-				if isCC[i] {
+			for _, d := range cand {
+				if cc.IsCC(s.Rare[d], s.Day) {
 					label(d, ReasonCC, 0, iter)
 					labeledThisIter = true
 				}

@@ -344,8 +344,8 @@ func TestBeliefPropagationPicksMaxScore(t *testing.T) {
 	}
 }
 
-// TestBeliefPropagationWorkersDeterminism: the parallel Detect_C&C /
-// Compute_SimScore fan must reproduce the sequential run exactly — same
+// TestBeliefPropagationWorkersDeterminism: the parallel Compute_SimScore
+// fan must reproduce the sequential run exactly — same
 // detections, same order, same scores, same iteration labels, same host
 // sets — for any worker count.
 func TestBeliefPropagationWorkersDeterminism(t *testing.T) {
@@ -376,6 +376,58 @@ func TestBeliefPropagationWorkersDeterminism(t *testing.T) {
 		}
 		if got.Iterations != want.Iterations {
 			t.Fatalf("workers=%d: %d iterations, want %d", w, got.Iterations, want.Iterations)
+		}
+	}
+}
+
+// TestCCSetMatchesDetectorHook: the day's C&C set, as the LANL pipeline
+// builds it from FindCCParallel, drives Algorithm 1 exactly as the per-call
+// heuristic does — same detections, reasons, scores, iterations and hosts.
+func TestCCSetMatchesDetectorHook(t *testing.T) {
+	s := buildCampaignSnapshot()
+	det, sim := ccdetect.NewLANLDetector(), scoring.AdditiveScorer{}
+	set := CCSet{}
+	for _, ad := range det.FindCCParallel(s, 1) {
+		set[ad.Domain] = true
+	}
+	if !set["rainbow.c3"] {
+		t.Fatalf("day's C&C set %v lacks rainbow.c3", set)
+	}
+	cfg := Config{ScoreThreshold: scoring.AdditiveThreshold, MaxIterations: 8}
+	want := BeliefPropagation(s, []string{"hostA"}, nil, det, sim, cfg)
+	got := BeliefPropagation(s, []string{"hostA"}, nil, set, sim, cfg)
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("with the day's set:\n%+v\nwith the hook:\n%+v", got, want)
+	}
+	if got.Detections[0].Domain != "rainbow.c3" || got.Detections[0].Reason != ReasonCC {
+		t.Errorf("first detection %+v, want C&C rainbow.c3", got.Detections[0])
+	}
+}
+
+// TestBeliefPropagationTieBreaks pins Algorithm 1's step-2 tie-breaks: at
+// equal top scores the first candidate in sorted order is labeled, and the
+// zero Config runs at most 10 iterations.
+func TestBeliefPropagationTieBreaks(t *testing.T) {
+	var visits []logs.Visit
+	base := day.Add(9 * time.Hour)
+	for i := 0; i < 12; i++ {
+		visits = append(visits, logs.Visit{
+			Time: base, Host: "hostA", Domain: fmt.Sprintf("d%02d.c3", 11-i),
+			DestIP: netip.MustParseAddr("203.0.113.5"),
+		})
+	}
+	s := profile.NewSnapshot(day, visits, profile.NewHistory(), 10)
+	scores := stubScorer{}
+	for i := 0; i < 12; i++ {
+		scores[fmt.Sprintf("d%02d.c3", i)] = 0.5
+	}
+	res := BeliefPropagation(s, []string{"hostA"}, nil, nil, scores, Config{ScoreThreshold: 0.5})
+	if res.Iterations != 10 || len(res.Detections) != 10 {
+		t.Fatalf("%d iterations, %d detections; want the default 10 of each", res.Iterations, len(res.Detections))
+	}
+	for i, d := range res.Detections {
+		if want := fmt.Sprintf("d%02d.c3", i); d.Domain != want || d.Iteration != i+1 {
+			t.Errorf("detection %d = %s in iteration %d, want %s in %d", i, d.Domain, d.Iteration, want, i+1)
 		}
 	}
 }

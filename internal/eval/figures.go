@@ -258,12 +258,15 @@ func Figure6c(run *EnterpriseRun) ([]SweepPoint, *Table) {
 }
 
 func sweepBP(run *EnterpriseRun, thresholds []float64, socMode bool, title string) ([]SweepPoint, *Table) {
-	det := run.Pipe.Detector()
 	sim := run.Pipe.SimilarityScorer()
 	points := make([]SweepPoint, 0, len(thresholds))
 	for _, thr := range thresholds {
 		seen := map[string]bool{}
 		for _, rep := range run.OperationReports() {
+			ccSet := make(core.CCSet, len(rep.CC))
+			for _, ad := range rep.CC {
+				ccSet[ad.Domain] = true
+			}
 			var seeds []string
 			if socMode {
 				for _, ioc := range run.Oracle.IOCs() {
@@ -281,7 +284,7 @@ func sweepBP(run *EnterpriseRun, thresholds []float64, socMode bool, title strin
 			if len(seeds) == 0 {
 				continue
 			}
-			res := core.BeliefPropagation(rep.Snapshot, nil, seeds, det, sim,
+			res := core.BeliefPropagation(rep.Snapshot, nil, seeds, ccSet, sim,
 				core.Config{ScoreThreshold: thr, MaxIterations: 10})
 			for _, d := range res.Domains() {
 				seen[d] = true

@@ -276,3 +276,15 @@ func TestLabeledFromActivity(t *testing.T) {
 		t.Errorf("IP = %v", l.IP)
 	}
 }
+
+// TestPaperConstants pins the feature constants taken from the paper: the
+// 160 s timing-correlation scale (Figure 3) and the 10-host UA rarity
+// threshold.
+func TestPaperConstants(t *testing.T) {
+	if CloseVisitWindow != 160*time.Second {
+		t.Errorf("CloseVisitWindow = %v, want 160s", CloseVisitWindow)
+	}
+	if got := (&Extractor{}).uaThreshold(); got != 10 {
+		t.Errorf("default UA rarity threshold = %d, want 10", got)
+	}
+}

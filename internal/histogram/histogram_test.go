@@ -355,8 +355,8 @@ func TestIntervalsWithDuplicateTimes(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.BinWidth != 10 || cfg.Threshold != 0.06 {
-		t.Errorf("DefaultConfig = %+v, want paper's W=10, JT=0.06", cfg)
+	if cfg.BinWidth != 10 || cfg.Threshold != 0.06 || cfg.MinConnections != 4 {
+		t.Errorf("DefaultConfig = %+v, want paper's W=10, JT=0.06 and 4 connections", cfg)
 	}
 	var zero Config
 	if zero.minConns() != 4 {

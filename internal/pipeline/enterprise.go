@@ -47,10 +47,10 @@ type EnterpriseConfig struct {
 	LabelLagDays int
 	// Workers bounds the worker pool the day-close stages fan out on:
 	// snapshot aggregation, periodicity profiling, feature extraction, and
-	// the per-iteration Compute_SimScore/Detect_C&C sweeps of belief
-	// propagation. Reports are byte-identical for every value — the
-	// parallel stages merge in deterministic order. 0 (the default) uses
-	// GOMAXPROCS; 1 forces the sequential path.
+	// the per-iteration Compute_SimScore sweep of belief propagation.
+	// Reports are byte-identical for every value — the parallel stages
+	// merge in deterministic order. 0 (the default) uses GOMAXPROCS; 1
+	// forces the sequential path.
 	Workers int
 }
 
@@ -265,7 +265,7 @@ func (p *Enterprise) stageScore(automated []*ccdetect.AutomatedDomain) []*ccdete
 // stagePropagate runs belief propagation in both deployment modes: no-hint
 // (seeded by the detected C&C domains) and SOC-hints (seeded by the IOC
 // domains present in today's rare traffic). Either result is nil when its
-// seed set is empty.
+// seed set is empty. Both runs take the scored C&C list as Detect_C&C.
 //
 //lint:pure
 func (p *Enterprise) stagePropagate(snap *profile.Snapshot, cc []*ccdetect.AutomatedDomain, workers int) (noHint, socHints *core.Result) {
@@ -275,12 +275,14 @@ func (p *Enterprise) stagePropagate(snap *profile.Snapshot, cc []*ccdetect.Autom
 		Workers:        workers,
 	}
 
+	ccSet := make(core.CCSet, len(cc))
+	var seedDomains []string
+	for _, ad := range cc {
+		ccSet[ad.Domain] = true
+		seedDomains = append(seedDomains, ad.Domain)
+	}
 	if len(cc) > 0 {
-		var seedDomains []string
-		for _, ad := range cc {
-			seedDomains = append(seedDomains, ad.Domain)
-		}
-		noHint = core.BeliefPropagation(snap, nil, seedDomains, p.detector, p.simScorer, bpCfg)
+		noHint = core.BeliefPropagation(snap, nil, seedDomains, ccSet, p.simScorer, bpCfg)
 	}
 
 	if p.IOCs != nil {
@@ -292,7 +294,7 @@ func (p *Enterprise) stagePropagate(snap *profile.Snapshot, cc []*ccdetect.Autom
 		}
 		sort.Strings(seeds)
 		if len(seeds) > 0 {
-			socHints = core.BeliefPropagation(snap, nil, seeds, p.detector, p.simScorer, bpCfg)
+			socHints = core.BeliefPropagation(snap, nil, seeds, ccSet, p.simScorer, bpCfg)
 		}
 	}
 	return noHint, socHints

@@ -42,8 +42,8 @@ type LANLConfig struct {
 	// MaxIterations bounds belief propagation (default 5, §V-C).
 	MaxIterations int
 	// Workers bounds the worker pool for the day-close stages (snapshot
-	// aggregation, the C&C sweep, and the per-iteration similarity scans
-	// of belief propagation). Results are identical for every value.
+	// aggregation, the day's C&C sweep, and the per-iteration similarity
+	// scans of belief propagation). Results are identical for every value.
 	// 0 uses GOMAXPROCS; 1 forces the sequential path.
 	Workers int
 }
@@ -73,9 +73,6 @@ func NewLANL(cfg LANLConfig) *LANL {
 
 // History exposes the destination history (for inspection and tests).
 func (p *LANL) History() *profile.History { return p.hist }
-
-// CC exposes the LANL C&C heuristic so experiments can reuse it.
-func (p *LANL) CC() *ccdetect.LANLDetector { return p.cc }
 
 // LANLDayReport captures one processed day.
 type LANLDayReport struct {
@@ -109,7 +106,8 @@ func (p *LANL) Train(day time.Time, recs []logs.DNSRecord) LANLDayReport {
 
 // Process runs one challenge day. hintHosts are the analyst-provided
 // compromised hosts (cases 1-3); when empty the no-hint flow runs: the
-// C&C heuristic finds seeds first (case 4).
+// C&C heuristic's domains are the seeds (case 4). Either way the heuristic
+// runs once over the day, and its set is belief propagation's Detect_C&C.
 func (p *LANL) Process(day time.Time, recs []logs.DNSRecord, hintHosts []string) LANLDayReport {
 	visits, stats := normalize.ReduceDNS(recs)
 	snap := profile.NewSnapshotParallel(day, visits, p.hist, p.cfg.UnpopularThreshold, p.cfg.Workers)
@@ -119,32 +117,29 @@ func (p *LANL) Process(day time.Time, recs []logs.DNSRecord, hintHosts []string)
 		Snapshot: snap,
 	}
 
-	seedHosts := hintHosts
-	var seedDomains []string
-	if len(hintHosts) == 0 {
-		// No-hint mode: seed belief propagation with the heuristic's C&C
-		// domains and the hosts contacting them.
-		for _, ad := range p.cc.FindCCParallel(snap, p.cfg.Workers) {
+	noHint := len(hintHosts) == 0
+	ads := p.cc.FindCCParallel(snap, p.cfg.Workers)
+	ccSet := make(core.CCSet, len(ads))
+	for _, ad := range ads {
+		ccSet[ad.Domain] = true
+		if noHint {
 			rep.CCDomains = append(rep.CCDomains, ad.Domain)
-			seedDomains = append(seedDomains, ad.Domain)
 		}
 	}
 
-	if len(seedHosts) > 0 || len(seedDomains) > 0 {
-		rep.Result = core.BeliefPropagation(snap, seedHosts, seedDomains, p.cc, p.scorer, core.Config{
+	// No-hint mode seeds with the heuristic's C&C domains (and so the hosts
+	// contacting them).
+	if len(hintHosts) > 0 || len(rep.CCDomains) > 0 {
+		rep.Result = core.BeliefPropagation(snap, hintHosts, rep.CCDomains, ccSet, p.scorer, core.Config{
 			ScoreThreshold: p.cfg.ScoreThreshold,
 			MaxIterations:  p.cfg.MaxIterations,
 			Workers:        p.cfg.Workers,
 		})
 		// In no-hint mode the seeds themselves are detections.
-		if len(hintHosts) == 0 {
-			dets := make([]core.Detection, 0, len(seedDomains)+len(rep.Result.Detections))
-			for _, d := range seedDomains {
-				det := core.Detection{Domain: d, Reason: core.ReasonCC}
-				if da, ok := snap.Rare[d]; ok {
-					det.Hosts = da.HostNames()
-				}
-				dets = append(dets, det)
+		if noHint {
+			dets := make([]core.Detection, 0, len(ads)+len(rep.Result.Detections))
+			for _, ad := range ads {
+				dets = append(dets, core.Detection{Domain: ad.Domain, Reason: core.ReasonCC, Hosts: ad.Activity.HostNames()})
 			}
 			rep.Result.Detections = append(dets, rep.Result.Detections...)
 		}
