@@ -242,8 +242,10 @@ func Figure6a(run *EnterpriseRun) ([]SweepPoint, *Table) {
 }
 
 // Figure6b reproduces Figure 6(b): the no-hint belief propagation output
-// as the similarity threshold sweeps 0.33-0.85 (C&C threshold fixed at
-// 0.40, as in the paper).
+// as the similarity threshold sweeps 0.33-0.85. The paper fixes the C&C
+// threshold at 0.40; here the seeds are each day's C&C list, rep.CC, scored
+// at the Tc the pipeline selected on its calibration days (RunEnterprise
+// sets no CCThreshold), so the sweep is not at the paper's operating point.
 func Figure6b(run *EnterpriseRun) ([]SweepPoint, *Table) {
 	return sweepBP(run, []float64{0.33, 0.50, 0.65, 0.75, 0.85}, false,
 		"Figure 6(b): no-hint detections vs similarity threshold")

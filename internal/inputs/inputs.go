@@ -1,7 +1,8 @@
 // Package inputs implements the daemon's live ingestion listeners: framed
 // TCP/syslog feeds of proxy TSV records and a netflow feed, decoded through
 // the pooled zero-copy codec in internal/logs and delivered to the
-// streaming engine in batches.
+// streaming engine in batches: each connection decodes on one goroutine
+// while a second one delivers the batches it has parsed (see HandleConn).
 //
 // # Framing
 //
@@ -17,12 +18,16 @@
 //
 // TCP cannot answer 429 the way the HTTP ingest path does, so the policy
 // is explicit: batches are handed to the engine at batch boundaries, and
-// when Engine.Lagging() reports a shard queue 90% full the listener sheds
-// the parsed batch instead of blocking the read loop — counted in
-// SheddedRecords and surfaced through /stats. A sender that
-// outruns the engine therefore loses whole batches, never fractions of
-// them, and the loss is observable. Records refused by the engine itself
-// (no open day) are counted separately as RejectedRecords.
+// when Engine.Lagging() reports a shard queue at the engine's shed
+// threshold — ceil(0.9 · QueueDepth) queued batches, QueueDepth being
+// reprod's -queue — the listener sheds the parsed batch instead of waiting
+// for the engine, counted in SheddedRecords and surfaced through /stats.
+// The decision is taken on the connection's delivery goroutine, as each
+// batch comes up for delivery; decoding runs at most the rotation's depth
+// (connBatches) of parsed batches ahead of it. A sender that outruns the
+// engine therefore loses whole batches, never fractions of them, and the
+// loss is observable. Records refused by the engine itself (no open day)
+// are counted separately as RejectedRecords.
 package inputs
 
 import (
@@ -251,11 +256,17 @@ func (l *Listener) acceptLoop() {
 	}
 }
 
-// HandleConn runs one connection to completion: read a chunk, cut and
-// decode every complete frame of it straight into the pending batch, deliver
-// batches, close. Exported so tests (including the batch-equivalence suite)
-// can drive a single framed connection without a bound socket. Returns nil
-// on a clean end of stream.
+// HandleConn runs one connection to completion. Exported so tests
+// (including the batch-equivalence suite) can drive a single framed
+// connection without a bound socket. Returns nil on a clean end of stream.
+//
+// A connection is a two-stage pipeline. The calling goroutine reads a chunk,
+// cuts and decodes every complete frame of it straight into the pending
+// batch, and passes each batch on; a delivery goroutine of its own hands the
+// batches to the engine in read order, so one batch decodes while the
+// previous one is reduced and routed. Whatever the terminal condition, the
+// records that parsed before it are delivered, and HandleConn returns only
+// once the delivery goroutine has drained and exited.
 func (l *Listener) HandleConn(c net.Conn) error {
 	defer c.Close()
 	l.connsActive.Add(1)
@@ -271,69 +282,9 @@ func (l *Listener) HandleConn(c net.Conn) error {
 	}
 	defer dec.release()
 
-	// recs is the pending batch; frames decode in place into its next slot.
-	// GetProxyBuf guarantees the batch capacity up front and the loop hands
-	// off at the batch boundary, so taking a slot never reallocates. high is
-	// the longest extent ever written, so the pool's clear covers records
-	// from earlier, fuller batches, not just the final partial one. frames
-	// counts the frames cut since the counter was last bumped — once per
-	// chunk, not once per frame.
-	recs, high, frames := logs.GetProxyBuf(l.cfg.BatchRecords), 0, int64(0)
-	defer func() {
-		l.frames.Add(frames)
-		logs.PutProxyBuf(recs[:high])
-	}()
-
-	for {
-		for {
-			frame, ok, err := fs.next()
-			if err != nil {
-				return l.end(recs, err)
-			}
-			if !ok {
-				break
-			}
-			if len(frame) == 0 {
-				continue // tolerate keep-alive blank lines
-			}
-			frames++
-			n := len(recs)
-			recs = recs[:n+1]
-			high = max(high, n+1)
-			keep, err := dec.decode(frame, &recs[n])
-			if err != nil {
-				// One undecodable frame poisons the stream: deliver what
-				// parsed cleanly before it, then refuse the connection.
-				l.malformed.Add(1)
-				l.flush(recs[:n])
-				return fmt.Errorf("inputs/%s: %w", l.cfg.Name, err)
-			}
-			if !keep {
-				recs = recs[:n]
-			} else if n+1 >= l.cfg.BatchRecords {
-				l.flush(recs)
-				recs = recs[:0]
-			}
-		}
-		l.frames.Add(frames)
-		frames = 0
-		// Hand off eagerly when the next read would block — a trickle of
-		// records must not sit parked waiting for peers to fill the batch.
-		if len(recs) > 0 && !fs.buffered() {
-			l.flush(recs)
-			recs = recs[:0]
-		}
-		if err := fs.fill(); err != nil {
-			return l.end(recs, err)
-		}
-	}
-}
-
-// end delivers the complete records parsed before the connection's terminal
-// condition — for a clean EOF that is the whole tail of the stream — and
-// counts the condition.
-func (l *Listener) end(recs []logs.ProxyRecord, err error) error {
-	l.flush(recs)
+	d := l.startDelivery()
+	pending, err := l.readFrames(fs, dec, d)
+	d.stop(pending)
 	switch {
 	case err == io.EOF:
 		return nil
@@ -345,9 +296,126 @@ func (l *Listener) end(recs []logs.ProxyRecord, err error) error {
 	return err
 }
 
-// flush delivers a pending batch to the engine under the backpressure
-// policy: shedding and engine refusals are counted, never fatal to the
-// connection.
+// readFrames is a connection's first stage: read a chunk, decode every
+// complete frame of it in place into the next slot of the pending batch,
+// pass the batch on when it is full or once the buffer is drained to a frame
+// boundary. It returns the batch pending at the
+// connection's terminal condition and the condition: io.EOF for a clean end
+// of stream. frames counts the frames cut since the counter was last bumped
+// — once per chunk, not once per frame.
+func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, d *delivery) ([]logs.ProxyRecord, error) {
+	recs, frames := <-d.free, int64(0)
+	defer func() { l.frames.Add(frames) }()
+	for {
+		for {
+			frame, ok, err := fs.next()
+			if err != nil {
+				return recs, err
+			}
+			if !ok {
+				break
+			}
+			if len(frame) == 0 {
+				continue // tolerate keep-alive blank lines
+			}
+			frames++
+			// The buffer holds BatchRecords and the batch is passed on at
+			// that boundary, so taking a slot never reallocates.
+			n := len(recs)
+			recs = recs[:n+1]
+			keep, err := dec.decode(frame, &recs[n])
+			if err != nil {
+				// One undecodable frame poisons the stream: deliver what
+				// parsed cleanly before it, then refuse the connection.
+				l.malformed.Add(1)
+				return recs[:n], fmt.Errorf("inputs/%s: %w", l.cfg.Name, err)
+			}
+			if !keep {
+				recs = recs[:n]
+			} else if n+1 >= l.cfg.BatchRecords {
+				recs = d.pass(recs)
+			}
+		}
+		l.frames.Add(frames)
+		frames = 0
+		// Hand off eagerly when the next read would block — a trickle of
+		// records must not sit parked waiting for peers to fill the batch.
+		if len(recs) > 0 && !fs.buffered() {
+			recs = d.pass(recs)
+		}
+		if err := fs.fill(); err != nil {
+			return recs, err
+		}
+	}
+}
+
+// connBatches is the number of record buffers a connection rotates between
+// its two stages: one being decoded, one being delivered, and two of slack so
+// that neither stage parks the moment the other is preempted. It bounds how
+// far decoding runs ahead of the engine — at most connBatches−1 parsed
+// batches wait behind the one being delivered — and a connection's batch
+// memory, whatever its length. A constant, like replay's chunk count: the
+// rotation only has to cover scheduling jitter between two goroutines, which
+// no listener configures differently.
+const connBatches = 4
+
+// delivery is a connection's second stage: the goroutine that takes parsed
+// batches from full in read order and flushes them to the engine, then
+// returns each buffer, emptied, to free.
+type delivery struct {
+	full, free chan []logs.ProxyRecord
+	done       chan struct{}
+}
+
+// startDelivery fills the rotation from the record-buffer pool and starts
+// the delivery goroutine.
+func (l *Listener) startDelivery() *delivery {
+	// Both channels have room for every buffer, so neither stage parks on
+	// handing one over; the number of buffers is what bounds the reader's
+	// lead.
+	d := &delivery{
+		full: make(chan []logs.ProxyRecord, connBatches),
+		free: make(chan []logs.ProxyRecord, connBatches),
+		done: make(chan struct{}),
+	}
+	for range connBatches {
+		d.free <- logs.GetProxyBuf(l.cfg.BatchRecords)
+	}
+	go func() {
+		defer close(d.done)
+		for batch := range d.full {
+			l.flush(batch)
+			d.free <- batch[:0]
+		}
+	}()
+	return d
+}
+
+// pass queues batch for delivery and returns an empty buffer for the next
+// one, waiting while every other buffer is still queued or being delivered.
+func (d *delivery) pass(batch []logs.ProxyRecord) []logs.ProxyRecord {
+	d.full <- batch
+	return <-d.free
+}
+
+// stop queues the final batch, waits for the delivery goroutine to drain the
+// queue and exit, and returns every buffer to the pool. The buffers are
+// cleared to their full capacity: IngestBatch reduces a batch synchronously,
+// but a recycled buffer still holds its records' strings until overwritten,
+// and the pool must not pin them.
+func (d *delivery) stop(last []logs.ProxyRecord) {
+	d.full <- last
+	close(d.full)
+	<-d.done
+	close(d.free)
+	for buf := range d.free {
+		logs.PutProxyBuf(buf[:cap(buf)])
+	}
+}
+
+// flush delivers one batch to the engine under the backpressure policy,
+// on the delivery goroutine: a batch that arrives while the engine lags is
+// shed, and engine refusals are counted; neither is fatal to the connection.
 func (l *Listener) flush(batch []logs.ProxyRecord) {
 	if len(batch) == 0 {
 		return
