@@ -1,8 +1,9 @@
 // Package inputs implements the daemon's live ingestion listeners: framed
 // TCP/syslog feeds of proxy TSV records and a netflow feed, decoded through
 // the pooled zero-copy codec in internal/logs and delivered to the
-// streaming engine in batches: each connection decodes on one goroutine
-// while a second one delivers the batches it has parsed (see HandleConn).
+// streaming engine in batches: a connection that carries more than one
+// batch decodes on one goroutine while a second one delivers the batches it
+// has parsed (see HandleConn).
 //
 // # Framing
 //
@@ -22,12 +23,12 @@
 // threshold — ceil(0.9 · QueueDepth) queued batches, QueueDepth being
 // reprod's -queue — the listener sheds the parsed batch instead of waiting
 // for the engine, counted in SheddedRecords and surfaced through /stats.
-// The decision is taken on the connection's delivery goroutine, as each
-// batch comes up for delivery; decoding runs at most the rotation's depth
-// (connBatches) of parsed batches ahead of it. A sender that outruns the
-// engine therefore loses whole batches, never fractions of them, and the
-// loss is observable. Records refused by the engine itself (no open day)
-// are counted separately as RejectedRecords.
+// The decision is taken as each batch comes up for delivery — on the
+// connection's delivery goroutine once it has one — and decoding runs at
+// most the rotation's depth (connBatches) of parsed batches ahead of it. A
+// sender that outruns the engine therefore loses whole batches, never
+// fractions of them, and the loss is observable. Records refused by the
+// engine itself (no open day) are counted separately as RejectedRecords.
 package inputs
 
 import (
@@ -260,13 +261,14 @@ func (l *Listener) acceptLoop() {
 // (including the batch-equivalence suite) can drive a single framed
 // connection without a bound socket. Returns nil on a clean end of stream.
 //
-// A connection is a two-stage pipeline. The calling goroutine reads a chunk,
-// cuts and decodes every complete frame of it straight into the pending
-// batch, and passes each batch on; a delivery goroutine of its own hands the
-// batches to the engine in read order, so one batch decodes while the
+// A connection that carries more than one batch becomes a two-stage
+// pipeline. The calling goroutine reads a chunk, cuts and decodes every
+// complete frame of it straight into the pending batch, and passes each
+// batch on; from the second batch on, a delivery goroutine of its own hands
+// the batches to the engine in read order, so one batch decodes while the
 // previous one is reduced and routed. Whatever the terminal condition, the
 // records that parsed before it are delivered, and HandleConn returns only
-// once the delivery goroutine has drained and exited.
+// once every batch has been.
 func (l *Listener) HandleConn(c net.Conn) error {
 	defer c.Close()
 	l.connsActive.Add(1)
@@ -282,8 +284,8 @@ func (l *Listener) HandleConn(c net.Conn) error {
 	}
 	defer dec.release()
 
-	d := l.startDelivery()
-	pending, err := l.readFrames(fs, dec, d)
+	d := delivery{l: l}
+	pending, err := l.readFrames(fs, dec, &d, logs.GetProxyBuf(l.cfg.BatchRecords))
 	d.stop(pending)
 	switch {
 	case err == io.EOF:
@@ -297,14 +299,13 @@ func (l *Listener) HandleConn(c net.Conn) error {
 }
 
 // readFrames is a connection's first stage: read a chunk, decode every
-// complete frame of it in place into the next slot of the pending batch,
-// pass the batch on when it is full or once the buffer is drained to a frame
-// boundary. It returns the batch pending at the
-// connection's terminal condition and the condition: io.EOF for a clean end
-// of stream. frames counts the frames cut since the counter was last bumped
-// — once per chunk, not once per frame.
-func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, d *delivery) ([]logs.ProxyRecord, error) {
-	recs, frames := <-d.free, int64(0)
+// complete frame of it in place into the next slot of recs, pass the batch
+// on when it is full or once the buffer is drained to a frame boundary. It
+// returns the batch pending at the connection's terminal condition and the
+// condition: io.EOF for a clean end of stream. frames counts the frames cut
+// since the counter was last bumped — once per chunk, not once per frame.
+func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, d *delivery, recs []logs.ProxyRecord) ([]logs.ProxyRecord, error) {
+	frames := int64(0)
 	defer func() { l.frames.Add(frames) }()
 	for {
 		for {
@@ -326,8 +327,11 @@ func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, d *delivery) (
 			keep, err := dec.decode(frame, &recs[n])
 			if err != nil {
 				// One undecodable frame poisons the stream: deliver what
-				// parsed cleanly before it, then refuse the connection.
+				// parsed cleanly before it, then refuse the connection. The
+				// slot may hold part of the bad record; the buffer is cleared
+				// only up to its length, so clear the slot here.
 				l.malformed.Add(1)
+				recs[n] = logs.ProxyRecord{}
 				return recs[:n], fmt.Errorf("inputs/%s: %w", l.cfg.Name, err)
 			}
 			if !keep {
@@ -349,73 +353,99 @@ func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, d *delivery) (
 	}
 }
 
-// connBatches is the number of record buffers a connection rotates between
-// its two stages: one being decoded, one being delivered, and two of slack so
-// that neither stage parks the moment the other is preempted. It bounds how
-// far decoding runs ahead of the engine — at most connBatches−1 parsed
-// batches wait behind the one being delivered — and a connection's batch
-// memory, whatever its length. A constant, like replay's chunk count: the
-// rotation only has to cover scheduling jitter between two goroutines, which
-// no listener configures differently.
+// connBatches caps the record buffers a connection rotates between its two
+// stages: one being decoded, one being delivered, and two of slack so that
+// neither stage parks the moment the other is preempted — on cores that the
+// engine's shards and the sender share, two buffers read slower
+// (EXPERIMENTS.md "PR 42"). It bounds how far decoding runs ahead of
+// the engine — at most connBatches−1 parsed batches wait behind the one
+// being delivered — and a connection's batch memory, whatever its length.
+// A constant, like replay's chunk count: the rotation only has to cover
+// scheduling jitter between two goroutines, which no listener configures
+// differently.
 const connBatches = 4
 
-// delivery is a connection's second stage: the goroutine that takes parsed
-// batches from full in read order and flushes them to the engine, then
-// returns each buffer, emptied, to free.
+// delivery is a connection's second stage. The first batch is delivered on
+// the connection's own goroutine, exactly as a single-stage loop would, so a
+// connection that carries one batch — a syslog message, a short burst —
+// costs no goroutine, channel or second buffer. The second batch starts the
+// delivery goroutine, which takes parsed batches from full in read order,
+// flushes them to the engine, clears them and returns them, empty, to free.
+// Buffers join the rotation from the pool only when the reader finds none
+// free, so a connection holds as many as its delivery has lagged by.
 type delivery struct {
-	full, free chan []logs.ProxyRecord
-	done       chan struct{}
+	l          *Listener
+	full, free chan []logs.ProxyRecord // nil until the second batch
+	delivered  bool                    // the first batch went out inline
+	bufs       int                     // buffers in the rotation
 }
 
-// startDelivery fills the rotation from the record-buffer pool and starts
-// the delivery goroutine.
-func (l *Listener) startDelivery() *delivery {
-	// Both channels have room for every buffer, so neither stage parks on
-	// handing one over; the number of buffers is what bounds the reader's
-	// lead.
-	d := &delivery{
-		full: make(chan []logs.ProxyRecord, connBatches),
-		free: make(chan []logs.ProxyRecord, connBatches),
-		done: make(chan struct{}),
-	}
-	for range connBatches {
-		d.free <- logs.GetProxyBuf(l.cfg.BatchRecords)
-	}
-	go func() {
-		defer close(d.done)
-		for batch := range d.full {
-			l.flush(batch)
-			d.free <- batch[:0]
-		}
-	}()
-	return d
-}
-
-// pass queues batch for delivery and returns an empty buffer for the next
-// one, waiting while every other buffer is still queued or being delivered.
+// pass delivers batch or queues it for delivery, and returns an empty buffer
+// for the next one: a free one if there is one, a pooled one while the
+// rotation holds fewer than connBatches, else the next the delivery
+// goroutine hands back.
 func (d *delivery) pass(batch []logs.ProxyRecord) []logs.ProxyRecord {
+	if d.full == nil {
+		if !d.delivered {
+			d.delivered = true
+			d.l.flush(batch)
+			clear(batch)
+			return batch[:0]
+		}
+		// Both channels have room for every buffer, so neither stage parks
+		// on handing one over; the number of buffers is what bounds the
+		// reader's lead.
+		d.full = make(chan []logs.ProxyRecord, connBatches)
+		d.free = make(chan []logs.ProxyRecord, connBatches)
+		d.bufs = 1
+		go d.l.deliver(d.full, d.free)
+	}
 	d.full <- batch
+	select {
+	case buf := <-d.free:
+		return buf
+	default:
+	}
+	if d.bufs < connBatches {
+		d.bufs++
+		return logs.GetProxyBuf(d.l.cfg.BatchRecords)
+	}
 	return <-d.free
 }
 
-// stop queues the final batch, waits for the delivery goroutine to drain the
-// queue and exit, and returns every buffer to the pool. The buffers are
-// cleared to their full capacity: IngestBatch reduces a batch synchronously,
-// but a recycled buffer still holds its records' strings until overwritten,
-// and the pool must not pin them.
-func (d *delivery) stop(last []logs.ProxyRecord) {
-	d.full <- last
-	close(d.full)
-	<-d.done
-	close(d.free)
-	for buf := range d.free {
-		logs.PutProxyBuf(buf[:cap(buf)])
+// deliver is the delivery goroutine's loop. A recycled buffer would hold its
+// records' strings until overwritten, and the pool must not pin them, so each
+// batch is cleared — up to its length, the records that were written — before
+// it goes back to the reader.
+func (l *Listener) deliver(full <-chan []logs.ProxyRecord, free chan<- []logs.ProxyRecord) {
+	for batch := range full {
+		l.flush(batch)
+		clear(batch)
+		free <- batch[:0]
 	}
 }
 
-// flush delivers one batch to the engine under the backpressure policy,
-// on the delivery goroutine: a batch that arrives while the engine lags is
-// shed, and engine refusals are counted; neither is fatal to the connection.
+// stop delivers the final batch and returns every buffer to the pool. Once
+// the delivery goroutine has handed back every buffer in the rotation, its
+// last flush has returned, so no IngestBatch of this connection runs after
+// stop does.
+func (d *delivery) stop(last []logs.ProxyRecord) {
+	if d.full == nil {
+		d.l.flush(last)
+		logs.PutProxyBuf(last)
+		return
+	}
+	d.full <- last
+	close(d.full)
+	for range d.bufs {
+		logs.PutProxyBuf(<-d.free)
+	}
+}
+
+// flush delivers one batch to the engine under the backpressure policy —
+// inline for a connection's first batch, on its delivery goroutine after
+// that: a batch that arrives while the engine lags is shed, and engine
+// refusals are counted; neither is fatal to the connection.
 func (l *Listener) flush(batch []logs.ProxyRecord) {
 	if len(batch) == 0 {
 		return
@@ -484,7 +514,8 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 
 // frameDecoder decodes one frame into a slot of the pending batch,
 // overwriting every field of *rec. keep=false drops the record by design (a
-// flow outside the netflow reduction's filters); an error poisons the
+// flow outside the netflow reduction's filters) and leaves *rec untouched,
+// so a batch holds no record data past its length; an error poisons the
 // connection. Implementations own pooled decode state released by release().
 type frameDecoder interface {
 	decode(frame []byte, rec *logs.ProxyRecord) (keep bool, err error)

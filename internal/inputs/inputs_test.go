@@ -77,8 +77,8 @@ func frameProxy(framing Framing, recs []logs.ProxyRecord) []byte {
 // drive runs one connection through HandleConn over a net.Pipe: the
 // returned write half feeds the handler, and done yields HandleConn's
 // error after the write half closes. The pipe is synchronous, so a write
-// returns once the handler has read it; decoding and delivery follow on
-// their own goroutines, and HandleConn returns only after both finish.
+// returns once the handler has read it; decoding and delivery may still be
+// running then, and HandleConn returns only after both finish.
 func drive(t *testing.T, l *Listener) (net.Conn, <-chan error) {
 	t.Helper()
 	client, server := net.Pipe()

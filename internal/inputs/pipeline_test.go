@@ -73,27 +73,31 @@ func checkReference(t *testing.T, label string, l *Listener, eng *heldEngine, go
 }
 
 // TestHandleConnDecodesBesideDelivery pins the two-stage reader chain: the
-// connection's first IngestBatch holds until Stats shows the batch behind it
-// decoded too. A loop that decodes and delivers on one goroutine cannot cut a
-// frame while IngestBatch holds it, so there the wait times out.
+// connection's second IngestBatch — the first to run on the delivery
+// goroutine, the first batch going out inline — holds until Stats shows the
+// read behind it decoded too. A loop that decodes and delivers on one
+// goroutine cannot cut a frame while IngestBatch holds it, so there the wait
+// times out.
 func TestHandleConnDecodesBesideDelivery(t *testing.T) {
-	const batch = 8
-	recs := make([]logs.ProxyRecord, 3*batch)
+	// Three reads of perRead records, each passed on eagerly as a short
+	// batch once the read is drained: the frames counter moves once per
+	// read, before that hand-off.
+	const perRead = 6
+	recs := make([]logs.ProxyRecord, 3*perRead)
 	for i := range recs {
 		recs[i] = testProxyRecord(i)
 	}
-	// One full batch per read (testProxyRecord's lines share one length).
-	wire := frameProxy(FramingNewline, recs)
+	wire := frameProxy(FramingNewline, recs) // testProxyRecord's lines share one length
 	eng := &heldEngine{}
-	l := NewListener(eng, Config{Name: "t", BatchRecords: batch})
+	l := NewListener(eng, Config{Name: "t", BatchRecords: perRead + 2})
 	var decodedAhead atomic.Bool
 	eng.hold = func(call int64) {
-		if call != 1 {
+		if call != 2 {
 			return
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if l.Stats().Frames >= 2*batch {
+			if l.Stats().Frames >= 3*perRead {
 				decodedAhead.Store(true)
 				return
 			}
@@ -104,7 +108,7 @@ func TestHandleConnDecodesBesideDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !decodedAhead.Load() {
-		t.Fatalf("the first IngestBatch saw no batch decoded behind it within 5 s (frames %d at return)", l.Stats().Frames)
+		t.Fatalf("the second IngestBatch saw no read decoded behind it within 5 s (frames %d at return)", l.Stats().Frames)
 	}
 	if got := eng.count(); got != len(recs) {
 		t.Fatalf("engine got %d records, want %d", got, len(recs))
@@ -160,13 +164,14 @@ func TestHandleConnJoinsDeliveryOnEveryReturn(t *testing.T) {
 }
 
 // TestListenerCloseJoinsBlockedDelivery closes a listener while a
-// connection's IngestBatch is blocked: Close must wait for that delivery and
+// connection's delivery goroutine is blocked in IngestBatch (the second
+// batch's; the first goes out inline): Close must wait for that delivery and
 // the batches queued behind it, and leave nothing running.
 func TestListenerCloseJoinsBlockedDelivery(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	release, entered := make(chan struct{}), make(chan struct{})
 	eng := &heldEngine{hold: func(call int64) {
-		if call == 1 {
+		if call == 2 {
 			close(entered)
 			<-release
 		}

@@ -12,11 +12,14 @@ package stream
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"net/netip"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/inputs"
 	"repro/internal/logs"
 	"repro/internal/normalize"
 )
@@ -369,3 +372,61 @@ func BenchmarkReplayDir(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N*(counts[0]+counts[1]+counts[2]))/b.Elapsed().Seconds(), "rec/s")
 }
+
+// BenchmarkListenerConns prices a live listener connection into a real engine
+// by how much it carries and how many run at once: conns connections, each
+// carrying recs newline-framed records, per op. A connection that carries
+// more than one batch (DefaultBatchRecords) decodes beside its delivery, which
+// pays off only while idle cores remain; the one-record and one-batch shapes
+// never start the second stage, and more connections than cores leave no
+// core idle. ns/rec is the op's time over the records it delivered. Run with
+//
+//	go test ./internal/stream -run '^$' -bench BenchmarkListenerConns -benchmem
+func BenchmarkListenerConns(b *testing.B) {
+	for _, conns := range []int{1, 8} {
+		for _, n := range []int{1, 64, 2 * inputs.DefaultBatchRecords, 32 * inputs.DefaultBatchRecords} {
+			b.Run(fmt.Sprintf("conns=%d/recs=%d", conns, n), func(b *testing.B) {
+				var wire []byte
+				for _, r := range spreadDomains(benchRecords(n)) {
+					wire = logs.AppendProxy(wire, r)
+				}
+				e := trainOnlyEngine(Config{Shards: runtime.GOMAXPROCS(0)})
+				discardEngine(b, e)
+				if err := e.BeginDay(time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), nil); err != nil {
+					b.Fatal(err)
+				}
+				l := inputs.NewListener(noShed{e}, inputs.Config{Name: "bench", Framing: inputs.FramingNewline})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var wg sync.WaitGroup
+					for range conns {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							if err := l.HandleConn(&wireConn{Reader: bytes.NewReader(wire)}); err != nil {
+								b.Error(err)
+							}
+						}()
+					}
+					wg.Wait()
+				}
+				b.StopTimer()
+				if got, want := l.Stats().Records, int64(b.N*conns*n); got != want {
+					b.Fatalf("engine accepted %d records, want %d", got, want)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*conns*n), "ns/rec")
+			})
+		}
+	}
+}
+
+// wireConn is a connection whose peer has already sent everything in Reader
+// and closed its side.
+type wireConn struct {
+	*bytes.Reader
+	net.Conn // never called: HandleConn only reads and closes
+}
+
+func (c *wireConn) Read(p []byte) (int, error) { return c.Reader.Read(p) }
+func (c *wireConn) Close() error               { return nil }
