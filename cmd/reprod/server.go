@@ -286,17 +286,18 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "rejected whole batch: %v", err)
 		return
 	}
-	// One engine call ingests the parsed batch atomically — the lock is
-	// taken once, the records land contiguously, and an error (day closed
-	// under us, daemon shutting down) means none of them were accepted, so
-	// the sender's retry replays a clean batch boundary. IngestBatch
-	// reduces the records synchronously, so the buffer recycles as soon as
-	// it returns.
+	// One engine call accepts the parsed batch atomically: the lock is
+	// taken once, the batch's sequence range is reserved, and an error (no
+	// open day, daemon shutting down) means none of it was accepted, so the
+	// sender's retry replays a clean batch boundary. The 200 goes out as
+	// soon as the batch is accepted: its records are in the open day, after
+	// every batch acked before it, and every later /stats, /day, /flush,
+	// /checkpoint, /preview or shutdown sees them. Routing finishes on the
+	// engine's goroutine, which hands the record buffer back to the pool
+	// once the records are reduced, so the next body decodes meanwhile.
 	n := len(recs)
-	ingestErr := s.eng.IngestBatch(recs)
-	logs.PutProxyBuf(recs)
-	if ingestErr != nil {
-		writeErr(w, engineErrStatus(ingestErr), "rejected whole batch: %v", ingestErr)
+	if err := s.eng.AcceptBatch(recs, func() { logs.PutProxyBuf(recs) }); err != nil {
+		writeErr(w, engineErrStatus(err), "rejected whole batch: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"ingested": n})

@@ -154,3 +154,18 @@ func TestAddrCacheRefreshesFront(t *testing.T) {
 		t.Errorf("alternating colliding addresses allocate %.1f per pair, want 0", allocs)
 	}
 }
+
+// TestProxyBufRoundTripAllocs pins a warm GetProxyBuf / PutProxyBuf pair at
+// zero allocations: the pool's *[]ProxyRecord holder is recycled with the
+// buffer instead of a fresh slice header escaping on every Put.
+func TestProxyBufRoundTripAllocs(t *testing.T) {
+	round := func() {
+		b := GetProxyBuf(64)
+		b = append(b, ProxyRecord{Host: "h"})
+		PutProxyBuf(b)
+	}
+	round() // warm: one buffer and one holder in the pools
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("GetProxyBuf + PutProxyBuf allocate %.1f times per pair, want 0", allocs)
+	}
+}

@@ -19,10 +19,11 @@ package logs
 //
 // Buffer ownership: ReadProxyBatch appends into the caller-owned slice and
 // returns it. Callers that want recycling take a buffer from GetProxyBuf
-// and hand it back with PutProxyBuf once every record has been consumed
-// (the engine's IngestBatch reduces records synchronously, so "after
-// IngestBatch returns" is safe); PutProxyBuf clears the used region so a
-// pooled buffer never pins a previous day's strings.
+// and hand it back with PutProxyBuf once every record has been consumed:
+// after the engine's IngestBatch returns, or from the routed callback of its
+// AcceptBatch, which runs once the batch's routing goroutine has reduced the
+// records — AcceptBatch itself returns before that. PutProxyBuf clears the
+// used region so a pooled buffer never pins a previous day's strings.
 
 import (
 	"bufio"
@@ -293,8 +294,10 @@ func GetProxyDecoder() *ProxyDecoder { return proxyDecoderPool.Get().(*ProxyDeco
 // it afterwards.
 func PutProxyDecoder(d *ProxyDecoder) { proxyDecoderPool.Put(d) }
 
-// proxyBufPool recycles record buffers between batches.
-var proxyBufPool sync.Pool
+// proxyBufPool recycles record buffers between batches, each in a
+// *[]ProxyRecord holder; proxyHolderPool recycles the emptied holders, so a
+// GetProxyBuf / PutProxyBuf pair moves no fresh slice header to the heap.
+var proxyBufPool, proxyHolderPool sync.Pool
 
 // ApproxProxyLineBytes is the size of a typical encoded proxy record, which
 // turns a byte count (a file size, a Content-Length) into a record count
@@ -306,7 +309,11 @@ const ApproxProxyLineBytes = 96
 // capacity, reusing a pooled buffer when one is large enough.
 func GetProxyBuf(capacity int) []ProxyRecord {
 	if v := proxyBufPool.Get(); v != nil {
-		if b := (*v.(*[]ProxyRecord))[:0]; cap(b) >= capacity {
+		h := v.(*[]ProxyRecord)
+		b := (*h)[:0]
+		*h = nil
+		proxyHolderPool.Put(h)
+		if cap(b) >= capacity {
 			return b
 		}
 		// Too small for this caller; drop it and let the GC take it rather
@@ -323,8 +330,12 @@ func PutProxyBuf(b []ProxyRecord) {
 		return
 	}
 	clear(b)
-	b = b[:0]
-	proxyBufPool.Put(&b)
+	h, _ := proxyHolderPool.Get().(*[]ProxyRecord)
+	if h == nil {
+		h = new([]ProxyRecord)
+	}
+	*h = b[:0]
+	proxyBufPool.Put(h)
 }
 
 // DNSDecoder is the zero-copy decoder for DNS TSV records.

@@ -1,0 +1,163 @@
+package stream
+
+import (
+	"bytes"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/batch"
+	"repro/internal/logs"
+	"repro/internal/report"
+)
+
+// holdShard parks s's worker inside a control request until release is
+// called; batches queued for it wait. release is idempotent, so a test can
+// defer it and still release early.
+func holdShard(s *shard) (release func()) {
+	held, rel, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	s.ctrl <- ctrlReq{fn: func(*shard) { close(held); <-rel }, done: done}
+	<-held
+	var once sync.Once
+	return func() { once.Do(func() { close(rel); <-done }) }
+}
+
+// stillBlocked fails the test if done closes within a short grace: the call
+// behind it must wait while a routing goroutine holds the engine's read
+// lock. (It cannot return early on a correct engine, so the grace only
+// bounds how long a broken one takes to be caught.)
+func stillBlocked(t *testing.T, what string, done <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-done:
+		t.Fatalf("%s returned while an accepted batch was still routing", what)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestAcceptBatchAcksBeforeRouting pins AcceptBatch's split: it returns once
+// the batch is accepted — its sequence range already reserved — while the
+// routing goroutine is still blocked on a held shard, and every call that
+// reads or changes the open day (BeginDay, Snapshot, Close) waits the routing
+// out. Batches accepted one after another take sequence ranges in acceptance
+// order, and the closed day equals the batch pipeline over the accepted
+// records in that order.
+func TestAcceptBatchAcksBeforeRouting(t *testing.T) {
+	fx := newEquivFixture(t, 83)
+	days, err := batch.DiscoverEnterprise(fx.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(days) - 1 // an operation day
+	ref := fx.newPipeline()
+	e := New(Config{Shards: 2, QueueDepth: 1, TrainingDays: fx.training}, fx.newPipeline())
+	for i, d := range days[:last] {
+		recs, leases, err := batch.LoadProxyDay(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < fx.training {
+			ref.Train(d.Date, recs, leases)
+		} else {
+			ref.Process(d.Date, recs, leases)
+		}
+		if err := e.BeginDay(d.Date, leases); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.IngestBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	day := days[last].Date
+	recs, leases, err := batch.LoadProxyDay(days[last])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BeginDay(day, leases); err != nil {
+		t.Fatal(err)
+	}
+	// Five parts of the day, in acceptance order: p1 and p2 fill the held
+	// shard's one queue slot, a, b and c are accepted behind them.
+	n := len(recs) / 5
+	p1, a, b, p2, c := recs[:n], recs[n:2*n], recs[2*n:3*n], recs[3*n:4*n], recs[4*n:]
+
+	var routed atomic.Int32
+	accept := func(part []logs.ProxyRecord) {
+		t.Helper()
+		before := e.seq.Load()
+		if err := e.AcceptBatch(part, func() { routed.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.seq.Load(), before+uint64(len(part)); got != want {
+			t.Fatalf("seq counter %d when AcceptBatch returned, want %d: the batch's range is not reserved at acceptance", got, want)
+		}
+	}
+	run := func(f func()) <-chan struct{} {
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		return done
+	}
+
+	// Phase 1: two batches accepted behind a held shard. BeginDay (the same
+	// day: it takes the lock and touches no shard) waits for both. Snapshot
+	// quiesces the shards, so the held worker alone would stall it; what it
+	// reads shows it waited for the routing.
+	release := holdShard(e.shards[0])
+	defer release()
+	if err := e.IngestBatch(p1); err != nil {
+		t.Fatal(err)
+	}
+	accept(a)
+	accept(b)
+	if got := routed.Load(); got != 0 {
+		t.Fatalf("%d accepted batches routed past a held shard with a full queue", got)
+	}
+	began := run(func() {
+		if err := e.BeginDay(day, leases); err != nil {
+			t.Error(err)
+		}
+	})
+	stillBlocked(t, "BeginDay", began)
+	var st Stats
+	snapped := run(func() { st, _ = e.Snapshot(-1) })
+	stillBlocked(t, "Snapshot", snapped)
+	release()
+	<-began
+	<-snapped
+	if got := routed.Load(); got != 2 {
+		t.Fatalf("routed called %d times after both batches routed, want 2", got)
+	}
+	if want := uint64(len(p1) + len(a) + len(b)); st.DayRecords != want {
+		t.Fatalf("Snapshot after the routing: dayRecords %d, want the accepted %d", st.DayRecords, want)
+	}
+
+	// Phase 2: Close waits out a batch accepted behind the held shard (it
+	// quiesces the shards too; the report below shows it closed a day
+	// holding the batch).
+	release = holdShard(e.shards[0])
+	defer release()
+	if err := e.IngestBatch(p2); err != nil {
+		t.Fatal(err)
+	}
+	accept(c)
+	closed := run(e.Close)
+	stillBlocked(t, "Close", closed)
+	release()
+	<-closed
+	if got := routed.Load(); got != 3 {
+		t.Fatalf("routed called %d times, want 3", got)
+	}
+
+	want := dailyBytes(t, report.Build(ref.Process(day, recs, leases)))
+	got, ok := e.Report(day.Format("2006-01-02"))
+	if !ok {
+		t.Fatal("closed day has no report")
+	}
+	if gotJSON := dailyBytes(t, got); !bytes.Equal(gotJSON, want) {
+		t.Errorf("day closed from accepted batches differs from batch\nbatch:  %s\nstream: %s", want, gotJSON)
+	}
+}

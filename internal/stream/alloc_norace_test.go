@@ -41,7 +41,7 @@ func TestRouteBatchAllocs(t *testing.T) {
 		e.shards[i] = newShard(e, 1)
 	}
 	round := func() {
-		e.routeBatchLocked(recs)
+		e.routeBatchLocked(recs, 0)
 		// The route has returned, so every touched shard's buffer is queued:
 		// take what is there rather than wait on a shard the batch skipped.
 		for _, s := range e.shards {
@@ -75,7 +75,7 @@ func TestRouteBatchAllocs(t *testing.T) {
 	for e.bufPool.Get() != nil {
 	}
 	cold := func() {
-		e.routeBatchLocked(recs)
+		e.routeBatchLocked(recs, 0)
 		for _, s := range e.shards {
 			<-s.batches // dropped, not recycled: the next round misses again
 		}

@@ -68,32 +68,73 @@ func (e *Engine) IngestBatch(recs []logs.ProxyRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	e.mu.RLock()
+	base, err := e.accept(len(recs))
+	if err != nil {
+		return err
+	}
 	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	if e.day.IsZero() {
-		return ErrNoDay
-	}
-	e.routeBatchLocked(recs)
+	e.routeBatchLocked(recs, base)
 	return nil
 }
 
-// routeBatchLocked routes recs into the open day. Each record reduces via
-// the shared per-record reducer into a per-shard buffer; one seq-range
-// reservation and at most one channel send per shard replace the per-record
-// atomics and sends the engine used before batching. A send blocks while its
-// shard's queue is full — safe, because the workers always drain (control
-// requests need the exclusive lock, which cannot be taken while we hold it
-// shared). Caller holds mu (shared).
-func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord) {
+// AcceptBatch is IngestBatch split at its commit point. It returns once the
+// batch is accepted — the open day checked and the batch's sequence range
+// reserved, so batches accepted one after another take sequence numbers in
+// acceptance order — and routes the records on a goroutine of their own,
+// which keeps the engine's read lock until they are routed: BeginDay, Flush,
+// Snapshot, Checkpoint, Preview and Close wait out every accepted batch. An
+// error (ErrClosed, ErrNoDay) means none of the batch was accepted. routed
+// is called exactly once, when the engine no longer reads recs: after
+// routing, or before an error or empty-batch return. Safe for concurrent
+// use.
+func (e *Engine) AcceptBatch(recs []logs.ProxyRecord, routed func()) error {
+	if len(recs) == 0 {
+		routed()
+		return nil
+	}
+	base, err := e.accept(len(recs))
+	if err != nil {
+		routed()
+		return err
+	}
+	go func() {
+		e.routeBatchLocked(recs, base)
+		routed()
+		e.mu.RUnlock() // the read-hold taken by accept
+	}()
+	return nil
+}
+
+// accept takes mu shared and, when a day is open, returns still holding it,
+// with the n sequence numbers after the returned base reserved for the
+// batch; on error it returns with mu released.
+func (e *Engine) accept(n int) (uint64, error) {
+	e.mu.RLock()
+	if e.closed {
+		e.mu.RUnlock()
+		return 0, ErrClosed
+	}
+	if e.day.IsZero() {
+		e.mu.RUnlock()
+		return 0, ErrNoDay
+	}
+	return e.seq.Add(uint64(n)) - uint64(n), nil
+}
+
+// routeBatchLocked routes recs into the open day under the sequence numbers
+// accept reserved after base. Each record reduces via the shared per-record
+// reducer into a per-shard buffer; the one reservation and at most one
+// channel send per shard replace the per-record atomics and sends the engine
+// used before batching. A send blocks while its shard's queue is full — safe,
+// because the workers always drain (control requests need the exclusive
+// lock, which cannot be taken while we hold it shared). Caller holds mu
+// (shared).
+func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord, base uint64) {
 	n := len(recs)
 
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 
-	base := e.seq.Add(uint64(n)) - uint64(n)
 	single := len(e.shards) == 1 // one shard: no routing hash needed
 	var droppedIP uint64
 	var red normalize.ProxyReducer

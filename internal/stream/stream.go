@@ -11,7 +11,9 @@
 // batched end to end: IngestBatch takes the engine lock once per batch,
 // reserves a contiguous sequence range with a single atomic add, reduces the
 // records into pooled per-shard buffers, and hands each shard its share in a
-// single channel operation. Each shard owns its slice of the day state — a partial day
+// single channel operation; AcceptBatch returns once the range is reserved
+// and leaves the rest to a goroutine that holds the engine lock (shared)
+// until the batch is routed. Each shard owns its slice of the day state — a partial day
 // snapshot (profile.IncrementalBuilder) and the set of domains it has seen
 // only through lease-less records — so the hot path takes no locks: a
 // shard's state is touched only by its own worker goroutine, and cross-shard
