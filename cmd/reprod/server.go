@@ -294,7 +294,9 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// every batch acked before it, and every later /stats, /day, /flush,
 	// /checkpoint, /preview or shutdown sees them. Routing finishes on the
 	// engine's goroutine, which hands the record buffer back to the pool
-	// once the records are reduced, so the next body decodes meanwhile.
+	// once the records are reduced, so the next body decodes meanwhile; the
+	// engine's in-flight bound (AcceptBatch waits while 2 × Shards batches
+	// are routing) is the only lead the handlers have on routing.
 	n := len(recs)
 	if err := s.eng.AcceptBatch(recs, func() { logs.PutProxyBuf(recs) }); err != nil {
 		writeErr(w, engineErrStatus(err), "rejected whole batch: %v", err)

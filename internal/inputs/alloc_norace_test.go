@@ -14,13 +14,18 @@ import (
 // record — frames are decoded in place into the pooled batch, the bounded
 // columns come out of the warm intern table, addresses out of the address
 // front, Domain, URL and Referer are carved from the decoder's text block —
-// plus one allocation per 32 KiB text block the connection fills. What a
-// connection allocates once (scanner, 64 KiB buffer, decoder handles) is the
-// fixed slack. Behind !race because sync.Pool drops Puts at random under the
-// race detector, which turns the pooled decoder and batch into fresh
-// allocations.
+// plus one allocation per 32 KiB text block the connection fills. On top of
+// that, a connection allocates perConn objects once (the counting reader,
+// the scanner, the decoder handle, the routing wait group, and this test's
+// reader and conn; the 64 KiB read buffer is pooled) and one routed callback
+// per batch. A GC cycle inside the five measured runs makes every pool the
+// connection touches allocate its per-P array again, gcSlack averaged over
+// the runs. Behind !race because sync.Pool drops Puts at random under the
+// race detector, which turns the pooled decoder, batch and read buffer into
+// fresh allocations.
 func TestHandleConnAllocs(t *testing.T) {
-	const n, perConn = 2000, 32
+	const n, perConn, gcSlack = 2000, 6, 3
+	const batches = (n + DefaultBatchRecords - 1) / DefaultBatchRecords
 	const textBlock = 32 << 10 // the decoder's text block size
 	recs := make([]logs.ProxyRecord, n)
 	text, longest := 0, 0
@@ -43,9 +48,9 @@ func TestHandleConnAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the pooled decoder's intern table and the batch buffer
-	if got := testing.AllocsPerRun(5, run); got < float64(minBlocks) || got > float64(maxBlocks+perConn) {
-		t.Errorf("%.0f allocations for %d records (%d bytes of Domain, URL and Referer), want %d..%d text blocks plus at most %d per connection",
-			got, n, text, minBlocks, maxBlocks, perConn)
+	run() // warm the pooled decoder's intern table, the batch and the read buffer
+	if got := testing.AllocsPerRun(5, run); got < float64(minBlocks) || got > float64(maxBlocks+perConn+batches+gcSlack) {
+		t.Errorf("%.0f allocations for %d records (%d bytes of Domain, URL and Referer), want %d..%d text blocks plus at most %d per connection, %d for its batches and %d for a GC",
+			got, n, text, minBlocks, maxBlocks, perConn, batches, gcSlack)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync"
 )
 
 // Framing selects how records are delimited on a stream connection.
@@ -72,15 +73,34 @@ type frameScanner struct {
 	framing Framing
 	max     int
 	buf     []byte
-	start   int // index of the first unconsumed byte in buf
+	pooled  *[]byte // chunkPool's holder of buf's first allocation
+	start   int     // index of the first unconsumed byte in buf
 	eof     bool
 }
+
+// chunkPool recycles the scanners' readChunk buffers across connections, each
+// in a *[]byte, so a short connection — one syslog message — does not
+// allocate 64 KiB.
+var chunkPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, readChunk)
+	return &b
+}}
 
 func newFrameScanner(r io.Reader, framing Framing, maxFrame int) *frameScanner {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrameBytes
 	}
-	return &frameScanner{r: r, framing: framing, max: maxFrame, buf: make([]byte, 0, readChunk)}
+	h := chunkPool.Get().(*[]byte)
+	return &frameScanner{r: r, framing: framing, max: maxFrame, buf: (*h)[:0], pooled: h}
+}
+
+// release hands the readChunk buffer back to the pool; the scanner must not
+// be used afterwards. The holder still points at the first allocation, so a
+// buffer that a long frame grew is left to the GC and the pool never pins
+// memory toward the frame cap.
+func (fs *frameScanner) release() {
+	chunkPool.Put(fs.pooled)
+	fs.buf, fs.pooled = nil, nil
 }
 
 // buffered reports whether unconsumed bytes sit in the scanner's buffer —

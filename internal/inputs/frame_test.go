@@ -176,6 +176,38 @@ func TestFrameScannerRefusals(t *testing.T) {
 	}
 }
 
+// TestFrameScannerReleasesFirstChunk checks what goes back to the pool: the
+// readChunk buffer the scanner started with, even after a frame longer than
+// a chunk grew its buffer — the grown one, sized toward the frame cap, is
+// left to the GC.
+func TestFrameScannerReleasesFirstChunk(t *testing.T) {
+	long := append(bytes.Repeat([]byte("x"), 3*readChunk), '\n')
+	fs := newFrameScanner(bytes.NewReader(long), FramingNewline, DefaultMaxFrameBytes)
+	for {
+		f, ok, err := fs.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			if len(f) != 3*readChunk {
+				t.Fatalf("frame of %d bytes, want %d", len(f), 3*readChunk)
+			}
+			break
+		}
+		if err := fs.fill(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(fs.buf) <= readChunk {
+		t.Fatalf("buffer capacity %d after a %d-byte frame, want it grown", cap(fs.buf), len(long))
+	}
+	h := fs.pooled
+	fs.release()
+	if len(*h) != 0 || cap(*h) != readChunk {
+		t.Fatalf("released a buffer of len %d, cap %d, want the empty %d-byte first chunk", len(*h), cap(*h), readChunk)
+	}
+}
+
 // FuzzFrameSplit checks the buffering frame scanner against the one-pass
 // naive reference for every input, framing, cap and read-chunking: same
 // frames, same terminal classification. Torn frames and hostile octet

@@ -1,9 +1,8 @@
 // Package inputs implements the daemon's live ingestion listeners: framed
 // TCP/syslog feeds of proxy TSV records and a netflow feed, decoded through
-// the pooled zero-copy codec in internal/logs and delivered to the
-// streaming engine in batches: a connection that carries more than one
-// batch decodes on one goroutine while a second one delivers the batches it
-// has parsed (see HandleConn).
+// the pooled zero-copy codec in internal/logs and handed to the streaming
+// engine in batches: each connection decodes its next batch while the
+// engine routes the previous ones (see HandleConn).
 //
 // # Framing
 //
@@ -23,12 +22,14 @@
 // threshold — ceil(0.9 · QueueDepth) queued batches, QueueDepth being
 // reprod's -queue — the listener sheds the parsed batch instead of waiting
 // for the engine, counted in SheddedRecords and surfaced through /stats.
-// The decision is taken as each batch comes up for delivery — on the
-// connection's delivery goroutine once it has one — and decoding runs at
-// most the rotation's depth (connBatches) of parsed batches ahead of it. A
-// sender that outruns the engine therefore loses whole batches, never
-// fractions of them, and the loss is observable. Records refused by the
-// engine itself (no open day) are counted separately as RejectedRecords.
+// The decision is taken on the connection's goroutine just before the batch
+// would be accepted, as POST /ingest takes it before its body. Decoding runs
+// ahead of routing only as far as the engine lets any caller: AcceptBatch
+// blocks while 2 × Shards accepted batches are still routing, and that bound
+// is the only lead a connection has. A sender that outruns the engine
+// therefore loses whole batches, never fractions of them, and the loss is
+// observable. Records refused by the engine itself (no open day) are counted
+// separately as RejectedRecords.
 package inputs
 
 import (
@@ -50,13 +51,24 @@ const DefaultBatchRecords = 512
 
 // Ingester is the engine-facing surface a listener needs; *stream.Engine
 // satisfies it. Keeping the dependency to this interface lets the listener
-// tests pin drop counts against a scripted engine.
+// tests pin drop counts against a scripted engine. An Ingester that also has
+// the engine's AcceptBatch is handed batches through it, so a connection
+// decodes while the engine routes; any other gets IngestBatch, one batch at
+// a time.
 type Ingester interface {
 	// IngestBatch atomically accepts a batch of proxy records.
 	IngestBatch([]logs.ProxyRecord) error
 	// Lagging reports that the engine's shard queues are near capacity;
 	// the listener sheds at the next batch boundary while it holds.
 	Lagging() bool
+}
+
+// batchAcceptor is the engine's split ingest (*stream.Engine's AcceptBatch):
+// it returns once the batch is accepted and calls routed once the engine no
+// longer reads it. A listener uses it when the engine has it, and otherwise
+// IngestBatch in the same shape, routed called as it returns.
+type batchAcceptor interface {
+	AcceptBatch(recs []logs.ProxyRecord, routed func()) error
 }
 
 // Format selects the wire payload carried by each frame.
@@ -129,9 +141,10 @@ type Stats struct {
 // with NewListener, bind with Listen (or drive single connections with
 // HandleConn), stop with Close.
 type Listener struct {
-	eng Ingester
-	cfg Config
-	ln  net.Listener
+	eng    Ingester
+	accept func(recs []logs.ProxyRecord, routed func()) error
+	cfg    Config
+	ln     net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -159,7 +172,17 @@ func NewListener(eng Ingester, cfg Config) *Listener {
 	if cfg.BatchRecords <= 0 {
 		cfg.BatchRecords = DefaultBatchRecords
 	}
-	return &Listener{eng: eng, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	l := &Listener{eng: eng, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	if a, ok := eng.(batchAcceptor); ok {
+		l.accept = a.AcceptBatch
+	} else {
+		l.accept = func(recs []logs.ProxyRecord, routed func()) error {
+			err := eng.IngestBatch(recs)
+			routed()
+			return err
+		}
+	}
+	return l
 }
 
 // Listen binds addr and starts accepting connections.
@@ -261,14 +284,15 @@ func (l *Listener) acceptLoop() {
 // (including the batch-equivalence suite) can drive a single framed
 // connection without a bound socket. Returns nil on a clean end of stream.
 //
-// A connection that carries more than one batch becomes a two-stage
-// pipeline. The calling goroutine reads a chunk, cuts and decodes every
-// complete frame of it straight into the pending batch, and passes each
-// batch on; from the second batch on, a delivery goroutine of its own hands
-// the batches to the engine in read order, so one batch decodes while the
-// previous one is reduced and routed. Whatever the terminal condition, the
-// records that parsed before it are delivered, and HandleConn returns only
-// once every batch has been.
+// The connection is one loop on the calling goroutine: read a chunk, cut and
+// decode every complete frame of it straight into a pooled batch buffer, and
+// hand each batch to the engine's AcceptBatch, whose routing goroutine puts
+// the buffer back once the records are reduced — so one batch decodes while
+// the previous ones route, and the engine's in-flight bound is the only lead
+// the connection has on routing. Whatever the terminal condition, the
+// records that parsed before it are handed over, and HandleConn returns only
+// once every batch of the connection has been routed; only then do its
+// decoder and frame buffer go back to their pools.
 func (l *Listener) HandleConn(c net.Conn) error {
 	defer c.Close()
 	l.connsActive.Add(1)
@@ -282,11 +306,15 @@ func (l *Listener) HandleConn(c net.Conn) error {
 	} else {
 		dec = newProxyFrameDecoder(l)
 	}
-	defer dec.release()
+	var routing sync.WaitGroup
+	defer func() {
+		routing.Wait()
+		dec.release()
+		fs.release()
+	}()
 
-	d := delivery{l: l}
-	pending, err := l.readFrames(fs, dec, &d, logs.GetProxyBuf(l.cfg.BatchRecords))
-	d.stop(pending)
+	pending, err := l.readFrames(fs, dec, &routing)
+	l.flush(pending, &routing)
 	switch {
 	case err == io.EOF:
 		return nil
@@ -298,13 +326,14 @@ func (l *Listener) HandleConn(c net.Conn) error {
 	return err
 }
 
-// readFrames is a connection's first stage: read a chunk, decode every
-// complete frame of it in place into the next slot of recs, pass the batch
-// on when it is full or once the buffer is drained to a frame boundary. It
-// returns the batch pending at the connection's terminal condition and the
-// condition: io.EOF for a clean end of stream. frames counts the frames cut
-// since the counter was last bumped — once per chunk, not once per frame.
-func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, d *delivery, recs []logs.ProxyRecord) ([]logs.ProxyRecord, error) {
+// readFrames is the connection's loop: read a chunk, decode every complete
+// frame of it in place into the next slot of the pending batch, flush the
+// batch when it is full or once the buffer is drained to a frame boundary.
+// It returns the batch pending at the connection's terminal condition and
+// the condition: io.EOF for a clean end of stream. frames counts the frames
+// cut since the counter was last bumped — once per chunk, not once per frame.
+func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, routing *sync.WaitGroup) ([]logs.ProxyRecord, error) {
+	recs := logs.GetProxyBuf(l.cfg.BatchRecords)
 	frames := int64(0)
 	defer func() { l.frames.Add(frames) }()
 	for {
@@ -320,7 +349,7 @@ func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, d *delivery, r
 				continue // tolerate keep-alive blank lines
 			}
 			frames++
-			// The buffer holds BatchRecords and the batch is passed on at
+			// The buffer holds BatchRecords and the batch is flushed at
 			// that boundary, so taking a slot never reallocates.
 			n := len(recs)
 			recs = recs[:n+1]
@@ -337,7 +366,8 @@ func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, d *delivery, r
 			if !keep {
 				recs = recs[:n]
 			} else if n+1 >= l.cfg.BatchRecords {
-				recs = d.pass(recs)
+				l.flush(recs, routing)
+				recs = logs.GetProxyBuf(l.cfg.BatchRecords)
 			}
 		}
 		l.frames.Add(frames)
@@ -345,7 +375,8 @@ func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, d *delivery, r
 		// Hand off eagerly when the next read would block — a trickle of
 		// records must not sit parked waiting for peers to fill the batch.
 		if len(recs) > 0 && !fs.buffered() {
-			recs = d.pass(recs)
+			l.flush(recs, routing)
+			recs = logs.GetProxyBuf(l.cfg.BatchRecords)
 		}
 		if err := fs.fill(); err != nil {
 			return recs, err
@@ -353,108 +384,22 @@ func (l *Listener) readFrames(fs *frameScanner, dec frameDecoder, d *delivery, r
 	}
 }
 
-// connBatches caps the record buffers a connection rotates between its two
-// stages: one being decoded, one being delivered, and two of slack so that
-// neither stage parks the moment the other is preempted — on cores that the
-// engine's shards and the sender share, two buffers read slower
-// (EXPERIMENTS.md "PR 42"). It bounds how far decoding runs ahead of
-// the engine — at most connBatches−1 parsed batches wait behind the one
-// being delivered — and a connection's batch memory, whatever its length.
-// A constant, like replay's chunk count: the rotation only has to cover
-// scheduling jitter between two goroutines, which no listener configures
-// differently.
-const connBatches = 4
-
-// delivery is a connection's second stage. The first batch is delivered on
-// the connection's own goroutine, exactly as a single-stage loop would, so a
-// connection that carries one batch — a syslog message, a short burst —
-// costs no goroutine, channel or second buffer. The second batch starts the
-// delivery goroutine, which takes parsed batches from full in read order,
-// flushes them to the engine, clears them and returns them, empty, to free.
-// Buffers join the rotation from the pool only when the reader finds none
-// free, so a connection holds as many as its delivery has lagged by.
-type delivery struct {
-	l          *Listener
-	full, free chan []logs.ProxyRecord // nil until the second batch
-	delivered  bool                    // the first batch went out inline
-	bufs       int                     // buffers in the rotation
-}
-
-// pass delivers batch or queues it for delivery, and returns an empty buffer
-// for the next one: a free one if there is one, a pooled one while the
-// rotation holds fewer than connBatches, else the next the delivery
-// goroutine hands back.
-func (d *delivery) pass(batch []logs.ProxyRecord) []logs.ProxyRecord {
-	if d.full == nil {
-		if !d.delivered {
-			d.delivered = true
-			d.l.flush(batch)
-			clear(batch)
-			return batch[:0]
-		}
-		// Both channels have room for every buffer, so neither stage parks
-		// on handing one over; the number of buffers is what bounds the
-		// reader's lead.
-		d.full = make(chan []logs.ProxyRecord, connBatches)
-		d.free = make(chan []logs.ProxyRecord, connBatches)
-		d.bufs = 1
-		go d.l.deliver(d.full, d.free)
-	}
-	d.full <- batch
-	select {
-	case buf := <-d.free:
-		return buf
-	default:
-	}
-	if d.bufs < connBatches {
-		d.bufs++
-		return logs.GetProxyBuf(d.l.cfg.BatchRecords)
-	}
-	return <-d.free
-}
-
-// deliver is the delivery goroutine's loop. A recycled buffer would hold its
-// records' strings until overwritten, and the pool must not pin them, so each
-// batch is cleared — up to its length, the records that were written — before
-// it goes back to the reader.
-func (l *Listener) deliver(full <-chan []logs.ProxyRecord, free chan<- []logs.ProxyRecord) {
-	for batch := range full {
-		l.flush(batch)
-		clear(batch)
-		free <- batch[:0]
-	}
-}
-
-// stop delivers the final batch and returns every buffer to the pool. Once
-// the delivery goroutine has handed back every buffer in the rotation, its
-// last flush has returned, so no IngestBatch of this connection runs after
-// stop does.
-func (d *delivery) stop(last []logs.ProxyRecord) {
-	if d.full == nil {
-		d.l.flush(last)
-		logs.PutProxyBuf(last)
-		return
-	}
-	d.full <- last
-	close(d.full)
-	for range d.bufs {
-		logs.PutProxyBuf(<-d.free)
-	}
-}
-
-// flush delivers one batch to the engine under the backpressure policy —
-// inline for a connection's first batch, on its delivery goroutine after
-// that: a batch that arrives while the engine lags is shed, and engine
-// refusals are counted; neither is fatal to the connection.
-func (l *Listener) flush(batch []logs.ProxyRecord) {
+// flush hands one batch, and with it the batch's buffer, to the engine under
+// the backpressure policy: a batch that comes up while the engine lags is
+// shed, and engine refusals are counted; neither is fatal to the connection.
+// routing counts the connection's batches until they are routed.
+func (l *Listener) flush(batch []logs.ProxyRecord, routing *sync.WaitGroup) {
 	if len(batch) == 0 {
+		logs.PutProxyBuf(batch)
 		return
 	}
 	if l.eng.Lagging() {
 		l.shedded.Add(int64(len(batch)))
+		logs.PutProxyBuf(batch)
 		return
 	}
-	if err := l.eng.IngestBatch(batch); err != nil {
+	routing.Add(1)
+	if err := l.accept(batch, func() { logs.PutProxyBuf(batch); routing.Done() }); err != nil {
 		// Engine refusals (no open day, shutdown) reject the whole batch
 		// atomically. Keep the connection: the operator may be about to
 		// open the day, and the loss is counted either way.

@@ -15,8 +15,9 @@ import (
 	"repro/internal/logs"
 )
 
-// scriptEngine is a scripted Ingester: it records what it accepts and
-// lags or refuses on demand, so tests can pin exact drop counts.
+// scriptEngine is a scripted Ingester with the engine's AcceptBatch: it
+// records what it accepts and lags or refuses on demand, so tests can pin
+// exact drop counts.
 type scriptEngine struct {
 	mu      sync.Mutex
 	recs    []logs.ProxyRecord
@@ -31,6 +32,18 @@ func (s *scriptEngine) IngestBatch(recs []logs.ProxyRecord) error {
 		return s.err
 	}
 	s.recs = append(s.recs, recs...)
+	return nil
+}
+
+// AcceptBatch has the engine's contract: the batch is copied, in acceptance
+// order, before AcceptBatch returns, and routed is called from a goroutine
+// of its own once accepted (inline on a refusal).
+func (s *scriptEngine) AcceptBatch(recs []logs.ProxyRecord, routed func()) error {
+	if err := s.IngestBatch(recs); err != nil {
+		routed()
+		return err
+	}
+	go routed()
 	return nil
 }
 
@@ -77,7 +90,7 @@ func frameProxy(framing Framing, recs []logs.ProxyRecord) []byte {
 // drive runs one connection through HandleConn over a net.Pipe: the
 // returned write half feeds the handler, and done yields HandleConn's
 // error after the write half closes. The pipe is synchronous, so a write
-// returns once the handler has read it; decoding and delivery may still be
+// returns once the handler has read it; decoding and routing may still be
 // running then, and HandleConn returns only after both finish.
 func drive(t *testing.T, l *Listener) (net.Conn, <-chan error) {
 	t.Helper()
@@ -442,7 +455,7 @@ func TestListenerConcurrentConns(t *testing.T) {
 }
 
 // TestListenerBatchBoundary checks the non-eager path: over a buffered
-// wire, records accumulate to BatchRecords before one IngestBatch call.
+// wire, records accumulate to BatchRecords before one AcceptBatch call.
 func TestListenerBatchBoundary(t *testing.T) {
 	eng := &scriptEngine{}
 	l := NewListener(eng, Config{Name: "t", BatchRecords: 8})

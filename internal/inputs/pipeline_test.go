@@ -14,26 +14,52 @@ import (
 	"repro/internal/logs"
 )
 
-// heldEngine is a scriptEngine whose IngestBatch first calls hold with the
-// 1-based number of the call, outside the engine's lock, so a test can stall
-// delivery at a chosen batch. After the test sets returned, any further
-// IngestBatch is counted as late: HandleConn promised it had drained.
+// heldEngine is a scriptEngine whose AcceptBatch routes on a goroutine that
+// first calls hold with the 1-based number of the batch, so a test can stall
+// routing at a chosen batch. routing counts the accepted batches whose routed
+// callback has not been reached; after the test sets returned, any further
+// AcceptBatch is counted as late: HandleConn promised it had drained.
 type heldEngine struct {
 	scriptEngine
 	calls    atomic.Int64
 	hold     func(call int64)
+	routing  atomic.Int64
 	returned atomic.Bool
 	late     atomic.Int64
 }
 
-func (h *heldEngine) IngestBatch(recs []logs.ProxyRecord) error {
-	if h.hold != nil {
-		h.hold(h.calls.Add(1))
-	}
+func (h *heldEngine) AcceptBatch(recs []logs.ProxyRecord, routed func()) error {
 	if h.returned.Load() {
 		h.late.Add(1)
 	}
-	return h.scriptEngine.IngestBatch(recs)
+	call := h.calls.Add(1)
+	if err := h.scriptEngine.IngestBatch(recs); err != nil {
+		routed()
+		return err
+	}
+	h.routing.Add(1)
+	go func() {
+		if h.hold != nil {
+			h.hold(call)
+		}
+		// Counted down before routed: once HandleConn has waited out every
+		// routed call, the count it leaves is exactly the batches it did not
+		// wait for.
+		h.routing.Add(-1)
+		routed()
+	}()
+	return nil
+}
+
+// checkDrained fails the test unless the connection HandleConn just returned
+// from has no batch still routing — so every record buffer is back in its
+// pool — and makes any later engine call count as late.
+func checkDrained(t *testing.T, label string, eng *heldEngine) {
+	t.Helper()
+	eng.returned.Store(true)
+	if n := eng.routing.Load(); n != 0 {
+		t.Fatalf("%s: HandleConn returned with %d batches still routing", label, n)
+	}
 }
 
 // waitGoroutines waits for the goroutine count to fall back to baseline.
@@ -42,7 +68,7 @@ func waitGoroutines(t *testing.T, label string, baseline int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines running, want %d: HandleConn left its delivery goroutine behind",
+			t.Fatalf("%s: %d goroutines running, want %d: HandleConn left a goroutine behind",
 				label, runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(time.Millisecond)
@@ -72,12 +98,11 @@ func checkReference(t *testing.T, label string, l *Listener, eng *heldEngine, go
 	return wantErr
 }
 
-// TestHandleConnDecodesBesideDelivery pins the two-stage reader chain: the
-// connection's second IngestBatch — the first to run on the delivery
-// goroutine, the first batch going out inline — holds until Stats shows the
-// read behind it decoded too. A loop that decodes and delivers on one
-// goroutine cannot cut a frame while IngestBatch holds it, so there the wait
-// times out.
+// TestHandleConnDecodesBesideDelivery pins the overlap of decode with
+// routing: the routing of the connection's first batch holds until Stats
+// shows the reads behind it decoded too. A connection that waited for each
+// batch to be routed before decoding the next could not cut a frame while
+// that routing holds, so there the wait times out.
 func TestHandleConnDecodesBesideDelivery(t *testing.T) {
 	// Three reads of perRead records, each passed on eagerly as a short
 	// batch once the read is drained: the frames counter moves once per
@@ -92,7 +117,7 @@ func TestHandleConnDecodesBesideDelivery(t *testing.T) {
 	l := NewListener(eng, Config{Name: "t", BatchRecords: perRead + 2})
 	var decodedAhead atomic.Bool
 	eng.hold = func(call int64) {
-		if call != 2 {
+		if call != 1 {
 			return
 		}
 		deadline := time.Now().Add(5 * time.Second)
@@ -107,8 +132,9 @@ func TestHandleConnDecodesBesideDelivery(t *testing.T) {
 	if err := l.HandleConn(&readerConn{r: &chunkReader{data: wire, chunk: len(wire) / 3}}); err != nil {
 		t.Fatal(err)
 	}
+	checkDrained(t, "decode beside routing", eng)
 	if !decodedAhead.Load() {
-		t.Fatalf("the second IngestBatch saw no read decoded behind it within 5 s (frames %d at return)", l.Stats().Frames)
+		t.Fatalf("the first batch's routing saw no read decoded behind it within 5 s (frames %d at return)", l.Stats().Frames)
 	}
 	if got := eng.count(); got != len(recs) {
 		t.Fatalf("engine got %d records, want %d", got, len(recs))
@@ -116,11 +142,11 @@ func TestHandleConnDecodesBesideDelivery(t *testing.T) {
 }
 
 // TestHandleConnJoinsDeliveryOnEveryReturn drives each terminal condition
-// with delivery running behind decode (every IngestBatch stalls), and
+// with routing running behind decode (every batch's routing stalls), and
 // requires the same of all of them: HandleConn returns only after the
-// records parsed before the condition are delivered, in order, with no
-// IngestBatch after it returns; the goroutine count falls back; and Stats
-// equals the per-frame reference loop's.
+// records parsed before the condition are accepted, in order, and every
+// batch is routed, with no engine call after it returns; the goroutine count
+// falls back; and Stats equals the per-frame reference loop's.
 func TestHandleConnJoinsDeliveryOnEveryReturn(t *testing.T) {
 	recs := make([]logs.ProxyRecord, 10)
 	for i := range recs {
@@ -149,24 +175,23 @@ func TestHandleConnJoinsDeliveryOnEveryReturn(t *testing.T) {
 			l := NewListener(eng, tc.cfg)
 			baseline := runtime.NumGoroutine()
 			err := l.HandleConn(&readerConn{r: &chunkReader{data: bytes.Clone(tc.in), chunk: chunk}})
-			eng.returned.Store(true)
+			checkDrained(t, label, eng)
 			got := l.Stats()
 			wantErr := checkReference(t, label, l, eng, got, &chunkReader{data: bytes.Clone(tc.in), chunk: chunk})
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s: error %v, reference %v", label, err, wantErr)
 			}
-			if n := eng.late.Load(); n != 0 {
-				t.Fatalf("%s: %d IngestBatch calls after HandleConn returned", label, n)
-			}
 			waitGoroutines(t, label, baseline)
+			if n := eng.late.Load(); n != 0 {
+				t.Fatalf("%s: %d AcceptBatch calls after HandleConn returned", label, n)
+			}
 		}
 	}
 }
 
-// TestListenerCloseJoinsBlockedDelivery closes a listener while a
-// connection's delivery goroutine is blocked in IngestBatch (the second
-// batch's; the first goes out inline): Close must wait for that delivery and
-// the batches queued behind it, and leave nothing running.
+// TestListenerCloseJoinsBlockedDelivery closes a listener while the routing
+// of a connection's second batch is blocked: Close must wait for that
+// routing and the batches accepted around it, and leave nothing running.
 func TestListenerCloseJoinsBlockedDelivery(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	release, entered := make(chan struct{}), make(chan struct{})
@@ -209,7 +234,7 @@ func TestListenerCloseJoinsBlockedDelivery(t *testing.T) {
 	go func() { l.Close(); close(closed) }()
 	select {
 	case <-closed:
-		t.Fatal("Close returned while a delivery was blocked in IngestBatch")
+		t.Fatal("Close returned while a batch of its connection was still routing")
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(release)
@@ -217,9 +242,9 @@ func TestListenerCloseJoinsBlockedDelivery(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return after the blocked IngestBatch did")
+		t.Fatal("Close did not return after the blocked routing did")
 	}
-	eng.returned.Store(true)
+	checkDrained(t, "close while blocked", eng)
 	got := l.Stats()
 	if got.ConnsAccepted != 1 || got.ConnsActive != 0 {
 		t.Fatalf("stats %+v, want 1 connection accepted and none active", got)
@@ -234,4 +259,7 @@ func TestListenerCloseJoinsBlockedDelivery(t *testing.T) {
 	}
 	client.Close()
 	waitGoroutines(t, "close while blocked", baseline)
+	if n := eng.late.Load(); n != 0 {
+		t.Fatalf("%d AcceptBatch calls after Close returned", n)
+	}
 }

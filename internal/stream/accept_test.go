@@ -161,3 +161,99 @@ func TestAcceptBatchAcksBeforeRouting(t *testing.T) {
 		t.Errorf("day closed from accepted batches differs from batch\nbatch:  %s\nstream: %s", want, gotJSON)
 	}
 }
+
+// TestAcceptBatchBoundsRouting pins the engine's in-flight bound. With the
+// one shard's worker held, the first accepted batch routes into the shard's
+// one queue slot and the next 2 × Shards park in their routing goroutines on
+// the full queue; the call after them blocks in AcceptBatch until the worker
+// is released, and then returns. Every accepted record still lands: the closed
+// day equals the batch pipeline over them in acceptance order.
+func TestAcceptBatchBoundsRouting(t *testing.T) {
+	fx := newEquivFixture(t, 83)
+	days, err := batch.DiscoverEnterprise(fx.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(days) - 1 // an operation day
+	ref := fx.newPipeline()
+	e := New(Config{Shards: 1, QueueDepth: 1, TrainingDays: fx.training}, fx.newPipeline())
+	for i, d := range days[:last] {
+		recs, leases, err := batch.LoadProxyDay(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < fx.training {
+			ref.Train(d.Date, recs, leases)
+		} else {
+			ref.Process(d.Date, recs, leases)
+		}
+		if err := e.BeginDay(d.Date, leases); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.IngestBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	day := days[last].Date
+	recs, leases, err := batch.LoadProxyDay(days[last])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BeginDay(day, leases); err != nil {
+		t.Fatal(err)
+	}
+
+	queued := e.cfg.QueueDepth
+	blocks := queued + 2*e.cfg.Shards // the 0-based call the bound stops
+	parts := make([][]logs.ProxyRecord, blocks+2)
+	n := len(recs) / len(parts)
+	for i := range parts {
+		parts[i] = recs[i*n : (i+1)*n]
+	}
+	parts[len(parts)-1] = recs[(len(parts)-1)*n:]
+	accept := func(part []logs.ProxyRecord) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if err := e.AcceptBatch(part, func() {}); err != nil {
+				t.Error(err)
+			}
+		}()
+		return done
+	}
+
+	release := holdShard(e.shards[0])
+	defer release()
+	for i, part := range parts {
+		done := accept(part)
+		select {
+		case <-done:
+			if i == blocks {
+				t.Fatalf("AcceptBatch %d returned with %d batches routing into a full queue, want it to wait (bound 2 × %d shards)",
+					i+1, i-queued, e.cfg.Shards)
+			}
+			continue
+		case <-time.After(100 * time.Millisecond):
+		}
+		if i != blocks {
+			t.Fatalf("AcceptBatch %d blocked, want %d to be the first (%d queued + 2 × %d shards routing)",
+				i+1, blocks+1, queued, e.cfg.Shards)
+		}
+		release()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("AcceptBatch still blocked after the shard was released")
+		}
+	}
+	e.Close()
+
+	want := dailyBytes(t, report.Build(ref.Process(day, recs, leases)))
+	got, ok := e.Report(day.Format("2006-01-02"))
+	if !ok {
+		t.Fatal("closed day has no report")
+	}
+	if gotJSON := dailyBytes(t, got); !bytes.Equal(gotJSON, want) {
+		t.Errorf("day closed from bounded accepts differs from batch\nbatch:  %s\nstream: %s", want, gotJSON)
+	}
+}

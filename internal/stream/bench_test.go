@@ -348,8 +348,9 @@ func BenchmarkIngestToReportPipelinedTSV(b *testing.B) {
 }
 
 // BenchmarkReplayDir is the packaged replay (reprod -replay) over three
-// generated day files: file decode on the loader goroutine, routing on the
-// caller's, the day closes overlapped with the next day's ingest. Every
+// generated day files: file decode on the calling goroutine, routing on
+// AcceptBatch's goroutines at most 2 × Shards chunks behind it, the day
+// closes overlapped with the next day's ingest. Every
 // iteration starts as a fresh process does — a new engine, and two collections
 // so the record, route-buffer and decoder pools are empty — which makes B/op
 // the memory a replay allocates from cold, not what a warm pool hides.
@@ -375,11 +376,13 @@ func BenchmarkReplayDir(b *testing.B) {
 
 // BenchmarkListenerConns prices a live listener connection into a real engine
 // by how much it carries and how many run at once: conns connections, each
-// carrying recs newline-framed records, per op. A connection that carries
-// more than one batch (DefaultBatchRecords) decodes beside its delivery, which
-// pays off only while idle cores remain; the one-record and one-batch shapes
-// never start the second stage, and more connections than cores leave no
-// core idle. ns/rec is the op's time over the records it delivered. Run with
+// carrying recs newline-framed records, per op. Every batch (at most
+// DefaultBatchRecords) goes through AcceptBatch and routes on a goroutine of
+// its own while the connection decodes the next, which pays off only on a
+// connection of several batches while idle cores remain; the one-record and
+// one-batch shapes pay the routing goroutine and the wait for it, and more
+// connections than cores leave no core idle. ns/rec is the op's time over
+// the records it delivered. Run with
 //
 //	go test ./internal/stream -run '^$' -bench BenchmarkListenerConns -benchmem
 func BenchmarkListenerConns(b *testing.B) {

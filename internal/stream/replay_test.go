@@ -75,9 +75,21 @@ func replayDays(e *Engine, dir string, opts ReplayOptions) ([]int, error) {
 	return got, err
 }
 
+// checkRouted fails the test unless every batch the engine accepted has
+// been routed: called as ReplayDir returns, it holds the promise that no
+// routing of the replay — and so no use of its record buffers or decoder —
+// outlives it.
+func checkRouted(t *testing.T, e *Engine) {
+	t.Helper()
+	if routed, accepted := e.totalRecords.Load(), e.seq.Load(); routed != accepted {
+		t.Fatalf("ReplayDir returned with %d of %d accepted records routed", routed, accepted)
+	}
+}
+
 // awaitGoroutines waits for the goroutine count to fall back to want: every
-// ReplayDir return path joins its loader, so nothing it started may outlive
-// it (the engine's own day-close goroutines may take a moment to finish).
+// ReplayDir return path waits out its routing goroutines, so nothing it
+// started may outlive it (the engine's own day-close goroutines may take a
+// moment to finish).
 func awaitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -121,7 +133,8 @@ func TestReplayDirBufferGrowth(t *testing.T) {
 
 // TestReplayDirStops covers ReplayOptions.Stop: an interrupted replay
 // returns ErrStopped promptly, without flushing — the open day stays open
-// for the shutdown checkpoint to preserve — and with its loader gone.
+// for the shutdown checkpoint to preserve — and with every batch it handed
+// over routed.
 func TestReplayDirStops(t *testing.T) {
 	dir, _ := writeReplayDataset(t, []int{50, 50, 50})
 	before := runtime.NumGoroutine()
@@ -143,6 +156,7 @@ func TestReplayDirStops(t *testing.T) {
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
+	checkRouted(t, e)
 	if days != 1 {
 		t.Fatalf("replay announced %d days after stop, want 1", days)
 	}
@@ -161,16 +175,19 @@ func TestReplayDirStops(t *testing.T) {
 	if err := ReplayDir(e, dir, ReplayOptions{Stop: closed}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("pre-closed stop: err = %v, want ErrStopped", err)
 	}
+	checkRouted(t, e)
 	if got := e.Stats().TotalRecords; got != 0 {
 		t.Fatalf("pre-closed stop ingested %d records, want 0", got)
 	}
 	abandonEngine(e)
 	awaitGoroutines(t, before)
 
-	// Stop closed from another goroutine mid-day: at most the chunk in the
-	// engine's hands lands after it. The shard worker is parked so the
-	// replayer is known to be inside its second chunk (the queue holds one)
-	// when the stop closes.
+	// Stop closed from another goroutine mid-day: at most one chunk is
+	// accepted after it. The shard worker is parked, so once three chunks
+	// are accepted — one in the shard's one queue slot, two routing against
+	// the full queue, the engine's bound of 2 × Shards — the replayer cannot
+	// get a fourth accepted before the worker is released; the stop closes
+	// there, against the sequence numbers reserved by then.
 	const chunks = 5
 	dir, _ = writeReplayDataset(t, []int{chunks * replayBatchSize})
 	pipe := pipeline.NewEnterprise(pipeline.EnterpriseConfig{}, whois.NewRegistry(), nil, nil)
@@ -183,16 +200,18 @@ func TestReplayDirStops(t *testing.T) {
 	stop = make(chan struct{})
 	result := make(chan error, 1)
 	go func() { result <- ReplayDir(e, dir, ReplayOptions{Stop: stop}) }()
-	for e.totalRecords.Load() < replayBatchSize {
+	for e.seq.Load() < 3*replayBatchSize {
 		time.Sleep(time.Millisecond)
 	}
+	reserved := e.seq.Load()
 	close(stop)
 	close(release)
 	if err := <-result; !errors.Is(err, ErrStopped) {
 		t.Fatalf("mid-day stop: err = %v, want ErrStopped", err)
 	}
-	if got := e.Stats().TotalRecords; got < replayBatchSize || got > 2*replayBatchSize {
-		t.Fatalf("mid-day stop left %d records, want the first chunk and at most one more", got)
+	checkRouted(t, e)
+	if got := e.Stats().TotalRecords; got < reserved || got > reserved+replayBatchSize {
+		t.Fatalf("mid-day stop left %d records, want the %d reserved at the stop and at most one chunk more", got, reserved)
 	}
 	awaitGoroutines(t, before)
 	abandonEngine(e)
@@ -224,6 +243,7 @@ func TestReplayDirMalformedLine(t *testing.T) {
 	if err == nil {
 		t.Fatal("replay accepted a malformed line")
 	}
+	checkRouted(t, e)
 	if want := fmt.Sprintf("%s: line %d:", day2, good+1); !strings.Contains(err.Error(), want) {
 		t.Errorf("err = %v, want it to name %q", err, want)
 	}

@@ -87,13 +87,21 @@ func (e *Engine) IngestBatch(recs []logs.ProxyRecord) error {
 // is called exactly once, when the engine no longer reads recs: after
 // routing, or before an error or empty-batch return. Safe for concurrent
 // use.
+//
+// The engine bounds what is in flight, for every caller at once: while
+// 2 × Shards accepted batches are still routing, AcceptBatch blocks before
+// it takes the lock, so no caller — an HTTP handler, a listener connection,
+// a replay — leads routing by more than that, and the record buffers it has
+// handed over are bounded with it.
 func (e *Engine) AcceptBatch(recs []logs.ProxyRecord, routed func()) error {
 	if len(recs) == 0 {
 		routed()
 		return nil
 	}
+	e.routing <- struct{}{}
 	base, err := e.accept(len(recs))
 	if err != nil {
+		<-e.routing
 		routed()
 		return err
 	}
@@ -101,6 +109,7 @@ func (e *Engine) AcceptBatch(recs []logs.ProxyRecord, routed func()) error {
 		e.routeBatchLocked(recs, base)
 		routed()
 		e.mu.RUnlock() // the read-hold taken by accept
+		<-e.routing
 	}()
 	return nil
 }

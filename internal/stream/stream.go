@@ -13,7 +13,9 @@
 // records into pooled per-shard buffers, and hands each shard its share in a
 // single channel operation; AcceptBatch returns once the range is reserved
 // and leaves the rest to a goroutine that holds the engine lock (shared)
-// until the batch is routed. Each shard owns its slice of the day state — a partial day
+// until the batch is routed, and blocks while 2 × Shards such batches are
+// still routing — the one bound on how far any caller leads routing. Each
+// shard owns its slice of the day state — a partial day
 // snapshot (profile.IncrementalBuilder) and the set of domains it has seen
 // only through lease-less records — so the hot path takes no locks: a
 // shard's state is touched only by its own worker goroutine, and cross-shard
@@ -158,6 +160,9 @@ type Engine struct {
 
 	bufPool     sync.Pool // *[]item: shard send buffers, recycled by the workers
 	scratchPool sync.Pool // *routeScratch: per-batch routing state
+	// routing holds one slot per batch AcceptBatch has accepted and not yet
+	// routed; its capacity, 2 × Shards, is the most any caller leads by.
+	routing chan struct{}
 
 	// mu orders ingestion against rollover: ingest holds it shared (the
 	// hot path's only synchronization besides the channel send), the
@@ -215,6 +220,7 @@ func New(cfg Config, pipe *pipeline.Enterprise) *Engine {
 		reports:   make(map[string]pipeline.EnterpriseDayReport),
 		dailies:   make(map[string]report.Daily),
 		closeHook: cfg.CloseHook,
+		routing:   make(chan struct{}, 2*cfg.Shards),
 	}
 	// Precompute the shed trigger in queued batches: Lagging fires at
 	// ceil(shedFraction · QueueDepth), which is at least 1 for any depth.
