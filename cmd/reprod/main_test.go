@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -1119,5 +1120,26 @@ func TestPprofOnlyOnItsOwnListener(t *testing.T) {
 		if _, err := http.Get("http://" + d.pprofLn.Addr().String() + "/debug/pprof/"); err == nil {
 			t.Error("the pprof listener outlived shutdown")
 		}
+	}
+}
+
+// TestReadMemStats pins the /stats memory section read from runtime/metrics:
+// every field is populated, heapSysBytes is runtime.MemStats.HeapSys read a
+// moment apart (within 10 %: the heap may grow in between), and numGC never
+// goes back — it counts the collection forced between two reads.
+func TestReadMemStats(t *testing.T) {
+	first := readMemStats()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if first.HeapAllocBytes == 0 || first.HeapSysBytes < first.HeapAllocBytes {
+		t.Fatalf("memory section %+v: heapAllocBytes unset or above heapSysBytes", first)
+	}
+	if d := max(first.HeapSysBytes, ms.HeapSys) - min(first.HeapSysBytes, ms.HeapSys); d > ms.HeapSys/10 {
+		t.Errorf("heapSysBytes %d, runtime.MemStats.HeapSys %d", first.HeapSysBytes, ms.HeapSys)
+	}
+	runtime.GC()
+	second := readMemStats()
+	if second.NumGC <= first.NumGC || second.NumGC < ms.NumGC+1 {
+		t.Fatalf("numGC %d after a forced collection, %d before it (runtime.MemStats.NumGC %d in between)", second.NumGC, first.NumGC, ms.NumGC)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -119,10 +119,34 @@ type memStats struct {
 	NumGC          uint32 `json:"numGC"`
 }
 
+// memMetrics are the runtime/metrics samples readMemStats reads: the heap's
+// object bytes (runtime.MemStats.HeapAlloc), the four classes whose sum is
+// MemStats.HeapSys (objects, unused, free and released heap memory), and the
+// completed GC cycles (MemStats.NumGC).
+var memMetrics = [...]string{
+	"/memory/classes/heap/objects:bytes",
+	"/memory/classes/heap/unused:bytes",
+	"/memory/classes/heap/free:bytes",
+	"/memory/classes/heap/released:bytes",
+	"/gc/cycles/total:gc-cycles",
+}
+
+// readMemStats fills the memory section from runtime/metrics, which, unlike
+// runtime.ReadMemStats, does not stop the world, so a /stats poll pauses no
+// listener connection or shard worker.
 func readMemStats() memStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return memStats{HeapAllocBytes: ms.HeapAlloc, HeapSysBytes: ms.HeapSys, NumGC: ms.NumGC}
+	var samples [len(memMetrics)]metrics.Sample
+	for i, name := range memMetrics {
+		samples[i].Name = name
+	}
+	metrics.Read(samples[:])
+	var v [len(memMetrics)]uint64
+	for i := range samples {
+		if samples[i].Value.Kind() == metrics.KindUint64 {
+			v[i] = samples[i].Value.Uint64()
+		}
+	}
+	return memStats{HeapAllocBytes: v[0], HeapSysBytes: v[0] + v[1] + v[2] + v[3], NumGC: uint32(v[4])}
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // Framing selects how records are delimited on a stream connection.
@@ -78,19 +79,35 @@ type frameScanner struct {
 	eof     bool
 }
 
-// chunkPool recycles the scanners' readChunk buffers across connections, each
-// in a *[]byte, so a short connection — one syslog message — does not
-// allocate 64 KiB.
+// chunkPool recycles the readChunk buffers of the scanners and read-aheads
+// across connections, each in a *[]byte, so a short connection — one syslog
+// message — does not allocate 64 KiB. Take and return them with getChunk and
+// putChunk.
 var chunkPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, readChunk)
 	return &b
 }}
 
+// chunksOut counts the readChunk buffers taken from chunkPool and not yet put
+// back, so a test can hold every return path of a connection to giving back
+// what it took.
+var chunksOut atomic.Int64
+
+func getChunk() *[]byte {
+	chunksOut.Add(1)
+	return chunkPool.Get().(*[]byte)
+}
+
+func putChunk(h *[]byte) {
+	chunkPool.Put(h)
+	chunksOut.Add(-1)
+}
+
 func newFrameScanner(r io.Reader, framing Framing, maxFrame int) *frameScanner {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrameBytes
 	}
-	h := chunkPool.Get().(*[]byte)
+	h := getChunk()
 	return &frameScanner{r: r, framing: framing, max: maxFrame, buf: (*h)[:0], pooled: h}
 }
 
@@ -99,7 +116,7 @@ func newFrameScanner(r io.Reader, framing Framing, maxFrame int) *frameScanner {
 // buffer that a long frame grew is left to the GC and the pool never pins
 // memory toward the frame cap.
 func (fs *frameScanner) release() {
-	chunkPool.Put(fs.pooled)
+	putChunk(fs.pooled)
 	fs.buf, fs.pooled = nil, nil
 }
 

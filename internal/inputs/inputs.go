@@ -2,7 +2,9 @@
 // TCP/syslog feeds of proxy TSV records and a netflow feed, decoded through
 // the pooled zero-copy codec in internal/logs and handed to the streaming
 // engine in batches: each connection decodes its next batch while the
-// engine routes the previous ones (see HandleConn).
+// engine routes the previous ones, and, once one read fills its buffer,
+// reads the socket ahead of its decoding on a goroutine of its own (see
+// HandleConn).
 //
 // # Framing
 //
@@ -289,17 +291,31 @@ func (l *Listener) acceptLoop() {
 // hand each batch to the engine's AcceptBatch, whose routing goroutine puts
 // the buffer back once the records are reduced — so one batch decodes while
 // the previous ones route, and the engine's in-flight bound is the only lead
-// the connection has on routing. Whatever the terminal condition, the
-// records that parsed before it are handed over, and HandleConn returns only
-// once every batch of the connection has been routed; only then do its
-// decoder and frame buffer go back to their pools.
+// the connection has on routing.
+//
+// The socket is read on the loop until one read fills all the room the
+// frame scanner offered (its 64 KiB chunk less a partial frame): then the
+// sender has more ready than a read takes, and a read-ahead goroutine takes
+// the reads over, filling pooled 64 KiB chunks that the loop copies into
+// the scanner in read order, the read error after the bytes before it. It
+// owns three chunks, so it leads the loop by at most two and a byte-capped
+// connection is read at most 192 KiB past MaxConnBytes; the cap and
+// ReadBytes still count the bytes the scanner takes. A connection whose
+// reads never fill the room — one syslog message, a trickle — never starts
+// it.
+//
+// Whatever the terminal condition, the records that parsed before it are
+// handed over, and HandleConn returns only once the read-ahead, if it
+// started, has stopped (the connection is closed to end a read in progress)
+// and every batch of the connection has been routed; only then do its
+// decoder, frame buffer and chunks go back to their pools.
 func (l *Listener) HandleConn(c net.Conn) error {
 	defer c.Close()
 	l.connsActive.Add(1)
 	defer l.connsActive.Add(-1)
 
-	fs := newFrameScanner(&countingReader{r: c, limit: l.cfg.MaxConnBytes, total: &l.readBytes},
-		l.cfg.Framing, l.cfg.MaxFrameBytes)
+	rd := newConnReader(c, l)
+	fs := newFrameScanner(&rd.count, l.cfg.Framing, l.cfg.MaxFrameBytes)
 	var dec frameDecoder
 	if l.cfg.Format == FormatFlow {
 		dec = newFlowDecoder(l)
@@ -308,6 +324,7 @@ func (l *Listener) HandleConn(c net.Conn) error {
 	}
 	var routing sync.WaitGroup
 	defer func() {
+		rd.stop()
 		routing.Wait()
 		dec.release()
 		fs.release()

@@ -54,38 +54,58 @@ func TestParseProxySteadyStateAllocs(t *testing.T) {
 	}
 
 	// The allocations the carving rule predicts for the measured rounds, from
-	// the room the warm-up left in the current block, in the order the
+	// the room the decoder's current block has left, in the order the
 	// decoder carves a record's values.
-	want, free := 0, d.text.b.Cap()-d.text.b.Len()
-	for r := 0; r < rounds; r++ {
-		for _, rec := range recs {
-			for _, v := range []string{rec.Domain, rec.URL, rec.Referer} {
-				switch {
-				case v == "":
-				case len(v) > textMaxCarve:
-					want++
-				case len(v) > free:
-					want, free = want+1, textBlockBytes-len(v)
-				default:
-					free -= len(v)
+	predict := func() int {
+		want, free := 0, d.text.b.Cap()-d.text.b.Len()
+		for r := 0; r < rounds; r++ {
+			for _, rec := range recs {
+				for _, v := range []string{rec.Domain, rec.URL, rec.Referer} {
+					switch {
+					case v == "":
+					case len(v) > textMaxCarve:
+						want++
+					case len(v) > free:
+						want, free = want+1, textBlockBytes-len(v)
+					default:
+						free -= len(v)
+					}
 				}
 			}
 		}
+		return want
 	}
-	if want <= rounds {
+	if want := predict(); want <= rounds {
 		t.Fatalf("fixture fills %d blocks in %d rounds; it must fill some", want-rounds, rounds)
 	}
 
+	// Mallocs counts the whole process, so an allocation by another goroutine
+	// (a runtime background worker) can land inside the measured block. The
+	// pin stays exact: an attempt that reads more is repeated, up to
+	// attempts times, with want recomputed from the block's room at its start;
+	// the test passes on the first attempt that reads exactly want, and fails
+	// at once on one that reads fewer — no outside allocation explains that.
+	const attempts = 3
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := 0; r < rounds; r++ {
-		parse()
+	var got []int
+	for a := 0; a < attempts; a++ {
+		want := predict()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < rounds; r++ {
+			parse()
+		}
+		runtime.ReadMemStats(&after)
+		allocs := int(after.Mallocs - before.Mallocs)
+		if allocs == want {
+			return
+		}
+		if allocs < want {
+			t.Fatalf("%d steady-state parses of %d records allocate %d times, want exactly %d (one per text block filled, one per over-long value)", rounds, n, allocs, want)
+		}
+		got = append(got, allocs-want)
 	}
-	runtime.ReadMemStats(&after)
-	if got := int(after.Mallocs - before.Mallocs); got != want {
-		t.Errorf("%d steady-state parses of %d records allocate %d times, want exactly %d (one per text block filled, one per over-long value)", rounds, n, got, want)
-	}
+	t.Errorf("in each of %d attempts, %d steady-state parses of %d records allocate more than the one per text block filled and one per over-long value predicted: %v over", attempts, rounds, n, got)
 }
 
 // TestAddrFrontAllocs pins the address front's two allocation-free paths: a

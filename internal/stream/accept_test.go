@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/logs"
+	"repro/internal/normalize"
 	"repro/internal/report"
 )
 
@@ -255,5 +257,74 @@ func TestAcceptBatchBoundsRouting(t *testing.T) {
 	}
 	if gotJSON := dailyBytes(t, got); !bytes.Equal(gotJSON, want) {
 		t.Errorf("day closed from bounded accepts differs from batch\nbatch:  %s\nstream: %s", want, gotJSON)
+	}
+}
+
+// TestSnapshotBesideIngest pins Snapshot's shared hold of the engine lock.
+// With two shards, shard 0's worker held and a Snapshot waiting on it, a
+// batch whose records all route to shard 1 is still ingested: IngestBatch
+// returns, and AcceptBatch returns and routes. An engine whose Snapshot held
+// the lock exclusively would park both behind it until shard 0 let go. Once
+// released, the Snapshot returns, and the next one counts both batches on
+// shard 1 and in the open day.
+func TestSnapshotBesideIngest(t *testing.T) {
+	e := trainOnlyEngine(Config{Shards: 2})
+	defer abandonEngine(e)
+	if err := e.BeginDay(testDay(), nil); err != nil {
+		t.Fatal(err)
+	}
+	var recs []logs.ProxyRecord
+	var red normalize.ProxyReducer
+	for i := 0; len(recs) < 64; i++ {
+		r := rec(testDay(), fmt.Sprintf("host-%d", i%5), fmt.Sprintf("www.dom-%d.example", i), time.Duration(i)*time.Second)
+		if _, folded, _ := red.Key(&r, nil); e.shardIndex(folded) == 1 {
+			recs = append(recs, r)
+		}
+	}
+	within := func(what string, done <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return within 5 s while a Snapshot waited on another shard", what)
+		}
+	}
+
+	release := holdShard(e.shards[0])
+	defer release()
+	snapped := make(chan struct{})
+	go func() { defer close(snapped); e.Snapshot(-1) }()
+	// The Snapshot holds the lock once an exclusive TryLock fails; it cannot
+	// return before shard 0 is released.
+	for e.mu.TryLock() {
+		e.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+
+	ingested := make(chan struct{})
+	go func() {
+		defer close(ingested)
+		if err := e.IngestBatch(recs); err != nil {
+			t.Error(err)
+		}
+	}()
+	within("IngestBatch", ingested)
+	routed := make(chan struct{})
+	if err := e.AcceptBatch(recs, func() { close(routed) }); err != nil {
+		t.Fatal(err)
+	}
+	within("AcceptBatch's routing", routed)
+	select {
+	case <-snapped:
+		t.Fatal("Snapshot returned while shard 0 was held")
+	default:
+	}
+
+	release()
+	within("Snapshot", snapped)
+	st := e.Stats()
+	if want := uint64(2 * len(recs)); st.DayRecords != want || st.TotalRecords != want || st.Shards[1].Ingested != want || st.Shards[0].Ingested != 0 {
+		t.Fatalf("after both batches: dayRecords %d, totalRecords %d, shard ingested %d / %d; want %d, %d, 0 / %d",
+			st.DayRecords, st.TotalRecords, st.Shards[0].Ingested, st.Shards[1].Ingested, want, want, want)
 	}
 }

@@ -381,46 +381,115 @@ func BenchmarkReplayDir(b *testing.B) {
 // its own while the connection decodes the next, which pays off only on a
 // connection of several batches while idle cores remain; the one-record and
 // one-batch shapes pay the routing goroutine and the wait for it, and more
-// connections than cores leave no core idle. ns/rec is the op's time over
-// the records it delivered. Run with
+// connections than cores leave no core idle. Those shapes read from memory,
+// in one read per 64 KiB chunk, so a connection past its first chunk starts
+// its read-ahead with no kernel read for it to take off the loop; the /tcp
+// shape carries the longest connection over loopback TCP instead, and the
+// /stats-poll shape runs it beside a Stats call every millisecond, as a
+// poller of /stats does. ns/rec is the op's time over the records it
+// delivered. Run with
 //
 //	go test ./internal/stream -run '^$' -bench BenchmarkListenerConns -benchmem
 func BenchmarkListenerConns(b *testing.B) {
+	type shape struct {
+		conns, recs int
+		via         string // "": from memory; "tcp"; "stats-poll"
+	}
+	var shapes []shape
 	for _, conns := range []int{1, 8} {
 		for _, n := range []int{1, 64, 2 * inputs.DefaultBatchRecords, 32 * inputs.DefaultBatchRecords} {
-			b.Run(fmt.Sprintf("conns=%d/recs=%d", conns, n), func(b *testing.B) {
-				var wire []byte
-				for _, r := range spreadDomains(benchRecords(n)) {
-					wire = logs.AppendProxy(wire, r)
-				}
-				e := trainOnlyEngine(Config{Shards: runtime.GOMAXPROCS(0)})
-				discardEngine(b, e)
-				if err := e.BeginDay(time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), nil); err != nil {
-					b.Fatal(err)
-				}
-				l := inputs.NewListener(noShed{e}, inputs.Config{Name: "bench", Framing: inputs.FramingNewline})
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for range conns {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							if err := l.HandleConn(&wireConn{Reader: bytes.NewReader(wire)}); err != nil {
-								b.Error(err)
-							}
-						}()
-					}
-					wg.Wait()
-				}
-				b.StopTimer()
-				if got, want := l.Stats().Records, int64(b.N*conns*n); got != want {
-					b.Fatalf("engine accepted %d records, want %d", got, want)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*conns*n), "ns/rec")
-			})
+			shapes = append(shapes, shape{conns, n, ""})
 		}
+	}
+	shapes = append(shapes, shape{1, 32 * inputs.DefaultBatchRecords, "tcp"}, shape{1, 32 * inputs.DefaultBatchRecords, "stats-poll"})
+	for _, sh := range shapes {
+		name := fmt.Sprintf("conns=%d/recs=%d", sh.conns, sh.recs)
+		if sh.via != "" {
+			name += "/" + sh.via
+		}
+		b.Run(name, func(b *testing.B) {
+			var wire []byte
+			for _, r := range spreadDomains(benchRecords(sh.recs)) {
+				wire = logs.AppendProxy(wire, r)
+			}
+			e := trainOnlyEngine(Config{Shards: runtime.GOMAXPROCS(0)})
+			discardEngine(b, e)
+			if err := e.BeginDay(time.Date(2014, 2, 3, 0, 0, 0, 0, time.UTC), nil); err != nil {
+				b.Fatal(err)
+			}
+			l := inputs.NewListener(noShed{e}, inputs.Config{Name: "bench", Framing: inputs.FramingNewline})
+			conn := func() net.Conn { return &wireConn{Reader: bytes.NewReader(wire)} }
+			if sh.via == "tcp" {
+				conn = loopbackConns(b, wire)
+			}
+			if sh.via == "stats-poll" {
+				stop := make(chan struct{})
+				polled := make(chan struct{})
+				go func() {
+					defer close(polled)
+					tick := time.NewTicker(time.Millisecond)
+					defer tick.Stop()
+					for {
+						select {
+						case <-stop:
+							return
+						case <-tick.C:
+							e.Stats()
+						}
+					}
+				}()
+				defer func() { close(stop); <-polled }()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for range sh.conns {
+					wg.Add(1)
+					c := conn()
+					go func() {
+						defer wg.Done()
+						if err := l.HandleConn(c); err != nil {
+							b.Error(err)
+						}
+					}()
+				}
+				wg.Wait()
+			}
+			b.StopTimer()
+			if got, want := l.Stats().Records, int64(b.N*sh.conns*sh.recs); got != want {
+				b.Fatalf("engine accepted %d records, want %d", got, want)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.conns*sh.recs), "ns/rec")
+		})
+	}
+}
+
+// loopbackConns returns a source of loopback TCP connections, each the
+// accepted end of a connection whose peer writes wire and closes.
+func loopbackConns(b *testing.B, wire []byte) func() net.Conn {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ln.Close() })
+	return func() net.Conn {
+		go func() {
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			defer c.Close()
+			if _, err := c.Write(wire); err != nil {
+				b.Error(err)
+			}
+		}()
+		c, err := ln.Accept()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
 	}
 }
 

@@ -102,8 +102,9 @@ type LivePair struct {
 	Samples    int     `json:"samples"`
 }
 
-// Stats snapshots the engine. It quiesces the shards briefly, so it is not
-// free; poll it at human timescales.
+// Stats snapshots the engine. It visits every shard's worker between two
+// batches, so it costs a round trip through each shard queue, but it stops
+// no ingest: it holds the engine lock shared, as routing does.
 func (e *Engine) Stats() Stats {
 	st, _ := e.Snapshot(-1)
 	return st
@@ -122,13 +123,17 @@ func (e *Engine) LiveAutomated(limit int) []LivePair {
 }
 
 // Snapshot captures engine statistics and, unless maxLive is negative, the
-// live automated pairs (maxLive 0: uncapped) in a single shard quiesce —
-// one atomic freeze instead of two for pollers that want both. The live
-// figures are derived inside the freeze from the shards' builders; nothing
-// is kept resident for them.
+// live automated pairs (maxLive 0: uncapped) in a single visit to the
+// shards — one pass instead of two for pollers that want both. It holds the
+// engine lock shared, so acceptance and routing go on around it: DayRecords
+// counts every batch accepted before the call, TotalRecords every batch
+// routed before it, and each shard's live figures are derived from its
+// builder on its own worker, as the shard stood once it had applied the
+// batches queued when the visit reached it. Nothing is kept resident for
+// them.
 func (e *Engine) Snapshot(maxLive int) (Stats, []LivePair) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	st := Stats{
 		DayRecords:              e.dayRecords.Load(),
 		TotalRecords:            e.totalRecords.Load(),

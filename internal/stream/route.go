@@ -115,8 +115,10 @@ func (e *Engine) AcceptBatch(recs []logs.ProxyRecord, routed func()) error {
 }
 
 // accept takes mu shared and, when a day is open, returns still holding it,
-// with the n sequence numbers after the returned base reserved for the
-// batch; on error it returns with mu released.
+// with the n sequence numbers after the returned base reserved for the batch
+// and the batch counted into dayRecords, so a Snapshot taken after the ack
+// counts it even while it still routes; on error it returns with mu
+// released. totalRecords counts the batch once it is routed.
 func (e *Engine) accept(n int) (uint64, error) {
 	e.mu.RLock()
 	if e.closed {
@@ -127,6 +129,7 @@ func (e *Engine) accept(n int) (uint64, error) {
 		e.mu.RUnlock()
 		return 0, ErrNoDay
 	}
+	e.dayRecords.Add(uint64(n))
 	return e.seq.Add(uint64(n)) - uint64(n), nil
 }
 
@@ -135,9 +138,10 @@ func (e *Engine) accept(n int) (uint64, error) {
 // reducer into a per-shard buffer; the one reservation and at most one
 // channel send per shard replace the per-record atomics and sends the engine
 // used before batching. A send blocks while its shard's queue is full — safe,
-// because the workers always drain (control requests need the exclusive
-// lock, which cannot be taken while we hold it shared). Caller holds mu
-// (shared).
+// because the workers always drain: a control request that needs the
+// exclusive lock cannot be issued while we hold it shared, and Snapshot's,
+// issued under the shared lock, holds its worker only for a read. Caller
+// holds mu (shared).
 func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord, base uint64) {
 	n := len(recs)
 
@@ -185,7 +189,6 @@ func (e *Engine) routeBatchLocked(recs []logs.ProxyRecord, base uint64) {
 		sc.bufs[si] = nil // owned by the worker now
 	}
 
-	e.dayRecords.Add(uint64(n))
 	e.totalRecords.Add(uint64(n))
 	if droppedIP > 0 {
 		e.dayDroppedIP.Add(droppedIP)

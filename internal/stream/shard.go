@@ -112,17 +112,14 @@ func (s *shard) run() {
 			}
 			s.applyBatch(b)
 		case c := <-s.ctrl:
-			// Drain queued batches first: the engine only issues control
-			// requests while holding the write lock, so no new batches can
-			// race in and the drain observes the complete prefix.
-			for {
-				select {
-				case b := <-s.batches:
-					s.applyBatch(b)
-					continue
-				default:
-				}
-				break
+			// Apply the batches queued when the request arrived, and only
+			// those: under the engine's exclusive lock (rollover, checkpoint,
+			// preview, close) nothing can be routed meanwhile, so that is
+			// the complete prefix; under the shared lock (Snapshot) routing
+			// goes on, and the request sees the shard as it stood when it
+			// arrived instead of chasing the queue.
+			for n := len(s.batches); n > 0; n-- {
+				s.applyBatch(<-s.batches)
 			}
 			c.fn(s)
 			close(c.done)
@@ -237,8 +234,10 @@ func (s *shard) resetDay() {
 }
 
 // quiesce runs fn against every shard on its worker goroutine, after the
-// worker has drained its queue. Caller must hold mu exclusively so no new
-// records can be routed while shards are frozen.
+// worker has applied the batches queued when the request reached it. Under
+// mu held exclusively no record can be routed meanwhile, so every shard is
+// frozen at the same complete prefix; under mu held shared (Snapshot) each
+// shard answers with its own state at that moment while routing continues.
 func (e *Engine) quiesce(fn func(i int, s *shard)) {
 	var wg sync.WaitGroup
 	for i, s := range e.shards {
